@@ -233,12 +233,6 @@ class QuadraticDifferential:
     q: RatScalar
     polar_bound: tuple = ()
 
-    def bound_at(self, p):
-        for pt, b in self.polar_bound:
-            if abs(complex(pt) - complex(p)) <= TAU_SEP:
-                return b
-        return 0
-
 
 def spectral_quadratic(conn):
     """``tr(A^2) dz^2`` — the spectral quadratic differential of the state.

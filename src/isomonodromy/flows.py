@@ -473,15 +473,18 @@ def extend_state(state):
     return ExtendedState(state, q_slots, b_slots)
 
 
-def _pairing_with_direction(q_slots, b_slots, direction):
-    """``F_Y`` of slot data: the correction Hamiltonian the direction reads."""
+def _pairing_with_direction(q_slots, b_slots, direction, poles):
+    """``F_Y`` of slot data: the correction Hamiltonian the direction reads.
+
+    Irregular rates pair as in ``direction_differential``: ``-2`` times the
+    diagonal-jet pairing with the dual tail of the rate.
+    """
     acc = 0.0 + 0j
     for i, rate in direction.moduli_rates.items():
         acc += rate * q_slots[i][0]
     for i, rows in direction.irregular_rates.items():
-        beta = beta_for_rate(rows)
-        for j in range(beta.shape[0]):
-            acc += 2.0 * np.sum(beta[j] * b_slots[i][j])
+        beta = beta_for_rate(rows, poles[i])
+        acc -= 2.0 * np.sum(beta * b_slots[i])
     return complex(acc)
 
 
@@ -498,7 +501,8 @@ def extended_autonomous_rhs(direction, ext, fd_step=1e-6):
 
     def fiber_H(st):
         q_slots, b_slots = section_S(st)
-        return _pairing_with_direction(q_slots, b_slots, direction)
+        return _pairing_with_direction(q_slots, b_slots, direction,
+                                       state.poles)
 
     out = lift_I0(direction, state)
     dH = numeric_differential(fiber_H, state, step=fd_step)

@@ -161,10 +161,6 @@ class LaurentJet:
         return self.coeffs.ndim == 3
 
     @property
-    def is_form(self):
-        return self.form_degree == 1
-
-    @property
     def n(self):
         return self.coeffs.shape[1] if self.is_matrix else 1
 
@@ -189,12 +185,6 @@ class LaurentJet:
                 f"coefficient of order {k} beyond jet truncation {self.k_max}")
         return self.coeffs[k - self.k_min]
 
-    def truncate(self, k_max):
-        if k_max > self.k_max:
-            raise PreconditionError("cannot extend a jet by truncation")
-        return LaurentJet(self.point, self.k_min,
-                          self.coeffs[: k_max - self.k_min + 1], self.form_degree)
-
     def drop_leading_zeros(self, rel_tol=1e-13):
         """Raise k_min past coefficients that are numerically zero."""
         scale = np.max(np.abs(self.coeffs)) if self.coeffs.size else 0.0
@@ -205,10 +195,6 @@ class LaurentJet:
         while i < flat.shape[0] - 1 and np.max(np.abs(flat[i])) <= rel_tol * scale:
             i += 1
         return LaurentJet(self.point, self.k_min + i, self.coeffs[i:], self.form_degree)
-
-    def shift_orders(self, d):
-        """Multiply by ``zeta**d`` (shifts all orders by d)."""
-        return LaurentJet(self.point, self.k_min + d, self.coeffs, self.form_degree)
 
     # -- ring operations ----------------------------------------------------
 
@@ -318,11 +304,6 @@ class LaurentJet:
                           np.trace(self.coeffs, axis1=1, axis2=2),
                           self.form_degree)
 
-    def transpose_entry(self, i, j):
-        """Scalar jet of entry (i, j)."""
-        return LaurentJet(self.point, self.k_min, self.coeffs[:, i, j],
-                          self.form_degree)
-
     def diagonal(self):
         return LaurentJet(self.point, self.k_min,
                           np.einsum("kii->ki", self.coeffs).copy(),
@@ -407,10 +388,6 @@ class RatScalar:
         return cls(np.array([c], dtype=complex))
 
     @classmethod
-    def from_poly(cls, coeffs):
-        return cls(coeffs)
-
-    @classmethod
     def monomial(cls, k, c=1.0):
         coeffs = np.zeros(k + 1, dtype=complex)
         coeffs[k] = c
@@ -439,9 +416,6 @@ class RatScalar:
 
     def pole_points(self):
         return [r for r, _ in self.poles]
-
-    def denominator_poly(self):
-        return poly_factors(self.poles)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -718,13 +692,6 @@ class RatMat:
                     for i in range(M.shape[0])])
 
     @classmethod
-    def from_scalar(cls, f, n=1):
-        out = cls.zero(n)
-        for i in range(n):
-            out.entries[i][i] = f
-        return out
-
-    @classmethod
     def from_polar_part(cls, p, coeff_list):
         """``sum_k C_k / (z - p)**k`` for ``coeff_list = [C_1, C_2, ...]``."""
         coeff_list = [np.asarray(C, dtype=complex) for C in coeff_list]
@@ -951,24 +918,6 @@ def residue_quadrature_oracle(omega, p, radius, N=128):
 # ---------------------------------------------------------------------------
 # polynomial matrices (twist germs)
 # ---------------------------------------------------------------------------
-
-def polymat_eval(coeffs, z):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    out = np.zeros(coeffs.shape[1:], dtype=complex)
-    for k in range(coeffs.shape[0] - 1, -1, -1):
-        out = out * z + coeffs[k]
-    return out
-
-
-def polymat_mul(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out = np.zeros((a.shape[0] + b.shape[0] - 1,) + a.shape[1:], dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            out[i + j] += a[i] @ b[j]
-    return out
-
 
 def polymat_det(coeffs):
     """Determinant of a polynomial matrix, as ascending coefficients."""

@@ -79,14 +79,6 @@ class PoleData:
     def h_inv(self):
         return np.linalg.inv(self.h)
 
-    def frame_jet(self):
-        """Coefficients of ``h (I + u(zeta))``, shape (l, n, n)."""
-        out = np.zeros((self.l, self.n, self.n), dtype=complex)
-        out[0] = self.h
-        for k in range(1, self.l - 1):
-            out[k] = self.h @ self.u[k - 1]
-        return out
-
     def unipotent_jet(self):
         """Coefficients of ``I + u(zeta)`` through order l-1 (top order zero)."""
         n, l = self.n, self.l

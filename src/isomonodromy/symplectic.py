@@ -21,6 +21,13 @@ The overall factor two matches the residue-pairing normalization above, so
 that the Hamiltonian ``res tr(A^2)`` generates the classical commutator flow
 on residues.  Hamiltonian vector fields are obtained by assembling the Gram
 matrix of this form on the coordinate basis and solving ``omega(X, .) = dH``.
+
+The form pairs no two poles, so the Gram matrix is block-diagonal by pole.
+Each block is assembled with ``einsum`` over the stacked jet velocities of
+its basis directions (``PoleChartBlock.omega`` is the term-by-term
+reference), and each block is solved with its own SVD.  The rank guard is
+global: it compares the smallest singular value over all blocks with the
+largest, exactly as an SVD of the whole matrix would.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ import numpy as np
 from .connection import diagonalize_jet, spectral_quadratic
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat, RatScalar
-from .states import offdiag_indices
 
 TAU_RANK = 1e-8
 FD_STEP = 1e-5
@@ -146,63 +152,53 @@ class PoleChartBlock:
     """Symplectic data of one pole's chart coordinates.
 
     Basis order matches the chart slice: frame entries, off-diagonal jet
-    entries order by order, then residue-momentum entries.  For every basis
-    direction we store the left jet velocity ``eta = F^-1 dF`` (orders
-    ``0 .. l-1``) and the dressed-residue variation.
+    entries order by order, then residue-momentum entries.  Every basis
+    direction carries its left jet velocity ``eta = F^-1 dF`` (orders
+    ``0 .. l-1``) and its dressed-residue variation: ``etas`` has shape
+    ``(dim, l, n, n)`` and ``dlams`` shape ``(dim, n, n)``, zero away from
+    the residue-momentum directions.
     """
 
     def __init__(self, pole):
         self.pole = pole
         n, l = pole.n, pole.l
         self.n, self.l = n, l
-        self.hinv = pole.h_inv()
-        self.U = pole.unipotent_jet()
-        self.V = pole.unipotent_inverse_jet()
+        U = pole.unipotent_jet()
+        V = pole.unipotent_inverse_jet()
         self.lam = pole.lam_jet()     # row r <-> order -(r+1)
+        # jets of the frame F = h U and of its inverse F^-1 = V h^-1
+        self.hU = pole.h @ U
+        self.V_hinv = V @ pole.h_inv()
+        # lam_hankel[m, k] = lam[m + k], zero past the top order
+        self.lam_hankel = np.zeros((l, l, n, n), dtype=complex)
+        # u_toeplitz[m, i] = U[m - i] and v_shifted[k, m] = V[m - k - 1]
+        u_toeplitz = np.zeros((l, l, n, n), dtype=complex)
+        v_shifted = np.zeros((max(l - 2, 0), l, n, n), dtype=complex)
+        for m in range(l):
+            self.lam_hankel[m, : l - m] = self.lam[m:]
+            u_toeplitz[m, : m + 1] = U[m::-1]
+        for k in range(l - 2):
+            v_shifted[k, k + 1:] = V[: l - k - 1]
 
-        self.tags = []
-        etas = []
-        dlams = []
-        for a in range(n):
-            for b in range(n):
-                self.tags.append(("h", a, b))
-                W = np.outer(self.hinv[:, a], np.eye(n)[b])  # hinv @ E_ab
-                eta = np.zeros((l, n, n), dtype=complex)
-                for m in range(l):
-                    for i in range(m + 1):
-                        eta[m] += self.V[i] @ (W @ self.U[m - i])
-                etas.append(eta)
-                dlams.append(None)
-        for k in range(max(l - 2, 0)):
-            for a, b in offdiag_indices(n):
-                self.tags.append(("u", k, a, b))
-                eta = np.zeros((l, n, n), dtype=complex)
-                E = np.zeros((n, n), dtype=complex)
-                E[a, b] = 1.0
-                for m in range(k + 1, l):
-                    eta[m] = self.V[m - (k + 1)] @ E
-                etas.append(eta)
-                dlams.append(None)
-        for a in range(n):
-            for b in range(n):
-                self.tags.append(("lam", a, b))
-                etas.append(np.zeros((l, n, n), dtype=complex))
-                E = np.zeros((n, n), dtype=complex)
-                E[a, b] = 1.0
-                dlams.append(E)
-        self.etas = np.stack(etas)
-        self.dlams = dlams
-        self.dim = len(self.tags)
+        # frame direction E_ab: eta_m = sum_{i <= m} V_i h^-1 E_ab U_{m-i}
+        eta_h = np.einsum("ipa,mibq->abmpq", self.V_hinv, u_toeplitz)
+        # jet direction (k, a, b): eta_m = V_{m-k-1} E_ab for m > k
+        eta_u = np.einsum("kmpa,bq->kabmpq", v_shifted, np.eye(n))
+        eta_u = eta_u[:, ~np.eye(n, dtype=bool)]
+        n_frame = n * n + eta_u.shape[0] * eta_u.shape[1]
+        self.dim = n_frame + n * n
+        self.etas = np.zeros((self.dim, l, n, n), dtype=complex)
+        self.etas[: n * n] = eta_h.reshape(n * n, l, n, n)
+        self.etas[n * n: n_frame] = eta_u.reshape(-1, l, n, n)
+        self.dlams = np.zeros((self.dim, n, n), dtype=complex)
+        self.dlams[n_frame:] = np.eye(n * n).reshape(n * n, n, n)
 
     def omega(self, x, y):
-        """Chart form between two basis (or combined) directions."""
+        """Chart form between two ``(eta, dLam)`` directions, term by term:
+        the reference that ``gram_block`` is tested against."""
         eta_x, dl_x = x
         eta_y, dl_y = y
-        acc = 0.0 + 0j
-        if dl_y is not None:
-            acc += np.trace(eta_x[0] @ dl_y)
-        if dl_x is not None:
-            acc -= np.trace(eta_y[0] @ dl_x)
+        acc = np.trace(eta_x[0] @ dl_y) - np.trace(eta_y[0] @ dl_x)
         for m in range(self.l):
             comm = np.zeros((self.n, self.n), dtype=complex)
             for i in range(m + 1):
@@ -211,40 +207,30 @@ class PoleChartBlock:
         return 2.0 * acc
 
     def gram_block(self):
-        G = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in range(self.dim):
-            ex = (self.etas[x], self.dlams[x])
-            for y in range(x + 1, self.dim):
-                val = self.omega(ex, (self.etas[y], self.dlams[y]))
-                G[x, y] = val
-                G[y, x] = -val
-        return G
+        """``omega`` on every pair of basis directions, as ``2 (A - A^T)``
+        with ``A[x, y] = tr(eta_x[0] dLam_y)
+        + sum_{i + j < l} tr(Lambda_{i+j} eta_x[i] eta_y[j])``."""
+        E = self.etas
+        lam_eta = np.einsum("ijpr,xirq->xjpq", self.lam_hankel, E)
+        A = (np.einsum("xjpq,yjqp->xy", lam_eta, E)
+             + np.einsum("xpq,yqp->xy", E[:, 0], self.dlams))
+        return 2.0 * (A - A.T)
 
-    def induced_variation(self, idx):
-        """Connection polar-coefficient variations ``[dC_1 .. dC_l]`` of one
-        basis direction, via ``dP = [F (ad_eta Lambda + dLam) F^-1]_polar``."""
-        eta = self.etas[idx]
-        dl = self.dlams[idx]
-        n, l = self.n, self.l
-        inner = np.zeros((l, n, n), dtype=complex)   # row k <-> order -(k+1)
-        for m in range(l):
-            for r in range(l):
-                k = r - m  # order m - (r+1) = -(k+1)
-                if 0 <= k < l:
-                    inner[k] += eta[m] @ self.lam[r] - self.lam[r] @ eta[m]
-        if dl is not None:
-            inner[0] += dl
-        out = []
-        h = self.pole.h
-        for k in range(1, l + 1):
-            acc = np.zeros((n, n), dtype=complex)
-            for r in range(k - 1, l):
-                s = r + 1 - k
-                for i in range(0, min(s, l - 1) + 1):
-                    j = s - i
-                    if j < l:
-                        acc += self.U[i] @ inner[r] @ self.V[j]
-            out.append(h @ acc @ self.hinv)
+    def induced_variations(self):
+        """Connection polar-coefficient variations of every basis direction,
+        via ``dP = [F (ad_eta Lambda + dLam) F^-1]_polar``; shape
+        ``(dim, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
+        E, H, l = self.etas, self.lam_hankel, self.l
+        # inner[:, k] is the order -(k+1) term of [eta, Lambda] + dLam
+        inner = (np.einsum("xmpr,mkrq->xkpq", E, H)
+                 - np.einsum("mkpr,xmrq->xkpq", H, E))
+        inner[:, 0] += self.dlams
+        # (h U)_i inner_r (V h^-1)_j sits at order i + j - (r + 1)
+        out = np.zeros_like(inner)
+        for i in range(l):
+            for j in range(l - i):
+                out[:, : l - i - j] += (self.hU[i] @ inner[:, i + j:]
+                                        @ self.V_hinv[j])
         return out
 
 
@@ -279,15 +265,8 @@ class ChartTangent:
         out = []
         at = 0
         for blk in blocks:
-            var = [np.zeros((state.n, state.n), dtype=complex)
-                   for _ in range(blk.l)]
-            for idx in range(blk.dim):
-                c = self.vec[at + idx]
-                if c != 0:
-                    dv = blk.induced_variation(idx)
-                    for k in range(blk.l):
-                        var[k] = var[k] + c * dv[k]
-            out.append(var)
+            out.append(np.einsum("x,xkpq->kpq", self.vec[at: at + blk.dim],
+                                 blk.induced_variations()))
             at += blk.dim
         return out
 
@@ -299,13 +278,9 @@ class ChartTangent:
         at = 0
         for p, blk, var in zip(state.poles, blocks,
                                self.induced_polar_variations(state, blocks)):
-            jet = np.zeros((p.l, state.n, state.n), dtype=complex)
-            for idx in range(blk.dim):
-                c = self.vec[at + idx]
-                if c != 0:
-                    jet += c * blk.etas[idx]
-            s.append(jet)
-            if any(np.any(v) for v in var):
+            s.append(np.einsum("x,xmpq->mpq", self.vec[at: at + blk.dim],
+                               blk.etas))
+            if np.any(var):
                 b = b + RatMat.from_polar_part(p.t, var)
             at += blk.dim
         return TangentVec(tuple(s), b)
@@ -313,18 +288,25 @@ class ChartTangent:
 
 def hamiltonian_vector_field(dH, state, blocks=None):
     """Solve ``omega(X, .) = dH`` on the chart; ``dH`` is the flat coefficient
-    vector of the cotangent functional on the coordinate basis."""
+    vector of the cotangent functional on the coordinate basis.
+
+    Solved pole block by pole block, under the global rank guard.
+    """
     dH = np.asarray(dH, dtype=complex).ravel()
     G = gram_matrix(state, blocks)
     if dH.shape[0] != G.shape[0]:
         raise MalformedInputError("dH length does not match the chart dimension")
     # omega(X, Y) = X^T G Y on the basis, so omega(X, .) = dH reads G^T X = dH
-    U, S, Vh = np.linalg.svd(G.T)
-    if S[0] == 0.0 or S[-1] <= TAU_RANK * S[0]:
+    cuts = np.cumsum([0] + [p.chart_size() for p in state.poles])
+    svds = [np.linalg.svd(G[a:b, a:b].T) for a, b in zip(cuts, cuts[1:])]
+    s_max = max(S[0] for _, S, _ in svds)
+    s_min = min(S[-1] for _, S, _ in svds)
+    if s_max == 0.0 or s_min <= TAU_RANK * s_max:
         raise DegenerateChartError(
             f"chart Gram matrix is singular: sigma_min/sigma_max = "
-            f"{S[-1] / max(S[0], 1e-300):.3e}")
-    x = Vh.conj().T @ ((U.conj().T @ dH) / S)
+            f"{s_min / max(s_max, 1e-300):.3e}")
+    x = np.concatenate([Vh.conj().T @ ((U.conj().T @ dH[a:b]) / S)
+                        for a, b, (U, S, Vh) in zip(cuts, cuts[1:], svds)])
     return ChartTangent(x)
 
 
@@ -511,27 +493,22 @@ def d_translation_hamiltonian(state, i, blocks=None, polar=None, regular=None):
     regular = regular if regular is not None else \
         state_regular_jets(state, lmax - 1, polar)
     p_i = state.poles[i]
-
-    def pair_with_variation(j, var):
-        # 2 res_{t_i} tr(A . b) for b = sum_k var[k] (z-t_j)^-k
-        acc = 0.0 + 0j
-        if j == i:
-            for k in range(1, len(var) + 1):
-                acc += 2.0 * np.trace(regular[i][k - 1] @ var[k - 1])
-        else:
-            dist = p_i.t - state.poles[j].t
-            for k, dC in enumerate(var, start=1):
-                ext = extension_jet(dC, k, dist, p_i.l - 1)
-                for m in range(p_i.l):
-                    acc += 2.0 * np.trace(polar[i][m] @ ext[m])
-        return acc
+    polar_i = np.asarray(polar[i])
 
     out = np.zeros(state.chart_dim(), dtype=complex)
     at = 0
     for j, blk in enumerate(blocks):
-        for idx in range(blk.dim):
-            var = blk.induced_variation(idx)
-            out[at + idx] = pair_with_variation(j, var)
+        # 2 res_{t_i} tr(A . b) for b = sum_k dC_k (z-t_j)^-k is
+        # 2 sum_k tr(weight[k-1] dC_k)
+        if j == i:
+            weight = regular[i][: blk.l]
+        else:
+            dist = p_i.t - state.poles[j].t
+            ext = np.stack([extension_jet(1.0, k, dist, p_i.l - 1)
+                            for k in range(1, blk.l + 1)])
+            weight = np.einsum("km,mpq->kpq", ext, polar_i)
+        out[at: at + blk.dim] = 2.0 * np.einsum(
+            "kpq,xkqp->x", weight, blk.induced_variations())
         at += blk.dim
     return out
 

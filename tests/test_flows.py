@@ -146,6 +146,37 @@ class TestIntegrateFlow:
         assert traj.abort_kind == "pole_collision"
 
 
+class TestCommutingFlows:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_square_loop_returns_to_start(self, rng, n):
+        # isomonodromic flows commute (Frobenius integrability, Jimbo-Miwa-
+        # Ueno 1981): around a square in (t_1, t_2) the state comes back
+        ts = [-1.5, -0.2, 0.9, 2.1]
+        state = FlowState(n, tuple(
+            PoleData(t, 1, np.eye(n) + 0.3 * random_matrix(rng, n), M)
+            for t, M in zip(ts, random_fuchsian_matrices(rng, n, 4))))
+        legs = [(1, 0.2), (2, 0.2j), (1, -0.2), (2, -0.2j)]
+        states = [state]
+        for i, d in legs:
+            traj = integrate_flow(states[-1], FlowPath.line(states[-1], i, d),
+                                  n_samples=2)
+            assert traj.status == "completed"
+            states.append(traj.states[-1])
+
+        def polar(st):
+            return np.concatenate([np.ravel(p.polar_coeffs())
+                                   for p in st.poles])
+
+        start, half, end = states[0], states[2], states[-1]
+        assert np.max(np.abs(half.chart_vector()
+                             - start.chart_vector())) > 1e-3
+        assert np.max(np.abs(end.chart_vector()
+                             - start.chart_vector())) < 1e-9
+        assert np.max(np.abs(polar(end) - polar(start))) < 1e-9
+        assert np.max(np.abs(np.array(end.moduli.positions)
+                             - np.array(ts))) < 1e-12
+
+
 class TestVerify:
     def test_constant_trajectory_zero_drift(self, rng):
         state = fuchsian_state([0.0, 1.3],
@@ -305,6 +336,21 @@ class TestSectionAndExtended:
         samples, exts, status = integrate_extended(extend_state(state), path,
                                                    tol=1e-9, n_samples=3)
         assert status[0] == "completed"
+        for e, st in zip(exts, traj.states):
+            assert np.max(np.abs(e.state.chart_vector()
+                                 - st.chart_vector())) < 1e-6
+
+    def test_extended_flow_projects_onto_irregular_flow(self, rng):
+        # order-2 analogue of the Fuchsian case above, on a short path
+        state = irregular_state(rng)
+        rate = np.array([[0.8, -0.5]], dtype=complex)
+        path = FlowPath.irregular_line(state, 0, rate, length=0.1)
+        traj = integrate_flow(state, path, tol=1e-10, n_samples=2)
+        samples, exts, status = integrate_extended(extend_state(state), path,
+                                                   tol=1e-9, n_samples=2)
+        assert status[0] == "completed"
+        moved = traj.states[-1].chart_vector() - state.chart_vector()
+        assert np.max(np.abs(moved)) > 1e-3
         for e, st in zip(exts, traj.states):
             assert np.max(np.abs(e.state.chart_vector()
                                  - st.chart_vector())) < 1e-6

@@ -14,6 +14,7 @@ from isomonodromy.symplectic import (
     ChartTangent,
     DeformationCocycle,
     IrregularCotangent,
+    PoleChartBlock,
     TangentVec,
     chart_blocks,
     d_hamiltonian_mu_Q,
@@ -196,6 +197,68 @@ class TestChart:
         scale = max(abs(omega_at(state, X, Y)), abs(omega_at(state, Y, Z)),
                     abs(omega_at(state, Z, X)), 1.0)
         assert abs(cyc) < 1e-4 * scale
+
+    @staticmethod
+    def chart_poles(rng):
+        """Fuchsian poles with random frames at n = 2, 3, 4, and the order-3
+        pole with a non-zero frame jet of
+        ``test_gram_nondegenerate_irregular``."""
+        poles = [PoleData(0.3, 1, random_invertible(rng, n),
+                          random_matrix(rng, n)) for n in (2, 3, 4)]
+        poles.append(PoleData(0.0, 3, random_invertible(rng, 2),
+                              random_matrix(rng, 2),
+                              np.array([[0.6, -0.7], [0.3, -0.2]]),
+                              u=[[[0.0, 0.2], [-0.1, 0.0]]]))
+        return poles
+
+    def test_gram_block_matches_pairwise_omega(self, rng):
+        for pole in self.chart_poles(rng):
+            blk = PoleChartBlock(pole)
+            G = blk.gram_block()
+            want = np.array([[blk.omega((blk.etas[x], blk.dlams[x]),
+                                        (blk.etas[y], blk.dlams[y]))
+                              for y in range(blk.dim)]
+                             for x in range(blk.dim)])
+            assert np.max(np.abs(G - want)) < 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(G, -G.T)
+
+    def test_induced_variations_match_polar_differences(self, rng):
+        step = 1e-5
+        for pole in self.chart_poles(rng):
+            blk = PoleChartBlock(pole)
+            got = blk.induced_variations()
+            v0 = pole.chart_slice()
+            for x in range(blk.dim):
+                e = np.zeros_like(v0)
+                e[x] = step
+                plus = np.array(pole.with_chart_slice(v0 + e).polar_coeffs())
+                minus = np.array(pole.with_chart_slice(v0 - e).polar_coeffs())
+                fd = (plus - minus) / (2 * step)
+                assert np.max(np.abs(got[x] - fd)) < 1e-7 * max(
+                    1.0, np.max(np.abs(fd)))
+
+    def test_block_solve_matches_dense_solve(self, rng):
+        for pole in self.chart_poles(rng):
+            other = PoleData(2.0, 1, random_invertible(rng, pole.n),
+                             random_matrix(rng, pole.n))
+            state = FlowState(pole.n, (pole, other))
+            dH = rng.standard_normal(state.chart_dim()) \
+                + 1j * rng.standard_normal(state.chart_dim())
+            U, S, Vh = np.linalg.svd(gram_matrix(state).T)
+            want = Vh.conj().T @ ((U.conj().T @ dH) / S)
+            got = hamiltonian_vector_field(dH, state).flatten()
+            assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+    def test_rank_guard_is_global(self):
+        # each block is well conditioned on its own (sigma ratio 1); the two
+        # blocks' scales differ by 1e9, which the global guard refuses
+        state = FlowState(1, (PoleData(0.0, 1, [[1.0]], [[0.3]]),
+                              PoleData(1.0, 1, [[1e9]], [[-0.3]])))
+        for blk in chart_blocks(state):
+            S = np.linalg.svd(blk.gram_block(), compute_uv=False)
+            assert S[-1] > (1 - 1e-12) * S[0]
+        with pytest.raises(DegenerateChartError):
+            hamiltonian_vector_field(np.ones(state.chart_dim()), state)
 
     def test_degenerate_chart_detected(self):
         state = FlowState(1, (PoleData(0.0, 1, np.eye(1), np.zeros((1, 1))),
