@@ -16,6 +16,12 @@ at simple poles and preserves monodromy at any pole order; for irregular
 directions the decomposition is exact at order-2 poles (verified against
 transported monodromy) and refused at higher orders, where the frozen-frame
 lift is no longer the correct reference.
+
+One driver integrates both the flow and the extended autonomous system on
+the flat state vector (``FlowState.flat``).  Pole collision and coefficient
+blow-up are terminal events of the integrator: they are tested on accepted
+steps only and located by root-finding on the dense output, so
+``abort_at`` is the parameter at which the abort happened.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from scipy.integrate import solve_ivp
 from .connection import diagonalize_jet
 from .errors import IntegrationAbort, MalformedInputError, PreconditionError
 from .monodromy import SAFETY, monodromy_rep
-from .states import ExtendedState, FlowState, N_MAX
+from .states import ExtendedState, N_MAX
 from .symplectic import (
     IrregularCotangent,
     chart_blocks,
@@ -86,6 +92,11 @@ class StateDerivative:
     def add_chart(self, vec):
         self.d_chart = self.d_chart + vec
         return self
+
+    def flat(self):
+        """The derivative in the layout of ``FlowState.flat``."""
+        return np.concatenate([self.d_positions, self.d_chart]
+                              + [r.ravel() for r in self.d_irregular])
 
 
 def lift_I0(direction, state):
@@ -268,77 +279,73 @@ class Trajectory:
     abort_at: float | None = None
 
 
-class _Abort(Exception):
-    def __init__(self, kind, message):
-        self.kind = kind
-        self.message = message
+def _abort_events(state):
+    """Terminal abort events on vectors in the layout of ``state.flat()``,
+    named by their abort kind: two poles closer than ``TAU_COLLIDE``, or a
+    coefficient entry beyond ``N_MAX``.  Both caps are read at call time."""
+    m = len(state.poles)
+    n_state = len(state.flat())
+    pairs = np.triu_indices(m, 1)
+
+    def pole_collision(s, y):
+        gaps = np.abs(y[:m, None] - y[None, :m])[pairs]
+        return np.min(gaps, initial=np.inf) - TAU_COLLIDE
+
+    def movable_singularity(s, y):
+        return N_MAX - np.max(np.abs(y[m:n_state]), initial=0.0)
+
+    events = [pole_collision, movable_singularity]
+    for event in events:
+        event.terminal, event.direction = True, -1
+    return events
 
 
-def _pack(state):
-    pos = np.array([p.t for p in state.poles])
-    irr = [p.lam_irr.ravel() for p in state.poles]
-    return np.concatenate([pos, state.chart_vector()] + irr)
+def _integrate(start, state, field, tol, n_samples):
+    """Integrate ``dx/ds = field(s, x)`` from ``start`` over ``s in [0, 1]``.
 
+    ``start`` is ``state`` or an extended state over it; ``field`` returns
+    the derivative in the layout of ``start.flat()``.  One ``solve_ivp`` call
+    per sub-interval between samples; an abort ends the trajectory at the
+    last sample, with ``abort_at`` the located ``s`` of the event.
+    """
+    events = _abort_events(state)
+    y = start.flat()
+    samples, states = [0.0], [start]
+    for event in events:
+        if event(0.0, y) < 0:
+            return Trajectory(samples, states, "aborted", event.__name__, 0.0)
 
-def _unpack(vec, template):
-    m = len(template.poles)
-    pos = vec[:m]
-    at = m + template.chart_dim()
-    chart = vec[m:at]
-    irr = []
-    for p in template.poles:
-        k = (p.l - 1) * p.n
-        irr.append(vec[at:at + k].reshape(p.l - 1, p.n))
-        at += k
-    state = template.with_chart_vector(chart)
-    state = FlowState(
-        template.n,
-        tuple(p.__class__(t, p.l, p2.h, p2.lam_res, r, p2.u)
-              for t, r, p, p2 in zip(pos, irr, template.poles, state.poles)),
-        template.twist)
-    return state
+    def rhs(s, y):
+        return field(s, start.with_flat(y))
+
+    svals = np.linspace(0.0, 1.0, n_samples)
+    for s0, s1 in zip(svals[:-1], svals[1:]):
+        sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", events=events,
+                        rtol=SAFETY * tol, atol=SAFETY * tol)
+        if not sol.success:
+            raise IntegrationAbort("stiffness",
+                                   f"flow integration failed: {sol.message}")
+        if sol.status == 1:
+            at, kind = min((float(te[0]), ev.__name__)
+                           for te, ev in zip(sol.t_events, events) if te.size)
+            return Trajectory(samples, states, "aborted", kind, at)
+        y = sol.y[:, -1]
+        samples.append(float(s1))
+        states.append(start.with_flat(y))
+    return Trajectory(samples, states)
 
 
 def integrate_flow(state, path, tol=FLOW_TOL, n_samples=9):
     """Integrate the deformation along the path; sample the trajectory.
 
     Pole collisions and coefficient blow-ups abort with the partial
-    trajectory flagged (``pole_collision`` / ``movable_singularity``).
+    trajectory flagged (``pole_collision`` / ``movable_singularity``) and
+    located on the accepted steps (``abort_at``).
     """
-    svals = np.linspace(0.0, 1.0, n_samples)
-    template = state
-
-    def rhs(s, y):
-        st = _unpack(y, template)
-        if st.norm() > N_MAX:
-            raise _Abort("movable_singularity",
-                         f"coefficient norm exceeded {N_MAX:.1e} at s={s:.4f}")
-        pos = [p.t for p in st.poles]
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if abs(pos[i] - pos[j]) < TAU_COLLIDE:
-                    raise _Abort("pole_collision",
-                                 f"poles {i} and {j} within {TAU_COLLIDE} "
-                                 f"at s={s:.4f}")
-        d = isomonodromic_rhs(path.rates(s), st)
-        return np.concatenate([d.d_positions, d.d_chart]
-                              + [r.ravel() for r in d.d_irregular])
-
-    samples, states = [0.0], [state]
-    y = _pack(state)
-    for s0, s1 in zip(svals[:-1], svals[1:]):
-        try:
-            sol = solve_ivp(rhs, (s0, s1), y, method="DOP853",
-                            rtol=SAFETY * tol, atol=SAFETY * tol)
-        except _Abort as ab:
-            return Trajectory(samples, states, "aborted", ab.kind, float(s0))
-        if not sol.success:
-            raise IntegrationAbort("stiffness",
-                                   f"flow integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        samples.append(float(s1))
-        states.append(_unpack(y, template))
-    return Trajectory(samples, states)
+    return _integrate(
+        state, state,
+        lambda s, st: isomonodromic_rhs(path.rates(s), st).flat(),
+        tol, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +443,8 @@ def verify_isomonodromy(trajectory, tol=FLOW_TOL, base_point=None):
                                 float(np.max(np.abs(bd[-1] - base[-1]))))
     notes = []
     if trajectory.status != "completed":
-        notes.append(f"trajectory aborted: {trajectory.abort_kind}")
+        notes.append(f"trajectory aborted: {trajectory.abort_kind} "
+                     f"at s={trajectory.abort_at}")
     return DriftReport(list(trajectory.samples), inv, drift,
                        formal_rows, res_drift, z0, notes)
 
@@ -510,71 +518,23 @@ def extended_autonomous_rhs(direction, ext, fd_step=1e-6):
         out.add_chart(hamiltonian_vector_field(dH, state, blocks).flatten())
 
     # base-partial of the section values along the direction, fiber frozen
-    def shifted(sign):
-        pos = np.array([p.t for p in state.poles])
-        irr = [np.array(p.lam_irr) for p in state.poles]
-        for i, rate in direction.moduli_rates.items():
-            pos[i] += sign * fd_step * rate
-        for i, rows in direction.irregular_rates.items():
-            irr[i] = irr[i] + sign * fd_step * np.asarray(rows)
-        return state.with_positions(pos).with_irregular(irr)
-
-    qp, bp = section_S(shifted(+1))
-    qm, bm = section_S(shifted(-1))
+    # (the reference lift has no chart part)
+    y, dy = state.flat(), lift_I0(direction, state).flat()
+    qp, bp = section_S(state.with_flat(y + fd_step * dy))
+    qm, bm = section_S(state.with_flat(y - fd_step * dy))
     dq = tuple((a - b) / (2 * fd_step) for a, b in zip(qp, qm))
     db = tuple((a - b) / (2 * fd_step) for a, b in zip(bp, bm))
     return out, dq, db
 
 
 def integrate_extended(ext, path, tol=FLOW_TOL, n_samples=9):
-    """Integrate the autonomous system; returns sampled extended states."""
-    state0 = ext.state
-    m = len(state0.poles)
-
-    def pack(e):
-        parts = [_pack(e.state)]
-        parts += [np.asarray(q).ravel() for q in e.q_dual]
-        parts += [np.asarray(b).ravel() for b in e.b_dual]
-        return np.concatenate(parts)
-
-    def unpack(vec):
-        base_len = m + state0.chart_dim() + sum(
-            (p.l - 1) * p.n for p in state0.poles)
-        st = _unpack(vec[:base_len], state0)
-        at = base_len
-        q_slots, b_slots = [], []
-        for p in state0.poles:
-            q_slots.append(vec[at:at + p.l].copy())
-            at += p.l
-        for p in state0.poles:
-            k = (p.l - 1) * p.n
-            b_slots.append(vec[at:at + k].reshape(p.l - 1, p.n).copy())
-            at += k
-        return ExtendedState(st, tuple(q_slots), tuple(b_slots))
-
-    def rhs(s, y):
-        e = unpack(y)
-        if e.state.norm() > N_MAX:
-            raise _Abort("movable_singularity", f"blow-up at s={s:.4f}")
+    """Integrate the autonomous system; returns the samples, the sampled
+    extended states and ``(status, abort kind)``, aborting as
+    ``integrate_flow`` does."""
+    def field(s, e):
         d, dq, db = extended_autonomous_rhs(path.rates(s), e)
-        return np.concatenate(
-            [d.d_positions, d.d_chart]
-            + [r.ravel() for r in d.d_irregular]
-            + [np.asarray(q).ravel() for q in dq]
-            + [np.asarray(b).ravel() for b in db])
+        return np.concatenate([d.flat()] + [np.ravel(q) for q in dq]
+                              + [np.ravel(b) for b in db])
 
-    svals = np.linspace(0.0, 1.0, n_samples)
-    samples, out = [0.0], [ext]
-    y = pack(ext)
-    for s0, s1 in zip(svals[:-1], svals[1:]):
-        try:
-            sol = solve_ivp(rhs, (s0, s1), y, method="DOP853",
-                            rtol=SAFETY * tol, atol=SAFETY * tol)
-        except _Abort as ab:
-            return samples, out, ("aborted", ab.kind)
-        if not sol.success:
-            raise IntegrationAbort("stiffness", sol.message)
-        y = sol.y[:, -1]
-        samples.append(float(s1))
-        out.append(unpack(y))
-    return samples, out, ("completed", None)
+    traj = _integrate(ext, ext.state, field, tol, n_samples)
+    return traj.samples, traj.states, (traj.status, traj.abort_kind)

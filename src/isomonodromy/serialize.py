@@ -230,13 +230,8 @@ def trajectory_csv(traj):
     lines = [",".join(header)]
     for s, st in zip(traj.samples, traj.states):
         row = [_fmt(s)]
-        for p in st.poles:
-            row += [_fmt(p.t.real), _fmt(p.t.imag)]
-        for c in st.chart_vector():
-            row += [_fmt(c.real), _fmt(c.imag)]
-        for p in st.poles:
-            for v in p.lam_irr.ravel():
-                row += [_fmt(v.real), _fmt(v.imag)]
+        for v in st.flat():
+            row += [_fmt(v.real), _fmt(v.imag)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

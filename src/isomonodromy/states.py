@@ -155,7 +155,9 @@ class PoleData:
         parts.append(self.lam_res.ravel())
         return np.concatenate(parts)
 
-    def with_chart_slice(self, vec):
+    def with_chart_slice(self, vec, t=None, lam_irr=None):
+        """The pole with chart coordinates ``vec``; position and irregular
+        type from ``t`` and ``lam_irr`` when given, else kept."""
         n = self.n
         h = vec[: n * n].reshape(n, n)
         at = n * n
@@ -165,7 +167,8 @@ class PoleData:
                 u[k][a, b] = vec[at]
                 at += 1
         lam = vec[at: at + n * n].reshape(n, n)
-        return PoleData(self.t, self.l, h, lam, self.lam_irr, u)
+        return PoleData(self.t if t is None else t, self.l, h, lam,
+                        self.lam_irr if lam_irr is None else lam_irr, u)
 
 
 @dataclass(frozen=True)
@@ -269,25 +272,25 @@ class FlowState:
             at += size
         return FlowState(self.n, tuple(poles), self.twist)
 
-    def with_positions(self, positions):
-        poles = tuple(PoleData(t, p.l, p.h, p.lam_res, p.lam_irr, p.u)
-                      for t, p in zip(positions, self.poles))
-        return FlowState(self.n, poles, self.twist)
+    def flat(self):
+        """The state as one vector: pole positions, the chart vector, then
+        every pole's irregular entries (row-major), pole by pole."""
+        positions = np.array([p.t for p in self.poles], dtype=complex)
+        return np.concatenate([positions, self.chart_vector()]
+                              + [p.lam_irr.ravel() for p in self.poles])
 
-    def with_irregular(self, irregular):
-        poles = tuple(PoleData(p.t, p.l, p.h, p.lam_res, irr, p.u)
-                      for irr, p in zip(irregular, self.poles))
-        return FlowState(self.n, poles, self.twist)
-
-    def norm(self):
-        vals = []
-        for p in self.poles:
-            vals.append(np.max(np.abs(p.h)))
-            vals.append(np.max(np.abs(p.lam_res)))
-            if p.l > 1:
-                vals.append(np.max(np.abs(p.lam_irr)))
-                vals.append(np.max(np.abs(p.u)) if p.u.size else 0.0)
-        return max(vals) if vals else 0.0
+    def with_flat(self, vec):
+        """The state whose ``flat()`` is ``vec``; validated like any state."""
+        m = len(self.poles)
+        chart_at, irr_at = m, m + self.chart_dim()
+        poles = []
+        for t, p in zip(vec[:m], self.poles):
+            size, k = p.chart_size(), (p.l - 1) * p.n
+            poles.append(p.with_chart_slice(vec[chart_at: chart_at + size], t,
+                                            vec[irr_at: irr_at + k]))
+            chart_at += size
+            irr_at += k
+        return FlowState(self.n, tuple(poles), self.twist)
 
 
 @dataclass(frozen=True)
@@ -310,3 +313,26 @@ class ExtendedState:
                 raise MalformedInputError("q_dual slot shape mismatch")
             if np.shape(b) != (p.l - 1, p.n):
                 raise MalformedInputError("b_dual slot shape mismatch")
+
+    def flat(self):
+        """``state.flat()``, then every pole's ``q_dual``, then every pole's
+        ``b_dual`` entries (row-major)."""
+        return np.concatenate([self.state.flat()]
+                              + [np.ravel(q) for q in self.q_dual]
+                              + [np.ravel(b) for b in self.b_dual])
+
+    def with_flat(self, vec):
+        """The extended state whose ``flat()`` is ``vec``."""
+        poles = self.state.poles
+        at = len(poles) + self.state.chart_dim() + sum(
+            (p.l - 1) * p.n for p in poles)
+        state = self.state.with_flat(vec[:at])
+        q_dual, b_dual = [], []
+        for p in poles:
+            q_dual.append(vec[at: at + p.l].copy())
+            at += p.l
+        for p in poles:
+            k = (p.l - 1) * p.n
+            b_dual.append(vec[at: at + k].reshape(p.l - 1, p.n).copy())
+            at += k
+        return ExtendedState(state, tuple(q_dual), tuple(b_dual))

@@ -22,6 +22,12 @@ that the Hamiltonian ``res tr(A^2)`` generates the classical commutator flow
 on residues.  Hamiltonian vector fields are obtained by assembling the Gram
 matrix of this form on the coordinate basis and solving ``omega(X, .) = dH``.
 
+The chart form is the normative one: it is the form that flows and
+Hamiltonian fields invert.  The library provides no map from chart tangents
+to tangent triples.  The obvious lift (``s`` the frame velocity ``eta``,
+``b`` the induced polar variation) does not reproduce the triple form:
+their ratio varies from one pair of tangents to the next.
+
 The form pairs no two poles, so the Gram matrix is block-diagonal by pole.
 Each block is assembled with ``einsum`` over the stacked jet velocities of
 its basis directions (``PoleChartBlock.omega`` is the term-by-term
@@ -269,21 +275,6 @@ class ChartTangent:
                                  blk.induced_variations()))
             at += blk.dim
         return out
-
-    def as_tangent_vec(self, state, blocks=None):
-        """Assemble the (s, b) tangent triple this coordinate tangent induces."""
-        blocks = blocks if blocks is not None else chart_blocks(state)
-        s = []
-        b = RatMat.zero(state.n)
-        at = 0
-        for p, blk, var in zip(state.poles, blocks,
-                               self.induced_polar_variations(state, blocks)):
-            s.append(np.einsum("x,xmpq->mpq", self.vec[at: at + blk.dim],
-                               blk.etas))
-            if np.any(var):
-                b = b + RatMat.from_polar_part(p.t, var)
-            at += blk.dim
-        return TangentVec(tuple(s), b)
 
 
 def hamiltonian_vector_field(dH, state, blocks=None):

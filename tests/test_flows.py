@@ -129,14 +129,34 @@ class TestIntegrateFlow:
                 p1.h @ p1.lam_res @ np.linalg.inv(p1.h)
                 - p0.h @ p0.lam_res @ np.linalg.inv(p0.h))) < 1e-9
 
-    def test_blowup_流flagged(self, rng, monkeypatch):
+    def test_blowup_flagged(self, rng, monkeypatch):
         state = fuchsian_state([0.0, 1.3], random_fuchsian_matrices(rng, 2, 2))
         monkeypatch.setattr(flows, "N_MAX", 1e-3)
         traj = integrate_flow(state, FlowPath.line(state, 0, 0.5),
                               n_samples=3)
         assert traj.status == "aborted"
         assert traj.abort_kind == "movable_singularity"
-        assert len(traj.states) >= 1
+        # the start already exceeds the cap
+        assert traj.abort_at == 0.0
+        assert len(traj.states) == 1
+
+    def test_blowup_located_mid_path(self, rng, monkeypatch):
+        state = fuchsian_state([0.0, 1.0, -1.5],
+                               random_fuchsian_matrices(rng, 2, 3))
+        path = FlowPath.line(state, 0, 0.5)
+        cap = 1.01 * np.max(np.abs(state.flat()[3:]))
+        monkeypatch.setattr(flows, "N_MAX", cap)
+        traj = integrate_flow(state, path, n_samples=5)
+        assert traj.status == "aborted"
+        assert traj.abort_kind == "movable_singularity"
+        assert traj.samples == [0.0]
+        assert 0.0 < traj.abort_at < 0.25
+        # the largest coefficient reaches the cap at the located point
+        monkeypatch.setattr(flows, "N_MAX", 1e8)
+        there = integrate_flow(state, FlowPath.line(state, 0,
+                                                    0.5 * traj.abort_at),
+                               n_samples=2).states[-1]
+        assert abs(np.max(np.abs(there.flat()[3:])) - cap) < 1e-8
 
     def test_collision_flagged(self, rng):
         state = fuchsian_state([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))
@@ -144,6 +164,23 @@ class TestIntegrateFlow:
                               n_samples=5)
         assert traj.status == "aborted"
         assert traj.abort_kind == "pole_collision"
+        # located where the gap reaches TAU_COLLIDE, not at the sample 0.75
+        assert abs(traj.abort_at - (1.0 - flows.TAU_COLLIDE)) < 1e-9
+        assert traj.samples == [0.0, 0.25, 0.5, 0.75]
+
+    def test_near_pass_collision_located(self, rng):
+        # pole 0 runs along 2 + 0.01i and passes pole 1 at 1.0 with a gap of
+        # 0.005 at s = 0.5; the gap first reaches TAU_COLLIDE where
+        # |s (2 + 0.01i) - 1| = TAU_COLLIDE
+        state = fuchsian_state([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))
+        d, tau = 2 + 0.01j, flows.TAU_COLLIDE
+        a, b, c = abs(d) ** 2, -2 * d.real, 1 - tau ** 2
+        want = (-b - np.sqrt(b * b - 4 * a * c)) / (2 * a)
+        traj = integrate_flow(state, FlowPath.line(state, 0, d), n_samples=3)
+        assert traj.status == "aborted"
+        assert traj.abort_kind == "pole_collision"
+        assert abs(traj.abort_at - want) < 1e-9
+        assert abs(want - 0.495657) < 1e-6
 
 
 class TestCommutingFlows:
@@ -354,6 +391,14 @@ class TestSectionAndExtended:
         for e, st in zip(exts, traj.states):
             assert np.max(np.abs(e.state.chart_vector()
                                  - st.chart_vector())) < 1e-6
+
+    def test_extended_collision_flagged(self, rng):
+        state = fuchsian_state([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))
+        samples, exts, status = integrate_extended(
+            extend_state(state), FlowPath.line(state, 0, 1.0), tol=1e-9,
+            n_samples=3)
+        assert status == ("aborted", "pole_collision")
+        assert samples == [0.0, 0.5] and len(exts) == 2
 
     def test_dual_variable_tracks_section_on_commuting_flow(self):
         state = commuting_state()

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path as FsPath
+
 import numpy as np
 import pytest
 
+import isomonodromy.monodromy as monodromy_module
 from isomonodromy.connection import Connection
 from isomonodromy.errors import PreconditionError
 from isomonodromy.monodromy import (
@@ -148,3 +152,19 @@ class TestTwistMonodromy:
             c0 = np.poly(rep0.matrix_for_pole(p))
             c1 = np.poly(rep1.matrix_for_pole(p))
             assert np.max(np.abs(c0 - c1)) < 1e-8
+
+
+def test_transport_imports_neither_chart_layer_nor_flows():
+    # transport is the oracle the flows are checked against, so it must not
+    # share code with the chart layer or the flows
+    tree = ast.parse(FsPath(monodromy_module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            if not node.module or node.module == "isomonodromy":
+                imported.update(a.name for a in node.names)
+    assert imported and not imported & {"symplectic", "flows"}

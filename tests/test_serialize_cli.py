@@ -181,6 +181,27 @@ class TestCli:
         data = json.loads((out / "pairing.json").read_text())
         assert data["max_deviation"] < 1e-10
 
+    def test_pole_collision_exit_code(self, tmp_path, rng, capsys):
+        state = FlowState(2, tuple(
+            PoleData(t, 1, np.eye(2), M)
+            for t, M in zip([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))))
+        spec = {"state": ser.flow_state(state),
+                "path": {"kind": "line", "pole": 0,
+                         "displacement": [1.0, 0.0]},
+                "samples": 5}
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert cli_main(["flow", "--input", str(sp), "--out", str(out)]) == 3
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        prefix = "aborted: pole_collision at s="
+        assert line.startswith(prefix)
+        at = float(line[len(prefix):])
+        assert abs(at - 0.99) < 1e-9
+        drift = json.loads((out / "drift.json").read_text())
+        assert drift["notes"] == [f"trajectory aborted: pole_collision at s={at}"]
+        assert drift["samples"] == [0.0, 0.25, 0.5, 0.75]
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
