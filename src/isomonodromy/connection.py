@@ -16,6 +16,7 @@ forces (monodromy ``exp(2 pi i k / n) I``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +173,11 @@ class Connection:
                 raise PoleDomainError(f"evaluation at {z} is within {TAU_SEP} "
                                       f"of the pole {p}")
         return self.matrix.eval(z)
+
+    @cached_property
+    def polar_parts(self):
+        """``polar_decompose(self.matrix)``, computed once per connection."""
+        return polar_decompose(self.matrix)
 
     def laurent(self, p, k_max):
         return self.matrix.laurent(p, k_max)

@@ -4,8 +4,10 @@ The transported system is ``dY/dz = A(z) Y`` along piecewise line/arc paths
 in the punctured plane, with adaptive high-order Runge-Kutta (DOP853) on the
 complexified matrix system.  Loops around poles are deterministic keyholes:
 a radial approach from the base point, a full positively-oriented circle, and
-the radial return.  With loops ordered by increasing argument from the base
-point, the product ``M_l ... M_1`` is the monodromy of a loop around
+the radial return.  The return leg is not integrated: with ``L`` the
+transport of the approach leg and ``C`` that of the circle, a keyhole's
+generator is ``L^-1 C L``.  With loops ordered by increasing argument from
+the base point, the product ``M_l ... M_1`` is the monodromy of a loop around
 everything, hence the identity whenever the form is regular at infinity.
 """
 
@@ -38,6 +40,9 @@ class LineSegment:
     def velocity(self, s):
         return self.end - self.start
 
+    def reversed(self):
+        return LineSegment(self.end, self.start)
+
     def distance_to(self, p):
         d = self.end - self.start
         L2 = abs(d) ** 2
@@ -62,6 +67,9 @@ class ArcSegment:
     def velocity(self, s):
         th = self.theta0 + s * (self.theta1 - self.theta0)
         return 1j * (self.theta1 - self.theta0) * self.radius * np.exp(1j * th)
+
+    def reversed(self):
+        return ArcSegment(self.center, self.radius, self.theta1, self.theta0)
 
     def distance_to(self, p):
         v = p - self.center
@@ -107,14 +115,8 @@ class Path:
         return min(s.distance_to(p) for s in self.segments)
 
     def reverse(self):
-        rev = []
-        for seg in reversed(self.segments):
-            if isinstance(seg, LineSegment):
-                rev.append(LineSegment(seg.end, seg.start))
-            else:
-                rev.append(ArcSegment(seg.center, seg.radius,
-                                      seg.theta1, seg.theta0))
-        return Path(tuple(rev), self.clearance)
+        return Path(tuple(seg.reversed() for seg in reversed(self.segments)),
+                    self.clearance)
 
     def concatenate(self, other):
         if abs(self.end - other.start) > 1e-9:
@@ -149,26 +151,39 @@ class Path:
 # ---------------------------------------------------------------------------
 
 def _compiled_eval(conn):
-    """Fast pointwise evaluator of the connection matrix (polar-part form)."""
-    from .connection import polar_decompose
-    pole_data, tail = polar_decompose(conn.matrix)
-    tail = np.asarray(tail, dtype=complex)
-    n = conn.n
+    """Pointwise evaluator ``ev(z, dz) -> [A(z) dz flattened, tr A(z) dz]``.
 
-    def ev(z):
-        out = np.zeros((n, n), dtype=complex)
-        for t, coeffs in pole_data:
-            u = 1.0 / (z - t)
-            w = u
-            for C in coeffs:
-                out += C * w
-                w *= u
-        if tail.size:
-            w = 1.0
-            for k in range(tail.shape[0]):
-                out += tail[k] * w
-                w *= z
-        return out
+    Every polar coefficient of every pole, then every coefficient of the
+    polynomial tail, is one row of the stacked array ``C`` of shape
+    ``(K, n*n + 1)``; the last column holds the row's trace.  Row ``r`` is
+    weighted by ``dz * u[idx[r]]**pw[r]`` with ``u = (1/(z - t_1), ...,
+    1/(z - t_m), z)``, so the tail rows carry the powers of ``z``.  Each
+    call returns a new vector.
+    """
+    pole_data, tail = conn.polar_parts
+    n = conn.n
+    rows, idx, pw = [], [], []
+    for i, (_, coeffs) in enumerate(pole_data):
+        rows += coeffs
+        idx += [i] * len(coeffs)
+        pw += range(1, len(coeffs) + 1)
+    rows += list(tail)
+    idx += [len(pole_data)] * len(tail)
+    pw += range(len(tail))
+    C = np.array(rows, dtype=complex).reshape(len(rows), n * n)
+    C = np.column_stack([C, C[:, ::n + 1].sum(axis=1)])
+    idx = np.array(idx, dtype=int)
+    pw = np.array(pw, dtype=int)
+    points = np.array([t for t, _ in pole_data], dtype=complex)
+    u = np.empty(len(points) + 1, dtype=complex)
+
+    def ev(z, dz):
+        np.divide(1.0, z - points, out=u[:-1])
+        u[-1] = z
+        w = u[idx]
+        w **= pw
+        w *= dz
+        return w @ C
 
     return ev
 
@@ -195,32 +210,45 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
     ``tol`` (the embedded error controller is run a fixed safety margin
     below the requested bound); the log-determinant (integral of ``tr A``)
     rides along so callers can run the Liouville determinant check.
+
+    When the last segment retraces the first (every keyhole does), the
+    first leg is integrated once from the identity to ``L`` and the last
+    leg is taken as ``L^-1``: the result is ``L^-1 (middle) L Y0``, and the
+    log-determinant is the middle legs' integral.
     """
     _check_clearance(conn, path)
     n = conn.n
     ev = _compiled_eval(conn)
-    Y = np.eye(n, dtype=complex) if Y0 is None else np.array(Y0, dtype=complex)
-    logdet = 0.0 + 0j
+    rtol = max(SAFETY * tol, 1e-13)
 
     def rhs(s, y, seg):
-        z = seg.at(s)
-        dz = seg.velocity(s)
-        A = ev(z)
-        Ymat = y[:-1].reshape(n, n)
-        dY = dz * (A @ Ymat)
-        return np.concatenate([dY.ravel(), [dz * np.trace(A)]])
+        out = ev(seg.at(s), seg.velocity(s))
+        out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
+        return out
 
-    rtol = max(SAFETY * tol, 1e-13)
-    for seg in path.segments:
-        y0 = np.concatenate([Y.ravel(), [logdet]])
+    def leg(seg, y0):
         sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
                         rtol=rtol, atol=SAFETY * tol, args=(seg,),
                         dense_output=False)
         if not sol.success:
             raise IntegrationAbort("stiffness",
                                    f"transport failed on {seg}: {sol.message}")
-        Y = sol.y[:-1, -1].reshape(n, n)
-        logdet = sol.y[-1, -1]
+        return sol.y[:, -1]
+
+    eye = np.eye(n, dtype=complex)
+    Y = eye if Y0 is None else np.array(Y0, dtype=complex)
+    segs = path.segments
+    L = None
+    if len(segs) > 1 and segs[-1] == segs[0].reversed():
+        L = leg(segs[0], np.append(eye, 0.0))[:-1].reshape(n, n)
+        Y = L @ Y
+        segs = segs[1:-1]
+    y = np.append(Y, 0.0)
+    for seg in segs:
+        y = leg(seg, y)
+    Y, logdet = y[:-1].reshape(n, n), y[-1]
+    if L is not None:
+        Y = np.linalg.solve(L, Y)
     if with_logdet:
         return Y, logdet
     return Y

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .connection import BasePole, Connection, polar_decompose
+from .connection import BasePole, Connection
 from .errors import MalformedInputError
 from .monodromy import LineSegment
 from .ratfun import INFINITY, RatMat, RatScalar, is_infinity
@@ -76,7 +76,7 @@ def un_ratmat(d):
 # ---------------------------------------------------------------------------
 
 def connection(conn):
-    pole_data, tail = polar_decompose(conn.matrix)
+    pole_data, tail = conn.polar_parts
     by_point = {complex(t): coeffs for t, coeffs in pole_data}
     poles = []
     for t, l in zip(conn.divisor.points, conn.divisor.mults):

@@ -1,32 +1,48 @@
 import ast
+import dataclasses
+import json
 from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
 
+import isomonodromy.connection as connection_module
 import isomonodromy.monodromy as monodromy_module
+from isomonodromy import serialize as ser
 from isomonodromy.connection import Connection
 from isomonodromy.errors import PreconditionError
 from isomonodromy.monodromy import (
     ArcSegment,
     LineSegment,
     Path,
+    _compiled_eval,
     conjugacy_invariants,
     monodromy_rep,
     transport,
 )
 from isomonodromy.ratfun import RatMat
+from isomonodromy.states import FlowState, PoleData
 from isomonodromy.twist import normal_form, push_connection
 
 from conftest import (
     fuchsian_connection,
     random_fuchsian_matrices,
     random_invertible,
+    random_matrix,
 )
 
 
 def fuchsian(poles, mats):
     return Connection.from_ratmat(fuchsian_connection(poles, mats))
+
+
+def twisted_connection(rng):
+    """A 2-pole Fuchsian connection pushed across a twist (as in test_07)."""
+    mats = [0.4 * M for M in random_fuchsian_matrices(rng, 2, 2)]
+    conn = fuchsian([1.3, -1.3], mats)
+    p = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+    site = normal_form(p, (0.0, complex(rng.standard_normal())))
+    return push_connection(site, conn)
 
 
 class TestTransport:
@@ -153,6 +169,196 @@ class TestTwistMonodromy:
             c1 = np.poly(rep1.matrix_for_pole(p))
             assert np.max(np.abs(c0 - c1)) < 1e-8
 
+
+
+def evaluator_connection(kind, rng):
+    if kind == "fuchsian_rank3":
+        return fuchsian([-1.5, -0.2, 0.9, 2.1],
+                        random_fuchsian_matrices(rng, 3, 4))
+    if kind == "order2":
+        lam0 = 0.25 * random_matrix(rng, 2)
+        A1 = 0.25 * random_matrix(rng, 2)
+        return FlowState(2, (
+            PoleData(0.0, 2, np.eye(2), lam0, [np.array([-0.45, 0.4])]),
+            PoleData(2.3, 1, np.eye(2), A1),
+            PoleData(-2.0, 1, np.eye(2), -(lam0 + A1)))).connection()
+    if kind == "twisted":
+        return twisted_connection(rng)
+    M = [random_matrix(rng, 2) for _ in range(5)]
+    return Connection.from_polar_parts([(0.5, [M[0]]), (-1.0j, M[1:3])],
+                                       tail=M[3:])
+
+
+class TestStackedEvaluator:
+    @pytest.mark.parametrize("kind", ["fuchsian_rank3", "order2", "twisted",
+                                      "tail"])
+    def test_matches_ratmat_evaluation(self, rng, kind):
+        conn = evaluator_connection(kind, rng)
+        if kind == "tail":
+            assert conn.polar_parts[1].shape[0] == 2
+        ev = _compiled_eval(conn)
+        poles = conn.all_finite_poles()
+        n, checked = conn.n, 0
+        while checked < 20:
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            if min(abs(z - p) for p in poles) < 0.2:
+                continue
+            dz = complex(rng.standard_normal(), rng.standard_normal())
+            v = ev(z, dz)
+            want = dz * conn.eval(z)
+            scale = np.linalg.norm(want)
+            assert np.linalg.norm(v[:-1].reshape(n, n) - want) <= 1e-12 * scale
+            assert abs(v[-1] - np.trace(want)) <= 1e-12 * scale
+            checked += 1
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestRetrace:
+    """A path whose last segment retraces its first reuses the first leg."""
+
+    TOL = 1e-11
+
+    PATHS = {
+        "keyhole": Path.keyhole(-1.0 - 0.5j, 0.0, 0.25),
+        # arc to 0.5i, a full circle around 1.5i, the arc back
+        "lasso": Path((ArcSegment(0.0, 0.5, np.pi, np.pi / 2),
+                       ArcSegment(1.5j, 1.0, -np.pi / 2, 3 * np.pi / 2),
+                       ArcSegment(0.0, 0.5, np.pi / 2, np.pi))),
+    }
+
+    def conn_and_residues(self, rng):
+        mats = random_fuchsian_matrices(rng, 2, 3)
+        return fuchsian([0.0, 1.0, 1.5j], mats), mats
+
+    @pytest.mark.parametrize("name", ["keyhole", "lasso"])
+    def test_retraced_path_matches_its_legs(self, rng, name):
+        conn, _ = self.conn_and_residues(rng)
+        loop = self.PATHS[name]
+        assert loop.segments[2] == loop.segments[0].reversed()
+        M = transport(conn, loop, self.TOL)
+        legs = [transport(conn, Path((seg,)), self.TOL)
+                for seg in loop.segments]
+        assert np.linalg.norm(M - legs[2] @ legs[1] @ legs[0], 2) <= \
+            1e-9 * max(1.0, np.linalg.norm(M, 2))
+
+    def test_retraced_leg_is_not_integrated(self, rng, monkeypatch):
+        conn, _ = self.conn_and_residues(rng)
+        calls = count_calls(monkeypatch, monodromy_module, "solve_ivp")
+        for loop in self.PATHS.values():
+            calls.clear()
+            transport(conn, loop, self.TOL)
+            assert len(calls) == 2
+        calls.clear()
+        a, b, c = -1.0 - 0.5j, -0.5 - 1.0j, 0.5 - 1.0j
+        triangle = Path((LineSegment(a, b), LineSegment(b, c),
+                         LineSegment(c, a)))
+        transport(conn, triangle, self.TOL)
+        assert len(calls) == 3
+
+    def test_start_matrix_and_liouville(self, rng):
+        conn, mats = self.conn_and_residues(rng)
+        loop = self.PATHS["keyhole"]
+        G = random_invertible(rng, 2)
+        M = transport(conn, loop, self.TOL)
+        MG, logdet = transport(conn, loop, self.TOL, with_logdet=True, Y0=G)
+        assert np.max(np.abs(MG - M @ G)) <= 1e-9 * max(
+            1.0, np.linalg.norm(M, 2) * np.linalg.norm(G, 2))
+        det_T = np.exp(logdet)
+        assert abs(np.linalg.det(MG) - det_T * np.linalg.det(G)) < \
+            10 * self.TOL * max(1.0, abs(det_T * np.linalg.det(G)))
+        # only the circle contributes: 2 pi i tr(residue at 0)
+        assert abs(logdet - 2j * np.pi * np.trace(mats[0])) < 1e-9
+
+
+class TestPolarPartsCache:
+    def test_one_decomposition_per_connection(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, connection_module, "polar_decompose")
+        mats = random_fuchsian_matrices(rng, 2, 4)
+        conn = fuchsian([-1.5, -0.2, 0.9, 2.1], mats)
+        monodromy_rep(conn, 0.3 - 2.5j, tol=1e-9)
+        assert len(calls) == 1
+        monodromy_rep(conn, 0.3 - 2.5j, tol=1e-9)
+        assert len(calls) == 1
+
+    def test_serialized_twist_connection_unchanged(self):
+        # the decomposition transport has read and a fresh one must
+        # serialize to the same bytes
+        pushed = twisted_connection(np.random.default_rng(7))
+        monodromy_rep(pushed, -3.0j, tol=1e-9)
+        fresh = dataclasses.replace(pushed)
+        assert "polar_parts" not in vars(fresh)
+        assert json.dumps(ser.connection(pushed)) == \
+            json.dumps(ser.connection(fresh))
+
+
+def mp_transport(residues, poles, path, dps=20):
+    """High-precision transport of ``dY/dz = sum R_i/(z - t_i) Y`` along a
+    path of line and arc segments, by ``mpmath.odefun`` (Taylor series)."""
+    import mpmath
+
+    n = residues[0].shape[0]
+    with mpmath.workdps(dps):
+        R = [mpmath.matrix(M.tolist()) for M in residues]
+        t = [mpmath.mpc(p) for p in poles]
+        Y = mpmath.eye(n)
+        for seg in path.segments:
+            if isinstance(seg, LineSegment):
+                a, b = mpmath.mpc(seg.start), mpmath.mpc(seg.end)
+
+                def z_dz(s, a=a, b=b):
+                    return a + s * (b - a), b - a
+            else:
+                c, r = mpmath.mpc(seg.center), mpmath.mpf(seg.radius)
+                th0, th1 = mpmath.mpf(seg.theta0), mpmath.mpf(seg.theta1)
+
+                def z_dz(s, c=c, r=r, th0=th0, th1=th1):
+                    e = r * mpmath.expj(th0 + s * (th1 - th0))
+                    return c + e, 1j * (th1 - th0) * e
+
+            def F(s, y, z_dz=z_dz):
+                z, dz = z_dz(s)
+                A = sum((Ri * (dz / (z - ti)) for Ri, ti in zip(R, t)),
+                        mpmath.zeros(n))
+                dY = A * mpmath.matrix([y[i * n:(i + 1) * n]
+                                        for i in range(n)])
+                return [dY[i, j] for i in range(n) for j in range(n)]
+
+            y0 = [Y[i, j] for i in range(n) for j in range(n)]
+            y1 = mpmath.odefun(F, 0, y0)(1)
+            Y = mpmath.matrix([[y1[i * n + j] for j in range(n)]
+                               for i in range(n)])
+        return np.array(Y.tolist(), dtype=complex)
+
+
+def test_keyhole_converges_to_high_precision_reference():
+    """Transport error against a 20-digit reference falls with ``tol`` and
+    stays within ``tol * max(1, |M|_2)`` (a non-commuting keyhole)."""
+    rng = np.random.default_rng(11)
+    poles = [0.0, 1.0, 1.5j]
+    residues = random_fuchsian_matrices(rng, 2, 3)
+    R0, R1 = residues[:2]
+    assert np.max(np.abs(R0 @ R1 - R1 @ R0)) > 0.1
+    conn = fuchsian(poles, residues)
+    loop = Path.keyhole(-1.0 - 0.5j, 0.0, 0.25)
+    ref = mp_transport(residues, poles, loop)
+    scale = max(1.0, np.linalg.norm(ref, 2))
+    errors = []
+    for tol in (1e-8, 1e-10, 1e-12):
+        err = np.max(np.abs(transport(conn, loop, tol) - ref))
+        assert err <= tol * scale, (tol, err, scale)
+        errors.append(err)
+    assert errors[0] > errors[1] > errors[2], errors
 
 def test_transport_imports_neither_chart_layer_nor_flows():
     # transport is the oracle the flows are checked against, so it must not

@@ -219,3 +219,12 @@ class TestCli:
              "--input", str(flow_spec), "--out", str(tmp_path / "m")],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+def test_cli_import_loads_neither_mpmath_nor_sympy():
+    # both are slow to import; the CLI's start-up time must not pay for them
+    code = ("import sys, isomonodromy.cli; "
+            "print(sorted({'mpmath', 'sympy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
