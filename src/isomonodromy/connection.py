@@ -15,6 +15,7 @@ forces (monodromy ``exp(2 pi i k / n) I``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -217,6 +218,16 @@ def polar_decompose(A):
     if np.all(tail == 0):
         tail = np.zeros((0, n, n), dtype=complex)
     return pole_data, tail
+
+
+def extension_jet(C, k, dist, m_max):
+    """Taylor coefficients at orders 0..m_max of ``C/(zeta+dist)**k``: the
+    polar term ``C/(z-t)**k`` seen from a point at ``dist`` from ``t``."""
+    out = np.zeros((m_max + 1,) + np.shape(C), dtype=complex)
+    for m in range(m_max + 1):
+        out[m] = C * ((-1) ** m * math.comb(k + m - 1, m)
+                      * dist ** (-(k + m)))
+    return out
 
 
 def gauge_transform(conn, g):

@@ -31,20 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .connection import diagonalize_jet
 from .errors import IntegrationAbort, MalformedInputError, PreconditionError
 from .monodromy import SAFETY, monodromy_rep
 from .states import ExtendedState, N_MAX
 from .symplectic import (
     IrregularCotangent,
-    chart_blocks,
     d_translation_hamiltonian,
     hamiltonian_beta_B,
     hamiltonian_vector_field,
     numeric_differential,
-    state_jet_at_pole,
-    state_polar_coeffs,
-    state_regular_jets,
     translation_hamiltonian_values,
 )
 
@@ -139,7 +134,7 @@ def beta_for_rate(rate_rows, pole):
                      for j in range(rate_rows.shape[0])])
 
 
-def direction_differential(direction, state, blocks=None):
+def direction_differential(direction, state):
     """Chart differential of the correction Hamiltonian of a direction.
 
     Position rates contribute the analytic residue differentials of
@@ -147,16 +142,10 @@ def direction_differential(direction, state, blocks=None):
     the diagonal-jet pairing (the chart form carries twice the canonical
     normalization, fixed once by the quadratic Hamiltonians).
     """
-    blocks = blocks if blocks is not None else chart_blocks(state)
     dH = np.zeros(state.chart_dim(), dtype=complex)
-    if direction.moduli_rates:
-        polar = state_polar_coeffs(state)
-        lmax = max(p.l for p in state.poles)
-        regular = state_regular_jets(state, lmax - 1, polar)
-        for i, rate in direction.moduli_rates.items():
-            if rate != 0:
-                dH += rate * d_translation_hamiltonian(state, i, blocks,
-                                                       polar, regular)
+    for i, rate in direction.moduli_rates.items():
+        if rate != 0:
+            dH += rate * d_translation_hamiltonian(state, i)
     for i, rows in direction.irregular_rates.items():
         if not np.any(rows):
             continue
@@ -176,15 +165,14 @@ def direction_differential(direction, state, blocks=None):
     return dH
 
 
-def isomonodromic_rhs(direction, state, blocks=None):
+def isomonodromic_rhs(direction, state):
     """Reference lift plus Hamiltonian correction for the given direction."""
-    blocks = blocks if blocks is not None else chart_blocks(state)
     out = lift_I0(direction, state)
     if direction.is_zero():
         return out
-    dH = direction_differential(direction, state, blocks)
+    dH = direction_differential(direction, state)
     if np.any(dH):
-        X = hamiltonian_vector_field(dH, state, blocks)
+        X = hamiltonian_vector_field(dH, state)
         out.add_chart(X.flatten())
     return out
 
@@ -389,18 +377,11 @@ def auto_base_point(positions):
     raise PreconditionError("no clear base point found for this configuration")
 
 
-def formal_invariants(state, tol_order=None):
+def formal_invariants(state):
     """Diagonal jet data (orders -l .. -1) at every higher-order pole."""
-    out = []
-    for i, p in enumerate(state.poles):
-        if p.l == 1:
-            out.append(np.zeros((0, p.n), dtype=complex))
-            continue
-        Ajet = state_jet_at_pole(state, i, max(p.l - 2, 0))
-        pair = diagonalize_jet(Ajet, 2 * p.l - 2, include_derivative=True)
-        bd = pair.b_diag          # rows: orders -l .. l-2
-        out.append(bd[: p.l])     # orders -l .. -1
-    return out
+    return [state.diagonal_jet(i)[: p.l] if p.l > 1
+            else np.zeros((0, p.n), dtype=complex)
+            for i, p in enumerate(state.poles)]
 
 
 def verify_isomonodromy(trajectory, tol=FLOW_TOL, base_point=None):
@@ -470,9 +451,7 @@ def section_S(state):
         if p.l == 1:
             b_slots.append(np.zeros((0, p.n), dtype=complex))
         else:
-            Ajet = state_jet_at_pole(state, i, p.l - 2)
-            pair = diagonalize_jet(Ajet, 2 * p.l - 2, include_derivative=True)
-            b_slots.append(pair.b_diag[p.l: 2 * p.l - 1])   # orders 0..l-2
+            b_slots.append(state.diagonal_jet(i)[p.l:])   # orders 0..l-2
     return tuple(q_slots), tuple(b_slots)
 
 
@@ -505,7 +484,6 @@ def extended_autonomous_rhs(direction, ext, fd_step=1e-6):
     values along the direction.
     """
     state = ext.state
-    blocks = chart_blocks(state)
 
     def fiber_H(st):
         q_slots, b_slots = section_S(st)
@@ -515,7 +493,7 @@ def extended_autonomous_rhs(direction, ext, fd_step=1e-6):
     out = lift_I0(direction, state)
     dH = numeric_differential(fiber_H, state, step=fd_step)
     if np.any(dH):
-        out.add_chart(hamiltonian_vector_field(dH, state, blocks).flatten())
+        out.add_chart(hamiltonian_vector_field(dH, state).flatten())
 
     # base-partial of the section values along the direction, fiber frozen
     # (the reference lift has no chart part)

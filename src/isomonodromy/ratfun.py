@@ -428,12 +428,6 @@ class RatScalar:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _match_pole(self, r):
-        for r0, m0 in self.poles:
-            if abs(r - r0) <= TAU_MERGE * max(1.0, abs(r0)):
-                return r0, m0
-        return None
-
     def __add__(self, other):
         other = _as_ratscalar(other)
         if other is NotImplemented:
@@ -928,13 +922,9 @@ def polymat_det(coeffs):
     acc = np.zeros(1, dtype=complex)
     for j in range(n):
         minor = coeffs[:, 1:, [c for c in range(n) if c != j]]
-        term = npoly.polymul(coeffs[:, 0, j], polymat_det_scalar(minor))
+        term = npoly.polymul(coeffs[:, 0, j], polymat_det(minor))
         acc = npoly.polyadd(acc, term if j % 2 == 0 else -term)
     return poly_trim(acc, rel_tol=1e-14)
-
-
-def polymat_det_scalar(coeffs):
-    return polymat_det(coeffs)
 
 
 def polymat_inverse_jet(coeffs, k_max):

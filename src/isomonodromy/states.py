@@ -17,6 +17,13 @@ jet group).  What remains is exactly a symplectic chart on the partially
 reduced space.  Trivialization jets over the divisor are the inverses of
 the frame jets.
 
+A ``FlowState`` owns the data derived from its poles, each computed once, on
+first use: the polar coefficients (``polar``), the regular jets of the other
+poles' polar parts at every pole (``regular_jets``) and the chart layer's
+per-pole blocks (``blocks``).  ``jet_at_pole`` and ``diagonal_jet`` assemble
+a pole's Laurent jet and formal diagonal jet from them.  The chart layer and
+the flows read these attributes and take only the state.
+
 Chart-vector layout, per pole: the ``n^2`` entries of ``h`` (row-major),
 then for each jet order ``k = 1 .. l-2`` the ``n^2 - n`` off-diagonal
 entries of ``u_k`` (row-major, skipping the diagonal), then the ``n^2``
@@ -26,11 +33,20 @@ entries of ``Lambda_{-1}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .connection import Connection, TAU_REG, _sorted_eig
+from .connection import (
+    TAU_REG,
+    TAU_SEP,
+    Connection,
+    _sorted_eig,
+    diagonalize_jet,
+    extension_jet,
+)
 from .errors import MalformedInputError, RegularityError
+from .ratfun import LaurentJet
 
 N_MAX = 1e8   # coefficient-norm cap; beyond this a flow is flagged as blown up
 
@@ -196,7 +212,7 @@ class FlowState:
         seen = [p.t for p in self.poles]
         for i in range(len(seen)):
             for j in range(i + 1, len(seen)):
-                if abs(seen[i] - seen[j]) < 1e-6:
+                if abs(seen[i] - seen[j]) < TAU_SEP:
                     raise MalformedInputError("pole positions too close")
         for p in self.poles:
             if p.n != self.n:
@@ -209,8 +225,52 @@ class FlowState:
     def moduli(self):
         return ModuliPoint.of(self)
 
+    # -- polar data, each computed once per state -----------------------------
+
+    @cached_property
+    def polar(self):
+        """Every pole's ``polar_coeffs()``: ``[C_1, ..., C_l]`` per pole."""
+        return [p.polar_coeffs() for p in self.poles]
+
+    @cached_property
+    def regular_jets(self):
+        """Taylor coefficients at every pole of the other poles' polar parts
+        (the regular part of A there), orders ``0 .. l_i-1`` at pole i:
+        every order that pairs with the pole's own polar part."""
+        out = []
+        for i, p in enumerate(self.poles):
+            R = np.zeros((p.l, self.n, self.n), dtype=complex)
+            for j, q in enumerate(self.poles):
+                if j != i:
+                    for k, C in enumerate(self.polar[j], start=1):
+                        R += extension_jet(C, k, p.t - q.t, p.l - 1)
+            out.append(R)
+        return out
+
+    @cached_property
+    def blocks(self):
+        """The chart layer's per-pole blocks, ``chart_blocks(self)``."""
+        from .symplectic import chart_blocks
+        return chart_blocks(self)
+
+    def jet_at_pole(self, i):
+        """Laurent jet of A at pole i, orders ``-l_i .. l_i-2``."""
+        p = self.poles[i]
+        coeffs = np.zeros((2 * p.l - 1, self.n, self.n), dtype=complex)
+        for k, C in enumerate(self.polar[i], start=1):
+            coeffs[p.l - k] = C
+        coeffs[p.l:] = self.regular_jets[i][: p.l - 1]
+        return LaurentJet(p.t, -p.l, coeffs, 0)
+
+    def diagonal_jet(self, i):
+        """Diagonal of the formal normal form ``B`` of A at pole i, orders
+        ``-l_i .. l_i-2`` (rows in the lexicographic branch order)."""
+        order = 2 * self.poles[i].l - 2
+        return diagonalize_jet(self.jet_at_pole(i), order,
+                               include_derivative=True).b_diag
+
     def connection(self):
-        data = [(p.t, p.polar_coeffs()) for p in self.poles]
+        data = [(p.t, C) for p, C in zip(self.poles, self.polar)]
         conn = Connection.from_polar_parts(data, n=self.n)
         if self.twist is not None:
             from .twist import push_connection

@@ -28,6 +28,11 @@ to tangent triples.  The obvious lift (``s`` the frame velocity ``eta``,
 ``b`` the induced polar variation) does not reproduce the triple form:
 their ratio varies from one pair of tangents to the next.
 
+Every chart-layer function takes only the state: the per-pole blocks,
+polar coefficients and regular jets it needs are the state's own memoized
+attributes (``FlowState.blocks``, ``polar``, ``regular_jets``), so one
+right-hand side evaluation builds each of them once.
+
 The form pairs no two poles, so the Gram matrix is block-diagonal by pole.
 Each block is assembled with ``einsum`` over the stacked jet velocities of
 its basis directions (``PoleChartBlock.omega`` is the term-by-term
@@ -38,12 +43,11 @@ largest, exactly as an SVD of the whole matrix would.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import diagonalize_jet, spectral_quadratic
+from .connection import Connection, extension_jet, spectral_quadratic
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat, RatScalar
 
@@ -55,17 +59,16 @@ FD_STEP = 1e-5
 # pairing layer
 # ---------------------------------------------------------------------------
 
-def _as_function_jet(a, point=0.0, pad_to=8):
-    """Polynomial coefficient array -> exactly-known function jet."""
+def _as_function_jet(a):
+    """Polynomial coefficient array -> exactly-known function jet at 0."""
     if isinstance(a, LaurentJet):
         return a
     a = np.asarray(a, dtype=complex)
     if a.ndim == 2:
         a = a[None]
-    K = max(pad_to, a.shape[0])
-    out = np.zeros((K,) + a.shape[1:], dtype=complex)
+    out = np.zeros((max(8, a.shape[0]),) + a.shape[1:], dtype=complex)
     out[: a.shape[0]] = a
-    return LaurentJet(point, 0, out, 0)
+    return LaurentJet(0.0, 0, out, 0)
 
 
 def residue_pairing(a, b, T, frame="U1"):
@@ -244,13 +247,12 @@ def chart_blocks(state):
     return [PoleChartBlock(p) for p in state.poles]
 
 
-def gram_matrix(state, blocks=None):
+def gram_matrix(state):
     """Gram matrix of the chart symplectic form on the coordinate basis."""
-    blocks = blocks if blocks is not None else chart_blocks(state)
-    dim = sum(b.dim for b in blocks)
+    dim = sum(b.dim for b in state.blocks)
     G = np.zeros((dim, dim), dtype=complex)
     at = 0
-    for b in blocks:
+    for b in state.blocks:
         G[at: at + b.dim, at: at + b.dim] = b.gram_block()
         at += b.dim
     return G
@@ -265,26 +267,25 @@ class ChartTangent:
     def flatten(self):
         return self.vec
 
-    def induced_polar_variations(self, state, blocks=None):
+    def induced_polar_variations(self, state):
         """Per-pole ``[dC_1 .. dC_l]`` connection-coefficient variations."""
-        blocks = blocks if blocks is not None else chart_blocks(state)
         out = []
         at = 0
-        for blk in blocks:
+        for blk in state.blocks:
             out.append(np.einsum("x,xkpq->kpq", self.vec[at: at + blk.dim],
                                  blk.induced_variations()))
             at += blk.dim
         return out
 
 
-def hamiltonian_vector_field(dH, state, blocks=None):
+def hamiltonian_vector_field(dH, state):
     """Solve ``omega(X, .) = dH`` on the chart; ``dH`` is the flat coefficient
     vector of the cotangent functional on the coordinate basis.
 
     Solved pole block by pole block, under the global rank guard.
     """
     dH = np.asarray(dH, dtype=complex).ravel()
-    G = gram_matrix(state, blocks)
+    G = gram_matrix(state)
     if dH.shape[0] != G.shape[0]:
         raise MalformedInputError("dH length does not match the chart dimension")
     # omega(X, Y) = X^T G Y on the basis, so omega(X, .) = dH reads G^T X = dH
@@ -320,11 +321,10 @@ class DeformationCocycle:
     def translation(cls, pole_index, rate=1.0):
         return cls({int(pole_index): (0, np.array([rate], dtype=complex))})
 
-    def jet(self, pole_index, pad_to=4):
+    def jet(self, pole_index):
         k_min, coeffs = self.germs[pole_index]
         coeffs = np.asarray(coeffs, dtype=complex)
-        K = max(pad_to, coeffs.shape[0])
-        out = np.zeros(K, dtype=complex)
+        out = np.zeros(max(4, coeffs.shape[0]), dtype=complex)
         out[: coeffs.shape[0]] = coeffs
         return LaurentJet(0.0, k_min, out, -1)
 
@@ -343,56 +343,6 @@ class IrregularCotangent:
     def __init__(self, pole_index, coeffs):
         object.__setattr__(self, "pole_index", int(pole_index))
         object.__setattr__(self, "coeffs", np.asarray(coeffs, dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# fast polar-jet assembly (no rational algebra in inner loops)
-# ---------------------------------------------------------------------------
-
-def extension_jet(C, k, dist, m_max):
-    """Taylor coefficients at orders 0..m_max of ``C/(zeta+dist)**k``."""
-    out = np.zeros((m_max + 1,) + np.shape(C), dtype=complex)
-    for m in range(m_max + 1):
-        out[m] = C * ((-1) ** m * math.comb(k + m - 1, m)
-                      * dist ** (-(k + m)))
-    return out
-
-
-def state_polar_coeffs(state):
-    return [p.polar_coeffs() for p in state.poles]
-
-
-def state_regular_jets(state, m_max, polar=None):
-    """Regular Taylor coefficients (orders 0..m_max) of A at every pole."""
-    polar = polar if polar is not None else state_polar_coeffs(state)
-    n = state.n
-    out = []
-    for i, p in enumerate(state.poles):
-        R = np.zeros((m_max + 1, n, n), dtype=complex)
-        for j, q in enumerate(state.poles):
-            if j == i:
-                continue
-            dist = p.t - q.t
-            for k, C in enumerate(polar[j], start=1):
-                R += extension_jet(C, k, dist, m_max)
-        out.append(R)
-    return out
-
-
-def state_jet_at_pole(state, i, k_max, polar=None, regular=None):
-    """Laurent jet of A at pole i from orders ``-l_i`` through ``k_max``."""
-    p = state.poles[i]
-    polar = polar if polar is not None else state_polar_coeffs(state)
-    regular = regular if regular is not None else \
-        state_regular_jets(state, max(k_max, 0), polar)
-    n = state.n
-    K = k_max + p.l + 1
-    coeffs = np.zeros((K, n, n), dtype=complex)
-    for k, C in enumerate(polar[i], start=1):
-        coeffs[p.l - k] = C
-    if k_max >= 0:
-        coeffs[p.l:] = regular[i][: k_max + 1]
-    return LaurentJet(p.t, -p.l, coeffs, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +368,16 @@ def _q0_scalar(q, state):
     return out
 
 
-def hamiltonian_mu_Q(mu, state, conn=None):
-    """``sum_D res(mu . Q)``, ``Q = tr(A^2) - Q_0``, at the given state."""
-    conn = conn if conn is not None else state.connection()
-    q = spectral_quadratic(conn).q
+def hamiltonian_mu_Q(mu, state):
+    """``sum_D res(mu . Q)``, ``Q = tr(A^2) - Q_0``, at the given state.
+
+    ``A`` is the connection of the state's own polar data, the one the chart
+    form and the flows see.  On a twisted state this is not
+    ``state.connection()``, which is pushed across the twist: the pushed
+    connection's Hamiltonian differs from this one by the twist term.
+    """
+    data = [(p.t, C) for p, C in zip(state.poles, state.polar)]
+    q = spectral_quadratic(Connection.from_polar_parts(data, n=state.n)).q
     Q = q - _q0_scalar(q, state)
     acc = 0.0 + 0j
     for i in mu.germs:
@@ -446,10 +402,7 @@ def hamiltonian_beta_B(beta, state, pole_index=None):
     p = state.poles[i]
     if p.l < 2:
         raise PreconditionError("irregular Hamiltonians need a pole of order >= 2")
-    order = 2 * p.l - 2
-    Ajet = state_jet_at_pole(state, i, order - p.l)
-    pair = diagonalize_jet(Ajet, order, include_derivative=True)
-    bd = pair.b_diag  # rows are orders -l .. l-2
+    bd = state.diagonal_jet(i)  # rows are orders -l .. l-2
     acc = 0.0 + 0j
     for k in range(p.l - 1):
         # beta row k is the order -(k+1) term; it pairs with B order k
@@ -457,12 +410,9 @@ def hamiltonian_beta_B(beta, state, pole_index=None):
     return complex(acc)
 
 
-def translation_hamiltonian_values(state, polar=None, regular=None):
+def translation_hamiltonian_values(state):
     """``res_{t_i} tr(A^2)`` for every pole, via the polar-jet fast path."""
-    polar = polar if polar is not None else state_polar_coeffs(state)
-    lmax = max(p.l for p in state.poles)
-    regular = regular if regular is not None else \
-        state_regular_jets(state, lmax - 1, polar)
+    polar, regular = state.polar, state.regular_jets
     vals = []
     for i, p in enumerate(state.poles):
         acc = 0.0 + 0j
@@ -472,27 +422,22 @@ def translation_hamiltonian_values(state, polar=None, regular=None):
     return vals
 
 
-def d_translation_hamiltonian(state, i, blocks=None, polar=None, regular=None):
+def d_translation_hamiltonian(state, i):
     """Analytic differential of ``res_{t_i} tr(A^2)`` on the chart basis.
 
     Uses ``dH(b) = 2 res_{t_i} tr(A b)`` with ``b`` the connection variation
     induced by each coordinate direction.
     """
-    blocks = blocks if blocks is not None else chart_blocks(state)
-    polar = polar if polar is not None else state_polar_coeffs(state)
-    lmax = max(p.l for p in state.poles)
-    regular = regular if regular is not None else \
-        state_regular_jets(state, lmax - 1, polar)
     p_i = state.poles[i]
-    polar_i = np.asarray(polar[i])
+    polar_i = np.asarray(state.polar[i])
 
     out = np.zeros(state.chart_dim(), dtype=complex)
     at = 0
-    for j, blk in enumerate(blocks):
+    for j, blk in enumerate(state.blocks):
         # 2 res_{t_i} tr(A . b) for b = sum_k dC_k (z-t_j)^-k is
         # 2 sum_k tr(weight[k-1] dC_k)
         if j == i:
-            weight = regular[i][: blk.l]
+            weight = state.regular_jets[i]
         else:
             dist = p_i.t - state.poles[j].t
             ext = np.stack([extension_jet(1.0, k, dist, p_i.l - 1)
@@ -534,13 +479,8 @@ def d_hamiltonian_mu_Q(mu, state):
         for k_min, c in mu.germs.values())
     if is_translation:
         out = np.zeros(state.chart_dim(), dtype=complex)
-        blocks = chart_blocks(state)
-        polar = state_polar_coeffs(state)
-        lmax = max(p.l for p in state.poles)
-        regular = state_regular_jets(state, lmax - 1, polar)
         for i, (_, c) in mu.germs.items():
             rate = complex(np.asarray(c).ravel()[0])
-            out += rate * d_translation_hamiltonian(state, i, blocks,
-                                                    polar, regular)
+            out += rate * d_translation_hamiltonian(state, i)
         return out
     return numeric_differential(lambda s: hamiltonian_mu_Q(mu, s), state)

@@ -409,3 +409,60 @@ class TestSectionAndExtended:
         got = np.concatenate([np.atleast_1d(q) for q in exts[-1].q_dual])
         want = np.concatenate([np.atleast_1d(q) for q in q_end])
         assert np.max(np.abs(got - want)) < 1e-7
+
+
+def mixed_order_state(rng):
+    """Rank-2 state with poles of order 3, 2 and 1 and a nonzero frame jet."""
+    u = np.array([[[0.0, 0.2 + 0.1j], [-0.3j, 0.0]]])
+    return FlowState(2, (
+        PoleData(0.0, 3, np.eye(2) + 0.3 * random_matrix(rng, 2),
+                 0.3 * random_matrix(rng, 2),
+                 [[0.4, -0.5], [1.0, -0.7 + 0.2j]], u),
+        PoleData(1.5, 2, np.eye(2) + 0.3 * random_matrix(rng, 2),
+                 0.3 * random_matrix(rng, 2), [[0.8, -0.3j]]),
+        PoleData(-1.1 + 0.4j, 1, np.eye(2), 0.3 * random_matrix(rng, 2))))
+
+
+def count_polar_coeffs(monkeypatch):
+    calls = [0]
+    original = PoleData.polar_coeffs
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(PoleData, "polar_coeffs", counted)
+    return calls
+
+
+class TestStatePolarData:
+    def test_jet_at_pole_matches_rational_laurent(self, rng):
+        # the memoized regular jets serve poles of every order
+        state = mixed_order_state(rng)
+        conn = state.connection()
+        for i, p in enumerate(state.poles):
+            jet = state.jet_at_pole(i)
+            ref = conn.laurent(p.t, p.l - 2)
+            assert (jet.k_min, jet.k_max) == (-p.l, p.l - 2)
+            got = np.stack([jet.coefficient(k) for k in range(-p.l, p.l - 1)])
+            want = np.stack([ref.coefficient(k)
+                             for k in range(-p.l, p.l - 1)])
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+    def test_section_computes_polar_coefficients_once_per_pole(
+            self, rng, monkeypatch):
+        state = mixed_order_state(rng)
+        calls = count_polar_coeffs(monkeypatch)
+        section_S(state)
+        assert calls[0] == len(state.poles)
+
+    def test_extended_rhs_polar_coefficients_once_per_state(
+            self, rng, monkeypatch):
+        # central differences see 2 * chart_dim + 2 states, and each of
+        # them computes every pole's polar coefficients once
+        state = irregular_state(rng)
+        ext = extend_state(state)
+        calls = count_polar_coeffs(monkeypatch)
+        extended_autonomous_rhs(Direction.translation(1), ext)
+        assert calls[0] <= len(state.poles) * (2 * state.chart_dim() + 2)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 from pathlib import Path as FsPath
 
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 import isomonodromy.connection as connection_module
+import isomonodromy.flows as flows_module
 import isomonodromy.monodromy as monodromy_module
+import isomonodromy.states as states_module
+import isomonodromy.symplectic as symplectic_module
 from isomonodromy import serialize as ser
 from isomonodromy.connection import Connection
 from isomonodromy.errors import PreconditionError
@@ -373,4 +377,41 @@ def test_transport_imports_neither_chart_layer_nor_flows():
                 imported.add(node.module.split(".")[-1])
             if not node.module or node.module == "isomonodromy":
                 imported.update(a.name for a in node.names)
+    assert imported and not imported & {"symplectic", "flows"}
+
+
+def test_chart_layer_takes_only_the_state():
+    # the state memoizes its polar data, so no chart-layer or flow function
+    # threads a cache of it by hand
+    cache_names = {"blocks", "polar", "regular", "conn"}
+    offenders = []
+    for mod in (symplectic_module, flows_module):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = [(name, obj)]
+            elif inspect.isclass(obj):
+                members = [(f"{name}.{attr}", fn)
+                           for attr, fn in vars(obj).items()
+                           if inspect.isfunction(fn)
+                           and not attr.startswith("_")]
+            else:
+                continue
+            for label, fn in members:
+                params = set(inspect.signature(fn).parameters)
+                if params & cache_names:
+                    offenders.append(label)
+    assert not offenders, offenders
+    # states imports the chart layer lazily, never at module level
+    tree = ast.parse(FsPath(states_module.__file__).read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            imported.update(a.name for a in node.names)
     assert imported and not imported & {"symplectic", "flows"}

@@ -27,7 +27,7 @@ from isomonodromy.symplectic import (
     symplectic_form,
     translation_hamiltonian_values,
 )
-from isomonodromy.twist import TwistSite, normal_form
+from isomonodromy.twist import MatrixDivisor, TwistSite, normal_form
 
 from conftest import random_fuchsian_matrices, random_invertible, random_matrix
 
@@ -36,6 +36,13 @@ def fuchsian_state(ts, mats, twist=None):
     n = mats[0].shape[0]
     return FlowState(n, tuple(PoleData(t, 1, np.eye(n), M)
                               for t, M in zip(ts, mats)), twist)
+
+
+def twisted_state(rng):
+    """3-pole rank-2 Fuchsian state with one ``normal_form`` twist site."""
+    site = normal_form(0.9j, (0.0, 1.1))
+    return fuchsian_state([0.0, 1.5, -1.2], random_fuchsian_matrices(rng, 2, 3),
+                          twist=MatrixDivisor((site,)))
 
 
 def jet_poly(coeffs, pad=6):
@@ -301,6 +308,15 @@ class TestHamiltonians:
             H = hamiltonian_mu_Q(DeformationCocycle.translation(i), state)
             assert abs(fast[i] - H) < 1e-11 * max(1.0, abs(H))
 
+    def test_twisted_value_matches_fast_path(self, rng):
+        # the rational evaluation reads the state's own polar data, as the
+        # fast path and the flows do, not the connection pushed by the twist
+        state = twisted_state(rng)
+        fast = translation_hamiltonian_values(state)
+        for i in range(3):
+            H = hamiltonian_mu_Q(DeformationCocycle.translation(i), state)
+            assert abs(fast[i] - H) < 1e-11 * max(1.0, abs(H))
+
     def test_beta_zero(self, rng):
         lam_irr = np.array([[0.5, -0.6]], dtype=complex)
         state = FlowState(2, (
@@ -377,12 +393,13 @@ class TestHamiltonianField:
 
     def test_fd_matches_analytic_differential(self, rng):
         ts = [0.0, 1.5, -1.2]
-        state = fuchsian_state(ts, random_fuchsian_matrices(rng, 2, 3))
+        plain = fuchsian_state(ts, random_fuchsian_matrices(rng, 2, 3))
         mu = DeformationCocycle.translation(2)
-        analytic = d_hamiltonian_mu_Q(mu, state)
-        fd = numeric_differential(lambda s: hamiltonian_mu_Q(mu, s), state)
-        err = np.max(np.abs(analytic - fd))
-        assert err < 1e-6 * max(1.0, np.max(np.abs(analytic)))
+        for state in (plain, twisted_state(rng)):
+            analytic = d_hamiltonian_mu_Q(mu, state)
+            fd = numeric_differential(lambda s: hamiltonian_mu_Q(mu, s), state)
+            err = np.max(np.abs(analytic - fd))
+            assert err < 1e-6 * max(1.0, np.max(np.abs(analytic)))
 
     def test_diagonal_connection_is_fixed_point(self):
         # commuting diagonal residues: the correction does not move the
