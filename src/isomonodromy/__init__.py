@@ -36,6 +36,7 @@ from .flows import (
     FlowPath,
     Trajectory,
     auto_base_point,
+    direction_differential,
     extend_state,
     extended_autonomous_rhs,
     integrate_extended,
@@ -67,17 +68,15 @@ from .ratfun import (
 from .states import ExtendedState, FlowState, ModuliPoint, PoleData
 from .symplectic import (
     ChartTangent,
-    DeformationCocycle,
     IrregularCotangent,
     TangentVec,
-    d_hamiltonian_mu_Q,
     gram_matrix,
     hamiltonian_beta_B,
-    hamiltonian_mu_Q,
     hamiltonian_vector_field,
     numeric_differential,
     residue_pairing,
     symplectic_form,
+    translation_hamiltonian_values,
 )
 from .twist import (
     MatrixDivisor,
@@ -93,22 +92,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcSegment", "BasePole", "ChartTangent", "Connection",
-    "DeformationCocycle", "DegenerateChartError", "DiagonalJetPair",
-    "Direction", "DriftReport", "ExtendedState", "FlowPath", "FlowState",
-    "INFINITY", "IntegrationAbort", "IrregularCotangent", "IsomonodromyError",
-    "LaurentJet", "LineSegment", "MalformedInputError", "MatrixDivisor",
-    "ModuliPoint", "MonodromyRep", "Path", "PolarDivisor", "PoleData",
-    "PoleDomainError", "PreconditionError", "QuadraticDifferential", "RatMat",
-    "RatScalar", "RegularityError", "TangentVec", "Trajectory", "TwistSite",
-    "auto_base_point", "conjugacy_invariants", "d_hamiltonian_mu_Q", "degree",
+    "DegenerateChartError", "DiagonalJetPair", "Direction", "DriftReport",
+    "ExtendedState", "FlowPath", "FlowState", "INFINITY", "IntegrationAbort",
+    "IrregularCotangent", "IsomonodromyError", "LaurentJet", "LineSegment",
+    "MalformedInputError", "MatrixDivisor", "ModuliPoint", "MonodromyRep",
+    "Path", "PolarDivisor", "PoleData", "PoleDomainError", "PreconditionError",
+    "QuadraticDifferential", "RatMat", "RatScalar", "RegularityError",
+    "TangentVec", "Trajectory", "TwistSite", "auto_base_point",
+    "conjugacy_invariants", "degree", "direction_differential",
     "eigenvalue_jets", "extend_state", "extended_autonomous_rhs",
     "formal_diagonalize", "gauge_transform", "gram_matrix",
-    "hamiltonian_beta_B", "hamiltonian_mu_Q", "hamiltonian_vector_field",
-    "integrate_extended", "integrate_flow", "is_infinity", "isomonodromic_rhs",
-    "lift_I0", "monodromy_rep", "normal_form", "numeric_differential",
-    "polar_decompose", "pull_connection", "push_connection",
-    "reconstruction_defect", "residue", "residue_pairing",
-    "residue_quadrature_oracle", "residue_sum_all_poles", "section_S",
-    "spectral_quadratic", "symplectic_form", "total_trace_residue",
-    "transport", "verify_isomonodromy",
+    "hamiltonian_beta_B", "hamiltonian_vector_field", "integrate_extended",
+    "integrate_flow", "is_infinity", "isomonodromic_rhs", "lift_I0",
+    "monodromy_rep", "normal_form", "numeric_differential", "polar_decompose",
+    "pull_connection", "push_connection", "reconstruction_defect", "residue",
+    "residue_pairing", "residue_quadrature_oracle", "residue_sum_all_poles",
+    "section_S", "spectral_quadratic", "symplectic_form",
+    "total_trace_residue", "translation_hamiltonian_values", "transport",
+    "verify_isomonodromy",
 ]

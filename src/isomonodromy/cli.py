@@ -18,19 +18,19 @@ import numpy as np
 from . import serialize as ser
 from .errors import IntegrationAbort, IsomonodromyError, MalformedInputError
 from .flows import (
+    Direction,
     FlowPath,
+    direction_differential,
     integrate_flow,
     verify_isomonodromy,
 )
 from .monodromy import TAU_MONO, conjugacy_invariants, monodromy_rep
 from .symplectic import (
-    DeformationCocycle,
     IrregularCotangent,
-    d_hamiltonian_mu_Q,
     hamiltonian_beta_B,
-    hamiltonian_mu_Q,
     hamiltonian_vector_field,
     residue_pairing,
+    translation_hamiltonian_values,
 )
 
 DEFAULT_TOLS = {"flow": 1e-10, "transport": 1e-10, "drift": 1e-6,
@@ -75,6 +75,14 @@ def _state_of(spec):
     raise _ParseFail("spec needs a 'state' or 'connection' field")
 
 
+def _pole_index(value, state, where):
+    idx = int(value)
+    if not 0 <= idx < len(state.poles):
+        raise _ParseFail(f"{where}: pole index {idx} is not in "
+                         f"0..{len(state.poles) - 1}")
+    return idx
+
+
 def _path_of(spec, state, pinned):
     p = spec.get("path", {"kind": "stationary"})
     kind = p.get("kind")
@@ -82,16 +90,16 @@ def _path_of(spec, state, pinned):
     if kind == "stationary":
         path = FlowPath.stationary(state)
     elif kind == "line":
-        idx = int(p["pole"])
+        idx = _pole_index(p["pole"], state, "path.pole")
         moved = [idx]
         path = FlowPath.line(state, idx, ser.un_cx(p["displacement"]))
     elif kind == "semicircle":
-        idx = int(p["pole"])
+        idx = _pole_index(p["pole"], state, "path.pole")
         moved = [idx]
         path = FlowPath.semicircle(state, idx, ser.un_cx(p["diameter"]),
                                    upper=bool(p.get("upper", True)))
     elif kind == "irregular":
-        idx = int(p["pole"])
+        idx = _pole_index(p["pole"], state, "path.pole")
         rate = np.array([[ser.un_cx(v) for v in row] for row in p["rate"]],
                         dtype=complex)
         path = FlowPath.irregular_line(state, idx, rate,
@@ -121,7 +129,7 @@ def _write(outdir, name, text):
 def cmd_flow(spec, args, verify_only=False):
     tols = _tols(spec, args.tol)
     state = _state_of(spec)
-    pinned = set(int(i) for i in (args.pin or []))
+    pinned = set(_pole_index(i, state, "--pin") for i in (args.pin or []))
     if len(pinned) > 3:
         raise _ParseFail("at most three poles can be pinned")
     path = _path_of(spec, state, pinned)
@@ -165,13 +173,12 @@ def cmd_monodromy(spec, args):
 
 def cmd_hamiltonian(spec, args):
     state = _state_of(spec)
-    out = {"translations": [], "irregular": None, "field": None}
-    for i in range(len(state.poles)):
-        mu = DeformationCocycle.translation(i)
-        out["translations"].append(ser.cx(hamiltonian_mu_Q(mu, state)))
+    out = {"translations": [ser.cx(v)
+                            for v in translation_hamiltonian_values(state)],
+           "irregular": None, "field": None}
     direction = spec.get("direction")
     if direction and direction.get("kind") == "irregular":
-        idx = int(direction["pole"])
+        idx = _pole_index(direction["pole"], state, "direction.pole")
         beta = IrregularCotangent(
             idx, np.array([[ser.un_cx(v) for v in row]
                            for row in direction["beta"]], dtype=complex))
@@ -180,8 +187,9 @@ def cmd_hamiltonian(spec, args):
         fld = direction or {"kind": "translation", "pole": 0}
         if fld.get("kind", "translation") != "translation":
             raise _ParseFail("field output is supported for translations")
-        mu = DeformationCocycle.translation(int(fld.get("pole", 0)))
-        X = hamiltonian_vector_field(d_hamiltonian_mu_Q(mu, state), state)
+        idx = _pole_index(fld.get("pole", 0), state, "direction.pole")
+        dH = direction_differential(Direction.translation(idx), state)
+        X = hamiltonian_vector_field(dH, state)
         out["field"] = [ser.cx(v) for v in X.flatten()]
     _write(FsPath(args.out), "hamiltonian.json", ser.dumps(out))
     return 0

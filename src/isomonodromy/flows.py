@@ -17,6 +17,10 @@ directions the decomposition is exact at order-2 poles (verified against
 transported monodromy) and refused at higher orders, where the frozen-frame
 lift is no longer the correct reference.
 
+The correction Hamiltonian of a direction is coded once, in
+``direction_differential``; the flow, the extended autonomous system and the
+CLI's Hamiltonian fields all read it.
+
 One driver integrates both the flow and the extended autonomous system on
 the flat state vector (``FlowState.flat``).  Pole collision and coefficient
 blow-up are terminal events of the integrator: they are tested on accepted
@@ -460,48 +464,26 @@ def extend_state(state):
     return ExtendedState(state, q_slots, b_slots)
 
 
-def _pairing_with_direction(q_slots, b_slots, direction, poles):
-    """``F_Y`` of slot data: the correction Hamiltonian the direction reads.
-
-    Irregular rates pair as in ``direction_differential``: ``-2`` times the
-    diagonal-jet pairing with the dual tail of the rate.
-    """
-    acc = 0.0 + 0j
-    for i, rate in direction.moduli_rates.items():
-        acc += rate * q_slots[i][0]
-    for i, rows in direction.irregular_rates.items():
-        beta = beta_for_rate(rows, poles[i])
-        acc -= 2.0 * np.sum(beta * b_slots[i])
-    return complex(acc)
-
-
-def extended_autonomous_rhs(direction, ext, fd_step=1e-6):
+def extended_autonomous_rhs(direction, ext):
     """Hamiltonian dynamics of the autonomous system on the extended space.
 
-    The state part is the isomonodromic field of the direction (base rates
-    plus the fiber correction, here recovered from the section pairing); the
-    dual variables move with the base-partial derivative of the section
-    values along the direction.
+    The state part is the isomonodromic field of the direction: the
+    correction Hamiltonian it reads from the section values (``q_slots``
+    for position rates, ``-2`` times the diagonal-jet pairing of
+    ``b_slots`` for irregular rates) is the one ``direction_differential``
+    differentiates.  The dual variables move with the base-partial
+    derivative of the section values along the direction, fiber frozen.
     """
     state = ext.state
+    out = isomonodromic_rhs(direction, state)
 
-    def fiber_H(st):
-        q_slots, b_slots = section_S(st)
-        return _pairing_with_direction(q_slots, b_slots, direction,
-                                       state.poles)
-
-    out = lift_I0(direction, state)
-    dH = numeric_differential(fiber_H, state, step=fd_step)
-    if np.any(dH):
-        out.add_chart(hamiltonian_vector_field(dH, state).flatten())
-
-    # base-partial of the section values along the direction, fiber frozen
-    # (the reference lift has no chart part)
+    # the reference lift has no chart part, so shifting by it freezes the fiber
+    h = 1e-6
     y, dy = state.flat(), lift_I0(direction, state).flat()
-    qp, bp = section_S(state.with_flat(y + fd_step * dy))
-    qm, bm = section_S(state.with_flat(y - fd_step * dy))
-    dq = tuple((a - b) / (2 * fd_step) for a, b in zip(qp, qm))
-    db = tuple((a - b) / (2 * fd_step) for a, b in zip(bp, bm))
+    qp, bp = section_S(state.with_flat(y + h * dy))
+    qm, bm = section_S(state.with_flat(y - h * dy))
+    dq = tuple((a - b) / (2 * h) for a, b in zip(qp, qm))
+    db = tuple((a - b) / (2 * h) for a, b in zip(bp, bm))
     return out, dq, db
 
 

@@ -39,6 +39,13 @@ its basis directions (``PoleChartBlock.omega`` is the term-by-term
 reference), and each block is solved with its own SVD.  The rank guard is
 global: it compares the smallest singular value over all blocks with the
 largest, exactly as an SVD of the whole matrix would.
+
+**Hamiltonians** are read from the same memoized polar data: the values
+``res_{t_i} tr(A^2)`` (``translation_hamiltonian_values``) and their
+analytic differentials (``d_translation_hamiltonian``), and the
+diagonal-jet pairing at irregular poles (``hamiltonian_beta_B``).  A base
+direction's correction Hamiltonian combines them in
+``flows.direction_differential``.
 """
 
 from __future__ import annotations
@@ -47,9 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import Connection, extension_jet, spectral_quadratic
+from .connection import extension_jet
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
-from .ratfun import LaurentJet, RatMat, RatScalar
+from .ratfun import LaurentJet, RatMat
 
 TAU_RANK = 1e-8
 FD_STEP = 1e-5
@@ -303,31 +310,8 @@ def hamiltonian_vector_field(dH, state):
 
 
 # ---------------------------------------------------------------------------
-# deformation directions
+# Hamiltonians
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeformationCocycle:
-    """Vector-field germs ``m_i(zeta) d/dzeta`` near selected divisor poles.
-
-    ``germs`` maps pole index to ``(k_min, coeffs)`` for the Laurent
-    polynomial ``m(zeta) = sum coeffs[j] zeta**(k_min+j)``.  A pure unit
-    translation of ``t_i`` is ``m_i = 1``.
-    """
-
-    germs: dict
-
-    @classmethod
-    def translation(cls, pole_index, rate=1.0):
-        return cls({int(pole_index): (0, np.array([rate], dtype=complex))})
-
-    def jet(self, pole_index):
-        k_min, coeffs = self.germs[pole_index]
-        coeffs = np.asarray(coeffs, dtype=complex)
-        out = np.zeros(max(4, coeffs.shape[0]), dtype=complex)
-        out[: coeffs.shape[0]] = coeffs
-        return LaurentJet(0.0, k_min, out, -1)
-
 
 @dataclass(frozen=True)
 class IrregularCotangent:
@@ -345,63 +329,21 @@ class IrregularCotangent:
         object.__setattr__(self, "coeffs", np.asarray(coeffs, dtype=complex))
 
 
-# ---------------------------------------------------------------------------
-# Hamiltonians
-# ---------------------------------------------------------------------------
-
-def _q0_scalar(q, state):
-    """The fixed fiberwise reference: polar parts of order >= 2 at each pole.
-
-    Zero for Fuchsian states; otherwise the unique rational function with the
-    same order >= 2 polar parts, poles only on the divisor, vanishing at the
-    base point (infinity) to maximal order.
-    """
-    if all(p.l == 1 for p in state.poles):
-        return RatScalar.zero()
-    out = RatScalar.zero()
-    for p in state.poles:
-        jet = q.laurent(p.t, -2)
-        for k in range(2, 2 * p.l + 1):
-            c = jet.coefficient(-k)
-            if c != 0:
-                out = out + RatScalar.simple_pole(p.t, c, k)
-    return out
-
-
-def hamiltonian_mu_Q(mu, state):
-    """``sum_D res(mu . Q)``, ``Q = tr(A^2) - Q_0``, at the given state.
-
-    ``A`` is the connection of the state's own polar data, the one the chart
-    form and the flows see.  On a twisted state this is not
-    ``state.connection()``, which is pushed across the twist: the pushed
-    connection's Hamiltonian differs from this one by the twist term.
-    """
-    data = [(p.t, C) for p, C in zip(state.poles, state.polar)]
-    q = spectral_quadratic(Connection.from_polar_parts(data, n=state.n)).q
-    Q = q - _q0_scalar(q, state)
-    acc = 0.0 + 0j
-    for i in mu.germs:
-        p = state.poles[i]
-        mjet = mu.jet(i)
-        k_need = -1 - mjet.k_min
-        qjet = Q.laurent(p.t, max(k_need, 0))
-        qjet = LaurentJet(p.t, qjet.k_min, qjet.coeffs, 2)
-        mjet = LaurentJet(p.t, mjet.k_min, mjet.coeffs, -1)
-        acc += complex((mjet * qjet).residue())
-    return complex(acc)
-
-
-def hamiltonian_beta_B(beta, state, pole_index=None):
+def hamiltonian_beta_B(beta, state):
     """``tr res_p (beta . B)`` with ``B`` the diagonal jet of A at the pole.
 
     Torus components follow the canonical branch order of the diagonal jet
     (lexicographic in the leading eigenvalues), so ``beta`` rows pair with
     the matching eigenvalue branches.
     """
-    i = beta.pole_index if pole_index is None else pole_index
+    i = beta.pole_index
     p = state.poles[i]
     if p.l < 2:
         raise PreconditionError("irregular Hamiltonians need a pole of order >= 2")
+    if beta.coeffs.shape != (p.l - 1, p.n):
+        raise MalformedInputError(
+            f"beta shape {beta.coeffs.shape} does not match pole of order "
+            f"{p.l} and rank {p.n}; expected {(p.l - 1, p.n)}")
     bd = state.diagonal_jet(i)  # rows are orders -l .. l-2
     acc = 0.0 + 0j
     for k in range(p.l - 1):
@@ -467,20 +409,3 @@ def numeric_differential(func, state, step=FD_STEP):
                   - func(state.with_chart_vector(vm))) / (2 * step)
     return out
 
-
-def d_hamiltonian_mu_Q(mu, state):
-    """Analytic chart differential of ``hamiltonian_mu_Q``.
-
-    For translation germs this is the fast residue formula; general germs
-    fall back to central differences of the exact rational evaluation.
-    """
-    is_translation = all(
-        k_min == 0 and np.asarray(c).ravel().shape[0] == 1
-        for k_min, c in mu.germs.values())
-    if is_translation:
-        out = np.zeros(state.chart_dim(), dtype=complex)
-        for i, (_, c) in mu.germs.items():
-            rate = complex(np.asarray(c).ravel()[0])
-            out += rate * d_translation_hamiltonian(state, i)
-        return out
-    return numeric_differential(lambda s: hamiltonian_mu_Q(mu, s), state)

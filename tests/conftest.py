@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isomonodromy.connection import Connection, spectral_quadratic
 from isomonodromy.ratfun import RatMat, RatScalar
 
 
@@ -65,3 +66,16 @@ def fuchsian_connection(poles, mats):
     for p, M in zip(poles, mats):
         A = A + RatMat.from_polar_part(p, [M])
     return A
+
+
+def rational_translation_hamiltonians(state):
+    """``res_{t_i} tr(A^2)`` at every pole, from the rational quadratic
+    differential of the state's own polar data.
+
+    The oracle for ``translation_hamiltonian_values``: ``A`` is the
+    connection the chart form and the flows see, which on a twisted state is
+    not ``state.connection()`` (that one is pushed across the twist).
+    """
+    data = [(p.t, C) for p, C in zip(state.poles, state.polar)]
+    q = spectral_quadratic(Connection.from_polar_parts(data, n=state.n)).q
+    return [complex(q.laurent(p.t, 0).coefficient(-1)) for p in state.poles]

@@ -7,6 +7,8 @@ from isomonodromy.flows import (
     Direction,
     FlowPath,
     Trajectory,
+    beta_for_rate,
+    direction_differential,
     extend_state,
     extended_autonomous_rhs,
     integrate_extended,
@@ -18,9 +20,18 @@ from isomonodromy.flows import (
 )
 from isomonodromy.monodromy import monodromy_rep
 from isomonodromy.states import FlowState, PoleData
+from isomonodromy.symplectic import (
+    IrregularCotangent,
+    hamiltonian_beta_B,
+    numeric_differential,
+)
 from isomonodromy.twist import MatrixDivisor, normal_form
 
-from conftest import random_fuchsian_matrices, random_matrix
+from conftest import (
+    random_fuchsian_matrices,
+    random_matrix,
+    rational_translation_hamiltonians,
+)
 
 
 def fuchsian_state(ts, mats, twist=None):
@@ -107,6 +118,9 @@ class TestRhs:
         rate[1] = [0.5, -0.5]
         with pytest.raises(PreconditionError):
             isomonodromic_rhs(Direction.irregular(0, rate), state)
+        with pytest.raises(PreconditionError):
+            extended_autonomous_rhs(Direction.irregular(0, rate),
+                                    extend_state(state))
 
 
 class TestIntegrateFlow:
@@ -239,6 +253,21 @@ class TestVerify:
         rep = verify_isomonodromy(traj, tol=1e-10)
         assert rep.max_drift < 1e-6
 
+    def test_drift_converges_with_tol(self, rng):
+        # 4-pole rank-3 flow and its verification at the same tol.  Stops at
+        # 1e-10: below it the drift saturates (1.32e-8 -> 1.54e-8 at 1e-11
+        # on this draw), and at 1e-12 SAFETY * tol is under scipy's rtol
+        # floor
+        state = fuchsian_state([-2.1, -0.35, 1.15, 2.6],
+                               random_fuchsian_matrices(rng, 3, 4))
+        path = FlowPath.line(state, 1, 0.3 + 0.2j)
+        drifts = []
+        for tol in (1e-7, 1e-8, 1e-9, 1e-10):
+            traj = integrate_flow(state, path, tol=tol, n_samples=3)
+            drifts.append(verify_isomonodromy(traj, tol=tol).max_drift)
+        assert all(b < a for a, b in zip(drifts, drifts[1:]))
+        assert drifts[-1] < drifts[0] / 100
+
     def test_irregular_deformation(self, rng):
         state = irregular_state(rng)
         rate = np.array([[0.8, -0.5]], dtype=complex)
@@ -278,17 +307,13 @@ class TestVerify:
 class TestSymplecticAlongFlow:
     def test_decomposition_is_structural(self, rng):
         # rhs - lift equals the Hamiltonian field, componentwise
-        from isomonodromy.symplectic import (DeformationCocycle,
-                                             d_hamiltonian_mu_Q,
-                                             hamiltonian_vector_field)
+        from isomonodromy.symplectic import hamiltonian_vector_field
         state = fuchsian_state([0.0, 1.4, -1.1],
                                random_fuchsian_matrices(rng, 2, 3))
         Y = Direction.translation(1)
         d = isomonodromic_rhs(Y, state)
         lift = lift_I0(Y, state)
-        X = hamiltonian_vector_field(
-            d_hamiltonian_mu_Q(DeformationCocycle.translation(1), state),
-            state)
+        X = hamiltonian_vector_field(direction_differential(Y, state), state)
         assert np.max(np.abs((d.d_chart - lift.d_chart)
                              - X.flatten())) < 1e-9 * max(
             1.0, np.max(np.abs(X.flatten())))
@@ -410,6 +435,83 @@ class TestSectionAndExtended:
         want = np.concatenate([np.atleast_1d(q) for q in q_end])
         assert np.max(np.abs(got - want)) < 1e-7
 
+    def test_extended_state_part_is_the_flow_rhs(self, rng, monkeypatch):
+        # bit-equal to the flow's field; only the two base shifts for the
+        # dual rates evaluate the section
+        state = irregular_state(rng)
+        ext = extend_state(state)
+        calls = [0]
+        original = flows.section_S
+
+        def counted(st):
+            calls[0] += 1
+            return original(st)
+
+        monkeypatch.setattr(flows, "section_S", counted)
+        for Y in (Direction.translation(1),
+                  Direction.irregular(0, [[0.8, -0.5]])):
+            calls[0] = 0
+            d_ext, _, _ = extended_autonomous_rhs(Y, ext)
+            assert calls[0] == 2
+            assert np.array_equal(d_ext.flat(),
+                                  isomonodromic_rhs(Y, state).flat())
+
+    @pytest.mark.parametrize("case", ["fuchsian", "twisted", "irregular"])
+    def test_section_pairing_is_the_correction_hamiltonian(self, rng, case):
+        # the identity the extended system relies on to take its state part
+        # from direction_differential: pairing the section values with a
+        # direction gives the correction Hamiltonian of that direction
+        if case == "irregular":
+            state = irregular_state(rng)
+            Y = Direction({1: 0.4 + 0.1j}, {0: np.array([[0.8, -0.5]])})
+        else:
+            twist = (MatrixDivisor((normal_form(0.9j, (0.0, 1.1)),))
+                     if case == "twisted" else None)
+            state = fuchsian_state([0.0, 1.5, -1.2],
+                                   random_fuchsian_matrices(rng, 2, 3), twist)
+            Y = Direction({0: 0.7 - 0.2j, 2: -1.1}, {})
+
+        def pairing(st):
+            q_slots, b_slots = section_S(st)
+            acc = sum(rate * q_slots[i][0]
+                      for i, rate in Y.moduli_rates.items())
+            for i, rows in Y.irregular_rates.items():
+                beta = beta_for_rate(rows, st.poles[i])
+                acc -= 2.0 * np.sum(beta * b_slots[i])
+            return complex(acc)
+
+        oracle = rational_translation_hamiltonians(state)
+        want = sum(rate * oracle[i] for i, rate in Y.moduli_rates.items())
+        for i, rows in Y.irregular_rates.items():
+            beta = IrregularCotangent(i, beta_for_rate(rows, state.poles[i]))
+            want -= 2.0 * hamiltonian_beta_B(beta, state)
+        assert abs(pairing(state) - want) < 1e-11 * max(1.0, abs(want))
+
+        dH = direction_differential(Y, state)
+        fd = numeric_differential(pairing, state)
+        assert np.max(np.abs(fd - dH)) < 1e-6 * max(1.0, np.max(np.abs(dH)))
+
+    def test_extended_collision_at_default_tol(self, rng, monkeypatch):
+        # with the fiber differential central-differenced at a fixed step,
+        # the last sub-interval before this collision took 46,025
+        # evaluations at the default tol; the budget turns a stall into a
+        # failure
+        state = fuchsian_state([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))
+        calls = [0]
+        original = flows.extended_autonomous_rhs
+
+        def budgeted(direction, ext):
+            calls[0] += 1
+            if calls[0] > 5000:
+                raise AssertionError("more than 5,000 extended evaluations")
+            return original(direction, ext)
+
+        monkeypatch.setattr(flows, "extended_autonomous_rhs", budgeted)
+        samples, exts, status = integrate_extended(
+            extend_state(state), FlowPath.line(state, 0, 1.0), n_samples=9)
+        assert status == ("aborted", "pole_collision")
+        assert samples[-1] == 0.875 and len(exts) == 8
+
 
 def mixed_order_state(rng):
     """Rank-2 state with poles of order 3, 2 and 1 and a nonzero frame jet."""
@@ -459,10 +561,10 @@ class TestStatePolarData:
 
     def test_extended_rhs_polar_coefficients_once_per_state(
             self, rng, monkeypatch):
-        # central differences see 2 * chart_dim + 2 states, and each of
-        # them computes every pole's polar coefficients once
+        # the state and its two base shifts each compute every pole's polar
+        # coefficients once
         state = irregular_state(rng)
-        ext = extend_state(state)
         calls = count_polar_coeffs(monkeypatch)
+        ext = extend_state(state)
         extended_autonomous_rhs(Direction.translation(1), ext)
-        assert calls[0] <= len(state.poles) * (2 * state.chart_dim() + 2)
+        assert calls[0] == 3 * len(state.poles)

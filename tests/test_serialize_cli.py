@@ -213,6 +213,54 @@ class TestCli:
                        "--out", str(tmp_path / "o"), "--pin", "1"])
         assert rc == 4
 
+    @pytest.mark.parametrize("pole", [7, -1])
+    def test_path_pole_out_of_range(self, flow_spec, tmp_path, pole, capsys):
+        spec = json.loads(flow_spec.read_text())
+        spec["path"]["pole"] = pole
+        flow_spec.write_text(json.dumps(spec))
+        rc = cli_main(["flow", "--input", str(flow_spec),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "path.pole" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direction", [
+        {"kind": "translation", "pole": 7},
+        {"kind": "irregular", "pole": -1, "beta": [[[1.0, 0.0]] * 2]}])
+    def test_direction_pole_out_of_range(self, tmp_path, rng, direction,
+                                         capsys):
+        state = FlowState(2, tuple(
+            PoleData(t, 1, np.eye(2), M)
+            for t, M in zip([0.0, 1.5, -1.2],
+                            random_fuchsian_matrices(rng, 2, 3))))
+        spec = {"state": ser.flow_state(state), "direction": direction,
+                "field": True}
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        assert cli_main(["hamiltonian", "--input", str(sp),
+                         "--out", str(tmp_path / "o")]) == 4
+        assert "direction.pole" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pin", ["7", "-1"])
+    def test_pin_out_of_range(self, flow_spec, tmp_path, pin, capsys):
+        rc = cli_main(["flow", "--input", str(flow_spec),
+                       "--out", str(tmp_path / "o"), "--pin", pin])
+        assert rc == 4
+        assert "--pin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", [[[[1.0, 0.0]]], [[[1.0, 0.0]] * 2] * 3])
+    def test_hamiltonian_malformed_beta(self, tmp_path, rng, beta):
+        # order-2 rank-2 pole: beta must have shape (1, 2)
+        state = FlowState(2, (
+            PoleData(0.0, 2, np.eye(2), 0.3 * random_matrix(rng, 2),
+                     [[-0.6, 0.5]]),
+            PoleData(2.0, 1, np.eye(2), 0.3 * random_matrix(rng, 2))))
+        spec = {"state": ser.flow_state(state),
+                "direction": {"kind": "irregular", "pole": 0, "beta": beta}}
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        assert cli_main(["hamiltonian", "--input", str(sp),
+                         "--out", str(tmp_path / "o")]) == 4
+
     def test_console_entry_point(self, flow_spec, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "isomonodromy.cli", "monodromy",

@@ -9,18 +9,16 @@ from isomonodromy.ratfun import (
     residue_quadrature_oracle,
 )
 from isomonodromy.connection import spectral_quadratic
+from isomonodromy.flows import Direction, direction_differential
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import (
     ChartTangent,
-    DeformationCocycle,
     IrregularCotangent,
     PoleChartBlock,
     TangentVec,
     chart_blocks,
-    d_hamiltonian_mu_Q,
     gram_matrix,
     hamiltonian_beta_B,
-    hamiltonian_mu_Q,
     hamiltonian_vector_field,
     numeric_differential,
     residue_pairing,
@@ -29,7 +27,12 @@ from isomonodromy.symplectic import (
 )
 from isomonodromy.twist import MatrixDivisor, TwistSite, normal_form
 
-from conftest import random_fuchsian_matrices, random_invertible, random_matrix
+from conftest import (
+    random_fuchsian_matrices,
+    random_invertible,
+    random_matrix,
+    rational_translation_hamiltonians,
+)
 
 
 def fuchsian_state(ts, mats, twist=None):
@@ -280,12 +283,12 @@ class TestChart:
 class TestHamiltonians:
     def test_zero_state_gives_zero(self):
         state = fuchsian_state([0.0, 1.0], [np.zeros((2, 2)), np.zeros((2, 2))])
-        assert hamiltonian_mu_Q(DeformationCocycle.translation(0), state) == 0.0
+        assert translation_hamiltonian_values(state)[0] == 0.0
 
     def test_rank_one_two_pole_example(self):
         a, t1, t2 = 0.8 + 0.1j, 0.0, 1.5
         state = fuchsian_state([t1, t2], [np.array([[a]]), np.array([[-a]])])
-        H = hamiltonian_mu_Q(DeformationCocycle.translation(0), state)
+        H = translation_hamiltonian_values(state)[0]
         assert abs(H - (-2 * a ** 2 / (t1 - t2))) < 1e-12
 
     def test_rank_two_fuchsian_value_and_oracle(self, rng):
@@ -295,7 +298,7 @@ class TestHamiltonians:
         conn = state.connection()
         q = spectral_quadratic(conn).q
         for i in range(3):
-            H = hamiltonian_mu_Q(DeformationCocycle.translation(i), state)
+            H = rational_translation_hamiltonians(state)[i]
             want = 2 * sum(np.trace(mats[i] @ mats[j]) / (ts[i] - ts[j])
                            for j in range(3) if j != i)
             assert abs(H - want) < 1e-11 * max(1.0, abs(want))
@@ -305,7 +308,7 @@ class TestHamiltonians:
             assert abs(H - got) < 1e-9 * max(1.0, abs(got))
         fast = translation_hamiltonian_values(state)
         for i in range(3):
-            H = hamiltonian_mu_Q(DeformationCocycle.translation(i), state)
+            H = rational_translation_hamiltonians(state)[i]
             assert abs(fast[i] - H) < 1e-11 * max(1.0, abs(H))
 
     def test_twisted_value_matches_fast_path(self, rng):
@@ -314,7 +317,7 @@ class TestHamiltonians:
         state = twisted_state(rng)
         fast = translation_hamiltonian_values(state)
         for i in range(3):
-            H = hamiltonian_mu_Q(DeformationCocycle.translation(i), state)
+            H = rational_translation_hamiltonians(state)[i]
             assert abs(fast[i] - H) < 1e-11 * max(1.0, abs(H))
 
     def test_beta_zero(self, rng):
@@ -351,6 +354,15 @@ class TestHamiltonians:
         want = bp * (0.3 / -2.0) + bpp * (0.4 / -2.0)
         assert abs(H - want) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2,)])
+    def test_beta_shape_must_match_pole(self, rng, shape):
+        # at an order-2 rank-2 pole only (l-1, n) = (1, 2) pairs
+        state = FlowState(2, (
+            PoleData(0.0, 2, np.eye(2), random_matrix(rng, 2), [[-0.6, 0.5]]),
+            PoleData(2.0, 1, np.eye(2), random_matrix(rng, 2))))
+        with pytest.raises(MalformedInputError):
+            hamiltonian_beta_B(IrregularCotangent(0, np.ones(shape)), state)
+
 
 class TestHamiltonianField:
     def test_zero_differential_zero_field(self, rng):
@@ -363,7 +375,7 @@ class TestHamiltonianField:
         mats = random_fuchsian_matrices(rng, 2, 4)
         state = fuchsian_state(ts, mats)
         for i in range(4):
-            dH = d_hamiltonian_mu_Q(DeformationCocycle.translation(i), state)
+            dH = direction_differential(Direction.translation(i), state)
             X = hamiltonian_vector_field(dH, state)
             var = X.induced_polar_variations(state)
             for j in range(4):
@@ -380,7 +392,7 @@ class TestHamiltonianField:
         # omega(X_H, Y) = dH(Y) for random Y, fresh basis
         ts = [0.0, 1.3, -0.9]
         state = fuchsian_state(ts, random_fuchsian_matrices(rng, 2, 3))
-        dH = d_hamiltonian_mu_Q(DeformationCocycle.translation(1), state)
+        dH = direction_differential(Direction.translation(1), state)
         X = hamiltonian_vector_field(dH, state)
         G = gram_matrix(state)
         scale = max(1.0, float(np.max(np.abs(dH))))
@@ -394,10 +406,10 @@ class TestHamiltonianField:
     def test_fd_matches_analytic_differential(self, rng):
         ts = [0.0, 1.5, -1.2]
         plain = fuchsian_state(ts, random_fuchsian_matrices(rng, 2, 3))
-        mu = DeformationCocycle.translation(2)
         for state in (plain, twisted_state(rng)):
-            analytic = d_hamiltonian_mu_Q(mu, state)
-            fd = numeric_differential(lambda s: hamiltonian_mu_Q(mu, s), state)
+            analytic = direction_differential(Direction.translation(2), state)
+            fd = numeric_differential(
+                lambda s: rational_translation_hamiltonians(s)[2], state)
             err = np.max(np.abs(analytic - fd))
             assert err < 1e-6 * max(1.0, np.max(np.abs(analytic)))
 
@@ -408,7 +420,7 @@ class TestHamiltonianField:
                 np.diag([-0.2, 0.5]).astype(complex),
                 np.diag([-0.2, -0.2]).astype(complex)]
         state = fuchsian_state([0.0, 1.0, -1.3], mats)
-        dH = d_hamiltonian_mu_Q(DeformationCocycle.translation(0), state)
+        dH = direction_differential(Direction.translation(0), state)
         X = hamiltonian_vector_field(dH, state)
         var = X.induced_polar_variations(state)
         for v in var:
