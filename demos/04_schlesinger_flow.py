@@ -9,11 +9,11 @@ flow is deformation-invariant.
 import numpy as np
 
 from isomonodromy import (
-    ChartTangent,
     Direction,
     FlowPath,
     FlowState,
     PoleData,
+    induced_polar_variations,
     integrate_flow,
     isomonodromic_rhs,
     verify_isomonodromy,
@@ -30,7 +30,7 @@ state = FlowState(2, tuple(PoleData(t, 1, np.eye(2), M)
 
 i = 1
 d = isomonodromic_rhs(Direction.translation(i), state)
-var = ChartTangent(d.d_chart).induced_polar_variations(state)
+var = induced_polar_variations(d.d_chart, state)
 print(f"moving pole {i}: emergent residue velocities vs commutators")
 for j in range(4):
     if j == i:

@@ -13,7 +13,6 @@ from .connection import (
     Connection,
     DiagonalJetPair,
     PolarDivisor,
-    QuadraticDifferential,
     eigenvalue_jets,
     formal_diagonalize,
     gauge_transform,
@@ -65,14 +64,13 @@ from .ratfun import (
     residue_quadrature_oracle,
     residue_sum_all_poles,
 )
-from .states import ExtendedState, FlowState, ModuliPoint, PoleData
+from .states import ExtendedState, FlowState, PoleData
 from .symplectic import (
-    ChartTangent,
-    IrregularCotangent,
     TangentVec,
     gram_matrix,
     hamiltonian_beta_B,
     hamiltonian_vector_field,
+    induced_polar_variations,
     numeric_differential,
     residue_pairing,
     symplectic_form,
@@ -91,20 +89,20 @@ from .twist import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSegment", "BasePole", "ChartTangent", "Connection",
-    "DegenerateChartError", "DiagonalJetPair", "Direction", "DriftReport",
-    "ExtendedState", "FlowPath", "FlowState", "INFINITY", "IntegrationAbort",
-    "IrregularCotangent", "IsomonodromyError", "LaurentJet", "LineSegment",
-    "MalformedInputError", "MatrixDivisor", "ModuliPoint", "MonodromyRep",
-    "Path", "PolarDivisor", "PoleData", "PoleDomainError", "PreconditionError",
-    "QuadraticDifferential", "RatMat", "RatScalar", "RegularityError",
+    "ArcSegment", "BasePole", "Connection", "DegenerateChartError",
+    "DiagonalJetPair", "Direction", "DriftReport", "ExtendedState", "FlowPath",
+    "FlowState", "INFINITY", "IntegrationAbort", "IsomonodromyError",
+    "LaurentJet", "LineSegment", "MalformedInputError", "MatrixDivisor",
+    "MonodromyRep", "Path", "PolarDivisor", "PoleData", "PoleDomainError",
+    "PreconditionError", "RatMat", "RatScalar", "RegularityError",
     "TangentVec", "Trajectory", "TwistSite", "auto_base_point",
     "conjugacy_invariants", "degree", "direction_differential",
     "eigenvalue_jets", "extend_state", "extended_autonomous_rhs",
     "formal_diagonalize", "gauge_transform", "gram_matrix",
-    "hamiltonian_beta_B", "hamiltonian_vector_field", "integrate_extended",
-    "integrate_flow", "is_infinity", "isomonodromic_rhs", "lift_I0",
-    "monodromy_rep", "normal_form", "numeric_differential", "polar_decompose",
+    "hamiltonian_beta_B", "hamiltonian_vector_field",
+    "induced_polar_variations", "integrate_extended", "integrate_flow",
+    "is_infinity", "isomonodromic_rhs", "lift_I0", "monodromy_rep",
+    "normal_form", "numeric_differential", "polar_decompose",
     "pull_connection", "push_connection", "reconstruction_defect", "residue",
     "residue_pairing", "residue_quadrature_oracle", "residue_sum_all_poles",
     "section_S", "spectral_quadratic", "symplectic_form",

@@ -26,7 +26,6 @@ from .flows import (
 )
 from .monodromy import TAU_MONO, conjugacy_invariants, monodromy_rep
 from .symplectic import (
-    IrregularCotangent,
     hamiltonian_beta_B,
     hamiltonian_vector_field,
     residue_pairing,
@@ -40,15 +39,24 @@ DEFAULT_TOLS = {"flow": 1e-10, "transport": 1e-10, "drift": 1e-6,
 def _load_spec(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except json.JSONDecodeError as exc:
         raise _ParseFail(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except OSError as exc:
         raise _ParseFail(str(exc))
+    return _object(spec, "spec")
 
 
 class _ParseFail(Exception):
     pass
+
+
+def _object(value, where):
+    """``value`` if it is a JSON object, else a parse failure at ``where``."""
+    if not isinstance(value, dict):
+        raise _ParseFail(f"{where} must be a JSON object, "
+                         f"not {type(value).__name__}")
+    return value
 
 
 def _tols(spec, override=None):
@@ -57,7 +65,7 @@ def _tols(spec, override=None):
     if isinstance(given, (int, float)):
         tols["flow"] = tols["transport"] = float(given)
     else:
-        for k, v in given.items():
+        for k, v in _object(given, "tol").items():
             if k not in tols or float(v) <= 0:
                 raise _ParseFail(f"tol.{k}: unknown field or non-positive value")
             tols[k] = float(v)
@@ -84,7 +92,7 @@ def _pole_index(value, state, where):
 
 
 def _path_of(spec, state, pinned):
-    p = spec.get("path", {"kind": "stationary"})
+    p = _object(spec.get("path", {"kind": "stationary"}), "path")
     kind = p.get("kind")
     moved = []
     if kind == "stationary":
@@ -176,13 +184,12 @@ def cmd_hamiltonian(spec, args):
     out = {"translations": [ser.cx(v)
                             for v in translation_hamiltonian_values(state)],
            "irregular": None, "field": None}
-    direction = spec.get("direction")
-    if direction and direction.get("kind") == "irregular":
+    direction = _object(spec.get("direction") or {}, "direction")
+    if direction.get("kind") == "irregular":
         idx = _pole_index(direction["pole"], state, "direction.pole")
-        beta = IrregularCotangent(
-            idx, np.array([[ser.un_cx(v) for v in row]
-                           for row in direction["beta"]], dtype=complex))
-        out["irregular"] = ser.cx(hamiltonian_beta_B(beta, state))
+        beta = np.array([[ser.un_cx(v) for v in row]
+                         for row in direction["beta"]], dtype=complex)
+        out["irregular"] = ser.cx(hamiltonian_beta_B(state, idx, beta))
     if spec.get("field"):
         fld = direction or {"kind": "translation", "pole": 0}
         if fld.get("kind", "translation") != "translation":
@@ -190,7 +197,7 @@ def cmd_hamiltonian(spec, args):
         idx = _pole_index(fld.get("pole", 0), state, "direction.pole")
         dH = direction_differential(Direction.translation(idx), state)
         X = hamiltonian_vector_field(dH, state)
-        out["field"] = [ser.cx(v) for v in X.flatten()]
+        out["field"] = [ser.cx(v) for v in X]
     _write(FsPath(args.out), "hamiltonian.json", ser.dumps(out))
     return 0
 
@@ -210,7 +217,7 @@ def cmd_pairing(spec, args):
     frame = spec.get("frame", "U1")
     value = residue_pairing(a, b, site, frame)
 
-    checks = spec.get("checks", {})
+    checks = _object(spec.get("checks", {}), "checks")
     count = int(checks.get("count", 0))
     worst = 0.0
     if count:

@@ -26,7 +26,6 @@ from .ratfun import (
     INFINITY,
     LaurentJet,
     RatMat,
-    RatScalar,
     is_infinity,
 )
 
@@ -60,10 +59,6 @@ class PolarDivisor:
 
     def __len__(self):
         return len(self.points)
-
-    @property
-    def degree(self):
-        return sum(self.mults)
 
     def mult_at(self, p):
         for t, l in zip(self.points, self.mults):
@@ -243,24 +238,13 @@ def gauge_transform(conn, g):
     return Connection.from_ratmat(new, base_pole=conn.base_pole)
 
 
-@dataclass(frozen=True)
-class QuadraticDifferential:
-    """Scalar rational ``q`` interpreted as ``q dz**2`` with a polar bound."""
-
-    q: RatScalar
-    polar_bound: tuple = ()
-
-
 def spectral_quadratic(conn):
-    """``tr(A^2) dz^2`` — the spectral quadratic differential of the state.
+    """The scalar ``q = tr(A^2)`` of the spectral quadratic differential
+    ``q dz^2``, as a ``RatScalar``.
 
-    Its polar divisor is bounded by twice the divisor plus twice the twist
-    locus.
+    Its poles are bounded by twice the divisor plus twice the twist locus.
     """
-    q = (conn.matrix @ conn.matrix).trace()
-    bound = [(t, 2 * l) for t, l in zip(conn.divisor.points, conn.divisor.mults)]
-    bound += [(p, 2) for p in conn.twist_points]
-    return QuadraticDifferential(q, tuple(bound))
+    return (conn.matrix @ conn.matrix).trace()
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .errors import IntegrationAbort, MalformedInputError, PreconditionError
 from .monodromy import SAFETY, monodromy_rep
 from .states import ExtendedState, N_MAX
 from .symplectic import (
-    IrregularCotangent,
     d_translation_hamiltonian,
     hamiltonian_beta_B,
     hamiltonian_vector_field,
@@ -88,14 +87,18 @@ class StateDerivative:
                    [np.zeros((p.l - 1, p.n), dtype=complex)
                     for p in state.poles])
 
-    def add_chart(self, vec):
-        self.d_chart = self.d_chart + vec
-        return self
-
     def flat(self):
         """The derivative in the layout of ``FlowState.flat``."""
         return np.concatenate([self.d_positions, self.d_chart]
                               + [r.ravel() for r in self.d_irregular])
+
+
+def _check_poles(direction, state):
+    m = len(state.poles)
+    for i in [*direction.moduli_rates, *direction.irregular_rates]:
+        if not 0 <= i < m:
+            raise MalformedInputError(
+                f"direction names pole {i}; the state has poles 0..{m - 1}")
 
 
 def lift_I0(direction, state):
@@ -105,6 +108,7 @@ def lift_I0(direction, state):
     coefficients at theirs, while every dressed polar coefficient of the
     connection is carried along unchanged in the flat ambient frame.
     """
+    _check_poles(direction, state)
     out = StateDerivative.zero(state)
     for i, rate in direction.moduli_rates.items():
         out.d_positions[i] = rate
@@ -146,6 +150,7 @@ def direction_differential(direction, state):
     the diagonal-jet pairing (the chart form carries twice the canonical
     normalization, fixed once by the quadratic Hamiltonians).
     """
+    _check_poles(direction, state)
     dH = np.zeros(state.chart_dim(), dtype=complex)
     for i, rate in direction.moduli_rates.items():
         if rate != 0:
@@ -159,13 +164,13 @@ def direction_differential(direction, state):
                 "irregular deformation directions are supported at poles of "
                 "order 2; the frozen-frame reference lift is not the correct "
                 "decomposition at higher orders")
-        beta = IrregularCotangent(i, beta_for_rate(rows, p))
+        beta = beta_for_rate(rows, p)
         # the chart form carries twice the canonical normalization (fixed by
         # the quadratic Hamiltonians) and the linear diagonal-jet pairing
         # enters with the opposite orientation; both are pinned against the
         # transported-monodromy oracle
         dH += numeric_differential(
-            lambda s: -2.0 * hamiltonian_beta_B(beta, s), state)
+            lambda s: -2.0 * hamiltonian_beta_B(s, i, beta), state)
     return dH
 
 
@@ -176,8 +181,7 @@ def isomonodromic_rhs(direction, state):
         return out
     dH = direction_differential(direction, state)
     if np.any(dH):
-        X = hamiltonian_vector_field(dH, state)
-        out.add_chart(X.flatten())
+        out.d_chart += hamiltonian_vector_field(dH, state)
     return out
 
 
@@ -187,75 +191,47 @@ def isomonodromic_rhs(direction, state):
 
 @dataclass(frozen=True)
 class FlowPath:
-    """Parametrized curve of base data over ``s in [0, 1]``.
+    """A path in the base over ``s in [0, 1]``, given by its rates:
+    ``rates(s)`` is the direction at ``s``.
 
-    ``positions(s)`` and ``irregular(s)`` give the base point; ``rates(s)``
-    the corresponding direction.
+    The path stores no base point: the flow integrates one from the rates,
+    starting at the state it is integrated from (``lift_I0`` moves positions
+    and irregular types at ``rates(s)``).  The constructors take that state
+    for a uniform call signature; the rates do not read it.
     """
 
-    positions: object
-    irregular: object
     rates: object
 
     @classmethod
     def stationary(cls, state):
-        pos0 = np.array(state.moduli.positions)
-        irr0 = [np.array(r) for r in state.moduli.irregular]
-        return cls(lambda s: pos0.copy(),
-                   lambda s: [r.copy() for r in irr0],
-                   lambda s: Direction({}, {}))
+        return cls(lambda s: Direction({}, {}))
 
     @classmethod
-    def pole_motion(cls, state, pole_index, curve, velocity):
-        """Move one pole along ``curve(s)`` with ``d curve/ds = velocity(s)``."""
-        pos0 = np.array(state.moduli.positions)
-        irr0 = [np.array(r) for r in state.moduli.irregular]
-
-        def positions(s):
-            out = pos0.copy()
-            out[pole_index] = curve(s)
-            return out
-
-        return cls(positions,
-                   lambda s: [r.copy() for r in irr0],
-                   lambda s: Direction({pole_index: velocity(s)}, {}))
+    def pole_motion(cls, state, pole_index, velocity):
+        """Move one pole at ``dt/ds = velocity(s)``."""
+        return cls(lambda s: Direction({pole_index: velocity(s)}, {}))
 
     @classmethod
     def line(cls, state, pole_index, displacement):
-        t0 = state.moduli.positions[pole_index]
         d = complex(displacement)
-        return cls.pole_motion(state, pole_index,
-                               lambda s: t0 + s * d, lambda s: d)
+        return cls.pole_motion(state, pole_index, lambda s: d)
 
     @classmethod
     def semicircle(cls, state, pole_index, diameter, upper=True):
-        """Half circle from ``t0`` to ``t0 + diameter`` (arc length ~ pi d/2)."""
-        t0 = state.moduli.positions[pole_index]
+        """Half circle from ``t0`` to ``t0 + diameter`` (arc length ~ pi d/2),
+        through ``t0 + d/2 + i d/2`` when ``upper`` (``- i d/2`` otherwise)."""
         d = complex(diameter)
-        c = t0 + d / 2
         sign = -1.0 if upper else 1.0
-
-        def curve(s):
-            return c - (d / 2) * np.exp(sign * 1j * np.pi * s)
 
         def velocity(s):
             return -(d / 2) * sign * 1j * np.pi * np.exp(sign * 1j * np.pi * s)
 
-        return cls.pole_motion(state, pole_index, curve, velocity)
+        return cls.pole_motion(state, pole_index, velocity)
 
     @classmethod
     def irregular_line(cls, state, pole_index, rate_rows, length=1.0):
-        pos0 = np.array(state.moduli.positions)
-        irr0 = [np.array(r) for r in state.moduli.irregular]
         rate = np.asarray(rate_rows, dtype=complex)
-
-        def irregular(s):
-            out = [r.copy() for r in irr0]
-            out[pole_index] = out[pole_index] + s * length * rate
-            return out
-
-        return cls(lambda s: pos0.copy(), irregular,
-                   lambda s: Direction({}, {pole_index: length * rate}))
+        return cls(lambda s: Direction({}, {pole_index: length * rate}))
 
 
 # ---------------------------------------------------------------------------

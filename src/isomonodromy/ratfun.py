@@ -20,8 +20,6 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -29,7 +27,6 @@ import numpy.polynomial.polynomial as npoly
 from .errors import MalformedInputError, PreconditionError
 
 TAU_CANCEL = 1e-9     # numerator/denominator common-factor detection
-TAU_ORACLE = 1e-10    # symbolic vs quadrature residue agreement
 TAU_MERGE = 1e-12     # roots closer than this are the same pole
 
 INFINITY = complex(float("inf"), 0.0)
@@ -164,17 +161,6 @@ class LaurentJet:
     def n(self):
         return self.coeffs.shape[1] if self.is_matrix else 1
 
-    @classmethod
-    def zero(cls, point, k_min, k_max, n=None, form_degree=0):
-        shape = (k_max - k_min + 1,) if n is None else (k_max - k_min + 1, n, n)
-        return cls(point, k_min, np.zeros(shape, dtype=complex), form_degree)
-
-    @classmethod
-    def identity(cls, point, k_max, n, form_degree=0):
-        c = np.zeros((k_max + 1, n, n), dtype=complex)
-        c[0] = np.eye(n)
-        return cls(point, 0, c, form_degree)
-
     def coefficient(self, k):
         """Coefficient of order ``k``; exact zero below k_min, error above k_max."""
         if k < self.k_min:
@@ -302,11 +288,6 @@ class LaurentJet:
             raise MalformedInputError("trace of a scalar jet")
         return LaurentJet(self.point, self.k_min,
                           np.trace(self.coeffs, axis1=1, axis2=2),
-                          self.form_degree)
-
-    def diagonal(self):
-        return LaurentJet(self.point, self.k_min,
-                          np.einsum("kii->ki", self.coeffs).copy(),
                           self.form_degree)
 
     def inverse(self):
@@ -726,9 +707,6 @@ class RatMat:
 
     def pole_order(self, p):
         return max(e.pole_order(p) for row in self.entries for e in row)
-
-    def is_zero(self, tol=0.0):
-        return all(e.is_zero(tol) for row in self.entries for e in row)
 
     # -- arithmetic -----------------------------------------------------------
 

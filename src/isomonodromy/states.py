@@ -188,19 +188,6 @@ class PoleData:
 
 
 @dataclass(frozen=True)
-class ModuliPoint:
-    """Pole positions plus the fixed irregular types (diagonal, per pole)."""
-
-    positions: tuple
-    irregular: tuple   # one (l-1, n) array per pole
-
-    @classmethod
-    def of(cls, state):
-        return cls(tuple(p.t for p in state.poles),
-                   tuple(np.array(p.lam_irr) for p in state.poles))
-
-
-@dataclass(frozen=True)
 class FlowState:
     """Full deformation state: canonical pole data plus frozen twist sites."""
 
@@ -220,10 +207,6 @@ class FlowState:
             if not p.leading_is_regular():
                 raise RegularityError(
                     f"irregular type at {p.t} has a clustered leading term")
-
-    @property
-    def moduli(self):
-        return ModuliPoint.of(self)
 
     # -- polar data, each computed once per state -----------------------------
 

@@ -19,8 +19,9 @@ these coordinates is the scaled cotangent-group form
 with ``eta = F^-1 dF`` the left jet velocity of the frame ``F = h (I + u)``.
 The overall factor two matches the residue-pairing normalization above, so
 that the Hamiltonian ``res tr(A^2)`` generates the classical commutator flow
-on residues.  Hamiltonian vector fields are obtained by assembling the Gram
-matrix of this form on the coordinate basis and solving ``omega(X, .) = dH``.
+on residues.  Hamiltonian vector fields are obtained by solving
+``omega(X, .) = dH`` on the coordinate basis; the field is a plain vector in
+the chart-vector layout.
 
 The chart form is the normative one: it is the form that flows and
 Hamiltonian fields invert.  The library provides no map from chart tangents
@@ -33,12 +34,13 @@ polar coefficients and regular jets it needs are the state's own memoized
 attributes (``FlowState.blocks``, ``polar``, ``regular_jets``), so one
 right-hand side evaluation builds each of them once.
 
-The form pairs no two poles, so the Gram matrix is block-diagonal by pole.
-Each block is assembled with ``einsum`` over the stacked jet velocities of
-its basis directions (``PoleChartBlock.omega`` is the term-by-term
-reference), and each block is solved with its own SVD.  The rank guard is
-global: it compares the smallest singular value over all blocks with the
-largest, exactly as an SVD of the whole matrix would.
+The form pairs no two poles, so its Gram matrix is block-diagonal by pole
+(``gram_matrix`` is the dense form, kept for comparison).  Each block is
+assembled with ``einsum`` over the stacked jet velocities of its basis
+directions (``PoleChartBlock.omega`` is the term-by-term reference), and the
+solve takes each block's own SVD without assembling the dense matrix.  The
+rank guard is global: it compares the smallest singular value over all
+blocks with the largest, exactly as an SVD of the whole matrix would.
 
 **Hamiltonians** are read from the same memoized polar data: the values
 ``res_{t_i} tr(A^2)`` (``translation_hamiltonian_values``) and their
@@ -265,90 +267,68 @@ def gram_matrix(state):
     return G
 
 
-@dataclass
-class ChartTangent:
-    """Coordinate tangent, stored flat in the chart-vector layout."""
-
-    vec: np.ndarray
-
-    def flatten(self):
-        return self.vec
-
-    def induced_polar_variations(self, state):
-        """Per-pole ``[dC_1 .. dC_l]`` connection-coefficient variations."""
-        out = []
-        at = 0
-        for blk in state.blocks:
-            out.append(np.einsum("x,xkpq->kpq", self.vec[at: at + blk.dim],
-                                 blk.induced_variations()))
-            at += blk.dim
-        return out
+def induced_polar_variations(vec, state):
+    """Per-pole ``[dC_1 .. dC_l]`` connection-coefficient variations of the
+    chart tangent ``vec`` (chart-vector layout)."""
+    out = []
+    at = 0
+    for blk in state.blocks:
+        out.append(np.einsum("x,xkpq->kpq", vec[at: at + blk.dim],
+                             blk.induced_variations()))
+        at += blk.dim
+    return out
 
 
 def hamiltonian_vector_field(dH, state):
-    """Solve ``omega(X, .) = dH`` on the chart; ``dH`` is the flat coefficient
-    vector of the cotangent functional on the coordinate basis.
+    """Solve ``omega(X, .) = dH`` on the chart and return ``X`` in the
+    chart-vector layout; ``dH`` is the flat coefficient vector of the
+    cotangent functional on the coordinate basis.
 
-    Solved pole block by pole block, under the global rank guard.
+    The form pairs no two poles, so the solve runs pole block by pole block,
+    one SVD of each ``gram_block``, under the global rank guard.
     """
     dH = np.asarray(dH, dtype=complex).ravel()
-    G = gram_matrix(state)
-    if dH.shape[0] != G.shape[0]:
+    cuts = np.cumsum([0] + [b.dim for b in state.blocks])
+    if dH.shape[0] != cuts[-1]:
         raise MalformedInputError("dH length does not match the chart dimension")
     # omega(X, Y) = X^T G Y on the basis, so omega(X, .) = dH reads G^T X = dH
-    cuts = np.cumsum([0] + [p.chart_size() for p in state.poles])
-    svds = [np.linalg.svd(G[a:b, a:b].T) for a, b in zip(cuts, cuts[1:])]
+    svds = [np.linalg.svd(b.gram_block().T) for b in state.blocks]
     s_max = max(S[0] for _, S, _ in svds)
     s_min = min(S[-1] for _, S, _ in svds)
     if s_max == 0.0 or s_min <= TAU_RANK * s_max:
         raise DegenerateChartError(
             f"chart Gram matrix is singular: sigma_min/sigma_max = "
             f"{s_min / max(s_max, 1e-300):.3e}")
-    x = np.concatenate([Vh.conj().T @ ((U.conj().T @ dH[a:b]) / S)
-                        for a, b, (U, S, Vh) in zip(cuts, cuts[1:], svds)])
-    return ChartTangent(x)
+    return np.concatenate([Vh.conj().T @ ((U.conj().T @ dH[a:b]) / S)
+                           for a, b, (U, S, Vh) in zip(cuts, cuts[1:], svds)])
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IrregularCotangent:
-    """Diagonal truncated tail ``beta = sum_j beta_{-j} zeta**-j`` at a pole.
+def hamiltonian_beta_B(state, i, beta):
+    """``tr res_p (beta . B)`` at pole ``i``, with ``B`` the diagonal jet of A
+    there and ``beta = sum_j beta_{-j} zeta**-j`` a diagonal truncated tail.
 
-    ``coeffs`` has shape ``(l-1, n)``; row ``j`` holds the diagonal of the
-    order ``-(j+1)`` term.
+    ``beta`` has shape ``(l-1, n)``: row ``j`` holds the diagonal of the
+    order ``-(j+1)`` term.  Torus components follow the canonical branch
+    order of the diagonal jet (lexicographic in the leading eigenvalues), so
+    ``beta`` rows pair with the matching eigenvalue branches.
     """
-
-    pole_index: int
-    coeffs: np.ndarray
-
-    def __init__(self, pole_index, coeffs):
-        object.__setattr__(self, "pole_index", int(pole_index))
-        object.__setattr__(self, "coeffs", np.asarray(coeffs, dtype=complex))
-
-
-def hamiltonian_beta_B(beta, state):
-    """``tr res_p (beta . B)`` with ``B`` the diagonal jet of A at the pole.
-
-    Torus components follow the canonical branch order of the diagonal jet
-    (lexicographic in the leading eigenvalues), so ``beta`` rows pair with
-    the matching eigenvalue branches.
-    """
-    i = beta.pole_index
+    beta = np.asarray(beta, dtype=complex)
     p = state.poles[i]
     if p.l < 2:
         raise PreconditionError("irregular Hamiltonians need a pole of order >= 2")
-    if beta.coeffs.shape != (p.l - 1, p.n):
+    if beta.shape != (p.l - 1, p.n):
         raise MalformedInputError(
-            f"beta shape {beta.coeffs.shape} does not match pole of order "
+            f"beta shape {beta.shape} does not match pole of order "
             f"{p.l} and rank {p.n}; expected {(p.l - 1, p.n)}")
     bd = state.diagonal_jet(i)  # rows are orders -l .. l-2
     acc = 0.0 + 0j
     for k in range(p.l - 1):
         # beta row k is the order -(k+1) term; it pairs with B order k
-        acc += np.sum(beta.coeffs[k] * bd[k + p.l])
+        acc += np.sum(beta[k] * bd[k + p.l])
     return complex(acc)
 
 

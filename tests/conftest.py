@@ -77,5 +77,5 @@ def rational_translation_hamiltonians(state):
     not ``state.connection()`` (that one is pushed across the twist).
     """
     data = [(p.t, C) for p, C in zip(state.poles, state.polar)]
-    q = spectral_quadratic(Connection.from_polar_parts(data, n=state.n)).q
+    q = spectral_quadratic(Connection.from_polar_parts(data, n=state.n))
     return [complex(q.laurent(p.t, 0).coefficient(-1)) for p in state.poles]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import isomonodromy.flows as flows
-from isomonodromy.errors import PreconditionError
+from isomonodromy.errors import MalformedInputError, PreconditionError
 from isomonodromy.flows import (
     Direction,
     FlowPath,
@@ -21,7 +21,6 @@ from isomonodromy.flows import (
 from isomonodromy.monodromy import monodromy_rep
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import (
-    IrregularCotangent,
     hamiltonian_beta_B,
     numeric_differential,
 )
@@ -84,8 +83,8 @@ class TestRhs:
         state = commuting_state()
         d = isomonodromic_rhs(Direction.translation(0), state)
         assert d.d_positions[0] == 1.0
-        from isomonodromy.symplectic import ChartTangent
-        var = ChartTangent(d.d_chart).induced_polar_variations(state)
+        from isomonodromy.symplectic import induced_polar_variations
+        var = induced_polar_variations(d.d_chart, state)
         for v in var:
             assert np.max(np.abs(v[0])) < 1e-12
 
@@ -93,10 +92,10 @@ class TestRhs:
         ts = [-1.5, -0.2, 0.9, 2.1]
         mats = random_fuchsian_matrices(rng, 2, 4)
         state = fuchsian_state(ts, mats)
-        from isomonodromy.symplectic import ChartTangent
+        from isomonodromy.symplectic import induced_polar_variations
         i = 2
         d = isomonodromic_rhs(Direction.translation(i), state)
-        var = ChartTangent(d.d_chart).induced_polar_variations(state)
+        var = induced_polar_variations(d.d_chart, state)
         for j in range(4):
             if j == i:
                 want = -sum((mats[i] @ mats[k] - mats[k] @ mats[i])
@@ -122,6 +121,25 @@ class TestRhs:
             extended_autonomous_rhs(Direction.irregular(0, rate),
                                     extend_state(state))
 
+    @pytest.mark.parametrize("kind", ["translation", "irregular"])
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_pole_index_outside_state_rejected(self, rng, kind, index):
+        # a 3-pole state: -1 would pair the last pole with itself at
+        # distance 0, and 3 names no pole
+        state = irregular_state(rng)
+        rows = np.array([[0.3, -0.1]], dtype=complex)
+        if kind == "translation":
+            Y, path = (Direction.translation(index),
+                       FlowPath.line(state, index, 0.1))
+        else:
+            Y, path = (Direction.irregular(index, rows),
+                       FlowPath.irregular_line(state, index, rows, 0.1))
+        for call in (lift_I0, direction_differential, isomonodromic_rhs):
+            with pytest.raises(MalformedInputError, match="pole"):
+                call(Y, state)
+        with pytest.raises(MalformedInputError, match="pole"):
+            integrate_flow(state, path, n_samples=2)
+
 
 class TestIntegrateFlow:
     def test_stationary_path_constant(self, rng):
@@ -131,6 +149,23 @@ class TestIntegrateFlow:
         for st in traj.states:
             assert np.max(np.abs(st.chart_vector()
                                  - state.chart_vector())) < 1e-12
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_semicircle_geometry(self, rng, upper):
+        # the path is its velocity; the moved pole must trace the half
+        # circle from t0 to t0 + d, bulging to the left of d when upper
+        ts = [-1.5, 0.0, 1.8]
+        state = fuchsian_state(ts, random_fuchsian_matrices(rng, 2, 3))
+        t0, d = ts[1], 0.8 + 0.3j
+        traj = integrate_flow(state, FlowPath.semicircle(state, 1, d, upper),
+                              n_samples=3)
+        assert traj.status == "completed"
+        assert traj.samples == [0.0, 0.5, 1.0]
+        bulge = 1j * d / 2 if upper else -1j * d / 2
+        for st, want in zip(traj.states[1:], (t0 + d / 2 + bulge, t0 + d)):
+            pos = [p.t for p in st.poles]
+            assert abs(pos[1] - want) < 1e-8
+            assert (pos[0], pos[2]) == (ts[0], ts[2])
 
     def test_commuting_coefficients_constant(self):
         state = commuting_state()
@@ -224,7 +259,7 @@ class TestCommutingFlows:
         assert np.max(np.abs(end.chart_vector()
                              - start.chart_vector())) < 1e-9
         assert np.max(np.abs(polar(end) - polar(start))) < 1e-9
-        assert np.max(np.abs(np.array(end.moduli.positions)
+        assert np.max(np.abs(np.array([p.t for p in end.poles])
                              - np.array(ts))) < 1e-12
 
 
@@ -315,8 +350,8 @@ class TestSymplecticAlongFlow:
         lift = lift_I0(Y, state)
         X = hamiltonian_vector_field(direction_differential(Y, state), state)
         assert np.max(np.abs((d.d_chart - lift.d_chart)
-                             - X.flatten())) < 1e-9 * max(
-            1.0, np.max(np.abs(X.flatten())))
+                             - X)) < 1e-9 * max(
+            1.0, np.max(np.abs(X)))
 
     def test_flow_linearization_preserves_form(self, rng):
         # two frozen coordinate tangents, transported by central-difference
@@ -483,8 +518,8 @@ class TestSectionAndExtended:
         oracle = rational_translation_hamiltonians(state)
         want = sum(rate * oracle[i] for i, rate in Y.moduli_rates.items())
         for i, rows in Y.irregular_rates.items():
-            beta = IrregularCotangent(i, beta_for_rate(rows, state.poles[i]))
-            want -= 2.0 * hamiltonian_beta_B(beta, state)
+            beta = beta_for_rate(rows, state.poles[i])
+            want -= 2.0 * hamiltonian_beta_B(state, i, beta)
         assert abs(pairing(state) - want) < 1e-11 * max(1.0, abs(want))
 
         dH = direction_differential(Y, state)

@@ -261,6 +261,30 @@ class TestCli:
         assert cli_main(["hamiltonian", "--input", str(sp),
                          "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("command, field", [
+        ("flow", None), ("flow", "path"), ("flow", "tol"),
+        ("hamiltonian", "direction"), ("pairing", "checks")])
+    def test_non_object_field_is_a_parse_error(self, flow_spec, tmp_path,
+                                               command, field, capsys):
+        # a JSON array or string where the spec or a field must be an object
+        spec = json.loads(flow_spec.read_text())
+        if command == "pairing":
+            spec = {"site": {"p": [0.0, 0.0],
+                             "params": [[0.0, 0.0], [1.5, 0.0]]},
+                    "a": [ser.matrix(np.eye(2))],
+                    "b": [ser.matrix(np.eye(2))]}
+        if field is None:
+            spec = [spec]
+        else:
+            spec[field] = [1] if field == "path" else "x"
+        flow_spec.write_text(json.dumps(spec))
+        rc = cli_main([command, "--input", str(flow_spec),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert f"{field or 'spec'} must be a JSON object" in err
+
     def test_console_entry_point(self, flow_spec, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "isomonodromy.cli", "monodromy",

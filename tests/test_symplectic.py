@@ -12,14 +12,13 @@ from isomonodromy.connection import spectral_quadratic
 from isomonodromy.flows import Direction, direction_differential
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import (
-    ChartTangent,
-    IrregularCotangent,
     PoleChartBlock,
     TangentVec,
     chart_blocks,
     gram_matrix,
     hamiltonian_beta_B,
     hamiltonian_vector_field,
+    induced_polar_variations,
     numeric_differential,
     residue_pairing,
     symplectic_form,
@@ -256,7 +255,7 @@ class TestChart:
                 + 1j * rng.standard_normal(state.chart_dim())
             U, S, Vh = np.linalg.svd(gram_matrix(state).T)
             want = Vh.conj().T @ ((U.conj().T @ dH) / S)
-            got = hamiltonian_vector_field(dH, state).flatten()
+            got = hamiltonian_vector_field(dH, state)
             assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_rank_guard_is_global(self):
@@ -296,7 +295,7 @@ class TestHamiltonians:
         mats = random_fuchsian_matrices(rng, 2, 3)
         state = fuchsian_state(ts, mats)
         conn = state.connection()
-        q = spectral_quadratic(conn).q
+        q = spectral_quadratic(conn)
         for i in range(3):
             H = rational_translation_hamiltonians(state)[i]
             want = 2 * sum(np.trace(mats[i] @ mats[j]) / (ts[i] - ts[j])
@@ -325,8 +324,7 @@ class TestHamiltonians:
         state = FlowState(2, (
             PoleData(0.0, 2, np.eye(2), random_matrix(rng, 2), lam_irr),
             PoleData(2.0, 1, np.eye(2), random_matrix(rng, 2))))
-        beta = IrregularCotangent(0, np.zeros((1, 2)))
-        assert hamiltonian_beta_B(beta, state) == 0.0
+        assert hamiltonian_beta_B(state, 0, np.zeros((1, 2))) == 0.0
 
     def test_beta_rank_one_picks_regular_term(self):
         # n=1, l=2: H = beta_-1 * (regular value of A at the pole)
@@ -335,8 +333,7 @@ class TestHamiltonians:
         state = FlowState(1, (
             PoleData(0.0, 2, np.eye(1), [[b1]], [[b2]]),
             PoleData(t2, 1, np.eye(1), [[a]])))
-        beta = IrregularCotangent(0, np.array([[1.0]]))
-        H = hamiltonian_beta_B(beta, state)
+        H = hamiltonian_beta_B(state, 0, np.array([[1.0]]))
         want = a / (0.0 - t2)  # value at 0 of a/(z - t2)
         assert abs(H - want) < 1e-12
 
@@ -349,8 +346,7 @@ class TestHamiltonians:
         state = FlowState(2, (PoleData(0.0, 2, np.eye(2), res, lam_irr),
                               PoleData(2.0, 1, np.eye(2), other)))
         bp, bpp = 1.3, -0.7
-        beta = IrregularCotangent(0, np.array([[bp, bpp]]))
-        H = hamiltonian_beta_B(beta, state)
+        H = hamiltonian_beta_B(state, 0, np.array([[bp, bpp]]))
         want = bp * (0.3 / -2.0) + bpp * (0.4 / -2.0)
         assert abs(H - want) < 1e-12
 
@@ -361,14 +357,14 @@ class TestHamiltonians:
             PoleData(0.0, 2, np.eye(2), random_matrix(rng, 2), [[-0.6, 0.5]]),
             PoleData(2.0, 1, np.eye(2), random_matrix(rng, 2))))
         with pytest.raises(MalformedInputError):
-            hamiltonian_beta_B(IrregularCotangent(0, np.ones(shape)), state)
+            hamiltonian_beta_B(state, 0, np.ones(shape))
 
 
 class TestHamiltonianField:
     def test_zero_differential_zero_field(self, rng):
         state = fuchsian_state([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))
         X = hamiltonian_vector_field(np.zeros(state.chart_dim()), state)
-        assert np.max(np.abs(X.flatten())) == 0.0
+        assert np.max(np.abs(X)) == 0.0
 
     def test_schlesinger_commutators_emerge(self, rng):
         ts = [-1.5, -0.2, 0.9, 2.1]
@@ -377,7 +373,7 @@ class TestHamiltonianField:
         for i in range(4):
             dH = direction_differential(Direction.translation(i), state)
             X = hamiltonian_vector_field(dH, state)
-            var = X.induced_polar_variations(state)
+            var = induced_polar_variations(X, state)
             for j in range(4):
                 if j == i:
                     want = -sum((mats[i] @ mats[k] - mats[k] @ mats[i])
@@ -399,7 +395,7 @@ class TestHamiltonianField:
         for _ in range(20):
             Y = rng.standard_normal(state.chart_dim()) \
                 + 1j * rng.standard_normal(state.chart_dim())
-            lhs = X.flatten() @ G @ Y
+            lhs = X @ G @ Y
             rhs = dH @ Y
             assert abs(lhs - rhs) < 1e-9 * scale * max(1.0, np.max(np.abs(Y)))
 
@@ -422,6 +418,6 @@ class TestHamiltonianField:
         state = fuchsian_state([0.0, 1.0, -1.3], mats)
         dH = direction_differential(Direction.translation(0), state)
         X = hamiltonian_vector_field(dH, state)
-        var = X.induced_polar_variations(state)
+        var = induced_polar_variations(X, state)
         for v in var:
             assert np.max(np.abs(v[0])) < 1e-12
