@@ -71,7 +71,6 @@ from .symplectic import (
     hamiltonian_beta_B,
     hamiltonian_vector_field,
     induced_polar_variations,
-    numeric_differential,
     residue_pairing,
     symplectic_form,
     translation_hamiltonian_values,
@@ -102,9 +101,9 @@ __all__ = [
     "hamiltonian_beta_B", "hamiltonian_vector_field",
     "induced_polar_variations", "integrate_extended", "integrate_flow",
     "is_infinity", "isomonodromic_rhs", "lift_I0", "monodromy_rep",
-    "normal_form", "numeric_differential", "polar_decompose",
-    "pull_connection", "push_connection", "reconstruction_defect", "residue",
-    "residue_pairing", "residue_quadrature_oracle", "residue_sum_all_poles",
+    "normal_form", "polar_decompose", "pull_connection", "push_connection",
+    "reconstruction_defect", "residue", "residue_pairing",
+    "residue_quadrature_oracle", "residue_sum_all_poles",
     "section_S", "spectral_quadratic", "symplectic_form",
     "total_trace_residue", "translation_hamiltonian_values", "transport",
     "verify_isomonodromy",

@@ -254,10 +254,15 @@ def spectral_quadratic(conn):
 @dataclass(frozen=True)
 class DiagonalJetPair:
     """Holomorphic frame jet ``Z`` and diagonal 1-form jet ``B`` with
-    ``A = dZ Z^-1 + Z B Z^-1`` through the requested truncation."""
+    ``A = dZ Z^-1 + Z B Z^-1`` through the requested truncation.
+
+    ``dB`` holds the diagonals of ``B``'s tangents along the jet variations
+    ``diagonalize_jet`` was given, shape ``(dim, orders, n)``; else None.
+    """
 
     Z: LaurentJet
     B: LaurentJet
+    dB: np.ndarray | None = None
 
     @property
     def b_diag(self):
@@ -288,13 +293,23 @@ def _check_regular(w, scale):
                     f"{TAU_REG} * {scale}")
 
 
-def diagonalize_jet(Ajet, order, include_derivative=True):
+def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
     """Order-by-order diagonalization of a matrix 1-form jet.
 
     With the derivative term this produces the gauge normal form
     ``A = dZ Z^-1 + Z B Z^-1``; without it, ``B`` holds the pointwise
     eigenvalue jets of the matrix (similarity only).
+
+    ``dA`` of shape ``(dim, K, n, n)``, aligned with ``Ajet.coeffs``, stacks
+    ``dim`` variations of the jet; their tangents ride through the same
+    recursion by the product rule and come back as the pair's ``dB``.  The
+    leading eigenframe moves by ``V X`` with ``X_ab = (V^-1 dA_-l V)_ab /
+    (w_b - w_a)`` off the diagonal, so ``d(V^-1 A_i V) = V^-1 dA_i V +
+    [V^-1 A_i V, X]``.  ``X`` has zero diagonal: ``B`` does not change under
+    diagonal rescaling of ``V``, so the column normalization needs no
+    derivative.
     """
+    k_min = Ajet.k_min
     Ajet = Ajet.drop_leading_zeros()
     l = -Ajet.k_min
     n = Ajet.n
@@ -316,6 +331,17 @@ def diagonalize_jet(Ajet, order, include_derivative=True):
     U = [np.eye(n, dtype=complex)]
     B = [D]
     fuchsian = (l == 1) and include_derivative
+    if dA is not None:
+        # tangents of every acoef(i), row i + l
+        At = Vinv @ Ajet.coeffs @ V
+        dAt = Vinv @ np.asarray(dA)[:, Ajet.k_min - k_min:] @ V
+        offdiag = ~np.eye(n, dtype=bool)
+        gap = np.where(offdiag, w[None, :] - w[:, None], 1.0)
+        X = np.where(offdiag, dAt[:, 0] / gap, 0.0)[:, None]
+        dAt = dAt + At @ X - X @ At
+        dd = np.einsum("xaa->xa", dAt[:, 0])
+        dU = [np.zeros((dA.shape[0], n, n), dtype=complex)]
+        dBs = [dAt[:, 0] * np.eye(n)]
     for k in range(1, order + 1):
         m = -l + k
         rhs = np.zeros((n, n), dtype=complex)
@@ -342,11 +368,27 @@ def diagonalize_jet(Ajet, order, include_derivative=True):
                 Uk[a, b] = rhs[a, b] / denom
         U.append(Uk)
         B.append(-np.diag(np.diag(rhs)))
+        if dA is not None:
+            drhs = np.zeros_like(dU[0])
+            for j in range(0, k):
+                drhs -= dAt[:, m - j + l] @ U[j] + At[m - j + l] @ dU[j]
+            if include_derivative and 1 <= m + 1 < k:
+                drhs += (m + 1) * dU[m + 1]
+            for i in range(1, k):
+                drhs += dU[i] @ B[k - i] + U[i] @ dBs[k - i]
+            # Uk = rhs / denom entrywise, and denom moves with dd_a - dd_b
+            denom = d[:, None] - d[None, :] - (k if fuchsian else 0.0)
+            solved = offdiag & (np.abs(denom) > TAU_REG * scale)
+            dd_ab = dd[:, :, None] - dd[:, None, :]
+            dU.append(np.where(solved, (drhs - Uk * dd_ab)
+                               / np.where(solved, denom, 1.0), 0.0))
+            dBs.append(-drhs * np.eye(n))
 
     Zc = np.stack([V @ u for u in U])
     Z = LaurentJet(Ajet.point, 0, Zc, 0)
     Bjet = LaurentJet(Ajet.point, -l, np.stack(B), 1)
-    return DiagonalJetPair(Z, Bjet)
+    dB = None if dA is None else np.einsum("kxaa->xka", np.stack(dBs))
+    return DiagonalJetPair(Z, Bjet, dB)
 
 
 def formal_diagonalize(conn, p, order):

@@ -35,14 +35,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .connection import diagonalize_jet
 from .errors import IntegrationAbort, MalformedInputError, PreconditionError
 from .monodromy import SAFETY, monodromy_rep
 from .states import ExtendedState, N_MAX
 from .symplectic import (
+    d_hamiltonian_beta_B,
     d_translation_hamiltonian,
-    hamiltonian_beta_B,
     hamiltonian_vector_field,
-    numeric_differential,
+    pole_jet_variation,
     translation_hamiltonian_values,
 )
 
@@ -146,9 +147,10 @@ def direction_differential(direction, state):
     """Chart differential of the correction Hamiltonian of a direction.
 
     Position rates contribute the analytic residue differentials of
-    ``res tr(A^2)``; irregular rates contribute the differential of twice
-    the diagonal-jet pairing (the chart form carries twice the canonical
-    normalization, fixed once by the quadratic Hamiltonians).
+    ``res tr(A^2)``; irregular rates contribute the analytic differential of
+    twice the diagonal-jet pairing (the chart form carries twice the
+    canonical normalization, fixed once by the quadratic Hamiltonians), one
+    tangent pass through the formal diagonalization per pole.
     """
     _check_poles(direction, state)
     dH = np.zeros(state.chart_dim(), dtype=complex)
@@ -169,8 +171,7 @@ def direction_differential(direction, state):
         # the quadratic Hamiltonians) and the linear diagonal-jet pairing
         # enters with the opposite orientation; both are pinned against the
         # transported-monodromy oracle
-        dH += numeric_differential(
-            lambda s: -2.0 * hamiltonian_beta_B(s, i, beta), state)
+        dH += -2.0 * d_hamiltonian_beta_B(state, i, beta)
     return dH
 
 
@@ -440,6 +441,56 @@ def extend_state(state):
     return ExtendedState(state, q_slots, b_slots)
 
 
+def _section_rates(direction, state):
+    """Derivatives of ``section_S`` along the reference lift of a direction,
+    fiber frozen, in closed form.
+
+    The frozen fiber keeps every frame, so irregular rates move pole j's
+    polar coefficients by the polar part of ``F dLambda F^-1``, and position
+    rates move another pole's polar term as seen from pole i by
+    ``d/d dist extension_jet(C, k, dist) = -k extension_jet(C, k+1, dist)``.
+    The q slots pair the resulting jet variations with the jets; the b slots
+    take them through one tangent pass of the formal diagonalization.
+    """
+    poles = state.poles
+    dt = np.zeros(len(poles), dtype=complex)
+    for i, rate in direction.moduli_rates.items():
+        dt[i] = rate
+    dC = []
+    for j, (p, blk) in enumerate(zip(poles, state.blocks)):
+        dlam = np.zeros((1, p.l, p.n, p.n), dtype=complex)
+        for r, row in enumerate(direction.irregular_rates.get(j, ())):
+            dlam[0, r + 1] = np.diag(row)
+        dC.append(blk.dressed_polar(dlam))
+    dq, db = [], []
+    for i, p in enumerate(poles):
+        dJ = sum(pole_jet_variation(state, i, j, dC[j], p.l - 1)
+                 for j in range(len(poles)))
+        for j, q in enumerate(poles):
+            if j != i and dt[i] != dt[j]:
+                # the order k term -k C_k becomes the order k + 1 term
+                shifted = np.zeros((1, q.l + 1, p.n, p.n), dtype=complex)
+                shifted[0, 1:] = (-(dt[i] - dt[j])
+                                  * np.arange(1, q.l + 1)[:, None, None]
+                                  * np.asarray(state.polar[j]))
+                dJ = dJ + pole_jet_variation(state, i, j, shifted, p.l - 1)
+        # q_i = 2 sum_k tr(C_k R_{k-1}), with C_k at jet row l - k and
+        # R_m at row l + m
+        rows = dJ[0]
+        slot = np.zeros(p.l, dtype=complex)
+        slot[0] = 2.0 * (
+            np.einsum("kpq,kqp->", rows[p.l - 1::-1], state.regular_jets[i])
+            + np.einsum("kpq,kqp->", np.asarray(state.polar[i]), rows[p.l:]))
+        dq.append(slot)
+        if p.l == 1:
+            db.append(np.zeros((0, p.n), dtype=complex))
+        else:
+            dB = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2,
+                                 dA=dJ[:, : 2 * p.l - 1]).dB
+            db.append(dB[0, p.l:])
+    return tuple(dq), tuple(db)
+
+
 def extended_autonomous_rhs(direction, ext):
     """Hamiltonian dynamics of the autonomous system on the extended space.
 
@@ -448,18 +499,12 @@ def extended_autonomous_rhs(direction, ext):
     for position rates, ``-2`` times the diagonal-jet pairing of
     ``b_slots`` for irregular rates) is the one ``direction_differential``
     differentiates.  The dual variables move with the base-partial
-    derivative of the section values along the direction, fiber frozen.
+    derivative of the section values along the direction, fiber frozen,
+    taken in closed form (no shifted states).
     """
     state = ext.state
     out = isomonodromic_rhs(direction, state)
-
-    # the reference lift has no chart part, so shifting by it freezes the fiber
-    h = 1e-6
-    y, dy = state.flat(), lift_I0(direction, state).flat()
-    qp, bp = section_S(state.with_flat(y + h * dy))
-    qm, bm = section_S(state.with_flat(y - h * dy))
-    dq = tuple((a - b) / (2 * h) for a, b in zip(qp, qm))
-    db = tuple((a - b) / (2 * h) for a, b in zip(bp, bm))
+    dq, db = _section_rates(direction, state)
     return out, dq, db
 
 

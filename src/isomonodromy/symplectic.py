@@ -45,9 +45,13 @@ blocks with the largest, exactly as an SVD of the whole matrix would.
 **Hamiltonians** are read from the same memoized polar data: the values
 ``res_{t_i} tr(A^2)`` (``translation_hamiltonian_values``) and their
 analytic differentials (``d_translation_hamiltonian``), and the
-diagonal-jet pairing at irregular poles (``hamiltonian_beta_B``).  A base
-direction's correction Hamiltonian combines them in
-``flows.direction_differential``.
+diagonal-jet pairing ``tr res(beta . B)`` at irregular poles
+(``hamiltonian_beta_B``) with its analytic differential
+(``d_hamiltonian_beta_B``).  That differential is one tangent pass: the
+chart basis directions' variations of the pole's Laurent jet
+(``pole_jet_variation``) ride through ``connection.diagonalize_jet``
+together with the jet itself.  A base direction's correction Hamiltonian
+combines them in ``flows.direction_differential``.
 """
 
 from __future__ import annotations
@@ -56,12 +60,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import extension_jet
+from .connection import diagonalize_jet, extension_jet
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat
 
 TAU_RANK = 1e-8
-FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +241,19 @@ class PoleChartBlock:
         """Connection polar-coefficient variations of every basis direction,
         via ``dP = [F (ad_eta Lambda + dLam) F^-1]_polar``; shape
         ``(dim, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
-        E, H, l = self.etas, self.lam_hankel, self.l
+        E, H = self.etas, self.lam_hankel
         # inner[:, k] is the order -(k+1) term of [eta, Lambda] + dLam
         inner = (np.einsum("xmpr,mkrq->xkpq", E, H)
                  - np.einsum("mkpr,xmrq->xkpq", H, E))
         inner[:, 0] += self.dlams
+        return self.dressed_polar(inner)
+
+    def dressed_polar(self, inner):
+        """Polar part of ``F inner F^-1`` for stacked dressed polar jets
+        ``inner`` of shape ``(x, l, n, n)``, row ``r`` the order ``-(r+1)``
+        term: connection polar-coefficient variations, row ``k - 1``
+        holding ``dC_k``."""
+        l = self.l
         # (h U)_i inner_r (V h^-1)_j sits at order i + j - (r + 1)
         out = np.zeros_like(inner)
         for i in range(l):
@@ -307,6 +318,29 @@ def hamiltonian_vector_field(dH, state):
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
+def _pole(state, i):
+    """Pole ``i`` of the state, checked: negative indices are rejected
+    rather than read from the end."""
+    m = len(state.poles)
+    if not 0 <= i < m:
+        raise MalformedInputError(
+            f"pole index {i}; the state has poles 0..{m - 1}")
+    return state.poles[i]
+
+
+def _irregular_pole(state, i, beta):
+    """Pole ``i`` and ``beta`` as an array, checked for the pairing."""
+    beta = np.asarray(beta, dtype=complex)
+    p = _pole(state, i)
+    if p.l < 2:
+        raise PreconditionError("irregular Hamiltonians need a pole of order >= 2")
+    if beta.shape != (p.l - 1, p.n):
+        raise MalformedInputError(
+            f"beta shape {beta.shape} does not match pole of order "
+            f"{p.l} and rank {p.n}; expected {(p.l - 1, p.n)}")
+    return p, beta
+
+
 def hamiltonian_beta_B(state, i, beta):
     """``tr res_p (beta . B)`` at pole ``i``, with ``B`` the diagonal jet of A
     there and ``beta = sum_j beta_{-j} zeta**-j`` a diagonal truncated tail.
@@ -316,20 +350,54 @@ def hamiltonian_beta_B(state, i, beta):
     order of the diagonal jet (lexicographic in the leading eigenvalues), so
     ``beta`` rows pair with the matching eigenvalue branches.
     """
-    beta = np.asarray(beta, dtype=complex)
-    p = state.poles[i]
-    if p.l < 2:
-        raise PreconditionError("irregular Hamiltonians need a pole of order >= 2")
-    if beta.shape != (p.l - 1, p.n):
-        raise MalformedInputError(
-            f"beta shape {beta.shape} does not match pole of order "
-            f"{p.l} and rank {p.n}; expected {(p.l - 1, p.n)}")
+    p, beta = _irregular_pole(state, i, beta)
     bd = state.diagonal_jet(i)  # rows are orders -l .. l-2
     acc = 0.0 + 0j
     for k in range(p.l - 1):
         # beta row k is the order -(k+1) term; it pairs with B order k
         acc += np.sum(beta[k] * bd[k + p.l])
     return complex(acc)
+
+
+def _extension_weights(dist, L, m_max):
+    """``extension_jet(1, k, dist, m_max)`` for ``k = 1 .. L``, stacked."""
+    return np.stack([extension_jet(1.0, k, dist, m_max)
+                     for k in range(1, L + 1)])
+
+
+def pole_jet_variation(state, i, j, dC, m_max):
+    """Variation of pole ``i``'s Laurent jet, orders ``-l_i .. m_max``, under
+    stacked variations ``dC`` of pole ``j``'s polar part.
+
+    ``dC`` has shape ``(x, L, n, n)``, row ``k - 1`` varying the coefficient
+    of ``(z - t_j)**-k``.  Pole ``i``'s own variations are the jet's polar
+    rows (``L <= l_i``); another pole's enter its regular rows as
+    ``extension_jet`` sees them from ``t_i``.
+    """
+    p = state.poles[i]
+    out = np.zeros((dC.shape[0], p.l + m_max + 1, state.n, state.n),
+                   dtype=complex)
+    if j == i:
+        out[:, p.l - dC.shape[1]: p.l] = dC[:, ::-1]
+    else:
+        ext = _extension_weights(p.t - state.poles[j].t, dC.shape[1], m_max)
+        out[:, p.l:] = np.einsum("km,xkpq->xmpq", ext, dC)
+    return out
+
+
+def d_hamiltonian_beta_B(state, i, beta):
+    """Analytic differential of ``hamiltonian_beta_B`` on the chart basis.
+
+    One tangent pass: the variations of ``state.jet_at_pole(i)`` along every
+    chart basis direction ride through ``diagonalize_jet`` with the jet, and
+    the resulting ``dB`` pairs with ``beta`` as ``B`` does.
+    """
+    p, beta = _irregular_pole(state, i, beta)
+    dA = np.concatenate([
+        pole_jet_variation(state, i, j, blk.induced_variations(), p.l - 2)
+        for j, blk in enumerate(state.blocks)])
+    dB = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2, dA=dA).dB
+    return np.einsum("kc,xkc->x", beta, dB[:, p.l:])
 
 
 def translation_hamiltonian_values(state):
@@ -350,7 +418,7 @@ def d_translation_hamiltonian(state, i):
     Uses ``dH(b) = 2 res_{t_i} tr(A b)`` with ``b`` the connection variation
     induced by each coordinate direction.
     """
-    p_i = state.poles[i]
+    p_i = _pole(state, i)
     polar_i = np.asarray(state.polar[i])
 
     out = np.zeros(state.chart_dim(), dtype=complex)
@@ -361,31 +429,10 @@ def d_translation_hamiltonian(state, i):
         if j == i:
             weight = state.regular_jets[i]
         else:
-            dist = p_i.t - state.poles[j].t
-            ext = np.stack([extension_jet(1.0, k, dist, p_i.l - 1)
-                            for k in range(1, blk.l + 1)])
+            ext = _extension_weights(p_i.t - state.poles[j].t, blk.l,
+                                     p_i.l - 1)
             weight = np.einsum("km,mpq->kpq", ext, polar_i)
         out[at: at + blk.dim] = 2.0 * np.einsum(
             "kpq,xkqp->x", weight, blk.induced_variations())
         at += blk.dim
     return out
-
-
-def numeric_differential(func, state, step=FD_STEP):
-    """Central-difference differential of a scalar chart function.
-
-    Everything in sight is holomorphic in the chart coordinates, so the
-    derivative along the real direction of each complex coordinate is the
-    complex derivative.
-    """
-    v0 = state.chart_vector()
-    out = np.zeros_like(v0)
-    for k in range(v0.shape[0]):
-        vp = v0.copy()
-        vp[k] += step
-        vm = v0.copy()
-        vm[k] -= step
-        out[k] = (func(state.with_chart_vector(vp))
-                  - func(state.with_chart_vector(vm))) / (2 * step)
-    return out
-

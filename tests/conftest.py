@@ -4,6 +4,8 @@ import pytest
 from isomonodromy.connection import Connection, spectral_quadratic
 from isomonodromy.ratfun import RatMat, RatScalar
 
+FD_STEP = 1e-5
+
 
 @pytest.fixture
 def rng():
@@ -79,3 +81,22 @@ def rational_translation_hamiltonians(state):
     data = [(p.t, C) for p, C in zip(state.poles, state.polar)]
     q = spectral_quadratic(Connection.from_polar_parts(data, n=state.n))
     return [complex(q.laurent(p.t, 0).coefficient(-1)) for p in state.poles]
+
+
+def numeric_differential(func, state, step=FD_STEP):
+    """Central-difference differential of a scalar chart function.
+
+    The oracle for the analytic differentials.  Everything in sight is
+    holomorphic in the chart coordinates, so the derivative along the real
+    direction of each complex coordinate is the complex derivative.
+    """
+    v0 = state.chart_vector()
+    out = np.zeros_like(v0)
+    for k in range(v0.shape[0]):
+        vp = v0.copy()
+        vp[k] += step
+        vm = v0.copy()
+        vm[k] -= step
+        out[k] = (func(state.with_chart_vector(vp))
+                  - func(state.with_chart_vector(vm))) / (2 * step)
+    return out

@@ -217,6 +217,34 @@ class TestFormalDiagonalize:
             defect = reconstruction_defect(conn, 0.0, pair, 4)
             assert np.max(np.abs(defect)) < 1e-9
 
+    @pytest.mark.parametrize("include_derivative", [True, False])
+    def test_tangents_match_contour_derivative(self, rng, include_derivative):
+        # dB of an order-3 rank-3 jet along three random variations, against
+        # a 16-point Cauchy contour derivative of B of radius 1e-2 (Lyness &
+        # Moler 1967); the values stay those of the plain call, bit for bit
+        n, l, order = 3, 3, 4
+        coeffs = 0.3 * np.stack([random_matrix(rng, n)
+                                 for _ in range(2 * l - 1)])
+        coeffs[0] += np.diag([0.5, -0.4 + 0.2j, 1.1])
+        dA = np.stack([[random_matrix(rng, n) for _ in range(2 * l - 1)]
+                       for _ in range(3)])
+
+        def diag_B(c, dA=None):
+            return diagonalize_jet(LaurentJet(0.0, -l, c, 1), order,
+                                   include_derivative, dA)
+
+        pair, plain = diag_B(coeffs, dA), diag_B(coeffs)
+        assert np.array_equal(pair.B.coeffs, plain.B.coeffs)
+        assert np.array_equal(pair.Z.coeffs, plain.Z.coeffs)
+        assert pair.dB.shape == (3, order + 1, n)
+        N, r = 16, 1e-2
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        for x in range(3):
+            contour = sum(diag_B(coeffs + r * w * dA[x]).b_diag / w
+                          for w in roots) / (N * r)
+            scale = max(1.0, float(np.max(np.abs(contour))))
+            assert np.max(np.abs(pair.dB[x] - contour)) < 1e-11 * scale
+
     def test_irregular_invariants_match_leading(self, rng):
         lead = np.diag([0.7, -0.9]).astype(complex)
         res = random_matrix(rng, 2)

@@ -1,8 +1,4 @@
-"""Every demo but 05 runs to completion in-process.
-
-Demo 05 takes about 10 s, and ``test_03_irregular_deformation`` covers its
-path.
-"""
+"""Every demo runs to completion in-process."""
 import runpy
 from pathlib import Path
 
@@ -13,7 +9,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 @pytest.mark.parametrize("name", [
     "01_rational_residues", "02_twists_and_degree", "03_monodromy_transport",
-    "04_schlesinger_flow", "06_autonomous_extension"])
+    "04_schlesinger_flow", "05_irregular_deformation",
+    "06_autonomous_extension"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out.strip()

@@ -20,13 +20,11 @@ from isomonodromy.flows import (
 )
 from isomonodromy.monodromy import monodromy_rep
 from isomonodromy.states import FlowState, PoleData
-from isomonodromy.symplectic import (
-    hamiltonian_beta_B,
-    numeric_differential,
-)
+from isomonodromy.symplectic import hamiltonian_beta_B
 from isomonodromy.twist import MatrixDivisor, normal_form
 
 from conftest import (
+    numeric_differential,
     random_fuchsian_matrices,
     random_matrix,
     rational_translation_hamiltonians,
@@ -120,6 +118,33 @@ class TestRhs:
         with pytest.raises(PreconditionError):
             extended_autonomous_rhs(Direction.irregular(0, rate),
                                     extend_state(state))
+
+    def test_irregular_rhs_builds_no_state_and_one_diagonalization(
+            self, rng, monkeypatch):
+        # the irregular differential is one tangent pass on the state's own
+        # jet: no perturbed states, one formal diagonalization
+        import isomonodromy.connection as connection
+        import isomonodromy.states as states
+        import isomonodromy.symplectic as symplectic
+        state = irregular_state(rng)
+        calls = {"PoleData": 0, "diagonalize_jet": 0}
+        init, diagonalize = PoleData.__init__, connection.diagonalize_jet
+
+        def counted_init(self, *args, **kwargs):
+            calls["PoleData"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_diagonalize(*args, **kwargs):
+            calls["diagonalize_jet"] += 1
+            return diagonalize(*args, **kwargs)
+
+        monkeypatch.setattr(PoleData, "__init__", counted_init)
+        for mod in (connection, states, symplectic, flows):
+            if hasattr(mod, "diagonalize_jet"):
+                monkeypatch.setattr(mod, "diagonalize_jet",
+                                    counted_diagonalize)
+        isomonodromic_rhs(Direction.irregular(0, [[0.8, -0.5]]), state)
+        assert calls == {"PoleData": 0, "diagonalize_jet": 1}
 
     @pytest.mark.parametrize("kind", ["translation", "irregular"])
     @pytest.mark.parametrize("index", [-1, 3])
@@ -471,8 +496,8 @@ class TestSectionAndExtended:
         assert np.max(np.abs(got - want)) < 1e-7
 
     def test_extended_state_part_is_the_flow_rhs(self, rng, monkeypatch):
-        # bit-equal to the flow's field; only the two base shifts for the
-        # dual rates evaluate the section
+        # bit-equal to the flow's field; the dual rates are closed form, so
+        # nothing evaluates the section
         state = irregular_state(rng)
         ext = extend_state(state)
         calls = [0]
@@ -487,9 +512,31 @@ class TestSectionAndExtended:
                   Direction.irregular(0, [[0.8, -0.5]])):
             calls[0] = 0
             d_ext, _, _ = extended_autonomous_rhs(Y, ext)
-            assert calls[0] == 2
+            assert calls[0] == 0
             assert np.array_equal(d_ext.flat(),
                                   isomonodromic_rhs(Y, state).flat())
+
+    def test_dual_rates_match_section_contour(self, rng):
+        # the closed-form dual rates against a 16-point contour derivative
+        # of the section values along the reference lift (radius 1e-4), on
+        # poles of order 3, 2 and 1 with frames and a frame jet
+        state = mixed_order_state(rng)
+        ext = extend_state(state)
+
+        def flat(q_slots, b_slots):
+            return np.concatenate([np.ravel(v) for v in q_slots + b_slots])
+
+        N, r = 16, 1e-4
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        for Y in (Direction({0: 0.3 + 0.1j, 2: -0.7},
+                            {1: np.array([[0.8, -0.5]])}),
+                  Direction.translation(1)):
+            _, dq, db = extended_autonomous_rhs(Y, ext)
+            y, dy = state.flat(), lift_I0(Y, state).flat()
+            want = sum(flat(*section_S(state.with_flat(y + r * w * dy))) / w
+                       for w in roots) / (N * r)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(flat(dq, db) - want)) < 1e-9 * scale
 
     @pytest.mark.parametrize("case", ["fuchsian", "twisted", "irregular"])
     def test_section_pairing_is_the_correction_hamiltonian(self, rng, case):
@@ -596,10 +643,10 @@ class TestStatePolarData:
 
     def test_extended_rhs_polar_coefficients_once_per_state(
             self, rng, monkeypatch):
-        # the state and its two base shifts each compute every pole's polar
-        # coefficients once
+        # the state computes every pole's polar coefficients once, and the
+        # dual rates shift no state
         state = irregular_state(rng)
         calls = count_polar_coeffs(monkeypatch)
         ext = extend_state(state)
         extended_autonomous_rhs(Direction.translation(1), ext)
-        assert calls[0] == 3 * len(state.poles)
+        assert calls[0] == len(state.poles)

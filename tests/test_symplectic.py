@@ -15,11 +15,12 @@ from isomonodromy.symplectic import (
     PoleChartBlock,
     TangentVec,
     chart_blocks,
+    d_hamiltonian_beta_B,
+    d_translation_hamiltonian,
     gram_matrix,
     hamiltonian_beta_B,
     hamiltonian_vector_field,
     induced_polar_variations,
-    numeric_differential,
     residue_pairing,
     symplectic_form,
     translation_hamiltonian_values,
@@ -27,6 +28,7 @@ from isomonodromy.symplectic import (
 from isomonodromy.twist import MatrixDivisor, TwistSite, normal_form
 
 from conftest import (
+    numeric_differential,
     random_fuchsian_matrices,
     random_invertible,
     random_matrix,
@@ -45,6 +47,24 @@ def twisted_state(rng):
     site = normal_form(0.9j, (0.0, 1.1))
     return fuchsian_state([0.0, 1.5, -1.2], random_fuchsian_matrices(rng, 2, 3),
                           twist=MatrixDivisor((site,)))
+
+
+def framed_irregular_state(rng):
+    """Rank-2 state with poles of order 3, 2 and 1, a non-identity frame at
+    every pole and a nonzero frame jet at the order-3 pole."""
+    u = np.array([[[0.0, 0.2 + 0.1j], [-0.3j, 0.0]]])
+    return FlowState(2, (
+        PoleData(0.0, 3, np.eye(2) + 0.3 * random_matrix(rng, 2),
+                 0.3 * random_matrix(rng, 2),
+                 [[0.4, -0.5], [1.0, -0.7 + 0.2j]], u),
+        PoleData(1.5, 2, np.eye(2) + 0.3 * random_matrix(rng, 2),
+                 0.3 * random_matrix(rng, 2), [[0.8, -0.3j]]),
+        PoleData(-1.1 + 0.4j, 1, np.eye(2) + 0.3 * random_matrix(rng, 2),
+                 0.3 * random_matrix(rng, 2))))
+
+
+BETAS = {0: np.array([[0.7, -0.2 + 0.3j], [0.3j, 0.5]]),
+         1: np.array([[0.7, -0.2 + 0.3j]])}
 
 
 def jet_poly(coeffs, pad=6):
@@ -358,6 +378,47 @@ class TestHamiltonians:
             PoleData(2.0, 1, np.eye(2), random_matrix(rng, 2))))
         with pytest.raises(MalformedInputError):
             hamiltonian_beta_B(state, 0, np.ones(shape))
+
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_beta_differential_matches_finite_differences(self, rng, i):
+        state = framed_irregular_state(rng)
+        analytic = d_hamiltonian_beta_B(state, i, BETAS[i])
+        fd = numeric_differential(
+            lambda s: hamiltonian_beta_B(s, i, BETAS[i]), state)
+        scale = max(1.0, float(np.max(np.abs(analytic))))
+        assert np.max(np.abs(analytic - fd)) < 1e-8 * scale
+
+    def test_beta_differential_finite_differences_converge(self, rng):
+        # the central-difference error against the analytic differential
+        # is the O(step^2) truncation: it falls about 100x per decade
+        state = framed_irregular_state(rng)
+        analytic = d_hamiltonian_beta_B(state, 1, BETAS[1])
+        errs = [np.max(np.abs(analytic - numeric_differential(
+                    lambda s: hamiltonian_beta_B(s, 1, BETAS[1]), state,
+                    step)))
+                for step in (1e-3, 1e-4)]
+        assert 50 < errs[0] / errs[1] < 200
+
+    @pytest.mark.parametrize("index", [-1, -3, 3])
+    @pytest.mark.parametrize("name", ["d_translation_hamiltonian",
+                                      "hamiltonian_beta_B",
+                                      "d_hamiltonian_beta_B"])
+    def test_pole_index_outside_state_rejected(self, rng, name, index):
+        # a 3-pole state with its order-2 pole first: -1 and -3 would read
+        # from the end, 3 names no pole
+        state = FlowState(2, (
+            PoleData(0.0, 2, np.eye(2), random_matrix(rng, 2), [[-0.6, 0.5]]),
+            PoleData(2.0, 1, np.eye(2), random_matrix(rng, 2)),
+            PoleData(-1.5, 1, np.eye(2), random_matrix(rng, 2))))
+        call = {"d_translation_hamiltonian":
+                lambda: d_translation_hamiltonian(state, index),
+                "hamiltonian_beta_B":
+                lambda: hamiltonian_beta_B(state, index, np.ones((1, 2))),
+                "d_hamiltonian_beta_B":
+                lambda: d_hamiltonian_beta_B(state, index, np.ones((1, 2)))}
+        with pytest.raises(MalformedInputError, match="pole"):
+            call[name]()
 
 
 class TestHamiltonianField:
