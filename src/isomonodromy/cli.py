@@ -59,18 +59,26 @@ def _object(value, where):
     return value
 
 
+def _positive(value, where):
+    """``value`` as a float, which must be finite and positive."""
+    x = float(value)
+    if not (np.isfinite(x) and x > 0):
+        raise _ParseFail(f"{where}: {x} is not a finite positive tolerance")
+    return x
+
+
 def _tols(spec, override=None):
     tols = dict(DEFAULT_TOLS)
     given = spec.get("tol", {})
     if isinstance(given, (int, float)):
-        tols["flow"] = tols["transport"] = float(given)
+        tols["flow"] = tols["transport"] = _positive(given, "tol")
     else:
         for k, v in _object(given, "tol").items():
-            if k not in tols or float(v) <= 0:
-                raise _ParseFail(f"tol.{k}: unknown field or non-positive value")
-            tols[k] = float(v)
+            if k not in tols:
+                raise _ParseFail(f"tol.{k}: unknown field")
+            tols[k] = _positive(v, f"tol.{k}")
     if override is not None:
-        tols["flow"] = tols["transport"] = float(override)
+        tols["flow"] = tols["transport"] = _positive(override, "--tol")
     return tols
 
 

@@ -283,7 +283,10 @@ def _sorted_eig(M):
     return w, V
 
 
-def _check_regular(w, scale):
+def check_regular(w, scale):
+    """Raise ``RegularityError`` unless the leading eigenvalues ``w`` are
+    pairwise more than ``TAU_REG * scale`` apart: the one regularity rule
+    for leading terms."""
     n = len(w)
     for a in range(n):
         for b in range(a + 1, n):
@@ -316,7 +319,7 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
     lead = Ajet.coefficient(-l)
     scale = max(1.0, float(np.max(np.abs(lead))))
     w, V = _sorted_eig(lead)
-    _check_regular(w, scale)
+    check_regular(w, scale)
     Vinv = np.linalg.inv(V)
 
     def acoef(i):

@@ -277,6 +277,10 @@ def _integrate(start, state, field, tol, n_samples):
     per sub-interval between samples; an abort ends the trajectory at the
     last sample, with ``abort_at`` the located ``s`` of the event.
     """
+    if n_samples < 2:
+        raise MalformedInputError(
+            f"samples: {n_samples} given; a trajectory needs at least 2 "
+            f"(s = 0 and s = 1)")
     events = _abort_events(state)
     y = start.flat()
     samples, states = [0.0], [start]
@@ -457,11 +461,11 @@ def _section_rates(direction, state):
     for i, rate in direction.moduli_rates.items():
         dt[i] = rate
     dC = []
-    for j, (p, blk) in enumerate(zip(poles, state.blocks)):
+    for j, p in enumerate(poles):
         dlam = np.zeros((1, p.l, p.n, p.n), dtype=complex)
         for r, row in enumerate(direction.irregular_rates.get(j, ())):
             dlam[0, r + 1] = np.diag(row)
-        dC.append(blk.dressed_polar(dlam))
+        dC.append(p.dressed_polar(dlam))
     dq, db = [], []
     for i, p in enumerate(poles):
         dJ = sum(pole_jet_variation(state, i, j, dC[j], p.l - 1)

@@ -17,6 +17,14 @@ jet group).  What remains is exactly a symplectic chart on the partially
 reduced space.  Trivialization jets over the divisor are the inverses of
 the frame jets.
 
+A ``PoleData`` owns its frame: ``unipotent`` (the jets of ``I + u`` and of
+its inverse) and ``frame`` (the jets of ``F = h (I + u)`` and of ``F^-1``,
+the one place ``h`` is inverted) are computed once, on first use, and
+``dressed_polar`` is the one map from dressed polar jets to connection
+polar coefficients: ``polar_coeffs()`` dresses ``lam_jet()``, and the chart
+layer and the flows dress their variations with it.  The rule for a
+regular leading term is ``connection.check_regular``.
+
 A ``FlowState`` owns the data derived from its poles, each computed once, on
 first use: the polar coefficients (``polar``), the regular jets of the other
 poles' polar parts at every pole (``regular_jets``) and the chart layer's
@@ -38,21 +46,26 @@ from functools import cached_property
 import numpy as np
 
 from .connection import (
-    TAU_REG,
     TAU_SEP,
     Connection,
     _sorted_eig,
+    check_regular,
     diagonalize_jet,
     extension_jet,
 )
-from .errors import MalformedInputError, RegularityError
+from .errors import MalformedInputError
 from .ratfun import LaurentJet
 
 N_MAX = 1e8   # coefficient-norm cap; beyond this a flow is flagged as blown up
 
 
-def offdiag_indices(n):
-    return [(a, b) for a in range(n) for b in range(n) if a != b]
+def _shaped(value, name, shape):
+    """``value`` as a complex array, which must have the given shape."""
+    arr = np.array(value, dtype=complex)
+    if arr.shape != shape:
+        raise MalformedInputError(
+            f"{name}: shape {arr.shape}, expected {shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -69,18 +82,17 @@ class PoleData:
     def __init__(self, t, l, h, lam_res, lam_irr=None, u=None):
         object.__setattr__(self, "t", complex(t))
         object.__setattr__(self, "l", int(l))
-        h = np.array(h, dtype=complex)
-        n = h.shape[0]
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "lam_res", np.array(lam_res, dtype=complex))
-        if lam_irr is None:
-            lam_irr = np.zeros((self.l - 1, n), dtype=complex)
-        object.__setattr__(self, "lam_irr",
-                           np.array(lam_irr, dtype=complex).reshape(self.l - 1, n))
+        if self.l < 1:
+            raise MalformedInputError(f"l: pole order {self.l} is below 1")
+        h = np.asarray(h, dtype=complex)
+        n = h.shape[0] if h.ndim else 0
         n_u = max(self.l - 2, 0)
-        if u is None:
-            u = np.zeros((n_u, n, n), dtype=complex)
-        u = np.array(u, dtype=complex).reshape(n_u, n, n)
+        object.__setattr__(self, "h", _shaped(h, "h", (n, n)))
+        object.__setattr__(self, "lam_res", _shaped(lam_res, "lam_res", (n, n)))
+        object.__setattr__(self, "lam_irr", _shaped(
+            np.zeros((self.l - 1, n)) if lam_irr is None else lam_irr,
+            "lam_irr", (self.l - 1, n)))
+        u = _shaped(np.zeros((n_u, n, n)) if u is None else u, "u", (n_u, n, n))
         for k in range(u.shape[0]):
             if np.max(np.abs(np.diag(u[k]))) > 1e-13 * max(1.0, np.max(np.abs(u[k]))):
                 raise MalformedInputError(
@@ -92,30 +104,26 @@ class PoleData:
     def n(self):
         return self.h.shape[0]
 
-    def h_inv(self):
-        return np.linalg.inv(self.h)
-
-    def unipotent_jet(self):
-        """Coefficients of ``I + u(zeta)`` through order l-1 (top order zero)."""
+    @cached_property
+    def unipotent(self):
+        """Coefficients of ``I + u(zeta)`` and of its inverse through order
+        l-1 (the top order of ``u`` is zero), each of shape (l, n, n)."""
         n, l = self.n, self.l
         U = np.zeros((l, n, n), dtype=complex)
         U[0] = np.eye(n)
-        for k in range(1, l - 1):
-            U[k] = self.u[k - 1]
-        return U
-
-    def unipotent_inverse_jet(self):
-        """Coefficients of ``(I + u)^-1`` through order l-1."""
-        n, l = self.n, self.l
-        U = self.unipotent_jet()
-        V = np.zeros((l, n, n), dtype=complex)
+        U[1: l - 1] = self.u
+        V = np.zeros_like(U)
         V[0] = np.eye(n)
         for m in range(1, l):
-            acc = np.zeros((n, n), dtype=complex)
-            for j in range(1, m + 1):
-                acc += U[j] @ V[m - j]
-            V[m] = -acc
-        return V
+            V[m] = -sum(U[j] @ V[m - j] for j in range(1, m + 1))
+        return U, V
+
+    @cached_property
+    def frame(self):
+        """Coefficients of the frame ``F = h (I + u)`` and of ``F^-1 =
+        (I + u)^-1 h^-1`` through order l-1; the one inversion of ``h``."""
+        U, V = self.unipotent
+        return self.h @ U, V @ np.linalg.inv(self.h)
 
     def lam_jet(self):
         """Dressed polar coefficients, index k <-> order -(k+1); shape (l, n, n)."""
@@ -125,37 +133,24 @@ class PoleData:
             out[j + 1] = np.diag(self.lam_irr[j])
         return out
 
-    def polar_coeffs(self):
-        """``[C_1, ..., C_l]`` with ``C_k`` the coefficient of ``(z-t)**-k``.
-
-        Polar part of ``F Lambda F^-1`` with ``F`` the frame jet.
-        """
-        n, l = self.n, self.l
-        hinv = self.h_inv()
-        U = self.unipotent_jet()
-        V = self.unipotent_inverse_jet()
-        lam = self.lam_jet()
-        # U_i lam_{-(r+1)} V_j sits at order i + j - (r + 1)
-        out = []
-        for k in range(1, l + 1):
-            acc = np.zeros((n, n), dtype=complex)
-            for r in range(k - 1, l):
-                s = r + 1 - k
-                for i in range(0, min(s, l - 1) + 1):
-                    j = s - i
-                    if j < l:
-                        acc += U[i] @ lam[r] @ V[j]
-            out.append(self.h @ acc @ hinv)
+    def dressed_polar(self, inner):
+        """Polar part of ``F inner F^-1`` for stacked dressed polar jets
+        ``inner`` of shape ``(x, l, n, n)``, row ``r`` the order ``-(r+1)``
+        term; row ``k - 1`` of the result holds the coefficient of
+        ``(z-t)**-k``."""
+        l = self.l
+        F, F_inv = self.frame
+        # F_i inner_r (F^-1)_j sits at order i + j - (r + 1)
+        out = np.zeros_like(inner)
+        for i in range(l):
+            for j in range(l - i):
+                out[:, : l - i - j] += F[i] @ inner[:, i + j:] @ F_inv[j]
         return out
 
-    def leading_is_regular(self):
-        if self.l == 1:
-            return True
-        lead = self.lam_irr[self.l - 2]
-        gaps = [abs(lead[a] - lead[b]) for a in range(self.n)
-                for b in range(a + 1, self.n)]
-        scale = max(1.0, float(np.max(np.abs(lead))))
-        return all(g > TAU_REG * scale for g in gaps)
+    def polar_coeffs(self):
+        """``[C_1, ..., C_l]`` with ``C_k`` the coefficient of ``(z-t)**-k``:
+        the dressed ``lam_jet()``."""
+        return list(self.dressed_polar(self.lam_jet()[None])[0])
 
     # -- chart packing --------------------------------------------------------
 
@@ -164,24 +159,18 @@ class PoleData:
         return 2 * n * n + max(self.l - 2, 0) * (n * n - n)
 
     def chart_slice(self):
-        parts = [self.h.ravel()]
-        for k in range(max(self.l - 2, 0)):
-            parts.append(np.array([self.u[k][a, b]
-                                   for a, b in offdiag_indices(self.n)]))
-        parts.append(self.lam_res.ravel())
-        return np.concatenate(parts)
+        off = ~np.eye(self.n, dtype=bool)
+        return np.concatenate([self.h.ravel(), self.u[:, off].ravel(),
+                               self.lam_res.ravel()])
 
     def with_chart_slice(self, vec, t=None, lam_irr=None):
         """The pole with chart coordinates ``vec``; position and irregular
         type from ``t`` and ``lam_irr`` when given, else kept."""
-        n = self.n
+        n, n_u = self.n, max(self.l - 2, 0)
         h = vec[: n * n].reshape(n, n)
-        at = n * n
-        u = np.zeros((max(self.l - 2, 0), n, n), dtype=complex)
-        for k in range(max(self.l - 2, 0)):
-            for a, b in offdiag_indices(n):
-                u[k][a, b] = vec[at]
-                at += 1
+        at = n * n + n_u * (n * n - n)
+        u = np.zeros((n_u, n, n), dtype=complex)
+        u[:, ~np.eye(n, dtype=bool)] = vec[n * n: at].reshape(n_u, n * n - n)
         lam = vec[at: at + n * n].reshape(n, n)
         return PoleData(self.t if t is None else t, self.l, h, lam,
                         self.lam_irr if lam_irr is None else lam_irr, u)
@@ -204,9 +193,9 @@ class FlowState:
         for p in self.poles:
             if p.n != self.n:
                 raise MalformedInputError("pole data rank mismatch")
-            if not p.leading_is_regular():
-                raise RegularityError(
-                    f"irregular type at {p.t} has a clustered leading term")
+            if p.l > 1:
+                lead = p.lam_irr[-1]
+                check_regular(lead, max(1.0, float(np.max(np.abs(lead)))))
 
     # -- polar data, each computed once per state -----------------------------
 
@@ -278,11 +267,7 @@ class FlowState:
                 continue
             lead = jet.coefficient(-l)
             w, V = _sorted_eig(lead)
-            scale = max(1.0, float(np.max(np.abs(w))))
-            gap = min(abs(w[a] - w[b]) for a in range(conn.n)
-                      for b in range(a + 1, conn.n))
-            if gap <= TAU_REG * scale:
-                raise RegularityError(f"leading term at {t} is not regular")
+            check_regular(w, max(1.0, float(np.max(np.abs(w)))))
             Vinv = np.linalg.inv(V)
             lam_irr = np.zeros((l - 1, conn.n), dtype=complex)
             for k in range(2, l + 1):
@@ -329,8 +314,9 @@ class FlowState:
         poles = []
         for t, p in zip(vec[:m], self.poles):
             size, k = p.chart_size(), (p.l - 1) * p.n
-            poles.append(p.with_chart_slice(vec[chart_at: chart_at + size], t,
-                                            vec[irr_at: irr_at + k]))
+            poles.append(p.with_chart_slice(
+                vec[chart_at: chart_at + size], t,
+                vec[irr_at: irr_at + k].reshape(p.l - 1, p.n)))
             chart_at += size
             irr_at += k
         return FlowState(self.n, tuple(poles), self.twist)

@@ -32,7 +32,9 @@ their ratio varies from one pair of tangents to the next.
 Every chart-layer function takes only the state: the per-pole blocks,
 polar coefficients and regular jets it needs are the state's own memoized
 attributes (``FlowState.blocks``, ``polar``, ``regular_jets``), so one
-right-hand side evaluation builds each of them once.
+right-hand side evaluation builds each of them once.  A block reads its
+pole's frame jets (``PoleData.unipotent``, ``PoleData.frame``) and dresses
+its polar variations with ``PoleData.dressed_polar``; it derives neither.
 
 The form pairs no two poles, so its Gram matrix is block-diagonal by pole
 (``gram_matrix`` is the dense form, kept for comparison).  Each block is
@@ -184,12 +186,9 @@ class PoleChartBlock:
         self.pole = pole
         n, l = pole.n, pole.l
         self.n, self.l = n, l
-        U = pole.unipotent_jet()
-        V = pole.unipotent_inverse_jet()
+        U, V = pole.unipotent
+        F_inv = pole.frame[1]
         self.lam = pole.lam_jet()     # row r <-> order -(r+1)
-        # jets of the frame F = h U and of its inverse F^-1 = V h^-1
-        self.hU = pole.h @ U
-        self.V_hinv = V @ pole.h_inv()
         # lam_hankel[m, k] = lam[m + k], zero past the top order
         self.lam_hankel = np.zeros((l, l, n, n), dtype=complex)
         # u_toeplitz[m, i] = U[m - i] and v_shifted[k, m] = V[m - k - 1]
@@ -201,8 +200,8 @@ class PoleChartBlock:
         for k in range(l - 2):
             v_shifted[k, k + 1:] = V[: l - k - 1]
 
-        # frame direction E_ab: eta_m = sum_{i <= m} V_i h^-1 E_ab U_{m-i}
-        eta_h = np.einsum("ipa,mibq->abmpq", self.V_hinv, u_toeplitz)
+        # frame direction E_ab: eta_m = sum_{i <= m} (F^-1)_i E_ab U_{m-i}
+        eta_h = np.einsum("ipa,mibq->abmpq", F_inv, u_toeplitz)
         # jet direction (k, a, b): eta_m = V_{m-k-1} E_ab for m > k
         eta_u = np.einsum("kmpa,bq->kabmpq", v_shifted, np.eye(n))
         eta_u = eta_u[:, ~np.eye(n, dtype=bool)]
@@ -246,21 +245,7 @@ class PoleChartBlock:
         inner = (np.einsum("xmpr,mkrq->xkpq", E, H)
                  - np.einsum("mkpr,xmrq->xkpq", H, E))
         inner[:, 0] += self.dlams
-        return self.dressed_polar(inner)
-
-    def dressed_polar(self, inner):
-        """Polar part of ``F inner F^-1`` for stacked dressed polar jets
-        ``inner`` of shape ``(x, l, n, n)``, row ``r`` the order ``-(r+1)``
-        term: connection polar-coefficient variations, row ``k - 1``
-        holding ``dC_k``."""
-        l = self.l
-        # (h U)_i inner_r (V h^-1)_j sits at order i + j - (r + 1)
-        out = np.zeros_like(inner)
-        for i in range(l):
-            for j in range(l - i):
-                out[:, : l - i - j] += (self.hU[i] @ inner[:, i + j:]
-                                        @ self.V_hinv[j])
-        return out
+        return self.pole.dressed_polar(inner)
 
 
 def chart_blocks(state):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import isomonodromy.flows as flows
-from isomonodromy.errors import MalformedInputError, PreconditionError
+from isomonodromy.connection import TAU_REG, Connection, diagonalize_jet
+from isomonodromy.errors import (
+    MalformedInputError,
+    PreconditionError,
+    RegularityError,
+)
 from isomonodromy.flows import (
     Direction,
     FlowPath,
@@ -19,6 +24,7 @@ from isomonodromy.flows import (
     verify_isomonodromy,
 )
 from isomonodromy.monodromy import monodromy_rep
+from isomonodromy.ratfun import LaurentJet
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import hamiltonian_beta_B
 from isomonodromy.twist import MatrixDivisor, normal_form
@@ -167,6 +173,16 @@ class TestRhs:
 
 
 class TestIntegrateFlow:
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_fewer_than_two_samples_rejected(self, rng, n_samples):
+        # one sample would report the start as the end of the path
+        state = fuchsian_state([0.0, 1.3], random_fuchsian_matrices(rng, 2, 2))
+        path = FlowPath.line(state, 0, 0.2)
+        with pytest.raises(MalformedInputError, match="samples"):
+            integrate_flow(state, path, n_samples=n_samples)
+        with pytest.raises(MalformedInputError, match="samples"):
+            integrate_extended(extend_state(state), path, n_samples=n_samples)
+
     def test_stationary_path_constant(self, rng):
         state = fuchsian_state([0.0, 1.3], random_fuchsian_matrices(rng, 2, 2))
         traj = integrate_flow(state, FlowPath.stationary(state), n_samples=3)
@@ -650,3 +666,57 @@ class TestStatePolarData:
         ext = extend_state(state)
         extended_autonomous_rhs(Direction.translation(1), ext)
         assert calls[0] == len(state.poles)
+
+    def test_frame_inverted_once_per_pole(self, rng, monkeypatch):
+        # the polar coefficients and the chart blocks share each pole's frame
+        state = mixed_order_state(rng)
+        calls = [0]
+        inv = np.linalg.inv
+
+        def counted(a):
+            calls[0] += 1
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        state.polar, state.blocks
+        assert calls[0] == len(state.poles)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("h", {"h": np.ones((2, 3))}),
+        ("lam_res", {"lam_res": np.zeros((3, 3))}),
+        ("lam_irr", {"lam_irr": np.zeros((2, 2))}),
+        ("u", {"u": np.zeros((1, 2, 2))}),
+        ("l", {"l": 0}),
+    ])
+    def test_pole_data_checks_shapes(self, field, bad):
+        args = {"t": 0.0, "l": 2, "h": np.eye(2), "lam_res": np.zeros((2, 2)),
+                "lam_irr": [[0.5, -0.5]], **bad}
+        with pytest.raises(MalformedInputError, match=f"^{field}: "):
+            PoleData(**args)
+
+
+class TestLeadingTermRule:
+    @pytest.mark.parametrize("entry", ["FlowState", "from_connection",
+                                       "diagonalize_jet"])
+    @pytest.mark.parametrize("factor, regular", [(0.9, False), (1.1, True)])
+    def test_entry_points_agree(self, rng, entry, factor, regular):
+        # an order-2 leading type whose gap is just under or just over
+        # TAU_REG * scale, with scale max(1, |leading entries|) = 2 + gap
+        lead = np.array([2.0, 2.0 + factor * TAU_REG * 2.0], dtype=complex)
+        res = 0.3 * random_matrix(rng, 2)
+        jet = np.stack([np.diag(lead), res, np.zeros((2, 2))])
+        build = {
+            "FlowState": lambda: FlowState(2, (
+                PoleData(0.0, 2, np.eye(2), res, [lead]),
+                PoleData(2.0, 1, np.eye(2), -res))),
+            "from_connection": lambda: FlowState.from_connection(
+                Connection.from_polar_parts(
+                    [(0.0, [res, np.diag(lead)]), (2.0, [-res])])),
+            "diagonalize_jet": lambda: diagonalize_jet(
+                LaurentJet(0.0, -2, jet, 1), 0),
+        }[entry]
+        if regular:
+            build()
+        else:
+            with pytest.raises(RegularityError):
+                build()

@@ -240,6 +240,42 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 4
         assert "direction.pole" in capsys.readouterr().err
 
+    def test_flow_needs_two_samples(self, flow_spec, tmp_path, capsys):
+        spec = json.loads(flow_spec.read_text())
+        spec["samples"] = 1
+        flow_spec.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert cli_main(["flow", "--input", str(flow_spec),
+                         "--out", str(out)]) == 4
+        assert "samples" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("tol, override, where", [
+        (-1e-10, None, "tol"), ({"flow": float("nan")}, None, "tol.flow"),
+        (float("inf"), None, "tol"), (None, "-1", "--tol")])
+    def test_tolerance_must_be_finite_and_positive(
+            self, flow_spec, tmp_path, tol, override, where, capsys):
+        spec = json.loads(flow_spec.read_text())
+        if tol is not None:
+            spec["tol"] = tol    # json writes NaN and Infinity, and reads them
+        flow_spec.write_text(json.dumps(spec))
+        argv = ["flow", "--input", str(flow_spec), "--out", str(tmp_path / "o")]
+        if override is not None:
+            argv.append(f"--tol={override}")
+        assert cli_main(argv) == 4
+        assert capsys.readouterr().err.startswith(f"parse error: {where}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_pole_shape_mismatch_is_a_parse_error(self, flow_spec, tmp_path,
+                                                  capsys):
+        # a 3x3 residue beside a 2x2 frame
+        spec = json.loads(flow_spec.read_text())
+        spec["state"]["poles"][0]["res"] = ser.matrix(np.eye(3))
+        flow_spec.write_text(json.dumps(spec))
+        assert cli_main(["flow", "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 4
+        assert "lam_res" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pin", ["7", "-1"])
     def test_pin_out_of_range(self, flow_spec, tmp_path, pin, capsys):
         rc = cli_main(["flow", "--input", str(flow_spec),
