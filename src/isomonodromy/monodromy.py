@@ -2,21 +2,27 @@
 
 The transported system is ``dY/dz = A(z) Y`` along piecewise line/arc paths
 in the punctured plane, with adaptive high-order Runge-Kutta (DOP853) on the
-complexified matrix system.  Loops around poles are deterministic keyholes:
-a radial approach from the base point, a full positively-oriented circle, and
-the radial return.  The return leg is not integrated: with ``L`` the
-transport of the approach leg and ``C`` that of the circle, a keyhole's
-generator is ``L^-1 C L``.  With loops ordered by increasing argument from
-the base point, the product ``M_l ... M_1`` is the monodromy of a loop around
-everything, hence the identity whenever the form is regular at infinity.
+complexified matrix system.  The system is linear, so each DOP853 step is
+taken as one batched evaluation of ``A dz`` at the step's nodes and one
+triangular solve for all of its stages, with scipy's tableau, error
+estimate and step-size control.  Loops around poles are deterministic
+keyholes: a radial approach from the base point, a full positively-oriented
+circle, and the radial return.  The return leg is not integrated: with
+``L`` the transport of the approach leg and ``C`` that of the circle, a
+keyhole's generator is ``L^-1 C L``.  With loops ordered by increasing
+argument from the base point, the product ``M_l ... M_1`` is the monodromy
+of a loop around everything, hence the identity whenever the form is
+regular at infinity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.linalg.lapack import ztrtrs
 
 from .connection import TAU_SEP
 from .errors import IntegrationAbort, PreconditionError
@@ -151,14 +157,16 @@ class Path:
 # ---------------------------------------------------------------------------
 
 def _compiled_eval(conn):
-    """Pointwise evaluator ``ev(z, dz) -> [A(z) dz flattened, tr A(z) dz]``.
+    """Evaluator ``ev(z, dz) -> [A(z) dz flattened, tr A(z) dz]``.
 
     Every polar coefficient of every pole, then every coefficient of the
     polynomial tail, is one row of the stacked array ``C`` of shape
     ``(K, n*n + 1)``; the last column holds the row's trace.  Row ``r`` is
     weighted by ``dz * u[idx[r]]**pw[r]`` with ``u = (1/(z - t_1), ...,
-    1/(z - t_m), z)``, so the tail rows carry the powers of ``z``.  Each
-    call returns a new vector.
+    1/(z - t_m), z)``, so the tail rows carry the powers of ``z``.  Points
+    ``z`` and rates ``dz`` broadcast: arrays of ``k`` points give ``(k, n*n
+    + 1)`` rows from one ``(k, K) @ (K, n*n + 1)`` product, a scalar point
+    gives one vector.  Each call returns a new array.
     """
     pole_data, tail = conn.polar_parts
     n = conn.n
@@ -175,17 +183,115 @@ def _compiled_eval(conn):
     idx = np.array(idx, dtype=int)
     pw = np.array(pw, dtype=int)
     points = np.array([t for t, _ in pole_data], dtype=complex)
-    u = np.empty(len(points) + 1, dtype=complex)
 
     def ev(z, dz):
-        np.divide(1.0, z - points, out=u[:-1])
-        u[-1] = z
-        w = u[idx]
+        z = np.asarray(z, dtype=complex)
+        u = np.empty(z.shape + (len(points) + 1,), dtype=complex)
+        np.divide(1.0, z[..., None] - points, out=u[..., :-1])
+        u[..., -1] = z
+        w = u[..., idx]
         w **= pw
-        w *= dz
+        w *= np.asarray(dz)[..., None]
         return w @ C
 
     return ev
+
+
+class _LinearDOP853(DOP853):
+    """DOP853 for ``y = [Y flattened, log det]`` with ``Y' = B(s) Y`` and
+    ``(log det)' = tr B(s)``, each step taken as one linear solve.
+
+    ``coeffs(s)`` returns the rows ``[B flattened, tr B]`` at an array of
+    parameters ``s``.  For a linear system the stages ``K_s = B_s (Y + h
+    sum_j a_sj K_j)`` of an explicit Runge-Kutta step are the solution of
+    one unit-lower-triangular block system (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.4-5), so an attempted step is one batched
+    evaluation at the nodes ``t + c_s h``, ``s = 1 .. 11`` (``c_11 = 1``
+    also gives the FSAL stage), and one ``ztrtrs`` solve of size ``11 n``.
+    Tableau, error estimate and step-size control are scipy's DOP853; each
+    attempted step counts the twelve evaluations the stock method makes.
+    """
+
+    STEP_SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+
+    def __init__(self, fun, t0, y0, t_bound, coeffs, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.coeffs = coeffs
+        self.dim = isqrt(self.n - 1)
+
+    def _rk_step(self, t, h):
+        # K_s - h sum_{1 <= j < s} a_sj B_s K_j = B_s (Y + h a_s0 K_0)
+        n, m = self.dim, self.n_stages - 1
+        E = self.coeffs(t + self.C[1:] * h)
+        Bs = E[:, :-1].reshape(m, n, n)
+        Y, K0 = self.y[:-1].reshape(n, n), self.f[:-1].reshape(n, n)
+        rhs = Bs @ (Y + (h * self.A[1:, 0])[:, None, None] * K0)
+        # the block matrix is built transposed and C-ordered, so that its
+        # transpose reaches LAPACK in Fortran order without a copy
+        T = (-h * self.A[1:, 1:].T)[:, None, :, None] * Bs.transpose(2, 0, 1)
+        X, _ = ztrtrs(T.reshape(m * n, m * n).T, rhs.reshape(m * n, n),
+                      lower=1, unitdiag=1)
+        K = self.K
+        K[0] = self.f
+        K[1:-1, :-1] = X.reshape(m, n * n)
+        K[1:-1, -1] = E[:, -1]
+        y_new = self.y + h * np.dot(K[:-1].T, self.B)
+        f_new = E[-1]
+        f_new[:-1] = (Bs[-1] @ y_new[:-1].reshape(n, n)).ravel()
+        K[-1] = f_new
+        self.nfev += self.n_stages
+        return y_new, f_new
+
+    def _step_impl(self):
+        # scipy's RungeKutta._step_impl with the stages from _rk_step
+        t = self.t
+        y = self.y
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        step_accepted = False
+        step_rejected = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            y_new, f_new = self._rk_step(t, h)
+            scale = (self.atol
+                     + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol)
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(self.MAX_FACTOR, self.STEP_SAFETY
+                                 * error_norm ** self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                step_accepted = True
+            else:
+                h_abs *= max(self.MIN_FACTOR, self.STEP_SAFETY
+                             * error_norm ** self.error_exponent)
+                step_rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        return True, None
 
 
 def _check_clearance(conn, path):
@@ -221,14 +327,17 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
     ev = _compiled_eval(conn)
     rtol = max(SAFETY * tol, 1e-13)
 
-    def rhs(s, y, seg):
-        out = ev(seg.at(s), seg.velocity(s))
-        out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
-        return out
-
     def leg(seg, y0):
-        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
-                        rtol=rtol, atol=SAFETY * tol, args=(seg,),
+        def coeffs(s):
+            return ev(seg.at(s), seg.velocity(s))
+
+        def rhs(s, y):   # scipy's f(t0) and initial-step probe
+            out = coeffs(s)
+            out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
+            return out
+
+        sol = solve_ivp(rhs, (0.0, 1.0), y0, method=_LinearDOP853,
+                        coeffs=coeffs, rtol=rtol, atol=SAFETY * tol,
                         dense_output=False)
         if not sol.success:
             raise IntegrationAbort("stiffness",

@@ -17,10 +17,11 @@ jet group).  What remains is exactly a symplectic chart on the partially
 reduced space.  Trivialization jets over the divisor are the inverses of
 the frame jets.
 
-A ``PoleData`` owns its frame: ``unipotent`` (the jets of ``I + u`` and of
-its inverse) and ``frame`` (the jets of ``F = h (I + u)`` and of ``F^-1``,
-the one place ``h`` is inverted) are computed once, on first use, and
-``dressed_polar`` is the one map from dressed polar jets to connection
+A ``PoleData`` owns its frame.  ``h`` is inverted once, on construction,
+where a singular or non-finite ``h`` is refused with the pole's position.
+``unipotent`` (the jets of ``I + u`` and of its inverse) and ``frame`` (the
+jets of ``F = h (I + u)`` and of ``F^-1``) are computed once, on first use,
+and ``dressed_polar`` is the one map from dressed polar jets to connection
 polar coefficients: ``polar_coeffs()`` dresses ``lam_jet()``, and the chart
 layer and the flows dress their variations with it.  The rule for a
 regular leading term is ``connection.check_regular``.
@@ -88,6 +89,17 @@ class PoleData:
         n = h.shape[0] if h.ndim else 0
         n_u = max(self.l - 2, 0)
         object.__setattr__(self, "h", _shaped(h, "h", (n, n)))
+        try:
+            h_inv = np.linalg.inv(self.h)
+        except np.linalg.LinAlgError:
+            h_inv = None
+        # an infinite entry can have a finite inverse, so both are checked
+        if h_inv is None or not (np.isfinite(self.h).all()
+                                 and np.isfinite(h_inv).all()):
+            raise MalformedInputError(
+                f"h: the frame at the pole t = {self.t} is singular or not "
+                f"finite: h = {self.h.tolist()}")
+        object.__setattr__(self, "_h_inv", h_inv)
         object.__setattr__(self, "lam_res", _shaped(lam_res, "lam_res", (n, n)))
         object.__setattr__(self, "lam_irr", _shaped(
             np.zeros((self.l - 1, n)) if lam_irr is None else lam_irr,
@@ -121,9 +133,9 @@ class PoleData:
     @cached_property
     def frame(self):
         """Coefficients of the frame ``F = h (I + u)`` and of ``F^-1 =
-        (I + u)^-1 h^-1`` through order l-1; the one inversion of ``h``."""
+        (I + u)^-1 h^-1`` through order l-1."""
         U, V = self.unipotent
-        return self.h @ U, V @ np.linalg.inv(self.h)
+        return self.h @ U, V @ self._h_inv
 
     def lam_jet(self):
         """Dressed polar coefficients, index k <-> order -(k+1); shape (l, n, n)."""

@@ -669,7 +669,6 @@ class TestStatePolarData:
 
     def test_frame_inverted_once_per_pole(self, rng, monkeypatch):
         # the polar coefficients and the chart blocks share each pole's frame
-        state = mixed_order_state(rng)
         calls = [0]
         inv = np.linalg.inv
 
@@ -678,6 +677,7 @@ class TestStatePolarData:
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
+        state = mixed_order_state(rng)
         state.polar, state.blocks
         assert calls[0] == len(state.poles)
 
@@ -693,6 +693,14 @@ class TestStatePolarData:
                 "lam_irr": [[0.5, -0.5]], **bad}
         with pytest.raises(MalformedInputError, match=f"^{field}: "):
             PoleData(**args)
+
+    @pytest.mark.parametrize("h", [np.zeros((2, 2)), [[1.0, 2.0], [0.5, 1.0]],
+                                   [[np.nan, 0.0], [0.0, 1.0]],
+                                   [[np.inf, 0.0], [0.0, 1.0]]])
+    def test_singular_frame_names_the_pole(self, h):
+        with pytest.raises(MalformedInputError,
+                           match=r"^h: .* pole t = \(0\.5-1j\) is singular"):
+            PoleData(0.5 - 1j, 2, h, np.zeros((2, 2)), [[0.5, -0.5]])
 
 
 class TestLeadingTermRule:

@@ -6,6 +6,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import isomonodromy.connection as connection_module
 import isomonodromy.flows as flows_module
@@ -16,10 +18,13 @@ from isomonodromy import serialize as ser
 from isomonodromy.connection import Connection
 from isomonodromy.errors import PreconditionError
 from isomonodromy.monodromy import (
+    DEFAULT_TOL,
+    SAFETY,
     ArcSegment,
     LineSegment,
     Path,
     _compiled_eval,
+    _LinearDOP853,
     conjugacy_invariants,
     monodromy_rep,
     transport,
@@ -214,6 +219,88 @@ class TestStackedEvaluator:
             assert np.linalg.norm(v[:-1].reshape(n, n) - want) <= 1e-12 * scale
             assert abs(v[-1] - np.trace(want)) <= 1e-12 * scale
             checked += 1
+
+    @pytest.mark.parametrize("kind", ["fuchsian_rank3", "order2", "twisted",
+                                      "tail"])
+    def test_batched_matches_pointwise(self, rng, kind):
+        conn = evaluator_connection(kind, rng)
+        ev = _compiled_eval(conn)
+        poles = conn.all_finite_poles()
+        z = []
+        while len(z) < 12:
+            c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            if min(abs(c - p) for p in poles) >= 0.2:
+                z.append(c)
+        z = np.array(z)
+        dz = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        # a rate per point (arcs) and one rate for every point (lines)
+        for rate, rows in ((dz, ev(z, dz)), (dz[:1], ev(z, dz[0]))):
+            assert rows.shape == (12, conn.n ** 2 + 1)
+            for zk, dzk, row in zip(z, np.broadcast_to(rate, z.shape), rows):
+                want = ev(zk, dzk)
+                assert want.shape == (conn.n ** 2 + 1,)
+                assert np.linalg.norm(row - want) <= \
+                    1e-14 * np.linalg.norm(want)
+
+
+def stock_and_linear(conn, seg, tol=DEFAULT_TOL):
+    """One transport leg by scipy's DOP853 and by the linear-system DOP853,
+    on the same right-hand side and tolerances as ``transport``."""
+    ev = _compiled_eval(conn)
+    n = conn.n
+
+    def coeffs(s):
+        return ev(seg.at(s), seg.velocity(s))
+
+    def rhs(s, y):
+        out = coeffs(s)
+        out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
+        return out
+
+    y0 = np.append(np.eye(n, dtype=complex), 0.0)
+    opts = {"rtol": max(SAFETY * tol, 1e-13), "atol": SAFETY * tol}
+    return (solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", **opts),
+            solve_ivp(rhs, (0.0, 1.0), y0, method=_LinearDOP853,
+                      coeffs=coeffs, **opts))
+
+
+class TestLinearStepper:
+    """Each DOP853 step as one triangular solve takes scipy's steps."""
+
+    @pytest.mark.parametrize("kind, pole", [
+        ("rank2", 0.0), ("fuchsian_rank3", -0.2), ("order2", 0.0),
+        ("tail", 0.5)])
+    def test_same_steps_as_stock_dop853(self, rng, kind, pole):
+        if kind == "rank2":
+            conn = fuchsian([0.0, 1.0, 1.5j],
+                            random_fuchsian_matrices(rng, 2, 3))
+        else:
+            conn = evaluator_connection(kind, rng)
+        keyhole = Path.keyhole(pole - 1.5j, pole, 0.2)
+        for seg in keyhole.segments[:2]:     # approach leg, circle
+            stock, linear = stock_and_linear(conn, seg)
+            assert stock.success and linear.success
+            assert linear.nfev == stock.nfev
+            assert len(linear.t) == len(stock.t)
+            # the embedded error estimate cancels down to round-off on
+            # smooth stretches, so the next step size carries the stages'
+            # round-off magnified; the steps agree in number, not to the bit
+            assert np.max(np.abs(linear.t - stock.t)) <= 1e-4
+            want = stock.y[:, -1]
+            assert np.max(np.abs(linear.y[:, -1] - want)) <= \
+                1e-13 * np.max(np.abs(want))
+
+    def test_rank4_closed_form(self, rng):
+        # Y' = R/z Y around one simple pole: the circle gives exp(2 pi i R)
+        R = 0.3 * random_matrix(rng, 4) + np.diag([0.4, 0.3, 0.2], 1)
+        assert np.linalg.norm(R @ R.conj().T - R.conj().T @ R) > 0.1
+        conn = Connection.from_polar_parts([(0.0, [R])])
+        M, logdet = transport(conn, Path.circle(0.0, 1.0), 1e-11,
+                              with_logdet=True)
+        want = expm(2j * np.pi * R)
+        assert np.linalg.norm(M - want, 2) <= \
+            1e-9 * max(1.0, np.linalg.norm(M, 2))
+        assert abs(logdet - 2j * np.pi * np.trace(R)) <= 1e-9
 
 
 def count_calls(monkeypatch, module, name):

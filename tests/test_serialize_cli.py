@@ -276,6 +276,18 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 4
         assert "lam_res" in capsys.readouterr().err
 
+    def test_singular_frame_is_a_parse_error(self, flow_spec, tmp_path,
+                                             capsys):
+        spec = json.loads(flow_spec.read_text())
+        spec["state"]["poles"][1]["h"] = ser.matrix(np.zeros((2, 2)))
+        flow_spec.write_text(json.dumps(spec))
+        assert cli_main(["flow", "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: h: ")
+        assert "pole t = (-0.35+0j) is singular" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("pin", ["7", "-1"])
     def test_pin_out_of_range(self, flow_spec, tmp_path, pin, capsys):
         rc = cli_main(["flow", "--input", str(flow_spec),
