@@ -60,12 +60,6 @@ class PolarDivisor:
     def __len__(self):
         return len(self.points)
 
-    def mult_at(self, p):
-        for t, l in zip(self.points, self.mults):
-            if abs(t - complex(p)) <= TAU_SEP:
-                return l
-        return 0
-
 
 @dataclass(frozen=True)
 class BasePole:
@@ -182,12 +176,17 @@ class Connection:
         return self.matrix.residue(p)
 
     def is_regular_at_infinity(self, tol=1e-11):
-        """True when the form extends holomorphically to infinity."""
-        from .ratfun import form_at_infinity
-        w_form = form_at_infinity(self.matrix)
-        return all(e.pole_order(0.0) == 0 or
-                   np.max(np.abs(e.laurent(0.0, -1).coeffs)) < tol
-                   for row in w_form.entries for e in row)
+        """True when the form extends holomorphically to infinity.
+
+        At ``w = 1/z`` the form is ``-A(1/w) dw / w**2``, whose polar part
+        is minus the residue sum over ``w`` and the tail's coefficients over
+        higher powers of ``w``; both must vanish within ``tol``.
+        """
+        pole_data, tail = self.polar_parts
+        res = sum((Cs[0] for _, Cs in pole_data),
+                  np.zeros((self.n, self.n), dtype=complex))
+        return bool(np.max(np.abs(res)) < tol
+                    and np.all(np.abs(tail) < tol))
 
 
 def polar_decompose(A):

@@ -337,8 +337,11 @@ class DriftReport:
 
 
 def auto_base_point(positions):
-    """Deterministic base point below the pole cluster with clear rays."""
+    """Deterministic base point below the pole cluster with clear rays;
+    the origin when there are no poles."""
     pos = np.array(positions, dtype=complex)
+    if pos.size == 0:
+        return 0j
     c = pos.mean()
     spread = max(1.0, float(max(abs(pos - c))) * 2.0)
     min_sep = min(abs(a - b) for i, a in enumerate(pos)

@@ -46,6 +46,11 @@ class LineSegment:
     def velocity(self, s):
         return self.end - self.start
 
+    def point_and_rate(self, s):
+        """``(at(s), velocity(s))``."""
+        d = self.end - self.start
+        return self.start + s * d, d
+
     def reversed(self):
         return LineSegment(self.end, self.start)
 
@@ -73,6 +78,12 @@ class ArcSegment:
     def velocity(self, s):
         th = self.theta0 + s * (self.theta1 - self.theta0)
         return 1j * (self.theta1 - self.theta0) * self.radius * np.exp(1j * th)
+
+    def point_and_rate(self, s):
+        """``(at(s), velocity(s))`` from one ``exp`` per parameter."""
+        dth = self.theta1 - self.theta0
+        e = np.exp(1j * (self.theta0 + s * dth))
+        return self.center + self.radius * e, 1j * dth * self.radius * e
 
     def reversed(self):
         return ArcSegment(self.center, self.radius, self.theta1, self.theta0)
@@ -183,6 +194,11 @@ def _compiled_eval(conn):
     idx = np.array(idx, dtype=int)
     pw = np.array(pw, dtype=int)
     points = np.array([t for t, _ in pole_data], dtype=complex)
+    # x**1 is exactly x, so only the rows from the first power other than 1
+    # to the last are raised: none at all for a Fuchsian form without tail
+    raised = np.flatnonzero(pw != 1)
+    span = slice(raised[0], raised[-1] + 1) if raised.size else slice(0)
+    pw = pw[span]
 
     def ev(z, dz):
         z = np.asarray(z, dtype=complex)
@@ -190,7 +206,8 @@ def _compiled_eval(conn):
         np.divide(1.0, z[..., None] - points, out=u[..., :-1])
         u[..., -1] = z
         w = u[..., idx]
-        w **= pw
+        if pw.size:
+            w[..., span] **= pw
         w *= np.asarray(dz)[..., None]
         return w @ C
 
@@ -218,17 +235,21 @@ class _LinearDOP853(DOP853):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.coeffs = coeffs
         self.dim = isqrt(self.n - 1)
+        # tableau slices of _rk_step; h * (-a) is (-h) * a to the bit
+        self.nodes = self.C[1:]
+        self.a0 = self.A[1:, 0][:, None, None]
+        self.neg_aT = (-self.A[1:, 1:].T)[:, None, :, None]
 
     def _rk_step(self, t, h):
         # K_s - h sum_{1 <= j < s} a_sj B_s K_j = B_s (Y + h a_s0 K_0)
         n, m = self.dim, self.n_stages - 1
-        E = self.coeffs(t + self.C[1:] * h)
+        E = self.coeffs(t + self.nodes * h)
         Bs = E[:, :-1].reshape(m, n, n)
         Y, K0 = self.y[:-1].reshape(n, n), self.f[:-1].reshape(n, n)
-        rhs = Bs @ (Y + (h * self.A[1:, 0])[:, None, None] * K0)
+        rhs = Bs @ (Y + (h * self.a0) * K0)
         # the block matrix is built transposed and C-ordered, so that its
         # transpose reaches LAPACK in Fortran order without a copy
-        T = (-h * self.A[1:, 1:].T)[:, None, :, None] * Bs.transpose(2, 0, 1)
+        T = np.multiply(h * self.neg_aT, Bs.transpose(2, 0, 1), order="C")
         X, _ = ztrtrs(T.reshape(m * n, m * n).T, rhs.reshape(m * n, n),
                       lower=1, unitdiag=1)
         K = self.K
@@ -241,6 +262,19 @@ class _LinearDOP853(DOP853):
         K[-1] = f_new
         self.nfev += self.n_stages
         return y_new, f_new
+
+    def _estimate_error_norm(self, K, h, scale):
+        # scipy's DOP853 estimate, with np.linalg.norm's complex 2-norm
+        # sqrt(re.re + im.im) written out
+        err5 = np.dot(K.T, self.E5) / scale
+        err3 = np.dot(K.T, self.E3) / scale
+        re5, im5, re3, im3 = err5.real, err5.imag, err3.real, err3.imag
+        err5_norm_2 = np.sqrt(re5.dot(re5) + im5.dot(im5)) ** 2
+        err3_norm_2 = np.sqrt(re3.dot(re3) + im3.dot(im3)) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
     def _step_impl(self):
         # scipy's RungeKutta._step_impl with the stages from _rk_step
@@ -329,7 +363,7 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
 
     def leg(seg, y0):
         def coeffs(s):
-            return ev(seg.at(s), seg.velocity(s))
+            return ev(*seg.point_and_rate(s))
 
         def rhs(s, y):   # scipy's f(t0) and initial-step probe
             out = coeffs(s)
@@ -411,7 +445,7 @@ def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
         for j in range(i + 1, len(poles)):
             min_sep = min(min_sep, abs(poles[i] - poles[j]))
     clearance = 0.05 * min_sep if np.isfinite(min_sep) else \
-        0.05 * min(abs(z0 - p) for p in poles)
+        0.05 * min((abs(z0 - p) for p in poles), default=np.inf)
 
     ordered_poles, loops, mats = [], [], []
     for i in order:

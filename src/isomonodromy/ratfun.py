@@ -3,7 +3,9 @@
 Conventions used throughout the library:
 
 * Polynomials are numpy arrays of complex coefficients in **ascending** order
-  (numpy.polynomial convention).
+  (numpy.polynomial convention).  The kernels ``poly_mul``, ``poly_add`` and
+  the cancellation test's Horner step mirror numpy.polynomial's ``polymul``,
+  ``polyadd`` and ``polyval`` bit for bit, without their wrappers.
 * A :class:`RatScalar` is ``num(z) / prod_j (z - r_j)**m_j`` with the
   denominator kept in factored form ``(root, multiplicity)``.  Keeping roots
   instead of expanded denominators makes residue and Laurent extraction
@@ -20,9 +22,11 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+from numpy.polynomial.polyutils import trimseq
 
 from .errors import MalformedInputError, PreconditionError
 
@@ -47,16 +51,37 @@ def is_infinity(p) -> bool:
 
 def poly_trim(c, rel_tol=0.0):
     """Strip trailing coefficients that are negligible relative to the max."""
-    c = np.atleast_1d(np.asarray(c, dtype=complex)).ravel()
+    if not (type(c) is np.ndarray and c.ndim == 1 and c.dtype == complex):
+        c = np.atleast_1d(np.asarray(c, dtype=complex)).ravel()
     if c.size == 0:
         return np.zeros(1, dtype=complex)
-    scale = np.max(np.abs(c))
+    scale = np.abs(c).max()
     if scale == 0.0:
         return np.zeros(1, dtype=complex)
     k = c.size - 1
     while k > 0 and abs(c[k]) <= rel_tol * scale:
         k -= 1
     return c[: k + 1].copy()
+
+
+def poly_mul(a, b):
+    """``npoly.polymul`` of two 1-d complex arrays, bit for bit: the same
+    ``np.convolve`` between the same trailing-zero trims, without the
+    wrapper's type unification."""
+    return trimseq(np.convolve(trimseq(a), trimseq(b)))
+
+
+def poly_add(a, b):
+    """``npoly.polyadd`` of two 1-d complex arrays, bit for bit: the
+    shorter trimmed operand is added into a copy of the longer."""
+    a, b = trimseq(a), trimseq(b)
+    if len(a) > len(b):
+        out = a.copy()
+        out[:b.size] += b
+    else:
+        out = b.copy()
+        out[:a.size] += a
+    return trimseq(out)
 
 
 def poly_shift(c, a):
@@ -77,7 +102,7 @@ def poly_factors(factors):
     c = np.ones(1, dtype=complex)
     for r, m in factors:
         for _ in range(m):
-            c = npoly.polymul(c, np.array([-r, 1.0], dtype=complex))
+            c = poly_mul(c, np.array([-r, 1.0], dtype=complex))
     return c
 
 
@@ -421,8 +446,7 @@ class RatScalar:
         common = list(union.items())
         cof_a = poly_factors([(r, m - self._mult_in(self, r)) for r, m in common])
         cof_b = poly_factors([(r, m - self._mult_in(other, r)) for r, m in common])
-        num = npoly.polyadd(npoly.polymul(self.num, cof_a),
-                            npoly.polymul(other.num, cof_b))
+        num = poly_add(poly_mul(self.num, cof_a), poly_mul(other.num, cof_b))
         return RatScalar(num, common)
 
     @staticmethod
@@ -469,7 +493,7 @@ class RatScalar:
                     break
             else:
                 poles.append((r, m))
-        return RatScalar(npoly.polymul(self.num, other.num), poles)
+        return RatScalar(poly_mul(self.num, other.num), poles)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -506,11 +530,11 @@ class RatScalar:
             return RatScalar(npoly.polyder(self.num))
         # f = n / prod (z-r)^m  ->  f' over prod (z-r)^(m+1)
         full = poly_factors([(r, 1) for r, _ in self.poles])
-        term = npoly.polymul(npoly.polyder(self.num), full)
+        term = poly_mul(npoly.polyder(self.num), full)
         for j, (rj, mj) in enumerate(self.poles):
             rest = poly_factors([(r, 1) for i, (r, _) in enumerate(self.poles)
                                  if i != j])
-            term = npoly.polysub(term, mj * npoly.polymul(self.num, rest))
+            term = npoly.polysub(term, mj * poly_mul(self.num, rest))
         return RatScalar(term, [(r, m + 1) for r, m in self.poles])
 
     # -- local expansions -------------------------------------------------------
@@ -530,7 +554,7 @@ class RatScalar:
         e = M - d
         num = rev_num / scale
         if e >= 0:
-            num = npoly.polymul(num, RatScalar.monomial(e).num) if e else num
+            num = poly_mul(num, RatScalar.monomial(e).num) if e else num
         else:
             new_poles.append((0.0 + 0j, -e))
         return RatScalar(num, new_poles)
@@ -582,38 +606,53 @@ class RatScalar:
             quot = np.zeros(1, dtype=complex)
         return terms, quot
 
-    @classmethod
-    def from_partial_fractions(cls, terms, poly=None):
-        out = cls(poly if poly is not None else np.zeros(1, dtype=complex))
-        for p, order, c in terms:
-            out = out + cls.simple_pole(p, c, order)
-        return out
-
     def __repr__(self):
         return f"RatScalar(deg_num={self.num.size - 1}, poles={self.poles})"
 
 
 def _cancel(num, poles):
-    """Deflate numerator factors that coincide with denominator roots."""
-    num = poly_trim(num, rel_tol=0.0)
+    """Deflate factors of the trimmed numerator ``num`` that coincide with
+    denominator roots.  Deflation keeps the leading coefficient, so the
+    result needs no trim."""
     out = []
     for r, m in poles:
         while m > 0 and num.size > 1:
-            powers = np.abs(np.array([max(1.0, abs(r)) ** k
-                                      for k in range(num.size)]))
-            scale = float(np.sum(np.abs(num) * powers))
-            if scale == 0.0 or abs(npoly.polyval(r, num)) > TAU_CANCEL * scale:
+            # the test is |num(r)| against sum_k |num_k| max(1, |r|)**k
+            scale = float(np.sum(np.abs(num)
+                                 * _powers(max(1.0, abs(r)), num.size)))
+            if scale == 0.0 or abs(_horner(num, r)) > TAU_CANCEL * scale:
                 break
             num = _deflate(num, r)
             m -= 1
-        if np.all(num == 0):
+        if not num.any():
             m = 0
         if m > 0:
             out.append((r, m))
-    if np.all(np.abs(num) == 0):
+    if not num.any():
         out = []
         num = np.zeros(1, dtype=complex)
-    return poly_trim(num, rel_tol=0.0), out
+    return num, out
+
+
+@functools.lru_cache(maxsize=1024)
+def _powers(x, size):
+    """``[x**k for k < size]`` with Python's ``**``, as a read-only array.
+
+    numpy's own power loop may take a SIMD path that differs from the C
+    library's ``pow`` in the last bit, so the powers are Python's."""
+    out = np.array([x ** k for k in range(size)])
+    out.flags.writeable = False
+    return out
+
+
+def _horner(c, x):
+    """``npoly.polyval(x, c)`` at a Python complex ``x``, bit for bit:
+    the same Horner steps in Python complex arithmetic."""
+    c = c.tolist()
+    acc = c[-1] + x * 0
+    for a in c[-2::-1]:
+        acc = a + acc * x
+    return acc
 
 
 def _deflate(c, r):
@@ -827,14 +866,6 @@ def _ratmat_det(rows):
 # residues of 1-forms
 # ---------------------------------------------------------------------------
 
-def form_at_infinity(f):
-    """w-chart dw coefficient of the 1-form ``f dz``: ``-f(1/w)/w**2``."""
-    if isinstance(f, RatMat):
-        return RatMat([[form_at_infinity(e) for e in row] for row in f.entries])
-    g = f.at_infinity() * (-1.0)
-    return g * RatScalar(np.array([1.0 + 0j]), [(0.0 + 0j, 2)])
-
-
 def residue(omega, p):
     """Residue at ``p`` of the 1-form ``omega dz`` (``omega`` rational).
 
@@ -844,7 +875,8 @@ def residue(omega, p):
     if isinstance(omega, RatMat):
         return np.array([[residue(e, p) for e in row] for row in omega.entries])
     if is_infinity(p):
-        return complex(form_at_infinity(omega).laurent(0.0, -1).coefficient(-1))
+        # omega dz = -omega(1/w) dw / w**2: minus the w**1 coefficient
+        return -complex(omega.laurent(INFINITY, 1).coefficient(1))
     jet = omega.laurent(p, -1)
     return complex(jet.coefficient(-1))
 
@@ -900,8 +932,8 @@ def polymat_det(coeffs):
     acc = np.zeros(1, dtype=complex)
     for j in range(n):
         minor = coeffs[:, 1:, [c for c in range(n) if c != j]]
-        term = npoly.polymul(coeffs[:, 0, j], polymat_det(minor))
-        acc = npoly.polyadd(acc, term if j % 2 == 0 else -term)
+        term = poly_mul(coeffs[:, 0, j], polymat_det(minor))
+        acc = poly_add(acc, term if j % 2 == 0 else -term)
     return poly_trim(acc, rel_tol=1e-14)
 
 

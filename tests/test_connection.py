@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isomonodromy.connection import (
+    BasePole,
     Connection,
     PolarDivisor,
     diagonalize_jet,
@@ -17,8 +18,14 @@ from isomonodromy.errors import (
     RegularityError,
 )
 from isomonodromy.ratfun import LaurentJet, RatMat, RatScalar
+from isomonodromy.twist import normal_form, push_connection
 
-from conftest import fuchsian_connection, random_matrix
+from conftest import (
+    fuchsian_connection,
+    random_fuchsian_matrices,
+    random_matrix,
+)
+from oracles import mult_at, regular_at_infinity_by_chart
 
 
 def simple_connection(poles, mats):
@@ -64,7 +71,7 @@ class TestConnectionBasics:
         # zero residues are legal: the divisor covers a vanishing polar part
         A = RatMat.from_polar_part(0.0, [np.eye(2, dtype=complex)])
         conn = Connection(2, A, PolarDivisor([0.0, 1.0], [1, 1]))
-        assert conn.divisor.mult_at(1.0) == 1
+        assert mult_at(conn.divisor, 1.0) == 1
 
     def test_regularity_at_infinity(self):
         M = np.array([[1.0, 0.5], [0.0, -1.0]], dtype=complex)
@@ -72,6 +79,45 @@ class TestConnectionBasics:
         lopsided = simple_connection([0.0, 1.0], [M, M])
         assert balanced.is_regular_at_infinity()
         assert not lopsided.is_regular_at_infinity()
+
+    @pytest.mark.parametrize("kind, regular", [
+        ("fuchsian", True), ("residue_sum", False), ("tail", False),
+        ("order2", True), ("twisted", False), ("base_pole_infinity", False),
+        ("base_pole_finite", True)])
+    def test_regularity_rule_matches_chart_at_infinity(self, rng, kind,
+                                                       regular):
+        # the rule reads the cached polar parts; the oracle rebuilds the
+        # form in the chart w = 1/z
+        R = random_fuchsian_matrices(rng, 2, 3)
+        pts = [-1.0, 0.3j, 1.2]
+        if kind == "fuchsian":
+            conn = simple_connection(pts, R)
+        elif kind == "residue_sum":
+            conn = simple_connection(pts, [R[0], R[1], R[2] + 1e-3 * np.eye(2)])
+        elif kind == "tail":
+            conn = Connection.from_polar_parts(
+                list(zip(pts, ([C] for C in R))), tail=[random_matrix(rng, 2)])
+        elif kind == "order2":
+            conn = Connection.from_polar_parts(
+                [(pts[0], [R[0], random_matrix(rng, 2)]),
+                 (pts[1], [R[1]]), (pts[2], [R[2]])])
+        elif kind == "twisted":
+            # the pushed form picks up a constant tail
+            site = normal_form(0.1 - 0.2j, (0.0, 0.7))
+            conn = push_connection(site, simple_connection(pts, R))
+        else:
+            # residue k/n I at the base pole: the finite residues of the
+            # divisor sum to -I/2, so only a finite base pole balances them
+            half = [C - np.eye(2) / 6 for C in R]
+            if kind == "base_pole_infinity":
+                conn = Connection.from_ratmat(fuchsian_connection(pts, half),
+                                              base_pole=BasePole(1))
+            else:
+                A = fuchsian_connection(pts + [2.0], half + [np.eye(2) / 2])
+                conn = Connection.from_ratmat(A, base_pole=BasePole(1, 2.0))
+                assert len(conn.divisor) == 3
+        assert conn.is_regular_at_infinity() == regular
+        assert regular_at_infinity_by_chart(conn) == regular
 
 
 class TestGauge:

@@ -2,11 +2,12 @@ import ast
 import dataclasses
 import inspect
 import json
+import warnings
 from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 
 import isomonodromy.connection as connection_module
@@ -17,6 +18,7 @@ import isomonodromy.symplectic as symplectic_module
 from isomonodromy import serialize as ser
 from isomonodromy.connection import Connection
 from isomonodromy.errors import PreconditionError
+from isomonodromy.flows import auto_base_point
 from isomonodromy.monodromy import (
     DEFAULT_TOL,
     SAFETY,
@@ -148,6 +150,22 @@ class TestMonodromyRep:
         rep.matrices = [C @ M @ np.linalg.inv(C) for M in rep.matrices]
         inv2 = np.array(conjugacy_invariants(rep))
         assert np.max(np.abs(inv1 - inv2)) < 1e-10
+
+    @pytest.mark.parametrize("tail, defect", [
+        ([np.diag([0.1, -0.1])], None), (None, 0.0)])
+    def test_no_finite_poles(self, tail, defect):
+        # a constant form has a double pole at infinity and no product
+        # check; the zero form is regular there and its empty product is I
+        conn = Connection.from_polar_parts([], n=2, tail=tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z0 = auto_base_point(conn.all_finite_poles())
+            for base in (z0, 0.5 + 0.2j):
+                rep = monodromy_rep(conn, base)
+                assert rep.base_point == base
+                assert rep.pole_points == rep.loops == rep.matrices == []
+                assert rep.product_defect == defect
+                assert conjugacy_invariants(rep) == []
 
     def test_identity_charpoly(self):
         conn = Connection.from_polar_parts([(0.0, [np.zeros((2, 2))])])
@@ -301,6 +319,88 @@ class TestLinearStepper:
         assert np.linalg.norm(M - want, 2) <= \
             1e-9 * max(1.0, np.linalg.norm(M, 2))
         assert abs(logdet - 2j * np.pi * np.trace(R)) <= 1e-9
+
+
+def same_bits(a, b):
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(float), b.view(float)))
+
+
+def raised_eval(conn):
+    """``_compiled_eval`` as it was before rows of power 1 skipped ``**``:
+    the same stacked rows, every one raised with ``w **= pw``."""
+    pole_data, tail = conn.polar_parts
+    n = conn.n
+    rows, idx, pw = [], [], []
+    for i, (_, coeffs) in enumerate(pole_data):
+        rows += coeffs
+        idx += [i] * len(coeffs)
+        pw += range(1, len(coeffs) + 1)
+    rows += list(tail)
+    idx += [len(pole_data)] * len(tail)
+    pw += range(len(tail))
+    C = np.array(rows, dtype=complex).reshape(len(rows), n * n)
+    C = np.column_stack([C, C[:, ::n + 1].sum(axis=1)])
+    idx, pw = np.array(idx), np.array(pw)
+    points = np.array([t for t, _ in pole_data], dtype=complex)
+
+    def ev(z, dz):
+        z = np.asarray(z, dtype=complex)
+        u = np.empty(z.shape + (len(points) + 1,), dtype=complex)
+        np.divide(1.0, z[..., None] - points, out=u[..., :-1])
+        u[..., -1] = z
+        w = u[..., idx]
+        w **= pw
+        w *= np.asarray(dz)[..., None]
+        return w @ C
+
+    return ev
+
+
+class TestBitForBit:
+    """Each transport fast path returns what it replaces, to the bit."""
+
+    def test_error_norm_is_scipys(self, rng):
+        y0 = np.append(np.eye(3, dtype=complex), 0.0)
+        solver = _LinearDOP853(lambda s, y: np.zeros_like(y), 0.0, y0, 1.0,
+                               coeffs=None)
+        for trial in range(200):
+            K = (rng.standard_normal((13, 10))
+                 + 1j * rng.standard_normal((13, 10))) * 10.0 ** (trial % 7)
+            if trial == 0:
+                K[:] = 0.0
+            h = float(rng.uniform(-1, 1))
+            scale = 1e-12 + rng.uniform(0, 1e-9, 10)
+            got = solver._estimate_error_norm(K, h, scale)
+            want = DOP853._estimate_error_norm(solver, K, h, scale)
+            assert same_bits(got, want)
+
+    def test_point_and_rate_are_at_and_velocity(self, rng):
+        def cx():
+            return complex(*rng.standard_normal(2))
+        segs = [LineSegment(cx(), cx()) for _ in range(4)]
+        segs += [ArcSegment(cx(), float(rng.uniform(0.05, 2)), th,
+                            th + float(rng.uniform(-7, 7)))
+                 for th in rng.uniform(-4, 4, 4)]
+        segs += list(Path.keyhole(cx(), cx(), 0.3).segments)
+        for seg in segs:
+            for s in (rng.uniform(0, 1, 11), float(rng.uniform()), 0.0, 1.0):
+                z, dz = seg.point_and_rate(s)
+                assert same_bits(z, seg.at(s))
+                assert same_bits(dz, seg.velocity(s))
+
+    @pytest.mark.parametrize("kind", ["order2", "tail"])
+    def test_compiled_eval_is_raised_eval(self, rng, kind):
+        conn = evaluator_connection(kind, rng)
+        assert any(len(Cs) > 1 for _, Cs in conn.polar_parts[0])
+        fast, slow = _compiled_eval(conn), raised_eval(conn)
+        z = rng.uniform(-3, 3, 11) + 1j * rng.uniform(-3, 3, 11)
+        dz = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+        assert same_bits(fast(z, dz), slow(z, dz))
+        assert same_bits(fast(z, dz[0]), slow(z, dz[0]))
+        for zk, dzk in zip(z, dz):
+            assert same_bits(fast(zk, dzk), slow(zk, dzk))
 
 
 def count_calls(monkeypatch, module, name):

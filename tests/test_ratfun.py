@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from isomonodromy.errors import MalformedInputError, PreconditionError
@@ -7,8 +8,11 @@ from isomonodromy.ratfun import (
     LaurentJet,
     RatMat,
     RatScalar,
+    _horner,
     cluster_roots,
-    form_at_infinity,
+    poly_add,
+    poly_mul,
+    poly_trim,
     polymat_det,
     polymat_inverse_jet,
     residue,
@@ -17,6 +21,7 @@ from isomonodromy.ratfun import (
 )
 
 from conftest import random_rational_one_form
+from oracles import form_at_infinity, from_partial_fractions
 
 
 class TestLaurentExpand:
@@ -58,7 +63,7 @@ class TestLaurentExpand:
         for _ in range(10):
             f, poles = random_rational_one_form(rng, n_poles=3, max_order=3)
             terms, poly = f.partial_fractions()
-            rebuilt = RatScalar.from_partial_fractions(terms, poly)
+            rebuilt = from_partial_fractions(terms, poly)
             for p in poles:
                 ja = f.laurent(p, 2)
                 jb = rebuilt.laurent(p, 2)
@@ -157,7 +162,7 @@ class TestPartialFractions:
             f, poles = random_rational_one_form(rng, n_poles=3, max_order=3,
                                                 tail_deg=2)
             terms, poly = f.partial_fractions()
-            rebuilt = RatScalar.from_partial_fractions(terms, poly)
+            rebuilt = from_partial_fractions(terms, poly)
             for _ in range(20):
                 z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 if min(abs(z - p) for p in poles) < 0.2:
@@ -279,3 +284,62 @@ def test_form_at_infinity_chart_change():
 def _scale(f):
     vals = [abs(f(z)) for z in (2.5 + 1j, -3.1 + 0.2j, 0.1 - 2.7j)]
     return max(1.0, *vals)
+
+
+def _same_bits(a, b):
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(float), b.view(float))
+
+
+def _kernel_operands(rng):
+    """Random complex coefficient arrays, some ending in zeros, plus the
+    edge cases: all zeros, length 1, and a pair whose sum cancels at the
+    top."""
+    def draw(size, zeros=0):
+        c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        if zeros:
+            c[-zeros:] = 0.0
+        return c
+    pairs = [(draw(int(rng.integers(1, 9)), int(rng.integers(0, 3))),
+              draw(int(rng.integers(1, 9)), int(rng.integers(0, 3))))
+             for _ in range(200)]
+    a, b = draw(4), draw(4)
+    b[-1] = -a[-1]
+    pairs += [(a, b), (np.zeros(4, dtype=complex), draw(3)),
+              (draw(3), np.zeros(1, dtype=complex)),
+              (np.zeros(2, dtype=complex), np.zeros(3, dtype=complex)),
+              (draw(1), draw(1)), (draw(1), draw(6, 2)),
+              (draw(4), draw(4) * -0.0)]
+    return pairs
+
+
+class TestKernelsBitForBit:
+    """Each polynomial kernel returns what numpy.polynomial returns, to the
+    bit."""
+
+    def test_poly_mul_is_polymul(self, rng):
+        for a, b in _kernel_operands(rng):
+            assert _same_bits(poly_mul(a, b), npoly.polymul(a, b))
+            assert _same_bits(poly_mul(b, a), npoly.polymul(b, a))
+
+    def test_poly_add_is_polyadd(self, rng):
+        for a, b in _kernel_operands(rng):
+            assert _same_bits(poly_add(a, b), npoly.polyadd(a, b))
+            assert _same_bits(poly_add(b, a), npoly.polyadd(b, a))
+            assert _same_bits(poly_add(a, -a), npoly.polyadd(a, -a))
+
+    def test_horner_is_polyval(self, rng):
+        for a, _ in _kernel_operands(rng):
+            x = complex(*(2.5 * rng.standard_normal(2)))
+            assert _same_bits(_horner(a, x), npoly.polyval(x, a))
+
+    def test_poly_trim_fast_path(self, rng):
+        # a 1-d complex array skips the conversion that a list, a 2-d or a
+        # real array takes; all trim alike
+        for a, _ in _kernel_operands(rng):
+            for rel_tol in (0.0, 1e-14, 0.3):
+                want = poly_trim(a.tolist(), rel_tol)
+                assert _same_bits(poly_trim(a, rel_tol), want)
+                assert _same_bits(poly_trim(a[None, :], rel_tol), want)
+                assert _same_bits(poly_trim(a.real, rel_tol),
+                                  poly_trim(a.real.tolist(), rel_tol))

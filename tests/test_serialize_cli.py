@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,57 @@ class TestCli:
         M = ser.un_matrix(data["matrices"][0])
         data2 = json.loads((out / "monodromy.json").read_text())
         assert np.array_equal(M, ser.un_matrix(data2["matrices"][0]))
+
+    def test_monodromy_deterministic_bytes(self, tmp_path, rng):
+        fuchsian = FlowState(3, tuple(
+            PoleData(t, 1, np.eye(3), M) for t, M in
+            zip([-2.1, -0.35, 1.15, 2.6], random_fuchsian_matrices(rng, 3, 4))))
+        lam0, A1 = 0.25 * random_matrix(rng, 2), 0.25 * random_matrix(rng, 2)
+        order2 = FlowState(2, (
+            PoleData(0.0, 2, np.eye(2), lam0, [np.array([-0.45, 0.4])]),
+            PoleData(2.3, 1, np.eye(2), A1),
+            PoleData(-2.0, 1, np.eye(2), -(lam0 + A1))))
+        pair = Connection.from_polar_parts(
+            [(t, [0.4 * M]) for t, M in
+             zip([-1.3, 1.3], random_fuchsian_matrices(rng, 2, 2))], n=2)
+        twisted = {"connection": ser.connection(pair),
+                   "twists": {"sites": [{"p": ser.cx(0.2 - 0.1j),
+                                         "params": [ser.cx(0.0),
+                                                    ser.cx(0.8)]}]}}
+        for k, state in enumerate((ser.flow_state(fuchsian),
+                                   ser.flow_state(order2), twisted)):
+            sp = tmp_path / f"spec{k}.json"
+            sp.write_text(json.dumps({"state": state}))
+            outs = [tmp_path / f"o{k}{run}" for run in range(2)]
+            for out in outs:
+                assert cli_main(["monodromy", "--input", str(sp),
+                                 "--out", str(out)]) == 0
+            first, second = ((out / "monodromy.json").read_bytes()
+                             for out in outs)
+            assert first == second
+            assert len(json.loads(first)["matrices"]) == (4 if k == 0 else 3)
+
+    @pytest.mark.parametrize("tail, defect", [
+        ([[[[0.1, 0], [0, 0]], [[0, 0], [-0.1, 0]]]], None), (None, 0.0)])
+    @pytest.mark.parametrize("base_point", [None, [0.5, 0.2]])
+    def test_monodromy_without_finite_poles(self, tmp_path, capsys, tail,
+                                            defect, base_point):
+        spec = {"connection": {"n": 2, "poles": [], "tail": tail}}
+        if base_point is not None:
+            spec["base_point"] = base_point
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(["monodromy", "--input", str(sp), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+        data = json.loads((out / "monodromy.json").read_text())
+        assert data["poles"] == data["loops"] == data["matrices"] == []
+        assert data["invariants"] == []
+        assert data["product_defect"] == defect
+        assert data["base"] == (base_point or [0.0, 0.0])
 
     def test_hamiltonian_command(self, tmp_path, rng):
         mats = random_fuchsian_matrices(rng, 2, 3)
