@@ -43,11 +43,8 @@ class LineSegment:
     def at(self, s):
         return self.start + s * (self.end - self.start)
 
-    def velocity(self, s):
-        return self.end - self.start
-
     def point_and_rate(self, s):
-        """``(at(s), velocity(s))``."""
+        """``at(s)`` and its derivative in ``s``."""
         d = self.end - self.start
         return self.start + s * d, d
 
@@ -75,12 +72,9 @@ class ArcSegment:
         th = self.theta0 + s * (self.theta1 - self.theta0)
         return self.center + self.radius * np.exp(1j * th)
 
-    def velocity(self, s):
-        th = self.theta0 + s * (self.theta1 - self.theta0)
-        return 1j * (self.theta1 - self.theta0) * self.radius * np.exp(1j * th)
-
     def point_and_rate(self, s):
-        """``(at(s), velocity(s))`` from one ``exp`` per parameter."""
+        """``at(s)`` and its derivative in ``s``, from one ``exp`` per
+        parameter."""
         dth = self.theta1 - self.theta0
         e = np.exp(1j * (self.theta0 + s * dth))
         return self.center + self.radius * e, 1j * dth * self.radius * e

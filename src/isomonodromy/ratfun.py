@@ -22,7 +22,6 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import cmath
-import functools
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -617,9 +616,12 @@ def _cancel(num, poles):
     out = []
     for r, m in poles:
         while m > 0 and num.size > 1:
-            # the test is |num(r)| against sum_k |num_k| max(1, |r|)**k
-            scale = float(np.sum(np.abs(num)
-                                 * _powers(max(1.0, abs(r)), num.size)))
+            # the test is |num(r)| against sum_k |num_k| max(1, |r|)**k, the
+            # powers by Python's ``**``: numpy's power loop may take a SIMD
+            # path that differs from the C library's ``pow`` in the last bit
+            x = max(1.0, abs(r))
+            powers = np.array([x ** k for k in range(num.size)])
+            scale = float(np.sum(np.abs(num) * powers))
             if scale == 0.0 or abs(_horner(num, r)) > TAU_CANCEL * scale:
                 break
             num = _deflate(num, r)
@@ -632,17 +634,6 @@ def _cancel(num, poles):
         out = []
         num = np.zeros(1, dtype=complex)
     return num, out
-
-
-@functools.lru_cache(maxsize=1024)
-def _powers(x, size):
-    """``[x**k for k < size]`` with Python's ``**``, as a read-only array.
-
-    numpy's own power loop may take a SIMD path that differs from the C
-    library's ``pow`` in the last bit, so the powers are Python's."""
-    out = np.array([x ** k for k in range(size)])
-    out.flags.writeable = False
-    return out
 
 
 def _horner(c, x):

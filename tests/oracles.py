@@ -5,6 +5,7 @@ them."""
 import numpy as np
 
 from isomonodromy.connection import TAU_SEP
+from isomonodromy.monodromy import LineSegment
 from isomonodromy.ratfun import RatMat, RatScalar
 
 
@@ -41,3 +42,12 @@ def mult_at(divisor, p):
         if abs(t - complex(p)) <= TAU_SEP:
             return l
     return 0
+
+
+def velocity(seg, s):
+    """Derivative in ``s`` of ``seg.at(s)`` for a line or arc segment, each
+    factor written out: the reference for ``point_and_rate``."""
+    if isinstance(seg, LineSegment):
+        return seg.end - seg.start
+    th = seg.theta0 + s * (seg.theta1 - seg.theta0)
+    return 1j * (seg.theta1 - seg.theta0) * seg.radius * np.exp(1j * th)
