@@ -24,7 +24,7 @@ from .flows import (
     integrate_flow,
     verify_isomonodromy,
 )
-from .monodromy import TAU_MONO, conjugacy_invariants, monodromy_rep
+from .monodromy import TAU_MONO, conjugacy_invariants, monodromy_rep, pole_near
 from .symplectic import (
     hamiltonian_beta_B,
     hamiltonian_vector_field,
@@ -99,6 +99,17 @@ def _pole_index(value, state, where):
     return idx
 
 
+def _irregular_pole(value, state, where, higher_ok):
+    """``_pole_index`` of a pole of order 2, or >= 2 when ``higher_ok``."""
+    idx = _pole_index(value, state, where)
+    l = state.poles[idx].l
+    if l < 2 or (l > 2 and not higher_ok):
+        need = "order >= 2" if higher_ok else "order 2"
+        raise _ParseFail(f"{where}: pole {idx} has order {l}; an irregular "
+                         f"{where.split('.')[0]} needs {need}")
+    return idx
+
+
 def _path_of(spec, state, pinned):
     p = _object(spec.get("path", {"kind": "stationary"}), "path")
     kind = p.get("kind")
@@ -115,7 +126,7 @@ def _path_of(spec, state, pinned):
         path = FlowPath.semicircle(state, idx, ser.un_cx(p["diameter"]),
                                    upper=bool(p.get("upper", True)))
     elif kind == "irregular":
-        idx = _pole_index(p["pole"], state, "path.pole")
+        idx = _irregular_pole(p["pole"], state, "path.pole", higher_ok=False)
         rate = np.array([[ser.un_cx(v) for v in row] for row in p["rate"]],
                         dtype=complex)
         path = FlowPath.irregular_line(state, idx, rate,
@@ -128,9 +139,17 @@ def _path_of(spec, state, pinned):
     return path
 
 
-def _base_point(spec):
+def _base_point(spec, poles):
+    """The spec's base point, clear of the finite ``poles``; None for
+    ``"auto"``."""
     bp = spec.get("base_point", "auto")
-    return None if bp == "auto" else ser.un_cx(bp)
+    if bp == "auto":
+        return None
+    z0 = ser.un_cx(bp)
+    p = pole_near(z0, poles)
+    if p is not None:
+        raise _ParseFail(f"base_point: base point {z0} too close to pole {p}")
+    return z0
 
 
 def _write(outdir, name, text):
@@ -149,12 +168,14 @@ def cmd_flow(spec, args, verify_only=False):
     if len(pinned) > 3:
         raise _ParseFail("at most three poles can be pinned")
     path = _path_of(spec, state, pinned)
+    twist_points = state.twist.points() if state.twist is not None else []
+    base_point = _base_point(spec, [p.t for p in state.poles] + twist_points)
     out = FsPath(args.out)
 
     traj = integrate_flow(state, path, tol=tols["flow"],
                           n_samples=int(spec.get("samples", 9)))
     report = verify_isomonodromy(traj, tol=tols["transport"],
-                                 base_point=_base_point(spec))
+                                 base_point=base_point)
     if not verify_only:
         _write(out, "trajectory.csv", ser.trajectory_csv(traj))
     _write(out, "drift.json", ser.dumps(ser.drift_report_out(report)))
@@ -172,7 +193,7 @@ def cmd_monodromy(spec, args):
         conn = ser.un_connection(spec["connection"])
     else:
         conn = _state_of(spec).connection()
-    bp = _base_point(spec)
+    bp = _base_point(spec, conn.all_finite_poles())
     if bp is None:
         from .flows import auto_base_point
         bp = auto_base_point(conn.all_finite_poles())
@@ -189,15 +210,16 @@ def cmd_monodromy(spec, args):
 
 def cmd_hamiltonian(spec, args):
     state = _state_of(spec)
-    out = {"translations": [ser.cx(v)
-                            for v in translation_hamiltonian_values(state)],
-           "irregular": None, "field": None}
     direction = _object(spec.get("direction") or {}, "direction")
+    out = {"translations": None, "irregular": None, "field": None}
     if direction.get("kind") == "irregular":
-        idx = _pole_index(direction["pole"], state, "direction.pole")
+        idx = _irregular_pole(direction["pole"], state, "direction.pole",
+                              higher_ok=True)
         beta = np.array([[ser.un_cx(v) for v in row]
                          for row in direction["beta"]], dtype=complex)
         out["irregular"] = ser.cx(hamiltonian_beta_B(state, idx, beta))
+    out["translations"] = [ser.cx(v)
+                           for v in translation_hamiltonian_values(state)]
     if spec.get("field"):
         fld = direction or {"kind": "translation", "pole": 0}
         if fld.get("kind", "translation") != "translation":

@@ -26,6 +26,7 @@ from .ratfun import (
     INFINITY,
     LaurentJet,
     RatMat,
+    _sum,
     is_infinity,
 )
 
@@ -65,8 +66,10 @@ class PolarDivisor:
 class BasePole:
     """Fixed normalizing pole for nonzero-degree bundles.
 
-    ``point`` defaults to infinity; the residue in the ``dY = A Y``
-    convention is ``(k/n) I``, giving monodromy ``exp(2 pi i k/n) I``.
+    ``point`` defaults to infinity.  No residue is stored: the point is kept
+    out of the polar divisor and carried through gauge and twist maps, and
+    at a finite point the matrix must carry the residue ``(k/n) I`` (in the
+    ``dY = A Y`` convention), giving monodromy ``exp(2 pi i k/n) I``.
     """
 
     k: int
@@ -96,17 +99,14 @@ class Connection:
         if n is None:
             n = pole_data[0][1][0].shape[0] if pole_data else \
                 (np.asarray(tail[0]).shape[0] if tail else 1)
-        A = RatMat.zero(n)
-        points, mults = [], []
-        for t, Cs in pole_data:
-            A = A + RatMat.from_polar_part(t, Cs)
-            points.append(t)
-            mults.append(len(Cs))
+        terms = [RatMat.from_polar_part(t, Cs) for t, Cs in pole_data]
         if tail is not None:
-            coeffs = np.stack([np.asarray(M, dtype=complex) for M in tail])
-            A = A + RatMat.from_poly_matrix(coeffs)
-        return cls(n, A, PolarDivisor(points, mults),
-                   tuple(twist_points), base_pole)
+            terms.append(RatMat.from_poly_matrix(
+                np.stack([np.asarray(M, dtype=complex) for M in tail])))
+        A = _sum(terms, lambda: RatMat.zero(n))
+        divisor = PolarDivisor([t for t, _ in pole_data],
+                               [len(Cs) for _, Cs in pole_data])
+        return cls(n, A, divisor, tuple(twist_points), base_pole)
 
     @classmethod
     def from_ratmat(cls, A, twist_points=(), base_pole=None):
@@ -130,9 +130,7 @@ class Connection:
     def __post_init__(self):
         if self.matrix.n != self.n:
             raise MalformedInputError("matrix size does not match rank")
-        allowed = list(self.divisor.points) + [complex(p) for p in self.twist_points]
-        if self.base_pole is not None and not is_infinity(self.base_pole.point):
-            allowed.append(complex(self.base_pole.point))
+        allowed = self.all_finite_poles()
         for p in self.matrix.pole_points():
             if not any(abs(p - q) <= TAU_SEP for q in allowed):
                 raise MalformedInputError(
@@ -172,9 +170,6 @@ class Connection:
     def laurent(self, p, k_max):
         return self.matrix.laurent(p, k_max)
 
-    def residue_matrix(self, p):
-        return self.matrix.residue(p)
-
     def is_regular_at_infinity(self, tol=1e-11):
         """True when the form extends holomorphically to infinity.
 
@@ -183,8 +178,8 @@ class Connection:
         higher powers of ``w``; both must vanish within ``tol``.
         """
         pole_data, tail = self.polar_parts
-        res = sum((Cs[0] for _, Cs in pole_data),
-                  np.zeros((self.n, self.n), dtype=complex))
+        res = _sum((Cs[0] for _, Cs in pole_data),
+                   lambda: np.zeros((self.n, self.n), dtype=complex))
         return bool(np.max(np.abs(res)) < tol
                     and np.all(np.abs(tail) < tol))
 
@@ -203,7 +198,7 @@ def polar_decompose(A):
         jet = A.laurent(p, -1)
         coeffs = [np.array(jet.coefficient(-k)) for k in range(1, l + 1)]
         pole_data.append((p, coeffs))
-    polys = [[e.partial_fractions()[1] for e in row] for row in A.entries]
+    polys = [[e.polynomial_part() for e in row] for row in A.entries]
     deg = max(p.size for row in polys for p in row)
     tail = np.zeros((deg, n, n), dtype=complex)
     for i in range(n):

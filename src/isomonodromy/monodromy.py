@@ -421,6 +421,12 @@ def loop_ordering(pole_points, z0):
     return sorted(range(len(pole_points)), key=key)
 
 
+def pole_near(z0, poles):
+    """The first of the finite ``poles`` within ``2 TAU_SEP`` of the base
+    point ``z0``, too close for a keyhole around it; None if there is none."""
+    return next((p for p in poles if abs(z0 - p) <= 2 * TAU_SEP), None)
+
+
 def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
     """Keyhole monodromy generators around every finite pole.
 
@@ -430,9 +436,9 @@ def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
     """
     z0 = complex(z0)
     poles = conn.all_finite_poles()
-    for p in poles:
-        if abs(z0 - p) <= 2 * TAU_SEP:
-            raise PreconditionError(f"base point {z0} too close to pole {p}")
+    p = pole_near(z0, poles)
+    if p is not None:
+        raise PreconditionError(f"base point {z0} too close to pole {p}")
     order = loop_ordering(poles, z0)
     min_sep = np.inf
     for i in range(len(poles)):

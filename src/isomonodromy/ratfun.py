@@ -22,6 +22,8 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import cmath
+import operator
+from functools import reduce
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -223,13 +225,11 @@ class LaurentJet:
         k_max = min(self.k_max, other.k_max)
         if k_max < k_min:
             raise PreconditionError("jet ranges do not overlap")
-        a, b = self, other
-        if a.is_matrix != b.is_matrix:
+        if self.is_matrix != other.is_matrix:
             raise MalformedInputError("adding scalar and matrix jets")
-        shape = ((k_max - k_min + 1,) if not a.is_matrix
-                 else (k_max - k_min + 1, a.n, a.n))
-        out = np.zeros(shape, dtype=complex)
-        for jet in (a, b):
+        out = np.zeros((k_max - k_min + 1,) + self.coeffs.shape[1:],
+                       dtype=complex)
+        for jet in (self, other):
             lo = jet.k_min - k_min
             hi = min(jet.k_max, k_max) - k_min
             out[lo:hi + 1] += jet.coeffs[: hi - lo + 1]
@@ -256,29 +256,17 @@ class LaurentJet:
         K = k_max - k_min + 1
         if K <= 0:
             raise PreconditionError("jet product has empty reliable range")
-        if a.is_matrix and b.is_matrix:
-            out = np.zeros((K, a.n, a.n), dtype=complex)
-            for i in range(a.coeffs.shape[0]):
-                for j in range(b.coeffs.shape[0]):
-                    k = a.k_min + i + b.k_min + j - k_min
-                    if 0 <= k < K:
-                        out[k] += a.coeffs[i] @ b.coeffs[j]
-        else:
-            if a.is_matrix or b.is_matrix:
-                mat, sca = (a, b) if a.is_matrix else (b, a)
-                out = np.zeros((K, mat.n, mat.n), dtype=complex)
-                for i in range(mat.coeffs.shape[0]):
-                    for j in range(sca.coeffs.shape[0]):
-                        k = mat.k_min + i + sca.k_min + j - k_min
-                        if 0 <= k < K:
-                            out[k] += mat.coeffs[i] * sca.coeffs[j]
-            else:
-                out = np.zeros(K, dtype=complex)
-                for i in range(a.coeffs.shape[0]):
-                    for j in range(b.coeffs.shape[0]):
-                        k = a.k_min + i + b.k_min + j - k_min
-                        if 0 <= k < K:
-                            out[k] += a.coeffs[i] * b.coeffs[j]
+        # a matrix factor drives the outer loop from either side; ``*``, not
+        # np.multiply, since the ufunc can round a scalar product differently
+        if b.is_matrix and not a.is_matrix:
+            a, b = b, a
+        op = np.matmul if b.is_matrix else operator.mul
+        out = np.zeros((K,) + a.coeffs.shape[1:], dtype=complex)
+        for i in range(a.coeffs.shape[0]):
+            for j in range(b.coeffs.shape[0]):
+                k = a.k_min + i + b.k_min + j - k_min
+                if 0 <= k < K:
+                    out[k] += op(a.coeffs[i], b.coeffs[j])
         return LaurentJet(self.point, k_min, out,
                           self.form_degree + other.form_degree)
 
@@ -484,15 +472,9 @@ class RatScalar:
             return RatScalar(self.num * other, self.poles, _skip_cancel=True)
         if not isinstance(other, RatScalar):
             return NotImplemented
-        poles = list(self.poles)
-        for r, m in other.poles:
-            for i, (r0, m0) in enumerate(poles):
-                if abs(r - r0) <= TAU_MERGE * max(1.0, abs(r0)):
-                    poles[i] = (r0, m0 + m)
-                    break
-            else:
-                poles.append((r, m))
-        return RatScalar(poly_mul(self.num, other.num), poles)
+        # the constructor adds the multiplicities of roots within TAU_MERGE
+        return RatScalar(poly_mul(self.num, other.num),
+                         self.poles + other.poles)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -597,13 +579,16 @@ class RatScalar:
                 c = jet.coefficient(k)
                 if c != 0:
                     terms.append((r, -k, complex(c)))
+        return terms, self.polynomial_part()
+
+    def polynomial_part(self):
+        """Ascending coefficients of the polynomial part: the ``polydiv``
+        quotient of the numerator by the denominator."""
         den = poly_factors(self.poles)
-        if self.num.size >= den.size:
-            quot, _ = npoly.polydiv(self.num, den)
-            quot = poly_trim(quot, rel_tol=1e-14)
-        else:
-            quot = np.zeros(1, dtype=complex)
-        return terms, quot
+        if self.num.size < den.size:
+            return np.zeros(1, dtype=complex)
+        quot, _ = npoly.polydiv(self.num, den)
+        return poly_trim(quot, rel_tol=1e-14)
 
     def __repr__(self):
         return f"RatScalar(deg_num={self.num.size - 1}, poles={self.poles})"
@@ -657,6 +642,13 @@ def _deflate(c, r):
     return out
 
 
+def _sum(terms, empty):
+    """Left fold of ``+`` over ``terms`` from the first term; ``empty()`` is
+    the value of an empty sum only."""
+    terms = list(terms)
+    return reduce(operator.add, terms) if terms else empty()
+
+
 def _as_ratscalar(x):
     if isinstance(x, RatScalar):
         return x
@@ -701,27 +693,20 @@ class RatMat:
         """``sum_k C_k / (z - p)**k`` for ``coeff_list = [C_1, C_2, ...]``."""
         coeff_list = [np.asarray(C, dtype=complex) for C in coeff_list]
         n = coeff_list[0].shape[0]
-        out = cls.zero(n)
-        for k, C in enumerate(coeff_list, start=1):
-            for i in range(n):
-                for j in range(n):
-                    if C[i, j] != 0:
-                        out.entries[i][j] = out.entries[i][j] + \
-                            RatScalar.simple_pole(p, C[i, j], k)
-        return out
+        return cls([[_sum((RatScalar.simple_pole(p, C[i, j], k)
+                           for k, C in enumerate(coeff_list, start=1)
+                           if C[i, j] != 0), RatScalar.zero)
+                     for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_poly_matrix(cls, coeffs, center=0.0):
         """Polynomial matrix ``sum_k M_k (z - center)**k`` as a RatMat in z."""
         coeffs = np.asarray(coeffs, dtype=complex)
+        if center != 0:
+            coeffs = np.apply_along_axis(poly_shift, 0, coeffs, -center)
         n = coeffs.shape[1]
-        out = cls.zero(n)
-        for i in range(n):
-            for j in range(n):
-                c = poly_shift(coeffs[:, i, j], -center) if center != 0 \
-                    else coeffs[:, i, j]
-                out.entries[i][j] = RatScalar(c)
-        return out
+        return cls([[RatScalar(coeffs[:, i, j]) for j in range(n)]
+                    for i in range(n)])
 
     # -- structure ------------------------------------------------------------
 
@@ -749,8 +734,7 @@ class RatMat:
     def __sub__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
-        return RatMat([[self.entries[i][j] - other.entries[i][j]
-                        for j in range(self.n)] for i in range(self.n)])
+        return self + (-other)
 
     def __neg__(self):
         return RatMat([[-e for e in row] for row in self.entries])
@@ -766,20 +750,14 @@ class RatMat:
     def __matmul__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
-        out = RatMat.zero(self.n)
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = RatScalar.zero()
-                for k in range(self.n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                out.entries[i][j] = acc
-        return out
+        n = self.n
+        return RatMat([[_sum((self.entries[i][k] * other.entries[k][j]
+                              for k in range(n)), RatScalar.zero)
+                        for j in range(n)] for i in range(n)])
 
     def trace(self):
-        acc = RatScalar.zero()
-        for i in range(self.n):
-            acc = acc + self.entries[i][i]
-        return acc
+        return _sum((row[i] for i, row in enumerate(self.entries)),
+                    RatScalar.zero)
 
     def derivative(self):
         return RatMat([[e.derivative() for e in row] for row in self.entries])
@@ -845,12 +823,12 @@ def _ratmat_det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    acc = RatScalar.zero()
+    terms = []
     for j in range(n):
         minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
         term = rows[0][j] * _ratmat_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+        terms.append(term if j % 2 == 0 else -term)
+    return _sum(terms, RatScalar.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -874,13 +852,8 @@ def residue(omega, p):
 
 def residue_sum_all_poles(omega):
     """Sum of residues over every pole including infinity (should be ~0)."""
-    if isinstance(omega, RatMat):
-        pts = omega.pole_points()
-        acc = sum(residue(omega, p) for p in pts) if pts else np.zeros(
-            (omega.n, omega.n), dtype=complex)
-        return acc + residue(omega, INFINITY)
-    acc = sum((residue(omega, r) for r, _ in omega.poles), 0.0 + 0j)
-    return acc + residue(omega, INFINITY)
+    return reduce(operator.add, (residue(omega, p)
+                                 for p in omega.pole_points() + [INFINITY]))
 
 
 def residue_quadrature_oracle(omega, p, radius, N=128):
@@ -920,12 +893,12 @@ def polymat_det(coeffs):
     n = coeffs.shape[1]
     if n == 1:
         return poly_trim(coeffs[:, 0, 0], rel_tol=1e-14)
-    acc = np.zeros(1, dtype=complex)
+    terms = []
     for j in range(n):
         minor = coeffs[:, 1:, [c for c in range(n) if c != j]]
         term = poly_mul(coeffs[:, 0, j], polymat_det(minor))
-        acc = poly_add(acc, term if j % 2 == 0 else -term)
-    return poly_trim(acc, rel_tol=1e-14)
+        terms.append(term if j % 2 == 0 else -term)
+    return poly_trim(reduce(poly_add, terms), rel_tol=1e-14)
 
 
 def polymat_inverse_jet(coeffs, k_max):

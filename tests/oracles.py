@@ -6,7 +6,7 @@ import numpy as np
 
 from isomonodromy.connection import TAU_SEP
 from isomonodromy.monodromy import LineSegment
-from isomonodromy.ratfun import RatMat, RatScalar
+from isomonodromy.ratfun import TAU_MERGE, LaurentJet, RatMat, RatScalar
 
 
 def form_at_infinity(f):
@@ -51,3 +51,127 @@ def velocity(seg, s):
         return seg.end - seg.start
     th = seg.theta0 + s * (seg.theta1 - seg.theta0)
     return 1j * (seg.theta1 - seg.theta0) * seg.radius * np.exp(1j * th)
+
+
+# ---------------------------------------------------------------------------
+# zero-seeded rational assembly: every sum starts from RatScalar.zero()
+# ---------------------------------------------------------------------------
+
+def seeded_from_polar_part(p, coeff_list):
+    """``RatMat.from_polar_part``, each entry summed onto a zero seed."""
+    coeff_list = [np.asarray(C, dtype=complex) for C in coeff_list]
+    n = coeff_list[0].shape[0]
+    out = RatMat.zero(n)
+    for k, C in enumerate(coeff_list, start=1):
+        for i in range(n):
+            for j in range(n):
+                if C[i, j] != 0:
+                    out.entries[i][j] = out.entries[i][j] + \
+                        RatScalar.simple_pole(p, C[i, j], k)
+    return out
+
+
+def seeded_from_polar_parts(pole_data, n, tail=None):
+    """The matrix of ``Connection.from_polar_parts``, summed onto a zero
+    matrix over ``seeded_from_polar_part``."""
+    A = RatMat.zero(n)
+    for t, Cs in pole_data:
+        A = A + seeded_from_polar_part(complex(t), Cs)
+    if tail is not None:
+        A = A + RatMat.from_poly_matrix(np.stack(tail))
+    return A
+
+
+def seeded_matmul(A, B):
+    """``A @ B``, each entry summed onto a zero seed."""
+    out = RatMat.zero(A.n)
+    for i in range(A.n):
+        for j in range(A.n):
+            acc = RatScalar.zero()
+            for k in range(A.n):
+                acc = acc + A.entries[i][k] * B.entries[k][j]
+            out.entries[i][j] = acc
+    return out
+
+
+def seeded_det(rows):
+    """Cofactor expansion along the first row, summed onto a zero seed."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = RatScalar.zero()
+    for j in range(n):
+        minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = rows[0][j] * seeded_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def seeded_inverse(A):
+    """``A.inverse()`` through ``seeded_det``: the adjugate over the
+    determinant."""
+    n = A.n
+    adj = RatMat.zero(n)
+    for i in range(n):
+        for j in range(n):
+            minor = [[A.entries[r][c] for c in range(n) if c != j]
+                     for r in range(n) if r != i]
+            adj.entries[j][i] = seeded_det(minor) * (-1.0 if (i + j) % 2
+                                                     else 1.0)
+    return adj * seeded_det(A.entries).reciprocal()
+
+
+def three_branch_jet_product(a, b):
+    """``LaurentJet.__mul__`` of two jets written out per type pair:
+    matrix times matrix, matrix times scalar (either side), scalar times
+    scalar."""
+    k_min = a.k_min + b.k_min
+    K = min(a.k_max + b.k_min, b.k_max + a.k_min) - k_min + 1
+    if a.is_matrix and b.is_matrix:
+        out = np.zeros((K, a.n, a.n), dtype=complex)
+        for i in range(a.coeffs.shape[0]):
+            for j in range(b.coeffs.shape[0]):
+                k = a.k_min + i + b.k_min + j - k_min
+                if 0 <= k < K:
+                    out[k] += a.coeffs[i] @ b.coeffs[j]
+    elif a.is_matrix or b.is_matrix:
+        mat, sca = (a, b) if a.is_matrix else (b, a)
+        out = np.zeros((K, mat.n, mat.n), dtype=complex)
+        for i in range(mat.coeffs.shape[0]):
+            for j in range(sca.coeffs.shape[0]):
+                k = mat.k_min + i + sca.k_min + j - k_min
+                if 0 <= k < K:
+                    out[k] += mat.coeffs[i] * sca.coeffs[j]
+    else:
+        out = np.zeros(K, dtype=complex)
+        for i in range(a.coeffs.shape[0]):
+            for j in range(b.coeffs.shape[0]):
+                k = a.k_min + i + b.k_min + j - k_min
+                if 0 <= k < K:
+                    out[k] += a.coeffs[i] * b.coeffs[j]
+    return LaurentJet(a.point, k_min, out, a.form_degree + b.form_degree)
+
+
+def polar_parts_by_partial_fractions(A):
+    """``polar_decompose(A)`` assembled from every entry's
+    ``RatScalar.partial_fractions``."""
+    n = A.n
+    points = A.pole_points()
+    pole_data = [(p, [np.zeros((n, n), dtype=complex)
+                      for _ in range(A.pole_order(p))]) for p in points]
+    polys = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            terms, polys[i][j] = A.entries[i][j].partial_fractions()
+            for r, k, c in terms:
+                at = next(a for a, p in enumerate(points)
+                          if abs(p - r) <= TAU_MERGE * max(1.0, abs(p)))
+                pole_data[at][1][k - 1][i, j] = c
+    deg = max(p.size for row in polys for p in row)
+    tail = np.zeros((deg, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            tail[: polys[i][j].size, i, j] = polys[i][j]
+    if np.all(tail == 0):
+        tail = np.zeros((0, n, n), dtype=complex)
+    return pole_data, tail

@@ -18,14 +18,21 @@ from isomonodromy.errors import (
     RegularityError,
 )
 from isomonodromy.ratfun import LaurentJet, RatMat, RatScalar
-from isomonodromy.twist import normal_form, push_connection
+from isomonodromy.twist import MatrixDivisor, normal_form, push_connection
 
 from conftest import (
     fuchsian_connection,
     random_fuchsian_matrices,
     random_matrix,
 )
-from oracles import mult_at, regular_at_infinity_by_chart
+from oracles import (
+    mult_at,
+    polar_parts_by_partial_fractions,
+    regular_at_infinity_by_chart,
+    seeded_from_polar_parts,
+    seeded_inverse,
+    seeded_matmul,
+)
 
 
 def simple_connection(poles, mats):
@@ -133,7 +140,7 @@ class TestGauge:
         g = RatMat([[RatScalar.monomial(1)]])
         out = gauge_transform(conn, g)
         # -dg g^-1 = -dz/z
-        assert abs(out.residue_matrix(0.0)[0, 0] + 1.0) < 1e-13
+        assert abs(out.matrix.residue(0.0)[0, 0] + 1.0) < 1e-13
 
     def test_constant_gauge_is_conjugation(self, rng):
         conn = simple_connection([0.0, 2.0], [random_matrix(rng, 2),
@@ -299,3 +306,96 @@ class TestFormalDiagonalize:
         assert np.allclose(np.diag(pair.B.coefficient(-2)),
                            sorted(np.diag(lead), key=lambda w: (w.real, w.imag)),
                            atol=1e-12)
+
+
+FOUR_POLES = (-2.1, -0.35, 1.15, 2.6)
+
+
+def _bits(a):
+    return np.atleast_1d(np.asarray(a, dtype=complex)).view(float)
+
+
+def assert_same_entries(A, B):
+    """Every entry of ``A`` and ``B`` has the same numerator and poles, to
+    the bit."""
+    for row_a, row_b in zip(A.entries, B.entries):
+        for ea, eb in zip(row_a, row_b):
+            assert np.array_equal(_bits(ea.num), _bits(eb.num))
+            assert np.array_equal(_bits(ea.poles).reshape(-1, 2),
+                                  _bits(eb.poles).reshape(-1, 2))
+
+
+def assert_same_polar_parts(got, want):
+    (data_g, tail_g), (data_w, tail_w) = got, want
+    assert len(data_g) == len(data_w)
+    for (t, Cs), (u, Ds) in zip(data_g, data_w):
+        assert np.array_equal(_bits(t), _bits(u))
+        assert np.array_equal(_bits(np.stack(Cs)), _bits(np.stack(Ds)))
+    assert np.array_equal(_bits(tail_g), _bits(tail_w))
+
+
+class TestAssemblyBitForBit:
+    """Sums that fold from their first term give the bits of sums seeded
+    with zero, and ``polar_parts`` those of per-entry partial fractions."""
+
+    def _polar_input(self, rng, case):
+        if case.startswith("fuchsian"):
+            n = int(case[-1])
+            return [(t, [M]) for t, M in zip(
+                FOUR_POLES, random_fuchsian_matrices(rng, n, 4))], n, None
+        data = [(0.0, [random_matrix(rng, 2, 0.4), np.diag([0.5, -0.25])]),
+                (2.0 + 0.5j, [random_matrix(rng, 2, 0.4)])]
+        tail = None if case == "order2" else \
+            [random_matrix(rng, 2, 0.3), random_matrix(rng, 2, 0.2)]
+        return data, 2, tail
+
+    @pytest.mark.parametrize("case", ["fuchsian-n2", "fuchsian-n3",
+                                      "fuchsian-n4", "order2", "tail"])
+    def test_from_polar_parts(self, rng, case):
+        data, n, tail = self._polar_input(rng, case)
+        conn = Connection.from_polar_parts(data, n=n, tail=tail)
+        ref = seeded_from_polar_parts(data, n, tail)
+        assert_same_entries(conn.matrix, ref)
+        assert_same_polar_parts(conn.polar_parts,
+                                polar_parts_by_partial_fractions(ref))
+
+    def test_push_connection(self, rng):
+        data, n, _ = self._polar_input(rng, "order2")
+        conn = Connection.from_polar_parts(data)
+        div = MatrixDivisor((normal_form(-1.5, (0.0, 1.0)),
+                             normal_form(0.8 + 0.5j, (0.0, -0.7))))
+        pushed = push_connection(div, conn)
+        T = seeded_matmul(*(s.as_ratmat() for s in div.sites))
+        Tinv = seeded_inverse(T)
+        ref = (seeded_matmul(seeded_matmul(Tinv, seeded_from_polar_parts(
+            data, n)), T) - seeded_matmul(Tinv, T.derivative()))
+        assert_same_entries(pushed.matrix, ref)
+        assert_same_polar_parts(pushed.polar_parts,
+                                polar_parts_by_partial_fractions(ref))
+
+    def test_twist_germ_inverse(self):
+        T = normal_form(0.3, (0.0, 1.2, -0.4 + 0.3j)).as_ratmat()
+        assert_same_entries(T.inverse(), seeded_inverse(T))
+
+    def test_rank3_four_pole_operation_counts(self, rng, monkeypatch):
+        # each entry's polar terms and the tail come from one pass: an entry
+        # is expanded once per pole, and no sum starts from zero
+        adds, expansions = [0], [0]
+        add, laurent = RatScalar.__add__, RatScalar.laurent
+
+        def counted_add(self, other):
+            adds[0] += 1
+            return add(self, other)
+
+        def counted_laurent(self, p, k_max):
+            expansions[0] += 1
+            return laurent(self, p, k_max)
+
+        monkeypatch.setattr(RatScalar, "__add__", counted_add)
+        monkeypatch.setattr(RatScalar, "laurent", counted_laurent)
+        data = [(t, [M]) for t, M in zip(
+            FOUR_POLES, random_fuchsian_matrices(rng, 3, 4))]
+        conn = Connection.from_polar_parts(data)
+        assert (adds[0], expansions[0]) == (27, 0)
+        conn.polar_parts
+        assert (adds[0], expansions[0]) == (27, 36)

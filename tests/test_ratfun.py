@@ -21,7 +21,11 @@ from isomonodromy.ratfun import (
 )
 
 from conftest import random_rational_one_form
-from oracles import form_at_infinity, from_partial_fractions
+from oracles import (
+    form_at_infinity,
+    from_partial_fractions,
+    three_branch_jet_product,
+)
 
 
 class TestLaurentExpand:
@@ -236,6 +240,21 @@ class TestJets:
         prod = m * q
         assert prod.form_degree == 1
         assert prod.coefficient(-1) == 1.0
+
+    @pytest.mark.parametrize("a_matrix, b_matrix", [
+        (True, True), (True, False), (False, True), (False, False)])
+    def test_mul_is_the_three_branch_product(self, rng, a_matrix, b_matrix):
+        def jet(matrix):
+            shape = (int(rng.integers(1, 6)),) + ((3, 3) if matrix else ())
+            coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return LaurentJet(0.5, int(rng.integers(-3, 2)), coeffs,
+                              int(rng.integers(0, 2)))
+        for _ in range(20):
+            a, b = jet(a_matrix), jet(b_matrix)
+            got, want = a * b, three_branch_jet_product(a, b)
+            assert (got.k_min, got.form_degree) == (want.k_min,
+                                                    want.form_degree)
+            assert _same_bits(got.coeffs, want.coeffs)
 
     def test_coefficient_beyond_truncation_raises(self):
         jet = LaurentJet(0.0, 0, np.array([1.0 + 0j]))

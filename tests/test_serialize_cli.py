@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +294,66 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 4
         assert "direction.pole" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, order, field", [
+        ("hamiltonian", 1, "direction"), ("flow", 1, "path"),
+        ("flow", 3, "path")])
+    def test_irregular_needs_a_higher_order_pole(
+            self, tmp_path, rng, monkeypatch, capsys, command, order, field):
+        # a direction needs order >= 2, a path order 2; checked before any work
+        monkeypatch.setattr("isomonodromy.cli.integrate_flow", _no_work)
+        monkeypatch.setattr("isomonodromy.cli.translation_hamiltonian_values",
+                            _no_work)
+        lam_irr = np.array([[0.4, -0.45], [0.25, -0.3]])[:order - 1]
+        res = 0.3 * random_matrix(rng, 2)
+        state = FlowState(2, (
+            PoleData(0.0, order, np.eye(2), res, lam_irr),
+            PoleData(2.0, 1, np.eye(2), -res)))
+        rows = [[0.5, -0.5]] * max(order - 1, 1)
+        spec = {"state": ser.flow_state(state)}
+        if field == "path":
+            spec["path"] = {"kind": "irregular", "pole": 0, "rate": rows}
+        else:
+            spec["direction"] = {"kind": "irregular", "pole": 0,
+                                 "beta": rows}
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        assert cli_main([command, "--input", str(sp),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {field}.pole: pole 0 has "
+                              f"order {order}; ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["flow", "verify", "monodromy"])
+    def test_base_point_on_a_pole(self, flow_spec, tmp_path, monkeypatch,
+                                  capsys, command):
+        # checked against the initial poles before any integration
+        monkeypatch.setattr("isomonodromy.cli.integrate_flow", _no_work)
+        monkeypatch.setattr("isomonodromy.cli.monodromy_rep", _no_work)
+        spec = json.loads(flow_spec.read_text())
+        spec["base_point"] = [-0.35, 1e-7]
+        flow_spec.write_text(json.dumps(spec))
+        assert cli_main([command, "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: base_point: base point ")
+        assert "too close to pole (-0.35+0j)" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_base_point_on_a_twist_point(self, tmp_path, rng, monkeypatch,
+                                         capsys):
+        monkeypatch.setattr("isomonodromy.cli.integrate_flow", _no_work)
+        res = 0.3 * random_matrix(rng, 2)
+        state = FlowState(2, (PoleData(0.0, 1, np.eye(2), res),
+                              PoleData(2.0, 1, np.eye(2), -res)),
+                          MatrixDivisor((normal_form(-1.5, (0.0, 1.0)),)))
+        spec = {"state": ser.flow_state(state), "base_point": [-1.5, 0.0]}
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        assert cli_main(["flow", "--input", str(sp),
+                         "--out", str(tmp_path / "o")]) == 4
+        assert "too close to pole (-1.5+0j)" in capsys.readouterr().err
+
     def test_flow_needs_two_samples(self, flow_spec, tmp_path, capsys):
         spec = json.loads(flow_spec.read_text())
         spec["samples"] = 1
@@ -389,14 +451,28 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "isomonodromy.cli", "monodromy",
              "--input", str(flow_spec), "--out", str(tmp_path / "m")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the spec should have been refused before this")
+
+
+def _child_env():
+    """This environment with the imported package's ``src`` first on
+    ``PYTHONPATH``, so that a child process runs the code under test."""
+    src = str(Path(ser.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def test_cli_import_loads_neither_mpmath_nor_sympy():
     # both are slow to import; the CLI's start-up time must not pay for them
     code = ("import sys, isomonodromy.cli; "
             "print(sorted({'mpmath', 'sympy'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=_child_env())
     assert proc.stdout.strip() == "[]"

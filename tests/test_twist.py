@@ -91,7 +91,7 @@ class TestPushPull:
         site = z_identity_site(0.0, 1)
         pushed = push_connection(site, conn)
         # A0 = -dz/z: residue -1 at the twist point
-        assert abs(pushed.residue_matrix(0.0)[0, 0] + 1.0) < 1e-12
+        assert abs(pushed.matrix.residue(0.0)[0, 0] + 1.0) < 1e-12
         assert pushed.twist_points == (0.0,)
 
     def test_invertible_site_keeps_poles(self, rng):
@@ -112,7 +112,7 @@ class TestPushPull:
         conn = Connection.from_ratmat(RatMat.zero(2))
         site = normal_form(0.3, (0.0, 2.0))
         pushed = push_connection(site, conn)
-        res = pushed.residue_matrix(0.3)
+        res = pushed.matrix.residue(0.3)
         assert abs(np.trace(res) + 1.0) < 1e-11
 
     def test_pull_inverts_push(self, rng):
@@ -130,7 +130,7 @@ class TestPushPull:
         site = z_identity_site(0.0, 1)
         pulled = pull_connection(site, conn)
         # A1 = M dz + dz/z
-        assert abs(pulled.residue_matrix(0.0)[0, 0] - 1.0) < 1e-12
+        assert abs(pulled.matrix.residue(0.0)[0, 0] - 1.0) < 1e-12
         assert abs(pulled.eval(2.0)[0, 0] - (2.5 + 0.5)) < 1e-12
 
     def test_overlap_rejected(self, rng):
