@@ -9,6 +9,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path as FsPath
@@ -212,20 +213,24 @@ def cmd_hamiltonian(spec, args):
     state = _state_of(spec)
     direction = _object(spec.get("direction") or {}, "direction")
     out = {"translations": None, "irregular": None, "field": None}
-    if direction.get("kind") == "irregular":
+    irregular = direction.get("kind") == "irregular"
+    if irregular:
         idx = _irregular_pole(direction["pole"], state, "direction.pole",
                               higher_ok=True)
         beta = np.array([[ser.un_cx(v) for v in row]
                          for row in direction["beta"]], dtype=complex)
-        out["irregular"] = ser.cx(hamiltonian_beta_B(state, idx, beta))
-    out["translations"] = [ser.cx(v)
-                           for v in translation_hamiltonian_values(state)]
+    field_pole = None
     if spec.get("field"):
         fld = direction or {"kind": "translation", "pole": 0}
         if fld.get("kind", "translation") != "translation":
             raise _ParseFail("field output is supported for translations")
-        idx = _pole_index(fld.get("pole", 0), state, "direction.pole")
-        dH = direction_differential(Direction.translation(idx), state)
+        field_pole = _pole_index(fld.get("pole", 0), state, "direction.pole")
+    if irregular:
+        out["irregular"] = ser.cx(hamiltonian_beta_B(state, idx, beta))
+    out["translations"] = [ser.cx(v)
+                           for v in translation_hamiltonian_values(state)]
+    if field_pole is not None:
+        dH = direction_differential(Direction.translation(field_pole), state)
         X = hamiltonian_vector_field(dH, state)
         out["field"] = [ser.cx(v) for v in X]
     _write(FsPath(args.out), "hamiltonian.json", ser.dumps(out))
@@ -273,7 +278,8 @@ def cmd_pairing(spec, args):
 
 # ---------------------------------------------------------------------------
 
-def main(argv=None):
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="isomonodromy",
         description="monodromy-preserving deformation flows at desk scale")
@@ -288,7 +294,11 @@ def main(argv=None):
                        help="seed for randomized checks")
         p.add_argument("--pin", type=int, nargs="*", default=None,
                        help="indices of up to three pinned poles")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         spec = _load_spec(args.input)

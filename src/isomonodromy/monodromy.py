@@ -5,11 +5,14 @@ in the punctured plane, with adaptive high-order Runge-Kutta (DOP853) on the
 complexified matrix system.  The system is linear, so each DOP853 step is
 taken as one batched evaluation of ``A dz`` at the step's nodes and one
 triangular solve for all of its stages, with scipy's tableau, error
-estimate and step-size control.  Loops around poles are deterministic
-keyholes: a radial approach from the base point, a full positively-oriented
-circle, and the radial return.  The return leg is not integrated: with
-``L`` the transport of the approach leg and ``C`` that of the circle, a
-keyhole's generator is ``L^-1 C L``.  With loops ordered by increasing
+estimate and step-size control.  Several paths are integrated in lock-step,
+one lane each with its own step control, at the bits each gets alone; a
+monodromy representation sends all of its loops through one ``transport``
+call.  Loops around poles are deterministic keyholes: a radial approach
+from the base point, a full positively-oriented circle, and the radial
+return.  The return leg is not integrated: with ``L`` the transport of the
+approach leg and ``C`` that of the circle, a keyhole's generator is
+``L^-1 C L``.  With loops ordered by increasing
 argument from the base point, the product ``M_l ... M_1`` is the monodromy
 of a loop around everything, hence the identity whenever the form is
 regular at infinity.
@@ -18,10 +21,12 @@ regular at infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, OdeSolver, solve_ivp
+from scipy.integrate._ivp.common import select_initial_step
 from scipy.linalg.lapack import ztrtrs
 
 from .connection import TAU_SEP
@@ -208,117 +213,176 @@ def _compiled_eval(conn):
     return ev
 
 
-class _LinearDOP853(DOP853):
-    """DOP853 for ``y = [Y flattened, log det]`` with ``Y' = B(s) Y`` and
-    ``(log det)' = tr B(s)``, each step taken as one linear solve.
+class _LinearDOP853(OdeSolver):
+    """DOP853 for stacked *lanes* ``y_k = [Y_k flattened, log det_k]`` with
+    ``Y_k' = B_k(s) Y_k`` and ``(log det_k)' = tr B_k(s)``, each lane under
+    its own step control.
 
-    ``coeffs(s)`` returns the rows ``[B flattened, tr B]`` at an array of
-    parameters ``s``.  For a linear system the stages ``K_s = B_s (Y + h
-    sum_j a_sj K_j)`` of an explicit Runge-Kutta step are the solution of
+    ``fun`` is a connection's evaluator ``ev(z, dz)`` (``_compiled_eval``):
+    lane ``k`` runs along ``segments[k]``, so that ``B_k(s)`` is ``A(z) dz``
+    at ``z, dz = segments[k].point_and_rate(s)``, and ``names[k]`` labels it
+    in a failure message.  For a linear system the stages ``K_s = B_s (Y +
+    h sum_j a_sj K_j)`` of an explicit Runge-Kutta step are the solution of
     one unit-lower-triangular block system (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.4-5), so an attempted step is one batched
-    evaluation at the nodes ``t + c_s h``, ``s = 1 .. 11`` (``c_11 = 1``
-    also gives the FSAL stage), and one ``ztrtrs`` solve of size ``11 n``.
-    Tableau, error estimate and step-size control are scipy's DOP853; each
-    attempted step counts the twelve evaluations the stock method makes.
+    *Solving ODEs I*, II.4-5), so an attempted step is one evaluation at
+    the nodes ``t + c_s h``, ``s = 1 .. 11`` (``c_11 = 1`` also gives the
+    FSAL stage), and one ``ztrtrs`` solve of size ``11 n``.
+
+    Tableau, error estimate, start (``f0`` and ``select_initial_step``) and
+    step-size control are scipy's DOP853, lane by lane: each lane keeps its
+    own ``t``, step size, rejection flag and minimum step, and so takes the
+    steps and the bits it takes alone.  A ``step`` advances every unfinished
+    lane by one accepted step, and rejected lanes retry together.  Each
+    round of attempts evaluates every pending lane's nodes in one product
+    and takes the stage, ``y_new`` and error-norm products stacked; the
+    block matrix, its solve and the step-size ``**`` stay per lane.  The
+    solver's ``t`` is the least lane ``t``, and ``nfev`` counts what stock
+    DOP853 counts: 2 evaluations per lane at the start and 12 per lane per
+    attempted step.
     """
 
+    A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+    n_stages = DOP853.n_stages
+    error_exponent = -1 / (DOP853.error_estimator_order + 1)
     STEP_SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+    # tableau slices of _rk_step; h * (-a) is (-h) * a to the bit
+    nodes = C[1:]
+    a0 = A[1:, 0][:, None, None]
+    neg_aT = (-A[1:, 1:].T)[:, None, :, None]
 
-    def __init__(self, fun, t0, y0, t_bound, coeffs, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.coeffs = coeffs
-        self.dim = isqrt(self.n - 1)
-        # tableau slices of _rk_step; h * (-a) is (-h) * a to the bit
-        self.nodes = self.C[1:]
-        self.a0 = self.A[1:, 0][:, None, None]
-        self.neg_aT = (-self.A[1:, 1:].T)[:, None, :, None]
+    def __init__(self, fun, t0, y0, t_bound, segments, names, rtol, atol,
+                 vectorized=False):
+        super().__init__(fun, t0, y0, t_bound, vectorized,
+                         support_complex=True)
+        self.ev, self.segments, self.names = fun, segments, names
+        self.rtol, self.atol = rtol, atol
+        self.width = self.n // len(segments)
+        self.dim = isqrt(self.width - 1)
+        ys = self.y.reshape(len(segments), self.width)
+        self.f = np.array([self._lane_rhs(seg, t0, y)
+                           for seg, y in zip(segments, ys)])
+        self.h_abs = [select_initial_step(
+            partial(self._lane_rhs, seg), t0, y, t_bound, np.inf, f,
+            self.direction, DOP853.error_estimator_order, rtol, atol)
+            for seg, y, f in zip(segments, ys, self.f)]
+        self.ts = [t0] * len(segments)
+        self.nfev = 2 * len(segments)
 
-    def _rk_step(self, t, h):
-        # K_s - h sum_{1 <= j < s} a_sj B_s K_j = B_s (Y + h a_s0 K_0)
-        n, m = self.dim, self.n_stages - 1
-        E = self.coeffs(t + self.nodes * h)
-        Bs = E[:, :-1].reshape(m, n, n)
-        Y, K0 = self.y[:-1].reshape(n, n), self.f[:-1].reshape(n, n)
-        rhs = Bs @ (Y + (h * self.a0) * K0)
-        # the block matrix is built transposed and C-ordered, so that its
-        # transpose reaches LAPACK in Fortran order without a copy
-        T = np.multiply(h * self.neg_aT, Bs.transpose(2, 0, 1), order="C")
-        X, _ = ztrtrs(T.reshape(m * n, m * n).T, rhs.reshape(m * n, n),
-                      lower=1, unitdiag=1)
-        K = self.K
-        K[0] = self.f
-        K[1:-1, :-1] = X.reshape(m, n * n)
-        K[1:-1, -1] = E[:, -1]
-        y_new = self.y + h * np.dot(K[:-1].T, self.B)
-        f_new = E[-1]
-        f_new[:-1] = (Bs[-1] @ y_new[:-1].reshape(n, n)).ravel()
-        K[-1] = f_new
-        self.nfev += self.n_stages
-        return y_new, f_new
+    def _lane_rhs(self, seg, s, y):
+        out = self.ev(*seg.point_and_rate(s))
+        n = self.dim
+        out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
+        return out
 
-    def _estimate_error_norm(self, K, h, scale):
-        # scipy's DOP853 estimate, with np.linalg.norm's complex 2-norm
-        # sqrt(re.re + im.im) written out
-        err5 = np.dot(K.T, self.E5) / scale
-        err3 = np.dot(K.T, self.E3) / scale
-        re5, im5, re3, im3 = err5.real, err5.imag, err3.real, err3.imag
-        err5_norm_2 = np.sqrt(re5.dot(re5) + im5.dot(im5)) ** 2
-        err3_norm_2 = np.sqrt(re3.dot(re3) + im3.dot(im3)) ** 2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    def _rk_step(self, lanes, y, t, h):
+        # K_s - h sum_{1 <= j < s} a_sj B_s K_j = B_s (Y + h a_s0 K_0),
+        # lane by lane
+        n, m, P = self.dim, self.n_stages - 1, len(lanes)
+        s = t[:, None] + self.nodes * h[:, None]
+        z = np.empty((P, m), dtype=complex)
+        dz = np.empty((P, m), dtype=complex)
+        for i, k in enumerate(lanes):
+            z[i], dz[i] = self.segments[k].point_and_rate(s[i])
+        E = self.ev(z.ravel(), dz.ravel()).reshape(P, m, self.width)
+        Bs = E[..., :-1].reshape(P, m, n, n)
+        f = self.f[lanes]
+        Y = y[:, :-1].reshape(P, 1, n, n)
+        K0 = f[:, :-1].reshape(P, 1, n, n)
+        rhs = Bs @ (Y + (h[:, None, None, None] * self.a0) * K0)
+        K = np.empty((P, self.n_stages + 1, self.width), dtype=complex)
+        K[:, 0] = f
+        K[:, 1:-1, -1] = E[..., -1]
+        for i in range(P):
+            # the block matrix is built transposed and C-ordered, so that
+            # its transpose reaches LAPACK in Fortran order without a copy
+            T = np.multiply(h[i] * self.neg_aT, Bs[i].transpose(2, 0, 1),
+                            order="C")
+            X, _ = ztrtrs(T.reshape(m * n, m * n).T,
+                          rhs[i].reshape(m * n, n), lower=1, unitdiag=1)
+            K[i, 1:-1, :-1] = X.reshape(m, n * n)
+        y_new = y + h[:, None] * np.matmul(self.B, K[:, :-1])
+        f_new = E[:, -1]
+        f_new[:, :-1] = (Bs[:, -1] @ y_new[:, :-1].reshape(P, n, n)
+                         ).reshape(P, n * n)
+        K[:, -1] = f_new
+        self.nfev += self.n_stages * P
+        return y_new, f_new, K
+
+    def _estimate_error_norms(self, K, h, scale):
+        # scipy's DOP853 estimate per lane, with np.linalg.norm's complex
+        # 2-norm sqrt(re.re + im.im) written out
+        err5 = np.matmul(self.E5, K) / scale
+        err3 = np.matmul(self.E3, K) / scale
+        norms5 = np.sqrt(np.vecdot(err5.real, err5.real)
+                         + np.vecdot(err5.imag, err5.imag))
+        norms3 = np.sqrt(np.vecdot(err3.real, err3.real)
+                         + np.vecdot(err3.imag, err3.imag))
+        out = []
+        for h_k, norm5, norm3 in zip(h, norms5, norms3):
+            err5_norm_2, err3_norm_2 = norm5 ** 2, norm3 ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                out.append(0.0)
+                continue
+            denom = err5_norm_2 + 0.01 * err3_norm_2
+            out.append(np.abs(h_k) * err5_norm_2
+                       / np.sqrt(denom * self.width))
+        return out
 
     def _step_impl(self):
-        # scipy's RungeKutta._step_impl with the stages from _rk_step
-        t = self.t
-        y = self.y
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
-
-        step_accepted = False
-        step_rejected = False
-        while not step_accepted:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-
-            y_new, f_new = self._rk_step(t, h)
+        # scipy's RungeKutta._step_impl for every unfinished lane
+        ys = self.y.reshape(len(self.segments), self.width)
+        ts, h_abs, min_step = {}, {}, {}
+        for k, t in enumerate(self.ts):
+            if self.direction * (t - self.t_bound) < 0:
+                ts[k] = t
+                min_step[k] = 10 * np.abs(
+                    np.nextafter(t, self.direction * np.inf) - t)
+                h_abs[k] = (min_step[k] if self.h_abs[k] < min_step[k]
+                            else self.h_abs[k])
+        y_next, f_next = ys.copy(), self.f.copy()
+        rejected = set()
+        pending = list(ts)
+        while pending:
+            hs, t_new = [], {}
+            for k in pending:
+                if h_abs[k] < min_step[k]:
+                    return False, f"{self.names[k]}: {self.TOO_SMALL_STEP}"
+                h = h_abs[k] * self.direction
+                t_new[k] = ts[k] + h
+                if self.direction * (t_new[k] - self.t_bound) > 0:
+                    t_new[k] = self.t_bound
+                h = t_new[k] - ts[k]
+                h_abs[k] = np.abs(h)
+                hs.append(h)
+            y = ys[pending]
+            y_new, f_new, K = self._rk_step(
+                pending, y, np.array([ts[k] for k in pending]), np.array(hs))
             scale = (self.atol
                      + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol)
-            error_norm = self._estimate_error_norm(self.K, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = self.MAX_FACTOR
+            retry = []
+            for i, (k, error_norm) in enumerate(zip(
+                    pending, self._estimate_error_norms(K, hs, scale))):
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = self.MAX_FACTOR
+                    else:
+                        factor = min(self.MAX_FACTOR, self.STEP_SAFETY
+                                     * error_norm ** self.error_exponent)
+                    if k in rejected:
+                        factor = min(1, factor)
+                    h_abs[k] *= factor
+                    self.ts[k], self.h_abs[k] = t_new[k], h_abs[k]
+                    y_next[k], f_next[k] = y_new[i], f_new[i]
                 else:
-                    factor = min(self.MAX_FACTOR, self.STEP_SAFETY
-                                 * error_norm ** self.error_exponent)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
-            else:
-                h_abs *= max(self.MIN_FACTOR, self.STEP_SAFETY
-                             * error_norm ** self.error_exponent)
-                step_rejected = True
+                    h_abs[k] *= max(self.MIN_FACTOR, self.STEP_SAFETY
+                                    * error_norm ** self.error_exponent)
+                    rejected.add(k)
+                    retry.append(k)
+            pending = retry
 
-        self.h_previous = h
-        self.y_old = y
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.f = f_new
+        self.t = min(self.ts)
+        self.y = y_next.ravel()
+        self.f = f_next
         return True, None
 
 
@@ -349,46 +413,49 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
     first leg is integrated once from the identity to ``L`` and the last
     leg is taken as ``L^-1``: the result is ``L^-1 (middle) L Y0``, and the
     log-determinant is the middle legs' integral.
+
+    ``path`` may also be a sequence of paths; the result is then a list
+    with one entry per path.  The paths' ``j``-th legs are integrated
+    together, one lane each of one ``_LinearDOP853`` run, and every path
+    gets the bits it gets alone.
     """
-    _check_clearance(conn, path)
+    paths = [path] if isinstance(path, Path) else list(path)
+    for p in paths:
+        _check_clearance(conn, p)
     n = conn.n
     ev = _compiled_eval(conn)
     rtol = max(SAFETY * tol, 1e-13)
-
-    def leg(seg, y0):
-        def coeffs(s):
-            return ev(*seg.point_and_rate(s))
-
-        def rhs(s, y):   # scipy's f(t0) and initial-step probe
-            out = coeffs(s)
-            out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
-            return out
-
-        sol = solve_ivp(rhs, (0.0, 1.0), y0, method=_LinearDOP853,
-                        coeffs=coeffs, rtol=rtol, atol=SAFETY * tol,
-                        dense_output=False)
-        if not sol.success:
-            raise IntegrationAbort("stiffness",
-                                   f"transport failed on {seg}: {sol.message}")
-        return sol.y[:, -1]
-
     eye = np.eye(n, dtype=complex)
     Y = eye if Y0 is None else np.array(Y0, dtype=complex)
-    segs = path.segments
-    L = None
-    if len(segs) > 1 and segs[-1] == segs[0].reversed():
-        L = leg(segs[0], np.append(eye, 0.0))[:-1].reshape(n, n)
-        Y = L @ Y
-        segs = segs[1:-1]
-    y = np.append(Y, 0.0)
-    for seg in segs:
-        y = leg(seg, y)
-    Y, logdet = y[:-1].reshape(n, n), y[-1]
-    if L is not None:
-        Y = np.linalg.solve(L, Y)
-    if with_logdet:
-        return Y, logdet
-    return Y
+    legs, retraced, ys = [], [], []
+    for p in paths:
+        segs = p.segments
+        retraced.append(len(segs) > 1 and segs[-1] == segs[0].reversed())
+        legs.append(segs[:-1] if retraced[-1] else segs)
+        ys.append(np.append(eye if retraced[-1] else Y, 0.0))
+    Ls = [None] * len(paths)
+    for j in range(max(map(len, legs), default=0)):
+        live = [i for i, segs in enumerate(legs) if j < len(segs)]
+        segs = [legs[i][j] for i in live]
+        names = [f"path {i}, {seg}" for i, seg in zip(live, segs)]
+        sol = solve_ivp(ev, (0.0, 1.0), np.concatenate([ys[i] for i in live]),
+                        method=_LinearDOP853, segments=segs, names=names,
+                        rtol=rtol, atol=SAFETY * tol)
+        if not sol.success:
+            raise IntegrationAbort("stiffness",
+                                   f"transport failed on {sol.message}")
+        for i, y in zip(live, sol.y[:, -1].reshape(len(live), -1)):
+            if j == 0 and retraced[i]:
+                Ls[i] = y[:-1].reshape(n, n)
+                y = np.append(Ls[i] @ Y, 0.0)
+            ys[i] = y
+    out = []
+    for y, L in zip(ys, Ls):
+        Yp, logdet = y[:-1].reshape(n, n), y[-1]
+        if L is not None:
+            Yp = np.linalg.solve(L, Yp)
+        out.append((Yp, logdet) if with_logdet else Yp)
+    return out[0] if isinstance(path, Path) else out
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +514,15 @@ def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
     clearance = 0.05 * min_sep if np.isfinite(min_sep) else \
         0.05 * min((abs(z0 - p) for p in poles), default=np.inf)
 
-    ordered_poles, loops, mats = [], [], []
+    ordered_poles, loops = [], []
     for i in order:
         t = poles[i]
         others = [abs(t - poles[j]) for j in range(len(poles)) if j != i]
         nearest = min(others) if others else abs(z0 - t)
         radius = min(0.25 * nearest, 0.5 * abs(z0 - t))
-        loop = Path.keyhole(z0, t, radius, clearance)
-        M = transport(conn, loop, tol)
         ordered_poles.append(t)
-        loops.append(loop)
-        mats.append(M)
+        loops.append(Path.keyhole(z0, t, radius, clearance))
+    mats = transport(conn, loops, tol)
 
     defect = None
     if conn.is_regular_at_infinity():

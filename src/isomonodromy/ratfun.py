@@ -393,8 +393,9 @@ class RatScalar:
 
     # -- structure ------------------------------------------------------------
 
-    def is_zero(self, tol=0.0):
-        return bool(np.all(np.abs(self.num) <= tol))
+    def is_zero(self):
+        # the numerator is trimmed: zero is the one coefficient 0
+        return bool(self.num.size == 1 and self.num[0] == 0)
 
     def pole_order(self, p):
         """Order of the pole at p (0 if regular); p may be INFINITY."""
@@ -425,6 +426,11 @@ class RatScalar:
         other = _as_ratscalar(other)
         if other is NotImplemented:
             return NotImplemented
+        # an identically zero operand adds nothing: the other is the sum
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         union = {}
         for r, m in self.poles + other.poles:
             key = self._key_for(union, r)

@@ -5,7 +5,8 @@ them."""
 import numpy as np
 
 from isomonodromy.connection import TAU_SEP
-from isomonodromy.monodromy import LineSegment
+from isomonodromy.monodromy import (LineSegment, Path, loop_ordering,
+                                    transport)
 from isomonodromy.ratfun import TAU_MERGE, LaurentJet, RatMat, RatScalar
 
 
@@ -51,6 +52,33 @@ def velocity(seg, s):
         return seg.end - seg.start
     th = seg.theta0 + s * (seg.theta1 - seg.theta0)
     return 1j * (seg.theta1 - seg.theta0) * seg.radius * np.exp(1j * th)
+
+
+def monodromy_rep_loop_by_loop(conn, z0, tol):
+    """``monodromy_rep``'s keyholes, each transported by its own
+    ``transport`` call: the reference for transporting them together.
+    Returns the loops, their matrices and the product defect."""
+    z0 = complex(z0)
+    poles = conn.all_finite_poles()
+    seps = [abs(a - b) for i, a in enumerate(poles) for b in poles[i + 1:]]
+    clearance = 0.05 * (min(seps) if seps
+                        else min((abs(z0 - p) for p in poles),
+                                 default=np.inf))
+    loops, mats = [], []
+    for i in loop_ordering(poles, z0):
+        t = poles[i]
+        others = [abs(t - q) for j, q in enumerate(poles) if j != i]
+        nearest = min(others) if others else abs(z0 - t)
+        radius = min(0.25 * nearest, 0.5 * abs(z0 - t))
+        loops.append(Path.keyhole(z0, t, radius, clearance))
+        mats.append(transport(conn, loops[-1], tol))
+    defect = None
+    if conn.is_regular_at_infinity():
+        prod = np.eye(conn.n, dtype=complex)
+        for M in mats:
+            prod = M @ prod
+        defect = float(np.max(np.abs(prod - np.eye(conn.n))))
+    return loops, mats, defect
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import isomonodromy.states as states_module
 import isomonodromy.symplectic as symplectic_module
 from isomonodromy import serialize as ser
 from isomonodromy.connection import Connection
-from isomonodromy.errors import PreconditionError
+from isomonodromy.errors import IntegrationAbort, PreconditionError
 from isomonodromy.flows import auto_base_point
 from isomonodromy.monodromy import (
     DEFAULT_TOL,
@@ -41,7 +41,7 @@ from conftest import (
     random_invertible,
     random_matrix,
 )
-from oracles import velocity
+from oracles import monodromy_rep_loop_by_loop, velocity
 
 
 def fuchsian(poles, mats):
@@ -263,24 +263,22 @@ class TestStackedEvaluator:
 
 
 def stock_and_linear(conn, seg, tol=DEFAULT_TOL):
-    """One transport leg by scipy's DOP853 and by the linear-system DOP853,
-    on the same right-hand side and tolerances as ``transport``."""
+    """One transport leg by scipy's DOP853 and by the linear-system DOP853
+    (a batch of one lane), on the same right-hand side and tolerances as
+    ``transport``."""
     ev = _compiled_eval(conn)
     n = conn.n
 
-    def coeffs(s):
-        return ev(seg.at(s), velocity(seg, s))
-
     def rhs(s, y):
-        out = coeffs(s)
+        out = ev(seg.at(s), velocity(seg, s))
         out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
         return out
 
     y0 = np.append(np.eye(n, dtype=complex), 0.0)
     opts = {"rtol": max(SAFETY * tol, 1e-13), "atol": SAFETY * tol}
     return (solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", **opts),
-            solve_ivp(rhs, (0.0, 1.0), y0, method=_LinearDOP853,
-                      coeffs=coeffs, **opts))
+            solve_ivp(ev, (0.0, 1.0), y0, method=_LinearDOP853,
+                      segments=[seg], names=["leg"], **opts))
 
 
 class TestLinearStepper:
@@ -363,19 +361,26 @@ class TestBitForBit:
     """Each transport fast path returns what it replaces, to the bit."""
 
     def test_error_norm_is_scipys(self, rng):
-        y0 = np.append(np.eye(3, dtype=complex), 0.0)
-        solver = _LinearDOP853(lambda s, y: np.zeros_like(y), 0.0, y0, 1.0,
-                               coeffs=None)
+        # three lanes of a 3x3 system; each lane's norm is DOP853's
+        conn = fuchsian([0.0], [random_matrix(rng, 3)])
+        y0 = np.tile(np.append(np.eye(3, dtype=complex), 0.0), 3)
+        solver = _LinearDOP853(_compiled_eval(conn), 0.0, y0, 1.0,
+                               segments=[LineSegment(1.0, 2.0)] * 3,
+                               names=["a", "b", "c"], rtol=1e-12,
+                               atol=1e-12)
         for trial in range(200):
-            K = (rng.standard_normal((13, 10))
-                 + 1j * rng.standard_normal((13, 10))) * 10.0 ** (trial % 7)
+            K = (rng.standard_normal((3, 13, 10))
+                 + 1j * rng.standard_normal((3, 13, 10))) \
+                * 10.0 ** (trial % 7)
             if trial == 0:
-                K[:] = 0.0
-            h = float(rng.uniform(-1, 1))
-            scale = 1e-12 + rng.uniform(0, 1e-9, 10)
-            got = solver._estimate_error_norm(K, h, scale)
-            want = DOP853._estimate_error_norm(solver, K, h, scale)
-            assert same_bits(got, want)
+                K[1] = 0.0
+            h = [float(x) for x in rng.uniform(-1, 1, 3)]
+            scale = 1e-12 + rng.uniform(0, 1e-9, (3, 10))
+            got = solver._estimate_error_norms(K, h, scale)
+            for k in range(3):
+                want = DOP853._estimate_error_norm(solver, K[k], h[k],
+                                                   scale[k])
+                assert same_bits(got[k], want)
 
     def test_point_and_rate_are_at_and_velocity(self, rng):
         def cx():
@@ -471,6 +476,104 @@ class TestRetrace:
             10 * self.TOL * max(1.0, abs(det_T * np.linalg.det(G)))
         # only the circle contributes: 2 pi i tr(residue at 0)
         assert abs(logdet - 2j * np.pi * np.trace(mats[0])) < 1e-9
+
+
+def same_result(a, b):
+    """``transport`` results, ``Y`` or ``(Y, logdet)``, equal to the bit."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return same_bits(a, b)
+
+
+# the triangle of TestRetrace.test_retraced_leg_is_not_integrated
+TRIANGLE = Path((LineSegment(-1.0 - 0.5j, -0.5 - 1.0j),
+                 LineSegment(-0.5 - 1.0j, 0.5 - 1.0j),
+                 LineSegment(0.5 - 1.0j, -1.0 - 0.5j)))
+
+
+@dataclasses.dataclass(frozen=True)
+class PoisonedLine(LineSegment):
+    """A line whose rate is NaN past its midpoint, where every attempted
+    step is rejected until the step size falls below the minimum."""
+
+    def point_and_rate(self, s):
+        z, d = super().point_and_rate(s)
+        return z, d * np.where(np.asarray(s) > 0.5, np.nan, 1.0)
+
+
+def batch_connection(kind, rng):
+    if kind == "rank2":
+        return fuchsian([0.0, 1.0, 1.5j], random_fuchsian_matrices(rng, 2, 3))
+    if kind == "rank4":
+        return fuchsian([-1.0, 0.4, 1.7], random_fuchsian_matrices(rng, 4, 3))
+    return evaluator_connection(kind, rng)
+
+
+class TestBatchedTransport:
+    """Paths transported together, one lane each, get the bits they get one
+    at a time."""
+
+    TOL = 1e-11
+    PATHS = [*TestRetrace.PATHS.values(), TRIANGLE]
+
+    def test_mixed_paths_match_one_at_a_time(self, rng):
+        conn, _ = TestRetrace().conn_and_residues(rng)
+        G = random_invertible(rng, 2)
+        for kwargs in ({}, {"with_logdet": True, "Y0": G}):
+            batch = transport(conn, self.PATHS, self.TOL, **kwargs)
+            assert len(batch) == len(self.PATHS)
+            for path, got in zip(self.PATHS, batch):
+                assert same_result(got, transport(conn, path, self.TOL,
+                                                  **kwargs))
+
+    @pytest.mark.parametrize("kind", ["rank2", "fuchsian_rank3", "rank4",
+                                      "order2", "twisted", "tail"])
+    def test_monodromy_rep_matches_loop_by_loop(self, rng, kind):
+        conn = batch_connection(kind, rng)
+        z0 = 0.3 - 3.0j
+        rep = monodromy_rep(conn, z0, tol=1e-10)
+        loops, mats, defect = monodromy_rep_loop_by_loop(conn, z0, 1e-10)
+        assert rep.loops == loops
+        assert all(map(same_bits, rep.matrices, mats))
+        assert rep.product_defect == defect
+        # with a line that is not a loop, a start matrix and the
+        # log-determinant
+        paths = loops + [Path.line(z0, z0 + 1.0 - 0.5j)]
+        G = random_invertible(rng, conn.n)
+        batch = transport(conn, paths, 1e-10, with_logdet=True, Y0=G)
+        for path, got in zip(paths, batch):
+            assert same_result(got, transport(conn, path, 1e-10,
+                                              with_logdet=True, Y0=G))
+
+    def test_nfev_is_the_sum_and_one_call_per_leg(self, rng, monkeypatch):
+        conn, _ = TestRetrace().conn_and_residues(rng)
+        nfev = []
+        real = monodromy_module.solve_ivp
+
+        def recording(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(monodromy_module, "solve_ivp", recording)
+        transport(conn, self.PATHS, self.TOL)
+        batch = list(nfev)
+        nfev.clear()
+        for path in self.PATHS:
+            transport(conn, path, self.TOL)
+        # two legs each for the retraced keyhole and lasso, three for the
+        # triangle
+        assert len(batch) == 3 and len(nfev) == 7
+        assert sum(batch) == sum(nfev)
+
+    def test_too_small_step_names_path_and_segment(self, rng):
+        conn, _ = TestRetrace().conn_and_residues(rng)
+        poisoned = PoisonedLine(-1.0 - 0.5j, -0.5 - 1.0j)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(IntegrationAbort) as err:
+            transport(conn, [TRIANGLE, Path((poisoned,))], self.TOL)
+        assert f"path 1, {poisoned}" in str(err.value)
+        assert "Required step size" in str(err.value)
 
 
 class TestPolarPartsCache:

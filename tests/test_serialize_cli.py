@@ -324,6 +324,48 @@ class TestCli:
                               f"order {order}; ")
         assert not (tmp_path / "o").exists()
 
+    def test_field_direction_refused_before_any_work(
+            self, tmp_path, rng, monkeypatch, capsys):
+        # an irregular direction with "field" set is refused before the
+        # Hamiltonians are computed
+        monkeypatch.setattr("isomonodromy.cli.translation_hamiltonian_values",
+                            _no_work)
+        monkeypatch.setattr("isomonodromy.cli.hamiltonian_beta_B", _no_work)
+        res = 0.3 * random_matrix(rng, 2)
+        state = FlowState(2, (
+            PoleData(0.0, 2, np.eye(2), res,
+                     np.array([[0.4, -0.45]])),
+            PoleData(2.0, 1, np.eye(2), -res)))
+        spec = {"state": ser.flow_state(state), "field": True,
+                "direction": {"kind": "irregular", "pole": 0,
+                              "beta": [[[0.5, 0.0], [-0.5, 0.0]]]}}
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        assert cli_main(["hamiltonian", "--input", str(sp),
+                         "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == \
+            "parse error: field output is supported for translations\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_parser_keeps_no_arguments_between_calls(self, tmp_path,
+                                                     monkeypatch):
+        # the parser is built once per process; each call parses afresh
+        seen = []
+        for name in ("cmd_flow", "cmd_monodromy"):
+            monkeypatch.setattr(f"isomonodromy.cli.{name}",
+                                lambda spec, args: seen.append(args) or 0)
+        sp = tmp_path / "spec.json"
+        sp.write_text("{}")
+        assert cli_main(["flow", "--input", str(sp), "--out", "a",
+                         "--tol", "1e-9", "--seed", "7",
+                         "--pin", "0", "2"]) == 0
+        assert cli_main(["monodromy", "--input", str(sp)]) == 0
+        first, second = (vars(a) for a in seen)
+        assert first == {"command": "flow", "input": str(sp), "out": "a",
+                         "tol": 1e-9, "seed": 7, "pin": [0, 2]}
+        assert second == {"command": "monodromy", "input": str(sp),
+                          "out": ".", "tol": None, "seed": 0, "pin": None}
+
     @pytest.mark.parametrize("command", ["flow", "verify", "monodromy"])
     def test_base_point_on_a_pole(self, flow_spec, tmp_path, monkeypatch,
                                   capsys, command):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isomonodromy.connection import Connection
+from isomonodromy import ratfun
 from isomonodromy.errors import MalformedInputError, PreconditionError
 from isomonodromy.ratfun import RatMat, RatScalar
 from isomonodromy.twist import (
@@ -168,3 +169,25 @@ def test_multi_site_degree_adds(rng):
     pushed = push_connection(div, conn)
     assert abs(total_trace_residue(pushed)
                - (total_trace_residue(conn) - 3)) < 1e-9
+
+
+def test_two_site_push_adds_no_zero_term(rng, monkeypatch):
+    # zero entries of the germs, of their product's inverse and of the
+    # gauge terms cost no rational addition: ``poly_add`` is the numerator
+    # step of ``RatScalar.__add__`` and its only caller
+    operands = []
+    real = ratfun.poly_add
+
+    def recording(a, b):
+        operands.append(not (np.any(a) and np.any(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(ratfun, "poly_add", recording)
+    div = MatrixDivisor((normal_form(0.0, (0.0, 1.0)),
+                         normal_form(2.0, (0.0, 0.5))))
+    conn = Connection.from_ratmat(
+        fuchsian_connection([1.0, -1.0],
+                            [random_matrix(rng, 2), random_matrix(rng, 2)]))
+    operands.clear()
+    push_connection(div, conn)
+    assert operands and not any(operands)
