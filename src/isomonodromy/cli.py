@@ -120,18 +120,21 @@ def _path_of(spec, state, pinned):
     elif kind == "line":
         idx = _pole_index(p["pole"], state, "path.pole")
         moved = [idx]
-        path = FlowPath.line(state, idx, ser.un_cx(p["displacement"]))
+        path = FlowPath.line(state, idx, ser.un_cx(p["displacement"],
+                                                   "path.displacement"))
     elif kind == "semicircle":
         idx = _pole_index(p["pole"], state, "path.pole")
         moved = [idx]
-        path = FlowPath.semicircle(state, idx, ser.un_cx(p["diameter"]),
+        path = FlowPath.semicircle(state, idx,
+                                   ser.un_cx(p["diameter"], "path.diameter"),
                                    upper=bool(p.get("upper", True)))
     elif kind == "irregular":
         idx = _irregular_pole(p["pole"], state, "path.pole", higher_ok=False)
-        rate = np.array([[ser.un_cx(v) for v in row] for row in p["rate"]],
-                        dtype=complex)
-        path = FlowPath.irregular_line(state, idx, rate,
-                                       length=float(p.get("length", 1.0)))
+        rate = ser.un_matrix(p["rate"], "path.rate")
+        length = float(p.get("length", 1.0))
+        if not np.isfinite(length):
+            raise _ParseFail(f"path.length: {length} is not finite")
+        path = FlowPath.irregular_line(state, idx, rate, length=length)
     else:
         raise _ParseFail(f"unknown path.kind {kind!r}")
     for idx in moved:
@@ -146,7 +149,9 @@ def _base_point(spec, poles):
     bp = spec.get("base_point", "auto")
     if bp == "auto":
         return None
-    z0 = ser.un_cx(bp)
+    z0 = ser.un_cx(bp, "base_point")
+    if not np.isfinite(z0):
+        raise _ParseFail(f"base_point: {bp!r} is not finite")
     p = pole_near(z0, poles)
     if p is not None:
         raise _ParseFail(f"base_point: base point {z0} too close to pole {p}")
@@ -217,8 +222,7 @@ def cmd_hamiltonian(spec, args):
     if irregular:
         idx = _irregular_pole(direction["pole"], state, "direction.pole",
                               higher_ok=True)
-        beta = np.array([[ser.un_cx(v) for v in row]
-                         for row in direction["beta"]], dtype=complex)
+        beta = ser.un_matrix(direction["beta"], "direction.beta")
     field_pole = None
     if spec.get("field"):
         fld = direction or {"kind": "translation", "pole": 0}

@@ -20,9 +20,9 @@ regular at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
-from math import isqrt
+from math import isfinite, isqrt, nextafter, sqrt
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolver, solve_ivp
@@ -213,6 +213,17 @@ def _compiled_eval(conn):
     return ev
 
 
+def _stacked(segments):
+    """One segment of the common class of ``segments`` whose fields are
+    columns, a row per segment: the class's own ``point_and_rate`` then
+    evaluates each segment at its row of parameters, all at once."""
+    out = object.__new__(type(segments[0]))
+    for f in fields(out):
+        object.__setattr__(out, f.name, np.array(
+            [getattr(seg, f.name) for seg in segments])[:, None])
+    return out
+
+
 class _LinearDOP853(OdeSolver):
     """DOP853 for stacked *lanes* ``y_k = [Y_k flattened, log det_k]`` with
     ``Y_k' = B_k(s) Y_k`` and ``(log det_k)' = tr B_k(s)``, each lane under
@@ -230,25 +241,26 @@ class _LinearDOP853(OdeSolver):
 
     Tableau, error estimate, start (``f0`` and ``select_initial_step``) and
     step-size control are scipy's DOP853, lane by lane: each lane keeps its
-    own ``t``, step size, rejection flag and minimum step, and so takes the
-    steps and the bits it takes alone.  A ``step`` advances every unfinished
-    lane by one accepted step, and rejected lanes retry together.  Each
-    round of attempts evaluates every pending lane's nodes in one product
-    and takes the stage, ``y_new`` and error-norm products stacked; the
-    block matrix, its solve and the step-size ``**`` stay per lane.  The
-    solver's ``t`` is the least lane ``t``, and ``nfev`` counts what stock
-    DOP853 counts: 2 evaluations per lane at the start and 12 per lane per
-    attempted step.
+    own ``t``, step size, and the rejection flag and minimum step of its
+    current step (from its last acceptance on), and so takes the steps and
+    the bits it takes alone.  Each round of attempts takes one step of
+    every unfinished lane: the nodes of each segment class are evaluated
+    at once by that class's own ``point_and_rate`` on columns of the
+    lanes' parameters (``_stacked``), and the block matrices, stage,
+    ``y_new`` and error-norm products are stacked; the ``ztrtrs`` solve and
+    the step-size ``**`` stay per lane.  A ``step`` returns once every lane
+    unfinished at its start has accepted a step; the solver's ``t`` is the
+    least lane ``t``, and ``nfev`` counts what stock DOP853 counts: 2
+    evaluations per lane at the start and 12 per lane per attempted step.
     """
 
     A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
     n_stages = DOP853.n_stages
     error_exponent = -1 / (DOP853.error_estimator_order + 1)
     STEP_SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
-    # tableau slices of _rk_step; h * (-a) is (-h) * a to the bit
+    # tableau slices of _rk_step
     nodes = C[1:]
     a0 = A[1:, 0][:, None, None]
-    neg_aT = (-A[1:, 1:].T)[:, None, :, None]
 
     def __init__(self, fun, t0, y0, t_bound, segments, names, rtol, atol,
                  vectorized=False):
@@ -256,16 +268,28 @@ class _LinearDOP853(OdeSolver):
                          support_complex=True)
         self.ev, self.segments, self.names = fun, segments, names
         self.rtol, self.atol = rtol, atol
+        self.direction = float(self.direction)
         self.width = self.n // len(segments)
-        self.dim = isqrt(self.width - 1)
+        n = self.dim = isqrt(self.width - 1)
+        m = self.n_stages - 1
+        # -a_sj at [j, 0, s, :], a contiguous stage row per (j, s), for
+        # _blocks; h * (-a) is (-h) * a to the bit
+        self.neg_aT = np.ascontiguousarray(np.broadcast_to(
+            (-self.A[1:, 1:].T)[:, None, :, None], (m, 1, m, n)))
         ys = self.y.reshape(len(segments), self.width)
         self.f = np.array([self._lane_rhs(seg, t0, y)
                            for seg, y in zip(segments, ys)])
-        self.h_abs = [select_initial_step(
+        h_abs = [float(select_initial_step(
             partial(self._lane_rhs, seg), t0, y, t_bound, np.inf, f,
-            self.direction, DOP853.error_estimator_order, rtol, atol)
+            self.direction, DOP853.error_estimator_order, rtol, atol))
             for seg, y, f in zip(segments, ys, self.f)]
-        self.ts = [t0] * len(segments)
+        self.ts = [float(t0)] * len(segments)
+        self.h_abs = [0.0] * len(segments)
+        self.min_step = [0.0] * len(segments)
+        self.rejected = [False] * len(segments)
+        for k, h in enumerate(h_abs):
+            self._start_step(k, h)
+        self._set_live(range(len(segments)))
         self.nfev = 2 * len(segments)
 
     def _lane_rhs(self, seg, s, y):
@@ -274,31 +298,56 @@ class _LinearDOP853(OdeSolver):
         out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
         return out
 
-    def _rk_step(self, lanes, y, t, h):
-        # K_s - h sum_{1 <= j < s} a_sj B_s K_j = B_s (Y + h a_s0 K_0),
-        # lane by lane
-        n, m, P = self.dim, self.n_stages - 1, len(lanes)
+    def _start_step(self, k, h_abs):
+        # scipy's start of a step at lane k's t: its minimum step, the step
+        # size raised to it, and no rejection yet
+        t = self.ts[k]
+        min_step = 10 * abs(nextafter(t, self.direction * np.inf) - t)
+        self.h_abs[k] = min_step if h_abs < min_step else h_abs
+        self.min_step[k] = min_step
+        self.rejected[k] = False
+
+    def _set_live(self, lanes):
+        # the unfinished lanes, and their segments stacked by class: each
+        # class fills its rows of a round's points
+        self.live = [k for k in lanes
+                     if self.direction * (self.ts[k] - self.t_bound) < 0]
+        rows = {}
+        for i, k in enumerate(self.live):
+            rows.setdefault(type(self.segments[k]), []).append(i)
+        self.groups = [
+            (slice(None) if len(rows) == 1 else r,
+             _stacked([self.segments[self.live[i]] for i in r]))
+            for r in rows.values()]
+
+    def _blocks(self, Bs, h):
+        # every lane's block matrix, built transposed and C-ordered, so
+        # that its transpose reaches LAPACK in Fortran order without a copy
+        return np.multiply(
+            h[:, None, None, None, None] * self.neg_aT,
+            np.ascontiguousarray(Bs.transpose(0, 3, 1, 2))[:, None])
+
+    def _rk_step(self, y, t, h):
+        # K_s - h sum_{1 <= j < s} a_sj B_s K_j = B_s (Y + h a_s0 K_0) for
+        # every live lane
+        n, m, P = self.dim, self.n_stages - 1, len(y)
         s = t[:, None] + self.nodes * h[:, None]
         z = np.empty((P, m), dtype=complex)
         dz = np.empty((P, m), dtype=complex)
-        for i, k in enumerate(lanes):
-            z[i], dz[i] = self.segments[k].point_and_rate(s[i])
+        for rows, seg in self.groups:
+            z[rows], dz[rows] = seg.point_and_rate(s[rows])
         E = self.ev(z.ravel(), dz.ravel()).reshape(P, m, self.width)
         Bs = E[..., :-1].reshape(P, m, n, n)
-        f = self.f[lanes]
+        f = self.f[self.live]
         Y = y[:, :-1].reshape(P, 1, n, n)
         K0 = f[:, :-1].reshape(P, 1, n, n)
         rhs = Bs @ (Y + (h[:, None, None, None] * self.a0) * K0)
+        T = self._blocks(Bs, h).reshape(P, m * n, m * n)
         K = np.empty((P, self.n_stages + 1, self.width), dtype=complex)
         K[:, 0] = f
         K[:, 1:-1, -1] = E[..., -1]
         for i in range(P):
-            # the block matrix is built transposed and C-ordered, so that
-            # its transpose reaches LAPACK in Fortran order without a copy
-            T = np.multiply(h[i] * self.neg_aT, Bs[i].transpose(2, 0, 1),
-                            order="C")
-            X, _ = ztrtrs(T.reshape(m * n, m * n).T,
-                          rhs[i].reshape(m * n, n), lower=1, unitdiag=1)
+            X, _ = ztrtrs(T[i].T, rhs[i].reshape(m * n, n), 1, 0, 1)
             K[i, 1:-1, :-1] = X.reshape(m, n * n)
         y_new = y + h[:, None] * np.matmul(self.B, K[:, :-1])
         f_new = E[:, -1]
@@ -309,90 +358,97 @@ class _LinearDOP853(OdeSolver):
         return y_new, f_new, K
 
     def _estimate_error_norms(self, K, h, scale):
-        # scipy's DOP853 estimate per lane, with np.linalg.norm's complex
-        # 2-norm sqrt(re.re + im.im) written out
-        err5 = np.matmul(self.E5, K) / scale
-        err3 = np.matmul(self.E3, K) / scale
-        norms5 = np.sqrt(np.vecdot(err5.real, err5.real)
-                         + np.vecdot(err5.imag, err5.imag))
-        norms3 = np.sqrt(np.vecdot(err3.real, err3.real)
-                         + np.vecdot(err3.imag, err3.imag))
+        # scipy's DOP853 estimate per lane: the E5 and E3 rows, each its own
+        # vector-matrix product, with np.linalg.norm's complex 2-norm
+        # sqrt(re.re + im.im) written out
+        err = np.empty((len(K), 2, self.width), dtype=complex)
+        np.matmul(self.E5, K, out=err[:, 0])
+        np.matmul(self.E3, K, out=err[:, 1])
+        err /= scale[:, None]
+        norms = np.sqrt(np.vecdot(err.real, err.real)
+                        + np.vecdot(err.imag, err.imag)).tolist()
         out = []
-        for h_k, norm5, norm3 in zip(h, norms5, norms3):
+        for h_k, (norm5, norm3) in zip(h, norms):
             err5_norm_2, err3_norm_2 = norm5 ** 2, norm3 ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 out.append(0.0)
                 continue
             denom = err5_norm_2 + 0.01 * err3_norm_2
-            out.append(np.abs(h_k) * err5_norm_2
-                       / np.sqrt(denom * self.width))
+            out.append(abs(h_k) * err5_norm_2 / sqrt(denom * self.width))
         return out
 
     def _step_impl(self):
-        # scipy's RungeKutta._step_impl for every unfinished lane
-        ys = self.y.reshape(len(self.segments), self.width)
-        ts, h_abs, min_step = {}, {}, {}
-        for k, t in enumerate(self.ts):
-            if self.direction * (t - self.t_bound) < 0:
-                ts[k] = t
-                min_step[k] = 10 * np.abs(
-                    np.nextafter(t, self.direction * np.inf) - t)
-                h_abs[k] = (min_step[k] if self.h_abs[k] < min_step[k]
-                            else self.h_abs[k])
-        y_next, f_next = ys.copy(), self.f.copy()
-        rejected = set()
-        pending = list(ts)
-        while pending:
-            hs, t_new = [], {}
-            for k in pending:
-                if h_abs[k] < min_step[k]:
+        # scipy's RungeKutta._step_impl for every unfinished lane, a round
+        # of attempts at a time, until each has accepted a step; accepted
+        # lanes go into a new state array, since solve_ivp keeps self.y
+        ys = self.y.reshape(len(self.segments), self.width).copy()
+        waiting = set(self.live)
+        while waiting:
+            live, ts, hs, t_new = self.live, [], [], []
+            for k in live:
+                h_abs = self.h_abs[k]
+                if h_abs < self.min_step[k]:
                     return False, f"{self.names[k]}: {self.TOO_SMALL_STEP}"
-                h = h_abs[k] * self.direction
-                t_new[k] = ts[k] + h
-                if self.direction * (t_new[k] - self.t_bound) > 0:
-                    t_new[k] = self.t_bound
-                h = t_new[k] - ts[k]
-                h_abs[k] = np.abs(h)
-                hs.append(h)
-            y = ys[pending]
-            y_new, f_new, K = self._rk_step(
-                pending, y, np.array([ts[k] for k in pending]), np.array(hs))
+                if not isfinite(h_abs):
+                    return False, (f"{self.names[k]}: step size {h_abs} is "
+                                   "not finite")
+                t = self.ts[k]
+                t1 = t + h_abs * self.direction
+                if self.direction * (t1 - self.t_bound) > 0:
+                    t1 = self.t_bound
+                ts.append(t)
+                hs.append(t1 - t)
+                t_new.append(t1)
+            y = ys[live]
+            y_new, f_new, K = self._rk_step(y, np.array(ts), np.array(hs))
             scale = (self.atol
                      + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol)
-            retry = []
-            for i, (k, error_norm) in enumerate(zip(
-                    pending, self._estimate_error_norms(K, hs, scale))):
+            accepted = []
+            for i, (k, h, error_norm) in enumerate(zip(
+                    live, hs, self._estimate_error_norms(K, hs, scale))):
+                h_abs = abs(h)
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = self.MAX_FACTOR
                     else:
                         factor = min(self.MAX_FACTOR, self.STEP_SAFETY
                                      * error_norm ** self.error_exponent)
-                    if k in rejected:
+                    if self.rejected[k]:
                         factor = min(1, factor)
-                    h_abs[k] *= factor
-                    self.ts[k], self.h_abs[k] = t_new[k], h_abs[k]
-                    y_next[k], f_next[k] = y_new[i], f_new[i]
+                    self.ts[k] = t_new[i]
+                    self._start_step(k, h_abs * factor)
+                    accepted.append(i)
+                    waiting.discard(k)
                 else:
-                    h_abs[k] *= max(self.MIN_FACTOR, self.STEP_SAFETY
-                                    * error_norm ** self.error_exponent)
-                    rejected.add(k)
-                    retry.append(k)
-            pending = retry
-
+                    self.h_abs[k] = h_abs * max(
+                        self.MIN_FACTOR,
+                        self.STEP_SAFETY * error_norm ** self.error_exponent)
+                    self.rejected[k] = True
+            if accepted:
+                lanes = [live[i] for i in accepted]
+                ys[lanes] = y_new[accepted]
+                self.f[lanes] = f_new[accepted]
+                if self.t_bound in (t_new[i] for i in accepted):
+                    self._set_live(live)
         self.t = min(self.ts)
-        self.y = y_next.ravel()
-        self.f = f_next
+        self.y = ys.ravel()
         return True, None
 
 
-def _check_clearance(conn, path):
-    if path.clearance < 2 * TAU_SEP:
+def _check_path(conn, path):
+    """Refuse a path with a point that is not finite, or one that comes
+    closer to a pole than its clearance (a NaN distance included)."""
+    for seg in path.segments:
+        for z in (seg.at(0.0), seg.at(1.0)):
+            if not np.isfinite(z):
+                raise PreconditionError(f"path point {z} of {seg} is not "
+                                        "finite")
+    if not path.clearance >= 2 * TAU_SEP:
         raise PreconditionError(
             f"path clearance {path.clearance} below the minimum {2 * TAU_SEP}")
     for p in conn.all_finite_poles():
         d = path.distance_to(p)
-        if d < path.clearance:
+        if not d >= path.clearance:
             raise PreconditionError(
                 f"path comes within {d:.3e} of the pole {p}; clearance is "
                 f"{path.clearance:.3e}")
@@ -417,16 +473,19 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
     ``path`` may also be a sequence of paths; the result is then a list
     with one entry per path.  The paths' ``j``-th legs are integrated
     together, one lane each of one ``_LinearDOP853`` run, and every path
-    gets the bits it gets alone.
+    gets the bits it gets alone.  A path point or ``Y0`` that is not
+    finite is refused with ``PreconditionError``.
     """
     paths = [path] if isinstance(path, Path) else list(path)
     for p in paths:
-        _check_clearance(conn, p)
+        _check_path(conn, p)
     n = conn.n
-    ev = _compiled_eval(conn)
-    rtol = max(SAFETY * tol, 1e-13)
     eye = np.eye(n, dtype=complex)
     Y = eye if Y0 is None else np.array(Y0, dtype=complex)
+    if not np.isfinite(Y).all():
+        raise PreconditionError("start matrix Y0 is not finite")
+    ev = _compiled_eval(conn)
+    rtol = max(SAFETY * tol, 1e-13)
     legs, retraced, ys = [], [], []
     for p in paths:
         segs = p.segments
@@ -502,6 +561,8 @@ def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
     checked against the identity and the defect stored on the result.
     """
     z0 = complex(z0)
+    if not np.isfinite(z0):
+        raise PreconditionError(f"base point {z0} is not finite")
     poles = conn.all_finite_poles()
     p = pole_near(z0, poles)
     if p is not None:

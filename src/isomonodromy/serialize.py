@@ -30,12 +30,23 @@ def cx(z):
     return [z.real, z.imag]
 
 
-def un_cx(v):
+def un_cx(v, where=None):
+    """``[re, im]`` as a complex number, ``"inf"`` as the point at infinity.
+
+    The pair must be finite: the point at infinity is only ever written
+    ``"inf"``, and no artifact written here holds a non-finite pair, so one
+    is an input error, reported at the field ``where``.
+    """
     if isinstance(v, str) and v == "inf":
         return INFINITY
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise MalformedInputError(f"expected [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+        problem = f"expected [re, im], got {v!r}"
+    else:
+        z = complex(float(v[0]), float(v[1]))
+        if z.real - z.real == 0 and z.imag - z.imag == 0:   # both finite
+            return z
+        problem = f"{v!r} is not finite"
+    raise MalformedInputError(f"{where}: {problem}" if where else problem)
 
 
 def point(p):
@@ -47,8 +58,9 @@ def matrix(M):
     return [[cx(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
 
 
-def un_matrix(rows):
-    return np.array([[un_cx(e) for e in row] for row in rows], dtype=complex)
+def un_matrix(rows, where=None):
+    return np.array([[un_cx(e, where) for e in row] for row in rows],
+                    dtype=complex)
 
 
 def ratscalar(f):
@@ -100,16 +112,17 @@ def connection(conn):
 
 def un_connection(d):
     pole_data = []
-    for p in d["poles"]:
-        t = un_cx(p["t"])
-        coeffs = [un_matrix(M) for M in p["coeffs"]]
+    for i, p in enumerate(d["poles"]):
+        t = un_cx(p["t"], f"poles[{i}].t")
+        coeffs = [un_matrix(M, f"poles[{i}].coeffs") for M in p["coeffs"]]
         coeffs.reverse()   # back to C_1 .. C_l
         pole_data.append((t, coeffs))
-    tail = [un_matrix(M) for M in d["tail"]] if d.get("tail") else None
+    tail = [un_matrix(M, "tail") for M in d["tail"]] if d.get("tail") \
+        else None
     base = None
     if d.get("base_pole"):
         bp = d["base_pole"]
-        base = BasePole(int(bp["k"]), un_cx(bp["point"]))
+        base = BasePole(int(bp["k"]), un_cx(bp["point"], "base_pole.point"))
     conn = Connection.from_polar_parts(pole_data, n=int(d["n"]), tail=tail,
                                        base_pole=base)
     return conn
@@ -121,10 +134,10 @@ def twist_site(site):
 
 
 def un_twist_site(d):
+    p = un_cx(d["p"], "site.p")
     if "params" in d:
-        return normal_form(un_cx(d["p"]), [un_cx(c) for c in d["params"]])
-    germ = np.stack([un_matrix(M) for M in d["T"]])
-    return TwistSite(un_cx(d["p"]), germ)
+        return normal_form(p, [un_cx(c, "site.params") for c in d["params"]])
+    return TwistSite(p, np.stack([un_matrix(M, "site.T") for M in d["T"]]))
 
 
 def matrix_divisor(div):
@@ -156,13 +169,15 @@ def un_flow_state(d):
         twist = un_matrix_divisor(d["twists"]) if d.get("twists") else None
         return FlowState.from_connection(conn, twist)
     poles = []
-    for p in d["poles"]:
+    for i, p in enumerate(d["poles"]):
         l = int(p["l"])
-        irr = np.array([[un_cx(v) for v in row] for row in p.get("irr", [])],
-                       dtype=complex).reshape(l - 1, -1) if l > 1 else None
-        u = np.stack([un_matrix(M) for M in p["u"]]) if p.get("u") else None
-        poles.append(PoleData(un_cx(p["t"]), l, un_matrix(p["h"]),
-                              un_matrix(p["res"]), irr, u))
+        irr = un_matrix(p.get("irr", []), f"poles[{i}].irr").reshape(
+            l - 1, -1) if l > 1 else None
+        u = np.stack([un_matrix(M, f"poles[{i}].u") for M in p["u"]]) \
+            if p.get("u") else None
+        poles.append(PoleData(un_cx(p["t"], f"poles[{i}].t"), l,
+                              un_matrix(p["h"], f"poles[{i}].h"),
+                              un_matrix(p["res"], f"poles[{i}].res"), irr, u))
     twist = un_matrix_divisor(d["twists"]) if d.get("twists") else None
     return FlowState(int(d["n"]), tuple(poles), twist)
 

@@ -85,3 +85,43 @@ def test_traced_monodromy_run_keeps_its_bits_and_counts(tmp_path,
     assert any(span[0] == "monodromy.transport" for span in t.spans)
     assert t.ivp["monodromy.solve_ivp"][0] == sum(nfev) > 0
     assert traced == untraced
+
+
+def test_traced_flow_run_keeps_its_bits_and_counts(tmp_path, monkeypatch):
+    """One in-process ``flow`` run, whose verification transports loops at
+    every sample, traced and not: the traced transport evaluations equal
+    the untraced run's, and both artifacts are byte-identical."""
+    mats = [0.4 * M for M in
+            random_fuchsian_matrices(np.random.default_rng(5), 2, 3)]
+    state = FlowState(2, tuple(PoleData(t, 1, np.eye(2), M)
+                               for t, M in zip([0.0, 1.5, -1.2], mats)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "state": ser.flow_state(state), "samples": 3,
+        "path": {"kind": "line", "pole": 1, "displacement": [0.2, 0.1]}}))
+
+    def run(out):
+        assert cli.main(["flow", "--input", str(spec),
+                         "--out", str(tmp_path / out)]) == 0
+        return [(tmp_path / out / name).read_bytes()
+                for name in ("trajectory.csv", "drift.json")]
+
+    nfev = []
+    real = monodromy.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    with monkeypatch.context() as m:
+        m.setattr(monodromy, "solve_ivp", counting)
+        untraced = run("untraced")
+    t = load_tracer().Tracer()
+    try:
+        t.install()
+        traced = run("traced")
+    finally:
+        t.remove()
+    assert t.ivp["monodromy.solve_ivp"][0] == sum(nfev) > 0
+    assert traced == untraced

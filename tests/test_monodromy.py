@@ -2,6 +2,9 @@ import ast
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path as FsPath
 
@@ -27,6 +30,7 @@ from isomonodromy.monodromy import (
     Path,
     _compiled_eval,
     _LinearDOP853,
+    _stacked,
     conjugacy_invariants,
     monodromy_rep,
     transport,
@@ -116,8 +120,26 @@ class TestTransport:
         with pytest.raises(PreconditionError):
             transport(conn, Path.line(-1.0, 1.0))  # runs through the pole
 
+    @pytest.mark.parametrize("path, Y0", [
+        (Path.line(-1.0 - 1.0j, complex(np.nan, 1.0)), None),
+        (Path.circle(3.0, np.inf), None),
+        (Path((ArcSegment(3.0, 1.0, 0.0, np.inf),)), None),
+        (Path.line(-1.0 - 1.0j, 1.0 - 1.0j), np.full((2, 2), np.nan))])
+    def test_non_finite_input_refused(self, path, Y0):
+        conn = fuchsian([0.0], [np.eye(2, dtype=complex)])
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(PreconditionError, match="not finite"):
+            transport(conn, path, Y0=Y0)
+
 
 class TestMonodromyRep:
+    @pytest.mark.parametrize("z0", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                    complex(0.0, np.nan)])
+    def test_non_finite_base_point_refused(self, rng, z0):
+        conn = fuchsian([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))
+        with pytest.raises(PreconditionError, match="not finite"):
+            monodromy_rep(conn, z0)
+
     def test_zero_connection_all_identity(self):
         # declared poles with vanishing polar parts: loops give the identity
         conn = Connection.from_polar_parts(
@@ -574,6 +596,210 @@ class TestBatchedTransport:
             transport(conn, [TRIANGLE, Path((poisoned,))], self.TOL)
         assert f"path 1, {poisoned}" in str(err.value)
         assert "Required step size" in str(err.value)
+
+
+def same_bytes(a, b):
+    """Arrays equal to the bit, signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def lane_solver(conn, segments):
+    n = conn.n
+    y0 = np.tile(np.append(np.eye(n, dtype=complex), 0.0), len(segments))
+    return _LinearDOP853(_compiled_eval(conn), 0.0, y0, 1.0,
+                         segments=segments, names=[str(seg) for seg in
+                                                   segments],
+                         rtol=1e-10, atol=1e-10)
+
+
+class TestLockStepRound:
+    """A round of attempts is stacked over its lanes; each stacked piece
+    gives every lane the bits of its own per-lane form."""
+
+    def test_stacked_points_are_each_segments(self, rng):
+        def cx():
+            return complex(*rng.standard_normal(2))
+        families = [
+            [LineSegment(cx(), cx()) for _ in range(4)],
+            [ArcSegment(cx(), float(rng.uniform(0.05, 2)), th,
+                        th + float(rng.uniform(-7, 7)))
+             for th in rng.uniform(-4, 4, 3)],
+            [Path.keyhole(cx(), cx(), 0.3).segments[1] for _ in range(2)],
+            # a subclass's own point_and_rate applies to its columns
+            [PoisonedLine(cx(), cx()) for _ in range(3)],
+        ]
+        for segs in families:
+            for _ in range(50):
+                s = rng.uniform(0, 1, (len(segs), 11))
+                with np.errstate(invalid="ignore"):
+                    z, dz = _stacked(segs).point_and_rate(s)
+                    dz = np.broadcast_to(dz, s.shape)
+                    for seg, row, z_k, dz_k in zip(segs, s, z, dz):
+                        want_z, want_dz = seg.point_and_rate(row)
+                        assert same_bytes(z_k, want_z)
+                        assert same_bytes(
+                            dz_k, np.broadcast_to(want_dz, row.shape))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_block_matrices_are_per_lane_products(self, rng, n):
+        solver = lane_solver(fuchsian([0.0], [random_matrix(rng, n)]),
+                             [LineSegment(1.0, 2.0)])
+        neg_aT = (-DOP853.A[1:, 1:].T)[:, None, :, None]
+        for _ in range(300):
+            P = int(rng.integers(1, 6))
+            Bs = (rng.standard_normal((P, 11, n, n))
+                  + 1j * rng.standard_normal((P, 11, n, n))) \
+                * 10.0 ** rng.integers(-4, 5)
+            h = rng.uniform(0, 1, P) * 10.0 ** rng.integers(-6, 1)
+            got = solver._blocks(Bs, h)
+            for i in range(P):
+                want = np.multiply(h[i] * neg_aT, Bs[i].transpose(2, 0, 1),
+                                   order="C")
+                assert same_bytes(got[i], want)
+
+    def test_error_norms_are_scipys_in_every_lane(self, rng):
+        # enough norms that a squaring other than libm's pow(x, 2) shows
+        solver = lane_solver(fuchsian([0.0], [random_matrix(rng, 2)]),
+                             [LineSegment(1.0, 2.0)] * 4)
+        for trial in range(3000):
+            K = (rng.standard_normal((4, 13, 5))
+                 + 1j * rng.standard_normal((4, 13, 5))) \
+                * 10.0 ** rng.integers(-8, 8)
+            h = (rng.uniform(0, 1, 4) * 10.0 ** rng.integers(-6, 1)).tolist()
+            scale = 1e-12 + rng.uniform(0, 1e-9, (4, 5))
+            got = solver._estimate_error_norms(K, h, scale)
+            for k in range(4):
+                want = DOP853._estimate_error_norm(solver, K[k], h[k],
+                                                   scale[k])
+                assert same_bits(got[k], want), (trial, k)
+
+    def test_each_lane_keeps_scipys_step_control(self, rng):
+        # error norms drawn at random drive three lanes; each lane's
+        # attempts follow RungeKutta._step_impl, with libm's ** and the
+        # rejection flag and minimum step of its current step, while every
+        # unfinished lane attempts in every round
+        segs = [LineSegment(1.0, 2.0), LineSegment(1.0j, 2.0j),
+                ArcSegment(0.0, 1.5, 0.0, 1.0)]
+        solver = lane_solver(fuchsian([0.0], [random_matrix(rng, 2)]), segs)
+        h0 = list(solver.h_abs)
+        attempts = [[] for _ in segs]
+        rounds = []
+        rk_step = solver._rk_step
+
+        def recording_rk_step(y, t, h):
+            # each live lane's t, its step size before the cut at the end
+            # of the interval, and its step
+            rounds.append(list(solver.live))
+            for k, t_k, h_k in zip(solver.live, t.tolist(), h.tolist()):
+                attempts[k].append([t_k, solver.h_abs[k], h_k])
+            return rk_step(y, t, h)
+
+        def drawn_norms(K, h, scale):
+            norms = [0.0 if rng.uniform() < 0.05 else float(rng.uniform(0, 1.6))
+                     for _ in h]
+            for k, norm in zip(solver.live, norms):
+                attempts[k][-1].append(norm)
+            return norms
+
+        solver._rk_step = recording_rk_step
+        solver._estimate_error_norms = drawn_norms
+        while solver.status == "running":
+            solver.step()
+        assert solver.status == "finished"
+        for k in range(len(segs)):
+            t, h_abs, i = 0.0, h0[k], 0
+            while t < 1.0:
+                min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+                h_abs = max(h_abs, min_step)
+                rejected = False
+                while True:
+                    t_new = min(t + h_abs, 1.0)
+                    h = t_new - t
+                    assert attempts[k][i][:3] == [t, h_abs, h], (k, i)
+                    h_abs = abs(h)
+                    norm = attempts[k][i][3]
+                    i += 1
+                    if norm < 1:
+                        factor = 10 if norm == 0 else min(
+                            10, 0.9 * norm ** (-1 / 8))
+                        if rejected:
+                            factor = min(1, factor)
+                        h_abs *= factor
+                        t = t_new
+                        break
+                    h_abs *= max(0.2, 0.9 * norm ** (-1 / 8))
+                    rejected = True
+            assert i == len(attempts[k])
+        assert len(rounds) == max(map(len, attempts))
+        assert all(rounds[r] == [k for k in range(len(segs))
+                                 if r < len(attempts[k])]
+                   for r in range(len(rounds)))
+        assert solver.nfev == 2 * len(segs) + 12 * sum(map(len, attempts))
+
+    def test_a_round_per_attempt_of_the_slowest_lane(self, rng,
+                                                     monkeypatch):
+        # one leg of a 4-keyhole representation takes as many rounds as its
+        # slowest lane takes attempts, (nfev - 2) / 12 when run alone
+        conn = fuchsian([-1.5, -0.2, 0.9, 2.1],
+                        random_fuchsian_matrices(rng, 2, 4))
+        rounds = count_calls(monkeypatch, _LinearDOP853, "_rk_step")
+        nfev = []
+        real = monodromy_module.solve_ivp
+
+        def recording(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(monodromy_module, "solve_ivp", recording)
+        rep = monodromy_rep(conn, 0.3 - 2.5j, tol=1e-10)
+        batch_rounds = len(rounds)
+        attempts = []
+        for loop in rep.loops:
+            nfev.clear()
+            transport(conn, loop, 1e-10)
+            assert all((k - 2) % 12 == 0 for k in nfev)
+            attempts.append([(k - 2) // 12 for k in nfev])
+        assert len(attempts) == 4 and all(len(a) == 2 for a in attempts)
+        assert batch_rounds == sum(max(leg) for leg in zip(*attempts))
+
+
+# a segment whose rate is NaN from its start: the first step size is NaN
+NAN_RATE_RUN = """
+import dataclasses
+import numpy as np
+from isomonodromy.connection import Connection
+from isomonodromy.errors import IntegrationAbort
+from isomonodromy.monodromy import LineSegment, Path, transport
+
+@dataclasses.dataclass(frozen=True)
+class NanLine(LineSegment):
+    def point_and_rate(self, s):
+        z, d = super().point_and_rate(s)
+        return z, d * np.nan
+
+conn = Connection.from_polar_parts([(0.0, [np.eye(2)])])
+with np.errstate(invalid="ignore"):
+    try:
+        transport(conn, [Path.line(-1.0 - 2.0j, 1.0 - 2.0j),
+                         Path((NanLine(-1.0 - 1.0j, 1.0 - 1.0j),))])
+    except IntegrationAbort as exc:
+        print(exc)
+"""
+
+
+def test_nan_step_size_aborts_its_lane():
+    # a NaN step size passes the minimum-step guard, so a regression would
+    # shrink it forever: the run goes to a child process with a timeout
+    src = str(FsPath(monodromy_module.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", NAN_RATE_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "path 1, NanLine(" in proc.stdout
+    assert "step size nan is not finite" in proc.stdout
 
 
 class TestPolarPartsCache:

@@ -1,0 +1,39 @@
+"""``tools/same_bits.py`` compares a checkout with itself without a
+difference, and its comparison flags a planted one."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "same_bits.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("same_bits", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_checkout_against_itself_has_no_difference():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT),
+         "--workload", "monodromy-scan", "--seeds", "1009", "--cases", "3"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    [line] = proc.stdout.splitlines()
+    assert line.startswith("monodromy-scan seed 1009: 3 cases, ")
+    assert line.endswith(" failed, 0 differ")
+
+
+def test_a_planted_difference_is_flagged():
+    differences = load_tool().differences
+    old = [["a", "d1", None], ["b", "d2", None], ["c", None, "exit 2: x"]]
+    assert differences(old, [list(row) for row in old]) == []
+    new = [["a", "d1", None], ["b", "d3", None], ["c", None, "exit 3: y"]]
+    assert differences(old, new) == [
+        "b: ('d2', None) -> ('d3', None)",
+        "c: (None, 'exit 2: x') -> (None, 'exit 3: y')"]
+    assert differences(old, old[:2]) == ["c: (None, 'exit 2: x') -> None"]

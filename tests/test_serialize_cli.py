@@ -382,6 +382,57 @@ class TestCli:
         assert "too close to pole (-0.35+0j)" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("monodromy", "base_point", ["nan", 0]),
+        ("monodromy", "base_point", ["inf", 0]),
+        ("monodromy", "base_point", "inf"),
+        ("flow", "base_point", ["nan", 0]),
+        ("monodromy", "poles[0].res", ["nan", 0]),
+        ("flow", "poles[1].t", ["nan", 0]),
+        ("flow", "path.displacement", ["nan", 0]),
+        ("flow", "path.displacement", ["inf", 0]),
+        ("flow", "path.diameter", [0, "nan"]),
+        ("flow", "path.diameter", ["inf", 0]),
+        ("flow", "path.rate", ["nan", 0]),
+        ("flow", "path.length", "nan")])
+    def test_non_finite_number_refused_before_any_work(
+            self, flow_spec, tmp_path, rng, monkeypatch, capsys, command,
+            field, value):
+        # each is a parse error naming its field; none reaches transport
+        # or the flow, where a NaN once hung the run
+        monkeypatch.setattr("isomonodromy.cli.integrate_flow", _no_work)
+        monkeypatch.setattr("isomonodromy.cli.monodromy_rep", _no_work)
+        spec = json.loads(flow_spec.read_text())
+        if field in ("path.rate", "path.length"):
+            res = 0.3 * random_matrix(rng, 2)
+            state = FlowState(2, (
+                PoleData(0.0, 2, np.eye(2), res, np.array([[0.4, -0.45]])),
+                PoleData(2.0, 1, np.eye(2), -res)))
+            spec["state"] = ser.flow_state(state)
+            spec["path"] = {"kind": "irregular", "pole": 0,
+                            "rate": [[[0.5, 0.0], [-0.5, 0.0]]]}
+        if field == "path.displacement":
+            spec["path"] = {"kind": "line", "pole": 1, "displacement": value}
+        elif field == "path.diameter":
+            spec["path"]["diameter"] = value
+        elif field == "path.rate":
+            spec["path"]["rate"][0][1] = value
+        elif field == "path.length":
+            spec["path"]["length"] = value
+        elif field == "poles[0].res":
+            spec["state"]["poles"][0]["res"][1][0] = value
+        elif field == "poles[1].t":
+            spec["state"]["poles"][1]["t"] = value
+        else:
+            spec[field] = value
+        flow_spec.write_text(json.dumps(spec))
+        assert cli_main([command, "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {field}: ")
+        assert err.rstrip().endswith("is not finite")
+        assert not (tmp_path / "o").exists()
+
     def test_base_point_on_a_twist_point(self, tmp_path, rng, monkeypatch,
                                          capsys):
         monkeypatch.setattr("isomonodromy.cli.integrate_flow", _no_work)

@@ -1,0 +1,112 @@
+"""Same-bits check: run the benchmark's cases under two checkouts and list
+every case whose artifacts or failure cause differ.
+
+    python3 tools/same_bits.py OLD NEW --workload monodromy-scan flow-sweep \\
+        --seeds 1009 1 2 3 [--cases N]
+
+``OLD`` and ``NEW`` are checkout directories.  For each workload and seed,
+each checkout runs in its own subprocess, with one BLAS thread as in
+``bench/run.py``: it imports the library from its own ``src`` and
+``bench/workloads.py``, generates the seeded cases under a temporary
+directory, and runs ``workloads.run_case`` on every case (the first ``N``
+with ``--cases``) and on the workload's probe.  The digest of each case's
+deterministic artifacts and its failure cause are compared.  Prints every
+case that differs; the exit status is 1 if there is one, else 0.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("flow-sweep", "monodromy-scan")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+# argv: checkout, workload, seed, output directory, case limit (-1: all);
+# prints one JSON list of [label, digest, cause]
+CHILD = r"""
+import json, sys
+from pathlib import Path
+root, workload, seed, out, limit = sys.argv[1:]
+sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "bench")]
+import workloads
+cases, probe = workloads.generate(workload, int(seed), Path(out))
+if int(limit) >= 0:
+    cases = cases[:int(limit)]
+if probe is not None:
+    probe.label = f"{workload}/probe/{probe.label}"
+    cases.append(probe)
+rows = []
+for case in cases:
+    result = workloads.run_case(case)
+    rows.append([case.label, result.digest, result.cause])
+print(json.dumps(rows))
+"""
+
+
+def start(checkout, workload, seed, out_dir, limit):
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    return subprocess.Popen(
+        [sys.executable, "-c", CHILD, str(Path(checkout).resolve()),
+         workload, str(seed), str(out_dir), str(limit)],
+        stdout=subprocess.PIPE, env=env, text=True)
+
+
+def finish(proc, checkout):
+    out, _ = proc.communicate()
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: case runner exited {proc.returncode}")
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def differences(old, new):
+    """One line per case whose digest or failure cause differs between two
+    runs' ``[label, digest, cause]`` rows, or that only one run has."""
+    before = {label: (digest, cause) for label, digest, cause in old}
+    after = {label: (digest, cause) for label, digest, cause in new}
+    out = []
+    for label in dict.fromkeys([*before, *after]):
+        a, b = before.get(label), after.get(label)
+        if a != b:
+            out.append(f"{label}: {a} -> {b}")
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("--workload", nargs="+", choices=WORKLOADS,
+                        default=list(WORKLOADS))
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1009])
+    parser.add_argument("--cases", type=int, default=-1,
+                        help="run only the first N cases (and the probe)")
+    args = parser.parse_args(argv)
+
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in args.workload:
+            for seed in args.seeds:
+                dirs = [Path(tmp) / f"{workload}-{seed}-{side}"
+                        for side in ("old", "new")]
+                procs = [start(root, workload, seed, d, args.cases)
+                         for root, d in zip((args.old, args.new), dirs)]
+                old, new = (finish(p, root) for p, root
+                            in zip(procs, (args.old, args.new)))
+                lines = differences(old, new)
+                differ += len(lines)
+                failed = sum(cause is not None for _, _, cause in new)
+                print(f"{workload} seed {seed}: {len(new)} cases, "
+                      f"{failed} failed, {len(lines)} differ")
+                for line in lines:
+                    print(f"  {line}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
