@@ -13,12 +13,7 @@ from .connection import (
     Connection,
     DiagonalJetPair,
     PolarDivisor,
-    eigenvalue_jets,
-    formal_diagonalize,
-    gauge_transform,
     polar_decompose,
-    reconstruction_defect,
-    spectral_quadratic,
 )
 from .errors import (
     DegenerateChartError,
@@ -95,16 +90,13 @@ __all__ = [
     "MonodromyRep", "Path", "PolarDivisor", "PoleData", "PoleDomainError",
     "PreconditionError", "RatMat", "RatScalar", "RegularityError",
     "TangentVec", "Trajectory", "TwistSite", "auto_base_point",
-    "conjugacy_invariants", "degree", "direction_differential",
-    "eigenvalue_jets", "extend_state", "extended_autonomous_rhs",
-    "formal_diagonalize", "gauge_transform", "gram_matrix",
-    "hamiltonian_beta_B", "hamiltonian_vector_field",
-    "induced_polar_variations", "integrate_extended", "integrate_flow",
-    "is_infinity", "isomonodromic_rhs", "lift_I0", "monodromy_rep",
-    "normal_form", "polar_decompose", "pull_connection", "push_connection",
-    "reconstruction_defect", "residue", "residue_pairing",
-    "residue_quadrature_oracle", "residue_sum_all_poles",
-    "section_S", "spectral_quadratic", "symplectic_form",
-    "total_trace_residue", "translation_hamiltonian_values", "transport",
-    "verify_isomonodromy",
+    "conjugacy_invariants", "degree", "direction_differential", "extend_state",
+    "extended_autonomous_rhs", "gram_matrix", "hamiltonian_beta_B",
+    "hamiltonian_vector_field", "induced_polar_variations",
+    "integrate_extended", "integrate_flow", "is_infinity", "isomonodromic_rhs",
+    "lift_I0", "monodromy_rep", "normal_form", "polar_decompose",
+    "pull_connection", "push_connection", "residue", "residue_pairing",
+    "residue_quadrature_oracle", "residue_sum_all_poles", "section_S",
+    "symplectic_form", "total_trace_residue", "translation_hamiltonian_values",
+    "transport", "verify_isomonodromy",
 ]

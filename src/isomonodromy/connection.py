@@ -209,36 +209,13 @@ def polar_decompose(A):
     return pole_data, tail
 
 
-def extension_jet(C, k, dist, m_max):
-    """Taylor coefficients at orders 0..m_max of ``C/(zeta+dist)**k``: the
-    polar term ``C/(z-t)**k`` seen from a point at ``dist`` from ``t``."""
-    out = np.zeros((m_max + 1,) + np.shape(C), dtype=complex)
-    for m in range(m_max + 1):
-        out[m] = C * ((-1) ** m * math.comb(k + m - 1, m)
-                      * dist ** (-(k + m)))
-    return out
-
-
-def gauge_transform(conn, g):
-    """Act by the bundle map ``g``: ``A -> -dg g^-1 + g A g^-1``.
-
-    ``g`` may be any generically invertible rational matrix; zeros of
-    ``det g`` enter the pole set of the result.
-    """
-    if isinstance(g, np.ndarray):
-        g = RatMat.from_constant(g)
-    ginv = g.inverse()  # raises on identically singular g
-    new = (-(g.derivative() @ ginv)) + (g @ conn.matrix @ ginv)
-    return Connection.from_ratmat(new, base_pole=conn.base_pole)
-
-
-def spectral_quadratic(conn):
-    """The scalar ``q = tr(A^2)`` of the spectral quadratic differential
-    ``q dz^2``, as a ``RatScalar``.
-
-    Its poles are bounded by twice the divisor plus twice the twist locus.
-    """
-    return (conn.matrix @ conn.matrix).trace()
+def extension_weights(k, dist, m_max):
+    """Taylor coefficients at orders 0..m_max of ``1/(zeta+dist)**k``: the
+    polar term ``C/(z-t)**k``, seen from a point at ``dist`` from ``t``, has
+    the coefficients ``C * w``.  ``dist`` and the weights are Python complex
+    numbers; a numpy ``dist`` changes ``dist ** -(k+m)`` in the last bit."""
+    return [(-1) ** m * math.comb(k + m - 1, m) * dist ** (-(k + m))
+            for m in range(m_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -386,39 +363,3 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
     Bjet = LaurentJet(Ajet.point, -l, np.stack(B), 1)
     dB = None if dA is None else np.einsum("kxaa->xka", np.stack(dBs))
     return DiagonalJetPair(Z, Bjet, dB)
-
-
-def formal_diagonalize(conn, p, order):
-    """Diagonalize ``A`` at the pole ``p`` through the given truncation order.
-
-    The leading coefficient must be regular (distinct eigenvalues, gap above
-    ``TAU_REG``); the eigenvalue branches are ordered lexicographically by
-    (re, im) of the leading eigenvalues.  The defect
-    ``A - (dZ Z^-1 + Z B Z^-1)`` vanishes through Laurent order
-    ``order - l``.
-    """
-    l = max(1, conn.matrix.pole_order(p))
-    jet = conn.laurent(p, order - l)
-    return diagonalize_jet(jet, order, include_derivative=True)
-
-
-def eigenvalue_jets(conn, p, order):
-    """Pointwise eigenvalue jets of ``A(z)`` at ``p`` (similarity only)."""
-    l = max(1, conn.matrix.pole_order(p))
-    jet = conn.laurent(p, order - l)
-    pair = diagonalize_jet(jet, order, include_derivative=False)
-    return pair.b_diag
-
-
-def reconstruction_defect(conn, p, pair, order):
-    """Laurent coefficients of ``A - (dZ Z^-1 + Z B Z^-1)`` through order-l."""
-    l = -pair.B.k_min
-    Z = pair.Z
-    Zinv = Z.inverse()
-    dZ = Z.derivative(as_form=True)
-    model = dZ * Zinv + Z * pair.B * Zinv
-    Ajet = conn.laurent(p, order - l)
-    out = []
-    for k in range(-l, order - l + 1):
-        out.append(Ajet.coefficient(k) - model.coefficient(k))
-    return np.stack(out)

@@ -43,7 +43,7 @@ from .symplectic import (
     d_hamiltonian_beta_B,
     d_translation_hamiltonian,
     hamiltonian_vector_field,
-    pole_jet_variation,
+    jet_variations,
     translation_hamiltonian_values,
 )
 
@@ -291,10 +291,13 @@ def _integrate(start, state, field, tol, n_samples):
     def rhs(s, y):
         return field(s, start.with_flat(y))
 
+    # scipy raises rtol to its floor 100 eps with a warning; the floor is
+    # applied here, to the same value, without one
+    rtol = max(SAFETY * tol, 100 * np.finfo(float).eps)
     svals = np.linspace(0.0, 1.0, n_samples)
     for s0, s1 in zip(svals[:-1], svals[1:]):
         sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", events=events,
-                        rtol=SAFETY * tol, atol=SAFETY * tol)
+                        rtol=rtol, atol=SAFETY * tol)
         if not sol.success:
             raise IntegrationAbort("stiffness",
                                    f"flow integration failed: {sol.message}")
@@ -455,7 +458,7 @@ def _section_rates(direction, state):
     The frozen fiber keeps every frame, so irregular rates move pole j's
     polar coefficients by the polar part of ``F dLambda F^-1``, and position
     rates move another pole's polar term as seen from pole i by
-    ``d/d dist extension_jet(C, k, dist) = -k extension_jet(C, k+1, dist)``.
+    ``d/d dist C (zeta + dist)**-k = -k C (zeta + dist)**-(k+1)``.
     The q slots pair the resulting jet variations with the jets; the b slots
     take them through one tangent pass of the formal diagonalization.
     """
@@ -464,23 +467,28 @@ def _section_rates(direction, state):
     for i, rate in direction.moduli_rates.items():
         dt[i] = rate
     dC = []
-    for j, p in enumerate(poles):
-        dlam = np.zeros((1, p.l, p.n, p.n), dtype=complex)
-        for r, row in enumerate(direction.irregular_rates.get(j, ())):
-            dlam[0, r + 1] = np.diag(row)
-        dC.append(p.dressed_polar(dlam))
+    for g in state.groups:
+        dlam = np.zeros((len(g.index), 1, g.l, g.n, g.n), dtype=complex)
+        for r, j in enumerate(g.index):
+            for s, row in enumerate(direction.irregular_rates.get(j, ())):
+                dlam[r, 0, s + 1] = np.diag(row)
+        dC.append(g.dressed_polar(dlam))
     dq, db = [], []
     for i, p in enumerate(poles):
-        dJ = sum(pole_jet_variation(state, i, j, dC[j], p.l - 1)
-                 for j in range(len(poles)))
+        terms = [None] * len(poles)
+        for g, dCg in zip(state.groups, dC):
+            for j, term in zip(g.index, jet_variations(state, i, g.index, dCg,
+                                                       p.l - 1)):
+                terms[j] = term
+        dJ = sum(terms)
         for j, q in enumerate(poles):
             if j != i and dt[i] != dt[j]:
                 # the order k term -k C_k becomes the order k + 1 term
-                shifted = np.zeros((1, q.l + 1, p.n, p.n), dtype=complex)
-                shifted[0, 1:] = (-(dt[i] - dt[j])
-                                  * np.arange(1, q.l + 1)[:, None, None]
-                                  * np.asarray(state.polar[j]))
-                dJ = dJ + pole_jet_variation(state, i, j, shifted, p.l - 1)
+                shifted = np.zeros((1, 1, q.l + 1, p.n, p.n), dtype=complex)
+                shifted[0, 0, 1:] = (-(dt[i] - dt[j])
+                                     * np.arange(1, q.l + 1)[:, None, None]
+                                     * np.asarray(state.polar[j]))
+                dJ = dJ + jet_variations(state, i, (j,), shifted, p.l - 1)[0]
         # q_i = 2 sum_k tr(C_k R_{k-1}), with C_k at jet row l - k and
         # R_m at row l + m
         rows = dJ[0]

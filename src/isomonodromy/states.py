@@ -17,21 +17,33 @@ jet group).  What remains is exactly a symplectic chart on the partially
 reduced space.  Trivialization jets over the divisor are the inverses of
 the frame jets.
 
-A ``PoleData`` owns its frame.  ``h`` is inverted once, on construction,
-where a singular or non-finite ``h`` is refused with the pole's position.
-``unipotent`` (the jets of ``I + u`` and of its inverse) and ``frame`` (the
-jets of ``F = h (I + u)`` and of ``F^-1``) are computed once, on first use,
-and ``dressed_polar`` is the one map from dressed polar jets to connection
-polar coefficients: ``polar_coeffs()`` dresses ``lam_jet()``, and the chart
-layer and the flows dress their variations with it.  The rule for a
-regular leading term is ``connection.check_regular``.
+A ``PoleData`` is one pole's data.  Its frame ``h`` is inverted on
+construction, where a singular or non-finite ``h`` is refused with the
+pole's position.  The rule for a regular leading term is
+``connection.check_regular``.
+
+A ``PoleGroup`` stacks the poles of one order along a leading group axis
+(all poles share the rank), and everything derived from a pole is computed
+once per group, on first use: ``unipotent`` (the jets of ``I + u`` and of
+its inverse), ``frame`` (the jets of ``F = h (I + u)`` and of ``F^-1``),
+``lam_jet`` and ``polar``.  ``dressed_polar`` is the one map from dressed
+polar jets to connection polar coefficients: ``polar`` dresses
+``lam_jet``, and the chart layer and the flows dress their variations
+with it.  The batched products give every pole exactly the bits a product
+of its own would; a single pole is a group of one (``polar_coeffs``,
+``with_chart_slice``).  Pole positions stay Python complex numbers, because
+``connection.extension_weights`` takes powers of their differences.
 
 A ``FlowState`` owns the data derived from its poles, each computed once, on
-first use: the polar coefficients (``polar``), the regular jets of the other
-poles' polar parts at every pole (``regular_jets``) and the chart layer's
-per-pole blocks (``blocks``).  ``jet_at_pole`` and ``diagonal_jet`` assemble
-a pole's Laurent jet and formal diagonal jet from them.  The chart layer and
-the flows read these attributes and take only the state.
+first use: its groups (``groups``, by order in order of first appearance,
+with each pole's index and chart coordinates), the polar coefficients
+(``polar``), the regular jets of the other poles' polar parts at every pole
+(``regular_jets``, summed group by group) and the chart layer's per-group
+blocks (``blocks``).  ``jet_at_pole`` and ``diagonal_jet`` assemble a
+pole's Laurent jet and formal diagonal jet from them.  The chart layer and
+the flows read these attributes and take only the state.  ``with_flat``
+unpacks a flat vector group by group, inverting each group's frames in one
+call, and the new state keeps those groups.
 
 Chart-vector layout, per pole: the ``n^2`` entries of ``h`` (row-major),
 then for each jet order ``k = 1 .. l-2`` the ``n^2 - n`` off-diagonal
@@ -52,7 +64,7 @@ from .connection import (
     _sorted_eig,
     check_regular,
     diagonalize_jet,
-    extension_jet,
+    extension_weights,
 )
 from .errors import MalformedInputError
 from .ratfun import LaurentJet
@@ -69,6 +81,28 @@ def _shaped(value, name, shape):
     return arr
 
 
+def _frame_inverses(ts, H):
+    """Inverses of the frames ``H`` (stacked, one per pole position in
+    ``ts``), in one call; a singular or non-finite frame is refused with its
+    pole's position."""
+    try:
+        H_inv = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        H_inv = None
+    # an infinite entry can have a finite inverse, so both are checked
+    if H_inv is not None and np.isfinite(H).all() and np.isfinite(H_inv).all():
+        return H_inv
+    for t, h in zip(ts, H):
+        try:
+            ok = np.isfinite(np.linalg.inv(h)).all() and np.isfinite(h).all()
+        except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
+            raise MalformedInputError(
+                f"h: the frame at the pole t = {t} is singular or not "
+                f"finite: h = {h.tolist()}")
+
+
 @dataclass(frozen=True)
 class PoleData:
     """Canonical data of one pole: position, order, frame jet, dressed polar."""
@@ -81,29 +115,32 @@ class PoleData:
     u: np.ndarray                  # (max(l-2,0), n, n) off-diagonal jet, row k <-> order k+1
 
     def __init__(self, t, l, h, lam_res, lam_irr=None, u=None):
-        object.__setattr__(self, "t", complex(t))
-        object.__setattr__(self, "l", int(l))
-        if self.l < 1:
-            raise MalformedInputError(f"l: pole order {self.l} is below 1")
+        t, l = complex(t), int(l)
+        if l < 1:
+            raise MalformedInputError(f"l: pole order {l} is below 1")
         h = np.asarray(h, dtype=complex)
         n = h.shape[0] if h.ndim else 0
-        n_u = max(self.l - 2, 0)
-        object.__setattr__(self, "h", _shaped(h, "h", (n, n)))
-        try:
-            h_inv = np.linalg.inv(self.h)
-        except np.linalg.LinAlgError:
-            h_inv = None
-        # an infinite entry can have a finite inverse, so both are checked
-        if h_inv is None or not (np.isfinite(self.h).all()
-                                 and np.isfinite(h_inv).all()):
-            raise MalformedInputError(
-                f"h: the frame at the pole t = {self.t} is singular or not "
-                f"finite: h = {self.h.tolist()}")
-        object.__setattr__(self, "_h_inv", h_inv)
+        h = _shaped(h, "h", (n, n))
+        self._fill(t, l, h, _frame_inverses([t], h[None])[0],
+                   lam_res, lam_irr, u)
+
+    @classmethod
+    def _with_inverse(cls, t, l, h, h_inv, lam_res, lam_irr, u):
+        """The pole whose frame ``h`` a caller has already inverted (and
+        checked) as ``h_inv``; every other field is checked as in
+        ``__init__``."""
+        pole = object.__new__(cls)
+        pole._fill(t, l, h, h_inv, lam_res, lam_irr, u)
+        return pole
+
+    def _fill(self, t, l, h, h_inv, lam_res, lam_irr, u):
+        n, n_u = h.shape[0], max(l - 2, 0)
+        for name, value in (("t", t), ("l", l), ("h", h), ("_h_inv", h_inv)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "lam_res", _shaped(lam_res, "lam_res", (n, n)))
         object.__setattr__(self, "lam_irr", _shaped(
-            np.zeros((self.l - 1, n)) if lam_irr is None else lam_irr,
-            "lam_irr", (self.l - 1, n)))
+            np.zeros((l - 1, n)) if lam_irr is None else lam_irr,
+            "lam_irr", (l - 1, n)))
         u = _shaped(np.zeros((n_u, n, n)) if u is None else u, "u", (n_u, n, n))
         for k in range(u.shape[0]):
             if np.max(np.abs(np.diag(u[k]))) > 1e-13 * max(1.0, np.max(np.abs(u[k]))):
@@ -116,53 +153,15 @@ class PoleData:
     def n(self):
         return self.h.shape[0]
 
-    @cached_property
-    def unipotent(self):
-        """Coefficients of ``I + u(zeta)`` and of its inverse through order
-        l-1 (the top order of ``u`` is zero), each of shape (l, n, n)."""
-        n, l = self.n, self.l
-        U = np.zeros((l, n, n), dtype=complex)
-        U[0] = np.eye(n)
-        U[1: l - 1] = self.u
-        V = np.zeros_like(U)
-        V[0] = np.eye(n)
-        for m in range(1, l):
-            V[m] = -sum(U[j] @ V[m - j] for j in range(1, m + 1))
-        return U, V
-
-    @cached_property
-    def frame(self):
-        """Coefficients of the frame ``F = h (I + u)`` and of ``F^-1 =
-        (I + u)^-1 h^-1`` through order l-1."""
-        U, V = self.unipotent
-        return self.h @ U, V @ self._h_inv
-
     def lam_jet(self):
-        """Dressed polar coefficients, index k <-> order -(k+1); shape (l, n, n)."""
-        out = np.zeros((self.l, self.n, self.n), dtype=complex)
-        out[0] = self.lam_res
-        for j in range(self.l - 1):
-            out[j + 1] = np.diag(self.lam_irr[j])
-        return out
-
-    def dressed_polar(self, inner):
-        """Polar part of ``F inner F^-1`` for stacked dressed polar jets
-        ``inner`` of shape ``(x, l, n, n)``, row ``r`` the order ``-(r+1)``
-        term; row ``k - 1`` of the result holds the coefficient of
-        ``(z-t)**-k``."""
-        l = self.l
-        F, F_inv = self.frame
-        # F_i inner_r (F^-1)_j sits at order i + j - (r + 1)
-        out = np.zeros_like(inner)
-        for i in range(l):
-            for j in range(l - i):
-                out[:, : l - i - j] += F[i] @ inner[:, i + j:] @ F_inv[j]
-        return out
+        """Dressed polar coefficients, index k <-> order -(k+1); shape
+        (l, n, n): the pole's ``lam_jet`` as a group of one."""
+        return PoleGroup((self,)).lam_jet[0]
 
     def polar_coeffs(self):
         """``[C_1, ..., C_l]`` with ``C_k`` the coefficient of ``(z-t)**-k``:
-        the dressed ``lam_jet()``."""
-        return list(self.dressed_polar(self.lam_jet()[None])[0])
+        the pole's ``polar`` as a group of one."""
+        return list(PoleGroup((self,)).polar[0])
 
     # -- chart packing --------------------------------------------------------
 
@@ -178,14 +177,112 @@ class PoleData:
     def with_chart_slice(self, vec, t=None, lam_irr=None):
         """The pole with chart coordinates ``vec``; position and irregular
         type from ``t`` and ``lam_irr`` when given, else kept."""
-        n, n_u = self.n, max(self.l - 2, 0)
-        h = vec[: n * n].reshape(n, n)
+        return PoleGroup.from_chart(
+            self.l, self.n, [self.t if t is None else t],
+            np.asarray(vec)[None],
+            [self.lam_irr if lam_irr is None else lam_irr]).poles[0]
+
+
+class PoleGroup:
+    """The poles of one order ``l`` (and rank ``n``), stacked along a
+    leading group axis: ``h``, ``h_inv``, ``lam_res``, ``lam_irr`` and
+    ``u`` have the pole fields' shapes with ``G`` rows in front, and ``t``
+    holds the positions as Python complex numbers.
+
+    In a state's group, ``index`` holds the poles' positions in the state
+    and ``cols`` (shape ``(G, chart_size)``) their coordinates in the chart
+    vector; a group built alone counts its poles from 0.  The frame
+    jets, the dressed polar jet and the polar coefficients are computed once
+    per group, on first use, by batched products over the group axis, which
+    give each pole the bits a product of its own gives it.
+    """
+
+    def __init__(self, poles, index=None, cols=None, stacks=None):
+        p = poles[0]
+        self.poles = tuple(poles)
+        self.l, self.n = p.l, p.n
+        self.t = tuple(q.t for q in poles)
+        self.index = tuple(range(len(poles)) if index is None else index)
+        self.cols = cols
+        if stacks is None:
+            stacks = [np.stack([getattr(q, name) for q in poles])
+                      for name in ("h", "_h_inv", "lam_res", "lam_irr", "u")]
+        self.h, self.h_inv, self.lam_res, self.lam_irr, self.u = stacks
+
+    @classmethod
+    def from_chart(cls, l, n, ts, chart, lam_irr, index=None, cols=None):
+        """The group of the poles of order ``l`` and rank ``n`` at positions
+        ``ts`` whose chart slices are the rows of ``chart``, with irregular
+        types ``lam_irr``.  Their frames are inverted in one call, and each
+        pole is checked as ``PoleData`` checks it."""
+        G, n_u = len(ts), max(l - 2, 0)
+        ts = [complex(t) for t in ts]
+        H = np.array(chart[:, : n * n].reshape(G, n, n), dtype=complex)
         at = n * n + n_u * (n * n - n)
-        u = np.zeros((n_u, n, n), dtype=complex)
-        u[:, ~np.eye(n, dtype=bool)] = vec[n * n: at].reshape(n_u, n * n - n)
-        lam = vec[at: at + n * n].reshape(n, n)
-        return PoleData(self.t if t is None else t, self.l, h, lam,
-                        self.lam_irr if lam_irr is None else lam_irr, u)
+        u = np.zeros((G, n_u, n, n), dtype=complex)
+        if n_u:
+            u[:, :, ~np.eye(n, dtype=bool)] = chart[:, n * n: at].reshape(
+                G, n_u, n * n - n)
+        lam = chart[:, at: at + n * n].reshape(G, n, n)
+        H_inv = _frame_inverses(ts, H)
+        poles = [PoleData._with_inverse(t, l, H[r], H_inv[r], lam[r],
+                                        lam_irr[r], u[r])
+                 for r, t in enumerate(ts)]
+        stacks = (H, H_inv, lam, np.asarray(lam_irr, dtype=complex), u)
+        return cls(poles, index, cols, stacks)
+
+    @cached_property
+    def unipotent(self):
+        """Coefficients of ``I + u(zeta)`` and of its inverse through order
+        l-1 (the top order of ``u`` is zero), each of shape (G, l, n, n)."""
+        n, l = self.n, self.l
+        U = np.zeros((len(self.t), l, n, n), dtype=complex)
+        U[:, 0] = np.eye(n)
+        U[:, 1: l - 1] = self.u
+        V = np.zeros_like(U)
+        V[:, 0] = np.eye(n)
+        for m in range(1, l):
+            V[:, m] = -sum(U[:, j] @ V[:, m - j] for j in range(1, m + 1))
+        return U, V
+
+    @cached_property
+    def frame(self):
+        """Coefficients of the frame ``F = h (I + u)`` and of ``F^-1 =
+        (I + u)^-1 h^-1`` through order l-1."""
+        U, V = self.unipotent
+        return self.h[:, None] @ U, V @ self.h_inv[:, None]
+
+    @cached_property
+    def lam_jet(self):
+        """Dressed polar coefficients, row k <-> order -(k+1); shape
+        (G, l, n, n)."""
+        out = np.zeros((len(self.t), self.l, self.n, self.n), dtype=complex)
+        out[:, 0] = self.lam_res
+        diag = np.arange(self.n)
+        out[:, 1:, diag, diag] = self.lam_irr
+        return out
+
+    def dressed_polar(self, inner):
+        """Polar part of ``F inner F^-1`` for stacked dressed polar jets
+        ``inner`` of shape ``(G, x, l, n, n)``, row ``r`` the order
+        ``-(r+1)`` term; row ``k - 1`` of the result holds the coefficient
+        of ``(z-t)**-k``."""
+        l = self.l
+        F, F_inv = self.frame
+        # F_i inner_r (F^-1)_j sits at order i + j - (r + 1)
+        out = np.zeros_like(inner)
+        for i in range(l):
+            for j in range(l - i):
+                out[:, :, : l - i - j] += (F[:, i, None, None]
+                                           @ inner[:, :, i + j:]
+                                           @ F_inv[:, j, None, None])
+        return out
+
+    @cached_property
+    def polar(self):
+        """``[C_1, ..., C_l]`` per pole, shape (G, l, n, n): the dressed
+        ``lam_jet``."""
+        return self.dressed_polar(self.lam_jet[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -212,28 +309,57 @@ class FlowState:
     # -- polar data, each computed once per state -----------------------------
 
     @cached_property
+    def groups(self):
+        """The poles grouped by order, one ``PoleGroup`` per order in order
+        of first appearance, each pole's chart coordinates in ``cols``."""
+        at = self._chart_at
+        members = {}
+        for i, p in enumerate(self.poles):
+            members.setdefault(p.l, []).append(i)
+        return tuple(
+            PoleGroup([self.poles[i] for i in index], index,
+                      at[index][:, None]
+                      + np.arange(self.poles[index[0]].chart_size()))
+            for index in members.values())
+
+    @cached_property
     def polar(self):
-        """Every pole's ``polar_coeffs()``: ``[C_1, ..., C_l]`` per pole."""
-        return [p.polar_coeffs() for p in self.poles]
+        """Every pole's polar coefficients ``[C_1, ..., C_l]``, from its
+        group's ``polar``."""
+        out = [None] * len(self.poles)
+        for g in self.groups:
+            for i, C in zip(g.index, g.polar):
+                out[i] = list(C)
+        return out
 
     @cached_property
     def regular_jets(self):
         """Taylor coefficients at every pole of the other poles' polar parts
         (the regular part of A there), orders ``0 .. l_i-1`` at pole i:
-        every order that pairs with the pole's own polar part."""
-        out = []
-        for i, p in enumerate(self.poles):
-            R = np.zeros((p.l, self.n, self.n), dtype=complex)
-            for j, q in enumerate(self.poles):
-                if j != i:
-                    for k, C in enumerate(self.polar[j], start=1):
-                        R += extension_jet(C, k, p.t - q.t, p.l - 1)
-            out.append(R)
+        every order that pairs with the pole's own polar part.
+
+        A group's jets are one masked sum over the stacked terms
+        ``C_k extension_weights(k, t_i - t_j)``, source pole by source pole
+        and order by order, a pole's own terms masked out."""
+        out = [None] * len(self.poles)
+        terms = [(j, k, C) for j, C_j in enumerate(self.polar)
+                 for k, C in enumerate(C_j, start=1)]
+        C = np.array([C for _, _, C in terms])
+        for g in self.groups:
+            w = np.array([[extension_weights(k, t - self.poles[j].t, g.l - 1)
+                           if i != j else [0] * g.l
+                           for i, t in zip(g.index, g.t)]
+                          for j, k, _ in terms], dtype=complex)
+            mask = np.array([[[i != j] for i in g.index] for j, _, _ in terms])
+            R = np.add.reduce(C[:, None, None] * w[..., None, None], axis=0,
+                              where=mask[..., None, None], initial=0)
+            for i, Ri in zip(g.index, R):
+                out[i] = Ri
         return out
 
     @cached_property
     def blocks(self):
-        """The chart layer's per-pole blocks, ``chart_blocks(self)``."""
+        """The chart layer's per-group blocks, ``chart_blocks(self)``."""
         from .symplectic import chart_blocks
         return chart_blocks(self)
 
@@ -296,21 +422,17 @@ class FlowState:
 
     # -- flat complex coordinates (chart vector) -------------------------------
 
+    @cached_property
+    def _chart_at(self):
+        """Where each pole's chart slice starts, then the chart dimension."""
+        return np.cumsum([0] + [p.chart_size() for p in self.poles])
+
     def chart_dim(self):
-        return sum(p.chart_size() for p in self.poles)
+        return int(self._chart_at[-1])
 
     def chart_vector(self):
         parts = [p.chart_slice() for p in self.poles]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-
-    def with_chart_vector(self, vec):
-        poles = []
-        at = 0
-        for p in self.poles:
-            size = p.chart_size()
-            poles.append(p.with_chart_slice(vec[at: at + size]))
-            at += size
-        return FlowState(self.n, tuple(poles), self.twist)
 
     def flat(self):
         """The state as one vector: pole positions, the chart vector, then
@@ -319,19 +441,34 @@ class FlowState:
         return np.concatenate([positions, self.chart_vector()]
                               + [p.lam_irr.ravel() for p in self.poles])
 
-    def with_flat(self, vec):
-        """The state whose ``flat()`` is ``vec``; validated like any state."""
+    @cached_property
+    def _flat_index(self):
+        """Per group: where its poles' positions, chart slices and irregular
+        entries sit in ``flat()``."""
         m = len(self.poles)
-        chart_at, irr_at = m, m + self.chart_dim()
-        poles = []
-        for t, p in zip(vec[:m], self.poles):
-            size, k = p.chart_size(), (p.l - 1) * p.n
-            poles.append(p.with_chart_slice(
-                vec[chart_at: chart_at + size], t,
-                vec[irr_at: irr_at + k].reshape(p.l - 1, p.n)))
-            chart_at += size
-            irr_at += k
-        return FlowState(self.n, tuple(poles), self.twist)
+        irr_at = m + self.chart_dim() + np.cumsum(
+            [0] + [(p.l - 1) * p.n for p in self.poles])
+        return [(list(g.index), m + g.cols,
+                 irr_at[list(g.index)][:, None] + np.arange((g.l - 1) * g.n))
+                for g in self.groups]
+
+    def with_flat(self, vec):
+        """The state whose ``flat()`` is ``vec``; validated like any state.
+
+        The poles are unpacked group by group, each group's frames inverted
+        in one call, and the groups built on the way are the new state's
+        ``groups``.
+        """
+        groups, poles = [], [None] * len(self.poles)
+        for g, (index, chart, irr) in zip(self.groups, self._flat_index):
+            groups.append(PoleGroup.from_chart(
+                g.l, g.n, vec[index], vec[chart],
+                vec[irr].reshape(len(index), g.l - 1, g.n), g.index, g.cols))
+            for i, p in zip(g.index, groups[-1].poles):
+                poles[i] = p
+        state = FlowState(self.n, tuple(poles), self.twist)
+        vars(state)["groups"] = tuple(groups)
+        return state
 
 
 @dataclass(frozen=True)

@@ -29,19 +29,25 @@ to tangent triples.  The obvious lift (``s`` the frame velocity ``eta``,
 ``b`` the induced polar variation) does not reproduce the triple form:
 their ratio varies from one pair of tangents to the next.
 
-Every chart-layer function takes only the state: the per-pole blocks,
+Every chart-layer function takes only the state: the per-group blocks,
 polar coefficients and regular jets it needs are the state's own memoized
 attributes (``FlowState.blocks``, ``polar``, ``regular_jets``), so one
-right-hand side evaluation builds each of them once.  A block reads its
-pole's frame jets (``PoleData.unipotent``, ``PoleData.frame``) and dresses
-its polar variations with ``PoleData.dressed_polar``; it derives neither.
+right-hand side evaluation builds each of them once.  The chart layer works
+group by group (``FlowState.groups``: the poles of one order, stacked): a
+``PoleChartBlock`` holds one group's basis velocities with a leading group
+axis, reads the group's frame jets (``PoleGroup.unipotent``, ``frame``) and
+dresses its polar variations with ``PoleGroup.dressed_polar``; it derives
+neither.  Each per-pole quantity is one batched kernel per group, and each
+pole gets the bits a kernel of its own gives it; where a stacked ``einsum``
+would order a sum differently (the last contraction of
+``d_translation_hamiltonian``), the contraction stays one call per pole.
 
 The form pairs no two poles, so its Gram matrix is block-diagonal by pole
-(``gram_matrix`` is the dense form, kept for comparison).  Each block is
-assembled with ``einsum`` over the stacked jet velocities of its basis
+(``gram_matrix`` is the dense form, kept for comparison).  A group's blocks
+are assembled with ``einsum`` over the stacked jet velocities of its basis
 directions (``PoleChartBlock.omega`` is the term-by-term reference), and the
-solve takes each block's own SVD without assembling the dense matrix.  The
-rank guard is global: it compares the smallest singular value over all
+solve takes one batched SVD per group without assembling the dense matrix.
+The rank guard is global: it compares the smallest singular value over all
 blocks with the largest, exactly as an SVD of the whole matrix would.
 
 **Hamiltonians** are read from the same memoized polar data: the values
@@ -51,9 +57,10 @@ diagonal-jet pairing ``tr res(beta . B)`` at irregular poles
 (``hamiltonian_beta_B``) with its analytic differential
 (``d_hamiltonian_beta_B``).  That differential is one tangent pass: the
 chart basis directions' variations of the pole's Laurent jet
-(``pole_jet_variation``) ride through ``connection.diagonalize_jet``
-together with the jet itself.  A base direction's correction Hamiltonian
-combines them in ``flows.direction_differential``.
+(``jet_variations``, one call per group) ride through
+``connection.diagonalize_jet`` together with the jet itself.  A base
+direction's correction Hamiltonian combines them in
+``flows.direction_differential``.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import diagonalize_jet, extension_jet
+from .connection import diagonalize_jet, extension_weights
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat
 
@@ -168,54 +175,57 @@ def _twist_pairing(t_germ, b, site):
 
 
 # ---------------------------------------------------------------------------
-# chart layer: per-pole basis blocks
+# chart layer: basis blocks, one per pole group
 # ---------------------------------------------------------------------------
 
 class PoleChartBlock:
-    """Symplectic data of one pole's chart coordinates.
+    """Symplectic data of the chart coordinates of one pole group (the
+    state's poles of one order), stacked along the group axis.
 
     Basis order matches the chart slice: frame entries, off-diagonal jet
     entries order by order, then residue-momentum entries.  Every basis
     direction carries its left jet velocity ``eta = F^-1 dF`` (orders
     ``0 .. l-1``) and its dressed-residue variation: ``etas`` has shape
-    ``(dim, l, n, n)`` and ``dlams`` shape ``(dim, n, n)``, zero away from
-    the residue-momentum directions.
+    ``(G, dim, l, n, n)`` and ``dlams``, the same for every pole, shape
+    ``(dim, n, n)``, zero away from the residue-momentum directions.
     """
 
-    def __init__(self, pole):
-        self.pole = pole
-        n, l = pole.n, pole.l
+    def __init__(self, group):
+        self.group = group
+        G, n, l = len(group.index), group.n, group.l
         self.n, self.l = n, l
-        U, V = pole.unipotent
-        F_inv = pole.frame[1]
-        self.lam = pole.lam_jet()     # row r <-> order -(r+1)
-        # lam_hankel[m, k] = lam[m + k], zero past the top order
-        self.lam_hankel = np.zeros((l, l, n, n), dtype=complex)
-        # u_toeplitz[m, i] = U[m - i] and v_shifted[k, m] = V[m - k - 1]
-        u_toeplitz = np.zeros((l, l, n, n), dtype=complex)
-        v_shifted = np.zeros((max(l - 2, 0), l, n, n), dtype=complex)
+        U, V = group.unipotent
+        F_inv = group.frame[1]
+        self.lam = group.lam_jet     # row r <-> order -(r+1)
+        # lam_hankel[:, m, k] = lam[:, m + k], zero past the top order
+        self.lam_hankel = np.zeros((G, l, l, n, n), dtype=complex)
+        # u_toeplitz[:, m, i] = U[:, m - i]
+        u_toeplitz = np.zeros((G, l, l, n, n), dtype=complex)
         for m in range(l):
-            self.lam_hankel[m, : l - m] = self.lam[m:]
-            u_toeplitz[m, : m + 1] = U[m::-1]
-        for k in range(l - 2):
-            v_shifted[k, k + 1:] = V[: l - k - 1]
-
-        # frame direction E_ab: eta_m = sum_{i <= m} (F^-1)_i E_ab U_{m-i}
-        eta_h = np.einsum("ipa,mibq->abmpq", F_inv, u_toeplitz)
-        # jet direction (k, a, b): eta_m = V_{m-k-1} E_ab for m > k
-        eta_u = np.einsum("kmpa,bq->kabmpq", v_shifted, np.eye(n))
-        eta_u = eta_u[:, ~np.eye(n, dtype=bool)]
-        n_frame = n * n + eta_u.shape[0] * eta_u.shape[1]
+            self.lam_hankel[:, m, : l - m] = self.lam[:, m:]
+            u_toeplitz[:, m, : m + 1] = U[:, m::-1]
+        n_frame = n * n + max(l - 2, 0) * (n * n - n)
         self.dim = n_frame + n * n
-        self.etas = np.zeros((self.dim, l, n, n), dtype=complex)
-        self.etas[: n * n] = eta_h.reshape(n * n, l, n, n)
-        self.etas[n * n: n_frame] = eta_u.reshape(-1, l, n, n)
+        self.etas = np.zeros((G, self.dim, l, n, n), dtype=complex)
+        # frame direction E_ab: eta_m = sum_{i <= m} (F^-1)_i E_ab U_{m-i}
+        self.etas[:, : n * n] = np.einsum(
+            "gipa,gmibq->gabmpq", F_inv, u_toeplitz).reshape(G, n * n, l, n, n)
+        if l > 2:
+            # jet direction (k, a, b): eta_m = V_{m-k-1} E_ab for m > k,
+            # with v_shifted[:, k, m] = V[:, m - k - 1]
+            v_shifted = np.zeros((G, l - 2, l, n, n), dtype=complex)
+            for k in range(l - 2):
+                v_shifted[:, k, k + 1:] = V[:, : l - k - 1]
+            eta_u = np.einsum("gkmpa,bq->gkabmpq", v_shifted, np.eye(n))
+            self.etas[:, n * n: n_frame] = eta_u[
+                :, :, ~np.eye(n, dtype=bool)].reshape(G, -1, l, n, n)
         self.dlams = np.zeros((self.dim, n, n), dtype=complex)
         self.dlams[n_frame:] = np.eye(n * n).reshape(n * n, n, n)
 
-    def omega(self, x, y):
-        """Chart form between two ``(eta, dLam)`` directions, term by term:
-        the reference that ``gram_block`` is tested against."""
+    def omega(self, x, y, g=0):
+        """Chart form at the group's pole ``g`` between two ``(eta, dLam)``
+        directions, term by term: the reference that ``gram_block`` is
+        tested against."""
         eta_x, dl_x = x
         eta_y, dl_y = y
         acc = np.trace(eta_x[0] @ dl_y) - np.trace(eta_y[0] @ dl_x)
@@ -223,55 +233,56 @@ class PoleChartBlock:
             comm = np.zeros((self.n, self.n), dtype=complex)
             for i in range(m + 1):
                 comm += eta_x[i] @ eta_y[m - i] - eta_y[i] @ eta_x[m - i]
-            acc += np.trace(self.lam[m] @ comm)
+            acc += np.trace(self.lam[g, m] @ comm)
         return 2.0 * acc
 
     def gram_block(self):
-        """``omega`` on every pair of basis directions, as ``2 (A - A^T)``
-        with ``A[x, y] = tr(eta_x[0] dLam_y)
+        """``omega`` on every pair of basis directions at every pole of the
+        group, shape ``(G, dim, dim)``, as ``2 (A - A^T)`` with
+        ``A[x, y] = tr(eta_x[0] dLam_y)
         + sum_{i + j < l} tr(Lambda_{i+j} eta_x[i] eta_y[j])``."""
         E = self.etas
-        lam_eta = np.einsum("ijpr,xirq->xjpq", self.lam_hankel, E)
-        A = (np.einsum("xjpq,yjqp->xy", lam_eta, E)
-             + np.einsum("xpq,yqp->xy", E[:, 0], self.dlams))
-        return 2.0 * (A - A.T)
+        lam_eta = np.einsum("gijpr,gxirq->gxjpq", self.lam_hankel, E)
+        A = (np.einsum("gxjpq,gyjqp->gxy", lam_eta, E)
+             + np.einsum("gxpq,yqp->gxy", E[:, :, 0], self.dlams))
+        return 2.0 * (A - A.transpose(0, 2, 1))
 
     def induced_variations(self):
         """Connection polar-coefficient variations of every basis direction,
         via ``dP = [F (ad_eta Lambda + dLam) F^-1]_polar``; shape
-        ``(dim, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
+        ``(G, dim, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
         E, H = self.etas, self.lam_hankel
-        # inner[:, k] is the order -(k+1) term of [eta, Lambda] + dLam
-        inner = (np.einsum("xmpr,mkrq->xkpq", E, H)
-                 - np.einsum("mkpr,xmrq->xkpq", H, E))
-        inner[:, 0] += self.dlams
-        return self.pole.dressed_polar(inner)
+        # inner[:, :, k] is the order -(k+1) term of [eta, Lambda] + dLam
+        inner = (np.einsum("gxmpr,gmkrq->gxkpq", E, H)
+                 - np.einsum("gmkpr,gxmrq->gxkpq", H, E))
+        inner[:, :, 0] += self.dlams
+        return self.group.dressed_polar(inner)
 
 
 def chart_blocks(state):
-    return [PoleChartBlock(p) for p in state.poles]
+    return [PoleChartBlock(g) for g in state.groups]
 
 
 def gram_matrix(state):
     """Gram matrix of the chart symplectic form on the coordinate basis."""
-    dim = sum(b.dim for b in state.blocks)
+    dim = state.chart_dim()
     G = np.zeros((dim, dim), dtype=complex)
-    at = 0
-    for b in state.blocks:
-        G[at: at + b.dim, at: at + b.dim] = b.gram_block()
-        at += b.dim
+    for grp, blk in zip(state.groups, state.blocks):
+        for cols, block in zip(grp.cols, blk.gram_block()):
+            G[np.ix_(cols, cols)] = block
     return G
 
 
 def induced_polar_variations(vec, state):
     """Per-pole ``[dC_1 .. dC_l]`` connection-coefficient variations of the
     chart tangent ``vec`` (chart-vector layout)."""
-    out = []
-    at = 0
-    for blk in state.blocks:
-        out.append(np.einsum("x,xkpq->kpq", vec[at: at + blk.dim],
-                             blk.induced_variations()))
-        at += blk.dim
+    vec = np.asarray(vec)
+    out = [None] * len(state.poles)
+    for grp, blk in zip(state.groups, state.blocks):
+        dC = np.einsum("gx,gxkpq->gkpq", vec[grp.cols],
+                       blk.induced_variations())
+        for i, d in zip(grp.index, dC):
+            out[i] = d
     return out
 
 
@@ -280,23 +291,30 @@ def hamiltonian_vector_field(dH, state):
     chart-vector layout; ``dH`` is the flat coefficient vector of the
     cotangent functional on the coordinate basis.
 
-    The form pairs no two poles, so the solve runs pole block by pole block,
-    one SVD of each ``gram_block``, under the global rank guard.
+    The form pairs no two poles, so the solve runs pole by pole: one batched
+    SVD of each group's Gram blocks, under the global rank guard.  A chart
+    of dimension zero (no poles) has the empty field.
     """
     dH = np.asarray(dH, dtype=complex).ravel()
-    cuts = np.cumsum([0] + [b.dim for b in state.blocks])
-    if dH.shape[0] != cuts[-1]:
+    if dH.shape[0] != state.chart_dim():
         raise MalformedInputError("dH length does not match the chart dimension")
+    if not dH.shape[0]:
+        return np.zeros(0, dtype=complex)
     # omega(X, Y) = X^T G Y on the basis, so omega(X, .) = dH reads G^T X = dH
-    svds = [np.linalg.svd(b.gram_block().T) for b in state.blocks]
-    s_max = max(S[0] for _, S, _ in svds)
-    s_min = min(S[-1] for _, S, _ in svds)
+    svds = [np.linalg.svd(b.gram_block().transpose(0, 2, 1))
+            for b in state.blocks]
+    s_max = max(S[:, 0].max() for _, S, _ in svds)
+    s_min = min(S[:, -1].min() for _, S, _ in svds)
     if s_max == 0.0 or s_min <= TAU_RANK * s_max:
         raise DegenerateChartError(
             f"chart Gram matrix is singular: sigma_min/sigma_max = "
             f"{s_min / max(s_max, 1e-300):.3e}")
-    return np.concatenate([Vh.conj().T @ ((U.conj().T @ dH[a:b]) / S)
-                           for a, b, (U, S, Vh) in zip(cuts, cuts[1:], svds)])
+    X = np.empty_like(dH)
+    for grp, (U, S, Vh) in zip(state.groups, svds):
+        y = U.conj().transpose(0, 2, 1) @ dH[grp.cols][..., None]
+        X[grp.cols] = (Vh.conj().transpose(0, 2, 1)
+                       @ (y / S[..., None]))[..., 0]
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +362,40 @@ def hamiltonian_beta_B(state, i, beta):
     return complex(acc)
 
 
-def _extension_weights(dist, L, m_max):
-    """``extension_jet(1, k, dist, m_max)`` for ``k = 1 .. L``, stacked."""
-    return np.stack([extension_jet(1.0, k, dist, m_max)
-                     for k in range(1, L + 1)])
+def _extension_weights(dists, L, m_max):
+    """The coefficients of a unit polar term ``1.0 * (z-t)**-k`` seen from
+    each distance, for ``k = 1 .. L``: shape ``(len(dists), L, m_max + 1)``.
+    Each entry is the product ``1.0 * w`` with ``w`` from
+    ``extension_weights``, which can differ from ``w`` in the sign of a zero
+    part."""
+    return np.array([[[1.0 * w for w in extension_weights(k, dist, m_max)]
+                      for k in range(1, L + 1)] for dist in dists],
+                    dtype=complex)
 
 
-def pole_jet_variation(state, i, j, dC, m_max):
-    """Variation of pole ``i``'s Laurent jet, orders ``-l_i .. m_max``, under
-    stacked variations ``dC`` of pole ``j``'s polar part.
+def jet_variations(state, i, sources, dC, m_max):
+    """Variations of pole ``i``'s Laurent jet, orders ``-l_i .. m_max``,
+    under stacked variations ``dC`` of the polar parts of the poles
+    ``sources`` (one order ``L``); shape ``(len(sources), x, l_i + m_max + 1,
+    n, n)``.
 
-    ``dC`` has shape ``(x, L, n, n)``, row ``k - 1`` varying the coefficient
-    of ``(z - t_j)**-k``.  Pole ``i``'s own variations are the jet's polar
-    rows (``L <= l_i``); another pole's enter its regular rows as
-    ``extension_jet`` sees them from ``t_i``.
+    ``dC`` has shape ``(len(sources), x, L, n, n)``, row ``k - 1`` varying
+    the coefficient of ``(z - t_j)**-k``.  Pole ``i``'s own variations are
+    the jet's polar rows (``L <= l_i``); the other poles' enter its regular
+    rows as seen from ``t_i`` (``extension_weights``), all in one product.
     """
     p = state.poles[i]
-    out = np.zeros((dC.shape[0], p.l + m_max + 1, state.n, state.n),
+    L = dC.shape[2]
+    out = np.zeros(dC.shape[:2] + (p.l + m_max + 1, state.n, state.n),
                    dtype=complex)
-    if j == i:
-        out[:, p.l - dC.shape[1]: p.l] = dC[:, ::-1]
-    else:
-        ext = _extension_weights(p.t - state.poles[j].t, dC.shape[1], m_max)
-        out[:, p.l:] = np.einsum("km,xkpq->xmpq", ext, dC)
+    others = [r for r, j in enumerate(sources) if j != i]
+    for r, j in enumerate(sources):
+        if j == i:
+            out[r, :, p.l - L: p.l] = dC[r, :, ::-1]
+    if others:
+        ext = _extension_weights(
+            [p.t - state.poles[sources[r]].t for r in others], L, m_max)
+        out[others, :, p.l:] = np.einsum("gkm,gxkpq->gxmpq", ext, dC[others])
     return out
 
 
@@ -378,9 +407,11 @@ def d_hamiltonian_beta_B(state, i, beta):
     the resulting ``dB`` pairs with ``beta`` as ``B`` does.
     """
     p, beta = _irregular_pole(state, i, beta)
-    dA = np.concatenate([
-        pole_jet_variation(state, i, j, blk.induced_variations(), p.l - 2)
-        for j, blk in enumerate(state.blocks)])
+    dA = np.zeros((state.chart_dim(), 2 * p.l - 1, state.n, state.n),
+                  dtype=complex)
+    for grp, blk in zip(state.groups, state.blocks):
+        dA[grp.cols] = jet_variations(state, i, grp.index,
+                                      blk.induced_variations(), p.l - 2)
     dB = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2, dA=dA).dB
     return np.einsum("kc,xkc->x", beta, dB[:, p.l:])
 
@@ -401,23 +432,26 @@ def d_translation_hamiltonian(state, i):
     """Analytic differential of ``res_{t_i} tr(A^2)`` on the chart basis.
 
     Uses ``dH(b) = 2 res_{t_i} tr(A b)`` with ``b`` the connection variation
-    induced by each coordinate direction.
+    induced by each coordinate direction, group by group.
     """
     p_i = _pole(state, i)
     polar_i = np.asarray(state.polar[i])
 
     out = np.zeros(state.chart_dim(), dtype=complex)
-    at = 0
-    for j, blk in enumerate(state.blocks):
+    for grp, blk in zip(state.groups, state.blocks):
         # 2 res_{t_i} tr(A . b) for b = sum_k dC_k (z-t_j)^-k is
         # 2 sum_k tr(weight[k-1] dC_k)
-        if j == i:
-            weight = state.regular_jets[i]
-        else:
-            ext = _extension_weights(p_i.t - state.poles[j].t, blk.l,
-                                     p_i.l - 1)
-            weight = np.einsum("km,mpq->kpq", ext, polar_i)
-        out[at: at + blk.dim] = 2.0 * np.einsum(
-            "kpq,xkqp->x", weight, blk.induced_variations())
-        at += blk.dim
+        weight = np.empty((len(grp.index), blk.l, state.n, state.n),
+                          dtype=complex)
+        others = [r for r, j in enumerate(grp.index) if j != i]
+        if others:
+            ext = _extension_weights([p_i.t - grp.t[r] for r in others],
+                                     blk.l, p_i.l - 1)
+            weight[others] = np.einsum("gkm,mpq->gkpq", ext, polar_i)
+        if len(others) < len(grp.index):
+            weight[grp.index.index(i)] = state.regular_jets[i]
+        # one contraction per pole: stacked, einsum orders the sum otherwise
+        out[grp.cols] = 2.0 * np.stack([
+            np.einsum("kpq,xkqp->x", w, dC)
+            for w, dC in zip(weight, blk.induced_variations())])
     return out

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from isomonodromy.connection import Connection, spectral_quadratic
+from isomonodromy.connection import Connection
 from isomonodromy.ratfun import RatMat, RatScalar
+
+from oracles import spectral_quadratic, with_chart_vector
 
 FD_STEP = 1e-5
 
@@ -97,6 +99,6 @@ def numeric_differential(func, state, step=FD_STEP):
         vp[k] += step
         vm = v0.copy()
         vm[k] -= step
-        out[k] = (func(state.with_chart_vector(vp))
-                  - func(state.with_chart_vector(vm))) / (2 * step)
+        out[k] = (func(with_chart_vector(state, vp))
+                  - func(with_chart_vector(state, vm))) / (2 * step)
     return out

@@ -2,12 +2,17 @@
 computes another way, kept out of ``src/`` because no library code calls
 them."""
 
+import math
+
 import numpy as np
 
-from isomonodromy.connection import TAU_SEP
+from isomonodromy.connection import TAU_SEP, Connection, diagonalize_jet
+from isomonodromy.errors import DegenerateChartError, MalformedInputError
 from isomonodromy.monodromy import (LineSegment, Path, loop_ordering,
                                     transport)
 from isomonodromy.ratfun import TAU_MERGE, LaurentJet, RatMat, RatScalar
+from isomonodromy.states import FlowState
+from isomonodromy.symplectic import TAU_RANK
 
 
 def form_at_infinity(f):
@@ -203,3 +208,306 @@ def polar_parts_by_partial_fractions(A):
     if np.all(tail == 0):
         tail = np.zeros((0, n, n), dtype=complex)
     return pole_data, tail
+
+
+# ---------------------------------------------------------------------------
+# connection-level helpers that only tests call
+# ---------------------------------------------------------------------------
+
+def gauge_transform(conn, g):
+    """Act by the bundle map ``g``: ``A -> -dg g^-1 + g A g^-1``.
+
+    ``g`` may be any generically invertible rational matrix; zeros of
+    ``det g`` enter the pole set of the result.
+    """
+    if isinstance(g, np.ndarray):
+        g = RatMat.from_constant(g)
+    ginv = g.inverse()  # raises on identically singular g
+    new = (-(g.derivative() @ ginv)) + (g @ conn.matrix @ ginv)
+    return Connection.from_ratmat(new, base_pole=conn.base_pole)
+
+
+def spectral_quadratic(conn):
+    """The scalar ``q = tr(A^2)`` of the spectral quadratic differential
+    ``q dz^2``, as a ``RatScalar``.
+
+    Its poles are bounded by twice the divisor plus twice the twist locus.
+    """
+    return (conn.matrix @ conn.matrix).trace()
+
+
+def formal_diagonalize(conn, p, order):
+    """Diagonalize ``A`` at the pole ``p`` through the given truncation order.
+
+    The leading coefficient must be regular (distinct eigenvalues, gap above
+    ``TAU_REG``); the eigenvalue branches are ordered lexicographically by
+    (re, im) of the leading eigenvalues.  The defect
+    ``A - (dZ Z^-1 + Z B Z^-1)`` vanishes through Laurent order
+    ``order - l``.
+    """
+    l = max(1, conn.matrix.pole_order(p))
+    jet = conn.laurent(p, order - l)
+    return diagonalize_jet(jet, order, include_derivative=True)
+
+
+def eigenvalue_jets(conn, p, order):
+    """Pointwise eigenvalue jets of ``A(z)`` at ``p`` (similarity only)."""
+    l = max(1, conn.matrix.pole_order(p))
+    jet = conn.laurent(p, order - l)
+    pair = diagonalize_jet(jet, order, include_derivative=False)
+    return pair.b_diag
+
+
+def reconstruction_defect(conn, p, pair, order):
+    """Laurent coefficients of ``A - (dZ Z^-1 + Z B Z^-1)`` through order-l."""
+    l = -pair.B.k_min
+    Z = pair.Z
+    Zinv = Z.inverse()
+    dZ = Z.derivative(as_form=True)
+    model = dZ * Zinv + Z * pair.B * Zinv
+    Ajet = conn.laurent(p, order - l)
+    out = []
+    for k in range(-l, order - l + 1):
+        out.append(Ajet.coefficient(k) - model.coefficient(k))
+    return np.stack(out)
+
+
+def extension_jet(C, k, dist, m_max):
+    """Taylor coefficients at orders 0..m_max of ``C/(zeta+dist)**k``: the
+    polar term ``C/(z-t)**k`` seen from a point at ``dist`` from ``t``."""
+    out = np.zeros((m_max + 1,) + np.shape(C), dtype=complex)
+    for m in range(m_max + 1):
+        out[m] = C * ((-1) ** m * math.comb(k + m - 1, m)
+                      * dist ** (-(k + m)))
+    return out
+
+
+def with_chart_vector(state, vec):
+    """The state with chart vector ``vec`` and the same positions,
+    irregular types and twist."""
+    poles = []
+    at = 0
+    for p in state.poles:
+        size = p.chart_size()
+        poles.append(p.with_chart_slice(vec[at: at + size]))
+        at += size
+    return FlowState(state.n, tuple(poles), state.twist)
+
+
+# ---------------------------------------------------------------------------
+# the chart layer pole by pole: the reference for the grouped layer, which
+# must reproduce it bit for bit
+# ---------------------------------------------------------------------------
+
+def pole_frame(pole):
+    """Jets of ``I + u``, its inverse, ``F = h (I + u)`` and ``F^-1`` at one
+    pole, each of shape (l, n, n)."""
+    n, l = pole.n, pole.l
+    U = np.zeros((l, n, n), dtype=complex)
+    U[0] = np.eye(n)
+    U[1: l - 1] = pole.u
+    V = np.zeros_like(U)
+    V[0] = np.eye(n)
+    for m in range(1, l):
+        V[m] = -sum(U[j] @ V[m - j] for j in range(1, m + 1))
+    return U, V, pole.h @ U, V @ np.linalg.inv(pole.h)
+
+
+def pole_lam_jet(pole):
+    """Dressed polar coefficients of one pole, row k <-> order -(k+1)."""
+    out = np.zeros((pole.l, pole.n, pole.n), dtype=complex)
+    out[0] = pole.lam_res
+    for j in range(pole.l - 1):
+        out[j + 1] = np.diag(pole.lam_irr[j])
+    return out
+
+
+def pole_dressed_polar(pole, inner):
+    """Polar part of ``F inner F^-1`` at one pole, ``inner`` (x, l, n, n)."""
+    l = pole.l
+    F, F_inv = pole_frame(pole)[2:]
+    out = np.zeros_like(inner)
+    for i in range(l):
+        for j in range(l - i):
+            out[:, : l - i - j] += F[i] @ inner[:, i + j:] @ F_inv[j]
+    return out
+
+
+def pole_polar(state):
+    """Every pole's ``[C_1, ..., C_l]``, pole by pole."""
+    return [list(pole_dressed_polar(p, pole_lam_jet(p)[None])[0])
+            for p in state.poles]
+
+
+def pole_regular_jets(state):
+    """Every pole's regular jet, orders ``0 .. l_i-1``, pole by pole."""
+    polar = pole_polar(state)
+    out = []
+    for i, p in enumerate(state.poles):
+        R = np.zeros((p.l, state.n, state.n), dtype=complex)
+        for j, q in enumerate(state.poles):
+            if j != i:
+                for k, C in enumerate(polar[j], start=1):
+                    R += extension_jet(C, k, p.t - q.t, p.l - 1)
+        out.append(R)
+    return out
+
+
+def pole_jet_at_pole(state, i):
+    """Laurent jet of A at pole i from the pole-by-pole polar data."""
+    p = state.poles[i]
+    coeffs = np.zeros((2 * p.l - 1, state.n, state.n), dtype=complex)
+    for k, C in enumerate(pole_polar(state)[i], start=1):
+        coeffs[p.l - k] = C
+    coeffs[p.l:] = pole_regular_jets(state)[i][: p.l - 1]
+    return LaurentJet(p.t, -p.l, coeffs, 0)
+
+
+class PoleChartBlock:
+    """Symplectic data of one pole's chart coordinates: ``etas``
+    (dim, l, n, n), ``dlams`` (dim, n, n)."""
+
+    def __init__(self, pole):
+        self.pole = pole
+        n, l = pole.n, pole.l
+        self.n, self.l = n, l
+        U, V, _, F_inv = pole_frame(pole)
+        self.lam = pole_lam_jet(pole)
+        self.lam_hankel = np.zeros((l, l, n, n), dtype=complex)
+        u_toeplitz = np.zeros((l, l, n, n), dtype=complex)
+        v_shifted = np.zeros((max(l - 2, 0), l, n, n), dtype=complex)
+        for m in range(l):
+            self.lam_hankel[m, : l - m] = self.lam[m:]
+            u_toeplitz[m, : m + 1] = U[m::-1]
+        for k in range(l - 2):
+            v_shifted[k, k + 1:] = V[: l - k - 1]
+        eta_h = np.einsum("ipa,mibq->abmpq", F_inv, u_toeplitz)
+        eta_u = np.einsum("kmpa,bq->kabmpq", v_shifted, np.eye(n))
+        eta_u = eta_u[:, ~np.eye(n, dtype=bool)]
+        n_frame = n * n + eta_u.shape[0] * eta_u.shape[1]
+        self.dim = n_frame + n * n
+        self.etas = np.zeros((self.dim, l, n, n), dtype=complex)
+        self.etas[: n * n] = eta_h.reshape(n * n, l, n, n)
+        self.etas[n * n: n_frame] = eta_u.reshape(-1, l, n, n)
+        self.dlams = np.zeros((self.dim, n, n), dtype=complex)
+        self.dlams[n_frame:] = np.eye(n * n).reshape(n * n, n, n)
+
+    def gram_block(self):
+        E = self.etas
+        lam_eta = np.einsum("ijpr,xirq->xjpq", self.lam_hankel, E)
+        A = (np.einsum("xjpq,yjqp->xy", lam_eta, E)
+             + np.einsum("xpq,yqp->xy", E[:, 0], self.dlams))
+        return 2.0 * (A - A.T)
+
+    def induced_variations(self):
+        E, H = self.etas, self.lam_hankel
+        inner = (np.einsum("xmpr,mkrq->xkpq", E, H)
+                 - np.einsum("mkpr,xmrq->xkpq", H, E))
+        inner[:, 0] += self.dlams
+        return pole_dressed_polar(self.pole, inner)
+
+
+def pole_hamiltonian_vector_field(dH, state):
+    """``omega(X, .) = dH`` solved with one SVD per pole block."""
+    blocks = [PoleChartBlock(p) for p in state.poles]
+    dH = np.asarray(dH, dtype=complex).ravel()
+    cuts = np.cumsum([0] + [b.dim for b in blocks])
+    if dH.shape[0] != cuts[-1]:
+        raise MalformedInputError("dH length does not match the chart dimension")
+    svds = [np.linalg.svd(b.gram_block().T) for b in blocks]
+    s_max = max(S[0] for _, S, _ in svds)
+    s_min = min(S[-1] for _, S, _ in svds)
+    if s_max == 0.0 or s_min <= TAU_RANK * s_max:
+        raise DegenerateChartError("chart Gram matrix is singular")
+    return np.concatenate([Vh.conj().T @ ((U.conj().T @ dH[a:b]) / S)
+                           for a, b, (U, S, Vh) in zip(cuts, cuts[1:], svds)])
+
+
+def _unit_extension(dist, L, m_max):
+    return np.stack([extension_jet(1.0, k, dist, m_max)
+                     for k in range(1, L + 1)])
+
+
+def pole_d_translation_hamiltonian(state, i):
+    """``d res_{t_i} tr(A^2)`` on the chart basis, block by pole block."""
+    p_i = state.poles[i]
+    polar_i = np.asarray(pole_polar(state)[i])
+    out = np.zeros(state.chart_dim(), dtype=complex)
+    at = 0
+    for j, p in enumerate(state.poles):
+        blk = PoleChartBlock(p)
+        if j == i:
+            weight = pole_regular_jets(state)[i]
+        else:
+            ext = _unit_extension(p_i.t - p.t, blk.l, p_i.l - 1)
+            weight = np.einsum("km,mpq->kpq", ext, polar_i)
+        out[at: at + blk.dim] = 2.0 * np.einsum(
+            "kpq,xkqp->x", weight, blk.induced_variations())
+        at += blk.dim
+    return out
+
+
+def pole_jet_variation(state, i, j, dC, m_max):
+    """Variation of pole i's Laurent jet under variations ``dC`` (x, L, n, n)
+    of pole j's polar part."""
+    p = state.poles[i]
+    out = np.zeros((dC.shape[0], p.l + m_max + 1, state.n, state.n),
+                   dtype=complex)
+    if j == i:
+        out[:, p.l - dC.shape[1]: p.l] = dC[:, ::-1]
+    else:
+        ext = _unit_extension(p.t - state.poles[j].t, dC.shape[1], m_max)
+        out[:, p.l:] = np.einsum("km,xkpq->xmpq", ext, dC)
+    return out
+
+
+def pole_d_hamiltonian_beta_B(state, i, beta):
+    """The tangent-pass differential of the diagonal-jet pairing, with the
+    jet variations stacked pole by pole."""
+    p = state.poles[i]
+    beta = np.asarray(beta, dtype=complex)
+    dA = np.concatenate([
+        pole_jet_variation(state, i, j, PoleChartBlock(q).induced_variations(),
+                           p.l - 2)
+        for j, q in enumerate(state.poles)])
+    dB = diagonalize_jet(pole_jet_at_pole(state, i), 2 * p.l - 2, dA=dA).dB
+    return np.einsum("kc,xkc->x", beta, dB[:, p.l:])
+
+
+def pole_section_rates(direction, state):
+    """``flows._section_rates`` with every pole's data computed on its own."""
+    poles = state.poles
+    polar, regular = pole_polar(state), pole_regular_jets(state)
+    dt = np.zeros(len(poles), dtype=complex)
+    for i, rate in direction.moduli_rates.items():
+        dt[i] = rate
+    dC = []
+    for j, p in enumerate(poles):
+        dlam = np.zeros((1, p.l, p.n, p.n), dtype=complex)
+        for r, row in enumerate(direction.irregular_rates.get(j, ())):
+            dlam[0, r + 1] = np.diag(row)
+        dC.append(pole_dressed_polar(p, dlam))
+    dq, db = [], []
+    for i, p in enumerate(poles):
+        dJ = sum(pole_jet_variation(state, i, j, dC[j], p.l - 1)
+                 for j in range(len(poles)))
+        for j, q in enumerate(poles):
+            if j != i and dt[i] != dt[j]:
+                shifted = np.zeros((1, q.l + 1, p.n, p.n), dtype=complex)
+                shifted[0, 1:] = (-(dt[i] - dt[j])
+                                  * np.arange(1, q.l + 1)[:, None, None]
+                                  * np.asarray(polar[j]))
+                dJ = dJ + pole_jet_variation(state, i, j, shifted, p.l - 1)
+        rows = dJ[0]
+        slot = np.zeros(p.l, dtype=complex)
+        slot[0] = 2.0 * (
+            np.einsum("kpq,kqp->", rows[p.l - 1::-1], regular[i])
+            + np.einsum("kpq,kqp->", np.asarray(polar[i]), rows[p.l:]))
+        dq.append(slot)
+        if p.l == 1:
+            db.append(np.zeros((0, p.n), dtype=complex))
+        else:
+            dB = diagonalize_jet(pole_jet_at_pole(state, i), 2 * p.l - 2,
+                                 dA=dJ[:, : 2 * p.l - 1]).dB
+            db.append(dB[0, p.l:])
+    return tuple(dq), tuple(db)

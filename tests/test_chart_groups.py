@@ -1,0 +1,127 @@
+"""The chart layer stacked by pole group reproduces the pole-by-pole
+reference of ``tests/oracles.py`` bit for bit (``np.array_equal``).
+
+The states mix pole orders 1, 2 and 3 at ranks 2 to 4.  The order-1 and
+order-2 groups are not contiguous in pole order, and the order-3 pole is a
+group of one.  Each state is checked as built (groups stacked from its
+poles) and as rebuilt from a flat vector (groups unpacked at once).
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from isomonodromy.flows import Direction, _section_rates
+from isomonodromy.states import FlowState, PoleData
+from isomonodromy.symplectic import (
+    d_hamiltonian_beta_B,
+    d_translation_hamiltonian,
+    hamiltonian_vector_field,
+    induced_polar_variations,
+)
+
+from conftest import random_matrix
+
+ORDERS = (2, 1, 3, 1, 2)
+POSITIONS = (0.0, 1.7, -1.3 + 0.8j, 0.6 - 1.5j, 2.4 + 1.1j)
+
+
+def mixed_state(rng, n):
+    poles = []
+    for l, t in zip(ORDERS, POSITIONS):
+        # a regular leading type: entries 0.8 apart
+        lead = 0.8 * np.arange(n) + 0.3 + 0.05 * random_matrix(rng, n)[0]
+        lam_irr = np.array([lead * (1.0 + 0.3 * k) for k in range(l - 1)][::-1]
+                           ).reshape(l - 1, n)
+        u = None
+        if l == 3:
+            u = 0.2 * random_matrix(rng, n)
+            np.fill_diagonal(u, 0.0)
+            u = u[None]
+        poles.append(PoleData(t, l, np.eye(n) + 0.3 * random_matrix(rng, n),
+                              0.4 * random_matrix(rng, n), lam_irr, u))
+    return FlowState(n, tuple(poles))
+
+
+@pytest.fixture(params=[(n, moved) for n in (2, 3, 4)
+                        for moved in (False, True)],
+                ids=lambda p: f"n{p[0]}-{'flat' if p[1] else 'built'}")
+def state(request, rng):
+    n, moved = request.param
+    st = mixed_state(rng, n)
+    if moved:
+        y = st.flat()
+        st = st.with_flat(y + 1e-3 * np.sin(np.arange(len(y))))
+    return st
+
+
+def test_groups_are_orders_in_first_appearance(state):
+    assert [(g.l, g.index) for g in state.groups] == [
+        (2, (0, 4)), (1, (1, 3)), (3, (2,))]
+    for g in state.groups:
+        for r, i in enumerate(g.index):
+            at = sum(p.chart_size() for p in state.poles[:i])
+            assert list(g.cols[r]) == list(range(at, at + g.cols.shape[1]))
+
+
+def test_polar_and_regular_jets(state):
+    for got, want in zip(state.polar, oracles.pole_polar(state)):
+        assert np.array_equal(np.array(got), np.array(want))
+    for p, want in zip(state.poles, oracles.pole_polar(state)):
+        assert np.array_equal(np.array(p.polar_coeffs()), np.array(want))
+    for got, want in zip(state.regular_jets, oracles.pole_regular_jets(state)):
+        assert np.array_equal(got, want)
+
+
+def test_gram_blocks_and_induced_variations(state):
+    for grp, blk in zip(state.groups, state.blocks):
+        gram, variations = blk.gram_block(), blk.induced_variations()
+        for r, i in enumerate(grp.index):
+            ref = oracles.PoleChartBlock(state.poles[i])
+            assert np.array_equal(blk.etas[r], ref.etas)
+            assert np.array_equal(blk.dlams, ref.dlams)
+            assert np.array_equal(gram[r], ref.gram_block())
+            assert np.array_equal(variations[r], ref.induced_variations())
+
+
+def test_induced_polar_variations(state, rng):
+    vec = rng.standard_normal(state.chart_dim()) \
+        + 1j * rng.standard_normal(state.chart_dim())
+    got = induced_polar_variations(vec, state)
+    at = 0
+    for i, p in enumerate(state.poles):
+        ref = oracles.PoleChartBlock(p)
+        want = np.einsum("x,xkpq->kpq", vec[at: at + ref.dim],
+                         ref.induced_variations())
+        assert np.array_equal(got[i], want)
+        at += ref.dim
+
+
+def test_hamiltonian_differentials(state, rng):
+    for i, p in enumerate(state.poles):
+        assert np.array_equal(d_translation_hamiltonian(state, i),
+                              oracles.pole_d_translation_hamiltonian(state, i))
+        if p.l > 1:
+            beta = random_matrix(rng, max(p.l - 1, p.n))[: p.l - 1, : p.n]
+            assert np.array_equal(
+                d_hamiltonian_beta_B(state, i, beta),
+                oracles.pole_d_hamiltonian_beta_B(state, i, beta))
+
+
+def test_section_rates(state):
+    n = state.n
+    direction = Direction({0: 0.4, 1: -0.3j, 2: 0.2 + 0.1j},
+                          {0: [np.linspace(-0.3, 0.4, n)],
+                           4: [np.linspace(0.2, -0.1, n)]})
+    got, want = _section_rates(direction, state), \
+        oracles.pole_section_rates(direction, state)
+    for got_slots, want_slots in zip(got, want):
+        for a, b in zip(got_slots, want_slots):
+            assert np.array_equal(a, b)
+
+
+def test_hamiltonian_vector_field(state, rng):
+    dim = state.chart_dim()
+    dH = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    assert np.array_equal(hamiltonian_vector_field(dH, state),
+                          oracles.pole_hamiltonian_vector_field(dH, state))

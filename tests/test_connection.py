@@ -6,11 +6,6 @@ from isomonodromy.connection import (
     Connection,
     PolarDivisor,
     diagonalize_jet,
-    eigenvalue_jets,
-    formal_diagonalize,
-    gauge_transform,
-    reconstruction_defect,
-    spectral_quadratic,
 )
 from isomonodromy.errors import (
     MalformedInputError,
@@ -26,12 +21,17 @@ from conftest import (
     random_matrix,
 )
 from oracles import (
+    eigenvalue_jets,
+    formal_diagonalize,
+    gauge_transform,
     mult_at,
     polar_parts_by_partial_fractions,
+    reconstruction_defect,
     regular_at_infinity_by_chart,
     seeded_from_polar_parts,
     seeded_inverse,
     seeded_matmul,
+    spectral_quadratic,
 )
 
 

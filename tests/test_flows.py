@@ -1,3 +1,6 @@
+import warnings
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from isomonodromy.flows import (
 )
 from isomonodromy.monodromy import monodromy_rep
 from isomonodromy.ratfun import LaurentJet
-from isomonodromy.states import FlowState, PoleData
+from isomonodromy.states import FlowState, PoleData, PoleGroup
 from isomonodromy.symplectic import hamiltonian_beta_B
 from isomonodromy.twist import MatrixDivisor, normal_form
 
@@ -35,6 +38,7 @@ from conftest import (
     random_matrix,
     rational_translation_hamiltonians,
 )
+from oracles import with_chart_vector
 
 
 def fuchsian_state(ts, mats, twist=None):
@@ -182,6 +186,16 @@ class TestIntegrateFlow:
             integrate_flow(state, path, n_samples=n_samples)
         with pytest.raises(MalformedInputError, match="samples"):
             integrate_extended(extend_state(state), path, n_samples=n_samples)
+
+    def test_tolerance_below_the_rtol_floor_does_not_warn(self, rng):
+        # SAFETY * 1e-13 is below scipy's rtol floor of 100 eps; the flow
+        # raises it to the floor itself, where scipy would warn
+        state = fuchsian_state([0.0, 1.3], random_fuchsian_matrices(rng, 2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_flow(state, FlowPath.line(state, 0, 0.05),
+                                  tol=1e-13, n_samples=2)
+        assert traj.status == "completed"
 
     def test_stationary_path_constant(self, rng):
         state = fuchsian_state([0.0, 1.3], random_fuchsian_matrices(rng, 2, 2))
@@ -415,8 +429,8 @@ class TestSymplecticAlongFlow:
         end0 = end_chart(state)
 
         def transported(Y):
-            plus = end_chart(state.with_chart_vector(v0 + h * Y))
-            minus = end_chart(state.with_chart_vector(v0 - h * Y))
+            plus = end_chart(with_chart_vector(state, v0 + h * Y))
+            minus = end_chart(with_chart_vector(state, v0 - h * Y))
             return (plus.chart_vector() - minus.chart_vector()) / (2 * h)
 
         T1, T2 = transported(Y1), transported(Y2)
@@ -624,14 +638,18 @@ def mixed_order_state(rng):
 
 
 def count_polar_coeffs(monkeypatch):
+    """Counts the poles whose polar coefficients are computed: a group's
+    ``polar`` counts each of its poles."""
     calls = [0]
-    original = PoleData.polar_coeffs
+    original = PoleGroup.polar.func
 
     def counted(self):
-        calls[0] += 1
+        calls[0] += len(self.index)
         return original(self)
 
-    monkeypatch.setattr(PoleData, "polar_coeffs", counted)
+    polar = cached_property(counted)
+    polar.__set_name__(PoleGroup, "polar")
+    monkeypatch.setattr(PoleGroup, "polar", polar)
     return calls
 
 
@@ -668,18 +686,37 @@ class TestStatePolarData:
         assert calls[0] == len(state.poles)
 
     def test_frame_inverted_once_per_pole(self, rng, monkeypatch):
-        # the polar coefficients and the chart blocks share each pole's frame
+        # the polar coefficients and the chart blocks share each pole's
+        # frame; a stack of frames counts each frame it inverts
         calls = [0]
         inv = np.linalg.inv
 
         def counted(a):
-            calls[0] += 1
+            calls[0] += np.shape(a)[0] if np.ndim(a) == 3 else 1
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
         state = mixed_order_state(rng)
         state.polar, state.blocks
         assert calls[0] == len(state.poles)
+
+    def test_with_flat_inverts_each_group_at_once(self, rng, monkeypatch):
+        # the state from a flat vector inverts the frames of a group in one
+        # call, and its polar data and chart blocks invert none again
+        state = irregular_state(rng)
+        calls, frames = [0], [0]
+        inv = np.linalg.inv
+
+        def counted(a):
+            calls[0] += 1
+            frames[0] += np.shape(a)[0] if np.ndim(a) == 3 else 1
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        moved = state.with_flat(state.flat())
+        moved.polar, moved.blocks
+        assert frames[0] == len(state.poles) == 3
+        assert calls[0] == len(moved.groups) == 2
 
     @pytest.mark.parametrize("field, bad", [
         ("h", {"h": np.ones((2, 3))}),

@@ -8,9 +8,8 @@ from isomonodromy.ratfun import (
     RatScalar,
     residue_quadrature_oracle,
 )
-from isomonodromy.connection import spectral_quadratic
 from isomonodromy.flows import Direction, direction_differential
-from isomonodromy.states import FlowState, PoleData
+from isomonodromy.states import FlowState, PoleData, PoleGroup
 from isomonodromy.symplectic import (
     PoleChartBlock,
     TangentVec,
@@ -34,6 +33,7 @@ from conftest import (
     random_matrix,
     rational_translation_hamiltonians,
 )
+from oracles import spectral_quadratic, with_chart_vector
 
 
 def fuchsian_state(ts, mats, twist=None):
@@ -217,8 +217,8 @@ class TestChart:
 
         def deriv_along(Z, X, Y):
             v0 = state.chart_vector()
-            sp = state.with_chart_vector(v0 + h * Z)
-            sm = state.with_chart_vector(v0 - h * Z)
+            sp = with_chart_vector(state, v0 + h * Z)
+            sm = with_chart_vector(state, v0 - h * Z)
             return (omega_at(sp, X, Y) - omega_at(sm, X, Y)) / (2 * h)
 
         X, Y, Z = vecs
@@ -241,21 +241,25 @@ class TestChart:
         return poles
 
     def test_gram_block_matches_pairwise_omega(self, rng):
+        # each pole grouped with a second pole of its order and rank
         for pole in self.chart_poles(rng):
-            blk = PoleChartBlock(pole)
-            G = blk.gram_block()
-            want = np.array([[blk.omega((blk.etas[x], blk.dlams[x]),
-                                        (blk.etas[y], blk.dlams[y]))
-                              for y in range(blk.dim)]
-                             for x in range(blk.dim)])
-            assert np.max(np.abs(G - want)) < 1e-13 * np.max(np.abs(want))
-            assert np.array_equal(G, -G.T)
+            other = pole.with_chart_slice(
+                pole.chart_slice() + 0.2 * rng.standard_normal(
+                    pole.chart_size()), t=pole.t + 1.0)
+            blk = PoleChartBlock(PoleGroup((pole, other)))
+            for g, G in enumerate(blk.gram_block()):
+                want = np.array([[blk.omega((blk.etas[g, x], blk.dlams[x]),
+                                            (blk.etas[g, y], blk.dlams[y]), g)
+                                  for y in range(blk.dim)]
+                                 for x in range(blk.dim)])
+                assert np.max(np.abs(G - want)) < 1e-13 * np.max(np.abs(want))
+                assert np.array_equal(G, -G.T)
 
     def test_induced_variations_match_polar_differences(self, rng):
         step = 1e-5
         for pole in self.chart_poles(rng):
-            blk = PoleChartBlock(pole)
-            got = blk.induced_variations()
+            blk = PoleChartBlock(PoleGroup((pole,)))
+            got = blk.induced_variations()[0]
             v0 = pole.chart_slice()
             for x in range(blk.dim):
                 e = np.zeros_like(v0)
@@ -284,10 +288,15 @@ class TestChart:
         state = FlowState(1, (PoleData(0.0, 1, [[1.0]], [[0.3]]),
                               PoleData(1.0, 1, [[1e9]], [[-0.3]])))
         for blk in chart_blocks(state):
-            S = np.linalg.svd(blk.gram_block(), compute_uv=False)
-            assert S[-1] > (1 - 1e-12) * S[0]
+            for S in np.linalg.svd(blk.gram_block(), compute_uv=False):
+                assert S[-1] > (1 - 1e-12) * S[0]
         with pytest.raises(DegenerateChartError):
             hamiltonian_vector_field(np.ones(state.chart_dim()), state)
+
+    def test_no_pole_chart_has_empty_field(self):
+        # a zero-dimensional chart: no block, no guard, the empty field
+        X = hamiltonian_vector_field(np.zeros(0), FlowState(2, ()))
+        assert X.shape == (0,) and X.dtype == complex
 
     def test_degenerate_chart_detected(self):
         state = FlowState(1, (PoleData(0.0, 1, np.eye(1), np.zeros((1, 1))),

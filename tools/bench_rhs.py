@@ -1,0 +1,152 @@
+"""Per-RHS timings of two checkouts, alternated: one isomonodromic right-hand
+side evaluation split into its stages.
+
+    python3 tools/bench_rhs.py OLD NEW [--rounds 5] [--repeats 200] \\
+        [--out BENCH_rhs.json]
+
+``OLD`` and ``NEW`` are checkout directories.  Each round runs one
+subprocess per checkout, in alternating order, with one BLAS thread as in
+``bench/run.py``; it imports the library from the checkout's ``src`` and the
+states from its ``bench/workloads.py``.  The cases are the benchmark's:
+the 4-pole Fuchsian state at n = 2, 3 and 4 with a translation of pole 1,
+and the order-2 irregular state with an irregular rate at its order-2 pole.
+Per case and repeat, a fresh state is built from the flat vector and timed
+in stages:
+
+* ``build``: ``FlowState.with_flat``;
+* ``differential``: ``direction_differential`` (this builds the state's
+  polar data and chart blocks);
+* ``gram``: every block's ``gram_block()``;
+* ``solve``: ``hamiltonian_vector_field`` less the ``gram`` time, since it
+  assembles the blocks again;
+* ``rhs``: one whole ``isomonodromic_rhs(...).flat()`` on another fresh
+  state, as the flow integrator calls it.
+
+Each subprocess reports the median over its repeats in microseconds.  The
+JSON file holds every round's medians per checkout and, per case and stage,
+the median over rounds and the ratio NEW/OLD.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+STAGES = ("build", "differential", "gram", "solve", "rhs")
+
+# argv: checkout, repeats; prints one JSON object {case: {stage: us}}
+CHILD = r"""
+import json, statistics, sys, time
+from pathlib import Path
+root, repeats = sys.argv[1], int(sys.argv[2])
+sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "bench")]
+import numpy as np
+import workloads
+from isomonodromy.flows import (Direction, direction_differential,
+                                isomonodromic_rhs)
+from isomonodromy.symplectic import hamiltonian_vector_field
+
+rng = np.random.default_rng(1009)
+cases = {f"n{n}": (workloads.fuchsian_state(rng, n, workloads.FUCHSIAN_POLES),
+                   Direction.translation(1, workloads.FUCHSIAN_SHIFT))
+         for n in (2, 3, 4)}
+state = workloads.irregular_state(rng)
+rate = workloads.irregular_rate(rng, state.poles[0].lam_irr[0])
+cases["irregular"] = (state, Direction.irregular(0, [rate]))
+
+clock = time.perf_counter
+out = {}
+for name, (state, direction) in cases.items():
+    y = state.flat()
+    times = {stage: [] for stage in ("build", "differential", "gram",
+                                     "solve", "rhs")}
+    for rep in range(repeats + 3):       # three warm-up repeats
+        t0 = clock()
+        st = state.with_flat(y)
+        t1 = clock()
+        dH = direction_differential(direction, st)
+        t2 = clock()
+        for block in st.blocks:
+            block.gram_block()
+        t3 = clock()
+        hamiltonian_vector_field(dH, st)
+        t4 = clock()
+        isomonodromic_rhs(direction, state.with_flat(y)).flat()
+        t5 = clock()
+        if rep >= 3:
+            for stage, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2,
+                                         (t4 - t3) - (t3 - t2), t5 - t4)):
+                times[stage].append(1e6 * dt)
+    out[name] = {stage: statistics.median(v) for stage, v in times.items()}
+print(json.dumps(out))
+"""
+
+
+def cpu_model():
+    """The processor's model name where Linux reports it."""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def run(checkout, repeats):
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(Path(checkout).resolve()),
+         str(repeats)], capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old")
+    ap.add_argument("new")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=200)
+    ap.add_argument("--out", default="BENCH_rhs.json")
+    args = ap.parse_args(argv)
+
+    rounds = {"old": [], "new": []}
+    for r in range(args.rounds):
+        order = ("old", "new") if r % 2 == 0 else ("new", "old")
+        for side in order:
+            rounds[side].append(run(getattr(args, side), args.repeats))
+
+    summary = {}
+    for case in rounds["old"][0]:
+        summary[case] = {}
+        for stage in STAGES:
+            med = {side: statistics.median(r[case][stage]
+                                           for r in rounds[side])
+                   for side in rounds}
+            summary[case][stage] = {
+                "old_us": med["old"], "new_us": med["new"],
+                "ratio": med["new"] / med["old"] if med["old"] else None}
+    result = {
+        "old": str(args.old), "new": str(args.new),
+        "host": {"machine": platform.machine(), "processor": cpu_model(),
+                 "cpus": os.cpu_count(), "python": platform.python_version()},
+        "rounds": args.rounds, "repeats": args.repeats,
+        "summary": summary, "per_round": rounds,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    for case, stages in summary.items():
+        cells = "  ".join(f"{stage} {v['old_us']:.0f}->{v['new_us']:.0f}"
+                          for stage, v in stages.items())
+        print(f"{case:10s} {cells}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
