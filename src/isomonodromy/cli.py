@@ -2,8 +2,8 @@
 
 Subcommands: ``flow``, ``monodromy``, ``hamiltonian``, ``verify``,
 ``pairing``.  Exit codes: 0 success, 2 invariant violation beyond tolerance,
-3 numeric abort, 4 parse error.  Identical spec and seed give byte-identical
-outputs.
+3 numeric abort, 4 parse error (of the spec or the command line).  Identical
+spec and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _state_of(spec):
 
 
 def _pole_index(value, state, where):
-    idx = int(value)
+    idx = ser.un_typed(value, int, where)
     if not 0 <= idx < len(state.poles):
         raise _ParseFail(f"{where}: pole index {idx} is not in "
                          f"0..{len(state.poles) - 1}")
@@ -125,9 +125,9 @@ def _path_of(spec, state, pinned):
     elif kind == "semicircle":
         idx = _pole_index(p["pole"], state, "path.pole")
         moved = [idx]
-        path = FlowPath.semicircle(state, idx,
-                                   ser.un_cx(p["diameter"], "path.diameter"),
-                                   upper=bool(p.get("upper", True)))
+        path = FlowPath.semicircle(
+            state, idx, ser.un_cx(p["diameter"], "path.diameter"),
+            upper=ser.un_typed(p.get("upper", True), bool, "path.upper"))
     elif kind == "irregular":
         idx = _irregular_pole(p["pole"], state, "path.pole", higher_ok=False)
         rate = ser.un_matrix(p["rate"], "path.rate")
@@ -179,7 +179,8 @@ def cmd_flow(spec, args, verify_only=False):
     out = FsPath(args.out)
 
     traj = integrate_flow(state, path, tol=tols["flow"],
-                          n_samples=int(spec.get("samples", 9)))
+                          n_samples=ser.un_typed(spec.get("samples", 9), int,
+                                                 "samples"))
     report = verify_isomonodromy(traj, tol=tols["transport"],
                                  base_point=base_point)
     if not verify_only:
@@ -224,7 +225,7 @@ def cmd_hamiltonian(spec, args):
                               higher_ok=True)
         beta = ser.un_matrix(direction["beta"], "direction.beta")
     field_pole = None
-    if spec.get("field"):
+    if ser.un_typed(spec.get("field", False), bool, "field"):
         fld = direction or {"kind": "translation", "pole": 0}
         if fld.get("kind", "translation") != "translation":
             raise _ParseFail("field output is supported for translations")
@@ -244,6 +245,8 @@ def cmd_hamiltonian(spec, args):
 def cmd_pairing(spec, args):
     tols = _tols(spec, args.tol)
     site = ser.un_twist_site(spec["site"])
+    checks = _object(spec.get("checks", {}), "checks")
+    count = ser.un_typed(checks.get("count", 0), int, "checks.count")
     a = np.stack([ser.un_matrix(M) for M in spec["a"]])
     b_coeffs = [ser.un_matrix(M) for M in spec["b"]]
     from .ratfun import LaurentJet
@@ -256,8 +259,6 @@ def cmd_pairing(spec, args):
     frame = spec.get("frame", "U1")
     value = residue_pairing(a, b, site, frame)
 
-    checks = _object(spec.get("checks", {}), "checks")
-    count = int(checks.get("count", 0))
     worst = 0.0
     if count:
         rng = np.random.default_rng(int(args.seed))
@@ -282,9 +283,16 @@ def cmd_pairing(spec, args):
 
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, with usage errors on the parse-error exit code 4."""
+
+    def error(self, message):
+        self.exit(4, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="isomonodromy",
         description="monodromy-preserving deformation flows at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)

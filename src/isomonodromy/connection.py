@@ -34,6 +34,17 @@ TAU_SEP = 1e-6     # minimum pole separation / evaluation clearance
 TAU_REG = 1e-8     # eigenvalue gap below which a leading term is non-regular
 
 
+def check_separated(points, what):
+    """Raise ``MalformedInputError`` unless the ``points`` are pairwise more
+    than ``TAU_SEP`` apart: the one separation rule for poles and twist
+    sites."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if abs(points[i] - points[j]) <= TAU_SEP:
+                raise MalformedInputError(
+                    f"{what} {points[i]} and {points[j]} closer than {TAU_SEP}")
+
+
 @dataclass(frozen=True)
 class PolarDivisor:
     """Positive divisor ``sum l_i t_i`` with multiplicities stored non-increasing."""
@@ -50,11 +61,7 @@ class PolarDivisor:
                        key=lambda i: (-ms[i], pts[i].real, pts[i].imag))
         pts = [pts[i] for i in order]
         ms = [ms[i] for i in order]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) <= TAU_SEP:
-                    raise MalformedInputError(
-                        f"divisor points {pts[i]} and {pts[j]} closer than {TAU_SEP}")
+        check_separated(pts, "divisor points")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "mults", tuple(ms))
 

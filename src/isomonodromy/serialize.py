@@ -49,6 +49,16 @@ def un_cx(v, where=None):
     raise MalformedInputError(f"{where}: {problem}" if where else problem)
 
 
+def un_typed(v, kind, where):
+    """``v``, which must be a JSON value of type ``kind``, ``int`` or
+    ``bool``: ``int(v)`` would read 2.5 as 2, and ``bool(v)`` "false" as
+    true.  Anything else is an input error at the field ``where``."""
+    if type(v) is not kind:
+        raise MalformedInputError(f"{where}: expected {kind.__name__}, "
+                                  f"got {v!r}")
+    return v
+
+
 def point(p):
     return "inf" if is_infinity(p) else cx(p)
 
@@ -122,10 +132,10 @@ def un_connection(d):
     base = None
     if d.get("base_pole"):
         bp = d["base_pole"]
-        base = BasePole(int(bp["k"]), un_cx(bp["point"], "base_pole.point"))
-    conn = Connection.from_polar_parts(pole_data, n=int(d["n"]), tail=tail,
-                                       base_pole=base)
-    return conn
+        base = BasePole(un_typed(bp["k"], int, "base_pole.k"),
+                        un_cx(bp["point"], "base_pole.point"))
+    return Connection.from_polar_parts(
+        pole_data, n=un_typed(d["n"], int, "n"), tail=tail, base_pole=base)
 
 
 def twist_site(site):
@@ -170,7 +180,7 @@ def un_flow_state(d):
         return FlowState.from_connection(conn, twist)
     poles = []
     for i, p in enumerate(d["poles"]):
-        l = int(p["l"])
+        l = un_typed(p["l"], int, f"poles[{i}].l")
         irr = un_matrix(p.get("irr", []), f"poles[{i}].irr").reshape(
             l - 1, -1) if l > 1 else None
         u = np.stack([un_matrix(M, f"poles[{i}].u") for M in p["u"]]) \
@@ -179,7 +189,7 @@ def un_flow_state(d):
                               un_matrix(p["h"], f"poles[{i}].h"),
                               un_matrix(p["res"], f"poles[{i}].res"), irr, u))
     twist = un_matrix_divisor(d["twists"]) if d.get("twists") else None
-    return FlowState(int(d["n"]), tuple(poles), twist)
+    return FlowState(un_typed(d["n"], int, "n"), tuple(poles), twist)
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,23 @@ jet group).  What remains is exactly a symplectic chart on the partially
 reduced space.  Trivialization jets over the divisor are the inverses of
 the frame jets.
 
-A ``PoleData`` is one pole's data.  Its frame ``h`` is inverted on
-construction, where a singular or non-finite ``h`` is refused with the
-pole's position.  The rule for a regular leading term is
-``connection.check_regular``.
+Input is checked where it comes in: ``PoleData(...)`` checks each field
+and inverts ``h``, refusing a singular or non-finite one with the pole's
+position; ``FlowState(...)`` checks separation, rank and leading terms
+(``connection.check_separated``, ``connection.check_regular``).
 
 A ``PoleGroup`` stacks the poles of one order along a leading group axis
-(all poles share the rank), and everything derived from a pole is computed
-once per group, on first use: ``unipotent`` (the jets of ``I + u`` and of
-its inverse), ``frame`` (the jets of ``F = h (I + u)`` and of ``F^-1``),
-``lam_jet`` and ``polar``.  ``dressed_polar`` is the one map from dressed
-polar jets to connection polar coefficients: ``polar`` dresses
-``lam_jet``, and the chart layer and the flows dress their variations
-with it.  The batched products give every pole exactly the bits a product
-of its own would; a single pole is a group of one (``polar_coeffs``,
-``with_chart_slice``).  Pole positions stay Python complex numbers, because
-``connection.extension_weights`` takes powers of their differences.
+(all poles share the rank); it is built from its stacks, by ``stack`` from
+a state's poles or by ``from_chart`` from chart rows.  Everything derived
+from a pole is computed once per group, on first use: ``unipotent`` (the
+jets of ``I + u`` and of its inverse), ``frame`` (the jets of ``F = h (I +
+u)`` and of ``F^-1``), ``lam_jet`` and ``polar``.  ``dressed_polar`` is the
+one map from dressed polar jets to connection polar coefficients:
+``polar`` dresses ``lam_jet``, and the chart layer and the flows dress
+their variations with it.  The batched products give every pole exactly
+the bits a product of its own would.  Pole positions stay Python complex
+numbers, because ``connection.extension_weights`` takes powers of their
+differences.
 
 A ``FlowState`` owns the data derived from its poles, each computed once, on
 first use: its groups (``groups``, by order in order of first appearance,
@@ -42,8 +43,10 @@ with each pole's index and chart coordinates), the polar coefficients
 blocks (``blocks``).  ``jet_at_pole`` and ``diagonal_jet`` assemble a
 pole's Laurent jet and formal diagonal jet from them.  The chart layer and
 the flows read these attributes and take only the state.  ``with_flat``
-unpacks a flat vector group by group, inverting each group's frames in one
-call, and the new state keeps those groups.
+checks only its vector's length and inverts each group's frames in one
+call; the new state keeps those groups, and its poles are row views of
+their stacks.  Along a flow the right-hand side checks a moving leading
+type, in ``diagonalize_jet``.
 
 Chart-vector layout, per pole: the ``n^2`` entries of ``h`` (row-major),
 then for each jet order ``k = 1 .. l-2`` the ``n^2 - n`` off-diagonal
@@ -59,10 +62,10 @@ from functools import cached_property
 import numpy as np
 
 from .connection import (
-    TAU_SEP,
     Connection,
     _sorted_eig,
     check_regular,
+    check_separated,
     diagonalize_jet,
     extension_weights,
 )
@@ -103,6 +106,14 @@ def _frame_inverses(ts, H):
                 f"finite: h = {h.tolist()}")
 
 
+def _trusted(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` as given, unchecked: for a
+    state rebuilt from the vector its own ``flat()`` laid out."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class PoleData:
     """Canonical data of one pole: position, order, frame jet, dressed polar."""
@@ -120,48 +131,24 @@ class PoleData:
             raise MalformedInputError(f"l: pole order {l} is below 1")
         h = np.asarray(h, dtype=complex)
         n = h.shape[0] if h.ndim else 0
+        n_u = max(l - 2, 0)
         h = _shaped(h, "h", (n, n))
-        self._fill(t, l, h, _frame_inverses([t], h[None])[0],
-                   lam_res, lam_irr, u)
-
-    @classmethod
-    def _with_inverse(cls, t, l, h, h_inv, lam_res, lam_irr, u):
-        """The pole whose frame ``h`` a caller has already inverted (and
-        checked) as ``h_inv``; every other field is checked as in
-        ``__init__``."""
-        pole = object.__new__(cls)
-        pole._fill(t, l, h, h_inv, lam_res, lam_irr, u)
-        return pole
-
-    def _fill(self, t, l, h, h_inv, lam_res, lam_irr, u):
-        n, n_u = h.shape[0], max(l - 2, 0)
-        for name, value in (("t", t), ("l", l), ("h", h), ("_h_inv", h_inv)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "lam_res", _shaped(lam_res, "lam_res", (n, n)))
-        object.__setattr__(self, "lam_irr", _shaped(
-            np.zeros((l - 1, n)) if lam_irr is None else lam_irr,
-            "lam_irr", (l - 1, n)))
+        h_inv = _frame_inverses([t], h[None])[0]
+        lam_res = _shaped(lam_res, "lam_res", (n, n))
+        lam_irr = _shaped(np.zeros((l - 1, n)) if lam_irr is None else lam_irr,
+                          "lam_irr", (l - 1, n))
         u = _shaped(np.zeros((n_u, n, n)) if u is None else u, "u", (n_u, n, n))
-        for k in range(u.shape[0]):
+        for k in range(n_u):
             if np.max(np.abs(np.diag(u[k]))) > 1e-13 * max(1.0, np.max(np.abs(u[k]))):
                 raise MalformedInputError(
                     "frame-jet coordinates must have zero diagonal")
             np.fill_diagonal(u[k], 0.0)
-        object.__setattr__(self, "u", u)
+        vars(self).update(t=t, l=l, h=h, _h_inv=h_inv, lam_res=lam_res,
+                          lam_irr=lam_irr, u=u)
 
     @property
     def n(self):
         return self.h.shape[0]
-
-    def lam_jet(self):
-        """Dressed polar coefficients, index k <-> order -(k+1); shape
-        (l, n, n): the pole's ``lam_jet`` as a group of one."""
-        return PoleGroup((self,)).lam_jet[0]
-
-    def polar_coeffs(self):
-        """``[C_1, ..., C_l]`` with ``C_k`` the coefficient of ``(z-t)**-k``:
-        the pole's ``polar`` as a group of one."""
-        return list(PoleGroup((self,)).polar[0])
 
     # -- chart packing --------------------------------------------------------
 
@@ -173,14 +160,6 @@ class PoleData:
         off = ~np.eye(self.n, dtype=bool)
         return np.concatenate([self.h.ravel(), self.u[:, off].ravel(),
                                self.lam_res.ravel()])
-
-    def with_chart_slice(self, vec, t=None, lam_irr=None):
-        """The pole with chart coordinates ``vec``; position and irregular
-        type from ``t`` and ``lam_irr`` when given, else kept."""
-        return PoleGroup.from_chart(
-            self.l, self.n, [self.t if t is None else t],
-            np.asarray(vec)[None],
-            [self.lam_irr if lam_irr is None else lam_irr]).poles[0]
 
 
 class PoleGroup:
@@ -197,24 +176,29 @@ class PoleGroup:
     give each pole the bits a product of its own gives it.
     """
 
-    def __init__(self, poles, index=None, cols=None, stacks=None):
-        p = poles[0]
-        self.poles = tuple(poles)
-        self.l, self.n = p.l, p.n
-        self.t = tuple(q.t for q in poles)
-        self.index = tuple(range(len(poles)) if index is None else index)
+    def __init__(self, l, t, h, h_inv, lam_res, lam_irr, u, index=None,
+                 cols=None):
+        self.l, self.n, self.t = l, h.shape[-1], tuple(t)
+        self.h, self.h_inv, self.lam_res, self.lam_irr, self.u = (
+            h, h_inv, lam_res, lam_irr, u)
+        self.index = tuple(range(len(self.t)) if index is None else index)
         self.cols = cols
-        if stacks is None:
-            stacks = [np.stack([getattr(q, name) for q in poles])
-                      for name in ("h", "_h_inv", "lam_res", "lam_irr", "u")]
-        self.h, self.h_inv, self.lam_res, self.lam_irr, self.u = stacks
+
+    @classmethod
+    def stack(cls, poles, index=None, cols=None):
+        """The group of the ``PoleData`` records ``poles``, all of one order
+        and rank."""
+        return cls(poles[0].l, [p.t for p in poles],
+                   *(np.stack([getattr(p, name) for p in poles])
+                     for name in ("h", "_h_inv", "lam_res", "lam_irr", "u")),
+                   index, cols)
 
     @classmethod
     def from_chart(cls, l, n, ts, chart, lam_irr, index=None, cols=None):
         """The group of the poles of order ``l`` and rank ``n`` at positions
         ``ts`` whose chart slices are the rows of ``chart``, with irregular
-        types ``lam_irr``.  Their frames are inverted in one call, and each
-        pole is checked as ``PoleData`` checks it."""
+        types ``lam_irr``.  Their frames are inverted in one call, which
+        refuses a singular frame; nothing else is checked."""
         G, n_u = len(ts), max(l - 2, 0)
         ts = [complex(t) for t in ts]
         H = np.array(chart[:, : n * n].reshape(G, n, n), dtype=complex)
@@ -224,12 +208,8 @@ class PoleGroup:
             u[:, :, ~np.eye(n, dtype=bool)] = chart[:, n * n: at].reshape(
                 G, n_u, n * n - n)
         lam = chart[:, at: at + n * n].reshape(G, n, n)
-        H_inv = _frame_inverses(ts, H)
-        poles = [PoleData._with_inverse(t, l, H[r], H_inv[r], lam[r],
-                                        lam_irr[r], u[r])
-                 for r, t in enumerate(ts)]
-        stacks = (H, H_inv, lam, np.asarray(lam_irr, dtype=complex), u)
-        return cls(poles, index, cols, stacks)
+        return cls(l, ts, H, _frame_inverses(ts, H), lam,
+                   np.asarray(lam_irr, dtype=complex), u, index, cols)
 
     @cached_property
     def unipotent(self):
@@ -294,11 +274,7 @@ class FlowState:
     twist: object = None           # MatrixDivisor or None
 
     def __post_init__(self):
-        seen = [p.t for p in self.poles]
-        for i in range(len(seen)):
-            for j in range(i + 1, len(seen)):
-                if abs(seen[i] - seen[j]) < TAU_SEP:
-                    raise MalformedInputError("pole positions too close")
+        check_separated([p.t for p in self.poles], "pole positions")
         for p in self.poles:
             if p.n != self.n:
                 raise MalformedInputError("pole data rank mismatch")
@@ -317,7 +293,7 @@ class FlowState:
         for i, p in enumerate(self.poles):
             members.setdefault(p.l, []).append(i)
         return tuple(
-            PoleGroup([self.poles[i] for i in index], index,
+            PoleGroup.stack([self.poles[i] for i in index], index,
                       at[index][:, None]
                       + np.arange(self.poles[index[0]].chart_size()))
             for index in members.values())
@@ -444,31 +420,36 @@ class FlowState:
     @cached_property
     def _flat_index(self):
         """Per group: where its poles' positions, chart slices and irregular
-        entries sit in ``flat()``."""
+        entries sit in ``flat()``; then the length of ``flat()``."""
         m = len(self.poles)
         irr_at = m + self.chart_dim() + np.cumsum(
             [0] + [(p.l - 1) * p.n for p in self.poles])
         return [(list(g.index), m + g.cols,
                  irr_at[list(g.index)][:, None] + np.arange((g.l - 1) * g.n))
-                for g in self.groups]
+                for g in self.groups], int(irr_at[-1])
 
     def with_flat(self, vec):
-        """The state whose ``flat()`` is ``vec``; validated like any state.
-
-        The poles are unpacked group by group, each group's frames inverted
-        in one call, and the groups built on the way are the new state's
-        ``groups``.
-        """
+        """The state whose ``flat()`` is ``vec``.  This state's ``flat()``
+        laid ``vec`` out, so only its length is checked.  Each group's
+        frames are inverted in one call; the groups are the new state's
+        ``groups``, and its poles are row views of their stacks."""
+        index, size = self._flat_index
+        if len(vec) != size:
+            raise MalformedInputError(
+                f"flat vector: length {len(vec)}, expected {size}")
         groups, poles = [], [None] * len(self.poles)
-        for g, (index, chart, irr) in zip(self.groups, self._flat_index):
-            groups.append(PoleGroup.from_chart(
-                g.l, g.n, vec[index], vec[chart],
-                vec[irr].reshape(len(index), g.l - 1, g.n), g.index, g.cols))
-            for i, p in zip(g.index, groups[-1].poles):
-                poles[i] = p
-        state = FlowState(self.n, tuple(poles), self.twist)
-        vars(state)["groups"] = tuple(groups)
-        return state
+        for g, (at, chart, irr) in zip(self.groups, index):
+            new = PoleGroup.from_chart(
+                g.l, g.n, vec[at], vec[chart],
+                vec[irr].reshape(len(at), g.l - 1, g.n), g.index, g.cols)
+            groups.append(new)
+            for r, i in enumerate(g.index):
+                poles[i] = _trusted(
+                    PoleData, t=new.t[r], l=g.l, h=new.h[r],
+                    _h_inv=new.h_inv[r], lam_res=new.lam_res[r],
+                    lam_irr=new.lam_irr[r], u=new.u[r])
+        return _trusted(FlowState, n=self.n, poles=tuple(poles),
+                        twist=self.twist, groups=tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -500,10 +481,14 @@ class ExtendedState:
                               + [np.ravel(b) for b in self.b_dual])
 
     def with_flat(self, vec):
-        """The extended state whose ``flat()`` is ``vec``."""
+        """The extended state whose ``flat()`` is ``vec``, checked as in
+        ``FlowState.with_flat``."""
         poles = self.state.poles
-        at = len(poles) + self.state.chart_dim() + sum(
-            (p.l - 1) * p.n for p in poles)
+        at = self.state._flat_index[1]
+        size = at + sum(p.l + (p.l - 1) * p.n for p in poles)
+        if len(vec) != size:
+            raise MalformedInputError(
+                f"flat vector: length {len(vec)}, expected {size}")
         state = self.state.with_flat(vec[:at])
         q_dual, b_dual = [], []
         for p in poles:
@@ -513,4 +498,5 @@ class ExtendedState:
             k = (p.l - 1) * p.n
             b_dual.append(vec[at: at + k].reshape(p.l - 1, p.n).copy())
             at += k
-        return ExtendedState(state, tuple(q_dual), tuple(b_dual))
+        return _trusted(ExtendedState, state=state, q_dual=tuple(q_dual),
+                        b_dual=tuple(b_dual))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import Connection, TAU_SEP
+from .connection import TAU_SEP, Connection, check_separated
 from .errors import MalformedInputError, PreconditionError
 from .ratfun import (
     RatMat,
@@ -94,10 +94,7 @@ class MatrixDivisor:
 
     def __init__(self, sites):
         sites = tuple(sites)
-        for i in range(len(sites)):
-            for j in range(i + 1, len(sites)):
-                if abs(sites[i].point - sites[j].point) <= TAU_SEP:
-                    raise MalformedInputError("twist sites too close together")
+        check_separated([s.point for s in sites], "twist sites")
         object.__setattr__(self, "sites", sites)
 
     def points(self):

@@ -11,7 +11,6 @@ from isomonodromy.errors import DegenerateChartError, MalformedInputError
 from isomonodromy.monodromy import (LineSegment, Path, loop_ordering,
                                     transport)
 from isomonodromy.ratfun import TAU_MERGE, LaurentJet, RatMat, RatScalar
-from isomonodromy.states import FlowState
 from isomonodromy.symplectic import TAU_RANK
 
 
@@ -285,13 +284,9 @@ def extension_jet(C, k, dist, m_max):
 def with_chart_vector(state, vec):
     """The state with chart vector ``vec`` and the same positions,
     irregular types and twist."""
-    poles = []
-    at = 0
-    for p in state.poles:
-        size = p.chart_size()
-        poles.append(p.with_chart_slice(vec[at: at + size]))
-        at += size
-    return FlowState(state.n, tuple(poles), state.twist)
+    flat, m = state.flat(), len(state.poles)
+    flat[m: m + state.chart_dim()] = vec
+    return state.with_flat(flat)
 
 
 # ---------------------------------------------------------------------------

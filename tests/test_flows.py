@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import isomonodromy.flows as flows
-from isomonodromy.connection import TAU_REG, Connection, diagonalize_jet
+from isomonodromy.connection import (
+    TAU_REG,
+    TAU_SEP,
+    Connection,
+    PolarDivisor,
+    diagonalize_jet,
+)
 from isomonodromy.errors import (
     MalformedInputError,
     PreconditionError,
@@ -28,7 +34,7 @@ from isomonodromy.flows import (
 )
 from isomonodromy.monodromy import monodromy_rep
 from isomonodromy.ratfun import LaurentJet
-from isomonodromy.states import FlowState, PoleData, PoleGroup
+from isomonodromy.states import ExtendedState, FlowState, PoleData, PoleGroup
 from isomonodromy.symplectic import hamiltonian_beta_B
 from isomonodromy.twist import MatrixDivisor, normal_form
 
@@ -305,8 +311,7 @@ class TestCommutingFlows:
             states.append(traj.states[-1])
 
         def polar(st):
-            return np.concatenate([np.ravel(p.polar_coeffs())
-                                   for p in st.poles])
+            return np.concatenate([np.ravel(C) for C in st.polar])
 
         start, half, end = states[0], states[2], states[-1]
         assert np.max(np.abs(half.chart_vector()
@@ -637,6 +642,16 @@ def mixed_order_state(rng):
         PoleData(-1.1 + 0.4j, 1, np.eye(2), 0.3 * random_matrix(rng, 2))))
 
 
+def clustering_flow():
+    """A rank-2 state with an order-2 pole, and an irregular rate there that
+    makes its two leading types meet at s = 1 (diagonal residues keep the
+    Hamiltonian correction small on the way)."""
+    res = np.diag([0.3, -0.2]).astype(complex)
+    state = FlowState(2, (PoleData(0.0, 2, np.eye(2), res, [[0.4, -0.45]]),
+                          PoleData(2.0, 1, np.eye(2), -res)))
+    return state, [[-0.425, 0.425]]
+
+
 def count_polar_coeffs(monkeypatch):
     """Counts the poles whose polar coefficients are computed: a group's
     ``polar`` counts each of its poles."""
@@ -718,6 +733,63 @@ class TestStatePolarData:
         assert frames[0] == len(state.poles) == 3
         assert calls[0] == len(moved.groups) == 2
 
+    def test_rebuilt_poles_are_views_of_the_group_stacks(self, rng):
+        ext = extend_state(mixed_order_state(rng))
+        for moved in (ext.state.with_flat(ext.state.flat()),
+                      ext.with_flat(ext.flat()).state):
+            assert np.array_equal(moved.flat(), ext.state.flat())
+            for g in moved.groups:
+                for r, i in enumerate(g.index):
+                    p = moved.poles[i]
+                    assert p.t == g.t[r] and p.l == g.l
+                    for name, stack in (("h", g.h), ("_h_inv", g.h_inv),
+                                        ("lam_res", g.lam_res),
+                                        ("lam_irr", g.lam_irr), ("u", g.u)):
+                        row = getattr(p, name)
+                        assert np.array_equal(row, stack[r])
+                        assert row.size == 0 or np.shares_memory(row, stack)
+
+    def test_with_flat_checks_no_input(self, rng, monkeypatch):
+        # the vector is the state's own layout: the rebuild runs none of the
+        # input checks, only the frame inversion
+        import isomonodromy.states as states
+        ext = extend_state(mixed_order_state(rng))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("input check on the rebuild path")
+
+        for owner, name in ((states, "_shaped"), (states, "check_regular"),
+                            (states, "check_separated"),
+                            (PoleData, "__init__"),
+                            (FlowState, "__post_init__"),
+                            (ExtendedState, "__post_init__")):
+            monkeypatch.setattr(owner, name, refused)
+        y = ext.flat()
+        assert np.array_equal(ext.with_flat(y).flat(), y)
+        assert np.array_equal(ext.state.with_flat(ext.state.flat()).flat(),
+                              ext.state.flat())
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_with_flat_checks_the_length(self, rng, extended, change):
+        state = mixed_order_state(rng)
+        start = extend_state(state) if extended else state
+        y = start.flat()
+        bad = y[:-1] if change < 0 else np.r_[y, 0.0]
+        with pytest.raises(MalformedInputError,
+                           match=rf"^flat vector: length {len(bad)}, "
+                                 rf"expected {len(y)}$"):
+            start.with_flat(bad)
+
+    def test_flow_into_a_clustered_type_is_refused(self):
+        # the leading types meet at s = 1, where the integrator evaluates
+        # the right-hand side; it refuses the clustered type in
+        # diagonalize_jet, as the rebuild once did
+        state, rate = clustering_flow()
+        path = FlowPath.irregular_line(state, 0, rate)
+        with pytest.raises(RegularityError, match="^leading eigenvalues "):
+            integrate_flow(state, path, n_samples=3)
+
     @pytest.mark.parametrize("field, bad", [
         ("h", {"h": np.ones((2, 3))}),
         ("lam_res", {"lam_res": np.zeros((3, 3))}),
@@ -738,6 +810,38 @@ class TestStatePolarData:
         with pytest.raises(MalformedInputError,
                            match=r"^h: .* pole t = \(0\.5-1j\) is singular"):
             PoleData(0.5 - 1j, 2, h, np.zeros((2, 2)), [[0.5, -0.5]])
+
+
+class TestSeparationRule:
+    @pytest.mark.parametrize("entry", ["FlowState", "PolarDivisor",
+                                       "MatrixDivisor"])
+    @pytest.mark.parametrize("factor, separated", [
+        (1 - 1e-3, False), (1.0, False), (1 + 1e-3, True)])
+    def test_entry_points_agree(self, rng, entry, factor, separated):
+        # two points TAU_SEP * factor apart: refused at or below TAU_SEP by
+        # the state, the polar divisor and the matrix divisor alike
+        gap = TAU_SEP * factor
+        res = 0.3 * random_matrix(rng, 2)
+        build = {
+            "FlowState": lambda: FlowState(2, (
+                PoleData(0.0, 1, np.eye(2), res),
+                PoleData(gap, 1, np.eye(2), -res))),
+            "PolarDivisor": lambda: PolarDivisor([0.0, gap], [1, 1]),
+            "MatrixDivisor": lambda: MatrixDivisor(
+                (normal_form(0.0, (0.0, 1.0)), normal_form(gap, (0.0, 1.0)))),
+        }[entry]
+        if separated:
+            build()
+        else:
+            with pytest.raises(MalformedInputError, match="closer than"):
+                build()
+
+    def test_accepted_state_builds_its_connection(self, rng):
+        res = 0.3 * random_matrix(rng, 2)
+        state = FlowState(2, (PoleData(0.0, 1, np.eye(2), res),
+                              PoleData(TAU_SEP * (1 + 1e-3), 1, np.eye(2),
+                                       -res)))
+        assert state.connection().divisor.mults == (1, 1)
 
 
 class TestLeadingTermRule:

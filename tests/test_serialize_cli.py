@@ -540,12 +540,91 @@ class TestCli:
         assert err.startswith("parse error: ")
         assert f"{field or 'spec'} must be a JSON object" in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["flow"], 4), (["frobnicate", "--input", "x"], 4),
+        (["flow", "--input", "x", "--bogus"], 4), (["--help"], 0),
+        (["flow", "--help"], 0)])
+    def test_argument_errors_are_parse_errors(self, argv, code, capsys):
+        # argparse's own exit code 2 would read as an invariant violation
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == code
+        assert ("error: " in capsys.readouterr().err) == (code == 4)
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("flow", "samples", 2.5), ("flow", "samples", "3"),
+        ("flow", "samples", True), ("flow", "path.pole", 1.5),
+        ("flow", "path.upper", "false"), ("flow", "path.upper", 0),
+        ("flow", "n", 2.0), ("flow", "poles[0].l", "1"),
+        ("monodromy", "n", 2.0), ("monodromy", "base_pole.k", 0.5),
+        ("hamiltonian", "direction.pole", 0.5), ("hamiltonian", "field", 1),
+        ("pairing", "checks.count", 2.5)])
+    def test_integer_and_boolean_fields_are_checked(
+            self, flow_spec, tmp_path, monkeypatch, capsys, command, field,
+            value):
+        # int() and bool() would read 2.5 as 2 and "false" as true
+        for name in ("integrate_flow", "monodromy_rep",
+                     "translation_hamiltonian_values", "residue_pairing"):
+            monkeypatch.setattr(f"isomonodromy.cli.{name}", _no_work)
+        spec = json.loads(flow_spec.read_text())
+        if command == "monodromy":
+            res = np.diag([0.3, -0.3])
+            conn = ser.connection(Connection.from_polar_parts(
+                [(0.0, [res]), (1.5, [-res])]))
+            conn["base_pole"] = {"point": "inf", "k": 0}
+            spec = {"connection": conn}
+            target = spec["connection"]
+        elif command == "hamiltonian":
+            spec["direction"] = {"kind": "translation", "pole": 0}
+            spec["field"] = True
+        elif command == "pairing":
+            spec = {"site": {"p": [0.0, 0.0],
+                             "params": [[0.0, 0.0], [1.5, 0.0]]},
+                    "a": [ser.matrix(np.eye(2))],
+                    "b": [ser.matrix(np.eye(2))], "checks": {"count": 2}}
+        if command != "monodromy":
+            target = spec["state"] if field in ("n", "poles[0].l") else spec
+        *parents, key = field.replace("poles[0]", "poles.0").split(".")
+        for name in parents:
+            target = target[int(name) if name.isdigit() else name]
+        target[key] = value
+        flow_spec.write_text(json.dumps(spec))
+        assert cli_main([command, "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith(
+            f"parse error: {field}: expected ")
+        assert not (tmp_path / "o").exists()
+
+    def test_clustered_leading_type_is_a_numeric_abort(self, tmp_path,
+                                                       capsys):
+        # the order-2 pole's leading types meet at s = 1
+        res = np.diag([0.3, -0.2]).astype(complex)
+        state = FlowState(2, (
+            PoleData(0.0, 2, np.eye(2), res, [[0.4, -0.45]]),
+            PoleData(2.0, 1, np.eye(2), -res)))
+        spec = {"state": ser.flow_state(state), "samples": 3,
+                "path": {"kind": "irregular", "pole": 0,
+                         "rate": [[[-0.425, 0.0], [0.425, 0.0]]]}}
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        assert cli_main(["flow", "--input", str(sp),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric abort: leading eigenvalues ")
+
     def test_console_entry_point(self, flow_spec, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "isomonodromy.cli", "monodromy",
              "--input", str(flow_spec), "--out", str(tmp_path / "m")],
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
+
+    def test_console_argument_error_exits_4(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "isomonodromy.cli", "flow"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 4
+        assert "--input" in proc.stderr
 
 
 def _no_work(*args, **kwargs):

@@ -243,10 +243,12 @@ class TestChart:
     def test_gram_block_matches_pairwise_omega(self, rng):
         # each pole grouped with a second pole of its order and rank
         for pole in self.chart_poles(rng):
-            other = pole.with_chart_slice(
-                pole.chart_slice() + 0.2 * rng.standard_normal(
-                    pole.chart_size()), t=pole.t + 1.0)
-            blk = PoleChartBlock(PoleGroup((pole, other)))
+            v = pole.chart_slice()
+            pair = PoleGroup.from_chart(
+                pole.l, pole.n, [pole.t, pole.t + 1.0],
+                np.stack([v, v + 0.2 * rng.standard_normal(v.size)]),
+                [pole.lam_irr] * 2)
+            blk = PoleChartBlock(pair)
             for g, G in enumerate(blk.gram_block()):
                 want = np.array([[blk.omega((blk.etas[g, x], blk.dlams[x]),
                                             (blk.etas[g, y], blk.dlams[y]), g)
@@ -258,14 +260,15 @@ class TestChart:
     def test_induced_variations_match_polar_differences(self, rng):
         step = 1e-5
         for pole in self.chart_poles(rng):
-            blk = PoleChartBlock(PoleGroup((pole,)))
+            blk = PoleChartBlock(PoleGroup.stack((pole,)))
             got = blk.induced_variations()[0]
             v0 = pole.chart_slice()
             for x in range(blk.dim):
                 e = np.zeros_like(v0)
                 e[x] = step
-                plus = np.array(pole.with_chart_slice(v0 + e).polar_coeffs())
-                minus = np.array(pole.with_chart_slice(v0 - e).polar_coeffs())
+                plus, minus = (PoleGroup.from_chart(
+                    pole.l, pole.n, [pole.t], (v0 + d)[None],
+                    [pole.lam_irr]).polar[0] for d in (e, -e))
                 fd = (plus - minus) / (2 * step)
                 assert np.max(np.abs(got[x] - fd)) < 1e-7 * max(
                     1.0, np.max(np.abs(fd)))
