@@ -61,8 +61,9 @@ def _object(value, where):
 
 
 def _positive(value, where):
-    """``value`` as a float, which must be finite and positive."""
-    x = float(value)
+    """``value``, a JSON number, as a float, which must be finite and
+    positive."""
+    x = float(ser.un_typed(value, ser.NUMBER, where))
     if not (np.isfinite(x) and x > 0):
         raise _ParseFail(f"{where}: {x} is not a finite positive tolerance")
     return x
@@ -131,7 +132,8 @@ def _path_of(spec, state, pinned):
     elif kind == "irregular":
         idx = _irregular_pole(p["pole"], state, "path.pole", higher_ok=False)
         rate = ser.un_matrix(p["rate"], "path.rate")
-        length = float(p.get("length", 1.0))
+        length = float(ser.un_typed(p.get("length", 1.0), ser.NUMBER,
+                                    "path.length"))
         if not np.isfinite(length):
             raise _ParseFail(f"path.length: {length} is not finite")
         path = FlowPath.irregular_line(state, idx, rate, length=length)
@@ -196,8 +198,8 @@ def cmd_flow(spec, args, verify_only=False):
 
 def cmd_monodromy(spec, args):
     tols = _tols(spec, args.tol)
-    if "connection" in spec:
-        conn = ser.un_connection(spec["connection"])
+    if "connection" in spec and not spec.get("twists"):
+        conn = ser.un_connection(spec["connection"])   # keeps its tail
     else:
         conn = _state_of(spec).connection()
     bp = _base_point(spec, conn.all_finite_poles())
@@ -247,8 +249,10 @@ def cmd_pairing(spec, args):
     site = ser.un_twist_site(spec["site"])
     checks = _object(spec.get("checks", {}), "checks")
     count = ser.un_typed(checks.get("count", 0), int, "checks.count")
-    a = np.stack([ser.un_matrix(M) for M in spec["a"]])
-    b_coeffs = [ser.un_matrix(M) for M in spec["b"]]
+    if count < 0:
+        raise _ParseFail(f"checks.count: {count} is negative")
+    a = np.stack([ser.un_matrix(M, "a") for M in spec["a"]])
+    b_coeffs = [ser.un_matrix(M, "b") for M in spec["b"]]
     from .ratfun import LaurentJet
     n = a.shape[1]
     l = len(b_coeffs)

@@ -32,6 +32,7 @@ from .ratfun import (
 
 TAU_SEP = 1e-6     # minimum pole separation / evaluation clearance
 TAU_REG = 1e-8     # eigenvalue gap below which a leading term is non-regular
+TAU_INF = 1e-11    # residue sum and tail below this: regular at infinity
 
 
 def check_separated(points, what):
@@ -64,9 +65,6 @@ class PolarDivisor:
         check_separated(pts, "divisor points")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "mults", tuple(ms))
-
-    def __len__(self):
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -177,18 +175,18 @@ class Connection:
     def laurent(self, p, k_max):
         return self.matrix.laurent(p, k_max)
 
-    def is_regular_at_infinity(self, tol=1e-11):
+    def is_regular_at_infinity(self):
         """True when the form extends holomorphically to infinity.
 
         At ``w = 1/z`` the form is ``-A(1/w) dw / w**2``, whose polar part
         is minus the residue sum over ``w`` and the tail's coefficients over
-        higher powers of ``w``; both must vanish within ``tol``.
+        higher powers of ``w``; both must vanish within ``TAU_INF``.
         """
         pole_data, tail = self.polar_parts
         res = _sum((Cs[0] for _, Cs in pole_data),
                    lambda: np.zeros((self.n, self.n), dtype=complex))
-        return bool(np.max(np.abs(res)) < tol
-                    and np.all(np.abs(tail) < tol))
+        return bool(np.max(np.abs(res)) < TAU_INF
+                    and np.all(np.abs(tail) < TAU_INF))
 
 
 def polar_decompose(A):

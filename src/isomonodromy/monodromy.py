@@ -532,9 +532,11 @@ class MonodromyRep:
     product_defect: float | None = None
     tol: float = DEFAULT_TOL
 
-    def matrix_for_pole(self, p, tol=1e-6):
+    def matrix_for_pole(self, p):
+        """The matrix of the loop around the pole within ``TAU_SEP``
+        (relative outside the unit disk) of ``p``."""
         for q, M in zip(self.pole_points, self.matrices):
-            if abs(q - complex(p)) <= tol * max(1.0, abs(q)):
+            if abs(q - complex(p)) <= TAU_SEP * max(1.0, abs(q)):
                 return M
         raise KeyError(f"no loop around {p}")
 

@@ -9,8 +9,8 @@ Conventions used throughout the library:
 * A :class:`RatScalar` is ``num(z) / prod_j (z - r_j)**m_j`` with the
   denominator kept in factored form ``(root, multiplicity)``.  Keeping roots
   instead of expanded denominators makes residue and Laurent extraction
-  exact-by-structure; root-finding only ever happens on *numerators* (division,
-  matrix inversion), where it is unavoidable.
+  exact-by-structure; root-finding only ever happens on *numerators*
+  (reciprocals, matrix inversion), where it is unavoidable.
 * The point at infinity is the sentinel :data:`INFINITY`; the chart there is
   ``w = 1/z`` with ``dz = -dw / w**2``.
 * A "1-form" is a rational (or jet) coefficient of ``dz`` in the finite chart,
@@ -33,6 +33,7 @@ from .errors import MalformedInputError, PreconditionError
 
 TAU_CANCEL = 1e-9     # numerator/denominator common-factor detection
 TAU_MERGE = 1e-12     # roots closer than this are the same pole
+TAU_CLUSTER = 1e-6    # np.roots output closer than this is one multiple root
 
 INFINITY = complex(float("inf"), 0.0)
 
@@ -124,12 +125,12 @@ def series_div(num, den, nterms):
     return out
 
 
-def cluster_roots(coeffs, tol=1e-6):
+def cluster_roots(coeffs):
     """Roots of a polynomial as ``(root, multiplicity)`` clusters.
 
     Multiple roots come out of ``np.roots`` as tight clusters; we merge
-    within ``tol`` (absolute for roots inside the unit disk, relative
-    outside) and use the cluster mean.
+    within ``TAU_CLUSTER`` (absolute for roots inside the unit disk,
+    relative outside) and use the cluster mean.
     """
     c = poly_trim(coeffs, rel_tol=1e-14)
     if c.size <= 1:
@@ -140,7 +141,7 @@ def cluster_roots(coeffs, tol=1e-6):
     for r in roots:
         placed = False
         for i, (center, mult) in enumerate(clusters):
-            if abs(r - center) <= tol * max(1.0, abs(center)):
+            if abs(r - center) <= TAU_CLUSTER * max(1.0, abs(center)):
                 clusters[i] = ((center * mult + r) / (mult + 1), mult + 1)
                 placed = True
                 break
@@ -235,18 +236,7 @@ class LaurentJet:
             out[lo:hi + 1] += jet.coeffs[: hi - lo + 1]
         return LaurentJet(self.point, k_min, out, self.form_degree)
 
-    def __neg__(self):
-        return LaurentJet(self.point, self.k_min, -self.coeffs, self.form_degree)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentJet):
-            return NotImplemented
-        return self.__add__(-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return LaurentJet(self.point, self.k_min, self.coeffs * other,
-                              self.form_degree)
         if not isinstance(other, LaurentJet):
             return NotImplemented
         self._check_point(other)
@@ -269,11 +259,6 @@ class LaurentJet:
                     out[k] += op(a.coeffs[i], b.coeffs[j])
         return LaurentJet(self.point, k_min, out,
                           self.form_degree + other.form_degree)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
-        return NotImplemented
 
     # -- calculus -----------------------------------------------------------
 
@@ -303,30 +288,23 @@ class LaurentJet:
                           self.form_degree)
 
     def inverse(self):
-        """Multiplicative inverse of a jet with invertible leading coefficient.
-
-        Scalar jets may open with exact zeros (the true order is detected);
-        matrix jets need an invertible coefficient at the detected order.
-        For germs with singular-but-nonzero leading matrix use
-        :func:`polymat_inverse_jet`.
+        """Multiplicative inverse of a matrix jet whose coefficient at the
+        detected order is invertible.  For germs with singular-but-nonzero
+        leading matrix use :func:`polymat_inverse_jet`.
         """
+        if not self.is_matrix:
+            raise MalformedInputError("inverse of a scalar jet")
         jet = self.drop_leading_zeros()
         mu = jet.k_min
         c = jet.coeffs
-        K = c.shape[0]
-        if self.is_matrix:
-            c0inv = np.linalg.inv(c[0])
-            out = np.zeros_like(c)
-            out[0] = c0inv
-            for m in range(1, K):
-                acc = np.zeros_like(c[0])
-                for j in range(1, m + 1):
-                    acc += c[j] @ out[m - j]
-                out[m] = -c0inv @ acc
-        else:
-            if c[0] == 0:
-                raise MalformedInputError("jet is numerically zero; cannot invert")
-            out = series_div(np.array([1.0 + 0j]), c, K)
+        c0inv = np.linalg.inv(c[0])
+        out = np.zeros_like(c)
+        out[0] = c0inv
+        for m in range(1, c.shape[0]):
+            acc = np.zeros_like(c[0])
+            for j in range(1, m + 1):
+                acc += c[j] @ out[m - j]
+            out[m] = -c0inv @ acc
         return LaurentJet(self.point, -mu, out, -self.form_degree)
 
     def __repr__(self):
@@ -423,8 +401,7 @@ class RatScalar:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_ratscalar(other)
-        if other is NotImplemented:
+        if not isinstance(other, RatScalar):
             return NotImplemented
         # an identically zero operand adds nothing: the other is the sum
         if other.is_zero():
@@ -456,20 +433,8 @@ class RatScalar:
                 return m0
         return 0
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return RatScalar(-self.num, self.poles, _skip_cancel=True)
-
-    def __sub__(self, other):
-        other = _as_ratscalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -482,32 +447,12 @@ class RatScalar:
         return RatScalar(poly_mul(self.num, other.num),
                          self.poles + other.poles)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def reciprocal(self):
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of the zero rational function")
         new_poles = cluster_roots(self.num)
         lead = self.num[-1]
         return RatScalar(poly_factors(self.poles) / lead, new_poles)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(1.0 / other)
-        if not isinstance(other, RatScalar):
-            return NotImplemented
-        return self.__mul__(other.reciprocal())
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = RatScalar.const(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def derivative(self):
         """d/dz, exact-by-structure (no root finding)."""
@@ -655,14 +600,6 @@ def _sum(terms, empty):
     return reduce(operator.add, terms) if terms else empty()
 
 
-def _as_ratscalar(x):
-    if isinstance(x, RatScalar):
-        return x
-    if isinstance(x, (int, float, complex)):
-        return RatScalar.const(x)
-    return NotImplemented
-
-
 # ---------------------------------------------------------------------------
 # rational matrices
 # ---------------------------------------------------------------------------
@@ -750,9 +687,6 @@ class RatMat:
             return RatMat([[e * other for e in row] for row in self.entries])
         return NotImplemented
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __matmul__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
@@ -809,10 +743,6 @@ class RatMat:
                 out[lo:lo + jet.coeffs.shape[0], i, j] = jet.coeffs[:K - lo]
         return LaurentJet(p if not is_infinity(p) else INFINITY, k_min, out, 0)
 
-    def residue(self, p):
-        """Matrix residue of this RatMat viewed as the dz coefficient of a 1-form."""
-        return residue(self, p)
-
     def __repr__(self):
         return f"RatMat(n={self.n}, poles={self.pole_points()})"
 
@@ -820,8 +750,6 @@ class RatMat:
 def _require(e):
     if isinstance(e, RatScalar):
         return e
-    if isinstance(e, (int, float, complex)):
-        return RatScalar.const(e)
     raise MalformedInputError(f"cannot use {type(e)} as a RatMat entry")
 
 
@@ -863,7 +791,8 @@ def residue_sum_all_poles(omega):
 
 
 def residue_quadrature_oracle(omega, p, radius, N=128):
-    """Residue by trapezoid quadrature of ``omega dz`` on a circle around p.
+    """Residue by trapezoid quadrature of ``omega dz`` (``omega`` a
+    ``RatScalar``) on a circle around p.
 
     Independent of the symbolic path: only pointwise evaluation is used.
     The circle must enclose no pole other than p itself.
@@ -871,20 +800,13 @@ def residue_quadrature_oracle(omega, p, radius, N=128):
     if is_infinity(p):
         raise PreconditionError("quadrature oracle is defined at finite points")
     p = complex(p)
-    pts = omega.pole_points() if isinstance(omega, RatMat) else \
-        [r for r, _ in omega.poles]
-    for q in pts:
+    for q, _ in omega.poles:
         if abs(q - p) > TAU_MERGE * max(1.0, abs(p)) and abs(q - p) <= radius:
             raise PreconditionError(
                 f"pole at {q} inside or on the quadrature circle around {p}")
     theta = 2.0 * np.pi * np.arange(N) / N
     nodes = p + radius * np.exp(1j * theta)
     w = radius * np.exp(1j * theta) / N
-    if isinstance(omega, RatMat):
-        acc = np.zeros((omega.n, omega.n), dtype=complex)
-        for zk, wk in zip(nodes, w):
-            acc += wk * omega.eval(zk)
-        return acc
     vals = omega(nodes)
     return complex(np.sum(vals * w))
 

@@ -1,4 +1,4 @@
-"""JSON and CSV codecs for every public data type.
+"""JSON and CSV codecs for the CLI's specs and artifacts.
 
 Conventions: complex numbers are two-element arrays ``[re, im]``; the point
 at infinity is the string ``"inf"``; matrices are nested lists of complex
@@ -16,7 +16,7 @@ import numpy as np
 from .connection import BasePole, Connection
 from .errors import MalformedInputError
 from .monodromy import LineSegment
-from .ratfun import INFINITY, RatMat, RatScalar, is_infinity
+from .ratfun import INFINITY, is_infinity
 from .states import FlowState, PoleData
 from .twist import MatrixDivisor, TwistSite, normal_form
 
@@ -33,29 +33,35 @@ def cx(z):
 def un_cx(v, where=None):
     """``[re, im]`` as a complex number, ``"inf"`` as the point at infinity.
 
-    The pair must be finite: the point at infinity is only ever written
-    ``"inf"``, and no artifact written here holds a non-finite pair, so one
-    is an input error, reported at the field ``where``.
+    The pair must hold two finite JSON numbers: the point at infinity is
+    only ever written ``"inf"``, and no artifact written here holds a
+    non-finite pair, so one is an input error, reported at the field
+    ``where``.
     """
     if isinstance(v, str) and v == "inf":
         return INFINITY
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         problem = f"expected [re, im], got {v!r}"
     else:
-        z = complex(float(v[0]), float(v[1]))
+        re, im = (float(un_typed(x, NUMBER, where or "[re, im]")) for x in v)
+        z = complex(re, im)
         if z.real - z.real == 0 and z.imag - z.imag == 0:   # both finite
             return z
         problem = f"{v!r} is not finite"
     raise MalformedInputError(f"{where}: {problem}" if where else problem)
 
 
+NUMBER = (int, float)    # a JSON number; a bool is not one
+
+
 def un_typed(v, kind, where):
-    """``v``, which must be a JSON value of type ``kind``, ``int`` or
-    ``bool``: ``int(v)`` would read 2.5 as 2, and ``bool(v)`` "false" as
-    true.  Anything else is an input error at the field ``where``."""
-    if type(v) is not kind:
-        raise MalformedInputError(f"{where}: expected {kind.__name__}, "
-                                  f"got {v!r}")
+    """``v``, which must be a JSON value of type ``kind``: ``int``,
+    ``bool`` or ``NUMBER``.  ``int(v)`` would read 2.5 as 2, ``bool(v)``
+    "false" as true, and ``float(v)`` true as 1.0 and "1e-3" as 0.001.
+    Anything else is an input error at the field ``where``."""
+    if type(v) not in (kind if kind is NUMBER else (kind,)):
+        name = "number" if kind is NUMBER else kind.__name__
+        raise MalformedInputError(f"{where}: expected {name}, got {v!r}")
     return v
 
 
@@ -69,28 +75,13 @@ def matrix(M):
 
 
 def un_matrix(rows, where=None):
-    return np.array([[un_cx(e, where) for e in row] for row in rows],
-                    dtype=complex)
-
-
-def ratscalar(f):
-    return {"num": [cx(c) for c in f.num],
-            "poles": [[cx(r), int(m)] for r, m in f.poles]}
-
-
-def un_ratscalar(d):
-    num = np.array([un_cx(c) for c in d["num"]], dtype=complex)
-    poles = [(un_cx(r), int(m)) for r, m in d.get("poles", [])]
-    return RatScalar(num, poles)
-
-
-def ratmat(A):
-    return {"n": A.n,
-            "entries": [[ratscalar(e) for e in row] for row in A.entries]}
-
-
-def un_ratmat(d):
-    return RatMat([[un_ratscalar(e) for e in row] for row in d["entries"]])
+    """Nested lists of ``[re, im]`` pairs as a complex array, whose rows
+    must all have one length."""
+    rows = [[un_cx(e, where) for e in row] for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        problem = "rows of different lengths"
+        raise MalformedInputError(f"{where}: {problem}" if where else problem)
+    return np.array(rows, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +111,35 @@ def connection(conn):
     return out
 
 
+def un_square(rows, n, where):
+    """``un_matrix``, which must be ``n`` by ``n``."""
+    M = un_matrix(rows, where)
+    if M.shape != (n, n):
+        raise MalformedInputError(f"{where}: shape {M.shape}, expected "
+                                  f"({n}, {n})")
+    return M
+
+
 def un_connection(d):
+    n = un_typed(d["n"], int, "n")
     pole_data = []
     for i, p in enumerate(d["poles"]):
         t = un_cx(p["t"], f"poles[{i}].t")
-        coeffs = [un_matrix(M, f"poles[{i}].coeffs") for M in p["coeffs"]]
+        if not p["coeffs"]:
+            raise MalformedInputError(f"poles[{i}].coeffs: a pole needs at "
+                                      f"least one coefficient")
+        coeffs = [un_square(M, n, f"poles[{i}].coeffs") for M in p["coeffs"]]
         coeffs.reverse()   # back to C_1 .. C_l
         pole_data.append((t, coeffs))
-    tail = [un_matrix(M, "tail") for M in d["tail"]] if d.get("tail") \
+    tail = [un_square(M, n, "tail") for M in d["tail"]] if d.get("tail") \
         else None
     base = None
     if d.get("base_pole"):
         bp = d["base_pole"]
         base = BasePole(un_typed(bp["k"], int, "base_pole.k"),
                         un_cx(bp["point"], "base_pole.point"))
-    return Connection.from_polar_parts(
-        pole_data, n=un_typed(d["n"], int, "n"), tail=tail, base_pole=base)
+    return Connection.from_polar_parts(pole_data, n=n, tail=tail,
+                                       base_pole=base)
 
 
 def twist_site(site):
@@ -181,6 +185,9 @@ def un_flow_state(d):
     poles = []
     for i, p in enumerate(d["poles"]):
         l = un_typed(p["l"], int, f"poles[{i}].l")
+        if l == 1 and p.get("irr"):
+            raise MalformedInputError(f"poles[{i}].irr: a pole of order 1 "
+                                      f"has no irregular type")
         irr = un_matrix(p.get("irr", []), f"poles[{i}].irr").reshape(
             l - 1, -1) if l > 1 else None
         u = np.stack([un_matrix(M, f"poles[{i}].u") for M in p["u"]]) \

@@ -20,7 +20,8 @@ the frame jets.
 Input is checked where it comes in: ``PoleData(...)`` checks each field
 and inverts ``h``, refusing a singular or non-finite one with the pole's
 position; ``FlowState(...)`` checks separation, rank and leading terms
-(``connection.check_separated``, ``connection.check_regular``).
+(``connection.check_separated``, ``connection.check_regular``), its twist
+sites' rank and their separation from the poles.
 
 A ``PoleGroup`` stacks the poles of one order along a leading group axis
 (all poles share the rank); it is built from its stacks, by ``stack`` from
@@ -274,7 +275,12 @@ class FlowState:
     twist: object = None           # MatrixDivisor or None
 
     def __post_init__(self):
-        check_separated([p.t for p in self.poles], "pole positions")
+        positions = [p.t for p in self.poles]
+        check_separated(positions, "pole positions")
+        if self.twist is not None:
+            self.twist.check_rank(self.n)
+            check_separated(positions + self.twist.points(),
+                            "poles and twist sites")
         for p in self.poles:
             if p.n != self.n:
                 raise MalformedInputError("pole data rank mismatch")
@@ -371,7 +377,12 @@ class FlowState:
         eigenframe of the (regular) leading coefficient, which must
         simultaneously diagonalize every order ``<= -2`` coefficient (states
         outside this slice can be brought into it with a jet gauge first).
+        A state holds no polynomial tail, so a connection with one is
+        refused.
         """
+        if conn.polar_parts[1].size:
+            raise MalformedInputError(
+                "tail: a state holds no polynomial tail")
         poles = []
         for t, l in zip(conn.divisor.points, conn.divisor.mults):
             jet = conn.laurent(t, -1)

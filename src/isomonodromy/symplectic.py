@@ -71,7 +71,7 @@ import numpy as np
 
 from .connection import diagonalize_jet, extension_weights
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
-from .ratfun import LaurentJet, RatMat
+from .ratfun import LaurentJet, RatMat, polymat_inverse_jet
 
 TAU_RANK = 1e-8
 
@@ -81,12 +81,11 @@ TAU_RANK = 1e-8
 # ---------------------------------------------------------------------------
 
 def _as_function_jet(a):
-    """Polynomial coefficient array -> exactly-known function jet at 0."""
+    """Polynomial coefficient array ``(K, n, n)`` -> exactly-known function
+    jet at 0."""
     if isinstance(a, LaurentJet):
         return a
     a = np.asarray(a, dtype=complex)
-    if a.ndim == 2:
-        a = a[None]
     out = np.zeros((max(8, a.shape[0]),) + a.shape[1:], dtype=complex)
     out[: a.shape[0]] = a
     return LaurentJet(0.0, 0, out, 0)
@@ -97,7 +96,7 @@ def residue_pairing(a, b, T, frame="U1"):
 
     ``frame='U1'`` evaluates ``res tr(b T^-1 a)`` (twisted trivialization),
     ``frame='U0'`` evaluates ``res tr(b a)`` (ambient trivialization); both
-    take germs at the site, in the respective frames.
+    take germs at the site ``T`` (a ``TwistSite``), in the respective frames.
     """
     a = _as_function_jet(a)
     if not isinstance(b, LaurentJet) or b.form_degree != 1:
@@ -105,12 +104,7 @@ def residue_pairing(a, b, T, frame="U1"):
     if frame == "U0":
         return complex((b * a).trace().residue())
     if frame == "U1":
-        from .twist import TwistSite
-        if isinstance(T, TwistSite):
-            germ = T.germ
-        else:
-            germ = np.asarray(T, dtype=complex)
-        from .ratfun import polymat_inverse_jet
+        germ = T.germ
         mu = germ.shape[0] * germ.shape[1]  # safe overestimate of det order
         Tinv = polymat_inverse_jet(germ, k_max=b.k_max + mu + 2)
         return complex((b * Tinv * a).trace().residue())

@@ -45,7 +45,7 @@ class TwistSite:
         if np.all(np.abs(d) == 0):
             raise MalformedInputError("identically singular germ")
         # all vanishing must happen at the site itself
-        for root, _ in cluster_roots(d, tol=1e-6):
+        for root, _ in cluster_roots(d):
             if abs(root) > 1e-6:
                 raise MalformedInputError(
                     f"det of the germ at {self.point} vanishes away from the "
@@ -100,11 +100,18 @@ class MatrixDivisor:
     def points(self):
         return [s.point for s in self.sites]
 
-    def global_ratmat(self, n=None):
-        """Ordered product of the site germs as one rational (polynomial) matrix."""
+    def check_rank(self, n):
+        """Raise ``MalformedInputError`` unless every site has rank ``n``."""
+        for s in self.sites:
+            if s.n != n:
+                raise MalformedInputError(
+                    f"twists: the site at {s.point} has rank {s.n}, "
+                    f"expected {n}")
+
+    def global_ratmat(self, n):
+        """Ordered product of the site germs as one rank-``n`` rational
+        (polynomial) matrix."""
         if not self.sites:
-            if n is None:
-                raise MalformedInputError("empty divisor needs an explicit rank")
             return RatMat.identity(n)
         out = self.sites[0].as_ratmat()
         for s in self.sites[1:]:
@@ -150,6 +157,7 @@ def push_connection(divisor, conn):
     """
     if isinstance(divisor, TwistSite):
         divisor = MatrixDivisor((divisor,))
+    divisor.check_rank(conn.n)
     _check_disjoint(divisor, conn)
     T = divisor.global_ratmat(conn.n)
     Tinv = T.inverse()
@@ -162,6 +170,7 @@ def pull_connection(divisor, conn0):
     """Inverse transfer: ``A1 = T A0 T^-1 + dT T^-1``."""
     if isinstance(divisor, TwistSite):
         divisor = MatrixDivisor((divisor,))
+    divisor.check_rank(conn0.n)
     T = divisor.global_ratmat(conn0.n)
     Tinv = T.inverse()
     A1 = (T @ conn0.matrix @ Tinv) + (T.derivative() @ Tinv)

@@ -814,12 +814,13 @@ class TestStatePolarData:
 
 class TestSeparationRule:
     @pytest.mark.parametrize("entry", ["FlowState", "PolarDivisor",
-                                       "MatrixDivisor"])
+                                       "MatrixDivisor", "FlowState twist"])
     @pytest.mark.parametrize("factor, separated", [
         (1 - 1e-3, False), (1.0, False), (1 + 1e-3, True)])
     def test_entry_points_agree(self, rng, entry, factor, separated):
         # two points TAU_SEP * factor apart: refused at or below TAU_SEP by
-        # the state, the polar divisor and the matrix divisor alike
+        # the state, the polar divisor and the matrix divisor alike, and by
+        # the state for a pole and a twist site
         gap = TAU_SEP * factor
         res = 0.3 * random_matrix(rng, 2)
         build = {
@@ -829,6 +830,10 @@ class TestSeparationRule:
             "PolarDivisor": lambda: PolarDivisor([0.0, gap], [1, 1]),
             "MatrixDivisor": lambda: MatrixDivisor(
                 (normal_form(0.0, (0.0, 1.0)), normal_form(gap, (0.0, 1.0)))),
+            "FlowState twist": lambda: FlowState(2, (
+                PoleData(0.0, 1, np.eye(2), res),
+                PoleData(2.0, 1, np.eye(2), -res)),
+                MatrixDivisor((normal_form(gap, (0.0, 1.0)),))),
         }[entry]
         if separated:
             build()

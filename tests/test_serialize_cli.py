@@ -10,12 +10,14 @@ import pytest
 
 import isomonodromy.serialize as ser
 from isomonodromy.cli import main as cli_main
-from isomonodromy.connection import Connection
-from isomonodromy.ratfun import INFINITY, RatMat, RatScalar
+from isomonodromy.connection import BasePole, Connection
+from isomonodromy.ratfun import INFINITY, RatMat
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.twist import MatrixDivisor, normal_form
 
-from conftest import fuchsian_connection, random_fuchsian_matrices, random_matrix
+from conftest import random_fuchsian_matrices, random_matrix
+
+NAN, INF = float("nan"), float("inf")   # json writes NaN and Infinity
 
 
 class TestRoundTrips:
@@ -23,18 +25,6 @@ class TestRoundTrips:
         assert ser.un_cx(ser.cx(1.25 - 0.5j)) == 1.25 - 0.5j
         assert ser.un_cx("inf") == INFINITY
         assert ser.point(INFINITY) == "inf"
-
-    def test_ratscalar(self, rng):
-        f = RatScalar(np.array([1.0, 2.5j]), [(0.5, 2), (-1.0 + 1.0j, 1)])
-        g = ser.un_ratscalar(json.loads(json.dumps(ser.ratscalar(f))))
-        z = 0.3 + 0.8j
-        assert g(z) == f(z)   # bit-equal data round-trip
-
-    def test_ratmat(self, rng):
-        A = fuchsian_connection([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))
-        B = ser.un_ratmat(json.loads(json.dumps(ser.ratmat(A))))
-        z = 1.7 - 0.2j
-        assert np.all(A.eval(z) == B.eval(z))
 
     def test_connection_bit_equal(self, rng):
         conn = Connection.from_polar_parts(
@@ -46,6 +36,20 @@ class TestRoundTrips:
         jet0 = conn.laurent(0.0, 1).coeffs
         jet1 = back.laurent(0.0, 1).coeffs
         assert np.array_equal(jet0, jet1)
+
+    def test_connection_with_a_finite_base_pole(self):
+        # the base point stays out of the poles; its residue (k/n) I is
+        # implied by k
+        R = np.array([[0.2, 0.1], [0.05, -0.2]])
+        A = (RatMat.from_polar_part(0.0, [R])
+             + RatMat.from_polar_part(1.5, [-R - np.eye(2) / 2])
+             + RatMat.from_polar_part(-1.0, [np.eye(2) / 2]))
+        conn = Connection.from_ratmat(A, base_pole=BasePole(1, -1.0))
+        d = json.loads(json.dumps(ser.connection(conn)))
+        assert d["base_pole"] == {"point": [-1.0, 0.0], "k": 1}
+        assert [p["t"] for p in d["poles"]] == [[0.0, 0.0], [1.5, 0.0]]
+        assert d["tail"] is None
+        assert ser.un_connection(d).base_pole == conn.base_pole
 
     def test_twist_and_normal_form_shorthand(self):
         site = normal_form(0.5j, (0.0, 2.0))
@@ -64,6 +68,99 @@ class TestRoundTrips:
         back = ser.un_flow_state(json.loads(json.dumps(ser.flow_state(state))))
         assert np.array_equal(state.chart_vector(), back.chart_vector())
         assert back.twist is not None
+
+
+R_PAIR = np.array([[0.2, 0.1], [0.05, -0.2]], dtype=complex)
+_SITE = {"sites": [{"p": [0.1, 0.2], "params": [[0.0, 0.0], [0.7, 0.0]]}]}
+
+
+def _pair_connection(tail=None):
+    """Simple poles at 1.3 and -1.3 with residues R_PAIR and -R_PAIR, as a
+    spec's connection."""
+    return ser.connection(Connection.from_polar_parts(
+        [(1.3, [R_PAIR]), (-1.3, [-R_PAIR])], n=2, tail=tail))
+
+
+def _twisted(params, p=(0.1, 0.2)):
+    return {"state": {"connection": _pair_connection(),
+                      "twists": {"sites": [{"p": list(p),
+                                            "params": params}]}}}
+
+
+def _set(spec, field, value):
+    """``spec`` with the field at the dotted path ``field`` set."""
+    *parents, key = field.split(".")
+    target = spec
+    for name in parents:
+        target = target[int(name) if name.isdigit() else name]
+    target[key] = value
+    return spec
+
+
+def _irregular(spec, length):
+    """The flow spec on an order-2 pole with an irregular path."""
+    state = FlowState(2, (
+        PoleData(0.0, 2, np.eye(2), 0.3 * R_PAIR, np.array([[0.4, -0.45]])),
+        PoleData(2.0, 1, np.eye(2), -0.3 * R_PAIR)))
+    spec["state"] = ser.flow_state(state)
+    spec["path"] = {"kind": "irregular", "pole": 0, "length": length,
+                    "rate": [[[0.5, 0.0], [-0.5, 0.0]]]}
+    return spec
+
+
+def _pairing(count):
+    return {"site": {"p": [0.0, 0.0], "params": [[0.0, 0.0], [1.5, 0.0]]},
+            "a": [ser.matrix(np.eye(2))], "b": [ser.matrix(np.eye(2))],
+            "checks": {"count": count}}
+
+
+def _pair_with(field, value):
+    return {"connection": _set(_pair_connection(), field, value)}
+
+
+# case -> (command, text the message must hold, spec from the flow spec):
+# specs that were answered (exit 0) or ended in a traceback or exit 3
+_REFUSED = {
+    "twist of rank 1": ("monodromy", "twists: the site",
+                        lambda s: _twisted([[0.0, 0.0]])),
+    "twist of rank 3": ("monodromy", "twists: the site",
+                        lambda s: _twisted([[0.0, 0.0], [0.7, 0.0],
+                                            [0.2, 0.0]])),
+    "twist on a pole": ("monodromy", "poles and twist sites",
+                        lambda s: _twisted([[0.0, 0.0], [0.7, 0.0]],
+                                           p=(1.3, 0.0))),
+    "state with a tail": ("monodromy", "tail:", lambda s: {"state": {
+        "connection": _pair_connection(tail=[0.1 * np.eye(2)])}}),
+    "pole without coefficients": ("monodromy", "poles[0].coeffs:",
+                                  lambda s: _pair_with("poles.0.coeffs", [])),
+    "coefficient of the wrong shape": (
+        "monodromy", "poles[1].coeffs:",
+        lambda s: _pair_with("poles.1.coeffs", [ser.matrix(np.eye(3))])),
+    "ragged coefficient": (
+        "monodromy", "poles[0].coeffs:",
+        lambda s: _pair_with("poles.0.coeffs", [[[[1.0, 0.0]],
+                                                 [[1.0, 0.0], [0.0, 0.0]]]])),
+    "tail of the wrong shape": (
+        "monodromy", "tail:",
+        lambda s: _pair_with("tail", [ser.matrix(np.eye(3))])),
+    "tol true": ("flow", "tol:", lambda s: _set(s, "tol", True)),
+    "tol.flow string": ("flow", "tol.flow:",
+                        lambda s: _set(s, "tol", {"flow": "1e-3"})),
+    "tol.drift true": ("flow", "tol.drift:",
+                       lambda s: _set(s, "tol", {"drift": True})),
+    "displacement string": ("flow", "path.displacement:", lambda s: _set(
+        s, "path", {"kind": "line", "pole": 1,
+                    "displacement": ["0.3", 0.2]})),
+    "displacement bool": ("flow", "path.displacement:", lambda s: _set(
+        s, "path", {"kind": "line", "pole": 1,
+                    "displacement": [0.3, True]})),
+    "length bool": ("flow", "path.length:", lambda s: _irregular(s, True)),
+    "length string": ("flow", "path.length:",
+                      lambda s: _irregular(s, "0.5")),
+    "negative count": ("pairing", "checks.count:", lambda s: _pairing(-2)),
+    "irr at order 1": ("flow", "poles[0].irr:", lambda s: _set(
+        s, "state.poles.0.irr", [[[0.4, 0.0], [-0.45, 0.0]]])),
+}
 
 
 @pytest.fixture
@@ -235,6 +332,20 @@ class TestCli:
         data = json.loads((out / "pairing.json").read_text())
         assert data["max_deviation"] < 1e-10
 
+    def test_pairing_deviation_over_tolerance_exits_2(self, tmp_path,
+                                                       capsys):
+        # round-off deviations are far above a pairing tolerance of 1e-300
+        spec = _pairing(5)
+        spec["tol"] = {"pairing": 1e-300}
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert cli_main(["pairing", "--input", str(sp), "--out", str(out),
+                         "--seed", "3"]) == 2
+        assert capsys.readouterr().out.startswith("invariance deviation ")
+        assert json.loads((out / "pairing.json").read_text())[
+            "max_deviation"] > 0
+
     def test_pole_collision_exit_code(self, tmp_path, rng, capsys):
         state = FlowState(2, tuple(
             PoleData(t, 1, np.eye(2), M)
@@ -383,18 +494,18 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, field, value", [
-        ("monodromy", "base_point", ["nan", 0]),
-        ("monodromy", "base_point", ["inf", 0]),
+        ("monodromy", "base_point", [NAN, 0]),
+        ("monodromy", "base_point", [INF, 0]),
         ("monodromy", "base_point", "inf"),
-        ("flow", "base_point", ["nan", 0]),
-        ("monodromy", "poles[0].res", ["nan", 0]),
-        ("flow", "poles[1].t", ["nan", 0]),
-        ("flow", "path.displacement", ["nan", 0]),
-        ("flow", "path.displacement", ["inf", 0]),
-        ("flow", "path.diameter", [0, "nan"]),
-        ("flow", "path.diameter", ["inf", 0]),
-        ("flow", "path.rate", ["nan", 0]),
-        ("flow", "path.length", "nan")])
+        ("flow", "base_point", [NAN, 0]),
+        ("monodromy", "poles[0].res", [NAN, 0]),
+        ("flow", "poles[1].t", [NAN, 0]),
+        ("flow", "path.displacement", [NAN, 0]),
+        ("flow", "path.displacement", [INF, 0]),
+        ("flow", "path.diameter", [0, NAN]),
+        ("flow", "path.diameter", [INF, 0]),
+        ("flow", "path.rate", [NAN, 0]),
+        ("flow", "path.length", NAN)])
     def test_non_finite_number_refused_before_any_work(
             self, flow_spec, tmp_path, rng, monkeypatch, capsys, command,
             field, value):
@@ -584,10 +695,7 @@ class TestCli:
                     "b": [ser.matrix(np.eye(2))], "checks": {"count": 2}}
         if command != "monodromy":
             target = spec["state"] if field in ("n", "poles[0].l") else spec
-        *parents, key = field.replace("poles[0]", "poles.0").split(".")
-        for name in parents:
-            target = target[int(name) if name.isdigit() else name]
-        target[key] = value
+        _set(target, field.replace("poles[0]", "poles.0"), value)
         flow_spec.write_text(json.dumps(spec))
         assert cli_main([command, "--input", str(flow_spec),
                          "--out", str(tmp_path / "o")]) == 4
@@ -611,6 +719,85 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith(
             "numeric abort: leading eigenvalues ")
+
+    @pytest.mark.parametrize("command", ["flow", "verify"])
+    def test_top_level_connection_is_read_as_a_state(self, tmp_path,
+                                                     command):
+        # {"connection": C} and {"state": {"connection": C}} are one input
+        outs = []
+        for k, spec in enumerate(({"connection": _pair_connection()},
+                                  {"state": {"connection":
+                                             _pair_connection()}})):
+            spec.update(path={"kind": "line", "pole": 0,
+                              "displacement": [0.2, 0.1]}, samples=3)
+            sp = tmp_path / f"spec{k}.json"
+            sp.write_text(json.dumps(spec))
+            outs.append(tmp_path / f"o{k}")
+            assert cli_main([command, "--input", str(sp),
+                             "--out", str(outs[-1])]) == 0
+        names = ["drift.json"] + (["trajectory.csv"] if command == "flow"
+                                  else [])
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes())
+
+    @pytest.mark.parametrize("plain, twisted, loops", [
+        # no sites is no twist
+        ({"state": {"connection": _pair_connection()}},
+         {"state": {"connection": _pair_connection(),
+                    "twists": {"sites": []}}}, 2),
+        # twists beside a top-level connection are pushed as in a state
+        ({"state": {"connection": _pair_connection(), "twists": _SITE}},
+         {"connection": _pair_connection(), "twists": _SITE}, 3)])
+    def test_monodromy_twists(self, tmp_path, plain, twisted, loops):
+        out = []
+        for k, spec in enumerate((plain, twisted)):
+            sp = tmp_path / f"spec{k}.json"
+            sp.write_text(json.dumps(spec))
+            assert cli_main(["monodromy", "--input", str(sp),
+                             "--out", str(tmp_path / f"o{k}")]) == 0
+            out.append((tmp_path / f"o{k}" / "monodromy.json").read_bytes())
+        assert out[0] == out[1]
+        assert len(json.loads(out[1])["matrices"]) == loops
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_refused_spec(self, flow_spec, tmp_path, monkeypatch, capsys,
+                          case):
+        # each was answered (exit 0), or ended in a traceback or exit 3
+        for name in ("integrate_flow", "monodromy_rep", "residue_pairing"):
+            monkeypatch.setattr(f"isomonodromy.cli.{name}", _no_work)
+        command, field, make = _REFUSED[case]
+        flow_spec.write_text(json.dumps(make(json.loads(
+            flow_spec.read_text()))))
+        assert cli_main([command, "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change, argv, message", [
+        ({"tol": {"speed": 1e-8}}, [], "tol.speed: unknown field"),
+        ({"path": {"kind": "spiral"}}, [], "unknown path.kind 'spiral'"),
+        ({}, ["--pin", "0", "1", "2", "3"], "at most three poles"),
+        (None, [], "No such file or directory"),
+        ({"state": None}, [], "spec needs a 'state' or 'connection'")])
+    def test_other_parse_errors(self, flow_spec, tmp_path, capsys, change,
+                                argv, message):
+        spec = json.loads(flow_spec.read_text())
+        if change is None:
+            flow_spec.unlink()
+        else:
+            spec.update(change)
+            if spec["state"] is None:
+                del spec["state"]
+            flow_spec.write_text(json.dumps(spec))
+        assert cli_main(["flow", "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")] + argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert message in err
 
     def test_console_entry_point(self, flow_spec, tmp_path):
         proc = subprocess.run(

@@ -4,7 +4,8 @@ import pytest
 from isomonodromy.connection import Connection
 from isomonodromy import ratfun
 from isomonodromy.errors import MalformedInputError, PreconditionError
-from isomonodromy.ratfun import RatMat, RatScalar
+from isomonodromy.ratfun import RatMat, RatScalar, residue
+from isomonodromy.states import FlowState, PoleData
 from isomonodromy.twist import (
     MatrixDivisor,
     TwistSite,
@@ -92,7 +93,7 @@ class TestPushPull:
         site = z_identity_site(0.0, 1)
         pushed = push_connection(site, conn)
         # A0 = -dz/z: residue -1 at the twist point
-        assert abs(pushed.matrix.residue(0.0)[0, 0] + 1.0) < 1e-12
+        assert abs(residue(pushed.matrix, 0.0)[0, 0] + 1.0) < 1e-12
         assert pushed.twist_points == (0.0,)
 
     def test_invertible_site_keeps_poles(self, rng):
@@ -113,7 +114,7 @@ class TestPushPull:
         conn = Connection.from_ratmat(RatMat.zero(2))
         site = normal_form(0.3, (0.0, 2.0))
         pushed = push_connection(site, conn)
-        res = pushed.matrix.residue(0.3)
+        res = residue(pushed.matrix, 0.3)
         assert abs(np.trace(res) + 1.0) < 1e-11
 
     def test_pull_inverts_push(self, rng):
@@ -131,7 +132,7 @@ class TestPushPull:
         site = z_identity_site(0.0, 1)
         pulled = pull_connection(site, conn)
         # A1 = M dz + dz/z
-        assert abs(pulled.matrix.residue(0.0)[0, 0] - 1.0) < 1e-12
+        assert abs(residue(pulled.matrix, 0.0)[0, 0] - 1.0) < 1e-12
         assert abs(pulled.eval(2.0)[0, 0] - (2.5 + 0.5)) < 1e-12
 
     def test_overlap_rejected(self, rng):
@@ -157,6 +158,37 @@ class TestPushPull:
             pushed = push_connection(site, conn)
             after = total_trace_residue(pushed)
             assert abs(after - (before - degree(site))) < 1e-10
+
+
+class TestRank:
+    """A site's rank must be the connection's, or the state's."""
+
+    @pytest.mark.parametrize("transfer", [push_connection, pull_connection])
+    @pytest.mark.parametrize("params", [(0.0,), (0.0, 1.0, 0.5)])
+    def test_transfer_refuses_another_rank(self, rng, transfer, params):
+        conn = Connection.from_ratmat(
+            fuchsian_connection([1.0, -1.0],
+                                [random_matrix(rng, 2), random_matrix(rng, 2)]))
+        with pytest.raises(MalformedInputError, match="has rank"):
+            transfer(normal_form(0.3, params), conn)
+
+    def test_state_refuses_another_rank(self, rng):
+        res = 0.3 * random_matrix(rng, 2)
+        poles = (PoleData(1.0, 1, np.eye(2), res),
+                 PoleData(-1.0, 1, np.eye(2), -res))
+        FlowState(2, poles, MatrixDivisor((normal_form(0.3, (0.0, 1.0)),)))
+        with pytest.raises(MalformedInputError, match="rank 1, expected 2"):
+            FlowState(2, poles, MatrixDivisor((normal_form(0.3, (0.0,)),)))
+
+
+def test_state_refuses_a_connection_with_a_tail(rng):
+    # a state holds polar data only: the tail would be dropped
+    res = 0.3 * random_matrix(rng, 2)
+    data = [(1.0, [res]), (-1.0, [-res])]
+    FlowState.from_connection(Connection.from_polar_parts(data))
+    with pytest.raises(MalformedInputError, match="tail"):
+        FlowState.from_connection(Connection.from_polar_parts(
+            data, tail=[0.1 * np.eye(2)]))
 
 
 def test_multi_site_degree_adds(rng):
