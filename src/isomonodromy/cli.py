@@ -328,10 +328,8 @@ def main(argv=None):
             return cmd_hamiltonian(spec, args)
         if args.command == "pairing":
             return cmd_pairing(spec, args)
-    except _ParseFail as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 4
-    except (MalformedInputError, KeyError, ValueError, TypeError) as exc:
+    except (_ParseFail, MalformedInputError, KeyError, ValueError,
+            TypeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
     except IntegrationAbort as exc:

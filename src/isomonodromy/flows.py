@@ -37,7 +37,7 @@ from scipy.integrate import solve_ivp
 
 from .connection import diagonalize_jet
 from .errors import IntegrationAbort, MalformedInputError, PreconditionError
-from .monodromy import SAFETY, monodromy_rep
+from .monodromy import SAFETY, conjugacy_residual, monodromy_rep
 from .states import ExtendedState, N_MAX
 from .symplectic import (
     d_hamiltonian_beta_B,
@@ -336,6 +336,7 @@ class DriftReport:
     formal: list                  # per sample: list per pole of (l, n) diag orders -l..-1
     formal_residue_drift: float   # drift of the order -1 formal exponents
     base_point: complex
+    conjugacy_residual: list      # per sample: against s = 0, by pole
     notes: list = field(default_factory=list)
 
 
@@ -383,6 +384,9 @@ def verify_isomonodromy(trajectory, tol=FLOW_TOL, base_point=None):
     polynomials are tracked by pole identity.  At higher-order poles the
     diagonal formal exponents ride along, and the drift of the order ``-1``
     exponents (never prescribed by a path) is reported separately.
+    At n >= 3 the invariants miss some directions of the tuple; the
+    ``conjugacy_residual`` of each sample's pole loops against the first
+    sample's sees them all, and is reported, not checked.
     """
     if not trajectory.states:
         raise PreconditionError("empty trajectory")
@@ -391,13 +395,14 @@ def verify_isomonodromy(trajectory, tol=FLOW_TOL, base_point=None):
     z0 = base_point if base_point is not None else \
         auto_base_point(conn0.all_finite_poles())
 
-    inv_rows, formal_rows = [], []
+    inv_rows, formal_rows, loop_rows = [], [], []
     for k, st in enumerate(states):
         conn = conn0 if k == 0 else st.connection()
         rep = monodromy_rep(conn, z0, tol)
+        loops = [rep.matrix_for_pole(p.t) for p in st.poles]
+        loop_rows.append(loops)
         chunks = []
-        for p in st.poles:
-            M = rep.matrix_for_pole(p.t)
+        for M in loops:
             chunks.extend(np.poly(M).astype(complex).tolist())
         for M1, M2 in zip(rep.matrices, rep.matrices[1:]):
             chunks.append(complex(np.trace(M1 @ M2)))
@@ -418,7 +423,9 @@ def verify_isomonodromy(trajectory, tol=FLOW_TOL, base_point=None):
         notes.append(f"trajectory aborted: {trajectory.abort_kind} "
                      f"at s={trajectory.abort_at}")
     return DriftReport(list(trajectory.samples), inv, drift,
-                       formal_rows, res_drift, z0, notes)
+                       formal_rows, res_drift, z0,
+                       [conjugacy_residual(loop_rows[0], loops)
+                        for loops in loop_rows], notes)
 
 
 # ---------------------------------------------------------------------------

@@ -608,3 +608,18 @@ def conjugacy_invariants(rep):
     for M1, M2 in zip(rep.matrices, rep.matrices[1:]):
         out.append(complex(np.trace(M1 @ M2)))
     return out
+
+
+def conjugacy_residual(before, after):
+    """Smallest singular value of the stacked Sylvester operator
+    ``vec(X) -> (after_i X - X before_i)_i``, which vanishes when one ``X``
+    conjugates the tuple ``before`` into ``after``, over the Frobenius norm
+    ``(sum_i |before_i|^2 + |after_i|^2)^(1/2)``: blind to the matrices'
+    scale.  0.0 for empty tuples."""
+    if not len(before):
+        return 0.0
+    eye = np.eye(len(before[0]))
+    K = np.concatenate([np.kron(eye, B) - np.kron(A.T, eye)
+                        for A, B in zip(before, after)])
+    scale = np.linalg.norm(np.concatenate([before, after]))
+    return float(np.linalg.svd(K, compute_uv=False)[-1] / scale)

@@ -230,6 +230,7 @@ def drift_report_out(report):
     return {
         "samples": list(report.samples),
         "max_drift": report.max_drift,
+        "conjugacy_residual": list(report.conjugacy_residual),
         "formal_residue_drift": report.formal_residue_drift,
         "base_point": cx(report.base_point),
         "invariants": [[cx(v) for v in row] for row in report.invariants],

@@ -377,12 +377,14 @@ class FlowState:
         eigenframe of the (regular) leading coefficient, which must
         simultaneously diagonalize every order ``<= -2`` coefficient (states
         outside this slice can be brought into it with a jet gauge first).
-        A state holds no polynomial tail, so a connection with one is
-        refused.
+        A state holds no polynomial tail and no base pole, so a connection
+        with either is refused.
         """
         if conn.polar_parts[1].size:
             raise MalformedInputError(
                 "tail: a state holds no polynomial tail")
+        if conn.base_pole is not None:
+            raise MalformedInputError("base_pole: a state holds no base pole")
         poles = []
         for t, l in zip(conn.divisor.points, conn.divisor.mults):
             jet = conn.laurent(t, -1)

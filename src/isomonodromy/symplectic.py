@@ -44,11 +44,12 @@ would order a sum differently (the last contraction of
 
 The form pairs no two poles, so its Gram matrix is block-diagonal by pole
 (``gram_matrix`` is the dense form, kept for comparison).  A group's blocks
-are assembled with ``einsum`` over the stacked jet velocities of its basis
-directions (``PoleChartBlock.omega`` is the term-by-term reference), and the
-solve takes one batched SVD per group without assembling the dense matrix.
-The rank guard is global: it compares the smallest singular value over all
-blocks with the largest, exactly as an SVD of the whole matrix would.
+are two batched matrix products over the stacked jet velocities of its
+basis directions (``PoleChartBlock.omega`` is the term-by-term reference),
+and the solve takes one batched LU solve per group without assembling the
+dense matrix.  The rank guard takes singular values only, and is global:
+it compares the smallest over all blocks with the largest, exactly as an
+SVD of the whole matrix would.
 
 **Hamiltonians** are read from the same memoized polar data: the values
 ``res_{t_i} tr(A^2)`` (``translation_hamiltonian_values``) and their
@@ -66,6 +67,7 @@ direction's correction Hamiltonian combines them in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,12 +193,13 @@ class PoleChartBlock:
         U, V = group.unipotent
         F_inv = group.frame[1]
         self.lam = group.lam_jet     # row r <-> order -(r+1)
-        # lam_hankel[:, m, k] = lam[:, m + k], zero past the top order
-        self.lam_hankel = np.zeros((G, l, l, n, n), dtype=complex)
+        # lam_hankel[:, m, :, k] = lam[:, m + k], zero past the top order:
+        # the block Hankel matrix, shape (G, l n, l n) once reshaped
+        self.lam_hankel = np.zeros((G, l, n, l, n), dtype=complex)
         # u_toeplitz[:, m, i] = U[:, m - i]
         u_toeplitz = np.zeros((G, l, l, n, n), dtype=complex)
         for m in range(l):
-            self.lam_hankel[:, m, : l - m] = self.lam[:, m:]
+            self.lam_hankel[:, m, :, : l - m] = self.lam[:, m:].swapaxes(1, 2)
             u_toeplitz[:, m, : m + 1] = U[:, m::-1]
         n_frame = n * n + max(l - 2, 0) * (n * n - n)
         self.dim = n_frame + n * n
@@ -230,25 +233,36 @@ class PoleChartBlock:
             acc += np.trace(self.lam[g, m] @ comm)
         return 2.0 * acc
 
+    @cached_property
+    def lam_eta(self):
+        """``lam_eta[:, x, j] = sum_i Lambda_{i+j} eta_x[i]``, shaped like
+        ``etas``: the block Hankel matrix times the stacked velocities."""
+        G, ln = len(self.etas), self.l * self.n
+        return (self.lam_hankel.reshape(G, 1, ln, ln)
+                @ self.etas.reshape(G, self.dim, ln, self.n)).reshape(
+                    self.etas.shape)
+
     def gram_block(self):
         """``omega`` on every pair of basis directions at every pole of the
         group, shape ``(G, dim, dim)``, as ``2 (A - A^T)`` with
         ``A[x, y] = tr(eta_x[0] dLam_y)
-        + sum_{i + j < l} tr(Lambda_{i+j} eta_x[i] eta_y[j])``."""
-        E = self.etas
-        lam_eta = np.einsum("gijpr,gxirq->gxjpq", self.lam_hankel, E)
-        A = (np.einsum("gxjpq,gyjqp->gxy", lam_eta, E)
-             + np.einsum("gxpq,yqp->gxy", E[:, :, 0], self.dlams))
+        + sum_{i + j < l} tr(Lambda_{i+j} eta_x[i] eta_y[j])``: the sum is
+        ``lam_eta`` times the transposed velocities, and the first term is
+        ``eta_x[0][b, a]`` in the column of ``dLam_y = E_ab``, the last
+        ``n^2``."""
+        G, n = len(self.etas), self.n
+        E_t = self.etas.swapaxes(-1, -2).reshape(G, self.dim, -1)
+        A = self.lam_eta.reshape(G, self.dim, -1) @ E_t.transpose(0, 2, 1)
+        A[:, :, -n * n:] += E_t[:, :, : n * n]
         return 2.0 * (A - A.transpose(0, 2, 1))
 
     def induced_variations(self):
         """Connection polar-coefficient variations of every basis direction,
         via ``dP = [F (ad_eta Lambda + dLam) F^-1]_polar``; shape
         ``(G, dim, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
-        E, H = self.etas, self.lam_hankel
         # inner[:, :, k] is the order -(k+1) term of [eta, Lambda] + dLam
-        inner = (np.einsum("gxmpr,gmkrq->gxkpq", E, H)
-                 - np.einsum("gmkpr,gxmrq->gxkpq", H, E))
+        inner = np.einsum("gxmpr,gmrkq->gxkpq", self.etas,
+                          self.lam_hankel) - self.lam_eta
         inner[:, :, 0] += self.dlams
         return self.group.dressed_polar(inner)
 
@@ -286,8 +300,9 @@ def hamiltonian_vector_field(dH, state):
     cotangent functional on the coordinate basis.
 
     The form pairs no two poles, so the solve runs pole by pole: one batched
-    SVD of each group's Gram blocks, under the global rank guard.  A chart
-    of dimension zero (no poles) has the empty field.
+    LU solve of each group's Gram blocks, after the global rank guard on
+    their singular values.  A chart of dimension zero (no poles) has the
+    empty field.
     """
     dH = np.asarray(dH, dtype=complex).ravel()
     if dH.shape[0] != state.chart_dim():
@@ -295,19 +310,17 @@ def hamiltonian_vector_field(dH, state):
     if not dH.shape[0]:
         return np.zeros(0, dtype=complex)
     # omega(X, Y) = X^T G Y on the basis, so omega(X, .) = dH reads G^T X = dH
-    svds = [np.linalg.svd(b.gram_block().transpose(0, 2, 1))
-            for b in state.blocks]
-    s_max = max(S[:, 0].max() for _, S, _ in svds)
-    s_min = min(S[:, -1].min() for _, S, _ in svds)
+    grams = [b.gram_block().transpose(0, 2, 1) for b in state.blocks]
+    svals = [np.linalg.svd(g, compute_uv=False) for g in grams]
+    s_max = max(S[:, 0].max() for S in svals)
+    s_min = min(S[:, -1].min() for S in svals)
     if s_max == 0.0 or s_min <= TAU_RANK * s_max:
         raise DegenerateChartError(
             f"chart Gram matrix is singular: sigma_min/sigma_max = "
             f"{s_min / max(s_max, 1e-300):.3e}")
     X = np.empty_like(dH)
-    for grp, (U, S, Vh) in zip(state.groups, svds):
-        y = U.conj().transpose(0, 2, 1) @ dH[grp.cols][..., None]
-        X[grp.cols] = (Vh.conj().transpose(0, 2, 1)
-                       @ (y / S[..., None]))[..., 0]
+    for grp, g in zip(state.groups, grams):
+        X[grp.cols] = np.linalg.solve(g, dH[grp.cols][..., None])[..., 0]
     return X
 
 

@@ -368,11 +368,11 @@ class PoleChartBlock:
         self.n, self.l = n, l
         U, V, _, F_inv = pole_frame(pole)
         self.lam = pole_lam_jet(pole)
-        self.lam_hankel = np.zeros((l, l, n, n), dtype=complex)
+        self.lam_hankel = np.zeros((l, n, l, n), dtype=complex)
         u_toeplitz = np.zeros((l, l, n, n), dtype=complex)
         v_shifted = np.zeros((max(l - 2, 0), l, n, n), dtype=complex)
         for m in range(l):
-            self.lam_hankel[m, : l - m] = self.lam[m:]
+            self.lam_hankel[m, :, : l - m] = self.lam[m:].swapaxes(0, 1)
             u_toeplitz[m, : m + 1] = U[m::-1]
         for k in range(l - 2):
             v_shifted[k, k + 1:] = V[: l - k - 1]
@@ -387,35 +387,42 @@ class PoleChartBlock:
         self.dlams = np.zeros((self.dim, n, n), dtype=complex)
         self.dlams[n_frame:] = np.eye(n * n).reshape(n * n, n, n)
 
+    def lam_eta(self):
+        l, n = self.l, self.n
+        H = self.lam_hankel.reshape(l * n, l * n)
+        return (H @ self.etas.reshape(self.dim, l * n, n)).reshape(
+            self.etas.shape)
+
     def gram_block(self):
-        E = self.etas
-        lam_eta = np.einsum("ijpr,xirq->xjpq", self.lam_hankel, E)
-        A = (np.einsum("xjpq,yjqp->xy", lam_eta, E)
-             + np.einsum("xpq,yqp->xy", E[:, 0], self.dlams))
+        n = self.n
+        E_t = self.etas.swapaxes(-1, -2).reshape(self.dim, -1)
+        A = self.lam_eta().reshape(self.dim, -1) @ E_t.T
+        A[:, -n * n:] += E_t[:, : n * n]
         return 2.0 * (A - A.T)
 
     def induced_variations(self):
-        E, H = self.etas, self.lam_hankel
-        inner = (np.einsum("xmpr,mkrq->xkpq", E, H)
-                 - np.einsum("mkpr,xmrq->xkpq", H, E))
+        inner = (np.einsum("xmpr,mrkq->xkpq", self.etas, self.lam_hankel)
+                 - self.lam_eta())
         inner[:, 0] += self.dlams
         return pole_dressed_polar(self.pole, inner)
 
 
 def pole_hamiltonian_vector_field(dH, state):
-    """``omega(X, .) = dH`` solved with one SVD per pole block."""
+    """``omega(X, .) = dH`` solved with one LU solve per pole block, under
+    the global guard on the blocks' singular values."""
     blocks = [PoleChartBlock(p) for p in state.poles]
     dH = np.asarray(dH, dtype=complex).ravel()
     cuts = np.cumsum([0] + [b.dim for b in blocks])
     if dH.shape[0] != cuts[-1]:
         raise MalformedInputError("dH length does not match the chart dimension")
-    svds = [np.linalg.svd(b.gram_block().T) for b in blocks]
-    s_max = max(S[0] for _, S, _ in svds)
-    s_min = min(S[-1] for _, S, _ in svds)
+    grams = [b.gram_block().T for b in blocks]
+    svals = [np.linalg.svd(g, compute_uv=False) for g in grams]
+    s_max = max(S[0] for S in svals)
+    s_min = min(S[-1] for S in svals)
     if s_max == 0.0 or s_min <= TAU_RANK * s_max:
         raise DegenerateChartError("chart Gram matrix is singular")
-    return np.concatenate([Vh.conj().T @ ((U.conj().T @ dH[a:b]) / S)
-                           for a, b, (U, S, Vh) in zip(cuts, cuts[1:], svds)])
+    return np.concatenate([np.linalg.solve(g, dH[a:b, None])[:, 0]
+                           for a, b, g in zip(cuts, cuts[1:], grams)])
 
 
 def _unit_extension(dist, L, m_max):

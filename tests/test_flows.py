@@ -338,6 +338,9 @@ class TestVerify:
         traj = integrate_flow(state, path, n_samples=3)
         rep = verify_isomonodromy(traj, tol=1e-11)
         assert rep.max_drift < 1e-9
+        # a reducible tuple: the loops are diagonal, so every diagonal X
+        # intertwines them, and the residual still reads round-off
+        assert max(rep.conjugacy_residual) < 1e-12
 
     def test_schlesinger_flow_preserves_monodromy(self, rng):
         ts = [-2.1, -0.35, 1.15, 2.6]
@@ -362,6 +365,42 @@ class TestVerify:
             drifts.append(verify_isomonodromy(traj, tol=tol).max_drift)
         assert all(b < a for a, b in zip(drifts, drifts[1:]))
         assert drifts[-1] < drifts[0] / 100
+
+    @staticmethod
+    def conjugacy_residuals(state, path, tol):
+        traj = integrate_flow(state, path, tol=tol, n_samples=3)
+        return verify_isomonodromy(traj, tol=tol).conjugacy_residual
+
+    def test_conjugacy_residual_stays_near_round_off(self, rng):
+        # the flows of test_drift_converges_with_tol, whose absolute drift is
+        # 3e-6 .. 1.3e-8; the residual is relative to the matrices' size
+        state = fuchsian_state([-2.1, -0.35, 1.15, 2.6],
+                               random_fuchsian_matrices(rng, 3, 4))
+        path = FlowPath.line(state, 1, 0.3 + 0.2j)
+        for tol in (1e-7, 1e-8, 1e-9, 1e-10):
+            res = self.conjugacy_residuals(state, path, tol)
+            assert len(res) == 3
+            assert res[0] < 1e-15          # a tuple against itself
+            assert max(res) < 1e-3 * tol
+        assert max(res) < 1e-12
+
+    def test_conjugacy_residual_grows_with_a_planted_correction(
+            self, rng, monkeypatch):
+        state = fuchsian_state([-2.1, -0.35, 1.15, 2.6],
+                               random_fuchsian_matrices(rng, 3, 4))
+        path = FlowPath.line(state, 1, 0.3 + 0.2j)
+        exact = max(self.conjugacy_residuals(state, path, 1e-10))
+        field = flows.hamiltonian_vector_field
+        planted = []
+        for eps in (1e-8, 1e-6, 1e-4):
+            monkeypatch.setattr(
+                flows, "hamiltonian_vector_field",
+                lambda dH, st, eps=eps: (1.0 + eps) * field(dH, st))
+            planted.append(self.conjugacy_residuals(state, path, 1e-10)[-1])
+        assert planted[0] > 1e3 * exact
+        # linear in the planted scale: a factor 100 a step, to within 5 %
+        for a, b in zip(planted, planted[1:]):
+            assert 95 < b / a < 105
 
     def test_irregular_deformation(self, rng):
         state = irregular_state(rng)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path as FsPath
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from isomonodromy.monodromy import (
     _LinearDOP853,
     _stacked,
     conjugacy_invariants,
+    conjugacy_residual,
     monodromy_rep,
     transport,
 )
@@ -860,6 +862,61 @@ def mp_transport(residues, poles, path, dps=20):
             Y = mpmath.matrix([[y1[i * n + j] for j in range(n)]
                                for i in range(n)])
         return np.array(Y.tolist(), dtype=complex)
+
+
+class TestConjugacyResidual:
+    @staticmethod
+    def invariants(mats):
+        return np.array(conjugacy_invariants(SimpleNamespace(matrices=mats)))
+
+    def test_conjugate_tuples_and_scale(self, rng):
+        mats = [random_invertible(rng, 3) for _ in range(4)]
+        C = random_invertible(rng, 3)
+        conj = [C @ M @ np.linalg.inv(C) for M in mats]
+        assert conjugacy_residual(mats, conj) < 1e-14
+        other = [M + 1e-3 * random_matrix(rng, 3) for M in mats]
+        r = conjugacy_residual(mats, other)
+        assert r > 1e-6
+        assert abs(conjugacy_residual([1e4 * M for M in mats],
+                                      [1e4 * M for M in other]) / r - 1) < 1e-9
+        assert conjugacy_residual([], []) == 0.0
+
+    def test_sees_what_the_invariants_miss(self, rng):
+        # four rank-3 loops: the checked invariants (characteristic
+        # polynomials, adjacent traces) have rank 15 on a 36-dimensional
+        # tuple; conjugation spans 8 of the other 21 directions, and the
+        # rest move the tuple at first order without moving the invariants
+        mats = [random_invertible(rng, 3) for _ in range(4)]
+        x0 = np.concatenate([M.ravel() for M in mats])
+
+        def tuple_at(x):
+            return list(x.reshape(4, 3, 3))
+
+        h = 1e-6
+        J = np.stack([(self.invariants(tuple_at(x0 + h * e))
+                       - self.invariants(tuple_at(x0 - h * e))) / (2 * h)
+                      for e in np.eye(x0.size)], axis=1)
+        _, S, Vh = np.linalg.svd(J)
+        rank = int(np.sum(S > 1e-8 * S[0]))
+        assert rank == 15
+        kernel = Vh[rank:].conj().T
+        orbit = np.stack([np.concatenate([(E @ M - M @ E).ravel()
+                                          for M in mats])
+                          for E in np.eye(9).reshape(9, 3, 3)], axis=1)
+        Q = np.linalg.qr(orbit)[0]
+        U, S, _ = np.linalg.svd(kernel - Q @ (Q.conj().T @ kernel))
+        assert np.sum(S > 1e-6) == 13
+        v = U[:, 0]
+        residuals = []
+        for eps in (1e-6, 1e-5):
+            moved = tuple_at(x0 + eps * v)
+            drift = np.max(np.abs(self.invariants(moved)
+                                  - self.invariants(mats)))
+            residuals.append(conjugacy_residual(mats, moved))
+            # second order in the invariants, first order in the residual
+            assert drift < 1e-3 * residuals[-1]
+        assert residuals[0] > 1e-9
+        assert 9.5 < residuals[1] / residuals[0] < 10.5
 
 
 def test_keyhole_converges_to_high_precision_reference():

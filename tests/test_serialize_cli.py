@@ -74,11 +74,15 @@ R_PAIR = np.array([[0.2, 0.1], [0.05, -0.2]], dtype=complex)
 _SITE = {"sites": [{"p": [0.1, 0.2], "params": [[0.0, 0.0], [0.7, 0.0]]}]}
 
 
-def _pair_connection(tail=None):
+def _pair_connection(tail=None, base_pole=None):
     """Simple poles at 1.3 and -1.3 with residues R_PAIR and -R_PAIR, as a
     spec's connection."""
     return ser.connection(Connection.from_polar_parts(
-        [(1.3, [R_PAIR]), (-1.3, [-R_PAIR])], n=2, tail=tail))
+        [(1.3, [R_PAIR]), (-1.3, [-R_PAIR])], n=2, tail=tail,
+        base_pole=base_pole))
+
+
+_BASE_POLE = BasePole(1)
 
 
 def _twisted(params, p=(0.1, 0.2)):
@@ -131,6 +135,12 @@ _REFUSED = {
                                            p=(1.3, 0.0))),
     "state with a tail": ("monodromy", "tail:", lambda s: {"state": {
         "connection": _pair_connection(tail=[0.1 * np.eye(2)])}}),
+    "state with a base pole": ("flow", "base_pole:", lambda s: dict(
+        s, state={"connection": _pair_connection(base_pole=_BASE_POLE)})),
+    "top-level connection with a base pole": (
+        "verify", "base_pole:", lambda s: {
+            "connection": _pair_connection(base_pole=_BASE_POLE),
+            "path": s["path"], "samples": 3}),
     "pole without coefficients": ("monodromy", "poles[0].coeffs:",
                                   lambda s: _pair_with("poles.0.coeffs", [])),
     "coefficient of the wrong shape": (
@@ -189,6 +199,8 @@ class TestCli:
         assert (out / "trajectory.csv").exists()
         drift = json.loads((out / "drift.json").read_text())
         assert drift["max_drift"] < 1e-6
+        assert len(drift["conjugacy_residual"]) == len(drift["samples"])
+        assert max(drift["conjugacy_residual"]) < 1e-12
 
     def test_flow_deterministic_bytes(self, flow_spec, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -759,6 +771,24 @@ class TestCli:
             out.append((tmp_path / f"o{k}" / "monodromy.json").read_bytes())
         assert out[0] == out[1]
         assert len(json.loads(out[1])["matrices"]) == loops
+
+    def test_monodromy_keeps_a_base_pole(self, tmp_path, monkeypatch):
+        # only a state refuses a base pole: monodromy transports a top-level
+        # connection as given
+        import isomonodromy.cli as cli
+        seen, real = [], cli.monodromy_rep
+
+        def recording(conn, *args, **kwargs):
+            seen.append(conn.base_pole)
+            return real(conn, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "monodromy_rep", recording)
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(
+            {"connection": _pair_connection(base_pole=_BASE_POLE)}))
+        assert cli_main(["monodromy", "--input", str(sp),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert seen == [_BASE_POLE]
 
     @pytest.mark.parametrize("case", sorted(_REFUSED))
     def test_refused_spec(self, flow_spec, tmp_path, monkeypatch, capsys,

@@ -257,6 +257,40 @@ class TestChart:
                 assert np.max(np.abs(G - want)) < 1e-13 * np.max(np.abs(want))
                 assert np.array_equal(G, -G.T)
 
+    @staticmethod
+    def einsum_products(blk):
+        """``gram_block`` and ``induced_variations`` by the ``einsum``
+        formulas, over the Hankel blocks ``H[:, m, k] = Lambda_{m+k}``."""
+        E, lam, l = blk.etas, blk.lam, blk.l
+        H = np.zeros(lam.shape[:1] + (l,) + lam.shape[1:], dtype=complex)
+        for m in range(l):
+            H[:, m, : l - m] = lam[:, m:]
+        lam_eta = np.einsum("gijpr,gxirq->gxjpq", H, E)
+        A = (np.einsum("gxjpq,gyjqp->gxy", lam_eta, E)
+             + np.einsum("gxpq,yqp->gxy", E[:, :, 0], blk.dlams))
+        inner = (np.einsum("gxmpr,gmkrq->gxkpq", E, H)
+                 - np.einsum("gmkpr,gxmrq->gxkpq", H, E))
+        inner[:, :, 0] += blk.dlams
+        return 2.0 * (A - A.transpose(0, 2, 1)), blk.group.dressed_polar(inner)
+
+    def test_products_match_the_einsum_formulas(self, rng):
+        # dense frames at n = 2, 3, 4, an order-2 pole at n = 3 and the
+        # order-3 pole with a frame jet; the term-by-term form is
+        # test_gram_block_matches_pairwise_omega
+        poles = self.chart_poles(rng) + [PoleData(
+            0.0, 2, random_invertible(rng, 3), random_matrix(rng, 3),
+            [[0.5, -0.4, 1.1]])]
+        for pole in poles:
+            v = pole.chart_slice()
+            blk = PoleChartBlock(PoleGroup.from_chart(
+                pole.l, pole.n, [pole.t, pole.t + 1.0],
+                np.stack([v, v + 0.2 * rng.standard_normal(v.size)]),
+                [pole.lam_irr] * 2))
+            for got, want in zip((blk.gram_block(), blk.induced_variations()),
+                                 self.einsum_products(blk)):
+                assert np.max(np.abs(got - want)) < 1e-13 * np.max(
+                    np.abs(want))
+
     def test_induced_variations_match_polar_differences(self, rng):
         step = 1e-5
         for pole in self.chart_poles(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isomonodromy.connection import Connection
+from isomonodromy.connection import BasePole, Connection
 from isomonodromy import ratfun
 from isomonodromy.errors import MalformedInputError, PreconditionError
 from isomonodromy.ratfun import RatMat, RatScalar, residue
@@ -189,6 +189,15 @@ def test_state_refuses_a_connection_with_a_tail(rng):
     with pytest.raises(MalformedInputError, match="tail"):
         FlowState.from_connection(Connection.from_polar_parts(
             data, tail=[0.1 * np.eye(2)]))
+
+
+def test_state_refuses_a_connection_with_a_base_pole(rng):
+    # nor does it hold a base pole, which would be dropped as well
+    res = 0.3 * random_matrix(rng, 2)
+    data = [(1.0, [res]), (-1.0, [-res])]
+    with pytest.raises(MalformedInputError, match="base_pole"):
+        FlowState.from_connection(Connection.from_polar_parts(
+            data, base_pole=BasePole(1)))
 
 
 def test_multi_site_degree_adds(rng):
