@@ -29,7 +29,6 @@ from .flows import (
     DriftReport,
     FlowPath,
     Trajectory,
-    auto_base_point,
     direction_differential,
     extend_state,
     extended_autonomous_rhs,
@@ -45,6 +44,7 @@ from .monodromy import (
     LineSegment,
     MonodromyRep,
     Path,
+    auto_base_point,
     conjugacy_invariants,
     monodromy_rep,
     transport,

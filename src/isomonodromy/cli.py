@@ -19,13 +19,22 @@ import numpy as np
 from . import serialize as ser
 from .errors import IntegrationAbort, IsomonodromyError, MalformedInputError
 from .flows import (
+    FLOW_TOL,
     Direction,
     FlowPath,
     direction_differential,
     integrate_flow,
     verify_isomonodromy,
 )
-from .monodromy import TAU_MONO, conjugacy_invariants, monodromy_rep, pole_near
+from .monodromy import (
+    DEFAULT_TOL,
+    TAU_MONO,
+    auto_base_point,
+    conjugacy_invariants,
+    monodromy_rep,
+    pole_near,
+)
+from .ratfun import LaurentJet
 from .symplectic import (
     hamiltonian_beta_B,
     hamiltonian_vector_field,
@@ -33,7 +42,7 @@ from .symplectic import (
     translation_hamiltonian_values,
 )
 
-DEFAULT_TOLS = {"flow": 1e-10, "transport": 1e-10, "drift": 1e-6,
+DEFAULT_TOLS = {"flow": FLOW_TOL, "transport": DEFAULT_TOL, "drift": 1e-6,
                 "pairing": 1e-10, "mono": TAU_MONO}
 
 
@@ -42,21 +51,18 @@ def _load_spec(path):
         with open(path) as fh:
             spec = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise _ParseFail(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        raise MalformedInputError(
+            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except OSError as exc:
-        raise _ParseFail(str(exc))
+        raise MalformedInputError(str(exc))
     return _object(spec, "spec")
-
-
-class _ParseFail(Exception):
-    pass
 
 
 def _object(value, where):
     """``value`` if it is a JSON object, else a parse failure at ``where``."""
     if not isinstance(value, dict):
-        raise _ParseFail(f"{where} must be a JSON object, "
-                         f"not {type(value).__name__}")
+        raise MalformedInputError(f"{where} must be a JSON object, "
+                                  f"not {type(value).__name__}")
     return value
 
 
@@ -65,7 +71,8 @@ def _positive(value, where):
     positive."""
     x = float(ser.un_typed(value, ser.NUMBER, where))
     if not (np.isfinite(x) and x > 0):
-        raise _ParseFail(f"{where}: {x} is not a finite positive tolerance")
+        raise MalformedInputError(
+            f"{where}: {x} is not a finite positive tolerance")
     return x
 
 
@@ -77,7 +84,7 @@ def _tols(spec, override=None):
     else:
         for k, v in _object(given, "tol").items():
             if k not in tols:
-                raise _ParseFail(f"tol.{k}: unknown field")
+                raise MalformedInputError(f"tol.{k}: unknown field")
             tols[k] = _positive(v, f"tol.{k}")
     if override is not None:
         tols["flow"] = tols["transport"] = _positive(override, "--tol")
@@ -90,14 +97,14 @@ def _state_of(spec):
     if "connection" in spec:
         return ser.un_flow_state({"connection": spec["connection"],
                                   "twists": spec.get("twists")})
-    raise _ParseFail("spec needs a 'state' or 'connection' field")
+    raise MalformedInputError("spec needs a 'state' or 'connection' field")
 
 
 def _pole_index(value, state, where):
     idx = ser.un_typed(value, int, where)
     if not 0 <= idx < len(state.poles):
-        raise _ParseFail(f"{where}: pole index {idx} is not in "
-                         f"0..{len(state.poles) - 1}")
+        raise MalformedInputError(f"{where}: pole index {idx} is not in "
+                                  f"0..{len(state.poles) - 1}")
     return idx
 
 
@@ -107,8 +114,9 @@ def _irregular_pole(value, state, where, higher_ok):
     l = state.poles[idx].l
     if l < 2 or (l > 2 and not higher_ok):
         need = "order >= 2" if higher_ok else "order 2"
-        raise _ParseFail(f"{where}: pole {idx} has order {l}; an irregular "
-                         f"{where.split('.')[0]} needs {need}")
+        raise MalformedInputError(
+            f"{where}: pole {idx} has order {l}; an irregular "
+            f"{where.split('.')[0]} needs {need}")
     return idx
 
 
@@ -135,13 +143,14 @@ def _path_of(spec, state, pinned):
         length = float(ser.un_typed(p.get("length", 1.0), ser.NUMBER,
                                     "path.length"))
         if not np.isfinite(length):
-            raise _ParseFail(f"path.length: {length} is not finite")
+            raise MalformedInputError(f"path.length: {length} is not finite")
         path = FlowPath.irregular_line(state, idx, rate, length=length)
     else:
-        raise _ParseFail(f"unknown path.kind {kind!r}")
+        raise MalformedInputError(f"unknown path.kind {kind!r}")
     for idx in moved:
         if idx in pinned:
-            raise _ParseFail(f"path moves pole {idx}, which is pinned")
+            raise MalformedInputError(
+                f"path moves pole {idx}, which is pinned")
     return path
 
 
@@ -153,10 +162,11 @@ def _base_point(spec, poles):
         return None
     z0 = ser.un_cx(bp, "base_point")
     if not np.isfinite(z0):
-        raise _ParseFail(f"base_point: {bp!r} is not finite")
+        raise MalformedInputError(f"base_point: {bp!r} is not finite")
     p = pole_near(z0, poles)
     if p is not None:
-        raise _ParseFail(f"base_point: base point {z0} too close to pole {p}")
+        raise MalformedInputError(
+            f"base_point: base point {z0} too close to pole {p}")
     return z0
 
 
@@ -174,7 +184,7 @@ def cmd_flow(spec, args, verify_only=False):
     state = _state_of(spec)
     pinned = set(_pole_index(i, state, "--pin") for i in (args.pin or []))
     if len(pinned) > 3:
-        raise _ParseFail("at most three poles can be pinned")
+        raise MalformedInputError("at most three poles can be pinned")
     path = _path_of(spec, state, pinned)
     twist_points = state.twist.points() if state.twist is not None else []
     base_point = _base_point(spec, [p.t for p in state.poles] + twist_points)
@@ -204,7 +214,6 @@ def cmd_monodromy(spec, args):
         conn = _state_of(spec).connection()
     bp = _base_point(spec, conn.all_finite_poles())
     if bp is None:
-        from .flows import auto_base_point
         bp = auto_base_point(conn.all_finite_poles())
     rep = monodromy_rep(conn, bp, tol=tols["transport"])
     inv = conjugacy_invariants(rep)
@@ -230,7 +239,8 @@ def cmd_hamiltonian(spec, args):
     if ser.un_typed(spec.get("field", False), bool, "field"):
         fld = direction or {"kind": "translation", "pole": 0}
         if fld.get("kind", "translation") != "translation":
-            raise _ParseFail("field output is supported for translations")
+            raise MalformedInputError(
+                "field output is supported for translations")
         field_pole = _pole_index(fld.get("pole", 0), state, "direction.pole")
     if irregular:
         out["irregular"] = ser.cx(hamiltonian_beta_B(state, idx, beta))
@@ -250,10 +260,9 @@ def cmd_pairing(spec, args):
     checks = _object(spec.get("checks", {}), "checks")
     count = ser.un_typed(checks.get("count", 0), int, "checks.count")
     if count < 0:
-        raise _ParseFail(f"checks.count: {count} is negative")
+        raise MalformedInputError(f"checks.count: {count} is negative")
     a = np.stack([ser.un_matrix(M, "a") for M in spec["a"]])
     b_coeffs = [ser.un_matrix(M, "b") for M in spec["b"]]
-    from .ratfun import LaurentJet
     n = a.shape[1]
     l = len(b_coeffs)
     bc = np.zeros((l + 6, n, n), dtype=complex)
@@ -328,8 +337,7 @@ def main(argv=None):
             return cmd_hamiltonian(spec, args)
         if args.command == "pairing":
             return cmd_pairing(spec, args)
-    except (_ParseFail, MalformedInputError, KeyError, ValueError,
-            TypeError) as exc:
+    except (MalformedInputError, KeyError, ValueError, TypeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
     except IntegrationAbort as exc:

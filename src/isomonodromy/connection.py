@@ -81,6 +81,15 @@ class BasePole:
     point: complex = INFINITY
 
 
+def _off_divisor(twist_points, base_pole):
+    """The twist points and a finite base point: the finite poles that stay
+    out of the polar divisor."""
+    pts = [complex(p) for p in twist_points]
+    if base_pole is not None and not is_infinity(base_pole.point):
+        pts.append(complex(base_pole.point))
+    return pts
+
+
 @dataclass(frozen=True)
 class Connection:
     """Rational 1-form ``A = nabla - d`` plus its polar bookkeeping."""
@@ -97,7 +106,8 @@ class Connection:
         """Build from ``[(t_i, [C_1, ..., C_l])]``, ``C_k / (z-t_i)**k`` terms.
 
         ``tail`` is an optional polynomial matrix (list of constant matrices,
-        ascending powers of z).
+        ascending powers of z).  Poles at declared twist points (or the base
+        point) are kept out of the divisor.
         """
         pole_data = [(complex(t), [np.asarray(C, dtype=complex) for C in Cs])
                      for t, Cs in pole_data]
@@ -109,8 +119,10 @@ class Connection:
             terms.append(RatMat.from_poly_matrix(
                 np.stack([np.asarray(M, dtype=complex) for M in tail])))
         A = _sum(terms, lambda: RatMat.zero(n))
-        divisor = PolarDivisor([t for t, _ in pole_data],
-                               [len(Cs) for _, Cs in pole_data])
+        off = _off_divisor(twist_points, base_pole)
+        kept = [(t, len(Cs)) for t, Cs in pole_data
+                if not any(abs(t - q) <= TAU_SEP for q in off)]
+        divisor = PolarDivisor([t for t, _ in kept], [l for _, l in kept])
         return cls(n, A, divisor, tuple(twist_points), base_pole)
 
     @classmethod
@@ -120,16 +132,10 @@ class Connection:
         Detected poles at declared twist points (or the base point) are kept
         out of the divisor.
         """
-        special = [complex(p) for p in twist_points]
-        if base_pole is not None and not is_infinity(base_pole.point):
-            special.append(complex(base_pole.point))
-        points, mults = [], []
-        for p in A.pole_points():
-            if any(abs(p - q) <= TAU_SEP for q in special):
-                continue
-            points.append(p)
-            mults.append(A.pole_order(p))
-        return cls(A.n, A, PolarDivisor(points, mults),
+        off = _off_divisor(twist_points, base_pole)
+        points = [p for p in A.pole_points()
+                  if not any(abs(p - q) <= TAU_SEP for q in off)]
+        return cls(A.n, A, PolarDivisor(points, map(A.pole_order, points)),
                    tuple(twist_points), base_pole)
 
     def __post_init__(self):
@@ -153,10 +159,8 @@ class Connection:
     # -- evaluation -----------------------------------------------------------
 
     def all_finite_poles(self):
-        pts = list(self.divisor.points) + [complex(p) for p in self.twist_points]
-        if self.base_pole is not None and not is_infinity(self.base_pole.point):
-            pts.append(complex(self.base_pole.point))
-        return pts
+        return list(self.divisor.points) + _off_divisor(self.twist_points,
+                                                        self.base_pole)
 
     def eval(self, z):
         """Value of the dz coefficient at a regular point."""
@@ -246,10 +250,16 @@ class DiagonalJetPair:
         return np.einsum("kii->ki", self.B.coeffs).copy()
 
 
+def branch_order(w):
+    """The canonical order of eigenvalue branches: indices sorting ``w``
+    lexicographically by ``(re, im)``."""
+    return np.lexsort((w.imag, w.real))
+
+
 def _sorted_eig(M):
-    """Eigen-decomposition with the deterministic (re, im) lexicographic order."""
+    """Eigen-decomposition with the eigenvalues in ``branch_order``."""
     w, V = np.linalg.eig(M)
-    order = np.lexsort((w.imag, w.real))
+    order = branch_order(w)
     w = w[order]
     V = V[:, order]
     # fix column scale: largest-modulus entry equal to 1
@@ -310,11 +320,11 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
     U = [np.eye(n, dtype=complex)]
     B = [D]
     fuchsian = (l == 1) and include_derivative
+    offdiag = ~np.eye(n, dtype=bool)
     if dA is not None:
         # tangents of every acoef(i), row i + l
         At = Vinv @ Ajet.coeffs @ V
         dAt = Vinv @ np.asarray(dA)[:, Ajet.k_min - k_min:] @ V
-        offdiag = ~np.eye(n, dtype=bool)
         gap = np.where(offdiag, w[None, :] - w[:, None], 1.0)
         X = np.where(offdiag, dAt[:, 0] / gap, 0.0)[:, None]
         dAt = dAt + At @ X - X @ At
@@ -330,21 +340,21 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
             rhs += (m + 1) * U[m + 1]
         for i in range(1, k):
             rhs += U[i] @ B[m - i + l]
-        Uk = np.zeros((n, n), dtype=complex)
+        # one divisor matrix and one mask for both passes: np.hypot is the
+        # scalar abs bit for bit, and ~(<=) counts a NaN divisor as solved
+        denom = d[:, None] - d[None, :] - (k if fuchsian else 0.0)
+        solved = offdiag & ~(np.hypot(denom.real, denom.imag)
+                             <= TAU_REG * scale)
+        # a resonance only obstructs when it must cancel something
         rhs_scale = max(scale, float(np.max(np.abs(rhs))))
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                denom = d[a] - d[b] - (k if fuchsian else 0.0)
-                if abs(denom) <= TAU_REG * scale:
-                    # a resonance only obstructs when it must cancel something
-                    if abs(rhs[a, b]) <= 1e-10 * rhs_scale:
-                        continue
-                    raise RegularityError(
-                        f"resonant or clustered spectrum: divisor {denom} at "
-                        f"order {k}")
-                Uk[a, b] = rhs[a, b] / denom
+        blocked = np.argwhere(offdiag & ~solved & ~(
+            np.hypot(rhs.real, rhs.imag) <= 1e-10 * rhs_scale))
+        if blocked.size:
+            raise RegularityError(
+                f"resonant or clustered spectrum: divisor "
+                f"{denom[tuple(blocked[0])]} at order {k}")
+        denom = np.where(solved, denom, 1.0)
+        Uk = np.where(solved, rhs / denom, 0.0)
         U.append(Uk)
         B.append(-np.diag(np.diag(rhs)))
         if dA is not None:
@@ -356,11 +366,8 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
             for i in range(1, k):
                 drhs += dU[i] @ B[k - i] + U[i] @ dBs[k - i]
             # Uk = rhs / denom entrywise, and denom moves with dd_a - dd_b
-            denom = d[:, None] - d[None, :] - (k if fuchsian else 0.0)
-            solved = offdiag & (np.abs(denom) > TAU_REG * scale)
             dd_ab = dd[:, :, None] - dd[:, None, :]
-            dU.append(np.where(solved, (drhs - Uk * dd_ab)
-                               / np.where(solved, denom, 1.0), 0.0))
+            dU.append(np.where(solved, (drhs - Uk * dd_ab) / denom, 0.0))
             dBs.append(-drhs * np.eye(n))
 
     Zc = np.stack([V @ u for u in U])

@@ -29,11 +29,9 @@ class DegenerateChartError(IsomonodromyError):
 
 
 class IntegrationAbort(IsomonodromyError):
-    """Adaptive integration could not continue.
-
-    ``kind`` is one of ``'stiffness'``, ``'pole_collision'``,
-    ``'movable_singularity'``.
-    """
+    """Adaptive integration could not continue: ``kind`` is ``'stiffness'``.
+    A pole collision or movable singularity ends a trajectory instead, as
+    ``Trajectory.abort_kind``."""
 
     def __init__(self, kind, message):
         super().__init__(message)

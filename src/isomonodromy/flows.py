@@ -35,9 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .connection import diagonalize_jet
+from .connection import branch_order, diagonalize_jet
 from .errors import IntegrationAbort, MalformedInputError, PreconditionError
-from .monodromy import SAFETY, conjugacy_residual, monodromy_rep
+from .monodromy import (
+    SAFETY,
+    auto_base_point,
+    conjugacy_residual,
+    monodromy_rep,
+)
 from .states import ExtendedState, N_MAX
 from .symplectic import (
     d_hamiltonian_beta_B,
@@ -95,11 +100,8 @@ class StateDerivative:
 
 
 def _check_poles(direction, state):
-    m = len(state.poles)
     for i in [*direction.moduli_rates, *direction.irregular_rates]:
-        if not 0 <= i < m:
-            raise MalformedInputError(
-                f"direction names pole {i}; the state has poles 0..{m - 1}")
+        state.pole(i)
 
 
 def lift_I0(direction, state):
@@ -137,8 +139,7 @@ def beta_for_rate(rate_rows, pole):
     rate_rows = np.asarray(rate_rows, dtype=complex)
     if not rate_rows.shape[0]:
         return rate_rows
-    lead = pole.lam_irr[pole.l - 2]
-    perm = np.lexsort((lead.imag, lead.real))
+    perm = branch_order(pole.lam_irr[pole.l - 2])
     return np.stack([-rate_rows[j][perm] / (j + 1)
                      for j in range(rate_rows.shape[0])])
 
@@ -338,35 +339,6 @@ class DriftReport:
     base_point: complex
     conjugacy_residual: list      # per sample: against s = 0, by pole
     notes: list = field(default_factory=list)
-
-
-def auto_base_point(positions):
-    """Deterministic base point below the pole cluster with clear rays;
-    the origin when there are no poles."""
-    pos = np.array(positions, dtype=complex)
-    if pos.size == 0:
-        return 0j
-    c = pos.mean()
-    spread = max(1.0, float(max(abs(pos - c))) * 2.0)
-    min_sep = min(abs(a - b) for i, a in enumerate(pos)
-                  for b in pos[i + 1:]) if len(pos) > 1 else spread
-
-    from .monodromy import LineSegment
-    s2 = np.sqrt(0.5)
-    directions = (-1j, 1j, -1.0, 1.0,
-                  s2 * (-1 - 1j), s2 * (1 - 1j), s2 * (-1 + 1j), s2 * (1 + 1j))
-    for mult in (1.5, 2.5, 4.0, 6.0):
-        for direction in directions:
-            z0 = c + direction * mult * spread
-            ok = all(abs(z0 - p) > 0.3 * spread for p in pos)
-            for i, t in enumerate(pos):
-                seg = LineSegment(z0, t)
-                for j, q in enumerate(pos):
-                    if j != i and seg.distance_to(q) < 0.2 * min_sep:
-                        ok = False
-            if ok:
-                return z0
-    raise PreconditionError("no clear base point found for this configuration")
 
 
 def formal_invariants(state):

@@ -555,6 +555,40 @@ def pole_near(z0, poles):
     return next((p for p in poles if abs(z0 - p) <= 2 * TAU_SEP), None)
 
 
+def min_separation(points):
+    """The smallest distance between two of the ``points``; inf for fewer
+    than two."""
+    return min((abs(a - b) for i, a in enumerate(points)
+                for b in points[i + 1:]), default=np.inf)
+
+
+def auto_base_point(positions):
+    """Deterministic base point below the pole cluster with clear rays;
+    the origin when there are no poles."""
+    pos = np.array(positions, dtype=complex)
+    if pos.size == 0:
+        return 0j
+    c = pos.mean()
+    spread = max(1.0, float(max(abs(pos - c))) * 2.0)
+    min_sep = min_separation(pos) if len(pos) > 1 else spread
+
+    s2 = np.sqrt(0.5)
+    directions = (-1j, 1j, -1.0, 1.0,
+                  s2 * (-1 - 1j), s2 * (1 - 1j), s2 * (-1 + 1j), s2 * (1 + 1j))
+    for mult in (1.5, 2.5, 4.0, 6.0):
+        for direction in directions:
+            z0 = c + direction * mult * spread
+            ok = all(abs(z0 - p) > 0.3 * spread for p in pos)
+            for i, t in enumerate(pos):
+                seg = LineSegment(z0, t)
+                for j, q in enumerate(pos):
+                    if j != i and seg.distance_to(q) < 0.2 * min_sep:
+                        ok = False
+            if ok:
+                return z0
+    raise PreconditionError("no clear base point found for this configuration")
+
+
 def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
     """Keyhole monodromy generators around every finite pole.
 
@@ -570,10 +604,7 @@ def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
     if p is not None:
         raise PreconditionError(f"base point {z0} too close to pole {p}")
     order = loop_ordering(poles, z0)
-    min_sep = np.inf
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            min_sep = min(min_sep, abs(poles[i] - poles[j]))
+    min_sep = min_separation(poles)
     clearance = 0.05 * min_sep if np.isfinite(min_sep) else \
         0.05 * min((abs(z0 - p) for p in poles), default=np.inf)
 

@@ -34,6 +34,7 @@ from .errors import MalformedInputError, PreconditionError
 TAU_CANCEL = 1e-9     # numerator/denominator common-factor detection
 TAU_MERGE = 1e-12     # roots closer than this are the same pole
 TAU_CLUSTER = 1e-6    # np.roots output closer than this is one multiple root
+TAU_DET = 1e-9        # determinant coefficients this small, relative, vanish
 
 INFINITY = complex(float("inf"), 0.0)
 
@@ -829,6 +830,16 @@ def polymat_det(coeffs):
     return poly_trim(reduce(poly_add, terms), rel_tol=1e-14)
 
 
+def det_order(det):
+    """Vanishing order at 0 of a twist germ's determinant (ascending
+    coefficients): the leading ones within ``TAU_DET`` of the largest."""
+    scale = np.max(np.abs(det))
+    mu = 0
+    while mu < det.size and abs(det[mu]) <= TAU_DET * scale:
+        mu += 1
+    return mu
+
+
 def polymat_inverse_jet(coeffs, k_max):
     """Laurent jet (at 0, in the germ's own coordinate) of ``T(zeta)**-1``.
 
@@ -838,12 +849,9 @@ def polymat_inverse_jet(coeffs, k_max):
     coeffs = np.asarray(coeffs, dtype=complex)
     n = coeffs.shape[1]
     det = polymat_det(coeffs)
-    scale = np.max(np.abs(det))
-    if scale == 0.0:
+    if not np.any(det):
         raise MalformedInputError("identically singular germ")
-    mu = 0
-    while mu < det.size and abs(det[mu]) <= 1e-12 * scale:
-        mu += 1
+    mu = det_order(det)
     unit = det[mu:]
     K = k_max + mu + 1
     det_inv = series_div(np.array([1.0 + 0j]), unit, max(K, 1))

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .connection import BasePole, Connection
+from .connection import TAU_SEP, BasePole, Connection
 from .errors import MalformedInputError
 from .monodromy import LineSegment
 from .ratfun import INFINITY, is_infinity
@@ -89,20 +89,23 @@ def un_matrix(rows, where=None):
 # ---------------------------------------------------------------------------
 
 def connection(conn):
+    """A connection as a spec: the polar parts at the divisor's points, in
+    its order, then those at the twist points.  A finite base pole's
+    residue ``(k/n) I`` is implied by ``k`` and not listed."""
     pole_data, tail = conn.polar_parts
     by_point = {complex(t): coeffs for t, coeffs in pole_data}
-    poles = []
-    for t, l in zip(conn.divisor.points, conn.divisor.mults):
-        coeffs = by_point.get(complex(t),
-                              [np.zeros((conn.n, conn.n))] * l)
-        coeffs = list(coeffs) + [np.zeros((conn.n, conn.n))] * (l - len(coeffs))
-        # JSON stores orders -l .. -1; internal lists are C_1 .. C_l
-        poles.append({"t": cx(t), "l": int(l),
-                      "coeffs": [matrix(coeffs[k]) for k in
-                                 range(l - 1, -1, -1)]})
-    out = {"n": conn.n, "poles": poles,
+    poles = [(t, l, by_point.get(complex(t), []))
+             for t, l in zip(conn.divisor.points, conn.divisor.mults)]
+    poles += [(t, len(Cs), Cs) for t, Cs in pole_data
+              if any(abs(t - q) <= TAU_SEP for q in conn.twist_points)]
+    out = {"n": conn.n, "poles": [],
            "tail": [matrix(M) for M in tail] if tail.size else None,
            "base_pole": None}
+    for t, l, Cs in poles:
+        Cs = list(Cs) + [np.zeros((conn.n, conn.n))] * (l - len(Cs))
+        # JSON stores orders -l .. -1; internal lists are C_1 .. C_l
+        out["poles"].append({"t": cx(t), "l": int(l),
+                             "coeffs": [matrix(C) for C in Cs[::-1]]})
     if conn.base_pole is not None:
         out["base_pole"] = {"point": point(conn.base_pole.point),
                             "k": conn.base_pole.k}
@@ -138,7 +141,16 @@ def un_connection(d):
         bp = d["base_pole"]
         base = BasePole(un_typed(bp["k"], int, "base_pole.k"),
                         un_cx(bp["point"], "base_pole.point"))
+        if not is_infinity(base.point):
+            if any(abs(t - base.point) <= TAU_SEP for t, _ in pole_data):
+                raise MalformedInputError(
+                    "poles: a pole at the base point; its residue (k/n) I "
+                    "is implied by base_pole.k")
+            pole_data.append((base.point, [base.k / n * np.eye(n)]))
+    twist_points = [un_cx(p, "twist_points")
+                    for p in d.get("twist_points") or ()]
     return Connection.from_polar_parts(pole_data, n=n, tail=tail,
+                                       twist_points=twist_points,
                                        base_pole=base)
 
 
@@ -178,10 +190,18 @@ def flow_state(state):
 
 
 def un_flow_state(d):
+    """A state spec as a state.  A state given by its ``connection`` numbers
+    its poles in the listed order, not in the divisor's."""
+    twist = un_matrix_divisor(d["twists"]) if d.get("twists") else None
     if "connection" in d:
         conn = un_connection(d["connection"])
-        twist = un_matrix_divisor(d["twists"]) if d.get("twists") else None
-        return FlowState.from_connection(conn, twist)
+        if conn.twist_points:
+            raise MalformedInputError(
+                "twist_points: a state holds its twists in 'twists'")
+        state = FlowState.from_connection(conn, twist)
+        at = [conn.divisor.points.index(un_cx(p["t"]))
+              for p in d["connection"]["poles"]]
+        return FlowState(state.n, tuple(state.poles[i] for i in at), twist)
     poles = []
     for i, p in enumerate(d["poles"]):
         l = un_typed(p["l"], int, f"poles[{i}].l")
@@ -195,7 +215,6 @@ def un_flow_state(d):
         poles.append(PoleData(un_cx(p["t"], f"poles[{i}].t"), l,
                               un_matrix(p["h"], f"poles[{i}].h"),
                               un_matrix(p["res"], f"poles[{i}].res"), irr, u))
-    twist = un_matrix_divisor(d["twists"]) if d.get("twists") else None
     return FlowState(un_typed(d["n"], int, "n"), tuple(poles), twist)
 
 

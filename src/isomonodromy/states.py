@@ -288,6 +288,15 @@ class FlowState:
                 lead = p.lam_irr[-1]
                 check_regular(lead, max(1.0, float(np.max(np.abs(lead)))))
 
+    def pole(self, i):
+        """Pole ``i``, checked: the one rule for pole indices.  Negative
+        indices are rejected rather than read from the end."""
+        m = len(self.poles)
+        if not 0 <= i < m:
+            raise MalformedInputError(
+                f"pole index {i}; the state has poles 0..{m - 1}")
+        return self.poles[i]
+
     # -- polar data, each computed once per state -----------------------------
 
     @cached_property

@@ -73,7 +73,7 @@ import numpy as np
 
 from .connection import diagonalize_jet, extension_weights
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
-from .ratfun import LaurentJet, RatMat, polymat_inverse_jet
+from .ratfun import LaurentJet, RatMat
 
 TAU_RANK = 1e-8
 
@@ -106,9 +106,9 @@ def residue_pairing(a, b, T, frame="U1"):
     if frame == "U0":
         return complex((b * a).trace().residue())
     if frame == "U1":
-        germ = T.germ
-        mu = germ.shape[0] * germ.shape[1]  # safe overestimate of det order
-        Tinv = polymat_inverse_jet(germ, k_max=b.k_max + mu + 2)
+        # T^-1 through order -b.k_min - 1 meets b's lowest order at the
+        # residue; a longer jet changes no bit of it
+        Tinv = T.inverse_jet(abs(b.k_min))
         return complex((b * Tinv * a).trace().residue())
     raise MalformedInputError(f"unknown frame {frame!r}; use 'U0' or 'U1'")
 
@@ -328,20 +328,10 @@ def hamiltonian_vector_field(dH, state):
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _pole(state, i):
-    """Pole ``i`` of the state, checked: negative indices are rejected
-    rather than read from the end."""
-    m = len(state.poles)
-    if not 0 <= i < m:
-        raise MalformedInputError(
-            f"pole index {i}; the state has poles 0..{m - 1}")
-    return state.poles[i]
-
-
 def _irregular_pole(state, i, beta):
     """Pole ``i`` and ``beta`` as an array, checked for the pairing."""
     beta = np.asarray(beta, dtype=complex)
-    p = _pole(state, i)
+    p = state.pole(i)
     if p.l < 2:
         raise PreconditionError("irregular Hamiltonians need a pole of order >= 2")
     if beta.shape != (p.l - 1, p.n):
@@ -441,7 +431,7 @@ def d_translation_hamiltonian(state, i):
     Uses ``dH(b) = 2 res_{t_i} tr(A b)`` with ``b`` the connection variation
     induced by each coordinate direction, group by group.
     """
-    p_i = _pole(state, i)
+    p_i = state.pole(i)
     polar_i = np.asarray(state.polar[i])
 
     out = np.zeros(state.chart_dim(), dtype=complex)

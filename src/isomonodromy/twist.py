@@ -20,6 +20,7 @@ from .errors import MalformedInputError, PreconditionError
 from .ratfun import (
     RatMat,
     cluster_roots,
+    det_order,
     polymat_det,
     polymat_inverse_jet,
 )
@@ -59,12 +60,7 @@ class TwistSite:
         return polymat_det(self.germ)
 
     def vanishing_order(self):
-        d = self.det_poly()
-        scale = np.max(np.abs(d))
-        mu = 0
-        while mu < d.size and abs(d[mu]) <= 1e-9 * scale:
-            mu += 1
-        return mu
+        return det_order(self.det_poly())
 
     def as_ratmat(self):
         """The germ as a global polynomial matrix in z."""

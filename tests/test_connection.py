@@ -256,6 +256,46 @@ class TestFormalDiagonalize:
         with pytest.raises(RegularityError):
             formal_diagonalize(conn, 0.0, 2)
 
+    @pytest.mark.parametrize("with_tangents", [False, True])
+    def test_obstructed_fuchsian_resonance(self, rng, with_tangents):
+        # leading eigenvalues 0 and 1: the order-1 divisor d_1 - d_0 - 1 is
+        # exactly 0 where the (1, 0) entry of A_0 must be cancelled
+        coeffs = np.zeros((3, 2, 2), dtype=complex)
+        coeffs[0] = np.diag([0.0, 1.0])
+        coeffs[1] = [[0.2, 0.3], [0.4, -0.1]]
+        dA = np.stack([[random_matrix(rng, 2) for _ in range(3)]
+                       for _ in range(2)]) if with_tangents else None
+        with pytest.raises(RegularityError,
+                           match=r"divisor 0j at order 1$"):
+            diagonalize_jet(LaurentJet(0.0, -1, coeffs, 1), 2, dA=dA)
+
+    def test_solvable_fuchsian_resonance(self, rng):
+        # the same resonance with nothing to cancel: the value pass leaves
+        # the entry of U zero, and so does the tangent pass, so dB is
+        # finite and matches a contour derivative along variations that
+        # keep the (1, 0) entry of A_0 zero
+        coeffs = np.zeros((3, 2, 2), dtype=complex)
+        coeffs[0] = np.diag([0.0, 1.0])
+        coeffs[1] = [[0.2, 0.3], [0.0, -0.1]]
+        coeffs[2] = random_matrix(rng, 2)
+        dA = np.stack([[np.diag(rng.standard_normal(2)),
+                        random_matrix(rng, 2), random_matrix(rng, 2)]
+                       for _ in range(2)])
+        dA[:, 1, 1, 0] = 0.0
+
+        def diag_B(c, dA=None):
+            return diagonalize_jet(LaurentJet(0.0, -1, c, 1), 2, dA=dA)
+
+        pair = diag_B(coeffs, dA)
+        assert pair.Z.coefficient(1)[1, 0] == 0.0
+        assert np.all(np.isfinite(pair.dB))
+        N, r = 16, 1e-2
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        for x in range(2):
+            contour = sum(diag_B(coeffs + r * w * dA[x]).b_diag / w
+                          for w in roots) / (N * r)
+            assert np.max(np.abs(pair.dB[x] - contour)) < 1e-11
+
     def test_reconstruction_random_jets(self, rng):
         # acceptance-style: random regular-leading jets, defect through order 4
         for _ in range(25):

@@ -35,7 +35,10 @@ from isomonodromy.flows import (
 from isomonodromy.monodromy import monodromy_rep
 from isomonodromy.ratfun import LaurentJet
 from isomonodromy.states import ExtendedState, FlowState, PoleData, PoleGroup
-from isomonodromy.symplectic import hamiltonian_beta_B
+from isomonodromy.symplectic import (
+    d_translation_hamiltonian,
+    hamiltonian_beta_B,
+)
 from isomonodromy.twist import MatrixDivisor, normal_form
 
 from conftest import (
@@ -180,6 +183,16 @@ class TestRhs:
                 call(Y, state)
         with pytest.raises(MalformedInputError, match="pole"):
             integrate_flow(state, path, n_samples=2)
+
+    def test_pole_index_has_one_message(self, rng):
+        state = irregular_state(rng)
+        message = r"^pole index 3; the state has poles 0\.\.2$"
+        for call in (lambda: lift_I0(Direction.translation(3), state),
+                     lambda: direction_differential(
+                         Direction.translation(3), state),
+                     lambda: d_translation_hamiltonian(state, 3)):
+            with pytest.raises(MalformedInputError, match=message):
+                call()
 
 
 class TestIntegrateFlow:

@@ -22,7 +22,6 @@ import isomonodromy.symplectic as symplectic_module
 from isomonodromy import serialize as ser
 from isomonodromy.connection import Connection
 from isomonodromy.errors import IntegrationAbort, PreconditionError
-from isomonodromy.flows import auto_base_point
 from isomonodromy.monodromy import (
     DEFAULT_TOL,
     SAFETY,
@@ -32,6 +31,7 @@ from isomonodromy.monodromy import (
     _compiled_eval,
     _LinearDOP853,
     _stacked,
+    auto_base_point,
     conjugacy_invariants,
     conjugacy_residual,
     monodromy_rep,

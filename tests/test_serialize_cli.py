@@ -11,9 +11,10 @@ import pytest
 import isomonodromy.serialize as ser
 from isomonodromy.cli import main as cli_main
 from isomonodromy.connection import BasePole, Connection
+from isomonodromy.errors import MalformedInputError
 from isomonodromy.ratfun import INFINITY, RatMat
 from isomonodromy.states import FlowState, PoleData
-from isomonodromy.twist import MatrixDivisor, normal_form
+from isomonodromy.twist import MatrixDivisor, normal_form, push_connection
 
 from conftest import random_fuchsian_matrices, random_matrix
 
@@ -50,6 +51,30 @@ class TestRoundTrips:
         assert [p["t"] for p in d["poles"]] == [[0.0, 0.0], [1.5, 0.0]]
         assert d["tail"] is None
         assert ser.un_connection(d).base_pole == conn.base_pole
+
+    def test_pushed_connection_round_trips(self):
+        # twist poles are listed and read back out of the divisor; the base
+        # pole's residue (k/n) I is implied by k and restored on reading
+        R = np.array([[0.2, 0.1], [0.05, -0.2]])
+        A = (RatMat.from_polar_part(0.0, [R])
+             + RatMat.from_polar_part(1.5, [-R - np.eye(2) / 2])
+             + RatMat.from_polar_part(-1.0, [np.eye(2) / 2]))
+        conn = push_connection(normal_form(0.4 + 0.6j, (0.0, 0.7)),
+                               Connection.from_ratmat(
+                                   A, base_pole=BasePole(1, -1.0)))
+        back = ser.un_connection(json.loads(json.dumps(ser.connection(conn))))
+        assert back.divisor == conn.divisor
+        assert back.twist_points == conn.twist_points
+        assert back.base_pole == conn.base_pole
+        for z in (0.3 - 0.8j, 2.0 + 1.0j, -0.7 + 0.2j, 0.5 + 0.5j):
+            assert np.allclose(back.eval(z), conn.eval(z), rtol=1e-12,
+                               atol=0.0)
+
+    def test_a_listed_pole_at_the_base_point_is_refused(self):
+        d = _pair_connection()
+        d["base_pole"] = {"point": d["poles"][0]["t"], "k": 1}
+        with pytest.raises(MalformedInputError, match="implied by"):
+            ser.un_connection(d)
 
     def test_twist_and_normal_form_shorthand(self):
         site = normal_form(0.5j, (0.0, 2.0))
@@ -135,6 +160,9 @@ _REFUSED = {
                                            p=(1.3, 0.0))),
     "state with a tail": ("monodromy", "tail:", lambda s: {"state": {
         "connection": _pair_connection(tail=[0.1 * np.eye(2)])}}),
+    "state with twist points": ("flow", "twist_points:", lambda s: dict(
+        s, state={"connection": dict(_pair_connection(),
+                                     twist_points=[[0.1, 0.2]])})),
     "state with a base pole": ("flow", "base_pole:", lambda s: dict(
         s, state={"connection": _pair_connection(base_pole=_BASE_POLE)})),
     "top-level connection with a base pole": (
@@ -229,6 +257,26 @@ class TestCli:
         drift = json.loads((out / "drift.json").read_text())
         assert drift["max_drift"] < 1e-9
         assert not (out / "trajectory.csv").exists()
+
+    def test_connection_poles_keep_the_listed_order(self, tmp_path):
+        # listed 1.3 first; the divisor sorts -1.3 first, and pole 0 is
+        # still the pole listed first
+        conn = _pair_connection()
+        conn["poles"].reverse()
+        assert [p["t"] for p in conn["poles"]] == [[1.3, 0.0], [-1.3, 0.0]]
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps({
+            "connection": conn, "samples": 3,
+            "path": {"kind": "line", "pole": 0, "displacement": [0.2, 0.1]}}))
+        out = tmp_path / "out"
+        assert cli_main(["flow", "--input", str(sp), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        at = [header.index(c) for c in ("t0.re", "t0.im", "t1.re", "t1.im")]
+        start, end = ([float(row.split(",")[k]) for k in at]
+                      for row in (rows[1], rows[-1]))
+        assert start == [1.3, 0.0, -1.3, 0.0]
+        assert np.allclose(end, [1.5, 0.1, -1.3, 0.0], rtol=0, atol=1e-12)
 
     def test_monodromy_closed_form(self, tmp_path):
         r = [0.3, -0.7]

@@ -3,9 +3,11 @@ import pytest
 
 from isomonodromy.errors import DegenerateChartError, MalformedInputError
 from isomonodromy.ratfun import (
+    TAU_DET,
     LaurentJet,
     RatMat,
     RatScalar,
+    polymat_inverse_jet,
     residue_quadrature_oracle,
 )
 from isomonodromy.flows import Direction, direction_differential
@@ -24,7 +26,7 @@ from isomonodromy.symplectic import (
     symplectic_form,
     translation_hamiltonian_values,
 )
-from isomonodromy.twist import MatrixDivisor, TwistSite, normal_form
+from isomonodromy.twist import MatrixDivisor, TwistSite, degree, normal_form
 
 from conftest import (
     numeric_differential,
@@ -112,6 +114,40 @@ class TestResiduePairing:
                             np.einsum("ij,kjl,lm->kim", Finv, b.coeffs, F), 1)
             v2 = residue_pairing(aF, bF, site.right_multiply(F), "U1")
             assert abs(v1 - v2) < 1e-10 * max(1.0, abs(v1))
+
+    def test_determinant_order_agrees_on_a_noisy_germ(self):
+        # T F with F of condition 1e6: the constant coefficient of det(T F)
+        # is rounding noise, up to TAU_DET of the largest.  The degree, the
+        # inverse jet and both pairings all read it as vanishing, so both
+        # pairings keep their values under T -> T F, the U1 pairing to
+        # about cond(F)^2 eps; an order read as 0 puts them off by ~1e10
+        rng = np.random.default_rng(7)
+        Q1, Q2 = (np.linalg.qr(random_matrix(rng, 2))[0] for _ in range(2))
+        F = Q1 @ np.diag([1.0, 1e-6]) @ Q2
+        site = normal_form(0.0, (0.0, 0.7 + 0.2j))
+        noisy = site.right_multiply(F)
+        det = noisy.det_poly()
+        assert abs(det[0]) <= TAU_DET * np.max(np.abs(det))
+        assert degree(noisy) == -polymat_inverse_jet(noisy.germ, 3).k_min == 1
+        t = jet_poly(random_matrix(rng, 2)[None])
+        b = jet_polar_form([random_matrix(rng, 2)], 2)
+        bF = LaurentJet(0.0, b.k_min, np.linalg.inv(F) @ b.coeffs @ F, 1)
+        tF = jet_poly(t.coeffs @ F)
+        v = residue_pairing(t, b, site, "U1")
+        assert abs(residue_pairing(tF, bF, noisy, "U1") - v) < 1e-3 * abs(v)
+
+        def twist_slot(s, t_germ):
+            state = fuchsian_state([1.5], [np.diag([0.2, -0.2])],
+                                   twist=MatrixDivisor((s,)))
+            zero = (np.zeros((1, 2, 2)),)
+            b = RatMat.from_polar_part(0.0, [np.array([[0.4, 0.2],
+                                                       [0.1, -0.3]])])
+            return symplectic_form(TangentVec(zero, RatMat.zero(2),
+                                              {0: t_germ}),
+                                   TangentVec(zero, b), state)
+
+        v = twist_slot(site, t.coeffs)
+        assert abs(twist_slot(noisy, t.coeffs @ F) - v) < 1e-10
 
     def test_frame_consistency(self, rng):
         # U0 data (a T^-1, T b T^-1) gives the same number as U1 data (a, b)
