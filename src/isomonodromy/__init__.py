@@ -47,6 +47,7 @@ from .monodromy import (
     auto_base_point,
     conjugacy_invariants,
     monodromy_rep,
+    monodromy_reps,
     transport,
 )
 from .ratfun import (
@@ -62,6 +63,7 @@ from .ratfun import (
 from .states import ExtendedState, FlowState, PoleData
 from .symplectic import (
     TangentVec,
+    chart_conditioning,
     gram_matrix,
     hamiltonian_beta_B,
     hamiltonian_vector_field,
@@ -90,11 +92,12 @@ __all__ = [
     "MonodromyRep", "Path", "PolarDivisor", "PoleData", "PoleDomainError",
     "PreconditionError", "RatMat", "RatScalar", "RegularityError",
     "TangentVec", "Trajectory", "TwistSite", "auto_base_point",
-    "conjugacy_invariants", "degree", "direction_differential", "extend_state",
-    "extended_autonomous_rhs", "gram_matrix", "hamiltonian_beta_B",
-    "hamiltonian_vector_field", "induced_polar_variations",
-    "integrate_extended", "integrate_flow", "is_infinity", "isomonodromic_rhs",
-    "lift_I0", "monodromy_rep", "normal_form", "polar_decompose",
+    "chart_conditioning", "conjugacy_invariants", "degree",
+    "direction_differential", "extend_state", "extended_autonomous_rhs",
+    "gram_matrix", "hamiltonian_beta_B", "hamiltonian_vector_field",
+    "induced_polar_variations", "integrate_extended", "integrate_flow",
+    "is_infinity", "isomonodromic_rhs", "lift_I0", "monodromy_rep",
+    "monodromy_reps", "normal_form", "polar_decompose",
     "pull_connection", "push_connection", "residue", "residue_pairing",
     "residue_quadrature_oracle", "residue_sum_all_poles", "section_S",
     "symplectic_form", "total_trace_residue", "translation_hamiltonian_values",

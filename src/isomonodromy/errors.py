@@ -25,13 +25,16 @@ class RegularityError(IsomonodromyError):
 
 
 class DegenerateChartError(IsomonodromyError):
-    """The symplectic Gram matrix is singular beyond tolerance at this state."""
+    """The symplectic Gram matrix is singular beyond tolerance at this state
+    (``hamiltonian_vector_field``'s guard), or exactly singular at a flow's
+    stage.  Along a flow the guard's measure ends a trajectory instead, as
+    ``Trajectory.abort_kind`` ``degenerate_chart``."""
 
 
 class IntegrationAbort(IsomonodromyError):
     """Adaptive integration could not continue: ``kind`` is ``'stiffness'``.
-    A pole collision or movable singularity ends a trajectory instead, as
-    ``Trajectory.abort_kind``."""
+    A pole collision, movable singularity or degenerate chart ends a
+    trajectory instead, as ``Trajectory.abort_kind``."""
 
     def __init__(self, kind, message):
         super().__init__(message)

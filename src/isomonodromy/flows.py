@@ -22,10 +22,15 @@ The correction Hamiltonian of a direction is coded once, in
 CLI's Hamiltonian fields all read it.
 
 One driver integrates both the flow and the extended autonomous system on
-the flat state vector (``FlowState.flat``).  Pole collision and coefficient
-blow-up are terminal events of the integrator: they are tested on accepted
-steps only and located by root-finding on the dense output, so
-``abort_at`` is the parameter at which the abort happened.
+the flat state vector (``FlowState.flat``).  Pole collision, coefficient
+blow-up and a degenerate chart are terminal events of the integrator: they
+are tested on accepted steps only and located by root-finding on the dense
+output, so ``abort_at`` is the parameter at which the abort happened.  The
+right-hand side solves the chart form without the rank guard
+(``solve_chart``); the guard's measure is the event's.
+
+Verification transports the keyholes of every sample of a trajectory in
+one lock-step ``transport`` call (``monodromy_reps``).
 """
 
 from __future__ import annotations
@@ -41,14 +46,16 @@ from .monodromy import (
     SAFETY,
     auto_base_point,
     conjugacy_residual,
-    monodromy_rep,
+    monodromy_reps,
 )
 from .states import ExtendedState, N_MAX
 from .symplectic import (
+    TAU_RANK,
+    chart_conditioning,
     d_hamiltonian_beta_B,
     d_translation_hamiltonian,
-    hamiltonian_vector_field,
     jet_variations,
+    solve_chart,
     translation_hamiltonian_values,
 )
 
@@ -177,13 +184,19 @@ def direction_differential(direction, state):
 
 
 def isomonodromic_rhs(direction, state):
-    """Reference lift plus Hamiltonian correction for the given direction."""
+    """Reference lift plus Hamiltonian correction for the given direction.
+
+    The correction is ``solve_chart``'s, without the rank guard of
+    ``hamiltonian_vector_field``: the integrators test the guard's measure
+    on accepted steps (the ``degenerate_chart`` event), and a stage that
+    meets an exactly singular block raises ``DegenerateChartError``.
+    """
     out = lift_I0(direction, state)
     if direction.is_zero():
         return out
     dH = direction_differential(direction, state)
     if np.any(dH):
-        out.d_chart += hamiltonian_vector_field(dH, state)
+        out.d_chart += solve_chart(dH, state)
     return out
 
 
@@ -242,6 +255,12 @@ class FlowPath:
 
 @dataclass
 class Trajectory:
+    """The sampled states of a flow.  ``abort_kind`` names the event that
+    ended an aborted trajectory (``pole_collision``,
+    ``movable_singularity`` or ``degenerate_chart``), and ``abort_at`` the
+    located ``s`` at which it fired; ``states`` end at the last sample
+    before it."""
+
     samples: list               # s values
     states: list                # FlowState at each sample
     status: str = "completed"   # or 'aborted'
@@ -250,9 +269,11 @@ class Trajectory:
 
 
 def _abort_events(state):
-    """Terminal abort events on vectors in the layout of ``state.flat()``,
-    named by their abort kind: two poles closer than ``TAU_COLLIDE``, or a
-    coefficient entry beyond ``N_MAX``.  Both caps are read at call time."""
+    """Terminal abort events on vectors whose first part is in the layout of
+    ``state.flat()``, named by their abort kind: two poles closer than
+    ``TAU_COLLIDE``, a coefficient entry beyond ``N_MAX``, or a chart whose
+    ``chart_conditioning`` falls to ``TAU_RANK``.  The caps are read at
+    call time."""
     m = len(state.poles)
     n_state = len(state.flat())
     pairs = np.triu_indices(m, 1)
@@ -264,7 +285,10 @@ def _abort_events(state):
     def movable_singularity(s, y):
         return N_MAX - np.max(np.abs(y[m:n_state]), initial=0.0)
 
-    events = [pole_collision, movable_singularity]
+    def degenerate_chart(s, y):
+        return chart_conditioning(state.with_flat(y[:n_state])) - TAU_RANK
+
+    events = [pole_collision, movable_singularity, degenerate_chart]
     for event in events:
         event.terminal, event.direction = True, -1
     return events
@@ -315,9 +339,10 @@ def _integrate(start, state, field, tol, n_samples):
 def integrate_flow(state, path, tol=FLOW_TOL, n_samples=9):
     """Integrate the deformation along the path; sample the trajectory.
 
-    Pole collisions and coefficient blow-ups abort with the partial
-    trajectory flagged (``pole_collision`` / ``movable_singularity``) and
-    located on the accepted steps (``abort_at``).
+    Pole collisions, coefficient blow-ups and degenerate charts abort with
+    the partial trajectory flagged (``pole_collision`` /
+    ``movable_singularity`` / ``degenerate_chart``) and located on the
+    accepted steps (``abort_at``).
     """
     return _integrate(
         state, state,
@@ -353,24 +378,25 @@ def verify_isomonodromy(trajectory, tol=FLOW_TOL, base_point=None):
 
     Conjugation invariants of the monodromy generators are computed with a
     single base point fixed across samples; per-pole characteristic
-    polynomials are tracked by pole identity.  At higher-order poles the
-    diagonal formal exponents ride along, and the drift of the order ``-1``
-    exponents (never prescribed by a path) is reported separately.
-    At n >= 3 the invariants miss some directions of the tuple; the
-    ``conjugacy_residual`` of each sample's pole loops against the first
-    sample's sees them all, and is reported, not checked.
+    polynomials are tracked by pole identity.  The keyholes of every
+    sample go through one lock-step transport (``monodromy_reps``), and
+    each sample's matrices are the bits its own ``monodromy_rep`` gives.
+    At higher-order poles the diagonal formal exponents ride along, and
+    the drift of the order ``-1`` exponents (never prescribed by a path)
+    is reported separately.  At n >= 3 the invariants miss some directions
+    of the tuple; the ``conjugacy_residual`` of each sample's pole loops
+    against the first sample's sees them all, and is reported, not
+    checked.
     """
     if not trajectory.states:
         raise PreconditionError("empty trajectory")
     states = trajectory.states
-    conn0 = states[0].connection()
+    conns = [st.connection() for st in states]
     z0 = base_point if base_point is not None else \
-        auto_base_point(conn0.all_finite_poles())
+        auto_base_point(conns[0].all_finite_poles())
 
     inv_rows, formal_rows, loop_rows = [], [], []
-    for k, st in enumerate(states):
-        conn = conn0 if k == 0 else st.connection()
-        rep = monodromy_rep(conn, z0, tol)
+    for st, rep in zip(states, monodromy_reps(conns, z0, tol)):
         loops = [rep.matrix_for_pole(p.t) for p in st.poles]
         loop_rows.append(loops)
         chunks = []

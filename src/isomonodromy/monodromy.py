@@ -8,14 +8,15 @@ triangular solve for all of its stages, with scipy's tableau, error
 estimate and step-size control.  Several paths are integrated in lock-step,
 one lane each with its own step control, at the bits each gets alone; a
 monodromy representation sends all of its loops through one ``transport``
-call.  Loops around poles are deterministic keyholes: a radial approach
-from the base point, a full positively-oriented circle, and the radial
-return.  The return leg is not integrated: with ``L`` the transport of the
-approach leg and ``C`` that of the circle, a keyhole's generator is
-``L^-1 C L``.  With loops ordered by increasing
-argument from the base point, the product ``M_l ... M_1`` is the monodromy
-of a loop around everything, hence the identity whenever the form is
-regular at infinity.
+call, and ``monodromy_reps`` those of several connections (the samples of
+a trajectory), each lane evaluating its own connection.  Loops around
+poles are deterministic keyholes: a radial approach from the base point, a
+full positively-oriented circle, and the radial return.  The return leg is
+not integrated: with ``L`` the transport of the approach leg and ``C``
+that of the circle, a keyhole's generator is ``L^-1 C L``.  With loops
+ordered by increasing argument from the base point, the product ``M_l ...
+M_1`` is the monodromy of a loop around everything, hence the identity
+whenever the form is regular at infinity.
 """
 
 from __future__ import annotations
@@ -229,10 +230,13 @@ class _LinearDOP853(OdeSolver):
     ``Y_k' = B_k(s) Y_k`` and ``(log det_k)' = tr B_k(s)``, each lane under
     its own step control.
 
-    ``fun`` is a connection's evaluator ``ev(z, dz)`` (``_compiled_eval``):
-    lane ``k`` runs along ``segments[k]``, so that ``B_k(s)`` is ``A(z) dz``
-    at ``z, dz = segments[k].point_and_rate(s)``, and ``names[k]`` labels it
-    in a failure message.  For a linear system the stages ``K_s = B_s (Y +
+    ``fun`` is a connection's evaluator ``ev(z, dz)`` (``_compiled_eval``),
+    or a tuple of evaluators of connections of one rank, with ``owners[k]``
+    the index of lane ``k``'s; a lane's connection is its owner's, and one
+    ``ev`` alone has every lane.  Lane ``k`` runs along ``segments[k]``, so
+    that ``B_k(s)`` is ``A(z) dz`` at ``z, dz =
+    segments[k].point_and_rate(s)``, and ``names[k]`` labels it in a
+    failure message.  For a linear system the stages ``K_s = B_s (Y +
     h sum_j a_sj K_j)`` of an explicit Runge-Kutta step are the solution of
     one unit-lower-triangular block system (Hairer, Norsett & Wanner,
     *Solving ODEs I*, II.4-5), so an attempted step is one evaluation at
@@ -246,12 +250,14 @@ class _LinearDOP853(OdeSolver):
     the bits it takes alone.  Each round of attempts takes one step of
     every unfinished lane: the nodes of each segment class are evaluated
     at once by that class's own ``point_and_rate`` on columns of the
-    lanes' parameters (``_stacked``), and the block matrices, stage,
-    ``y_new`` and error-norm products are stacked; the ``ztrtrs`` solve and
-    the step-size ``**`` stay per lane.  A ``step`` returns once every lane
-    unfinished at its start has accepted a step; the solver's ``t`` is the
-    least lane ``t``, and ``nfev`` counts what stock DOP853 counts: 2
-    evaluations per lane at the start and 12 per lane per attempted step.
+    lanes' parameters (``_stacked``), each run of consecutive lanes of one
+    owner is one ``ev`` call (one call a round when the owners are in
+    order), and the block matrices, stage, ``y_new`` and error-norm
+    products are stacked; the ``ztrtrs`` solve and the step-size ``**``
+    stay per lane.  A ``step`` returns once every lane unfinished at its
+    start has accepted a step; the solver's ``t`` is the least lane ``t``,
+    and ``nfev`` counts what stock DOP853 counts: 2 evaluations per lane
+    at the start and 12 per lane per attempted step.
     """
 
     A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
@@ -263,10 +269,12 @@ class _LinearDOP853(OdeSolver):
     a0 = A[1:, 0][:, None, None]
 
     def __init__(self, fun, t0, y0, t_bound, segments, names, rtol, atol,
-                 vectorized=False):
+                 owners=None, vectorized=False):
         super().__init__(fun, t0, y0, t_bound, vectorized,
                          support_complex=True)
-        self.ev, self.segments, self.names = fun, segments, names
+        self.evs = fun if isinstance(fun, tuple) else (fun,)
+        self.owners = [0] * len(segments) if owners is None else owners
+        self.segments, self.names = segments, names
         self.rtol, self.atol = rtol, atol
         self.direction = float(self.direction)
         self.width = self.n // len(segments)
@@ -277,12 +285,11 @@ class _LinearDOP853(OdeSolver):
         self.neg_aT = np.ascontiguousarray(np.broadcast_to(
             (-self.A[1:, 1:].T)[:, None, :, None], (m, 1, m, n)))
         ys = self.y.reshape(len(segments), self.width)
-        self.f = np.array([self._lane_rhs(seg, t0, y)
-                           for seg, y in zip(segments, ys)])
+        self.f = np.array([self._lane_rhs(k, t0, y) for k, y in enumerate(ys)])
         h_abs = [float(select_initial_step(
-            partial(self._lane_rhs, seg), t0, y, t_bound, np.inf, f,
+            partial(self._lane_rhs, k), t0, y, t_bound, np.inf, f,
             self.direction, DOP853.error_estimator_order, rtol, atol))
-            for seg, y, f in zip(segments, ys, self.f)]
+            for k, (y, f) in enumerate(zip(ys, self.f))]
         self.ts = [float(t0)] * len(segments)
         self.h_abs = [0.0] * len(segments)
         self.min_step = [0.0] * len(segments)
@@ -292,8 +299,9 @@ class _LinearDOP853(OdeSolver):
         self._set_live(range(len(segments)))
         self.nfev = 2 * len(segments)
 
-    def _lane_rhs(self, seg, s, y):
-        out = self.ev(*seg.point_and_rate(s))
+    def _lane_rhs(self, k, s, y):
+        ev = self.evs[self.owners[k]]
+        out = ev(*self.segments[k].point_and_rate(s))
         n = self.dim
         out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
         return out
@@ -308,10 +316,17 @@ class _LinearDOP853(OdeSolver):
         self.rejected[k] = False
 
     def _set_live(self, lanes):
-        # the unfinished lanes, and their segments stacked by class: each
-        # class fills its rows of a round's points
+        # the unfinished lanes, their runs of one owner (each evaluates its
+        # rows of a round's points), and their segments stacked by class
+        # (each class fills its rows of a round's points)
         self.live = [k for k in lanes
                      if self.direction * (self.ts[k] - self.t_bound) < 0]
+        self.runs = []
+        for i, k in enumerate(self.live):
+            if i and self.owners[k] == self.owners[self.live[i - 1]]:
+                self.runs[-1][0] = slice(self.runs[-1][0].start, i + 1)
+            else:
+                self.runs.append([slice(i, i + 1), self.evs[self.owners[k]]])
         rows = {}
         for i, k in enumerate(self.live):
             rows.setdefault(type(self.segments[k]), []).append(i)
@@ -336,7 +351,12 @@ class _LinearDOP853(OdeSolver):
         dz = np.empty((P, m), dtype=complex)
         for rows, seg in self.groups:
             z[rows], dz[rows] = seg.point_and_rate(s[rows])
-        E = self.ev(z.ravel(), dz.ravel()).reshape(P, m, self.width)
+        if len(self.runs) == 1:
+            E = self.runs[0][1](z.ravel(), dz.ravel())
+        else:
+            E = np.concatenate([ev(z[rows].ravel(), dz[rows].ravel())
+                                for rows, ev in self.runs])
+        E = E.reshape(P, m, self.width)
         Bs = E[..., :-1].reshape(P, m, n, n)
         f = self.f[self.live]
         Y = y[:, :-1].reshape(P, 1, n, n)
@@ -471,50 +491,67 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
     log-determinant is the middle legs' integral.
 
     ``path`` may also be a sequence of paths; the result is then a list
-    with one entry per path.  The paths' ``j``-th legs are integrated
-    together, one lane each of one ``_LinearDOP853`` run, and every path
-    gets the bits it gets alone.  A path point or ``Y0`` that is not
-    finite is refused with ``PreconditionError``.
+    with one entry per path.  ``conn`` may also be a sequence of
+    connections of one rank, the samples of a family, with ``path`` a
+    sequence of path sequences, one per connection; the result is then a
+    list of lists.  The ``j``-th legs of all paths are integrated
+    together, one lane each of one ``_LinearDOP853`` run, a lane
+    evaluating its own connection, and every path gets the bits it gets
+    alone.  A failure names the path, its segment and, with several
+    connections, its sample.  A path point or ``Y0`` that is not finite is
+    refused with ``PreconditionError``.
     """
-    paths = [path] if isinstance(path, Path) else list(path)
-    for p in paths:
-        _check_path(conn, p)
-    n = conn.n
+    many = isinstance(conn, (list, tuple))
+    conns, groups = (list(conn), path) if many else ([conn], [path])
+    paths = [[p] if isinstance(p, Path) else list(p) for p in groups]
+    n = conns[0].n if conns else 0
+    if any(c.n != n for c in conns):
+        raise PreconditionError("connections of different ranks in one "
+                                "transport")
+    lanes = [(c, i, p) for c, ps in enumerate(paths)
+             for i, p in enumerate(ps)]
+    for c, _, p in lanes:
+        _check_path(conns[c], p)
     eye = np.eye(n, dtype=complex)
     Y = eye if Y0 is None else np.array(Y0, dtype=complex)
     if not np.isfinite(Y).all():
         raise PreconditionError("start matrix Y0 is not finite")
-    ev = _compiled_eval(conn)
+    evs = tuple(_compiled_eval(c) for c in conns)
     rtol = max(SAFETY * tol, 1e-13)
     legs, retraced, ys = [], [], []
-    for p in paths:
+    for _, _, p in lanes:
         segs = p.segments
         retraced.append(len(segs) > 1 and segs[-1] == segs[0].reversed())
         legs.append(segs[:-1] if retraced[-1] else segs)
         ys.append(np.append(eye if retraced[-1] else Y, 0.0))
-    Ls = [None] * len(paths)
+    Ls = [None] * len(lanes)
     for j in range(max(map(len, legs), default=0)):
-        live = [i for i, segs in enumerate(legs) if j < len(segs)]
-        segs = [legs[i][j] for i in live]
-        names = [f"path {i}, {seg}" for i, seg in zip(live, segs)]
-        sol = solve_ivp(ev, (0.0, 1.0), np.concatenate([ys[i] for i in live]),
+        live = [q for q, segs in enumerate(legs) if j < len(segs)]
+        segs = [legs[q][j] for q in live]
+        names = [(f"sample {lanes[q][0]}, " if len(conns) > 1 else "")
+                 + f"path {lanes[q][1]}, {seg}" for q, seg in zip(live, segs)]
+        sol = solve_ivp(evs, (0.0, 1.0),
+                        np.concatenate([ys[q] for q in live]),
                         method=_LinearDOP853, segments=segs, names=names,
+                        owners=[lanes[q][0] for q in live],
                         rtol=rtol, atol=SAFETY * tol)
         if not sol.success:
             raise IntegrationAbort("stiffness",
                                    f"transport failed on {sol.message}")
-        for i, y in zip(live, sol.y[:, -1].reshape(len(live), -1)):
-            if j == 0 and retraced[i]:
-                Ls[i] = y[:-1].reshape(n, n)
-                y = np.append(Ls[i] @ Y, 0.0)
-            ys[i] = y
-    out = []
-    for y, L in zip(ys, Ls):
+        for q, y in zip(live, sol.y[:, -1].reshape(len(live), -1)):
+            if j == 0 and retraced[q]:
+                Ls[q] = y[:-1].reshape(n, n)
+                y = np.append(Ls[q] @ Y, 0.0)
+            ys[q] = y
+    out = [[] for _ in conns]
+    for (c, _, _), y, L in zip(lanes, ys, Ls):
         Yp, logdet = y[:-1].reshape(n, n), y[-1]
         if L is not None:
             Yp = np.linalg.solve(L, Yp)
-        out.append((Yp, logdet) if with_logdet else Yp)
-    return out[0] if isinstance(path, Path) else out
+        out[c].append((Yp, logdet) if with_logdet else Yp)
+    if many:
+        return out
+    return out[0][0] if isinstance(path, Path) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -589,42 +626,54 @@ def auto_base_point(positions):
     raise PreconditionError("no clear base point found for this configuration")
 
 
+def monodromy_reps(conns, z0, tol=DEFAULT_TOL):
+    """``monodromy_rep`` of each of ``conns``, connections of one rank (the
+    samples of a family), at one base point.  Every keyhole of every
+    connection goes through one ``transport`` call, one ``solve_ivp`` run
+    per leg, and each representation gets the bits it gets alone."""
+    z0 = complex(z0)
+    if not np.isfinite(z0):
+        raise PreconditionError(f"base point {z0} is not finite")
+    ordered, loops = [], []
+    for conn in conns:
+        poles = conn.all_finite_poles()
+        p = pole_near(z0, poles)
+        if p is not None:
+            raise PreconditionError(f"base point {z0} too close to pole {p}")
+        min_sep = min_separation(poles)
+        clearance = 0.05 * min_sep if np.isfinite(min_sep) else \
+            0.05 * min((abs(z0 - p) for p in poles), default=np.inf)
+        ordered.append([])
+        loops.append([])
+        for i in loop_ordering(poles, z0):
+            t = poles[i]
+            others = [abs(t - poles[j]) for j in range(len(poles)) if j != i]
+            nearest = min(others) if others else abs(z0 - t)
+            radius = min(0.25 * nearest, 0.5 * abs(z0 - t))
+            ordered[-1].append(t)
+            loops[-1].append(Path.keyhole(z0, t, radius, clearance))
+    reps = []
+    for conn, poles, paths, mats in zip(conns, ordered, loops,
+                                        transport(conns, loops, tol)):
+        defect = None
+        if conn.is_regular_at_infinity():
+            prod = np.eye(conn.n, dtype=complex)
+            for M in mats:
+                prod = M @ prod
+            defect = float(np.max(np.abs(prod - np.eye(conn.n))))
+        reps.append(MonodromyRep(z0, poles, paths, mats, defect, tol))
+    return reps
+
+
 def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
-    """Keyhole monodromy generators around every finite pole.
+    """Keyhole monodromy generators around every finite pole: the
+    one-connection case of ``monodromy_reps``.
 
     Loops are ordered by increasing argument from the base point; when the
     form is regular at infinity the ordered product ``M_l ... M_1`` is
     checked against the identity and the defect stored on the result.
     """
-    z0 = complex(z0)
-    if not np.isfinite(z0):
-        raise PreconditionError(f"base point {z0} is not finite")
-    poles = conn.all_finite_poles()
-    p = pole_near(z0, poles)
-    if p is not None:
-        raise PreconditionError(f"base point {z0} too close to pole {p}")
-    order = loop_ordering(poles, z0)
-    min_sep = min_separation(poles)
-    clearance = 0.05 * min_sep if np.isfinite(min_sep) else \
-        0.05 * min((abs(z0 - p) for p in poles), default=np.inf)
-
-    ordered_poles, loops = [], []
-    for i in order:
-        t = poles[i]
-        others = [abs(t - poles[j]) for j in range(len(poles)) if j != i]
-        nearest = min(others) if others else abs(z0 - t)
-        radius = min(0.25 * nearest, 0.5 * abs(z0 - t))
-        ordered_poles.append(t)
-        loops.append(Path.keyhole(z0, t, radius, clearance))
-    mats = transport(conn, loops, tol)
-
-    defect = None
-    if conn.is_regular_at_infinity():
-        prod = np.eye(conn.n, dtype=complex)
-        for M in mats:
-            prod = M @ prod
-        defect = float(np.max(np.abs(prod - np.eye(conn.n))))
-    return MonodromyRep(z0, ordered_poles, loops, mats, defect, tol)
+    return monodromy_reps([conn], z0, tol)[0]
 
 
 def conjugacy_invariants(rep):

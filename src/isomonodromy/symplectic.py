@@ -47,9 +47,12 @@ The form pairs no two poles, so its Gram matrix is block-diagonal by pole
 are two batched matrix products over the stacked jet velocities of its
 basis directions (``PoleChartBlock.omega`` is the term-by-term reference),
 and the solve takes one batched LU solve per group without assembling the
-dense matrix.  The rank guard takes singular values only, and is global:
-it compares the smallest over all blocks with the largest, exactly as an
-SVD of the whole matrix would.
+dense matrix (``solve_chart``).  The rank guard's measure,
+``chart_conditioning``, takes singular values only, and is global: it
+compares the smallest over all blocks with the largest, exactly as an SVD
+of the whole matrix would.  ``hamiltonian_vector_field`` guards its solve
+with it; the flows read it once per accepted step instead, as a located
+abort event.
 
 **Hamiltonians** are read from the same memoized polar data: the values
 ``res_{t_i} tr(A^2)`` (``translation_hamiltonian_values``) and their
@@ -234,6 +237,13 @@ class PoleChartBlock:
         return 2.0 * acc
 
     @cached_property
+    def gram_transposed(self):
+        """The transposed ``gram_block()``, the matrices of the solve: the
+        form is ``omega(X, Y) = X^T G Y`` on the basis, so ``omega(X, .) =
+        dH`` reads ``G^T X = dH``."""
+        return self.gram_block().transpose(0, 2, 1)
+
+    @cached_property
     def lam_eta(self):
         """``lam_eta[:, x, j] = sum_i Lambda_{i+j} eta_x[i]``, shaped like
         ``etas``: the block Hankel matrix times the stacked velocities."""
@@ -294,34 +304,60 @@ def induced_polar_variations(vec, state):
     return out
 
 
+def chart_conditioning(state):
+    """The rank guard's measure: the global ``sigma_min / sigma_max`` of the
+    chart Gram matrix, from the singular values of its blocks, as an SVD
+    of the whole matrix would give it.  The chart is degenerate where this
+    is at most ``TAU_RANK``; an all-zero matrix gives 0.0, and a chart of
+    dimension zero 1.0."""
+    svals = [np.linalg.svd(b.gram_transposed, compute_uv=False)
+             for b in state.blocks]
+    if not svals:
+        return 1.0
+    s_max = max(S[:, 0].max() for S in svals)
+    s_min = min(S[:, -1].min() for S in svals)
+    return float(s_min / s_max) if s_max else 0.0
+
+
+def solve_chart(dH, state):
+    """``X`` with ``omega(X, .) = dH``, in the chart-vector layout: one
+    batched LU solve of each group's Gram blocks, with no rank guard.  A
+    block that is exactly singular (a zero pivot) raises
+    ``DegenerateChartError``."""
+    X = np.empty_like(dH)
+    for grp, blk in zip(state.groups, state.blocks):
+        try:
+            X[grp.cols] = np.linalg.solve(
+                blk.gram_transposed, dH[grp.cols][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise DegenerateChartError(
+                "chart Gram matrix is singular: a block is exactly "
+                "singular") from None
+    return X
+
+
 def hamiltonian_vector_field(dH, state):
     """Solve ``omega(X, .) = dH`` on the chart and return ``X`` in the
     chart-vector layout; ``dH`` is the flat coefficient vector of the
     cotangent functional on the coordinate basis.
 
-    The form pairs no two poles, so the solve runs pole by pole: one batched
-    LU solve of each group's Gram blocks, after the global rank guard on
-    their singular values.  A chart of dimension zero (no poles) has the
-    empty field.
+    The guard is for direct callers (the API and the ``hamiltonian``
+    subcommand): a chart whose ``chart_conditioning`` is at most
+    ``TAU_RANK`` raises ``DegenerateChartError``.  The flows solve with
+    ``solve_chart`` alone and test the same measure once per accepted
+    step.  A chart of dimension zero (no poles) has the empty field.
     """
     dH = np.asarray(dH, dtype=complex).ravel()
     if dH.shape[0] != state.chart_dim():
         raise MalformedInputError("dH length does not match the chart dimension")
     if not dH.shape[0]:
         return np.zeros(0, dtype=complex)
-    # omega(X, Y) = X^T G Y on the basis, so omega(X, .) = dH reads G^T X = dH
-    grams = [b.gram_block().transpose(0, 2, 1) for b in state.blocks]
-    svals = [np.linalg.svd(g, compute_uv=False) for g in grams]
-    s_max = max(S[:, 0].max() for S in svals)
-    s_min = min(S[:, -1].min() for S in svals)
-    if s_max == 0.0 or s_min <= TAU_RANK * s_max:
+    ratio = chart_conditioning(state)
+    if ratio <= TAU_RANK:
         raise DegenerateChartError(
             f"chart Gram matrix is singular: sigma_min/sigma_max = "
-            f"{s_min / max(s_max, 1e-300):.3e}")
-    X = np.empty_like(dH)
-    for grp, g in zip(state.groups, grams):
-        X[grp.cols] = np.linalg.solve(g, dH[grp.cols][..., None])[..., 0]
-    return X
+            f"{ratio:.3e}")
+    return solve_chart(dH, state)
 
 
 # ---------------------------------------------------------------------------

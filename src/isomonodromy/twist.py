@@ -149,7 +149,9 @@ def push_connection(divisor, conn):
     coordinates to twisted-frame coordinates.  New poles appear exactly at
     the twist points; since the solution is gauged by a single-valued
     rational matrix, the monodromy around them is the identity, and the sum
-    of trace residues drops by ``deg T``.
+    of trace residues drops by ``deg T``.  The result's ``twist_points``
+    are the connection's own, then the new sites, so pushing across two
+    divisors in turn is pushing across both at once.
     """
     if isinstance(divisor, TwistSite):
         divisor = MatrixDivisor((divisor,))
@@ -158,8 +160,9 @@ def push_connection(divisor, conn):
     T = divisor.global_ratmat(conn.n)
     Tinv = T.inverse()
     A0 = (Tinv @ conn.matrix @ T) - (Tinv @ T.derivative())
-    return Connection.from_ratmat(A0, twist_points=tuple(divisor.points()),
-                                  base_pole=conn.base_pole)
+    return Connection.from_ratmat(
+        A0, twist_points=conn.twist_points + tuple(divisor.points()),
+        base_pole=conn.base_pole)
 
 
 def pull_connection(divisor, conn0):
@@ -189,6 +192,10 @@ def _check_disjoint(divisor, conn):
             if abs(s.point - t) <= TAU_SEP:
                 raise PreconditionError(
                     f"twist site {s.point} overlaps the polar divisor")
+        for t in conn.twist_points:
+            if abs(s.point - t) <= TAU_SEP:
+                raise PreconditionError(
+                    f"twist site {s.point} overlaps the twist point {t}")
         if conn.base_pole is not None and not np.isinf(
                 abs(conn.base_pole.point)):
             if abs(s.point - conn.base_pole.point) <= TAU_SEP:

@@ -13,6 +13,7 @@ from isomonodromy.connection import (
     diagonalize_jet,
 )
 from isomonodromy.errors import (
+    DegenerateChartError,
     MalformedInputError,
     PreconditionError,
     RegularityError,
@@ -32,12 +33,15 @@ from isomonodromy.flows import (
     section_S,
     verify_isomonodromy,
 )
+import isomonodromy.monodromy as monodromy_module
 from isomonodromy.monodromy import monodromy_rep
 from isomonodromy.ratfun import LaurentJet
 from isomonodromy.states import ExtendedState, FlowState, PoleData, PoleGroup
 from isomonodromy.symplectic import (
+    chart_conditioning,
     d_translation_hamiltonian,
     hamiltonian_beta_B,
+    hamiltonian_vector_field,
 )
 from isomonodromy.twist import MatrixDivisor, normal_form
 
@@ -306,6 +310,88 @@ class TestIntegrateFlow:
         assert abs(want - 0.495657) < 1e-6
 
 
+class TestDegenerateChartEvent:
+    """The rank guard's measure, ``chart_conditioning``, is a terminal abort
+    event of the integrators, tested on accepted steps and located on the
+    dense output; the right-hand side solves without it."""
+
+    @staticmethod
+    def falling_ratio_flow(rng):
+        # along this line the chart's sigma ratio falls monotonically
+        state = fuchsian_state([0.0, 1.4, -1.1],
+                               random_fuchsian_matrices(rng, 3, 3))
+        path = FlowPath.line(state, 1, -0.3 - 0.2j)
+        fine = integrate_flow(state, path, tol=1e-12, n_samples=5)
+        ratios = [chart_conditioning(st) for st in fine.states]
+        assert all(a > b for a, b in zip(ratios, ratios[1:]))
+        return state, path, ratios
+
+    def test_located_at_the_crossing(self, rng, monkeypatch):
+        # the threshold is the ratio at s = 0.5, which one sub-interval
+        # over [0, 1] crosses inside a step
+        state, path, ratios = self.falling_ratio_flow(rng)
+        monkeypatch.setattr(flows, "TAU_RANK", ratios[2])
+        traj = integrate_flow(state, path, n_samples=2)
+        assert traj.status == "aborted"
+        assert traj.abort_kind == "degenerate_chart"
+        assert abs(traj.abort_at - 0.5) < 1e-9
+        assert traj.samples == [0.0] and len(traj.states) == 1
+
+    def test_extended_system_aborts_at_the_crossing(self, rng, monkeypatch):
+        # the event reads the state part of the extended vector
+        state, path, ratios = self.falling_ratio_flow(rng)
+        monkeypatch.setattr(flows, "TAU_RANK", ratios[2])
+        samples, states, (status, kind) = integrate_extended(
+            extend_state(state), path, n_samples=2)
+        assert (status, kind) == ("aborted", "degenerate_chart")
+        assert samples == [0.0] and len(states) == 1
+
+    def test_checked_at_the_start(self, rng, monkeypatch):
+        state, path, _ = self.falling_ratio_flow(rng)
+        monkeypatch.setattr(flows, "TAU_RANK", 1.0)
+        traj = integrate_flow(state, path, n_samples=3)
+        assert (traj.status, traj.abort_kind) == ("aborted",
+                                                  "degenerate_chart")
+        assert traj.abort_at == 0.0 and len(traj.states) == 1
+
+    def test_rhs_takes_no_singular_values(self, rng, monkeypatch):
+        state = fuchsian_state([0.0, 1.4, -1.1],
+                               random_fuchsian_matrices(rng, 3, 3))
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        d = isomonodromic_rhs(Direction.translation(1), state)
+        assert not calls
+        # the guarded solve takes them, one call per group, and solves
+        # alike
+        dH = direction_differential(Direction.translation(1), state)
+        X = hamiltonian_vector_field(dH, state)
+        assert len(calls) == len(state.groups)
+        assert np.array_equal(d.d_chart, lift_I0(Direction.translation(1),
+                                                 state).d_chart + X)
+
+    def test_exactly_singular_stage_block(self):
+        # an order-3 pole whose leading type is clustered, as a stage may
+        # meet it (a stage state is rebuilt unchecked): its Gram block has
+        # two zero rows, and the LU solve meets a zero pivot
+        R = np.array([[0.1, 0.2], [0.3, -0.1]], dtype=complex)
+        good = FlowState(2, (
+            PoleData(0.0, 3, np.eye(2), R, [[0.0, 0.0], [-0.5, 0.5]]),
+            PoleData(2.0, 1, np.eye(2), -R)))
+        y = good.flat()
+        y[-2] = y[-1]          # pole 0's order -3 entries, the last two
+        bad = good.with_flat(y)
+        assert chart_conditioning(bad) < 1e-15
+        with pytest.raises(DegenerateChartError,
+                           match="a block is exactly singular"):
+            isomonodromic_rhs(Direction.translation(1), bad)
+
+
 class TestCommutingFlows:
     @pytest.mark.parametrize("n", [2, 3])
     def test_square_loop_returns_to_start(self, rng, n):
@@ -403,11 +489,11 @@ class TestVerify:
                                random_fuchsian_matrices(rng, 3, 4))
         path = FlowPath.line(state, 1, 0.3 + 0.2j)
         exact = max(self.conjugacy_residuals(state, path, 1e-10))
-        field = flows.hamiltonian_vector_field
+        field = flows.solve_chart
         planted = []
         for eps in (1e-8, 1e-6, 1e-4):
             monkeypatch.setattr(
-                flows, "hamiltonian_vector_field",
+                flows, "solve_chart",
                 lambda dH, st, eps=eps: (1.0 + eps) * field(dH, st))
             planted.append(self.conjugacy_residuals(state, path, 1e-10)[-1])
         assert planted[0] > 1e3 * exact
@@ -449,6 +535,75 @@ class TestVerify:
             rep = monodromy_rep(st.connection(), rep_t.base_point, 1e-10)
             M = rep.matrix_for_pole(0.9j)
             assert np.max(np.abs(M - np.eye(2))) < 1e-7
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+class TestVerifyInOneTransport:
+    """``verify_isomonodromy`` sends every sample's keyholes through one
+    lock-step transport; each sample gets the bits of its own
+    ``monodromy_rep``, and the evaluations add up to theirs."""
+
+    @staticmethod
+    def flow(kind, rng):
+        ts = [-2.1, -0.35, 1.15, 2.6]
+        if kind in ("n2", "n3", "n4"):
+            state = fuchsian_state(
+                ts, random_fuchsian_matrices(rng, int(kind[1]), 4))
+            path = FlowPath.line(state, 1, 0.3 + 0.2j)
+        elif kind == "irregular":
+            state = irregular_state(rng)
+            path = FlowPath.irregular_line(state, 0, [[0.8, -0.5]],
+                                           length=0.5)
+        else:
+            mats = [0.35 * M for M in random_fuchsian_matrices(rng, 2, 3)]
+            site = normal_form(0.9j, (0.0, 1.1))
+            state = fuchsian_state([0.0, 2.0, -2.0], mats,
+                                   twist=MatrixDivisor((site,)))
+            path = FlowPath.line(state, 0, 0.3 - 0.2j)
+        return integrate_flow(state, path, tol=1e-10, n_samples=9)
+
+    @pytest.mark.parametrize("kind", ["n2", "n3", "n4", "irregular",
+                                      "twisted"])
+    def test_each_sample_keeps_its_bits(self, rng, monkeypatch, kind):
+        traj = self.flow(kind, rng)
+        assert traj.status == "completed"
+        reps, nfev = [], []
+        real_reps, real_ivp = flows.monodromy_reps, monodromy_module.solve_ivp
+
+        def recording_reps(*args):
+            reps[:] = real_reps(*args)
+            return reps
+
+        def recording_ivp(*args, **kwargs):
+            sol = real_ivp(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(flows, "monodromy_reps", recording_reps)
+        monkeypatch.setattr(monodromy_module, "solve_ivp", recording_ivp)
+        # the 9 samples, and 3 of them: s = 0, 0.5, 1
+        for keep in (slice(None), slice(None, None, 4)):
+            sampled = Trajectory(traj.samples[keep], traj.states[keep])
+            nfev.clear()
+            report = verify_isomonodromy(sampled, tol=1e-10)
+            batch = list(nfev)
+            assert len(reps) == len(sampled.states)
+            # one solve_ivp run per leg: the approach legs, the circles
+            assert len(batch) == 2
+            nfev.clear()
+            for st, rep in zip(sampled.states, reps):
+                alone = monodromy_rep(st.connection(), report.base_point,
+                                      1e-10)
+                assert rep.loops == alone.loops
+                assert rep.pole_points == alone.pole_points
+                assert all(map(same_bytes, rep.matrices, alone.matrices))
+                assert rep.product_defect == alone.product_defect
+            assert sum(batch) == sum(nfev)
 
 
 class TestSymplecticAlongFlow:

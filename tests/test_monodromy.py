@@ -600,6 +600,47 @@ class TestBatchedTransport:
         assert "Required step size" in str(err.value)
 
 
+class TestSeveralConnections:
+    """Paths of several connections in one transport call, one lane each
+    evaluating its own connection, get the bits they get one connection at
+    a time."""
+
+    TOL = 1e-11
+
+    def connections(self, rng):
+        first, _ = TestRetrace().conn_and_residues(rng)
+        second = fuchsian([0.0, 1.0, 1.5j],
+                          random_fuchsian_matrices(rng, 2, 3))
+        return [first, second, first]
+
+    def test_matches_one_connection_at_a_time(self, rng):
+        conns = self.connections(rng)
+        paths = [TestBatchedTransport.PATHS, [TRIANGLE], []]
+        G = random_invertible(rng, 2)
+        for kwargs in ({}, {"with_logdet": True, "Y0": G}):
+            batch = transport(conns, paths, self.TOL, **kwargs)
+            assert len(batch) == 3
+            for conn, ps, got in zip(conns, paths, batch):
+                want = transport(conn, ps, self.TOL, **kwargs)
+                assert len(got) == len(want)
+                assert all(map(same_result, got, want))
+
+    def test_failure_names_the_sample(self, rng):
+        conns = self.connections(rng)[:2]
+        poisoned = PoisonedLine(-1.0 - 0.5j, -0.5 - 1.0j)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(IntegrationAbort) as err:
+            transport(conns, [[TRIANGLE], [TRIANGLE, Path((poisoned,))]],
+                      self.TOL)
+        assert f"sample 1, path 1, {poisoned}" in str(err.value)
+
+    def test_ranks_must_agree(self, rng):
+        conns = [self.connections(rng)[0],
+                 fuchsian([0.0, 1.0], random_fuchsian_matrices(rng, 3, 2))]
+        with pytest.raises(PreconditionError, match="different ranks"):
+            transport(conns, [[TRIANGLE], [TRIANGLE]], self.TOL)
+
+
 def same_bytes(a, b):
     """Arrays equal to the bit, signed zeros and NaN payloads included."""
     a, b = np.asarray(a), np.asarray(b)

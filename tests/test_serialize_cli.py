@@ -427,6 +427,44 @@ class TestCli:
         assert drift["notes"] == [f"trajectory aborted: pole_collision at s={at}"]
         assert drift["samples"] == [0.0, 0.25, 0.5, 0.75]
 
+    def test_degenerate_chart_exit_code(self, flow_spec, tmp_path,
+                                        monkeypatch, capsys):
+        # a threshold every chart is under: the event fires at s = 0, and
+        # the partial trajectory is written
+        import isomonodromy.flows as flows
+        monkeypatch.setattr(flows, "TAU_RANK", 1.0)
+        out = tmp_path / "out"
+        assert cli_main(["flow", "--input", str(flow_spec),
+                         "--out", str(out)]) == 3
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line == "aborted: degenerate_chart at s=0.0"
+        drift = json.loads((out / "drift.json").read_text())
+        assert drift["notes"] == [
+            "trajectory aborted: degenerate_chart at s=0.0"]
+        assert drift["samples"] == [0.0]
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 2
+
+    def test_exactly_singular_stage_exit_code(self, flow_spec, tmp_path,
+                                              monkeypatch, capsys):
+        # every stage solve meets the exactly singular block of an order-3
+        # pole with a clustered leading type
+        import isomonodromy.flows as flows
+        R = np.array([[0.1, 0.2], [0.3, -0.1]], dtype=complex)
+        good = FlowState(2, (
+            PoleData(0.0, 3, np.eye(2), R, [[0.0, 0.0], [-0.5, 0.5]]),
+            PoleData(2.0, 1, np.eye(2), -R)))
+        y = good.flat()
+        y[-2] = y[-1]
+        bad = good.with_flat(y)
+        real = flows.solve_chart
+        monkeypatch.setattr(flows, "solve_chart", lambda dH, st: real(
+            np.ones(bad.chart_dim(), dtype=complex), bad))
+        assert cli_main(["flow", "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "numeric abort: chart Gram matrix is singular: a block is "
+            "exactly singular\n")
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

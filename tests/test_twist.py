@@ -232,3 +232,33 @@ def test_two_site_push_adds_no_zero_term(rng, monkeypatch):
     operands.clear()
     push_connection(div, conn)
     assert operands and not any(operands)
+
+
+class TestPushInTurn:
+    """A pushed connection keeps its twist points when pushed again."""
+
+    def pushed_pair(self, rng):
+        R = 0.4 * random_matrix(rng, 2)
+        conn = Connection.from_polar_parts([(1.3, [R]), (-1.3, [-R])])
+        first = normal_form(0.4j, (0.0, 0.7))
+        second = normal_form(-0.5j, (0.0, 0.3))
+        return conn, first, second
+
+    def test_in_turn_is_both_at_once(self, rng):
+        conn, first, second = self.pushed_pair(rng)
+        in_turn = push_connection(second, push_connection(first, conn))
+        at_once = push_connection(MatrixDivisor((first, second)), conn)
+        assert in_turn.twist_points == at_once.twist_points == (0.4j, -0.5j)
+        assert in_turn.divisor.points == at_once.divisor.points
+        assert in_turn.divisor.mults == at_once.divisor.mults
+        assert set(at_once.divisor.points) == {1.3, -1.3}
+        for z in (0.7 + 0.9j, -2.0 + 0.1j, 0.3 - 1.4j, 2.5j):
+            want = at_once.eval(z)
+            assert np.max(np.abs(in_turn.eval(z) - want)) <= \
+                1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_site_on_an_earlier_twist_point_refused(self, rng):
+        conn, first, _ = self.pushed_pair(rng)
+        pushed = push_connection(first, conn)
+        with pytest.raises(PreconditionError, match="twist point"):
+            push_connection(normal_form(0.4j, (0.0, 0.2)), pushed)

@@ -22,9 +22,16 @@ in stages:
 * ``rhs``: one whole ``isomonodromic_rhs(...).flat()`` on another fresh
   state, as the flow integrator calls it.
 
+and, apart from these stages, ``verify``: ``verify_isomonodromy`` of the
+case's trajectory along its direction (the benchmark's path: the Fuchsian
+line, the irregular line of length ``IRREGULAR_LENGTH``), integrated once
+with 9 samples and verified at all 9 and at 3 of them (s = 0, 0.5, 1), one
+repeat for every 20 of the stages'.
+
 Each subprocess reports the median over its repeats in microseconds.  The
-JSON file holds every round's medians per checkout and, per case and stage,
-the median over rounds and the ratio NEW/OLD.
+JSON file holds every round's medians per checkout and, per case and stage
+(``summary``) and per case and sample count (``verify``), the median over
+rounds and the ratio NEW/OLD.
 """
 
 import argparse
@@ -40,6 +47,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 STAGES = ("build", "differential", "gram", "solve", "rhs")
+VERIFY = ("verify3", "verify9")
 
 # argv: checkout, repeats; prints one JSON object {case: {stage: us}}
 CHILD = r"""
@@ -49,17 +57,23 @@ root, repeats = sys.argv[1], int(sys.argv[2])
 sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "bench")]
 import numpy as np
 import workloads
-from isomonodromy.flows import (Direction, direction_differential,
-                                isomonodromic_rhs)
+from isomonodromy.flows import (Direction, FlowPath, Trajectory,
+                                direction_differential, integrate_flow,
+                                isomonodromic_rhs, verify_isomonodromy)
 from isomonodromy.symplectic import hamiltonian_vector_field
 
 rng = np.random.default_rng(1009)
-cases = {f"n{n}": (workloads.fuchsian_state(rng, n, workloads.FUCHSIAN_POLES),
-                   Direction.translation(1, workloads.FUCHSIAN_SHIFT))
-         for n in (2, 3, 4)}
+cases, paths = {}, {}
+for n in (2, 3, 4):
+    state = workloads.fuchsian_state(rng, n, workloads.FUCHSIAN_POLES)
+    shift = workloads.FUCHSIAN_SHIFT
+    cases[f"n{n}"] = (state, Direction.translation(1, shift))
+    paths[f"n{n}"] = FlowPath.line(state, 1, shift)
 state = workloads.irregular_state(rng)
 rate = workloads.irregular_rate(rng, state.poles[0].lam_irr[0])
 cases["irregular"] = (state, Direction.irregular(0, [rate]))
+paths["irregular"] = FlowPath.irregular_line(
+    state, 0, [rate], length=workloads.IRREGULAR_LENGTH)
 
 clock = time.perf_counter
 out = {}
@@ -85,6 +99,17 @@ for name, (state, direction) in cases.items():
                                          (t4 - t3) - (t3 - t2), t5 - t4)):
                 times[stage].append(1e6 * dt)
     out[name] = {stage: statistics.median(v) for stage, v in times.items()}
+# after every case's stages, so that no stage runs after a verification
+for name, (state, _) in cases.items():
+    traj = integrate_flow(state, paths[name], n_samples=9)
+    for samples, keep in ((3, slice(None, None, 4)), (9, slice(None))):
+        sampled = Trajectory(traj.samples[keep], traj.states[keep])
+        runs = []
+        for rep in range(max(1, repeats // 20) + 1):   # one warm-up
+            t0 = clock()
+            verify_isomonodromy(sampled)
+            runs.append(1e6 * (clock() - t0))
+        out[name][f"verify{samples}"] = statistics.median(runs[1:])
 print(json.dumps(out))
 """
 
@@ -123,27 +148,32 @@ def main(argv=None):
         for side in order:
             rounds[side].append(run(getattr(args, side), args.repeats))
 
-    summary = {}
-    for case in rounds["old"][0]:
-        summary[case] = {}
-        for stage in STAGES:
-            med = {side: statistics.median(r[case][stage]
-                                           for r in rounds[side])
-                   for side in rounds}
-            summary[case][stage] = {
-                "old_us": med["old"], "new_us": med["new"],
-                "ratio": med["new"] / med["old"] if med["old"] else None}
+    def table(stages):
+        out = {}
+        for case in rounds["old"][0]:
+            out[case] = {}
+            for stage in stages:
+                med = {side: statistics.median(r[case][stage]
+                                               for r in rounds[side])
+                       for side in rounds}
+                out[case][stage] = {
+                    "old_us": med["old"], "new_us": med["new"],
+                    "ratio": med["new"] / med["old"] if med["old"] else None}
+        return out
+
+    summary, verify = table(STAGES), table(VERIFY)
     result = {
         "old": str(args.old), "new": str(args.new),
         "host": {"machine": platform.machine(), "processor": cpu_model(),
                  "cpus": os.cpu_count(), "python": platform.python_version()},
         "rounds": args.rounds, "repeats": args.repeats,
-        "summary": summary, "per_round": rounds,
+        "summary": summary, "verify": verify, "per_round": rounds,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    for case, stages in summary.items():
+    for case in summary:
         cells = "  ".join(f"{stage} {v['old_us']:.0f}->{v['new_us']:.0f}"
-                          for stage, v in stages.items())
+                          for stage, v in {**summary[case],
+                                           **verify[case]}.items())
         print(f"{case:10s} {cells}")
     return 0
 
