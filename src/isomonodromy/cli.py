@@ -346,7 +346,6 @@ def main(argv=None):
     except IsomonodromyError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -35,15 +35,20 @@ TAU_REG = 1e-8     # eigenvalue gap below which a leading term is non-regular
 TAU_INF = 1e-11    # residue sum and tail below this: regular at infinity
 
 
+def near(z, points):
+    """The first of ``points`` within ``TAU_SEP`` of ``z``, or None: the one
+    proximity rule for poles, twist points and a finite base point."""
+    return next((p for p in points if abs(z - p) <= TAU_SEP), None)
+
+
 def check_separated(points, what):
-    """Raise ``MalformedInputError`` unless the ``points`` are pairwise more
-    than ``TAU_SEP`` apart: the one separation rule for poles and twist
-    sites."""
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if abs(points[i] - points[j]) <= TAU_SEP:
-                raise MalformedInputError(
-                    f"{what} {points[i]} and {points[j]} closer than {TAU_SEP}")
+    """Raise ``MalformedInputError`` unless no two of the ``points`` are
+    ``near``: the one separation rule for poles and twist sites."""
+    for i, z in enumerate(points):
+        q = near(z, points[i + 1:])
+        if q is not None:
+            raise MalformedInputError(
+                f"{what} {z} and {q} closer than {TAU_SEP}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,7 @@ class Connection:
                 np.stack([np.asarray(M, dtype=complex) for M in tail])))
         A = _sum(terms, lambda: RatMat.zero(n))
         off = _off_divisor(twist_points, base_pole)
-        kept = [(t, len(Cs)) for t, Cs in pole_data
-                if not any(abs(t - q) <= TAU_SEP for q in off)]
+        kept = [(t, len(Cs)) for t, Cs in pole_data if near(t, off) is None]
         divisor = PolarDivisor([t for t, _ in kept], [l for _, l in kept])
         return cls(n, A, divisor, tuple(twist_points), base_pole)
 
@@ -133,8 +137,7 @@ class Connection:
         out of the divisor.
         """
         off = _off_divisor(twist_points, base_pole)
-        points = [p for p in A.pole_points()
-                  if not any(abs(p - q) <= TAU_SEP for q in off)]
+        points = [p for p in A.pole_points() if near(p, off) is None]
         return cls(A.n, A, PolarDivisor(points, map(A.pole_order, points)),
                    tuple(twist_points), base_pole)
 
@@ -143,7 +146,7 @@ class Connection:
             raise MalformedInputError("matrix size does not match rank")
         allowed = self.all_finite_poles()
         for p in self.matrix.pole_points():
-            if not any(abs(p - q) <= TAU_SEP for q in allowed):
+            if near(p, allowed) is None:
                 raise MalformedInputError(
                     f"connection matrix has a pole at {p} outside D, E and the "
                     f"base point")
@@ -165,10 +168,10 @@ class Connection:
     def eval(self, z):
         """Value of the dz coefficient at a regular point."""
         z = complex(z)
-        for p in self.all_finite_poles():
-            if abs(z - p) <= TAU_SEP:
-                raise PoleDomainError(f"evaluation at {z} is within {TAU_SEP} "
-                                      f"of the pole {p}")
+        p = near(z, self.all_finite_poles())
+        if p is not None:
+            raise PoleDomainError(f"evaluation at {z} is within {TAU_SEP} "
+                                  f"of the pole {p}")
         return self.matrix.eval(z)
 
     @cached_property

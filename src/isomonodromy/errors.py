@@ -32,10 +32,9 @@ class DegenerateChartError(IsomonodromyError):
 
 
 class IntegrationAbort(IsomonodromyError):
-    """Adaptive integration could not continue: ``kind`` is ``'stiffness'``.
-    A pole collision, movable singularity or degenerate chart ends a
-    trajectory instead, as ``Trajectory.abort_kind``."""
+    """Adaptive integration could not continue (``solve_ivp`` failed, in
+    ``flows._integrate`` or ``monodromy.transport``); ``kind`` is always
+    ``'stiffness'``.  A pole collision, movable singularity or degenerate
+    chart ends a trajectory instead, as ``Trajectory.abort_kind``."""
 
-    def __init__(self, kind, message):
-        super().__init__(message)
-        self.kind = kind
+    kind = "stiffness"

@@ -324,8 +324,7 @@ def _integrate(start, state, field, tol, n_samples):
         sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", events=events,
                         rtol=rtol, atol=SAFETY * tol)
         if not sol.success:
-            raise IntegrationAbort("stiffness",
-                                   f"flow integration failed: {sol.message}")
+            raise IntegrationAbort(f"flow integration failed: {sol.message}")
         if sol.status == 1:
             at, kind = min((float(te[0]), ev.__name__)
                            for te, ev in zip(sol.t_events, events) if te.size)

@@ -47,7 +47,7 @@ class LineSegment:
     end: complex
 
     def at(self, s):
-        return self.start + s * (self.end - self.start)
+        return self.point_and_rate(s)[0]
 
     def point_and_rate(self, s):
         """``at(s)`` and its derivative in ``s``."""
@@ -75,8 +75,7 @@ class ArcSegment:
     theta1: float
 
     def at(self, s):
-        th = self.theta0 + s * (self.theta1 - self.theta0)
-        return self.center + self.radius * np.exp(1j * th)
+        return self.point_and_rate(s)[0]
 
     def point_and_rate(self, s):
         """``at(s)`` and its derivative in ``s``, from one ``exp`` per
@@ -536,8 +535,7 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
                         owners=[lanes[q][0] for q in live],
                         rtol=rtol, atol=SAFETY * tol)
         if not sol.success:
-            raise IntegrationAbort("stiffness",
-                                   f"transport failed on {sol.message}")
+            raise IntegrationAbort(f"transport failed on {sol.message}")
         for q, y in zip(live, sol.y[:, -1].reshape(len(live), -1)):
             if j == 0 and retraced[q]:
                 Ls[q] = y[:-1].reshape(n, n)

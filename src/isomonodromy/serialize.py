@@ -13,11 +13,11 @@ import json
 
 import numpy as np
 
-from .connection import TAU_SEP, BasePole, Connection
+from .connection import BasePole, Connection, near
 from .errors import MalformedInputError
 from .monodromy import LineSegment
 from .ratfun import INFINITY, is_infinity
-from .states import FlowState, PoleData
+from .states import FlowState, PoleData, _shaped
 from .twist import MatrixDivisor, TwistSite, normal_form
 
 
@@ -97,7 +97,7 @@ def connection(conn):
     poles = [(t, l, by_point.get(complex(t), []))
              for t, l in zip(conn.divisor.points, conn.divisor.mults)]
     poles += [(t, len(Cs), Cs) for t, Cs in pole_data
-              if any(abs(t - q) <= TAU_SEP for q in conn.twist_points)]
+              if near(t, conn.twist_points) is not None]
     out = {"n": conn.n, "poles": [],
            "tail": [matrix(M) for M in tail] if tail.size else None,
            "base_pole": None}
@@ -116,11 +116,7 @@ def connection(conn):
 
 def un_square(rows, n, where):
     """``un_matrix``, which must be ``n`` by ``n``."""
-    M = un_matrix(rows, where)
-    if M.shape != (n, n):
-        raise MalformedInputError(f"{where}: shape {M.shape}, expected "
-                                  f"({n}, {n})")
-    return M
+    return _shaped(un_matrix(rows, where), where, (n, n))
 
 
 def un_connection(d):
@@ -142,7 +138,7 @@ def un_connection(d):
         base = BasePole(un_typed(bp["k"], int, "base_pole.k"),
                         un_cx(bp["point"], "base_pole.point"))
         if not is_infinity(base.point):
-            if any(abs(t - base.point) <= TAU_SEP for t, _ in pole_data):
+            if near(base.point, [t for t, _ in pole_data]) is not None:
                 raise MalformedInputError(
                     "poles: a pole at the base point; its residue (k/n) I "
                     "is implied by base_pole.k")

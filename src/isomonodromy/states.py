@@ -45,9 +45,10 @@ blocks (``blocks``).  ``jet_at_pole`` and ``diagonal_jet`` assemble a
 pole's Laurent jet and formal diagonal jet from them.  The chart layer and
 the flows read these attributes and take only the state.  ``with_flat``
 checks only its vector's length and inverts each group's frames in one
-call; the new state keeps those groups, and its poles are row views of
-their stacks.  Along a flow the right-hand side checks a moving leading
-type, in ``diagonalize_jet``.
+call, refusing a singular one with ``DegenerateChartError``, since a flow
+drove it there; the new state keeps those groups, and its poles are row
+views of their stacks.  Along a flow the right-hand side checks a moving
+leading type, in ``diagonalize_jet``.
 
 Chart-vector layout, per pole: the ``n^2`` entries of ``h`` (row-major),
 then for each jet order ``k = 1 .. l-2`` the ``n^2 - n`` off-diagonal
@@ -70,7 +71,7 @@ from .connection import (
     diagonalize_jet,
     extension_weights,
 )
-from .errors import MalformedInputError
+from .errors import DegenerateChartError, MalformedInputError
 from .ratfun import LaurentJet
 
 N_MAX = 1e8   # coefficient-norm cap; beyond this a flow is flagged as blown up
@@ -85,10 +86,11 @@ def _shaped(value, name, shape):
     return arr
 
 
-def _frame_inverses(ts, H):
+def _frame_inverses(ts, H, error=MalformedInputError):
     """Inverses of the frames ``H`` (stacked, one per pole position in
     ``ts``), in one call; a singular or non-finite frame is refused with its
-    pole's position."""
+    pole's position, as ``error``: an input error by default, a
+    ``DegenerateChartError`` for a state a flow rebuilt."""
     try:
         H_inv = np.linalg.inv(H)
     except np.linalg.LinAlgError:
@@ -102,7 +104,7 @@ def _frame_inverses(ts, H):
         except np.linalg.LinAlgError:
             ok = False
         if not ok:
-            raise MalformedInputError(
+            raise error(
                 f"h: the frame at the pole t = {t} is singular or not "
                 f"finite: h = {h.tolist()}")
 
@@ -199,7 +201,9 @@ class PoleGroup:
         """The group of the poles of order ``l`` and rank ``n`` at positions
         ``ts`` whose chart slices are the rows of ``chart``, with irregular
         types ``lam_irr``.  Their frames are inverted in one call, which
-        refuses a singular frame; nothing else is checked."""
+        refuses a singular or non-finite frame with ``DegenerateChartError``
+        (the rows come from a flow, not from input); nothing else is
+        checked."""
         G, n_u = len(ts), max(l - 2, 0)
         ts = [complex(t) for t in ts]
         H = np.array(chart[:, : n * n].reshape(G, n, n), dtype=complex)
@@ -209,7 +213,7 @@ class PoleGroup:
             u[:, :, ~np.eye(n, dtype=bool)] = chart[:, n * n: at].reshape(
                 G, n_u, n * n - n)
         lam = chart[:, at: at + n * n].reshape(G, n, n)
-        return cls(l, ts, H, _frame_inverses(ts, H), lam,
+        return cls(l, ts, H, _frame_inverses(ts, H, DegenerateChartError), lam,
                    np.asarray(lam_irr, dtype=complex), u, index, cols)
 
     @cached_property
@@ -453,7 +457,8 @@ class FlowState:
     def with_flat(self, vec):
         """The state whose ``flat()`` is ``vec``.  This state's ``flat()``
         laid ``vec`` out, so only its length is checked.  Each group's
-        frames are inverted in one call; the groups are the new state's
+        frames are inverted in one call, and a singular or non-finite one
+        raises ``DegenerateChartError``; the groups are the new state's
         ``groups``, and its poles are row views of their stacks."""
         index, size = self._flat_index
         if len(vec) != size:

@@ -350,8 +350,6 @@ def hamiltonian_vector_field(dH, state):
     dH = np.asarray(dH, dtype=complex).ravel()
     if dH.shape[0] != state.chart_dim():
         raise MalformedInputError("dH length does not match the chart dimension")
-    if not dH.shape[0]:
-        return np.zeros(0, dtype=complex)
     ratio = chart_conditioning(state)
     if ratio <= TAU_RANK:
         raise DegenerateChartError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import TAU_SEP, Connection, check_separated
+from .connection import Connection, _off_divisor, check_separated, near
 from .errors import MalformedInputError, PreconditionError
 from .ratfun import (
     RatMat,
@@ -187,16 +187,16 @@ def total_trace_residue(conn):
 
 
 def _check_disjoint(divisor, conn):
+    """Raise ``PreconditionError`` if a site is ``near`` a point of the
+    connection's polar divisor, one of its twist points or its finite base
+    point."""
     for s in divisor.sites:
-        for t in conn.divisor.points:
-            if abs(s.point - t) <= TAU_SEP:
-                raise PreconditionError(
-                    f"twist site {s.point} overlaps the polar divisor")
-        for t in conn.twist_points:
-            if abs(s.point - t) <= TAU_SEP:
-                raise PreconditionError(
-                    f"twist site {s.point} overlaps the twist point {t}")
-        if conn.base_pole is not None and not np.isinf(
-                abs(conn.base_pole.point)):
-            if abs(s.point - conn.base_pole.point) <= TAU_SEP:
-                raise PreconditionError("twist site overlaps the base pole")
+        if near(s.point, conn.divisor.points) is not None:
+            raise PreconditionError(
+                f"twist site {s.point} overlaps the polar divisor")
+        t = near(s.point, conn.twist_points)
+        if t is not None:
+            raise PreconditionError(
+                f"twist site {s.point} overlaps the twist point {t}")
+        if near(s.point, _off_divisor((), conn.base_pole)) is not None:
+            raise PreconditionError("twist site overlaps the base pole")

@@ -1,15 +1,24 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import isomonodromy.connection as connection_module
+import isomonodromy.serialize as ser
 from isomonodromy.connection import (
+    TAU_SEP,
     BasePole,
     Connection,
     PolarDivisor,
+    check_separated,
     diagonalize_jet,
+    near,
 )
 from isomonodromy.errors import (
     MalformedInputError,
     PoleDomainError,
+    PreconditionError,
     RegularityError,
 )
 from isomonodromy.ratfun import LaurentJet, RatMat, RatScalar, residue
@@ -439,3 +448,114 @@ class TestAssemblyBitForBit:
         assert (adds[0], expansions[0]) == (27, 0)
         conn.polar_parts
         assert (adds[0], expansions[0]) == (27, 36)
+
+
+R2 = np.array([[0.2, 0.1], [0.05, -0.2]], dtype=complex)
+
+
+@pytest.mark.parametrize("gap, at", [(0.5 * TAU_SEP, True),
+                                     (2 * TAU_SEP, False)])
+class TestProximityRule:
+    """``near`` at each of its callers: a point ``gap`` from a pole, a
+    twist point or a finite base point is at it for half of ``TAU_SEP``,
+    and not for twice ``TAU_SEP``."""
+
+    def test_near(self, gap, at):
+        # the first point near enough, or None
+        assert near(1.0, [0.0, 1.0 + gap, 1.0]) == (1.0 + gap if at else 1.0)
+        assert near(1.0 + gap, [0.0, 1.0]) == (1.0 if at else None)
+
+    def test_check_separated(self, gap, at):
+        if at:
+            with pytest.raises(MalformedInputError,
+                               match=rf"^points 1.0 and {1.0 + gap} closer"):
+                check_separated([1.0, 1.0 + gap], "points")
+        else:
+            check_separated([1.0, 1.0 + gap], "points")
+
+    def test_eval(self, gap, at):
+        conn = simple_connection([1.0], [R2])
+        if at:
+            with pytest.raises(PoleDomainError, match=r"of the pole \(1\+0j"):
+                conn.eval(1.0 + gap)
+        else:
+            assert np.all(np.isfinite(conn.eval(1.0 + gap)))
+
+    @pytest.mark.parametrize("build", ["from_polar_parts", "from_ratmat"])
+    def test_pole_at_a_twist_point(self, gap, at, build):
+        # a pole at the twist point stays out of the divisor
+        if build == "from_polar_parts":
+            conn = Connection.from_polar_parts(
+                [(0.0, [R2]), (1.0 + gap, [-R2])], twist_points=(1.0,))
+        else:
+            conn = Connection.from_ratmat(
+                fuchsian_connection([0.0, 1.0 + gap], [R2, -R2]),
+                twist_points=(1.0,))
+        assert conn.divisor.points == ((0j,) if at else (0j, 1.0 + gap))
+
+    def test_undeclared_pole(self, gap, at):
+        A = fuchsian_connection([0.0, 1.0 + gap], [R2, -R2])
+        if at:
+            Connection(2, A, PolarDivisor([0.0], [1]), twist_points=(1.0,))
+        else:
+            with pytest.raises(MalformedInputError,
+                               match="outside D, E and the base point"):
+                Connection(2, A, PolarDivisor([0.0], [1]),
+                           twist_points=(1.0,))
+
+    @pytest.mark.parametrize("onto", ["divisor", "twist", "base"])
+    def test_push_connection(self, gap, at, onto):
+        A = (RatMat.from_polar_part(0.0, [R2])
+             + RatMat.from_polar_part(1.5, [-R2 - np.eye(2) / 2])
+             + RatMat.from_polar_part(-1.0, [np.eye(2) / 2]))
+        conn = Connection.from_ratmat(A, base_pole=BasePole(1, -1.0))
+        if onto == "twist":
+            conn = push_connection(normal_form(0.5, (0.0, 1.0)), conn)
+        p = {"divisor": 1.5, "twist": 0.5, "base": -1.0}[onto]
+        site = normal_form(p + gap, (0.0, 1.0))
+        if at:
+            with pytest.raises(PreconditionError, match={
+                    "divisor": "overlaps the polar divisor",
+                    "twist": r"overlaps the twist point \(0\.5\+0j\)$",
+                    "base": "^twist site overlaps the base pole$"}[onto]):
+                push_connection(site, conn)
+        else:
+            pushed = push_connection(site, conn)
+            assert pushed.twist_points[-1] == p + gap
+            assert pushed.divisor.points == conn.divisor.points
+
+    def test_un_connection_pole_at_the_base_point(self, gap, at):
+        d = ser.connection(Connection.from_polar_parts(
+            [(0.0, [R2]), (1.5, [-R2])]))
+        d["base_pole"] = {"point": [1.5 + gap, 0.0], "k": 1}
+        if at:
+            with pytest.raises(MalformedInputError, match="implied by"):
+                ser.un_connection(d)
+        else:
+            conn = ser.un_connection(d)
+            assert conn.divisor.points == (0j, 1.5)
+            assert conn.base_pole == BasePole(1, 1.5 + gap)
+
+
+def test_near_is_the_only_bare_separation_comparison():
+    # every proximity test goes through connection.near; scaled forms such
+    # as 2 * TAU_SEP are other rules and stay where they are
+    package = Path(connection_module.__file__).parent
+    offenders, inside_near = [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "near" \
+                    and path.name == "connection.py":
+                exempt = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare) or not any(
+                    isinstance(x, ast.Name) and x.id == "TAU_SEP"
+                    for x in [node.left, *node.comparators]):
+                continue
+            if id(node) in exempt:
+                inside_near += 1
+            else:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert inside_near == 1 and not offenders, offenders

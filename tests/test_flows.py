@@ -1018,6 +1018,18 @@ class TestStatePolarData:
                            match=r"^h: .* pole t = \(0\.5-1j\) is singular"):
             PoleData(0.5 - 1j, 2, h, np.zeros((2, 2)), [[0.5, -0.5]])
 
+    def test_rebuilt_singular_frame_is_a_degenerate_chart(self, rng):
+        # a frame the flow drives singular is a numeric abort, not an input
+        # error, and the rebuild still names the pole
+        res = 0.3 * random_matrix(rng, 2)
+        state = FlowState(2, (PoleData(0.5 - 1j, 1, np.eye(2), res),
+                              PoleData(2.0, 1, np.eye(2), -res)))
+        y = state.flat()
+        y[2:6] = 0.0   # after the two positions: pole 0's frame entries
+        with pytest.raises(DegenerateChartError,
+                           match=r"^h: .* pole t = \(0\.5-1j\) is singular"):
+            state.with_flat(y)
+
 
 class TestSeparationRule:
     @pytest.mark.parametrize("entry", ["FlowState", "PolarDivisor",

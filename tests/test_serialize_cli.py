@@ -11,7 +11,7 @@ import pytest
 import isomonodromy.serialize as ser
 from isomonodromy.cli import main as cli_main
 from isomonodromy.connection import BasePole, Connection
-from isomonodromy.errors import MalformedInputError
+from isomonodromy.errors import IntegrationAbort, MalformedInputError
 from isomonodromy.ratfun import INFINITY, RatMat
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.twist import MatrixDivisor, normal_form, push_connection
@@ -464,6 +464,20 @@ class TestCli:
         assert capsys.readouterr().err == (
             "numeric abort: chart Gram matrix is singular: a block is "
             "exactly singular\n")
+
+    def test_integration_abort_exit_code(self, flow_spec, tmp_path,
+                                         monkeypatch, capsys):
+        import isomonodromy.cli as cli
+
+        def stiff(spec, args, verify_only=False):
+            raise IntegrationAbort("flow integration failed: step too small")
+
+        monkeypatch.setattr(cli, "cmd_flow", stiff)
+        assert cli_main(["flow", "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "numeric abort (stiffness): flow integration failed: step too "
+            "small\n")
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
