@@ -241,11 +241,15 @@ class DiagonalJetPair:
 
     ``dB`` holds the diagonals of ``B``'s tangents along the jet variations
     ``diagonalize_jet`` was given, shape ``(dim, orders, n)``; else None.
+    ``A_weight`` is the differential of the weighted diagonal of ``B`` it
+    was given, as a weight on the jet, shaped like the jet's coefficients;
+    else None.
     """
 
     Z: LaurentJet
     B: LaurentJet
     dB: np.ndarray | None = None
+    A_weight: np.ndarray | None = None
 
     @property
     def b_diag(self):
@@ -285,23 +289,33 @@ def check_regular(w, scale):
                     f"{TAU_REG} * {scale}")
 
 
-def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
+def diagonalize_jet(Ajet, order, include_derivative=True, dA=None,
+                    B_weight=None):
     """Order-by-order diagonalization of a matrix 1-form jet.
 
     With the derivative term this produces the gauge normal form
     ``A = dZ Z^-1 + Z B Z^-1``; without it, ``B`` holds the pointwise
     eigenvalue jets of the matrix (similarity only).
 
-    ``dA`` of shape ``(dim, K, n, n)``, aligned with ``Ajet.coeffs``, stacks
-    ``dim`` variations of the jet; their tangents ride through the same
-    recursion by the product rule and come back as the pair's ``dB``.  The
-    leading eigenframe moves by ``V X`` with ``X_ab = (V^-1 dA_-l V)_ab /
-    (w_b - w_a)`` off the diagonal, so ``d(V^-1 A_i V) = V^-1 dA_i V +
-    [V^-1 A_i V, X]``.  ``X`` has zero diagonal: ``B`` does not change under
-    diagonal rescaling of ``V``, so the column normalization needs no
-    derivative.
+    Tangent mode: ``dA`` of shape ``(dim, K, n, n)``, aligned with
+    ``Ajet.coeffs``, stacks ``dim`` variations of the jet; their tangents
+    ride through the same recursion by the product rule and come back as
+    the pair's ``dB``.  The leading eigenframe moves by ``V X`` with
+    ``X_ab = (V^-1 dA_-l V)_ab / (w_b - w_a)`` off the diagonal, so
+    ``d(V^-1 A_i V) = V^-1 dA_i V + [V^-1 A_i V, X]``.  ``X`` has zero
+    diagonal: ``B`` does not change under diagonal rescaling of ``V``, so
+    the column normalization needs no derivative.
+
+    Reverse mode: ``B_weight`` of shape ``(order + 1, n)`` weights the
+    diagonals of ``B``'s rows, and the pair's ``A_weight`` is the
+    differential of ``sum B_weight * diag(B)`` as a weight on the jet:
+    its value on a variation ``dA`` is ``sum_K tr(A_weight[K] dA[K])``.
+    It is the tangent pass transposed, after the same forward recursion:
+    the orders backwards, then the eigenframe step ``X``, then the
+    ``V^-1 . V`` conjugation; one sweep whatever the number of
+    variations.
     """
-    k_min = Ajet.k_min
+    k_min, K = Ajet.k_min, Ajet.coeffs.shape[0]
     Ajet = Ajet.drop_leading_zeros()
     l = -Ajet.k_min
     n = Ajet.n
@@ -324,16 +338,18 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
     B = [D]
     fuchsian = (l == 1) and include_derivative
     offdiag = ~np.eye(n, dtype=bool)
-    if dA is not None:
-        # tangents of every acoef(i), row i + l
+    if dA is not None or B_weight is not None:
+        # every acoef(i), row i + l
         At = Vinv @ Ajet.coeffs @ V
-        dAt = Vinv @ np.asarray(dA)[:, Ajet.k_min - k_min:] @ V
         gap = np.where(offdiag, w[None, :] - w[:, None], 1.0)
+    if dA is not None:
+        dAt = Vinv @ np.asarray(dA)[:, Ajet.k_min - k_min:] @ V
         X = np.where(offdiag, dAt[:, 0] / gap, 0.0)[:, None]
         dAt = dAt + At @ X - X @ At
         dd = np.einsum("xaa->xa", dAt[:, 0])
         dU = [np.zeros((dA.shape[0], n, n), dtype=complex)]
         dBs = [dAt[:, 0] * np.eye(n)]
+    divisors = []
     for k in range(1, order + 1):
         m = -l + k
         rhs = np.zeros((n, n), dtype=complex)
@@ -357,6 +373,7 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
                 f"resonant or clustered spectrum: divisor "
                 f"{denom[tuple(blocked[0])]} at order {k}")
         denom = np.where(solved, denom, 1.0)
+        divisors.append((solved, denom))
         Uk = np.where(solved, rhs / denom, 0.0)
         U.append(Uk)
         B.append(-np.diag(np.diag(rhs)))
@@ -373,8 +390,38 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None):
             dU.append(np.where(solved, (drhs - Uk * dd_ab) / denom, 0.0))
             dBs.append(-drhs * np.eye(n))
 
+    A_weight = None
+    if B_weight is not None:
+        # the bar of each tangent variable Y pairs with it by the trace,
+        # the differential being sum tr(bar_Y dY); bar_B holds diagonals
+        bar_B = np.array(B_weight, dtype=complex)
+        bar_U = np.zeros((order + 1, n, n), dtype=complex)
+        bar_At = np.zeros_like(At)
+        bar_d = np.zeros(n, dtype=complex)
+        for k in range(order, 0, -1):
+            m = -l + k
+            solved, denom = divisors[k - 1]
+            Q = np.where(solved, bar_U[k].T / denom, 0.0)
+            R = Q.T - np.diag(bar_B[k])    # the bar of drhs
+            P = Q * U[k]                   # of -dd_ab, entrywise
+            bar_d += P.sum(axis=0) - P.sum(axis=1)
+            for j in range(0, k):
+                bar_At[k - j] -= U[j] @ R
+                bar_U[j] -= R @ At[k - j]
+            if include_derivative and 1 <= m + 1 < k:
+                bar_U[m + 1] += (m + 1) * R
+            for i in range(1, k):
+                bar_U[i] += B[k - i] @ R
+                bar_B[k - i] += np.einsum("ca,ac->c", R, U[i])
+        bar_At[0] += np.diag(bar_B[0] + bar_d)
+        # dAt = V^-1 dA V + [At, X], X the off-diagonal of dAt_0 / gap
+        bar_X = (bar_At @ At - At @ bar_At).sum(axis=0)
+        bar_At[0] += np.where(offdiag, bar_X / gap.T, 0.0)
+        A_weight = np.zeros((K, n, n), dtype=complex)
+        A_weight[Ajet.k_min - k_min:] = V @ bar_At @ Vinv
+
     Zc = np.stack([V @ u for u in U])
     Z = LaurentJet(Ajet.point, 0, Zc, 0)
     Bjet = LaurentJet(Ajet.point, -l, np.stack(B), 1)
     dB = None if dA is None else np.einsum("kxaa->xka", np.stack(dBs))
-    return DiagonalJetPair(Z, Bjet, dB)
+    return DiagonalJetPair(Z, Bjet, dB, A_weight)

@@ -27,7 +27,10 @@ blow-up and a degenerate chart are terminal events of the integrator: they
 are tested on accepted steps only and located by root-finding on the dense
 output, so ``abort_at`` is the parameter at which the abort happened.  The
 right-hand side solves the chart form without the rank guard
-(``solve_chart``); the guard's measure is the event's.
+(``solve_chart``); the guard's measure is the event's.  The right-hand
+side, the events and the samples share the stage states built from flat
+vectors, so an accepted step's event reads the blocks and conditioning
+of the state its last stage built.
 
 Verification transports the keyholes of every sample of a trajectory in
 one lock-step ``transport`` call (``monodromy_reps``).
@@ -51,7 +54,6 @@ from .monodromy import (
 from .states import ExtendedState, N_MAX
 from .symplectic import (
     TAU_RANK,
-    chart_conditioning,
     d_hamiltonian_beta_B,
     d_translation_hamiltonian,
     jet_variations,
@@ -158,7 +160,8 @@ def direction_differential(direction, state):
     ``res tr(A^2)``; irregular rates contribute the analytic differential of
     twice the diagonal-jet pairing (the chart form carries twice the
     canonical normalization, fixed once by the quadratic Hamiltonians), one
-    tangent pass through the formal diagonalization per pole.
+    reverse sweep of the formal diagonalization per pole.  Both are taken
+    in reverse mode (``symplectic``).
     """
     _check_poles(direction, state)
     dH = np.zeros(state.chart_dim(), dtype=complex)
@@ -268,12 +271,18 @@ class Trajectory:
     abort_at: float | None = None
 
 
-def _abort_events(state):
+def _abort_events(state, stage):
     """Terminal abort events on vectors whose first part is in the layout of
     ``state.flat()``, named by their abort kind: two poles closer than
     ``TAU_COLLIDE``, a coefficient entry beyond ``N_MAX``, or a chart whose
     ``chart_conditioning`` falls to ``TAU_RANK``.  The caps are read at
-    call time."""
+    call time.
+
+    ``stage(y)`` is the flow state of a whole vector ``y``, the one the
+    right-hand side last built from ``y`` when it was called there: on an
+    accepted step, the state of the step's last stage.  So the
+    ``degenerate_chart`` event reads that state's memoized Gram blocks and
+    conditioning, which the start of the next sub-interval reads again."""
     m = len(state.poles)
     n_state = len(state.flat())
     pairs = np.triu_indices(m, 1)
@@ -286,7 +295,7 @@ def _abort_events(state):
         return N_MAX - np.max(np.abs(y[m:n_state]), initial=0.0)
 
     def degenerate_chart(s, y):
-        return chart_conditioning(state.with_flat(y[:n_state])) - TAU_RANK
+        return stage(y).conditioning - TAU_RANK
 
     events = [pole_collision, movable_singularity, degenerate_chart]
     for event in events:
@@ -301,12 +310,31 @@ def _integrate(start, state, field, tol, n_samples):
     the derivative in the layout of ``start.flat()``.  One ``solve_ivp`` call
     per sub-interval between samples; an abort ends the trajectory at the
     last sample, with ``abort_at`` the located ``s`` of the event.
+
+    The right-hand side, the abort events and the samples share the stage
+    states: the two last built from flat vectors, kept by the vectors'
+    bytes.  An accepted step's events and the sample at its end read the
+    state its last stage built, and the next sub-interval's start reads it
+    again, so none of them builds its own.
     """
     if n_samples < 2:
         raise MalformedInputError(
             f"samples: {n_samples} given; a trajectory needs at least 2 "
             f"(s = 0 and s = 1)")
-    events = _abort_events(state)
+    # the last two built: solve_ivp's initial step probe comes between a
+    # sub-interval's first right-hand side and its first event evaluation
+    built = {}
+
+    def stage(y):
+        key = y.tobytes()
+        if key not in built:
+            if len(built) == 2:
+                del built[next(iter(built))]
+            built[key] = start.with_flat(y)
+        return built[key]
+
+    events = _abort_events(state, stage if start is state
+                           else lambda y: stage(y).state)
     y = start.flat()
     samples, states = [0.0], [start]
     for event in events:
@@ -314,7 +342,7 @@ def _integrate(start, state, field, tol, n_samples):
             return Trajectory(samples, states, "aborted", event.__name__, 0.0)
 
     def rhs(s, y):
-        return field(s, start.with_flat(y))
+        return field(s, stage(y))
 
     # scipy raises rtol to its floor 100 eps with a warning; the floor is
     # applied here, to the same value, without one
@@ -331,7 +359,7 @@ def _integrate(start, state, field, tol, n_samples):
             return Trajectory(samples, states, "aborted", kind, at)
         y = sol.y[:, -1]
         samples.append(float(s1))
-        states.append(start.with_flat(y))
+        states.append(stage(y))
     return Trajectory(samples, states)
 
 

@@ -96,9 +96,11 @@ class ArcSegment:
         lo, hi = sorted((self.theta0, self.theta1))
         if hi - lo >= 2 * np.pi - 1e-12:
             return abs(r - self.radius)
-        # bring ang into [lo, lo + 2pi)
+        # bring ang into [lo, lo + 2pi), from either side
         while ang < lo:
             ang += 2 * np.pi
+        while ang >= lo + 2 * np.pi:
+            ang -= 2 * np.pi
         if ang <= hi:
             return abs(r - self.radius)
         return min(abs(p - self.at(0.0)), abs(p - self.at(1.0)))

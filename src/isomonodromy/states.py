@@ -40,8 +40,9 @@ A ``FlowState`` owns the data derived from its poles, each computed once, on
 first use: its groups (``groups``, by order in order of first appearance,
 with each pole's index and chart coordinates), the polar coefficients
 (``polar``), the regular jets of the other poles' polar parts at every pole
-(``regular_jets``, summed group by group) and the chart layer's per-group
-blocks (``blocks``).  ``jet_at_pole`` and ``diagonal_jet`` assemble a
+(``regular_jets``, summed group by group), the chart layer's per-group
+blocks (``blocks``) and the rank guard's measure on them
+(``conditioning``).  ``jet_at_pole`` and ``diagonal_jet`` assemble a
 pole's Laurent jet and formal diagonal jet from them.  The chart layer and
 the flows read these attributes and take only the state.  ``with_flat``
 checks only its vector's length and inverts each group's frames in one
@@ -357,6 +358,12 @@ class FlowState:
         """The chart layer's per-group blocks, ``chart_blocks(self)``."""
         from .symplectic import chart_blocks
         return chart_blocks(self)
+
+    @cached_property
+    def conditioning(self):
+        """The rank guard's measure, ``chart_conditioning(self)``."""
+        from .symplectic import chart_conditioning
+        return chart_conditioning(self)
 
     def jet_at_pole(self, i):
         """Laurent jet of A at pole i, orders ``-l_i .. l_i-2``."""

@@ -38,9 +38,7 @@ group by group (``FlowState.groups``: the poles of one order, stacked): a
 axis, reads the group's frame jets (``PoleGroup.unipotent``, ``frame``) and
 dresses its polar variations with ``PoleGroup.dressed_polar``; it derives
 neither.  Each per-pole quantity is one batched kernel per group, and each
-pole gets the bits a kernel of its own gives it; where a stacked ``einsum``
-would order a sum differently (the last contraction of
-``d_translation_hamiltonian``), the contraction stays one call per pole.
+pole gets the bits a kernel of its own gives it.
 
 The form pairs no two poles, so its Gram matrix is block-diagonal by pole
 (``gram_matrix`` is the dense form, kept for comparison).  A group's blocks
@@ -55,15 +53,21 @@ with it; the flows read it once per accepted step instead, as a located
 abort event.
 
 **Hamiltonians** are read from the same memoized polar data: the values
-``res_{t_i} tr(A^2)`` (``translation_hamiltonian_values``) and their
-analytic differentials (``d_translation_hamiltonian``), and the
+``res_{t_i} tr(A^2)`` (``translation_hamiltonian_values``) and the
 diagonal-jet pairing ``tr res(beta . B)`` at irregular poles
-(``hamiltonian_beta_B``) with its analytic differential
-(``d_hamiltonian_beta_B``).  That differential is one tangent pass: the
-chart basis directions' variations of the pole's Laurent jet
-(``jet_variations``, one call per group) ride through
-``connection.diagonalize_jet`` together with the jet itself.  A base
-direction's correction Hamiltonian combines them in
+(``hamiltonian_beta_B``).  Their analytic differentials
+(``d_translation_hamiltonian``, ``d_hamiltonian_beta_B``) are gradients of
+one scalar over the chart basis, taken in reverse mode, so their cost does
+not grow with the basis.  Each is a weight on the pole's Laurent jet:
+twice the jet itself, read backwards, for ``res tr(A^2)``; for the pairing,
+``beta`` taken back through one reverse sweep of
+``connection.diagonalize_jet``.  ``_jet_covector`` transposes the jet's
+dependence on the poles' polar parts (``jet_variations``) and hands each
+group's weights to ``PoleChartBlock.covector``, which pulls them back
+through the dressing and contracts them once with the basis velocities;
+neither builds a basis direction's polar or jet variation.  They agree with
+the forward-mode references of ``tests/oracles.py`` to round-off, not bit
+for bit.  A base direction's correction Hamiltonian combines them in
 ``flows.direction_differential``.
 """
 
@@ -276,6 +280,30 @@ class PoleChartBlock:
         inner[:, :, 0] += self.dlams
         return self.group.dressed_polar(inner)
 
+    def covector(self, W):
+        """The covector ``x -> sum_k tr(W[:, k-1] dC_k)`` on the basis at
+        every pole of the group, shape ``(G, dim)``, with ``dC`` the
+        direction's ``induced_variations()``, which it does not build.
+
+        ``W`` (shape ``(G, l, n, n)``) is pulled back through the dressing
+        once, ``Wt_r = sum_{i+j+r'=r} (F^-1)_j W_r' F_i``; the undressed
+        variation is ``sum_m [eta_m, Lambda_{m+k}] + dLam`` at row ``k``,
+        so the covector is ``sum_m tr(Z_m eta_x[m]) + tr(Wt_0 dLam_x)``
+        with ``Z_m = sum_k [Lambda_{m+k}, Wt_k]``."""
+        G, l = len(W), self.l
+        F, F_inv = self.group.frame
+        Wt = np.zeros_like(W)
+        for i in range(l):
+            for j in range(l - i):
+                Wt[:, i + j:] += F_inv[:, j, None] @ W[:, : l - i - j] \
+                    @ F[:, i, None]
+        Z = (np.einsum("gmpkr,gkrq->gmpq", self.lam_hankel, Wt)
+             - np.einsum("gkpr,gmrkq->gmpq", Wt, self.lam_hankel))
+        return (self.etas.reshape(G, self.dim, -1)
+                @ Z.swapaxes(-1, -2).reshape(G, -1, 1)
+                + self.dlams.reshape(self.dim, -1)
+                @ Wt[:, 0].swapaxes(-1, -2).reshape(G, -1, 1))[..., 0]
+
 
 def chart_blocks(state):
     return [PoleChartBlock(g) for g in state.groups]
@@ -430,21 +458,43 @@ def jet_variations(state, i, sources, dC, m_max):
     return out
 
 
-def d_hamiltonian_beta_B(state, i, beta):
-    """Analytic differential of ``hamiltonian_beta_B`` on the chart basis.
+def _jet_covector(state, i, polar_weight, regular_weight):
+    """The differential on the chart basis of a function of pole ``i``'s
+    Laurent jet, given its weights on the jet: ``polar_weight[k-1]`` on the
+    coefficient of ``(z - t_i)**-k``, ``regular_weight[m]`` on the order
+    ``m`` coefficient, each pairing by the trace.
 
-    One tangent pass: the variations of ``state.jet_at_pole(i)`` along every
-    chart basis direction ride through ``diagonalize_jet`` with the jet, and
-    the resulting ``dB`` pairs with ``beta`` as ``B`` does.
+    This is ``jet_variations`` transposed (pole ``i``'s own polar rows, and
+    ``extension_weights`` for the other poles), then each group's pullback
+    (``PoleChartBlock.covector``)."""
+    t_i = state.poles[i].t
+    out = np.empty(state.chart_dim(), dtype=complex)
+    for grp, blk in zip(state.groups, state.blocks):
+        weight = np.empty((len(grp.index), blk.l, state.n, state.n),
+                          dtype=complex)
+        others = [r for r, j in enumerate(grp.index) if j != i]
+        if others:
+            ext = _extension_weights([t_i - grp.t[r] for r in others],
+                                     blk.l, len(regular_weight) - 1)
+            weight[others] = np.einsum("gkm,mpq->gkpq", ext, regular_weight)
+        if len(others) < len(grp.index):
+            weight[grp.index.index(i)] = polar_weight
+        out[grp.cols] = blk.covector(weight)
+    return out
+
+
+def d_hamiltonian_beta_B(state, i, beta):
+    """Analytic differential of ``hamiltonian_beta_B`` on the chart basis,
+    in reverse mode: ``diagonalize_jet`` takes ``beta`` as the weight on
+    ``B``'s diagonal and returns it as a weight on ``state.jet_at_pole(i)``,
+    which ``_jet_covector`` takes to the chart basis.
     """
     p, beta = _irregular_pole(state, i, beta)
-    dA = np.zeros((state.chart_dim(), 2 * p.l - 1, state.n, state.n),
-                  dtype=complex)
-    for grp, blk in zip(state.groups, state.blocks):
-        dA[grp.cols] = jet_variations(state, i, grp.index,
-                                      blk.induced_variations(), p.l - 2)
-    dB = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2, dA=dA).dB
-    return np.einsum("kc,xkc->x", beta, dB[:, p.l:])
+    weight = np.zeros((2 * p.l - 1, p.n), dtype=complex)
+    weight[p.l:] = beta
+    A_weight = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2,
+                               B_weight=weight).A_weight
+    return _jet_covector(state, i, A_weight[p.l - 1::-1], A_weight[p.l:])
 
 
 def translation_hamiltonian_values(state):
@@ -462,27 +512,11 @@ def translation_hamiltonian_values(state):
 def d_translation_hamiltonian(state, i):
     """Analytic differential of ``res_{t_i} tr(A^2)`` on the chart basis.
 
-    Uses ``dH(b) = 2 res_{t_i} tr(A b)`` with ``b`` the connection variation
-    induced by each coordinate direction, group by group.
+    ``dH(b) = 2 res_{t_i} tr(A b)``: the weight on the jet of ``b`` at
+    ``t_i`` is twice the jet of ``A`` there, read backwards, the regular
+    jet on the polar rows and the polar part on the regular ones
+    (``_jet_covector``).
     """
-    p_i = state.pole(i)
-    polar_i = np.asarray(state.polar[i])
-
-    out = np.zeros(state.chart_dim(), dtype=complex)
-    for grp, blk in zip(state.groups, state.blocks):
-        # 2 res_{t_i} tr(A . b) for b = sum_k dC_k (z-t_j)^-k is
-        # 2 sum_k tr(weight[k-1] dC_k)
-        weight = np.empty((len(grp.index), blk.l, state.n, state.n),
-                          dtype=complex)
-        others = [r for r, j in enumerate(grp.index) if j != i]
-        if others:
-            ext = _extension_weights([p_i.t - grp.t[r] for r in others],
-                                     blk.l, p_i.l - 1)
-            weight[others] = np.einsum("gkm,mpq->gkpq", ext, polar_i)
-        if len(others) < len(grp.index):
-            weight[grp.index.index(i)] = state.regular_jets[i]
-        # one contraction per pole: stacked, einsum orders the sum otherwise
-        out[grp.cols] = 2.0 * np.stack([
-            np.einsum("kpq,xkqp->x", w, dC)
-            for w, dC in zip(weight, blk.induced_variations())])
-    return out
+    state.pole(i)  # the one index rule, before the jets are indexed
+    return 2.0 * _jet_covector(state, i, state.regular_jets[i],
+                               np.asarray(state.polar[i]))

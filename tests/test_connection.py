@@ -347,6 +347,36 @@ class TestFormalDiagonalize:
             scale = max(1.0, float(np.max(np.abs(contour))))
             assert np.max(np.abs(pair.dB[x] - contour)) < 1e-11 * scale
 
+    @pytest.mark.parametrize("l", [1, 3])
+    @pytest.mark.parametrize("include_derivative", [True, False])
+    def test_reverse_sweep_is_the_tangent_pass_transposed(
+            self, rng, l, include_derivative):
+        # for any weight on B's diagonal and any jet variation, the weight
+        # the reverse sweep gives on the jet pairs with the variation as the
+        # weight pairs with the tangent of B; the jet starts with a zero
+        # row, which the recursion drops, and the values are the plain
+        # call's, bit for bit
+        n, order = 3, 2 * l
+        coeffs = 0.3 * np.stack([random_matrix(rng, n)
+                                 for _ in range(2 * l + 2)])
+        coeffs[0] = 0.0
+        coeffs[1] += np.diag([0.5, -0.4 + 0.2j, 1.1])
+        dA = np.stack([[random_matrix(rng, n) for _ in range(2 * l + 2)]
+                       for _ in range(4)])
+        weight = random_matrix(rng, max(n, order + 1))[: order + 1, :n]
+        jet = LaurentJet(0.0, -l - 1, coeffs, 1)
+        pair = diagonalize_jet(jet, order, include_derivative, dA=dA,
+                               B_weight=weight)
+        plain = diagonalize_jet(jet, order, include_derivative)
+        assert np.array_equal(pair.B.coeffs, plain.B.coeffs)
+        assert np.array_equal(pair.Z.coeffs, plain.Z.coeffs)
+        assert pair.A_weight.shape == coeffs.shape
+        assert not np.any(pair.A_weight[0])
+        forward = np.einsum("kc,xkc->x", weight, pair.dB)
+        reverse = np.einsum("kpq,xkqp->x", pair.A_weight, dA)
+        assert np.max(np.abs(reverse - forward)) \
+            < 1e-13 * np.max(np.abs(forward))
+
     def test_irregular_invariants_match_leading(self, rng):
         lead = np.diag([0.7, -0.9]).astype(complex)
         res = random_matrix(rng, 2)

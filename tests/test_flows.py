@@ -144,7 +144,7 @@ class TestRhs:
 
     def test_irregular_rhs_builds_no_state_and_one_diagonalization(
             self, rng, monkeypatch):
-        # the irregular differential is one tangent pass on the state's own
+        # the irregular differential is one reverse pass on the state's own
         # jet: no perturbed states, one formal diagonalization
         import isomonodromy.connection as connection
         import isomonodromy.states as states
@@ -374,6 +374,31 @@ class TestDegenerateChartEvent:
         assert len(calls) == len(state.groups)
         assert np.array_equal(d.d_chart, lift_I0(Direction.translation(1),
                                                  state).d_chart + X)
+
+    def test_one_state_per_stage_vector(self, rng, monkeypatch):
+        # an accepted step's events, each sub-interval's start and each
+        # sample read the state the right-hand side last built: the flow
+        # builds one state per distinct vector it calls the RHS at
+        state = fuchsian_state([0.0, 1.4, -1.1],
+                               random_fuchsian_matrices(rng, 3, 3))
+        assert len(state.groups) == 1
+        vectors, builds = set(), [0]
+        rhs, from_chart = flows.isomonodromic_rhs, PoleGroup.from_chart
+
+        def recorded(direction, st):
+            vectors.add(st.flat().tobytes())
+            return rhs(direction, st)
+
+        def counted(*args, **kwargs):
+            builds[0] += 1
+            return from_chart(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "isomonodromic_rhs", recorded)
+        monkeypatch.setattr(PoleGroup, "from_chart", counted)
+        traj = integrate_flow(state, FlowPath.line(state, 1, 0.2 - 0.1j),
+                              n_samples=3)
+        assert traj.status == "completed" and len(traj.states) == 3
+        assert 0 < builds[0] <= len(vectors)
 
     def test_exactly_singular_stage_block(self):
         # an order-3 pole whose leading type is clustered, as a stage may

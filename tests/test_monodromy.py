@@ -122,6 +122,19 @@ class TestTransport:
         with pytest.raises(PreconditionError):
             transport(conn, Path.line(-1.0, 1.0))  # runs through the pole
 
+    def test_arc_below_minus_pi_measured_as_shifted(self):
+        # the same arc with both angles raised by 2 pi measures every point
+        # alike, and a pole on it is refused before any step
+        arc = ArcSegment(0j, 1.0, -5.0, -3.7434)
+        shifted = ArcSegment(0j, 1.0, -5.0 + 2 * np.pi, -3.7434 + 2 * np.pi)
+        for z in (r * np.exp(1j * a) for r in (0.0, 0.5, 1.0, 1.7)
+                  for a in np.linspace(-np.pi, np.pi, 37)):
+            assert abs(arc.distance_to(z) - shifted.distance_to(z)) < 1e-12
+        assert arc.distance_to(np.exp(1.9j)) < 1e-12
+        conn = fuchsian([np.exp(1.9j)], [0.3 * np.eye(2, dtype=complex)])
+        with pytest.raises(PreconditionError, match="path comes within"):
+            transport(conn, Path((arc,)))
+
     @pytest.mark.parametrize("path, Y0", [
         (Path.line(-1.0 - 1.0j, complex(np.nan, 1.0)), None),
         (Path.circle(3.0, np.inf), None),

@@ -37,3 +37,28 @@ def test_a_planted_difference_is_flagged():
         "b: ('d2', None) -> ('d3', None)",
         "c: (None, 'exit 2: x') -> (None, 'exit 3: y')"]
     assert differences(old, old[:2]) == ["c: (None, 'exit 2: x') -> None"]
+
+
+def test_residuals_of_a_flipped_case_on_both_sides(capsys):
+    tool = load_tool()
+    rows = {
+        "OLD": [["a", "d1", None, {"drift": [4.0e-7, 1e-6],
+                                   "conjugacy_residual": [3.9e-15, None]}],
+                ["b", "d2", None, {"drift": [2.0e-7, 1e-6]}]],
+        "NEW": [["a", "d4", "drift 1.613e-06 >= 1e-06",
+                 {"drift": [1.613e-6, 1e-6],
+                  "conjugacy_residual": [4.1e-15, None]}],
+                ["b", "d2", None, {"drift": [2.0e-7, 1e-6]}],
+                ["c", "d5", None, {"drift": [3.0e-7, 1e-6]}]]}
+    # the planted rows stand in for the two checkouts' case runners
+    tool.start = lambda root, *args: root
+    tool.finish = lambda proc, checkout: rows[proc]
+    assert tool.main(["OLD", "NEW", "--workload", "flow-sweep"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "flow-sweep seed 1009: 3 cases, 1 failed, 2 differ",
+        "  a: ('d1', None) -> ('d4', 'drift 1.613e-06 >= 1e-06')",
+        "    old: conjugacy_residual 3.900e-15",
+        "    new: drift 1.613e-06 >= 1e-06; conjugacy_residual 4.100e-15",
+        "  c: None -> ('d5', None)",
+        "    old: -",
+        "    new: none over tolerance"]

@@ -11,7 +11,11 @@ each checkout runs in its own subprocess, with one BLAS thread as in
 directory, and runs ``workloads.run_case`` on every case (the first ``N``
 with ``--cases``) and on the workload's probe.  The digest of each case's
 deterministic artifacts and its failure cause are compared.  Prints every
-case that differs; the exit status is 1 if there is one, else 0.
+case that differs; the exit status is 1 if there is one, else 0.  Each
+is followed by its residuals on both sides: every one at or over its
+tolerance, and for a flow the largest conjugacy residual of
+``drift.json``, which has no tolerance.  That is the report a change of
+bits gives for each failure it flips.
 """
 
 import argparse
@@ -28,7 +32,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
 # argv: checkout, workload, seed, output directory, case limit (-1: all);
-# prints one JSON list of [label, digest, cause]
+# prints one JSON list of [label, digest, cause, residuals], the residuals
+# as {name: [value, tolerance or None]}
 CHILD = r"""
 import json, sys
 from pathlib import Path
@@ -39,12 +44,17 @@ cases, probe = workloads.generate(workload, int(seed), Path(out))
 if int(limit) >= 0:
     cases = cases[:int(limit)]
 if probe is not None:
-    probe.label = f"{workload}/probe/{probe.label}"
+    probe.label = f"{workload}/{probe.label}"
     cases.append(probe)
 rows = []
 for case in cases:
     result = workloads.run_case(case)
-    rows.append([case.label, result.digest, result.cause])
+    residuals = {k: list(v) for k, v in result.residuals.items()}
+    if case.kind == "flow" and (case.out_dir / "drift.json").exists():
+        drift = json.loads((case.out_dir / "drift.json").read_text())
+        residuals["conjugacy_residual"] = [
+            max(drift["conjugacy_residual"]), None]
+    rows.append([case.label, result.digest, result.cause, residuals])
 print(json.dumps(rows))
 """
 
@@ -66,15 +76,28 @@ def finish(proc, checkout):
 
 def differences(old, new):
     """One line per case whose digest or failure cause differs between two
-    runs' ``[label, digest, cause]`` rows, or that only one run has."""
-    before = {label: (digest, cause) for label, digest, cause in old}
-    after = {label: (digest, cause) for label, digest, cause in new}
+    runs' ``[label, digest, cause, ...]`` rows, or that only one run has."""
+    before = {label: (digest, cause) for label, digest, cause, *_ in old}
+    after = {label: (digest, cause) for label, digest, cause, *_ in new}
     out = []
     for label in dict.fromkeys([*before, *after]):
         a, b = before.get(label), after.get(label)
         if a != b:
             out.append(f"{label}: {a} -> {b}")
     return out
+
+
+def residual_line(residuals):
+    """A case's residuals at or over their tolerances, as the benchmark
+    words a failure, and those without a tolerance; ``-`` for a case
+    that is not there."""
+    if residuals is None:
+        return "-"
+    words = [f"{name} {value:.3e}" if tol is None else
+             f"{name} {value:.3e} >= {tol:.0e}"
+             for name, (value, tol) in residuals.items()
+             if tol is None or not value < tol]
+    return "; ".join(words) or "none over tolerance"
 
 
 def main(argv=None):
@@ -100,11 +123,17 @@ def main(argv=None):
                             in zip(procs, (args.old, args.new)))
                 lines = differences(old, new)
                 differ += len(lines)
-                failed = sum(cause is not None for _, _, cause in new)
+                failed = sum(row[2] is not None for row in new)
                 print(f"{workload} seed {seed}: {len(new)} cases, "
                       f"{failed} failed, {len(lines)} differ")
+                sides = [{row[0]: row[3] for row in rows}
+                         for rows in (old, new)]
                 for line in lines:
                     print(f"  {line}")
+                    label = line.partition(": ")[0]
+                    for side, found in zip(("old", "new"), sides):
+                        print(f"    {side}: "
+                              f"{residual_line(found.get(label))}")
     return 1 if differ else 0
 
 
