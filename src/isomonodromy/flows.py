@@ -22,10 +22,11 @@ The correction Hamiltonian of a direction is coded once, in
 CLI's Hamiltonian fields all read it.
 
 One driver integrates both the flow and the extended autonomous system on
-the flat state vector (``FlowState.flat``).  Pole collision, coefficient
-blow-up and a degenerate chart are terminal events of the integrator: they
-are tested on accepted steps only and located by root-finding on the dense
-output, so ``abort_at`` is the parameter at which the abort happened.  The
+the flat state vector (``FlowState.flat``), with the library's DOP853
+(``ode``).  Pole collision, coefficient blow-up and a degenerate chart are
+terminal events of the integrator: they are tested on accepted steps only
+and located by root-finding on the dense output, so ``abort_at`` is the
+parameter at which the abort happened.  The
 right-hand side solves the chart form without the rank guard
 (``solve_chart``); the guard's measure is the event's.  The right-hand
 side, the events and the samples share the stage states built from flat
@@ -41,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .connection import branch_order, diagonalize_jet
 from .errors import IntegrationAbort, MalformedInputError, PreconditionError
@@ -60,6 +60,7 @@ from .symplectic import (
     solve_chart,
     translation_hamiltonian_values,
 )
+from .ode import solve_ivp
 
 TAU_COLLIDE = 1e-2
 FLOW_TOL = 1e-10
@@ -297,10 +298,7 @@ def _abort_events(state, stage):
     def degenerate_chart(s, y):
         return stage(y).conditioning - TAU_RANK
 
-    events = [pole_collision, movable_singularity, degenerate_chart]
-    for event in events:
-        event.terminal, event.direction = True, -1
-    return events
+    return [pole_collision, movable_singularity, degenerate_chart]
 
 
 def _integrate(start, state, field, tol, n_samples):
@@ -344,20 +342,19 @@ def _integrate(start, state, field, tol, n_samples):
     def rhs(s, y):
         return field(s, stage(y))
 
-    # scipy raises rtol to its floor 100 eps with a warning; the floor is
-    # applied here, to the same value, without one
+    # DOP853's floor for rtol, 100 eps (scipy's raises a smaller rtol to it
+    # with a warning)
     rtol = max(SAFETY * tol, 100 * np.finfo(float).eps)
     svals = np.linspace(0.0, 1.0, n_samples)
     for s0, s1 in zip(svals[:-1], svals[1:]):
-        sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", events=events,
-                        rtol=rtol, atol=SAFETY * tol)
+        sol = solve_ivp(rhs, (s0, s1), y, events=events, rtol=rtol,
+                        atol=SAFETY * tol)
         if not sol.success:
             raise IntegrationAbort(f"flow integration failed: {sol.message}")
         if sol.status == 1:
-            at, kind = min((float(te[0]), ev.__name__)
-                           for te, ev in zip(sol.t_events, events) if te.size)
-            return Trajectory(samples, states, "aborted", kind, at)
-        y = sol.y[:, -1]
+            return Trajectory(samples, states, "aborted",
+                              events[sol.event].__name__, sol.t_event)
+        y = sol.y
         samples.append(float(s1))
         states.append(stage(y))
     return Trajectory(samples, states)

@@ -4,12 +4,13 @@ The transported system is ``dY/dz = A(z) Y`` along piecewise line/arc paths
 in the punctured plane, with adaptive high-order Runge-Kutta (DOP853) on the
 complexified matrix system.  The system is linear, so each DOP853 step is
 taken as one batched evaluation of ``A dz`` at the step's nodes and one
-triangular solve for all of its stages, with scipy's tableau, error
-estimate and step-size control.  Several paths are integrated in lock-step,
-one lane each with its own step control, at the bits each gets alone; a
-monodromy representation sends all of its loops through one ``transport``
-call, and ``monodromy_reps`` those of several connections (the samples of
-a trajectory), each lane evaluating its own connection.  Loops around
+triangular solve for all of its stages, with the tableau, error estimate
+and step-size control of the library's DOP853 (``ode``).  Several paths
+are integrated in lock-step, one lane each with its own step control, at
+the bits each gets alone; a monodromy representation sends all of its
+loops through one ``transport`` call, and ``monodromy_reps`` those of
+several connections (the samples of a trajectory), each lane evaluating
+its own connection.  Loops around
 poles are deterministic keyholes: a radial approach from the base point, a
 full positively-oriented circle, and the radial return.  The return leg is
 not integrated: with ``L`` the transport of the approach leg and ``C``
@@ -23,15 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial
-from math import isfinite, isqrt, nextafter, sqrt
+from math import isqrt
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolver, solve_ivp
-from scipy.integrate._ivp.common import select_initial_step
 from scipy.linalg.lapack import ztrtrs
 
+from . import ode
 from .connection import TAU_SEP
 from .errors import IntegrationAbort, PreconditionError
+from .ode import solve_ivp
 
 TAU_MONO = 1e-8
 DEFAULT_TOL = 1e-10
@@ -226,7 +227,7 @@ def _stacked(segments):
     return out
 
 
-class _LinearDOP853(OdeSolver):
+class _LinearDOP853(ode.Stepper):
     """DOP853 for stacked *lanes* ``y_k = [Y_k flattened, log det_k]`` with
     ``Y_k' = B_k(s) Y_k`` and ``(log det_k)' = tr B_k(s)``, each lane under
     its own step control.
@@ -245,7 +246,7 @@ class _LinearDOP853(OdeSolver):
     FSAL stage), and one ``ztrtrs`` solve of size ``11 n``.
 
     Tableau, error estimate, start (``f0`` and ``select_initial_step``) and
-    step-size control are scipy's DOP853, lane by lane: each lane keeps its
+    step-size control are ``ode``'s DOP853, lane by lane: each lane keeps its
     own ``t``, step size, and the rejection flag and minimum step of its
     current step (from its last acceptance on), and so takes the steps and
     the bits it takes alone.  Each round of attempts takes one step of
@@ -257,28 +258,26 @@ class _LinearDOP853(OdeSolver):
     products are stacked; the ``ztrtrs`` solve and the step-size ``**``
     stay per lane.  A ``step`` returns once every lane unfinished at its
     start has accepted a step; the solver's ``t`` is the least lane ``t``,
-    and ``nfev`` counts what stock DOP853 counts: 2 evaluations per lane
-    at the start and 12 per lane per attempted step.
+    and ``nfev`` counts what the nonlinear ``ode.DOP853`` counts: 2
+    evaluations per lane at the start and 12 per lane per attempted step.
+    The lanes' state is updated in place.
     """
 
-    A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
-    n_stages = DOP853.n_stages
-    error_exponent = -1 / (DOP853.error_estimator_order + 1)
-    STEP_SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+    A, B, C, E3, E5 = ode.A, ode.B, ode.C, ode.E3, ode.E5
+    n_stages = ode.N_STAGES
     # tableau slices of _rk_step
     nodes = C[1:]
     a0 = A[1:, 0][:, None, None]
 
     def __init__(self, fun, t0, y0, t_bound, segments, names, rtol, atol,
-                 owners=None, vectorized=False):
-        super().__init__(fun, t0, y0, t_bound, vectorized,
-                         support_complex=True)
+                 owners=None):
+        super().__init__(t0, y0, t_bound)
+        self.y = self.y.copy()
         self.evs = fun if isinstance(fun, tuple) else (fun,)
         self.owners = [0] * len(segments) if owners is None else owners
         self.segments, self.names = segments, names
         self.rtol, self.atol = rtol, atol
-        self.direction = float(self.direction)
-        self.width = self.n // len(segments)
+        self.width = self.y.size // len(segments)
         n = self.dim = isqrt(self.width - 1)
         m = self.n_stages - 1
         # -a_sj at [j, 0, s, :], a contiguous stage row per (j, s), for
@@ -287,10 +286,9 @@ class _LinearDOP853(OdeSolver):
             (-self.A[1:, 1:].T)[:, None, :, None], (m, 1, m, n)))
         ys = self.y.reshape(len(segments), self.width)
         self.f = np.array([self._lane_rhs(k, t0, y) for k, y in enumerate(ys)])
-        h_abs = [float(select_initial_step(
-            partial(self._lane_rhs, k), t0, y, t_bound, np.inf, f,
-            self.direction, DOP853.error_estimator_order, rtol, atol))
-            for k, (y, f) in enumerate(zip(ys, self.f))]
+        h_abs = [float(ode.select_initial_step(
+            partial(self._lane_rhs, k), t0, y, t_bound, f, self.direction,
+            rtol, atol)) for k, (y, f) in enumerate(zip(ys, self.f))]
         self.ts = [float(t0)] * len(segments)
         self.h_abs = [0.0] * len(segments)
         self.min_step = [0.0] * len(segments)
@@ -308,12 +306,9 @@ class _LinearDOP853(OdeSolver):
         return out
 
     def _start_step(self, k, h_abs):
-        # scipy's start of a step at lane k's t: its minimum step, the step
-        # size raised to it, and no rejection yet
-        t = self.ts[k]
-        min_step = 10 * abs(nextafter(t, self.direction * np.inf) - t)
-        self.h_abs[k] = min_step if h_abs < min_step else h_abs
-        self.min_step[k] = min_step
+        # the start of a step at lane k's t, and no rejection yet
+        self.h_abs[k], self.min_step[k] = ode.step_start(
+            self.ts[k], h_abs, self.direction)
         self.rejected[k] = False
 
     def _set_live(self, lanes):
@@ -379,8 +374,8 @@ class _LinearDOP853(OdeSolver):
         return y_new, f_new, K
 
     def _estimate_error_norms(self, K, h, scale):
-        # scipy's DOP853 estimate per lane: the E5 and E3 rows, each its own
-        # vector-matrix product, with np.linalg.norm's complex 2-norm
+        # the DOP853 error norm per lane from the E5 and E3 rows, each its
+        # own vector-matrix product, with np.linalg.norm's complex 2-norm
         # sqrt(re.re + im.im) written out
         err = np.empty((len(K), 2, self.width), dtype=complex)
         np.matmul(self.E5, K, out=err[:, 0])
@@ -388,31 +383,21 @@ class _LinearDOP853(OdeSolver):
         err /= scale[:, None]
         norms = np.sqrt(np.vecdot(err.real, err.real)
                         + np.vecdot(err.imag, err.imag)).tolist()
-        out = []
-        for h_k, (norm5, norm3) in zip(h, norms):
-            err5_norm_2, err3_norm_2 = norm5 ** 2, norm3 ** 2
-            if err5_norm_2 == 0 and err3_norm_2 == 0:
-                out.append(0.0)
-                continue
-            denom = err5_norm_2 + 0.01 * err3_norm_2
-            out.append(abs(h_k) * err5_norm_2 / sqrt(denom * self.width))
-        return out
+        return [ode.error_norm(h_k, norm5, norm3, self.width)
+                for h_k, (norm5, norm3) in zip(h, norms)]
 
     def _step_impl(self):
-        # scipy's RungeKutta._step_impl for every unfinished lane, a round
-        # of attempts at a time, until each has accepted a step; accepted
-        # lanes go into a new state array, since solve_ivp keeps self.y
-        ys = self.y.reshape(len(self.segments), self.width).copy()
+        # ode.DOP853's _step_impl for every unfinished lane, a round of
+        # attempts at a time, until each has accepted a step
+        ys = self.y.reshape(len(self.segments), self.width)
         waiting = set(self.live)
         while waiting:
             live, ts, hs, t_new = self.live, [], [], []
             for k in live:
                 h_abs = self.h_abs[k]
-                if h_abs < self.min_step[k]:
-                    return False, f"{self.names[k]}: {self.TOO_SMALL_STEP}"
-                if not isfinite(h_abs):
-                    return False, (f"{self.names[k]}: step size {h_abs} is "
-                                   "not finite")
+                message = ode.step_refused(h_abs, self.min_step[k])
+                if message:
+                    return False, f"{self.names[k]}: {message}"
                 t = self.ts[k]
                 t1 = t + h_abs * self.direction
                 if self.direction * (t1 - self.t_bound) > 0:
@@ -425,25 +410,16 @@ class _LinearDOP853(OdeSolver):
             scale = (self.atol
                      + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol)
             accepted = []
-            for i, (k, h, error_norm) in enumerate(zip(
+            for i, (k, h, norm) in enumerate(zip(
                     live, hs, self._estimate_error_norms(K, hs, scale))):
-                h_abs = abs(h)
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = self.MAX_FACTOR
-                    else:
-                        factor = min(self.MAX_FACTOR, self.STEP_SAFETY
-                                     * error_norm ** self.error_exponent)
-                    if self.rejected[k]:
-                        factor = min(1, factor)
+                ok, factor = ode.step_factor(norm, self.rejected[k])
+                if ok:
                     self.ts[k] = t_new[i]
-                    self._start_step(k, h_abs * factor)
+                    self._start_step(k, abs(h) * factor)
                     accepted.append(i)
                     waiting.discard(k)
                 else:
-                    self.h_abs[k] = h_abs * max(
-                        self.MIN_FACTOR,
-                        self.STEP_SAFETY * error_norm ** self.error_exponent)
+                    self.h_abs[k] = abs(h) * factor
                     self.rejected[k] = True
             if accepted:
                 lanes = [live[i] for i in accepted]
@@ -452,7 +428,6 @@ class _LinearDOP853(OdeSolver):
                 if self.t_bound in (t_new[i] for i in accepted):
                     self._set_live(live)
         self.t = min(self.ts)
-        self.y = ys.ravel()
         return True, None
 
 
@@ -538,7 +513,7 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
                         rtol=rtol, atol=SAFETY * tol)
         if not sol.success:
             raise IntegrationAbort(f"transport failed on {sol.message}")
-        for q, y in zip(live, sol.y[:, -1].reshape(len(live), -1)):
+        for q, y in zip(live, sol.y.reshape(len(live), -1)):
             if j == 0 and retraced[q]:
                 Ls[q] = y[:-1].reshape(n, n)
                 y = np.append(Ls[q] @ Y, 0.0)

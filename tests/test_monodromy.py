@@ -19,6 +19,7 @@ import isomonodromy.flows as flows_module
 import isomonodromy.monodromy as monodromy_module
 import isomonodromy.states as states_module
 import isomonodromy.symplectic as symplectic_module
+from isomonodromy import ode
 from isomonodromy import serialize as ser
 from isomonodromy.connection import Connection
 from isomonodromy.errors import IntegrationAbort, PreconditionError
@@ -300,8 +301,9 @@ class TestStackedEvaluator:
 
 
 def stock_and_linear(conn, seg, tol=DEFAULT_TOL):
-    """One transport leg by scipy's DOP853 and by the linear-system DOP853
-    (a batch of one lane), on the same right-hand side and tolerances as
+    """One transport leg by scipy's DOP853 (``scipy.integrate.solve_ivp``)
+    and by the linear-system DOP853 (a batch of one lane, through the
+    library's ``ode.solve_ivp``), on the same right-hand side and tolerances as
     ``transport``."""
     ev = _compiled_eval(conn)
     n = conn.n
@@ -314,8 +316,8 @@ def stock_and_linear(conn, seg, tol=DEFAULT_TOL):
     y0 = np.append(np.eye(n, dtype=complex), 0.0)
     opts = {"rtol": max(SAFETY * tol, 1e-13), "atol": SAFETY * tol}
     return (solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", **opts),
-            solve_ivp(ev, (0.0, 1.0), y0, method=_LinearDOP853,
-                      segments=[seg], names=["leg"], **opts))
+            ode.solve_ivp(ev, (0.0, 1.0), y0, method=_LinearDOP853,
+                          segments=[seg], names=["leg"], **opts))
 
 
 class TestLinearStepper:
@@ -339,9 +341,9 @@ class TestLinearStepper:
             # the embedded error estimate cancels down to round-off on
             # smooth stretches, so the next step size carries the stages'
             # round-off magnified; the steps agree in number, not to the bit
-            assert np.max(np.abs(linear.t - stock.t)) <= 1e-4
+            assert np.max(np.abs(np.array(linear.t) - stock.t)) <= 1e-4
             want = stock.y[:, -1]
-            assert np.max(np.abs(linear.y[:, -1] - want)) <= \
+            assert np.max(np.abs(linear.y - want)) <= \
                 1e-13 * np.max(np.abs(want))
 
     def test_rank4_closed_form(self, rng):

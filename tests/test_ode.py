@@ -1,0 +1,236 @@
+"""The library's DOP853 (``isomonodromy.ode``) is scipy's, and the library
+loads no more of scipy than LAPACK.
+
+scipy is the oracle here: on the flows' own right-hand sides and events,
+every run of the library's ``solve_ivp`` takes the steps, evaluations and
+bits of scipy's (``scipy.integrate.solve_ivp(method="DOP853")``), and an
+aborting flow is located where scipy's ``t_events`` put it.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import DOP853 as ScipyDOP853
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+import isomonodromy
+import isomonodromy.flows as flows
+from isomonodromy import ode
+from isomonodromy import serialize as ser
+from isomonodromy.flows import (
+    FlowPath,
+    extend_state,
+    integrate_extended,
+    integrate_flow,
+)
+from isomonodromy.states import FlowState, PoleData
+from isomonodromy.symplectic import chart_conditioning
+
+from conftest import random_fuchsian_matrices
+
+SRC = Path(isomonodromy.__file__).resolve().parents[1]
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def fuchsian_state(ts, mats):
+    n = mats[0].shape[0]
+    return FlowState(n, tuple(PoleData(t, 1, np.eye(n), M)
+                              for t, M in zip(ts, mats)))
+
+
+def irregular_state(rng):
+    def rm():
+        return 0.25 * (rng.standard_normal((2, 2))
+                       + 1j * rng.standard_normal((2, 2)))
+    lam0, A1 = rm(), rm()
+    return FlowState(2, (
+        PoleData(0.0, 2, np.eye(2), lam0, [[-0.45, 0.4]]),
+        PoleData(2.3, 1, np.eye(2), A1),
+        PoleData(-2.0, 1, np.eye(2), -(lam0 + A1))))
+
+
+@pytest.fixture
+def paired(monkeypatch):
+    """Every ``solve_ivp`` run of the flows also goes through scipy's, on
+    the same right-hand side, events (terminal, as they fall through zero)
+    and tolerances; the runs are kept as ``(library, scipy)`` pairs."""
+    runs = []
+    ours = flows.solve_ivp
+
+    def both(fun, t_span, y0, events=(), **options):
+        sol = ours(fun, t_span, y0, events=events, **options)
+        for event in events:
+            event.terminal, event.direction = True, -1
+        runs.append((sol, scipy_solve_ivp(fun, t_span, y0, method="DOP853",
+                                          events=events, **options)))
+        return sol
+
+    monkeypatch.setattr(flows, "solve_ivp", both)
+    return runs
+
+
+def check_runs(runs):
+    """Each pair takes the same evaluations and steps to the bit, and ends
+    at the same bits or at the same located event."""
+    assert runs
+    for ours, theirs in runs:
+        assert ours.nfev == theirs.nfev
+        assert len(ours.t) == len(theirs.t)
+        assert same_bytes(np.array(ours.t), theirs.t)
+        assert ours.status == theirs.status
+        if theirs.status == 1:
+            fired = [i for i, te in enumerate(theirs.t_events) if te.size]
+            assert fired == [ours.event]
+            assert same_bytes(ours.t_event, theirs.t_events[ours.event][0])
+        else:
+            assert same_bytes(ours.y, theirs.y[:, -1])
+
+
+class TestScipyOracle:
+    def test_tableau_is_scipys(self):
+        for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+            assert np.array_equal(getattr(ode, name),
+                                  getattr(ScipyDOP853, name)), name
+        assert ode.N_STAGES == ScipyDOP853.n_stages
+        assert ode.ERROR_ESTIMATOR_ORDER == ScipyDOP853.error_estimator_order
+
+    @pytest.mark.parametrize("kind", ["n2", "n3", "irregular"])
+    def test_flow_takes_scipys_steps_and_bits(self, rng, paired, kind):
+        if kind == "irregular":
+            state = irregular_state(rng)
+            path = FlowPath.irregular_line(state, 0, [[0.8, -0.5]],
+                                           length=0.5)
+        else:
+            state = fuchsian_state([-2.1, -0.35, 1.15, 2.6],
+                                   random_fuchsian_matrices(rng,
+                                                            int(kind[1]), 4))
+            path = FlowPath.line(state, 1, 0.3 + 0.2j)
+        traj = integrate_flow(state, path, n_samples=3)
+        assert traj.status == "completed" and len(paired) == 2
+        check_runs(paired)
+
+    def test_extended_system_takes_scipys_steps_and_bits(self, rng, paired):
+        state = fuchsian_state([0.0, 1.5, -1.2],
+                               random_fuchsian_matrices(rng, 2, 3))
+        _, _, (status, _) = integrate_extended(
+            extend_state(state), FlowPath.line(state, 0, 0.2 + 0.1j),
+            n_samples=3)
+        assert status == "completed"
+        check_runs(paired)
+
+    def test_collision_located_where_scipy_locates_it(self, rng, paired):
+        state = fuchsian_state([0.0, 1.0], random_fuchsian_matrices(rng, 2, 2))
+        traj = integrate_flow(state, FlowPath.line(state, 0, 1.0),
+                              n_samples=5)
+        assert traj.abort_kind == "pole_collision"
+        check_runs(paired)
+        assert traj.abort_at == paired[-1][1].t_events[0][0]
+
+    def test_blowup_located_where_scipy_locates_it(self, rng, paired,
+                                                  monkeypatch):
+        state = fuchsian_state([0.0, 1.0, -1.5],
+                               random_fuchsian_matrices(rng, 2, 3))
+        monkeypatch.setattr(flows, "N_MAX",
+                            1.01 * np.max(np.abs(state.flat()[3:])))
+        traj = integrate_flow(state, FlowPath.line(state, 0, 0.5),
+                              n_samples=5)
+        assert traj.abort_kind == "movable_singularity"
+        assert 0.0 < traj.abort_at < 0.25
+        check_runs(paired)
+        assert traj.abort_at == paired[-1][1].t_events[1][0]
+
+    def test_degenerate_chart_located_where_scipy_locates_it(
+            self, rng, paired, monkeypatch):
+        state = fuchsian_state([0.0, 1.4, -1.1],
+                               random_fuchsian_matrices(rng, 3, 3))
+        path = FlowPath.line(state, 1, -0.3 - 0.2j)
+        end = integrate_flow(state, path, n_samples=2).states[-1]
+        paired.clear()
+        monkeypatch.setattr(flows, "TAU_RANK", 0.5 * (
+            chart_conditioning(state) + chart_conditioning(end)))
+        traj = integrate_flow(state, path, n_samples=2)
+        assert traj.abort_kind == "degenerate_chart"
+        check_runs(paired)
+        assert traj.abort_at == paired[-1][1].t_events[2][0]
+
+
+def test_step_size_that_is_not_finite_fails_the_run():
+    # a NaN field makes the first step size NaN, which passes the minimum
+    # step guard; the run must fail rather than cut it forever
+    calls = []
+
+    def nan_field(t, y):
+        calls.append(t)
+        if len(calls) > 100:
+            raise RuntimeError("the step size is cut forever")
+        return np.full_like(y, np.nan)
+
+    sol = ode.solve_ivp(nan_field, (0.0, 1.0), np.ones(2, dtype=complex),
+                        rtol=1e-8, atol=1e-8)
+    assert sol.status == -1 and not sol.success
+    assert sol.message == "step size nan is not finite"
+    assert sol.nfev == 2 and sol.t == [0.0]
+
+
+# a flow and a monodromy run through the CLI, in the child's own process;
+# prints the heavy scipy packages loaded by then
+CLI_RUN = """
+import json, sys
+from isomonodromy import cli
+spec, out = sys.argv[1:]
+for command in ("flow", "monodromy"):
+    assert cli.main([command, "--input", spec, "--out", out + command]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith({heavy!r}))))
+""".replace("{heavy!r}", repr(HEAVY))
+
+
+def test_cli_runs_load_no_more_of_scipy_than_lapack(tmp_path):
+    mats = [0.4 * M for M in
+            random_fuchsian_matrices(np.random.default_rng(5), 2, 3)]
+    state = fuchsian_state([0.0, 1.5, -1.2], mats)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "state": ser.flow_state(state), "samples": 3,
+        "path": {"kind": "line", "pole": 1, "displacement": [0.2, 0.1]}}))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_RUN, str(spec), str(tmp_path / "out-")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out-flow" / "drift.json").exists()
+    assert (tmp_path / "out-monodromy" / "monodromy.json").exists()
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_no_module_imports_the_heavy_scipy_packages():
+    # the one exception: the event location imports brentq, and only a run
+    # whose event fires reaches it
+    found = []
+    for path in sorted((SRC / "isomonodromy").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {id(node): f"{path.stem}.{fn.name}"
+                  for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module + "." + a.name for a in node.names]
+            else:
+                continue
+            found += [(scopes.get(id(node)), name) for name in names
+                      if name.startswith(HEAVY)]
+    assert found == [("ode._locate", "scipy.optimize.brentq")]
