@@ -16,7 +16,8 @@ forces (monodromy ``exp(2 pi i k / n) I``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -239,17 +240,16 @@ class DiagonalJetPair:
     """Holomorphic frame jet ``Z`` and diagonal 1-form jet ``B`` with
     ``A = dZ Z^-1 + Z B Z^-1`` through the requested truncation.
 
-    ``dB`` holds the diagonals of ``B``'s tangents along the jet variations
-    ``diagonalize_jet`` was given, shape ``(dim, orders, n)``; else None.
-    ``A_weight`` is the differential of the weighted diagonal of ``B`` it
-    was given, as a weight on the jet, shaped like the jet's coefficients;
-    else None.
+    ``pullback(B_weight)`` is the reverse-mode differential: ``B_weight`` of
+    shape ``(orders, n)`` weights the diagonals of ``B``'s rows, and the
+    result is the differential of ``sum B_weight * diag(B)`` as a weight on
+    the jet, shaped like the jet's coefficients: its value on a variation
+    ``dA`` is ``sum_K tr(A_weight[K] dA[K])``.
     """
 
     Z: LaurentJet
     B: LaurentJet
-    dB: np.ndarray | None = None
-    A_weight: np.ndarray | None = None
+    pullback: Callable = field(repr=False, compare=False)
 
     @property
     def b_diag(self):
@@ -289,31 +289,19 @@ def check_regular(w, scale):
                     f"{TAU_REG} * {scale}")
 
 
-def diagonalize_jet(Ajet, order, include_derivative=True, dA=None,
-                    B_weight=None):
-    """Order-by-order diagonalization of a matrix 1-form jet.
+def diagonalize_jet(Ajet, order):
+    """Order-by-order diagonalization of a matrix 1-form jet to the gauge
+    normal form ``A = dZ Z^-1 + Z B Z^-1``.
 
-    With the derivative term this produces the gauge normal form
-    ``A = dZ Z^-1 + Z B Z^-1``; without it, ``B`` holds the pointwise
-    eigenvalue jets of the matrix (similarity only).
-
-    Tangent mode: ``dA`` of shape ``(dim, K, n, n)``, aligned with
-    ``Ajet.coeffs``, stacks ``dim`` variations of the jet; their tangents
-    ride through the same recursion by the product rule and come back as
-    the pair's ``dB``.  The leading eigenframe moves by ``V X`` with
-    ``X_ab = (V^-1 dA_-l V)_ab / (w_b - w_a)`` off the diagonal, so
-    ``d(V^-1 A_i V) = V^-1 dA_i V + [V^-1 A_i V, X]``.  ``X`` has zero
-    diagonal: ``B`` does not change under diagonal rescaling of ``V``, so
-    the column normalization needs no derivative.
-
-    Reverse mode: ``B_weight`` of shape ``(order + 1, n)`` weights the
-    diagonals of ``B``'s rows, and the pair's ``A_weight`` is the
-    differential of ``sum B_weight * diag(B)`` as a weight on the jet:
-    its value on a variation ``dA`` is ``sum_K tr(A_weight[K] dA[K])``.
-    It is the tangent pass transposed, after the same forward recursion:
-    the orders backwards, then the eigenframe step ``X``, then the
-    ``V^-1 . V`` conjugation; one sweep whatever the number of
-    variations.
+    The pair's ``pullback`` runs the recursion's tangent transposed over
+    the value pass's stored orders: the orders backwards, then the
+    eigenframe step ``X``, then the ``V^-1 . V`` conjugation; one sweep per
+    weight, whatever the number of variations.  The leading eigenframe
+    moves by ``V X`` with ``X_ab = (V^-1 dA_-l V)_ab / (w_b - w_a)`` off the
+    diagonal, so ``d(V^-1 A_i V) = V^-1 dA_i V + [V^-1 A_i V, X]``.  ``X``
+    has zero diagonal: ``B`` does not change under diagonal rescaling of
+    ``V``, so the column normalization needs no derivative.  The forward
+    tangent pass it transposes is the reference of ``tests/oracles.py``.
     """
     k_min, K = Ajet.k_min, Ajet.coeffs.shape[0]
     Ajet = Ajet.drop_leading_zeros()
@@ -336,32 +324,21 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None,
     d = np.diag(D)
     U = [np.eye(n, dtype=complex)]
     B = [D]
-    fuchsian = (l == 1) and include_derivative
     offdiag = ~np.eye(n, dtype=bool)
-    if dA is not None or B_weight is not None:
-        # every acoef(i), row i + l
-        At = Vinv @ Ajet.coeffs @ V
-        gap = np.where(offdiag, w[None, :] - w[:, None], 1.0)
-    if dA is not None:
-        dAt = Vinv @ np.asarray(dA)[:, Ajet.k_min - k_min:] @ V
-        X = np.where(offdiag, dAt[:, 0] / gap, 0.0)[:, None]
-        dAt = dAt + At @ X - X @ At
-        dd = np.einsum("xaa->xa", dAt[:, 0])
-        dU = [np.zeros((dA.shape[0], n, n), dtype=complex)]
-        dBs = [dAt[:, 0] * np.eye(n)]
     divisors = []
     for k in range(1, order + 1):
         m = -l + k
         rhs = np.zeros((n, n), dtype=complex)
         for j in range(0, k):
             rhs -= acoef(m - j) @ U[j]
-        if include_derivative and 1 <= m + 1 < k:
+        if 1 <= m + 1 < k:
             rhs += (m + 1) * U[m + 1]
         for i in range(1, k):
             rhs += U[i] @ B[m - i + l]
-        # one divisor matrix and one mask for both passes: np.hypot is the
-        # scalar abs bit for bit, and ~(<=) counts a NaN divisor as solved
-        denom = d[:, None] - d[None, :] - (k if fuchsian else 0.0)
+        # one divisor matrix and one mask for the value pass and the
+        # pullback: np.hypot is the scalar abs bit for bit, and ~(<=) counts
+        # a NaN divisor as solved
+        denom = d[:, None] - d[None, :] - (k if l == 1 else 0.0)
         solved = offdiag & ~(np.hypot(denom.real, denom.imag)
                              <= TAU_REG * scale)
         # a resonance only obstructs when it must cancel something
@@ -374,26 +351,15 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None,
                 f"{denom[tuple(blocked[0])]} at order {k}")
         denom = np.where(solved, denom, 1.0)
         divisors.append((solved, denom))
-        Uk = np.where(solved, rhs / denom, 0.0)
-        U.append(Uk)
+        U.append(np.where(solved, rhs / denom, 0.0))
         B.append(-np.diag(np.diag(rhs)))
-        if dA is not None:
-            drhs = np.zeros_like(dU[0])
-            for j in range(0, k):
-                drhs -= dAt[:, m - j + l] @ U[j] + At[m - j + l] @ dU[j]
-            if include_derivative and 1 <= m + 1 < k:
-                drhs += (m + 1) * dU[m + 1]
-            for i in range(1, k):
-                drhs += dU[i] @ B[k - i] + U[i] @ dBs[k - i]
-            # Uk = rhs / denom entrywise, and denom moves with dd_a - dd_b
-            dd_ab = dd[:, :, None] - dd[:, None, :]
-            dU.append(np.where(solved, (drhs - Uk * dd_ab) / denom, 0.0))
-            dBs.append(-drhs * np.eye(n))
 
-    A_weight = None
-    if B_weight is not None:
-        # the bar of each tangent variable Y pairs with it by the trace,
-        # the differential being sum tr(bar_Y dY); bar_B holds diagonals
+    def pullback(B_weight):
+        # the bar of each tangent variable Y pairs with it by the trace, the
+        # differential being sum tr(bar_Y dY); bar_B holds diagonals.  At
+        # holds every acoef(i), row i + l
+        At = Vinv @ Ajet.coeffs @ V
+        gap = np.where(offdiag, w[None, :] - w[:, None], 1.0)
         bar_B = np.array(B_weight, dtype=complex)
         bar_U = np.zeros((order + 1, n, n), dtype=complex)
         bar_At = np.zeros_like(At)
@@ -408,7 +374,7 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None,
             for j in range(0, k):
                 bar_At[k - j] -= U[j] @ R
                 bar_U[j] -= R @ At[k - j]
-            if include_derivative and 1 <= m + 1 < k:
+            if 1 <= m + 1 < k:
                 bar_U[m + 1] += (m + 1) * R
             for i in range(1, k):
                 bar_U[i] += B[k - i] @ R
@@ -419,9 +385,9 @@ def diagonalize_jet(Ajet, order, include_derivative=True, dA=None,
         bar_At[0] += np.where(offdiag, bar_X / gap.T, 0.0)
         A_weight = np.zeros((K, n, n), dtype=complex)
         A_weight[Ajet.k_min - k_min:] = V @ bar_At @ Vinv
+        return A_weight
 
     Zc = np.stack([V @ u for u in U])
     Z = LaurentJet(Ajet.point, 0, Zc, 0)
     Bjet = LaurentJet(Ajet.point, -l, np.stack(B), 1)
-    dB = None if dA is None else np.einsum("kxaa->xka", np.stack(dBs))
-    return DiagonalJetPair(Z, Bjet, dB, A_weight)
+    return DiagonalJetPair(Z, Bjet, pullback)

@@ -19,7 +19,9 @@ lift is no longer the correct reference.
 
 The correction Hamiltonian of a direction is coded once, in
 ``direction_differential``; the flow, the extended autonomous system and the
-CLI's Hamiltonian fields all read it.
+CLI's Hamiltonian fields all read it.  Its differential and the extended
+system's section rates are taken in reverse mode, as weights on a pole's
+jet pulled back to the chart or to the polar coefficients (``symplectic``).
 
 One driver integrates both the flow and the extended autonomous system on
 the flat state vector (``FlowState.flat``), with the library's DOP853
@@ -56,7 +58,7 @@ from .symplectic import (
     TAU_RANK,
     d_hamiltonian_beta_B,
     d_translation_hamiltonian,
-    jet_variations,
+    polar_weights,
     solve_chart,
     translation_hamiltonian_values,
 )
@@ -482,56 +484,53 @@ def extend_state(state):
 
 def _section_rates(direction, state):
     """Derivatives of ``section_S`` along the reference lift of a direction,
-    fiber frozen, in closed form.
+    fiber frozen, in closed form and in reverse mode.
 
     The frozen fiber keeps every frame, so irregular rates move pole j's
     polar coefficients by the polar part of ``F dLambda F^-1``, and position
     rates move another pole's polar term as seen from pole i by
-    ``d/d dist C (zeta + dist)**-k = -k C (zeta + dist)**-(k+1)``.
-    The q slots pair the resulting jet variations with the jets; the b slots
-    take them through one tangent pass of the formal diagonalization.
+    ``d/d dist C (zeta + dist)**-k = -k C (zeta + dist)**-(k+1)``: an order
+    ``k + 1`` term ``-(dt_i - dt_j) k C_k``.  At pole i the section values'
+    weights on its jet are stacked, the q slot's as in
+    ``d_translation_hamiltonian`` and one pullback of a unit weight on
+    ``B``'s diagonal per b-slot component, taken to every pole's polar
+    coefficients by ``polar_weights`` and paired with these variations.
     """
-    poles = state.poles
-    dt = np.zeros(len(poles), dtype=complex)
+    dt = np.zeros(len(state.poles), dtype=complex)
     for i, rate in direction.moduli_rates.items():
         dt[i] = rate
-    dC = []
+    # per group, through order l + 1: the lift's polar variations, and
+    # k C_k at order k + 1
+    moves = []
     for g in state.groups:
         dlam = np.zeros((len(g.index), 1, g.l, g.n, g.n), dtype=complex)
         for r, j in enumerate(g.index):
             for s, row in enumerate(direction.irregular_rates.get(j, ())):
                 dlam[r, 0, s + 1] = np.diag(row)
-        dC.append(g.dressed_polar(dlam))
+        move = np.zeros((2, len(g.index), g.l + 1, g.n, g.n), dtype=complex)
+        move[0, :, : g.l] = g.dressed_polar(dlam)[:, 0]
+        move[1, :, 1:] = np.arange(1, g.l + 1)[:, None, None] * g.polar
+        moves.append(move)
     dq, db = [], []
-    for i, p in enumerate(poles):
-        terms = [None] * len(poles)
-        for g, dCg in zip(state.groups, dC):
-            for j, term in zip(g.index, jet_variations(state, i, g.index, dCg,
-                                                       p.l - 1)):
-                terms[j] = term
-        dJ = sum(terms)
-        for j, q in enumerate(poles):
-            if j != i and dt[i] != dt[j]:
-                # the order k term -k C_k becomes the order k + 1 term
-                shifted = np.zeros((1, 1, q.l + 1, p.n, p.n), dtype=complex)
-                shifted[0, 0, 1:] = (-(dt[i] - dt[j])
-                                     * np.arange(1, q.l + 1)[:, None, None]
-                                     * np.asarray(state.polar[j]))
-                dJ = dJ + jet_variations(state, i, (j,), shifted, p.l - 1)[0]
-        # q_i = 2 sum_k tr(C_k R_{k-1}), with C_k at jet row l - k and
-        # R_m at row l + m
-        rows = dJ[0]
-        slot = np.zeros(p.l, dtype=complex)
-        slot[0] = 2.0 * (
-            np.einsum("kpq,kqp->", rows[p.l - 1::-1], state.regular_jets[i])
-            + np.einsum("kpq,kqp->", np.asarray(state.polar[i]), rows[p.l:]))
-        dq.append(slot)
-        if p.l == 1:
-            db.append(np.zeros((0, p.n), dtype=complex))
-        else:
-            dB = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2,
-                                 dA=dJ[:, : 2 * p.l - 1]).dB
-            db.append(dB[0, p.l:])
+    for i, p in enumerate(state.poles):
+        polar_w = [2.0 * state.regular_jets[i]]
+        regular_w = [2.0 * np.asarray(state.polar[i])]
+        if p.l > 1:
+            pair = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2)
+            for unit in np.eye((p.l - 1) * p.n).reshape(-1, p.l - 1, p.n):
+                A_weight = pair.pullback(np.concatenate([np.zeros((p.l, p.n)),
+                                                         unit]))
+                polar_w.append(A_weight[p.l - 1::-1])
+                regular_w.append(np.concatenate(
+                    [A_weight[p.l:], np.zeros((1, p.n, p.n))]))
+        rates = np.zeros(len(polar_w), dtype=complex)
+        for g, move, W in zip(state.groups, moves, polar_weights(
+                state, i, np.stack(polar_w), np.stack(regular_w), extra=1)):
+            dC = move[0] - (dt[i] - dt[list(g.index)])[:, None, None, None] \
+                * move[1]
+            rates += np.einsum("gxkpq,gkqp->x", W, dC)
+        dq.append(np.concatenate([rates[:1], np.zeros(p.l - 1)]))
+        db.append(rates[1:].reshape(p.l - 1, p.n))
     return tuple(dq), tuple(db)
 
 
@@ -544,7 +543,7 @@ def extended_autonomous_rhs(direction, ext):
     ``b_slots`` for irregular rates) is the one ``direction_differential``
     differentiates.  The dual variables move with the base-partial
     derivative of the section values along the direction, fiber frozen,
-    taken in closed form (no shifted states).
+    taken in closed form and in reverse mode (no shifted states).
     """
     state = ext.state
     out = isomonodromic_rhs(direction, state)

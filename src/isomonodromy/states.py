@@ -378,8 +378,7 @@ class FlowState:
         """Diagonal of the formal normal form ``B`` of A at pole i, orders
         ``-l_i .. l_i-2`` (rows in the lexicographic branch order)."""
         order = 2 * self.poles[i].l - 2
-        return diagonalize_jet(self.jet_at_pole(i), order,
-                               include_derivative=True).b_diag
+        return diagonalize_jet(self.jet_at_pole(i), order).b_diag
 
     def connection(self):
         data = [(p.t, C) for p, C in zip(self.poles, self.polar)]

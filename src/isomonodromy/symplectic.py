@@ -60,14 +60,16 @@ diagonal-jet pairing ``tr res(beta . B)`` at irregular poles
 one scalar over the chart basis, taken in reverse mode, so their cost does
 not grow with the basis.  Each is a weight on the pole's Laurent jet:
 twice the jet itself, read backwards, for ``res tr(A^2)``; for the pairing,
-``beta`` taken back through one reverse sweep of
-``connection.diagonalize_jet``.  ``_jet_covector`` transposes the jet's
-dependence on the poles' polar parts (``jet_variations``) and hands each
-group's weights to ``PoleChartBlock.covector``, which pulls them back
-through the dressing and contracts them once with the basis velocities;
-neither builds a basis direction's polar or jet variation.  They agree with
-the forward-mode references of ``tests/oracles.py`` to round-off, not bit
-for bit.  A base direction's correction Hamiltonian combines them in
+``beta`` taken back by the ``pullback`` of ``connection.diagonalize_jet``.
+``polar_weights`` transposes the jet's dependence on the poles' polar
+parts, and ``_jet_covector`` hands each group's weights to
+``PoleChartBlock.covector``, which pulls them back through the dressing
+and contracts them once with the basis velocities; neither builds a basis
+direction's polar or jet variation.  The extended system's section rates
+(``flows._section_rates``) take their jet weights back through
+``polar_weights`` too.  This is the library's one derivative mode: the
+forward references of ``tests/oracles.py`` agree with it to round-off, not
+bit for bit.  A base direction's correction Hamiltonian combines them in
 ``flows.direction_differential``.
 """
 
@@ -247,43 +249,43 @@ class PoleChartBlock:
         dH`` reads ``G^T X = dH``."""
         return self.gram_block().transpose(0, 2, 1)
 
-    @cached_property
-    def lam_eta(self):
-        """``lam_eta[:, x, j] = sum_i Lambda_{i+j} eta_x[i]``, shaped like
-        ``etas``: the block Hankel matrix times the stacked velocities."""
-        G, ln = len(self.etas), self.l * self.n
-        return (self.lam_hankel.reshape(G, 1, ln, ln)
-                @ self.etas.reshape(G, self.dim, ln, self.n)).reshape(
-                    self.etas.shape)
-
     def gram_block(self):
         """``omega`` on every pair of basis directions at every pole of the
         group, shape ``(G, dim, dim)``, as ``2 (A - A^T)`` with
         ``A[x, y] = tr(eta_x[0] dLam_y)
         + sum_{i + j < l} tr(Lambda_{i+j} eta_x[i] eta_y[j])``: the sum is
-        ``lam_eta`` times the transposed velocities, and the first term is
-        ``eta_x[0][b, a]`` in the column of ``dLam_y = E_ab``, the last
-        ``n^2``."""
-        G, n = len(self.etas), self.n
+        the block Hankel matrix times the stacked velocities, times the
+        transposed velocities, and the first term is ``eta_x[0][b, a]`` in
+        the column of ``dLam_y = E_ab``, the last ``n^2``."""
+        G, n, ln = len(self.etas), self.n, self.l * self.n
+        lam_eta = self.lam_hankel.reshape(G, 1, ln, ln) \
+            @ self.etas.reshape(G, self.dim, ln, n)
         E_t = self.etas.swapaxes(-1, -2).reshape(G, self.dim, -1)
-        A = self.lam_eta.reshape(G, self.dim, -1) @ E_t.transpose(0, 2, 1)
+        A = lam_eta.reshape(G, self.dim, -1) @ E_t.transpose(0, 2, 1)
         A[:, :, -n * n:] += E_t[:, :, : n * n]
         return 2.0 * (A - A.transpose(0, 2, 1))
 
-    def induced_variations(self):
-        """Connection polar-coefficient variations of every basis direction,
-        via ``dP = [F (ad_eta Lambda + dLam) F^-1]_polar``; shape
-        ``(G, dim, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
-        # inner[:, :, k] is the order -(k+1) term of [eta, Lambda] + dLam
-        inner = np.einsum("gxmpr,gmrkq->gxkpq", self.etas,
-                          self.lam_hankel) - self.lam_eta
-        inner[:, :, 0] += self.dlams
-        return self.group.dressed_polar(inner)
+    def polar_variation(self, v):
+        """Connection polar-coefficient variations of chart tangents ``v``,
+        one per pole of the group (shape ``(G, dim)``), via ``dP = [F
+        (ad_eta Lambda + dLam) F^-1]_polar``: ``covector`` transposed.  ``v``
+        is contracted with the basis velocities first, ``eta = sum_x v_x
+        eta_x`` and ``dLam = sum_x v_x dLam_x``, so no direction's variation
+        is built; shape ``(G, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
+        G, l, n = len(v), self.l, self.n
+        eta = (v[:, None] @ self.etas.reshape(G, self.dim, -1)).reshape(
+            G, l, n, n)
+        # inner[:, k] = sum_m [eta_m, Lambda_{m+k}] + dLam, the order -(k+1)
+        # term
+        inner = (np.einsum("gmpr,gmrkq->gkpq", eta, self.lam_hankel)
+                 - np.einsum("gmpkr,gmrq->gkpq", self.lam_hankel, eta))
+        inner[:, 0] += (v @ self.dlams.reshape(self.dim, -1)).reshape(G, n, n)
+        return self.group.dressed_polar(inner[:, None])[:, 0]
 
     def covector(self, W):
         """The covector ``x -> sum_k tr(W[:, k-1] dC_k)`` on the basis at
         every pole of the group, shape ``(G, dim)``, with ``dC`` the
-        direction's ``induced_variations()``, which it does not build.
+        direction's ``polar_variation``, which it does not build.
 
         ``W`` (shape ``(G, l, n, n)``) is pulled back through the dressing
         once, ``Wt_r = sum_{i+j+r'=r} (F^-1)_j W_r' F_i``; the undressed
@@ -321,13 +323,12 @@ def gram_matrix(state):
 
 def induced_polar_variations(vec, state):
     """Per-pole ``[dC_1 .. dC_l]`` connection-coefficient variations of the
-    chart tangent ``vec`` (chart-vector layout)."""
+    chart tangent ``vec`` (chart-vector layout), one ``polar_variation``
+    per group."""
     vec = np.asarray(vec)
     out = [None] * len(state.poles)
     for grp, blk in zip(state.groups, state.blocks):
-        dC = np.einsum("gx,gxkpq->gkpq", vec[grp.cols],
-                       blk.induced_variations())
-        for i, d in zip(grp.index, dC):
+        for i, d in zip(grp.index, blk.polar_variation(vec[grp.cols])):
             out[i] = d
     return out
 
@@ -432,53 +433,45 @@ def _extension_weights(dists, L, m_max):
                     dtype=complex)
 
 
-def jet_variations(state, i, sources, dC, m_max):
-    """Variations of pole ``i``'s Laurent jet, orders ``-l_i .. m_max``,
-    under stacked variations ``dC`` of the polar parts of the poles
-    ``sources`` (one order ``L``); shape ``(len(sources), x, l_i + m_max + 1,
-    n, n)``.
+def polar_weights(state, i, polar_weight, regular_weight, extra=0):
+    """Weights on every pole's polar coefficients, group by group, of a
+    function of pole ``i``'s Laurent jet given its weights on the jet:
+    ``polar_weight[..., k-1]`` on the coefficient of ``(z - t_i)**-k``,
+    ``regular_weight[..., m]`` on the order ``m`` coefficient, each pairing
+    by the trace, with the same leading axes.
 
-    ``dC`` has shape ``(len(sources), x, L, n, n)``, row ``k - 1`` varying
-    the coefficient of ``(z - t_j)**-k``.  Pole ``i``'s own variations are
-    the jet's polar rows (``L <= l_i``); the other poles' enter its regular
-    rows as seen from ``t_i`` (``extension_weights``), all in one product.
-    """
-    p = state.poles[i]
-    L = dC.shape[2]
-    out = np.zeros(dC.shape[:2] + (p.l + m_max + 1, state.n, state.n),
-                   dtype=complex)
-    others = [r for r, j in enumerate(sources) if j != i]
-    for r, j in enumerate(sources):
-        if j == i:
-            out[r, :, p.l - L: p.l] = dC[r, :, ::-1]
-    if others:
-        ext = _extension_weights(
-            [p.t - state.poles[sources[r]].t for r in others], L, m_max)
-        out[others, :, p.l:] = np.einsum("gkm,gxkpq->gxmpq", ext, dC[others])
-    return out
+    This transposes the jet's dependence on the poles' polar parts: pole
+    ``i``'s own polar rows, and the other poles' terms seen from ``t_i``
+    (``extension_weights``) on its regular rows.  A group's weights have
+    shape ``(G, ..., l + extra, n, n)``, row ``k - 1`` weighting the
+    coefficient of ``(z - t_j)**-k``; pole ``i``'s own rows past ``l_i``
+    are zero."""
+    t_i = state.poles[i].t
+    *lead, M = regular_weight.shape[:-2]
+    for grp in state.groups:
+        L = grp.l + extra
+        weight = np.zeros((len(grp.index), *lead, L, state.n, state.n),
+                          dtype=complex)
+        others = [r for r, j in enumerate(grp.index) if j != i]
+        if others:
+            ext = _extension_weights([t_i - grp.t[r] for r in others], L,
+                                     M - 1)
+            weight[others] = np.einsum("gkm,...mpq->g...kpq", ext,
+                                       regular_weight)
+        if len(others) < len(grp.index):
+            weight[grp.index.index(i), ..., : polar_weight.shape[-3], :, :] \
+                = polar_weight
+        yield weight
 
 
 def _jet_covector(state, i, polar_weight, regular_weight):
     """The differential on the chart basis of a function of pole ``i``'s
-    Laurent jet, given its weights on the jet: ``polar_weight[k-1]`` on the
-    coefficient of ``(z - t_i)**-k``, ``regular_weight[m]`` on the order
-    ``m`` coefficient, each pairing by the trace.
-
-    This is ``jet_variations`` transposed (pole ``i``'s own polar rows, and
-    ``extension_weights`` for the other poles), then each group's pullback
-    (``PoleChartBlock.covector``)."""
-    t_i = state.poles[i].t
+    Laurent jet, given its weights on the jet (``polar_weights``): each
+    group's weights pulled back by ``PoleChartBlock.covector``."""
     out = np.empty(state.chart_dim(), dtype=complex)
-    for grp, blk in zip(state.groups, state.blocks):
-        weight = np.empty((len(grp.index), blk.l, state.n, state.n),
-                          dtype=complex)
-        others = [r for r, j in enumerate(grp.index) if j != i]
-        if others:
-            ext = _extension_weights([t_i - grp.t[r] for r in others],
-                                     blk.l, len(regular_weight) - 1)
-            weight[others] = np.einsum("gkm,mpq->gkpq", ext, regular_weight)
-        if len(others) < len(grp.index):
-            weight[grp.index.index(i)] = polar_weight
+    for grp, blk, weight in zip(
+            state.groups, state.blocks,
+            polar_weights(state, i, polar_weight, regular_weight)):
         out[grp.cols] = blk.covector(weight)
     return out
 
@@ -492,8 +485,8 @@ def d_hamiltonian_beta_B(state, i, beta):
     p, beta = _irregular_pole(state, i, beta)
     weight = np.zeros((2 * p.l - 1, p.n), dtype=complex)
     weight[p.l:] = beta
-    A_weight = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2,
-                               B_weight=weight).A_weight
+    A_weight = diagonalize_jet(state.jet_at_pole(i),
+                               2 * p.l - 2).pullback(weight)
     return _jet_covector(state, i, A_weight[p.l - 1::-1], A_weight[p.l:])
 
 

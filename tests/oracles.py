@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 
-from isomonodromy.connection import TAU_SEP, Connection, diagonalize_jet
-from isomonodromy.errors import DegenerateChartError, MalformedInputError
+from isomonodromy.connection import (TAU_REG, TAU_SEP, Connection,
+                                     _sorted_eig, check_regular,
+                                     diagonalize_jet)
+from isomonodromy.errors import (DegenerateChartError, MalformedInputError,
+                                 RegularityError)
 from isomonodromy.monodromy import (LineSegment, Path, loop_ordering,
                                     transport)
 from isomonodromy.ratfun import TAU_MERGE, LaurentJet, RatMat, RatScalar
@@ -246,15 +249,100 @@ def formal_diagonalize(conn, p, order):
     """
     l = max(1, conn.matrix.pole_order(p))
     jet = conn.laurent(p, order - l)
-    return diagonalize_jet(jet, order, include_derivative=True)
+    return diagonalize_jet(jet, order)
 
 
 def eigenvalue_jets(conn, p, order):
     """Pointwise eigenvalue jets of ``A(z)`` at ``p`` (similarity only)."""
     l = max(1, conn.matrix.pole_order(p))
     jet = conn.laurent(p, order - l)
-    pair = diagonalize_jet(jet, order, include_derivative=False)
-    return pair.b_diag
+    return diagonal_jet_tangents(jet, order, include_derivative=False)[0]
+
+
+def diagonal_jet_tangents(Ajet, order, dA=None, include_derivative=True):
+    """``connection.diagonalize_jet``'s recursion in forward mode: the
+    diagonals of ``B``'s rows, shape ``(order + 1, n)``, and their tangents
+    along the stacked jet variations ``dA`` (shape ``(dim, K, n, n)``,
+    aligned with ``Ajet.coeffs``), shape ``(dim, order + 1, n)``, or None.
+    The reference for the library's reverse sweep, which is this pass
+    transposed.
+
+    Without the derivative term, ``B`` holds the pointwise eigenvalue jets
+    of the matrix (similarity only).  The tangents ride through the
+    recursion by the product rule.  The leading eigenframe moves by ``V X``
+    with ``X_ab = (V^-1 dA_-l V)_ab / (w_b - w_a)`` off the diagonal, so
+    ``d(V^-1 A_i V) = V^-1 dA_i V + [V^-1 A_i V, X]``.
+    """
+    k_min = Ajet.k_min
+    Ajet = Ajet.drop_leading_zeros()
+    l = -Ajet.k_min
+    n = Ajet.n
+    lead = Ajet.coefficient(-l)
+    scale = max(1.0, float(np.max(np.abs(lead))))
+    w, V = _sorted_eig(lead)
+    check_regular(w, scale)
+    Vinv = np.linalg.inv(V)
+
+    def acoef(i):
+        if i > Ajet.k_max:
+            raise MalformedInputError(
+                f"need A through order {i} for this truncation; jet stops at "
+                f"{Ajet.k_max}")
+        return Vinv @ Ajet.coefficient(i) @ V
+
+    D = np.diag(np.diag(acoef(-l)))
+    d = np.diag(D)
+    U = [np.eye(n, dtype=complex)]
+    B = [D]
+    fuchsian = (l == 1) and include_derivative
+    offdiag = ~np.eye(n, dtype=bool)
+    if dA is not None:
+        At = Vinv @ Ajet.coeffs @ V
+        gap = np.where(offdiag, w[None, :] - w[:, None], 1.0)
+        dAt = Vinv @ np.asarray(dA)[:, Ajet.k_min - k_min:] @ V
+        X = np.where(offdiag, dAt[:, 0] / gap, 0.0)[:, None]
+        dAt = dAt + At @ X - X @ At
+        dd = np.einsum("xaa->xa", dAt[:, 0])
+        dU = [np.zeros((dA.shape[0], n, n), dtype=complex)]
+        dBs = [dAt[:, 0] * np.eye(n)]
+    for k in range(1, order + 1):
+        m = -l + k
+        rhs = np.zeros((n, n), dtype=complex)
+        for j in range(0, k):
+            rhs -= acoef(m - j) @ U[j]
+        if include_derivative and 1 <= m + 1 < k:
+            rhs += (m + 1) * U[m + 1]
+        for i in range(1, k):
+            rhs += U[i] @ B[m - i + l]
+        denom = d[:, None] - d[None, :] - (k if fuchsian else 0.0)
+        solved = offdiag & ~(np.hypot(denom.real, denom.imag)
+                             <= TAU_REG * scale)
+        rhs_scale = max(scale, float(np.max(np.abs(rhs))))
+        blocked = np.argwhere(offdiag & ~solved & ~(
+            np.hypot(rhs.real, rhs.imag) <= 1e-10 * rhs_scale))
+        if blocked.size:
+            raise RegularityError(
+                f"resonant or clustered spectrum: divisor "
+                f"{denom[tuple(blocked[0])]} at order {k}")
+        denom = np.where(solved, denom, 1.0)
+        Uk = np.where(solved, rhs / denom, 0.0)
+        U.append(Uk)
+        B.append(-np.diag(np.diag(rhs)))
+        if dA is not None:
+            drhs = np.zeros_like(dU[0])
+            for j in range(0, k):
+                drhs -= dAt[:, m - j + l] @ U[j] + At[m - j + l] @ dU[j]
+            if include_derivative and 1 <= m + 1 < k:
+                drhs += (m + 1) * dU[m + 1]
+            for i in range(1, k):
+                drhs += dU[i] @ B[k - i] + U[i] @ dBs[k - i]
+            # Uk = rhs / denom entrywise, and denom moves with dd_a - dd_b
+            dd_ab = dd[:, :, None] - dd[:, None, :]
+            dU.append(np.where(solved, (drhs - Uk * dd_ab) / denom, 0.0))
+            dBs.append(-drhs * np.eye(n))
+    b_diag = np.einsum("kii->ki", np.stack(B)).copy()
+    dB = None if dA is None else np.einsum("kxaa->xka", np.stack(dBs))
+    return b_diag, dB
 
 
 def reconstruction_defect(conn, p, pair, order):
@@ -472,12 +560,16 @@ def pole_d_hamiltonian_beta_B(state, i, beta):
         pole_jet_variation(state, i, j, PoleChartBlock(q).induced_variations(),
                            p.l - 2)
         for j, q in enumerate(state.poles)])
-    dB = diagonalize_jet(pole_jet_at_pole(state, i), 2 * p.l - 2, dA=dA).dB
+    dB = diagonal_jet_tangents(pole_jet_at_pole(state, i), 2 * p.l - 2,
+                               dA)[1]
     return np.einsum("kc,xkc->x", beta, dB[:, p.l:])
 
 
 def pole_section_rates(direction, state):
-    """``flows._section_rates`` with every pole's data computed on its own."""
+    """``flows._section_rates`` in forward mode, with every pole's data
+    computed on its own: each pole's jet variation along the lift, paired
+    with the jet for the q slot and carried through the forward tangent
+    pass for the b slots."""
     poles = state.poles
     polar, regular = pole_polar(state), pole_regular_jets(state)
     dt = np.zeros(len(poles), dtype=complex)
@@ -509,7 +601,7 @@ def pole_section_rates(direction, state):
         if p.l == 1:
             db.append(np.zeros((0, p.n), dtype=complex))
         else:
-            dB = diagonalize_jet(pole_jet_at_pole(state, i), 2 * p.l - 2,
-                                 dA=dJ[:, : 2 * p.l - 1]).dB
+            dB = diagonal_jet_tangents(pole_jet_at_pole(state, i),
+                                       2 * p.l - 2, dJ[:, : 2 * p.l - 1])[1]
             db.append(dB[0, p.l:])
     return tuple(dq), tuple(db)

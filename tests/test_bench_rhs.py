@@ -20,8 +20,8 @@ def test_checkout_against_itself(tmp_path):
     result = json.loads(out.read_text())
     assert set(result["summary"]) == {"n2", "n3", "n4", "irregular"}
     for stages in result["summary"].values():
-        assert set(stages) == {"build", "differential", "gram", "solve",
-                               "rhs"}
+        assert set(stages) == {"build", "differential", "section", "gram",
+                               "solve", "rhs"}
         for cell in stages.values():
             assert cell["old_us"] > 0 and cell["new_us"] > 0
     assert len(result["per_round"]["old"]) == 1

@@ -30,6 +30,7 @@ from conftest import (
     random_matrix,
 )
 from oracles import (
+    diagonal_jet_tangents,
     eigenvalue_jets,
     formal_diagonalize,
     gauge_transform,
@@ -268,21 +269,27 @@ class TestFormalDiagonalize:
     @pytest.mark.parametrize("with_tangents", [False, True])
     def test_obstructed_fuchsian_resonance(self, rng, with_tangents):
         # leading eigenvalues 0 and 1: the order-1 divisor d_1 - d_0 - 1 is
-        # exactly 0 where the (1, 0) entry of A_0 must be cancelled
+        # exactly 0 where the (1, 0) entry of A_0 must be cancelled; the
+        # forward tangent pass of the reference refuses it alike
         coeffs = np.zeros((3, 2, 2), dtype=complex)
         coeffs[0] = np.diag([0.0, 1.0])
         coeffs[1] = [[0.2, 0.3], [0.4, -0.1]]
-        dA = np.stack([[random_matrix(rng, 2) for _ in range(3)]
-                       for _ in range(2)]) if with_tangents else None
+        jet = LaurentJet(0.0, -1, coeffs, 1)
         with pytest.raises(RegularityError,
                            match=r"divisor 0j at order 1$"):
-            diagonalize_jet(LaurentJet(0.0, -1, coeffs, 1), 2, dA=dA)
+            if with_tangents:
+                dA = np.stack([[random_matrix(rng, 2) for _ in range(3)]
+                               for _ in range(2)])
+                diagonal_jet_tangents(jet, 2, dA)
+            else:
+                diagonalize_jet(jet, 2)
 
     def test_solvable_fuchsian_resonance(self, rng):
         # the same resonance with nothing to cancel: the value pass leaves
-        # the entry of U zero, and so does the tangent pass, so dB is
-        # finite and matches a contour derivative along variations that
-        # keep the (1, 0) entry of A_0 zero
+        # the entry of U zero and the pullback reads no divisor there, so
+        # the weight it gives is finite and pairs with variations that keep
+        # the (1, 0) entry of A_0 zero as a contour derivative of the
+        # weighted diagonal of B
         coeffs = np.zeros((3, 2, 2), dtype=complex)
         coeffs[0] = np.diag([0.0, 1.0])
         coeffs[1] = [[0.2, 0.3], [0.0, -0.1]]
@@ -291,19 +298,23 @@ class TestFormalDiagonalize:
                         random_matrix(rng, 2), random_matrix(rng, 2)]
                        for _ in range(2)])
         dA[:, 1, 1, 0] = 0.0
+        weight = random_matrix(rng, 3)[:, :2]
 
-        def diag_B(c, dA=None):
-            return diagonalize_jet(LaurentJet(0.0, -1, c, 1), 2, dA=dA)
+        def diag_B(c):
+            return diagonalize_jet(LaurentJet(0.0, -1, c, 1), 2)
 
-        pair = diag_B(coeffs, dA)
+        pair = diag_B(coeffs)
         assert pair.Z.coefficient(1)[1, 0] == 0.0
-        assert np.all(np.isfinite(pair.dB))
+        A_weight = pair.pullback(weight)
+        assert np.all(np.isfinite(A_weight))
         N, r = 16, 1e-2
         roots = np.exp(2j * np.pi * np.arange(N) / N)
         for x in range(2):
-            contour = sum(diag_B(coeffs + r * w * dA[x]).b_diag / w
-                          for w in roots) / (N * r)
-            assert np.max(np.abs(pair.dB[x] - contour)) < 1e-11
+            contour = sum(
+                np.sum(weight * diag_B(coeffs + r * w * dA[x]).b_diag) / w
+                for w in roots) / (N * r)
+            got = np.einsum("kpq,kqp->", A_weight, dA[x])
+            assert abs(got - contour) < 1e-11 * max(1.0, abs(contour))
 
     def test_reconstruction_random_jets(self, rng):
         # acceptance-style: random regular-leading jets, defect through order 4
@@ -321,9 +332,11 @@ class TestFormalDiagonalize:
 
     @pytest.mark.parametrize("include_derivative", [True, False])
     def test_tangents_match_contour_derivative(self, rng, include_derivative):
-        # dB of an order-3 rank-3 jet along three random variations, against
-        # a 16-point Cauchy contour derivative of B of radius 1e-2 (Lyness &
-        # Moler 1967); the values stay those of the plain call, bit for bit
+        # the reference's forward tangents of an order-3 rank-3 jet along
+        # three random variations, against a 16-point Cauchy contour
+        # derivative of B of radius 1e-2 (Lyness & Moler 1967); its values
+        # stay those of the plain call, and with the derivative term those
+        # of the library's diagonalize_jet, bit for bit
         n, l, order = 3, 3, 4
         coeffs = 0.3 * np.stack([random_matrix(rng, n)
                                  for _ in range(2 * l - 1)])
@@ -332,30 +345,29 @@ class TestFormalDiagonalize:
                        for _ in range(3)])
 
         def diag_B(c, dA=None):
-            return diagonalize_jet(LaurentJet(0.0, -l, c, 1), order,
-                                   include_derivative, dA)
+            return diagonal_jet_tangents(LaurentJet(0.0, -l, c, 1), order,
+                                         dA, include_derivative)
 
-        pair, plain = diag_B(coeffs, dA), diag_B(coeffs)
-        assert np.array_equal(pair.B.coeffs, plain.B.coeffs)
-        assert np.array_equal(pair.Z.coeffs, plain.Z.coeffs)
-        assert pair.dB.shape == (3, order + 1, n)
+        (b_diag, dB), plain = diag_B(coeffs, dA), diag_B(coeffs)[0]
+        assert np.array_equal(b_diag, plain)
+        if include_derivative:
+            assert np.array_equal(b_diag, diagonalize_jet(
+                LaurentJet(0.0, -l, coeffs, 1), order).b_diag)
+        assert dB.shape == (3, order + 1, n)
         N, r = 16, 1e-2
         roots = np.exp(2j * np.pi * np.arange(N) / N)
         for x in range(3):
-            contour = sum(diag_B(coeffs + r * w * dA[x]).b_diag / w
+            contour = sum(diag_B(coeffs + r * w * dA[x])[0] / w
                           for w in roots) / (N * r)
             scale = max(1.0, float(np.max(np.abs(contour))))
-            assert np.max(np.abs(pair.dB[x] - contour)) < 1e-11 * scale
+            assert np.max(np.abs(dB[x] - contour)) < 1e-11 * scale
 
     @pytest.mark.parametrize("l", [1, 3])
-    @pytest.mark.parametrize("include_derivative", [True, False])
-    def test_reverse_sweep_is_the_tangent_pass_transposed(
-            self, rng, l, include_derivative):
+    def test_reverse_sweep_is_the_tangent_pass_transposed(self, rng, l):
         # for any weight on B's diagonal and any jet variation, the weight
-        # the reverse sweep gives on the jet pairs with the variation as the
-        # weight pairs with the tangent of B; the jet starts with a zero
-        # row, which the recursion drops, and the values are the plain
-        # call's, bit for bit
+        # the pullback gives on the jet pairs with the variation as the
+        # weight pairs with the reference's forward tangent of B; the jet
+        # starts with a zero row, which the recursion drops
         n, order = 3, 2 * l
         coeffs = 0.3 * np.stack([random_matrix(rng, n)
                                  for _ in range(2 * l + 2)])
@@ -365,15 +377,12 @@ class TestFormalDiagonalize:
                        for _ in range(4)])
         weight = random_matrix(rng, max(n, order + 1))[: order + 1, :n]
         jet = LaurentJet(0.0, -l - 1, coeffs, 1)
-        pair = diagonalize_jet(jet, order, include_derivative, dA=dA,
-                               B_weight=weight)
-        plain = diagonalize_jet(jet, order, include_derivative)
-        assert np.array_equal(pair.B.coeffs, plain.B.coeffs)
-        assert np.array_equal(pair.Z.coeffs, plain.Z.coeffs)
-        assert pair.A_weight.shape == coeffs.shape
-        assert not np.any(pair.A_weight[0])
-        forward = np.einsum("kc,xkc->x", weight, pair.dB)
-        reverse = np.einsum("kpq,xkqp->x", pair.A_weight, dA)
+        A_weight = diagonalize_jet(jet, order).pullback(weight)
+        dB = diagonal_jet_tangents(jet, order, dA)[1]
+        assert A_weight.shape == coeffs.shape
+        assert not np.any(A_weight[0])
+        forward = np.einsum("kc,xkc->x", weight, dB)
+        reverse = np.einsum("kpq,xkqp->x", A_weight, dA)
         assert np.max(np.abs(reverse - forward)) \
             < 1e-13 * np.max(np.abs(forward))
 

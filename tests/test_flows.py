@@ -783,27 +783,59 @@ class TestSectionAndExtended:
             assert np.array_equal(d_ext.flat(),
                                   isomonodromic_rhs(Y, state).flat())
 
+    def test_dual_rates_diagonalize_once_per_irregular_pole(
+            self, rng, monkeypatch):
+        # the b-slot components' pullbacks share their pole's one value
+        # pass: poles of order 3, 2 and 1 take two formal diagonalizations
+        state = mixed_order_state(rng)
+        calls = [0]
+        original = flows.diagonalize_jet
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "diagonalize_jet", counted)
+        flows._section_rates(Direction({0: 0.3 + 0.1j, 2: -0.7},
+                                       {1: np.array([[0.8, -0.5]])}), state)
+        assert calls[0] == 2
+
     def test_dual_rates_match_section_contour(self, rng):
         # the closed-form dual rates against a 16-point contour derivative
-        # of the section values along the reference lift (radius 1e-4), on
-        # poles of order 3, 2 and 1 with frames and a frame jet
-        state = mixed_order_state(rng)
-        ext = extend_state(state)
+        # of the section values along the reference lift (radius 1e-4): on
+        # poles of order 3, 2 and 1 with frames and a frame jet, on the
+        # twisted Fuchsian state of the section-pairing test, and on the
+        # order-2 irregular state along an irregular and a
+        # translation-plus-irregular direction
+        twist = MatrixDivisor((normal_form(0.9j, (0.0, 1.1)),))
+        cases = [
+            (mixed_order_state(rng),
+             [Direction({0: 0.3 + 0.1j, 2: -0.7},
+                        {1: np.array([[0.8, -0.5]])}),
+              Direction.translation(1)]),
+            (fuchsian_state([0.0, 1.5, -1.2],
+                            random_fuchsian_matrices(rng, 2, 3), twist),
+             [Direction({0: 0.7 - 0.2j, 2: -1.1}, {})]),
+            (irregular_state(rng),
+             [Direction.irregular(0, [[0.8, -0.5]]),
+              Direction({1: 0.4 + 0.1j}, {0: np.array([[0.8, -0.5]])})]),
+        ]
 
         def flat(q_slots, b_slots):
             return np.concatenate([np.ravel(v) for v in q_slots + b_slots])
 
         N, r = 16, 1e-4
         roots = np.exp(2j * np.pi * np.arange(N) / N)
-        for Y in (Direction({0: 0.3 + 0.1j, 2: -0.7},
-                            {1: np.array([[0.8, -0.5]])}),
-                  Direction.translation(1)):
-            _, dq, db = extended_autonomous_rhs(Y, ext)
-            y, dy = state.flat(), lift_I0(Y, state).flat()
-            want = sum(flat(*section_S(state.with_flat(y + r * w * dy))) / w
-                       for w in roots) / (N * r)
-            scale = max(1.0, float(np.max(np.abs(want))))
-            assert np.max(np.abs(flat(dq, db) - want)) < 1e-9 * scale
+        for state, directions in cases:
+            ext = extend_state(state)
+            for Y in directions:
+                _, dq, db = extended_autonomous_rhs(Y, ext)
+                y, dy = state.flat(), lift_I0(Y, state).flat()
+                want = sum(
+                    flat(*section_S(state.with_flat(y + r * w * dy))) / w
+                    for w in roots) / (N * r)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(flat(dq, db) - want)) < 1e-9 * scale
 
     @pytest.mark.parametrize("case", ["fuchsian", "twisted", "irregular"])
     def test_section_pairing_is_the_correction_hamiltonian(self, rng, case):

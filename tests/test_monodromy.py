@@ -180,6 +180,30 @@ class TestMonodromyRep:
         assert rep.product_defect is not None
         assert rep.product_defect < 1e-8
 
+    def test_rigid_rank2_traces_converge(self):
+        # A0/z + A1/(z - 1) at rank 2 is rigid: each loop's trace is fixed
+        # by its residue's eigenvalues, and the ordered product M_2 M_1,
+        # the loop around both poles, is conjugate to exp(2 pi i (A0 + A1))
+        # at the non-resonant pole at infinity.  The errors fall from each
+        # tol to the next
+        rng = np.random.default_rng(4)
+        A0, A1 = (random_matrix(rng, 2, 0.3) for _ in range(2))
+        conn = Connection.from_polar_parts([(0.0, [A0]), (1.0, [A1])])
+
+        def traces(M):
+            return np.sum(np.exp(2j * np.pi * np.linalg.eigvals(M)))
+
+        errors = []
+        for tol in (1e-8, 1e-10, 1e-12):
+            rep = monodromy_rep(conn, 0.5 - 1.5j, tol=tol)
+            M1, M2 = rep.matrices
+            loops = [abs(np.trace(rep.matrix_for_pole(t)) - traces(A))
+                     for t, A in ((0.0, A0), (1.0, A1))]
+            errors.append(max(abs(np.trace(M2 @ M1) - traces(A0 + A1)),
+                              *loops))
+            assert errors[-1] < tol
+        assert errors[0] > errors[1] > errors[2]
+
     def test_invariants_conjugation_invariant(self, rng):
         mats = random_fuchsian_matrices(rng, 2, 3)
         conn = fuchsian([-1.0, 0.4, 1.7], mats)

@@ -295,8 +295,9 @@ class TestChart:
 
     @staticmethod
     def einsum_products(blk):
-        """``gram_block`` and ``induced_variations`` by the ``einsum``
-        formulas, over the Hankel blocks ``H[:, m, k] = Lambda_{m+k}``."""
+        """``gram_block`` and every basis direction's polar variation by
+        the ``einsum`` formulas, over the Hankel blocks ``H[:, m, k] =
+        Lambda_{m+k}``."""
         E, lam, l = blk.etas, blk.lam, blk.l
         H = np.zeros(lam.shape[:1] + (l,) + lam.shape[1:], dtype=complex)
         for m in range(l):
@@ -322,8 +323,12 @@ class TestChart:
                 pole.l, pole.n, [pole.t, pole.t + 1.0],
                 np.stack([v, v + 0.2 * rng.standard_normal(v.size)]),
                 [pole.lam_irr] * 2))
-            for got, want in zip((blk.gram_block(), blk.induced_variations()),
-                                 self.einsum_products(blk)):
+            # a random tangent at each pole for the variations
+            vec = rng.standard_normal((2, blk.dim)) + 0.5j
+            gram, variations = self.einsum_products(blk)
+            for got, want in ((blk.gram_block(), gram),
+                              (blk.polar_variation(vec),
+                               np.einsum("gx,gxkpq->gkpq", vec, variations))):
                 assert np.max(np.abs(got - want)) < 1e-13 * np.max(
                     np.abs(want))
 
@@ -331,7 +336,8 @@ class TestChart:
         step = 1e-5
         for pole in self.chart_poles(rng):
             blk = PoleChartBlock(PoleGroup.stack((pole,)))
-            got = blk.induced_variations()[0]
+            got = np.stack([blk.polar_variation(e[None])[0]
+                            for e in np.eye(blk.dim)])
             v0 = pole.chart_slice()
             for x in range(blk.dim):
                 e = np.zeros_like(v0)

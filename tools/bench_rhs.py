@@ -12,15 +12,18 @@ the 4-pole Fuchsian state at n = 2, 3 and 4 with a translation of pole 1,
 and the order-2 irregular state with an irregular rate at its order-2 pole.
 Per case and repeat, each stage is timed on a fresh state of its own,
 built from the flat vector, so no stage reads what another built.  Before
-the clock of ``differential``, ``gram`` and ``solve`` starts, their state's
-polar coefficients (``polar``) and chart blocks (``blocks``), which more
-than one stage reads, are built; ``regular_jets`` is left to the stage
-that reads it, the differential, as in the flow's right-hand side.  So
+the clock of ``differential``, ``section``, ``gram`` and ``solve`` starts,
+their state's polar coefficients (``polar``) and chart blocks
+(``blocks``), which more than one stage reads, are built; ``regular_jets``
+is left to the stages that read it, as in the flow's right-hand side.  So
 ``rhs`` also holds work that no stage times: ``polar``, ``blocks`` and the
-reference lift:
+reference lift.  ``section`` is the extended system's, no part of ``rhs``:
 
 * ``build``: ``FlowState.with_flat``;
 * ``differential``: ``direction_differential``;
+* ``section``: ``flows._section_rates``, the extended system's dual rates
+  along the case's direction (the q slots' on the Fuchsian cases, the b
+  slots' pullbacks too on the irregular one);
 * ``gram``: every block's ``gram_block()``;
 * ``solve``: ``hamiltonian_vector_field`` less the ``gram`` time, since it
   assembles the Gram blocks itself;
@@ -51,7 +54,7 @@ from pathlib import Path
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS")
-STAGES = ("build", "differential", "gram", "solve", "rhs")
+STAGES = ("build", "differential", "section", "gram", "solve", "rhs")
 VERIFY = ("verify3", "verify9")
 
 # argv: checkout, repeats; prints one JSON object {case: {stage: us}}
@@ -63,8 +66,9 @@ sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "bench")]
 import numpy as np
 import workloads
 from isomonodromy.flows import (Direction, FlowPath, Trajectory,
-                                direction_differential, integrate_flow,
-                                isomonodromic_rhs, verify_isomonodromy)
+                                _section_rates, direction_differential,
+                                integrate_flow, isomonodromic_rhs,
+                                verify_isomonodromy)
 from isomonodromy.symplectic import hamiltonian_vector_field
 
 rng = np.random.default_rng(1009)
@@ -92,8 +96,8 @@ def built(state, y):
 out = {}
 for name, (state, direction) in cases.items():
     y = state.flat()
-    times = {stage: [] for stage in ("build", "differential", "gram",
-                                     "solve", "rhs")}
+    times = {stage: [] for stage in ("build", "differential", "section",
+                                     "gram", "solve", "rhs")}
     for rep in range(repeats + 3):       # three warm-up repeats
         t0 = clock()
         state.with_flat(y)
@@ -102,6 +106,10 @@ for name, (state, direction) in cases.items():
         t2 = clock()
         dH = direction_differential(direction, st)
         t3 = clock()
+        st = built(state, y)
+        ts = clock()
+        _section_rates(direction, st)
+        te = clock()
         st = built(state, y)
         t4 = clock()
         for block in st.blocks:
@@ -115,7 +123,7 @@ for name, (state, direction) in cases.items():
         t8 = clock()
         if rep >= 3:
             gram = t5 - t4
-            for stage, dt in zip(times, (t1 - t0, t3 - t2, gram,
+            for stage, dt in zip(times, (t1 - t0, t3 - t2, te - ts, gram,
                                          (t7 - t6) - gram, t8 - t7)):
                 times[stage].append(1e6 * dt)
     out[name] = {stage: statistics.median(v) for stage, v in times.items()}
