@@ -18,16 +18,30 @@ that of the circle, a keyhole's generator is ``L^-1 C L``.  With loops
 ordered by increasing argument from the base point, the product ``M_l ...
 M_1`` is the monodromy of a loop around everything, hence the identity
 whenever the form is regular at infinity.
+
+The triangular solve is LAPACK's ``ztrtrs`` from scipy's extension
+``scipy.linalg._flapack``, the very routine ``scipy.linalg.lapack``
+re-exports.  ``_load_flapack`` loads that extension by itself, after only
+scipy's top-level package: importing ``scipy.linalg`` would load some 300
+modules more, 75 of them scipy's.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from functools import partial
+from importlib.machinery import (
+    EXTENSION_SUFFIXES,
+    ExtensionFileLoader,
+    FileFinder,
+)
+from importlib.util import module_from_spec
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import ztrtrs
+import scipy
 
 from . import ode
 from .connection import TAU_SEP
@@ -36,6 +50,25 @@ from .ode import solve_ivp
 
 TAU_MONO = 1e-8
 DEFAULT_TOL = 1e-10
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, found in scipy's
+    ``linalg`` directory and run as that module, without the package."""
+    name = "scipy.linalg._flapack"
+    finder = FileFinder(str(Path(scipy.__file__).parent / "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension {name} is missing",
+                          name=name)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+ztrtrs = _load_flapack().ztrtrs
 
 
 # ---------------------------------------------------------------------------

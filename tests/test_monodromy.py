@@ -884,6 +884,66 @@ def test_nan_step_size_aborts_its_lane():
     assert "step size nan is not finite" in proc.stdout
 
 
+# a monodromy representation in a child process, which first imports
+# scipy.linalg (and so scipy's own load of the LAPACK extension) when told
+# to; prints whether scipy.linalg is loaded, then the matrices' bytes
+DOUBLE_LOAD_RUN = """
+import sys
+if sys.argv[1] == "scipy.linalg first":
+    import scipy.linalg
+import numpy as np
+from isomonodromy.connection import Connection
+from isomonodromy.monodromy import monodromy_rep
+
+rng = np.random.default_rng(11)
+mats = [0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        for _ in range(2)]
+conn = Connection.from_polar_parts(
+    [(0.0, [mats[0]]), (1.2, [mats[1]]), (-0.9, [-mats[0] - mats[1]])])
+rep = monodromy_rep(conn, 0.2 - 1.5j)
+print("scipy.linalg" in sys.modules)
+print(np.stack(rep.matrices).tobytes().hex())
+"""
+
+
+class TestLapackExtension:
+    """Transport's ``ztrtrs``, from the extension loaded without
+    ``scipy.linalg``, is the routine ``scipy.linalg.lapack`` exports, with
+    its bits, whichever of the two loads the extension first."""
+
+    def test_is_scipy_linalgs_routine(self):
+        from scipy.linalg import lapack
+        assert monodromy_module.ztrtrs is lapack.ztrtrs
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unit_lower_block_solves_have_scipys_bits(self, rng, n):
+        from scipy.linalg.lapack import ztrtrs
+        # transport's systems: 11 x 11 blocks of size n, unit-lower, with
+        # n right-hand sides; the matrix is built transposed and C-ordered,
+        # so it reaches LAPACK in Fortran order, and its diagonal is unread
+        mask = np.kron(np.tri(11, k=-1), np.ones((n, n))) + np.eye(11 * n)
+        for _ in range(200):
+            scale = 10.0 ** rng.integers(-6, 2)
+            T = (mask * random_matrix(rng, 11 * n, scale)).T.copy()
+            rhs = random_matrix(rng, 11 * n)[:, :n]
+            got = monodromy_module.ztrtrs(T.T, rhs, 1, 0, 1)
+            want = ztrtrs(T.T, rhs, 1, 0, 1)
+            assert same_bytes(got[0], want[0]) and got[1] == want[1] == 0
+
+    def test_transport_bits_do_not_depend_on_scipy_linalg(self):
+        src = str(FsPath(monodromy_module.__file__).resolve().parents[1])
+        outs = []
+        for order in ("scipy.linalg first", "library alone"):
+            proc = subprocess.run(
+                [sys.executable, "-c", DOUBLE_LOAD_RUN, order],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout.split())
+        assert [loaded for loaded, _ in outs] == ["True", "False"]
+        assert outs[0][1] == outs[1][1]
+
+
 class TestPolarPartsCache:
     def test_one_decomposition_per_connection(self, rng, monkeypatch):
         calls = count_calls(monkeypatch, connection_module, "polar_decompose")

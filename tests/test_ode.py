@@ -1,10 +1,11 @@
-"""The library's DOP853 (``isomonodromy.ode``) is scipy's, and the library
-loads no more of scipy than LAPACK.
+"""The library's DOP853 and event location (``isomonodromy.ode``) are
+scipy's, and the library loads no more of scipy than LAPACK.
 
 scipy is the oracle here: on the flows' own right-hand sides and events,
 every run of the library's ``solve_ivp`` takes the steps, evaluations and
-bits of scipy's (``scipy.integrate.solve_ivp(method="DOP853")``), and an
-aborting flow is located where scipy's ``t_events`` put it.
+bits of scipy's (``scipy.integrate.solve_ivp(method="DOP853")``), an
+aborting flow is located where scipy's ``t_events`` put it, and the
+library's ``brentq`` returns ``scipy.optimize.brentq``'s bits.
 """
 
 import ast
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
 import isomonodromy
 import isomonodromy.flows as flows
@@ -35,7 +37,8 @@ from isomonodromy.symplectic import chart_conditioning
 from conftest import random_fuchsian_matrices
 
 SRC = Path(isomonodromy.__file__).resolve().parents[1]
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+HEAVY = ("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special",
+         "scipy.sparse")
 
 
 def same_bytes(a, b):
@@ -184,46 +187,135 @@ def test_step_size_that_is_not_finite_fails_the_run():
     assert sol.nfev == 2 and sol.t == [0.0]
 
 
-# a flow and a monodromy run through the CLI, in the child's own process;
-# prints the heavy scipy packages loaded by then
+def test_brentq_is_scipys(rng):
+    # brackets of polynomials, sines and exponentials over scales from 1e-9
+    # to 1; an outcome is the root's bits or the exception's type
+    def outcome(solver, f, a, b):
+        try:
+            return solver(f, a, b, xtol=4 * ode.EPS, rtol=4 * ode.EPS)
+        except (ValueError, RuntimeError) as exc:
+            return type(exc)
+
+    families = [
+        lambda c: lambda x: np.polyval(c, x),
+        lambda c: lambda x: np.sin(3 * c[0] * x + c[1]) + 0.3 * c[2],
+        lambda c: lambda x: np.exp(c[0] * x) - abs(c[1]) - 0.1,
+        lambda c: lambda x: (x - c[0]) * (1 + 0.5 * np.cos(50 * x)),
+    ]
+    brackets = 0
+    while brackets < 2000:
+        f = families[rng.integers(len(families))](rng.standard_normal(5))
+        b = rng.uniform(-3, 3)
+        a = b - rng.uniform(0, 3) * 10.0 ** -rng.integers(0, 10)
+        if not f(a) * f(b) < 0:
+            continue
+        brackets += 1
+        want = outcome(scipy_brentq, f, a, b)
+        got = outcome(ode.brentq, f, a, b)
+        assert type(got) is type(want) and (got == want), (a, b)
+
+
+def harmonic(t, y):
+    return np.array([y[1], -y[0]])
+
+
+def run_both(events):
+    """``ode.solve_ivp`` and scipy's on the harmonic oscillator over [0, 6],
+    with the events terminal as they fall through zero."""
+    t_span, y0 = (0.0, 6.0), np.array([1.0, 0.0], dtype=complex)
+    ours = ode.solve_ivp(harmonic, t_span, y0, events=events, rtol=1e-8,
+                         atol=1e-8)
+    for event in events:
+        event.terminal, event.direction = True, -1
+    return ours, scipy_solve_ivp(harmonic, t_span, y0, method="DOP853",
+                                 events=events, rtol=1e-8, atol=1e-8)
+
+
+def counted(root):
+    def event(t, y):
+        event.calls += 1
+        return root - t
+    event.calls = 0
+    return event
+
+
+class TestEvents:
+    def test_two_events_on_one_step_end_at_the_earlier_root(self):
+        # the earlier root belongs to the later event; both are located
+        # (each is called off the grid of step ends)
+        late, early = counted(2.0 + 1e-7), counted(2.0)
+        sol, theirs = run_both([late, early])
+        assert sol.status == 1 and sol.event == 1
+        assert early.calls > len(sol.t) and late.calls > len(sol.t)
+        assert sol.t_event == sol.t[-1]
+        assert same_bytes(sol.t_event, theirs.t_events[1][0])
+
+    def test_a_tie_goes_to_the_lower_index(self):
+        first, second = counted(2.0), counted(2.0)
+        sol, theirs = run_both([first, second])
+        assert second.calls > len(sol.t)
+        assert sol.status == 1 and sol.event == 0
+        assert same_bytes(sol.t_event, theirs.t_events[0][0])
+
+    @pytest.mark.parametrize("end", ["interior", "last"])
+    def test_a_root_on_a_step_end_is_that_end(self, end):
+        # the run without events fixes the step ends, and an event adds none
+        ends = run_both([])[0].t
+        t_k = ends[len(ends) // 2] if end == "interior" else ends[-1]
+        event = counted(t_k)
+        sol, theirs = run_both([event])
+        assert event(t_k, None) == 0.0
+        assert sol.status == 1 and sol.event == 0
+        assert sol.t == ends[:ends.index(t_k) + 1] and sol.t_event == t_k
+        assert same_bytes(sol.t_event, theirs.t_events[0][0])
+        assert same_bytes(sol.y, theirs.y[:, -1])
+
+
+# a flow, a monodromy run and a flow whose pole collision aborts it, through
+# the CLI, in the child's own process; prints the scipy modules loaded by
+# then beyond those of scipy's top-level package
 CLI_RUN = """
 import json, sys
+import scipy
+before = set(sys.modules)
 from isomonodromy import cli
-spec, out = sys.argv[1:]
+spec, collision, out = sys.argv[1:]
 for command in ("flow", "monodromy"):
     assert cli.main([command, "--input", spec, "--out", out + command]) == 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith({heavy!r}))))
-""".replace("{heavy!r}", repr(HEAVY))
+assert cli.main(["flow", "--input", collision, "--out", out + "abort"]) == 3
+print(json.dumps(sorted(m for m in set(sys.modules) - before
+                        if m.startswith("scipy."))))
+"""
 
 
 def test_cli_runs_load_no_more_of_scipy_than_lapack(tmp_path):
     mats = [0.4 * M for M in
             random_fuchsian_matrices(np.random.default_rng(5), 2, 3)]
     state = fuchsian_state([0.0, 1.5, -1.2], mats)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "state": ser.flow_state(state), "samples": 3,
-        "path": {"kind": "line", "pole": 1, "displacement": [0.2, 0.1]}}))
+    spec, collision = tmp_path / "spec.json", tmp_path / "collision.json"
+    for path, pole, displacement in ((spec, 1, [0.2, 0.1]),
+                                     (collision, 0, [1.5, 0.0])):
+        path.write_text(json.dumps({
+            "state": ser.flow_state(state), "samples": 3,
+            "path": {"kind": "line", "pole": pole,
+                     "displacement": displacement}}))
     proc = subprocess.run(
-        [sys.executable, "-c", CLI_RUN, str(spec), str(tmp_path / "out-")],
+        [sys.executable, "-c", CLI_RUN, str(spec), str(collision),
+         str(tmp_path / "out-")],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out-flow" / "drift.json").exists()
     assert (tmp_path / "out-monodromy" / "monodromy.json").exists()
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert "aborted: pole_collision" in proc.stdout
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        "scipy.linalg._flapack"]
 
 
 def test_no_module_imports_the_heavy_scipy_packages():
-    # the one exception: the event location imports brentq, and only a run
-    # whose event fires reaches it
     found = []
     for path in sorted((SRC / "isomonodromy").glob("*.py")):
         tree = ast.parse(path.read_text())
-        scopes = {id(node): f"{path.stem}.{fn.name}"
-                  for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                  for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
@@ -231,6 +323,6 @@ def test_no_module_imports_the_heavy_scipy_packages():
                 names = [node.module + "." + a.name for a in node.names]
             else:
                 continue
-            found += [(scopes.get(id(node)), name) for name in names
+            found += [(path.stem, name) for name in names
                       if name.startswith(HEAVY)]
-    assert found == [("ode._locate", "scipy.optimize.brentq")]
+    assert found == []
