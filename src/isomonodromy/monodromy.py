@@ -22,8 +22,8 @@ whenever the form is regular at infinity.
 The triangular solve is LAPACK's ``ztrtrs`` from scipy's extension
 ``scipy.linalg._flapack``, the very routine ``scipy.linalg.lapack``
 re-exports.  ``_load_flapack`` loads that extension by itself, after only
-scipy's top-level package: importing ``scipy.linalg`` would load some 300
-modules more, 75 of them scipy's.
+scipy's top-level package, unless it is loaded already: importing
+``scipy.linalg`` would load some 300 modules more, 75 of them scipy's.
 """
 
 from __future__ import annotations
@@ -31,17 +31,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
-from importlib.machinery import (
-    EXTENSION_SUFFIXES,
-    ExtensionFileLoader,
-    FileFinder,
-)
-from importlib.util import module_from_spec
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from math import isqrt
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import ode
 from .connection import TAU_SEP
@@ -53,18 +47,26 @@ DEFAULT_TOL = 1e-10
 
 
 def _load_flapack():
-    """scipy's LAPACK extension ``scipy.linalg._flapack``, found in scipy's
-    ``linalg`` directory and run as that module, without the package."""
+    """scipy's LAPACK extension ``scipy.linalg._flapack``: the module
+    already loaded, if any, or else the extension found in the
+    ``scipy.linalg`` package's directory and run under that name, without
+    running the package (finding it imports only ``scipy``)."""
     name = "scipy.linalg._flapack"
-    finder = FileFinder(str(Path(scipy.__file__).parent / "linalg"),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec(name)
+    if name in sys.modules:
+        return sys.modules[name]
+    package = find_spec("scipy.linalg")
+    spec = package and PathFinder.find_spec(
+        name, package.submodule_search_locations)
     if spec is None:
         raise ImportError(f"scipy's LAPACK extension {name} is missing",
                           name=name)
     module = module_from_spec(spec)
     sys.modules[name] = module
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
     return module
 
 

@@ -15,8 +15,7 @@ scipy's steps and gets scipy's bits:
   control;
 * ``rk_step``, the nonlinear stage loop, and ``DOP853``, the solver that
   takes whole steps with it;
-* ``solve_ivp``, the integration loop, with terminal events, located by
-  ``brentq``, scipy's ``scipy.optimize`` Brent root finder.
+* ``solve_ivp``, the integration loop, with terminal events.
 
 The flows integrate with ``DOP853``.  Transport integrates a linear system
 with its own stepper (``monodromy._LinearDOP853``), whose lanes share the
@@ -27,7 +26,7 @@ and ``solve_ivp`` takes either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, isnan, nextafter, sqrt
+from math import isfinite, nextafter, sqrt
 
 import numpy as np
 
@@ -517,73 +516,9 @@ class Solution:
         return self.status >= 0
 
 
-# brentq is a port of scipy's scipy/optimize/Zeros/brentq.c (scipy 1.17),
-# with the checks of its Python wrapper, under the notice on the tableau
-# above.  It follows the C operation for operation, so it returns scipy's
-# bits.
-
-def brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """A root of ``f`` in the bracket ``[xa, xb]`` by Brent's method
-    (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch.
-    4), to within ``xtol + rtol |x|``: ``scipy.optimize.brentq``.  Raises
-    ``ValueError`` on a NaN value or a bracket without a sign change, and
-    ``RuntimeError`` if ``maxiter`` iterations do not converge."""
-    def value(x):
-        fx = float(f(x))
-        if isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    # the arguments as C doubles, as scipy's wrapper passes them
-    xpre, xcur, xtol, rtol = map(float, (xa, xb, xtol, rtol))
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate; C's quotient by an underflowed 0 is inf or
-                # nan, and either fails the short-step test below
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
-                        else inf)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations")
-
-
 def _locate(event, sol, t_old, t):
+    # scipy.optimize is imported by the first run that fires an event
+    from scipy.optimize import brentq
     return brentq(lambda s: event(s, sol(s)), t_old, t,
                   xtol=4 * EPS, rtol=4 * EPS)
 

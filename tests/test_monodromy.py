@@ -911,24 +911,36 @@ class TestLapackExtension:
     ``scipy.linalg``, is the routine ``scipy.linalg.lapack`` exports, with
     its bits, whichever of the two loads the extension first."""
 
-    def test_is_scipy_linalgs_routine(self):
-        from scipy.linalg import lapack
+    def test_is_scipy_linalgs_routine(self, monkeypatch):
+        from scipy.linalg import _flapack, lapack
         assert monodromy_module.ztrtrs is lapack.ztrtrs
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_unit_lower_block_solves_have_scipys_bits(self, rng, n):
-        from scipy.linalg.lapack import ztrtrs
-        # transport's systems: 11 x 11 blocks of size n, unit-lower, with
-        # n right-hand sides; the matrix is built transposed and C-ordered,
-        # so it reaches LAPACK in Fortran order, and its diagonal is unread
-        mask = np.kron(np.tri(11, k=-1), np.ones((n, n))) + np.eye(11 * n)
-        for _ in range(200):
-            scale = 10.0 ** rng.integers(-6, 2)
-            T = (mask * random_matrix(rng, 11 * n, scale)).T.copy()
-            rhs = random_matrix(rng, 11 * n)[:, :n]
-            got = monodromy_module.ztrtrs(T.T, rhs, 1, 0, 1)
-            want = ztrtrs(T.T, rhs, 1, 0, 1)
-            assert same_bytes(got[0], want[0]) and got[1] == want[1] == 0
+        # a second load returns the module loaded, and loads nothing again
+        def fail(loader, spec):
+            raise AssertionError("the extension is loaded again")
+
+        monkeypatch.setattr(type(_flapack.__spec__.loader), "create_module",
+                            fail)
+        assert monodromy_module._load_flapack() is _flapack
+
+    def test_a_failed_load_names_the_extension_and_leaves_no_module(
+            self, monkeypatch):
+        name = "scipy.linalg._flapack"
+        loaded = sys.modules[name]
+        monkeypatch.delitem(sys.modules, name)
+
+        def fail(loader, module):
+            raise ImportError("unloadable")
+
+        monkeypatch.setattr(type(loaded.__spec__.loader), "exec_module", fail)
+        with pytest.raises(ImportError, match="unloadable"):
+            monodromy_module._load_flapack()
+        assert name not in sys.modules
+        monkeypatch.setattr(monodromy_module.PathFinder, "find_spec",
+                            lambda *args: None)
+        with pytest.raises(ImportError, match="extension " + name) as error:
+            monodromy_module._load_flapack()
+        assert error.value.name == name and name not in sys.modules
 
     def test_transport_bits_do_not_depend_on_scipy_linalg(self):
         src = str(FsPath(monodromy_module.__file__).resolve().parents[1])

@@ -1,11 +1,10 @@
-"""The library's DOP853 and event location (``isomonodromy.ode``) are
-scipy's, and the library loads no more of scipy than LAPACK.
+"""The library's DOP853 (``isomonodromy.ode``) is scipy's, and the library
+loads no more of scipy than LAPACK.
 
 scipy is the oracle here: on the flows' own right-hand sides and events,
 every run of the library's ``solve_ivp`` takes the steps, evaluations and
-bits of scipy's (``scipy.integrate.solve_ivp(method="DOP853")``), an
-aborting flow is located where scipy's ``t_events`` put it, and the
-library's ``brentq`` returns ``scipy.optimize.brentq``'s bits.
+bits of scipy's (``scipy.integrate.solve_ivp(method="DOP853")``), and an
+aborting flow is located where scipy's ``t_events`` put it.
 """
 
 import ast
@@ -19,7 +18,6 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
-from scipy.optimize import brentq as scipy_brentq
 
 import isomonodromy
 import isomonodromy.flows as flows
@@ -187,34 +185,6 @@ def test_step_size_that_is_not_finite_fails_the_run():
     assert sol.nfev == 2 and sol.t == [0.0]
 
 
-def test_brentq_is_scipys(rng):
-    # brackets of polynomials, sines and exponentials over scales from 1e-9
-    # to 1; an outcome is the root's bits or the exception's type
-    def outcome(solver, f, a, b):
-        try:
-            return solver(f, a, b, xtol=4 * ode.EPS, rtol=4 * ode.EPS)
-        except (ValueError, RuntimeError) as exc:
-            return type(exc)
-
-    families = [
-        lambda c: lambda x: np.polyval(c, x),
-        lambda c: lambda x: np.sin(3 * c[0] * x + c[1]) + 0.3 * c[2],
-        lambda c: lambda x: np.exp(c[0] * x) - abs(c[1]) - 0.1,
-        lambda c: lambda x: (x - c[0]) * (1 + 0.5 * np.cos(50 * x)),
-    ]
-    brackets = 0
-    while brackets < 2000:
-        f = families[rng.integers(len(families))](rng.standard_normal(5))
-        b = rng.uniform(-3, 3)
-        a = b - rng.uniform(0, 3) * 10.0 ** -rng.integers(0, 10)
-        if not f(a) * f(b) < 0:
-            continue
-        brackets += 1
-        want = outcome(scipy_brentq, f, a, b)
-        got = outcome(ode.brentq, f, a, b)
-        assert type(got) is type(want) and (got == want), (a, b)
-
-
 def harmonic(t, y):
     return np.array([y[1], -y[0]])
 
@@ -271,20 +241,25 @@ class TestEvents:
         assert same_bytes(sol.y, theirs.y[:, -1])
 
 
-# a flow, a monodromy run and a flow whose pole collision aborts it, through
-# the CLI, in the child's own process; prints the scipy modules loaded by
-# then beyond those of scipy's top-level package
+# a flow and a monodromy run through the CLI, in the child's own process,
+# then a flow whose pole collision aborts it, whose event location imports
+# scipy.optimize and with it scipy.linalg; prints the scipy modules the first
+# two loaded beyond those of scipy's top-level package, then whether
+# scipy.linalg.lapack exports the library's ztrtrs, loaded before it
 CLI_RUN = """
 import json, sys
 import scipy
 before = set(sys.modules)
-from isomonodromy import cli
+from isomonodromy import cli, monodromy
 spec, collision, out = sys.argv[1:]
 for command in ("flow", "monodromy"):
     assert cli.main([command, "--input", spec, "--out", out + command]) == 0
+footprint = sorted(m for m in set(sys.modules) - before
+                   if m.startswith("scipy."))
 assert cli.main(["flow", "--input", collision, "--out", out + "abort"]) == 3
-print(json.dumps(sorted(m for m in set(sys.modules) - before
-                        if m.startswith("scipy."))))
+from scipy.linalg import lapack
+print(json.dumps(footprint))
+print(lapack.ztrtrs is monodromy.ztrtrs)
 """
 
 
@@ -308,14 +283,20 @@ def test_cli_runs_load_no_more_of_scipy_than_lapack(tmp_path):
     assert (tmp_path / "out-flow" / "drift.json").exists()
     assert (tmp_path / "out-monodromy" / "monodromy.json").exists()
     assert "aborted: pole_collision" in proc.stdout
-    assert json.loads(proc.stdout.splitlines()[-1]) == [
-        "scipy.linalg._flapack"]
+    footprint, same_routine = proc.stdout.splitlines()[-2:]
+    assert json.loads(footprint) == ["scipy.linalg._flapack"]
+    assert same_routine == "True"
 
 
 def test_no_module_imports_the_heavy_scipy_packages():
+    # the one exception: the event location imports brentq, and only a run
+    # whose event fires reaches it
     found = []
     for path in sorted((SRC / "isomonodromy").glob("*.py")):
         tree = ast.parse(path.read_text())
+        scopes = {id(node): f"{path.stem}.{fn.name}"
+                  for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
@@ -323,6 +304,6 @@ def test_no_module_imports_the_heavy_scipy_packages():
                 names = [node.module + "." + a.name for a in node.names]
             else:
                 continue
-            found += [(path.stem, name) for name in names
+            found += [(scopes.get(id(node)), name) for name in names
                       if name.startswith(HEAVY)]
-    assert found == []
+    assert found == [("ode._locate", "scipy.optimize.brentq")]
