@@ -310,15 +310,19 @@ def _parser():
         description="monodromy-preserving deformation flows at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("flow", "monodromy", "hamiltonian", "verify", "pairing"):
+        # each subcommand accepts the options it reads, and no other
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="JSON run spec")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override integration tolerances")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
-        p.add_argument("--pin", type=int, nargs="*", default=None,
-                       help="indices of up to three pinned poles")
+        if name != "hamiltonian":
+            p.add_argument("--tol", type=float, default=None,
+                           help="override integration tolerances")
+        if name == "pairing":
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for randomized checks")
+        if name in ("flow", "verify"):
+            p.add_argument("--pin", type=int, nargs="*", default=None,
+                           help="indices of up to three pinned poles")
     return parser
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -222,13 +222,21 @@ def polar_decompose(A):
     return pole_data, tail
 
 
-def extension_weights(k, dist, m_max):
-    """Taylor coefficients at orders 0..m_max of ``1/(zeta+dist)**k``: the
-    polar term ``C/(z-t)**k``, seen from a point at ``dist`` from ``t``, has
-    the coefficients ``C * w``.  ``dist`` and the weights are Python complex
-    numbers; a numpy ``dist`` changes ``dist ** -(k+m)`` in the last bit."""
-    return [(-1) ** m * math.comb(k + m - 1, m) * dist ** (-(k + m))
-            for m in range(m_max + 1)]
+@cache
+def _signed_binomials(L, M):
+    k, m = np.ogrid[1: L + 1, :M]
+    comb = np.frompyfunc(math.comb, 2, 1)(k + m - 1, m).astype(float)
+    return (-1.0) ** m * comb, -(k + m)
+
+
+def extension_weights(dists, L, M):
+    """The table ``w[..., k-1, m] = (-1)**m C(k+m-1, m) dist**-(k+m)``, for
+    ``k = 1 .. L`` and ``m = 0 .. M-1``, at every entry of ``dists``: the
+    polar term ``C/(z-t)**k`` has the Taylor coefficients ``C * w[..., k-1,
+    :]`` at a distance ``dist`` from ``t``.  The signed binomials are cached
+    per ``(L, M)``."""
+    signs, powers = _signed_binomials(L, M)
+    return signs * np.asarray(dists, dtype=complex)[..., None, None] ** powers
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +249,12 @@ class DiagonalJetPair:
     ``A = dZ Z^-1 + Z B Z^-1`` through the requested truncation.
 
     ``pullback(B_weight)`` is the reverse-mode differential: ``B_weight`` of
-    shape ``(orders, n)`` weights the diagonals of ``B``'s rows, and the
-    result is the differential of ``sum B_weight * diag(B)`` as a weight on
-    the jet, shaped like the jet's coefficients: its value on a variation
-    ``dA`` is ``sum_K tr(A_weight[K] dA[K])``.
+    shape ``(..., orders, n)`` weights the diagonals of ``B``'s rows, and
+    the result is the differential of ``sum B_weight * diag(B)`` as a weight
+    on the jet, shaped like the jet's coefficients after the same leading
+    axes: its value on a variation ``dA`` is ``sum_K tr(A_weight[K]
+    dA[K])``.  Each slice of a stacked weight gets the bits of its own
+    pullback.
     """
 
     Z: LaurentJet
@@ -295,8 +305,9 @@ def diagonalize_jet(Ajet, order):
 
     The pair's ``pullback`` runs the recursion's tangent transposed over
     the value pass's stored orders: the orders backwards, then the
-    eigenframe step ``X``, then the ``V^-1 . V`` conjugation; one sweep per
-    weight, whatever the number of variations.  The leading eigenframe
+    eigenframe step ``X``, then the ``V^-1 . V`` conjugation; one sweep for
+    all the weights stacked on its leading axes, whatever the number of
+    variations.  The leading eigenframe
     moves by ``V X`` with ``X_ab = (V^-1 dA_-l V)_ab / (w_b - w_a)`` off the
     diagonal, so ``d(V^-1 A_i V) = V^-1 dA_i V + [V^-1 A_i V, X]``.  ``X``
     has zero diagonal: ``B`` does not change under diagonal rescaling of
@@ -357,34 +368,39 @@ def diagonalize_jet(Ajet, order):
     def pullback(B_weight):
         # the bar of each tangent variable Y pairs with it by the trace, the
         # differential being sum tr(bar_Y dY); bar_B holds diagonals.  At
-        # holds every acoef(i), row i + l
+        # holds every acoef(i), row i + l; the weights' leading axes ride
+        # along in front of every bar
         At = Vinv @ Ajet.coeffs @ V
         gap = np.where(offdiag, w[None, :] - w[:, None], 1.0)
         bar_B = np.array(B_weight, dtype=complex)
-        bar_U = np.zeros((order + 1, n, n), dtype=complex)
-        bar_At = np.zeros_like(At)
-        bar_d = np.zeros(n, dtype=complex)
+        lead = bar_B.shape[:-2]
+        bar_U = np.zeros((*lead, order + 1, n, n), dtype=complex)
+        bar_At = np.zeros((*lead, *At.shape), dtype=complex)
+        bar_d = np.zeros((*lead, n), dtype=complex)
         for k in range(order, 0, -1):
             m = -l + k
             solved, denom = divisors[k - 1]
-            Q = np.where(solved, bar_U[k].T / denom, 0.0)
-            R = Q.T - np.diag(bar_B[k])    # the bar of drhs
+            Q = np.where(solved, bar_U[..., k, :, :].swapaxes(-1, -2) / denom,
+                         0.0)
+            R = Q.swapaxes(-1, -2).copy()  # the bar of drhs: less diag(bar_B)
+            R.reshape(*lead, n * n)[..., :: n + 1] -= bar_B[..., k, :]
             P = Q * U[k]                   # of -dd_ab, entrywise
-            bar_d += P.sum(axis=0) - P.sum(axis=1)
+            bar_d += P.sum(axis=-2) - P.sum(axis=-1)
             for j in range(0, k):
-                bar_At[k - j] -= U[j] @ R
-                bar_U[j] -= R @ At[k - j]
+                bar_At[..., k - j, :, :] -= U[j] @ R
+                bar_U[..., j, :, :] -= R @ At[k - j]
             if 1 <= m + 1 < k:
-                bar_U[m + 1] += (m + 1) * R
+                bar_U[..., m + 1, :, :] += (m + 1) * R
             for i in range(1, k):
-                bar_U[i] += B[k - i] @ R
-                bar_B[k - i] += np.einsum("ca,ac->c", R, U[i])
-        bar_At[0] += np.diag(bar_B[0] + bar_d)
+                bar_U[..., i, :, :] += B[k - i] @ R
+                bar_B[..., k - i, :] += np.einsum("...ca,ac->...c", R, U[i])
+        bar_d += bar_B[..., 0, :]          # onto the diagonal of row 0
+        bar_At.reshape(*lead, -1)[..., : n * n: n + 1] += bar_d
         # dAt = V^-1 dA V + [At, X], X the off-diagonal of dAt_0 / gap
-        bar_X = (bar_At @ At - At @ bar_At).sum(axis=0)
-        bar_At[0] += np.where(offdiag, bar_X / gap.T, 0.0)
-        A_weight = np.zeros((K, n, n), dtype=complex)
-        A_weight[Ajet.k_min - k_min:] = V @ bar_At @ Vinv
+        bar_X = (bar_At @ At - At @ bar_At).sum(axis=-3)
+        bar_At[..., 0, :, :] += np.where(offdiag, bar_X / gap.T, 0.0)
+        A_weight = np.zeros((*lead, K, n, n), dtype=complex)
+        A_weight[..., Ajet.k_min - k_min:, :, :] = V @ bar_At @ Vinv
         return A_weight
 
     Zc = np.stack([V @ u for u in U])

@@ -492,8 +492,8 @@ def _section_rates(direction, state):
     ``d/d dist C (zeta + dist)**-k = -k C (zeta + dist)**-(k+1)``: an order
     ``k + 1`` term ``-(dt_i - dt_j) k C_k``.  At pole i the section values'
     weights on its jet are stacked, the q slot's as in
-    ``d_translation_hamiltonian`` and one pullback of a unit weight on
-    ``B``'s diagonal per b-slot component, taken to every pole's polar
+    ``d_translation_hamiltonian`` and the b slots' as one pullback of the
+    unit weights on ``B``'s diagonal stacked, taken to every pole's polar
     coefficients by ``polar_weights`` and paired with these variations.
     """
     dt = np.zeros(len(state.poles), dtype=complex)
@@ -513,19 +513,21 @@ def _section_rates(direction, state):
         moves.append(move)
     dq, db = [], []
     for i, p in enumerate(state.poles):
-        polar_w = [2.0 * state.regular_jets[i]]
-        regular_w = [2.0 * np.asarray(state.polar[i])]
-        if p.l > 1:
-            pair = diagonalize_jet(state.jet_at_pole(i), 2 * p.l - 2)
-            for unit in np.eye((p.l - 1) * p.n).reshape(-1, p.l - 1, p.n):
-                A_weight = pair.pullback(np.concatenate([np.zeros((p.l, p.n)),
-                                                         unit]))
-                polar_w.append(A_weight[p.l - 1::-1])
-                regular_w.append(np.concatenate(
-                    [A_weight[p.l:], np.zeros((1, p.n, p.n))]))
-        rates = np.zeros(len(polar_w), dtype=complex)
+        x = (p.l - 1) * p.n
+        polar_w = np.empty((1 + x, p.l, p.n, p.n), dtype=complex)
+        regular_w = np.zeros_like(polar_w)
+        polar_w[0] = 2.0 * state.regular_jets[i]
+        regular_w[0] = 2.0 * np.asarray(state.polar[i])
+        if x:    # a unit weight on each entry of B's orders 0 .. l - 2
+            units = np.zeros((x, 2 * p.l - 1, p.n))
+            units[:, p.l:] = np.eye(x).reshape(x, p.l - 1, p.n)
+            A_weight = diagonalize_jet(state.jet_at_pole(i),
+                                       2 * p.l - 2).pullback(units)
+            polar_w[1:] = A_weight[:, p.l - 1::-1]
+            regular_w[1:, :-1] = A_weight[:, p.l:]
+        rates = np.zeros(1 + x, dtype=complex)
         for g, move, W in zip(state.groups, moves, polar_weights(
-                state, i, np.stack(polar_w), np.stack(regular_w), extra=1)):
+                state, i, polar_w, regular_w, extra=1)):
             dC = move[0] - (dt[i] - dt[list(g.index)])[:, None, None, None] \
                 * move[1]
             rates += np.einsum("gxkpq,gkqp->x", W, dC)

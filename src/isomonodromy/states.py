@@ -32,16 +32,15 @@ u)`` and of ``F^-1``), ``lam_jet`` and ``polar``.  ``dressed_polar`` is the
 one map from dressed polar jets to connection polar coefficients:
 ``polar`` dresses ``lam_jet``, and the chart layer and the flows dress
 their variations with it.  The batched products give every pole exactly
-the bits a product of its own would.  Pole positions stay Python complex
-numbers, because ``connection.extension_weights`` takes powers of their
-differences.
+the bits a product of its own would.
 
 A ``FlowState`` owns the data derived from its poles, each computed once, on
 first use: its groups (``groups``, by order in order of first appearance,
 with each pole's index and chart coordinates), the polar coefficients
 (``polar``), the regular jets of the other poles' polar parts at every pole
-(``regular_jets``, summed group by group), the chart layer's per-group
-blocks (``blocks``) and the rank guard's measure on them
+(``regular_jets``, one product of the table ``connection.extension_weights``
+at every pair of poles with the padded polar coefficients), the chart
+layer's per-group blocks (``blocks``) and the rank guard's measure on them
 (``conditioning``).  ``jet_at_pole`` and ``diagonal_jet`` assemble a
 pole's Laurent jet and formal diagonal jet from them.  The chart layer and
 the flows read these attributes and take only the state.  ``with_flat``
@@ -332,26 +331,24 @@ class FlowState:
     def regular_jets(self):
         """Taylor coefficients at every pole of the other poles' polar parts
         (the regular part of A there), orders ``0 .. l_i-1`` at pole i:
-        every order that pairs with the pole's own polar part.
-
-        A group's jets are one masked sum over the stacked terms
-        ``C_k extension_weights(k, t_i - t_j)``, source pole by source pole
-        and order by order, a pole's own terms masked out."""
-        out = [None] * len(self.poles)
-        terms = [(j, k, C) for j, C_j in enumerate(self.polar)
-                 for k, C in enumerate(C_j, start=1)]
-        C = np.array([C for _, _, C in terms])
+        every order that pairs with the pole's own polar part: one product
+        of the table ``extension_weights`` at every pair of poles, a pole's
+        own pair masked out, with the polar coefficients padded to the
+        longest order."""
+        ts = np.array([p.t for p in self.poles])
+        K, n = len(ts), self.n
+        L = max((g.l for g in self.groups), default=0)
+        C = np.zeros((K, L, n, n), dtype=complex)
         for g in self.groups:
-            w = np.array([[extension_weights(k, t - self.poles[j].t, g.l - 1)
-                           if i != j else [0] * g.l
-                           for i, t in zip(g.index, g.t)]
-                          for j, k, _ in terms], dtype=complex)
-            mask = np.array([[[i != j] for i in g.index] for j, _, _ in terms])
-            R = np.add.reduce(C[:, None, None] * w[..., None, None], axis=0,
-                              where=mask[..., None, None], initial=0)
-            for i, Ri in zip(g.index, R):
-                out[i] = Ri
-        return out
+            C[list(g.index), : g.l] = g.polar
+        # own pairs: a unit distance keeps the powers finite, then zeroed
+        dists = ts[:, None] - ts
+        np.fill_diagonal(dists, 1.0)
+        w = extension_weights(dists, L, L)
+        w.reshape(K * K, L, L)[:: K + 1] = 0.0
+        R = (w.transpose(0, 3, 1, 2).reshape(K * L, K * L)
+             @ C.reshape(K * L, n * n)).reshape(K, L, n, n)
+        return [R[i, : p.l] for i, p in enumerate(self.poles)]
 
     @cached_property
     def blocks(self):
@@ -368,10 +365,8 @@ class FlowState:
     def jet_at_pole(self, i):
         """Laurent jet of A at pole i, orders ``-l_i .. l_i-2``."""
         p = self.poles[i]
-        coeffs = np.zeros((2 * p.l - 1, self.n, self.n), dtype=complex)
-        for k, C in enumerate(self.polar[i], start=1):
-            coeffs[p.l - k] = C
-        coeffs[p.l:] = self.regular_jets[i][: p.l - 1]
+        coeffs = np.concatenate([np.asarray(self.polar[i])[::-1],
+                                 self.regular_jets[i][: p.l - 1]])
         return LaurentJet(p.t, -p.l, coeffs, 0)
 
     def diagonal_jet(self, i):

@@ -62,7 +62,8 @@ not grow with the basis.  Each is a weight on the pole's Laurent jet:
 twice the jet itself, read backwards, for ``res tr(A^2)``; for the pairing,
 ``beta`` taken back by the ``pullback`` of ``connection.diagonalize_jet``.
 ``polar_weights`` transposes the jet's dependence on the poles' polar
-parts, and ``_jet_covector`` hands each group's weights to
+parts, the table ``connection.extension_weights`` that ``regular_jets``
+contracts forward, and ``_jet_covector`` hands each group's weights to
 ``PoleChartBlock.covector``, which pulls them back through the dressing
 and contracts them once with the basis velocities; neither builds a basis
 direction's polar or jet variation.  The extended system's section rates
@@ -422,17 +423,6 @@ def hamiltonian_beta_B(state, i, beta):
     return complex(acc)
 
 
-def _extension_weights(dists, L, m_max):
-    """The coefficients of a unit polar term ``1.0 * (z-t)**-k`` seen from
-    each distance, for ``k = 1 .. L``: shape ``(len(dists), L, m_max + 1)``.
-    Each entry is the product ``1.0 * w`` with ``w`` from
-    ``extension_weights``, which can differ from ``w`` in the sign of a zero
-    part."""
-    return np.array([[[1.0 * w for w in extension_weights(k, dist, m_max)]
-                      for k in range(1, L + 1)] for dist in dists],
-                    dtype=complex)
-
-
 def polar_weights(state, i, polar_weight, regular_weight, extra=0):
     """Weights on every pole's polar coefficients, group by group, of a
     function of pole ``i``'s Laurent jet given its weights on the jet:
@@ -441,26 +431,23 @@ def polar_weights(state, i, polar_weight, regular_weight, extra=0):
     by the trace, with the same leading axes.
 
     This transposes the jet's dependence on the poles' polar parts: pole
-    ``i``'s own polar rows, and the other poles' terms seen from ``t_i``
-    (``extension_weights``) on its regular rows.  A group's weights have
-    shape ``(G, ..., l + extra, n, n)``, row ``k - 1`` weighting the
-    coefficient of ``(z - t_j)**-k``; pole ``i``'s own rows past ``l_i``
-    are zero."""
+    ``i``'s own polar rows, and on its regular rows the other poles' terms
+    seen from ``t_i``, the table ``extension_weights`` transposed.  A
+    group's weights have shape ``(G, ..., l + extra, n, n)``, row ``k - 1``
+    weighting the coefficient of ``(z - t_j)**-k``; pole ``i``'s own rows
+    past ``l_i`` are zero."""
     t_i = state.poles[i].t
-    *lead, M = regular_weight.shape[:-2]
+    M = regular_weight.shape[-3]
     for grp in state.groups:
-        L = grp.l + extra
-        weight = np.zeros((len(grp.index), *lead, L, state.n, state.n),
-                          dtype=complex)
-        others = [r for r, j in enumerate(grp.index) if j != i]
-        if others:
-            ext = _extension_weights([t_i - grp.t[r] for r in others], L,
-                                     M - 1)
-            weight[others] = np.einsum("gkm,...mpq->g...kpq", ext,
-                                       regular_weight)
-        if len(others) < len(grp.index):
-            weight[grp.index.index(i), ..., : polar_weight.shape[-3], :, :] \
-                = polar_weight
+        own = [r for r, j in enumerate(grp.index) if j == i]
+        dists = t_i - np.array(grp.t)
+        dists[own] = 1.0       # finite powers; the row is overwritten below
+        weight = np.einsum("gkm,...mpq->g...kpq",
+                           extension_weights(dists, grp.l + extra, M),
+                           regular_weight)
+        for r in own:
+            weight[r] = 0.0
+            weight[r, ..., : polar_weight.shape[-3], :, :] = polar_weight
         yield weight
 
 
@@ -492,14 +479,8 @@ def d_hamiltonian_beta_B(state, i, beta):
 
 def translation_hamiltonian_values(state):
     """``res_{t_i} tr(A^2)`` for every pole, via the polar-jet fast path."""
-    polar, regular = state.polar, state.regular_jets
-    vals = []
-    for i, p in enumerate(state.poles):
-        acc = 0.0 + 0j
-        for k in range(1, p.l + 1):
-            acc += 2.0 * np.trace(polar[i][k - 1] @ regular[i][k - 1])
-        vals.append(complex(acc))
-    return vals
+    return [complex(sum(2.0 * np.trace(C @ R) for C, R in zip(Cs, Rs)))
+            for Cs, Rs in zip(state.polar, state.regular_jets)]
 
 
 def d_translation_hamiltonian(state, i):

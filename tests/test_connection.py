@@ -367,7 +367,9 @@ class TestFormalDiagonalize:
         # for any weight on B's diagonal and any jet variation, the weight
         # the pullback gives on the jet pairs with the variation as the
         # weight pairs with the reference's forward tangent of B; the jet
-        # starts with a zero row, which the recursion drops
+        # starts with a zero row, which the recursion drops.  Weights
+        # stacked on leading axes take one sweep, and each slice gets the
+        # bits of its own pullback
         n, order = 3, 2 * l
         coeffs = 0.3 * np.stack([random_matrix(rng, n)
                                  for _ in range(2 * l + 2)])
@@ -377,7 +379,16 @@ class TestFormalDiagonalize:
                        for _ in range(4)])
         weight = random_matrix(rng, max(n, order + 1))[: order + 1, :n]
         jet = LaurentJet(0.0, -l - 1, coeffs, 1)
-        A_weight = diagonalize_jet(jet, order).pullback(weight)
+        pair = diagonalize_jet(jet, order)
+        A_weight = pair.pullback(weight)
+        stacked = np.stack([[weight, random_matrix(rng, order + 1)[:, :n]],
+                            [2.0 * weight, np.zeros_like(weight)]])
+        A_stacked = pair.pullback(stacked)
+        assert A_stacked.shape == (2, 2) + coeffs.shape
+        for ab in np.ndindex(2, 2):
+            assert A_stacked[ab].tobytes() == pair.pullback(
+                stacked[ab]).tobytes()
+        assert A_stacked[0, 0].tobytes() == A_weight.tobytes()
         dB = diagonal_jet_tangents(jet, order, dA)[1]
         assert A_weight.shape == coeffs.shape
         assert not np.any(A_weight[0])

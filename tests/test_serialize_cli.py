@@ -233,9 +233,9 @@ class TestCli:
     def test_flow_deterministic_bytes(self, flow_spec, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert cli_main(["flow", "--input", str(flow_spec),
-                         "--out", str(out1), "--seed", "7"]) == 0
+                         "--out", str(out1)]) == 0
         assert cli_main(["flow", "--input", str(flow_spec),
-                         "--out", str(out2), "--seed", "7"]) == 0
+                         "--out", str(out2)]) == 0
         for name in ("trajectory.csv", "drift.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -580,14 +580,13 @@ class TestCli:
         sp = tmp_path / "spec.json"
         sp.write_text("{}")
         assert cli_main(["flow", "--input", str(sp), "--out", "a",
-                         "--tol", "1e-9", "--seed", "7",
-                         "--pin", "0", "2"]) == 0
+                         "--tol", "1e-9", "--pin", "0", "2"]) == 0
         assert cli_main(["monodromy", "--input", str(sp)]) == 0
         first, second = (vars(a) for a in seen)
         assert first == {"command": "flow", "input": str(sp), "out": "a",
-                         "tol": 1e-9, "seed": 7, "pin": [0, 2]}
+                         "tol": 1e-9, "pin": [0, 2]}
         assert second == {"command": "monodromy", "input": str(sp),
-                          "out": ".", "tol": None, "seed": 0, "pin": None}
+                          "out": ".", "tol": None}
 
     @pytest.mark.parametrize("command", ["flow", "verify", "monodromy"])
     def test_base_point_on_a_pole(self, flow_spec, tmp_path, monkeypatch,
@@ -718,12 +717,22 @@ class TestCli:
         assert "pole t = (-0.35+0j) is singular" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("pin", ["7", "-1"])
-    def test_pin_out_of_range(self, flow_spec, tmp_path, pin, capsys):
-        rc = cli_main(["flow", "--input", str(flow_spec),
-                       "--out", str(tmp_path / "o"), "--pin", pin])
+    @pytest.mark.parametrize("command, option, value", [
+        pytest.param("flow", "--pin", "7", id="7"),
+        pytest.param("flow", "--pin", "-1", id="-1"),
+        # a subcommand refuses an option it does not read
+        pytest.param("monodromy", "--pin", "0", id="monodromy-pin"),
+        pytest.param("flow", "--seed", "1", id="flow-seed")])
+    def test_pin_out_of_range(self, flow_spec, tmp_path, command, option,
+                              value, capsys):
+        try:
+            rc = cli_main([command, "--input", str(flow_spec),
+                           "--out", str(tmp_path / "o"), option, value])
+        except SystemExit as exc:    # argparse's refusals exit from parsing
+            rc = exc.code
         assert rc == 4
-        assert "--pin" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("beta", [[[[1.0, 0.0]]], [[[1.0, 0.0]] * 2] * 3])
     def test_hamiltonian_malformed_beta(self, tmp_path, rng, beta):

@@ -10,6 +10,9 @@ subprocess per checkout, in alternating order, with one BLAS thread as in
 states from its ``bench/workloads.py``.  The cases are the benchmark's:
 the 4-pole Fuchsian state at n = 2, 3 and 4 with a translation of pole 1,
 and the order-2 irregular state with an irregular rate at its order-2 pole.
+Two many-pole cases follow, ``k16`` and ``k64``: rank-2 Fuchsian states
+with 16 and 64 poles 0.5 apart on the real line, with a translation of
+pole 1; they are drawn after the others, so those keep their states.
 Per case and repeat, each stage is timed on a fresh state of its own,
 built from the flat vector, so no stage reads what another built.  Before
 the clock of ``differential``, ``section``, ``gram`` and ``solve`` starts,
@@ -30,8 +33,9 @@ reference lift.  ``section`` is the extended system's, no part of ``rhs``:
 * ``rhs``: one whole ``isomonodromic_rhs(...).flat()`` on a state it
   builds itself, as the flow integrator calls it.
 
-and, apart from these stages, ``verify``: ``verify_isomonodromy`` of the
-case's trajectory along its direction (the benchmark's path: the Fuchsian
+and, apart from these stages and on the four benchmark cases only,
+``verify``: ``verify_isomonodromy`` of the case's trajectory along its
+direction (the benchmark's path: the Fuchsian
 line, the irregular line of length ``IRREGULAR_LENGTH``), integrated once
 with 9 samples and verified at all 9 and at 3 of them (s = 0, 0.5, 1), one
 repeat for every 20 of the stages'.
@@ -83,6 +87,9 @@ rate = workloads.irregular_rate(rng, state.poles[0].lam_irr[0])
 cases["irregular"] = (state, Direction.irregular(0, [rate]))
 paths["irregular"] = FlowPath.irregular_line(
     state, 0, [rate], length=workloads.IRREGULAR_LENGTH)
+for K in (16, 64):       # drawn last: the cases above keep their states
+    state = workloads.fuchsian_state(rng, 2, [0.5 * j for j in range(K)])
+    cases[f"k{K}"] = (state, Direction.translation(1, workloads.FUCHSIAN_SHIFT))
 
 clock = time.perf_counter
 
@@ -128,8 +135,8 @@ for name, (state, direction) in cases.items():
                 times[stage].append(1e6 * dt)
     out[name] = {stage: statistics.median(v) for stage, v in times.items()}
 # after every case's stages, so that no stage runs after a verification
-for name, (state, _) in cases.items():
-    traj = integrate_flow(state, paths[name], n_samples=9)
+for name, path in paths.items():
+    traj = integrate_flow(cases[name][0], path, n_samples=9)
     for samples, keep in ((3, slice(None, None, 4)), (9, slice(None))):
         sampled = Trajectory(traj.samples[keep], traj.states[keep])
         runs = []
@@ -178,7 +185,9 @@ def main(argv=None):
 
     def table(stages):
         out = {}
-        for case in rounds["old"][0]:
+        for case, cells in rounds["old"][0].items():
+            if not set(stages) <= set(cells):
+                continue
             out[case] = {}
             for stage in stages:
                 med = {side: statistics.median(r[case][stage]
@@ -201,7 +210,7 @@ def main(argv=None):
     for case in summary:
         cells = "  ".join(f"{stage} {v['old_us']:.0f}->{v['new_us']:.0f}"
                           for stage, v in {**summary[case],
-                                           **verify[case]}.items())
+                                           **verify.get(case, {})}.items())
         print(f"{case:10s} {cells}")
     return 0
 
