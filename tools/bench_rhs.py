@@ -35,10 +35,10 @@ reference lift.  ``section`` is the extended system's, no part of ``rhs``:
 
 and, apart from these stages and on the four benchmark cases only,
 ``verify``: ``verify_isomonodromy`` of the case's trajectory along its
-direction (the benchmark's path: the Fuchsian
-line, the irregular line of length ``IRREGULAR_LENGTH``), integrated once
-with 9 samples and verified at all 9 and at 3 of them (s = 0, 0.5, 1), one
-repeat for every 20 of the stages'.
+direction (the benchmark's path: the Fuchsian line, the irregular line of
+length ``IRREGULAR_LENGTH``), integrated once with 9 samples and verified
+at all 9 and at 3 of them (s = 0, 0.5, 1), one repeat for every 20 of the
+stages'.
 
 Each subprocess reports the median over its repeats in microseconds.  The
 JSON file holds every round's medians per checkout and, per case and stage
