@@ -4,20 +4,20 @@ The transported system is ``dY/dz = A(z) Y`` along piecewise line/arc paths
 in the punctured plane, with adaptive high-order Runge-Kutta (DOP853) on the
 complexified matrix system.  The system is linear, so each DOP853 step is
 taken as one batched evaluation of ``A dz`` at the step's nodes and one
-triangular solve for all of its stages, with the tableau, error estimate
-and step-size control of the library's DOP853 (``ode``).  Several paths
-are integrated in lock-step, one lane each with its own step control, at
-the bits each gets alone; a monodromy representation sends all of its
-loops through one ``transport`` call, and ``monodromy_reps`` those of
-several connections (the samples of a trajectory), each lane evaluating
-its own connection.  Loops around
-poles are deterministic keyholes: a radial approach from the base point, a
-full positively-oriented circle, and the radial return.  The return leg is
-not integrated: with ``L`` the transport of the approach leg and ``C``
-that of the circle, a keyhole's generator is ``L^-1 C L``.  With loops
-ordered by increasing argument from the base point, the product ``M_l ...
-M_1`` is the monodromy of a loop around everything, hence the identity
-whenever the form is regular at infinity.
+triangular solve for all of its stages (``_LinearDOP853``); the start, the
+error estimate, the step-size control and the step loop are the library's
+DOP853 (``ode``).  Several paths are integrated in lock-step, one lane
+each with its own step control, at the bits each gets alone; a monodromy
+representation sends all of its loops through one ``transport`` call, and
+``monodromy_reps`` those of several connections (the samples of a
+trajectory), each lane evaluating its own connection.  Loops around poles
+are deterministic keyholes: a radial approach from the base point, a full
+positively-oriented circle, and the radial return.  The return leg is not
+integrated: with ``L`` the transport of the approach leg and ``C`` that of
+the circle, a keyhole's generator is ``L^-1 C L``.  With loops ordered by
+increasing argument from the base point, the product ``M_l ... M_1`` is the
+monodromy of a loop around everything, hence the identity whenever the
+form is regular at infinity.
 
 The triangular solve is LAPACK's ``ztrtrs`` from scipy's extension
 ``scipy.linalg._flapack``, the very routine ``scipy.linalg.lapack``
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, fields
-from functools import partial
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 from math import isqrt
@@ -262,96 +261,63 @@ def _stacked(segments):
     return out
 
 
-class _LinearDOP853(ode.Stepper):
+class _LinearDOP853(ode.DOP853):
     """DOP853 for stacked *lanes* ``y_k = [Y_k flattened, log det_k]`` with
-    ``Y_k' = B_k(s) Y_k`` and ``(log det_k)' = tr B_k(s)``, each lane under
-    its own step control.
+    ``Y_k' = B_k(s) Y_k`` and ``(log det_k)' = tr B_k(s)``: ``ode.DOP853``'s
+    loop, with a lane per segment and an attempt for a linear system.
 
-    ``fun`` is a connection's evaluator ``ev(z, dz)`` (``_compiled_eval``),
-    or a tuple of evaluators of connections of one rank, with ``owners[k]``
-    the index of lane ``k``'s; a lane's connection is its owner's, and one
-    ``ev`` alone has every lane.  Lane ``k`` runs along ``segments[k]``, so
-    that ``B_k(s)`` is ``A(z) dz`` at ``z, dz =
-    segments[k].point_and_rate(s)``, and ``names[k]`` labels it in a
-    failure message.  For a linear system the stages ``K_s = B_s (Y +
-    h sum_j a_sj K_j)`` of an explicit Runge-Kutta step are the solution of
-    one unit-lower-triangular block system (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.4-5), so an attempted step is one evaluation at
-    the nodes ``t + c_s h``, ``s = 1 .. 11`` (``c_11 = 1`` also gives the
-    FSAL stage), and one ``ztrtrs`` solve of size ``11 n``.
+    ``fun`` is a tuple of evaluators ``ev(z, dz)`` (``_compiled_eval``) of
+    connections of one rank, and lane ``k``'s connection is
+    ``fun[owners[k]]``.  Lane ``k`` runs along ``segments[k]``, so that
+    ``B_k(s)`` is ``A(z) dz`` at ``z, dz = segments[k].point_and_rate(s)``,
+    and ``names[k]`` labels it in a failure message.  For a linear system
+    the stages ``K_s = B_s (Y + h sum_j a_sj K_j)`` of an explicit
+    Runge-Kutta step are the solution of one unit-lower-triangular block
+    system (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-5), so an
+    attempted step is one evaluation at the nodes ``t + c_s h``, ``s = 1 ..
+    11`` (``c_11 = 1`` also gives the FSAL stage), and one ``ztrtrs`` solve
+    of size ``11 n``.
 
-    Tableau, error estimate, start (``f0`` and ``select_initial_step``) and
-    step-size control are ``ode``'s DOP853, lane by lane: each lane keeps its
-    own ``t``, step size, and the rejection flag and minimum step of its
-    current step (from its last acceptance on), and so takes the steps and
-    the bits it takes alone.  Each round of attempts takes one step of
-    every unfinished lane: the nodes of each segment class are evaluated
-    at once by that class's own ``point_and_rate`` on columns of the
-    lanes' parameters (``_stacked``), each run of consecutive lanes of one
-    owner is one ``ev`` call (one call a round when the owners are in
-    order), and the block matrices, stage, ``y_new`` and error-norm
-    products are stacked; the ``ztrtrs`` solve and the step-size ``**``
-    stay per lane.  A ``step`` returns once every lane unfinished at its
-    start has accepted a step; the solver's ``t`` is the least lane ``t``,
-    and ``nfev`` counts what the nonlinear ``ode.DOP853`` counts: 2
-    evaluations per lane at the start and 12 per lane per attempted step.
-    The lanes' state is updated in place.
+    An attempt is stacked over the round's lanes: the nodes of each segment
+    class are evaluated at once by that class's own ``point_and_rate`` on
+    columns of the lanes' parameters (``_stacked``), each run of
+    consecutive lanes of one owner is one ``ev`` call (one call a round
+    when the owners are in order), and the block matrices, stage and
+    ``y_new`` products are stacked; the ``ztrtrs`` solve stays per lane.
+    ``nfev`` counts what the nonlinear ``ode.DOP853`` counts: 2 evaluations
+    per lane at the start and 12 per lane per attempted step.
     """
 
-    A, B, C, E3, E5 = ode.A, ode.B, ode.C, ode.E3, ode.E5
-    n_stages = ode.N_STAGES
-    # tableau slices of _rk_step
-    nodes = C[1:]
-    a0 = A[1:, 0][:, None, None]
+    # tableau slices of _attempt
+    nodes = ode.C[1:]
+    a0 = ode.A[1:, 0][:, None, None]
 
-    def __init__(self, fun, t0, y0, t_bound, segments, names, rtol, atol,
-                 owners=None):
-        super().__init__(t0, y0, t_bound)
-        self.y = self.y.copy()
-        self.evs = fun if isinstance(fun, tuple) else (fun,)
-        self.owners = [0] * len(segments) if owners is None else owners
+    def __init__(self, fun, t0, y0, t_bound, segments, names, owners, rtol,
+                 atol):
+        self.evs, self.owners = fun, owners
         self.segments, self.names = segments, names
-        self.rtol, self.atol = rtol, atol
-        self.width = self.y.size // len(segments)
-        n = self.dim = isqrt(self.width - 1)
-        m = self.n_stages - 1
+        self.lanes = len(segments)
+        n = self.dim = isqrt(len(y0) // self.lanes - 1)
+        m = ode.N_STAGES - 1
         # -a_sj at [j, 0, s, :], a contiguous stage row per (j, s), for
         # _blocks; h * (-a) is (-h) * a to the bit
         self.neg_aT = np.ascontiguousarray(np.broadcast_to(
-            (-self.A[1:, 1:].T)[:, None, :, None], (m, 1, m, n)))
-        ys = self.y.reshape(len(segments), self.width)
-        self.f = np.array([self._lane_rhs(k, t0, y) for k, y in enumerate(ys)])
-        h_abs = [float(ode.select_initial_step(
-            partial(self._lane_rhs, k), t0, y, t_bound, f, self.direction,
-            rtol, atol)) for k, (y, f) in enumerate(zip(ys, self.f))]
-        self.ts = [float(t0)] * len(segments)
-        self.h_abs = [0.0] * len(segments)
-        self.min_step = [0.0] * len(segments)
-        self.rejected = [False] * len(segments)
-        for k, h in enumerate(h_abs):
-            self._start_step(k, h)
-        self._set_live(range(len(segments)))
-        self.nfev = 2 * len(segments)
+            (-ode.A[1:, 1:].T)[:, None, :, None], (m, 1, m, n)))
+        super().__init__(fun, t0, y0, t_bound, rtol, atol)
 
     def _lane_rhs(self, k, s, y):
+        self.nfev += 1
         ev = self.evs[self.owners[k]]
         out = ev(*self.segments[k].point_and_rate(s))
         n = self.dim
         out[:-1] = (out[:-1].reshape(n, n) @ y[:-1].reshape(n, n)).ravel()
         return out
 
-    def _start_step(self, k, h_abs):
-        # the start of a step at lane k's t, and no rejection yet
-        self.h_abs[k], self.min_step[k] = ode.step_start(
-            self.ts[k], h_abs, self.direction)
-        self.rejected[k] = False
-
     def _set_live(self, lanes):
         # the unfinished lanes, their runs of one owner (each evaluates its
         # rows of a round's points), and their segments stacked by class
         # (each class fills its rows of a round's points)
-        self.live = [k for k in lanes
-                     if self.direction * (self.ts[k] - self.t_bound) < 0]
+        super()._set_live(lanes)
         self.runs = []
         for i, k in enumerate(self.live):
             if i and self.owners[k] == self.owners[self.live[i - 1]]:
@@ -373,10 +339,10 @@ class _LinearDOP853(ode.Stepper):
             h[:, None, None, None, None] * self.neg_aT,
             np.ascontiguousarray(Bs.transpose(0, 3, 1, 2))[:, None])
 
-    def _rk_step(self, y, t, h):
+    def _attempt(self, y, t, h):
         # K_s - h sum_{1 <= j < s} a_sj B_s K_j = B_s (Y + h a_s0 K_0) for
         # every live lane
-        n, m, P = self.dim, self.n_stages - 1, len(y)
+        n, m, P = self.dim, ode.N_STAGES - 1, len(y)
         s = t[:, None] + self.nodes * h[:, None]
         z = np.empty((P, m), dtype=complex)
         dz = np.empty((P, m), dtype=complex)
@@ -394,76 +360,19 @@ class _LinearDOP853(ode.Stepper):
         K0 = f[:, :-1].reshape(P, 1, n, n)
         rhs = Bs @ (Y + (h[:, None, None, None] * self.a0) * K0)
         T = self._blocks(Bs, h).reshape(P, m * n, m * n)
-        K = np.empty((P, self.n_stages + 1, self.width), dtype=complex)
+        K = np.empty((P, ode.N_STAGES + 1, self.width), dtype=complex)
         K[:, 0] = f
         K[:, 1:-1, -1] = E[..., -1]
         for i in range(P):
             X, _ = ztrtrs(T[i].T, rhs[i].reshape(m * n, n), 1, 0, 1)
             K[i, 1:-1, :-1] = X.reshape(m, n * n)
-        y_new = y + h[:, None] * np.matmul(self.B, K[:, :-1])
+        y_new = y + h[:, None] * np.matmul(ode.B, K[:, :-1])
         f_new = E[:, -1]
         f_new[:, :-1] = (Bs[:, -1] @ y_new[:, :-1].reshape(P, n, n)
                          ).reshape(P, n * n)
         K[:, -1] = f_new
-        self.nfev += self.n_stages * P
+        self.nfev += ode.N_STAGES * P
         return y_new, f_new, K
-
-    def _estimate_error_norms(self, K, h, scale):
-        # the DOP853 error norm per lane from the E5 and E3 rows, each its
-        # own vector-matrix product, with np.linalg.norm's complex 2-norm
-        # sqrt(re.re + im.im) written out
-        err = np.empty((len(K), 2, self.width), dtype=complex)
-        np.matmul(self.E5, K, out=err[:, 0])
-        np.matmul(self.E3, K, out=err[:, 1])
-        err /= scale[:, None]
-        norms = np.sqrt(np.vecdot(err.real, err.real)
-                        + np.vecdot(err.imag, err.imag)).tolist()
-        return [ode.error_norm(h_k, norm5, norm3, self.width)
-                for h_k, (norm5, norm3) in zip(h, norms)]
-
-    def _step_impl(self):
-        # ode.DOP853's _step_impl for every unfinished lane, a round of
-        # attempts at a time, until each has accepted a step
-        ys = self.y.reshape(len(self.segments), self.width)
-        waiting = set(self.live)
-        while waiting:
-            live, ts, hs, t_new = self.live, [], [], []
-            for k in live:
-                h_abs = self.h_abs[k]
-                message = ode.step_refused(h_abs, self.min_step[k])
-                if message:
-                    return False, f"{self.names[k]}: {message}"
-                t = self.ts[k]
-                t1 = t + h_abs * self.direction
-                if self.direction * (t1 - self.t_bound) > 0:
-                    t1 = self.t_bound
-                ts.append(t)
-                hs.append(t1 - t)
-                t_new.append(t1)
-            y = ys[live]
-            y_new, f_new, K = self._rk_step(y, np.array(ts), np.array(hs))
-            scale = (self.atol
-                     + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol)
-            accepted = []
-            for i, (k, h, norm) in enumerate(zip(
-                    live, hs, self._estimate_error_norms(K, hs, scale))):
-                ok, factor = ode.step_factor(norm, self.rejected[k])
-                if ok:
-                    self.ts[k] = t_new[i]
-                    self._start_step(k, abs(h) * factor)
-                    accepted.append(i)
-                    waiting.discard(k)
-                else:
-                    self.h_abs[k] = abs(h) * factor
-                    self.rejected[k] = True
-            if accepted:
-                lanes = [live[i] for i in accepted]
-                ys[lanes] = y_new[accepted]
-                self.f[lanes] = f_new[accepted]
-                if self.t_bound in (t_new[i] for i in accepted):
-                    self._set_live(live)
-        self.t = min(self.ts)
-        return True, None
 
 
 def _check_path(conn, path):

@@ -1,5 +1,5 @@
-"""DOP853, and the ``solve_ivp`` loop both of the library's integrations
-run on.
+"""DOP853, its step loop and the ``solve_ivp`` loop, which both of the
+library's integrations run on.
 
 DOP853 is the explicit Runge-Kutta pair of Dormand and Prince of order 8,
 with error estimators of orders 5 and 3 and a dense output of order 7
@@ -11,21 +11,23 @@ scipy's steps and gets scipy's bits:
 * ``select_initial_step``, the start of a run (HNW II.4);
 * ``error_norm``, a step's error estimate, from the 2-norms of its scaled
   order-5 and order-3 estimates;
-* ``step_start``, ``step_refused`` and ``step_factor``, the step-size
-  control;
-* ``rk_step``, the nonlinear stage loop, and ``DOP853``, the solver that
-  takes whole steps with it;
+* ``step_factor``, the step-size control;
+* ``rk_step``, the nonlinear stage loop;
+* ``DOP853``, the one step loop: lanes of one system, each under its own
+  step control, a round of attempts at a time;
 * ``solve_ivp``, the integration loop, with terminal events.
 
-The flows integrate with ``DOP853``.  Transport integrates a linear system
-with its own stepper (``monodromy._LinearDOP853``), whose lanes share the
-start, the norm and the control above.  Both are ``Stepper`` subclasses,
-and ``solve_ivp`` takes either.
+The flows integrate with ``DOP853`` on one lane, whose attempt is
+``rk_step``.  Transport integrates a linear system on many lanes in lock
+step with ``monodromy._LinearDOP853``, a ``DOP853`` whose attempt is one
+triangular solve per lane: the start, the norm, the control and the loop
+are this module's, written once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite, nextafter, sqrt
 
 import numpy as np
@@ -318,23 +320,6 @@ def error_norm(h, norm5, norm3, size):
     return abs(h) * err5_norm_2 / sqrt(denom * size)
 
 
-def step_start(t, h_abs, direction):
-    """The start of a step at ``t``: the step size ``h_abs`` raised to the
-    minimum step there, and that minimum step."""
-    min_step = 10 * abs(nextafter(t, direction * np.inf) - t)
-    return (min_step if h_abs < min_step else h_abs), min_step
-
-
-def step_refused(h_abs, min_step):
-    """Why a step of size ``h_abs`` is not attempted, or None.  A step size
-    that is not finite would be cut forever."""
-    if h_abs < min_step:
-        return TOO_SMALL_STEP
-    if not isfinite(h_abs):
-        return f"step size {h_abs} is not finite"
-    return None
-
-
 def step_factor(norm, rejected):
     """``(accepted, factor)`` of an attempted step with error norm ``norm``:
     the step size is multiplied by ``factor``, and after a rejection since
@@ -351,48 +336,8 @@ def step_factor(norm, rejected):
 
 
 # ---------------------------------------------------------------------------
-# steppers
+# the stepper
 # ---------------------------------------------------------------------------
-
-class Stepper:
-    """A solver that steps from ``t0`` toward ``t_bound``: ``step`` takes
-    one step with the subclass's ``_step_impl() -> (success, message)``,
-    and keeps ``t_old`` and ``status`` (``running``, ``finished`` or
-    ``failed``).  ``nfev`` counts evaluations of the right-hand side."""
-
-    def __init__(self, t0, y0, t_bound):
-        y0 = np.asarray(y0)
-        self.y = y0.astype(complex if np.iscomplexobj(y0) else float,
-                           copy=False)
-        if self.y.ndim != 1:
-            raise ValueError("`y0` must be 1-dimensional.")
-        if not np.isfinite(self.y).all():
-            raise ValueError("All components of the initial state `y0` must "
-                             "be finite.")
-        self.t_old, self.t, self.t_bound = None, t0, t_bound
-        self.direction = 1.0 if t_bound >= t0 else -1.0
-        self.status = "running"
-        self.nfev = 0
-
-    def step(self):
-        """One step; returns the failure message of a failed one, else
-        None."""
-        if self.status != "running":
-            raise RuntimeError("Attempt to step on a failed or finished "
-                               "solver.")
-        t = self.t
-        if self.y.size == 0 or t == self.t_bound:
-            self.t_old, self.t, self.status = t, self.t_bound, "finished"
-            return None
-        success, message = self._step_impl()
-        if not success:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.direction * (self.t - self.t_bound) >= 0:
-                self.status = "finished"
-        return message
-
 
 def rk_step(fun, t, y, f, h, K):
     """One DOP853 step of size ``h`` from ``(t, y)`` with ``f = fun(t, y)``:
@@ -408,58 +353,152 @@ def rk_step(fun, t, y, f, h, K):
     return y_new, f_new
 
 
-class DOP853(Stepper):
-    """DOP853 on ``y' = fun(t, y)``, with relative and absolute tolerances
-    ``rtol`` and ``atol``: ``f0`` and ``select_initial_step`` to start, then
-    ``rk_step`` attempts under the step-size control until one is
-    accepted.  ``dense_output`` interpolates the last step."""
+class DOP853:
+    """DOP853 on ``y' = fun(t, y)`` from ``t0`` toward ``t_bound``, with
+    relative and absolute tolerances ``rtol`` and ``atol``, on ``lanes``
+    equal slices of ``y``, each under its own step control.  Here ``lanes``
+    is 1; ``monodromy._LinearDOP853`` sets it from its segments.
+
+    Every lane starts with ``f0`` and ``select_initial_step`` on its own
+    right-hand side (``_lane_rhs``), and keeps its own ``t``, step size and
+    rejection flag.  A ``step`` runs rounds of attempts: a round takes one
+    attempt of every unfinished lane with the one hook ``_attempt(y, t, h)
+    -> (y_new, f_new, K)`` on the stacked lanes, and each lane's error norm
+    (``_error_norms``) and ``step_factor`` decide it.  The ``step`` returns
+    once every lane unfinished at its start has accepted a step, and a lane
+    takes the steps and the bits it takes alone.  The solver's ``t`` is the
+    least lane ``t``, ``t_old`` that at the step's start, and ``status`` is
+    ``running``, ``finished`` or ``failed``.  ``nfev`` counts evaluations
+    of the right-hand side.  The lanes' state is updated in place.
+
+    On its one lane, ``_attempt`` is ``rk_step``, and ``dense_output``
+    interpolates the last step.
+    """
+
+    E3, E5 = E3, E5
+    lanes = 1
+    # labels of the lanes in a failure message
+    names = None
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-        super().__init__(t0, y0, t_bound)
+        y0 = np.asarray(y0)
+        self.y = y0.astype(complex if np.iscomplexobj(y0) else float)
+        if self.y.ndim != 1:
+            raise ValueError("`y0` must be 1-dimensional.")
+        if not np.isfinite(self.y).all():
+            raise ValueError("All components of the initial state `y0` must "
+                             "be finite.")
         self._fun, self.rtol, self.atol = fun, rtol, atol
-        self.f = self.fun(self.t, self.y)
-        self.h_abs = select_initial_step(self.fun, self.t, self.y, t_bound,
-                                         self.f, self.direction, rtol, atol)
-        self.K_extended = np.empty((N_STAGES_EXTENDED, self.y.size),
-                                   dtype=self.y.dtype)
-        self.K = self.K_extended[:N_STAGES + 1]
-        self.y_old = self.h_previous = None
+        self.t_old, self.t, self.t_bound = None, t0, t_bound
+        self.direction = 1.0 if t_bound >= t0 else -1.0
+        self.status = "running"
+        self.nfev = 0
+        self.width = self.y.size // self.lanes
+        ys = self.y.reshape(self.lanes, self.width)
+        self.f = np.array([self._lane_rhs(k, t0, y) for k, y in enumerate(ys)])
+        self.h_abs = [float(select_initial_step(
+            partial(self._lane_rhs, k), t0, y, t_bound, f, self.direction,
+            rtol, atol)) for k, (y, f) in enumerate(zip(ys, self.f))]
+        self.ts = [float(t0)] * self.lanes
+        self.rejected = [False] * self.lanes
+        self._set_live(range(self.lanes))
 
     def fun(self, t, y):
         self.nfev += 1
         return np.asarray(self._fun(t, y), dtype=self.y.dtype)
 
-    def _step_impl(self):
-        t, y = self.t, self.y
-        h_abs, min_step = step_start(t, self.h_abs, self.direction)
-        rejected = False
-        while True:
-            message = step_refused(h_abs, min_step)
-            if message:
-                return False, message
-            t_new = t + h_abs * self.direction
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new = rk_step(self.fun, t, y, self.f, h, self.K)
+    def _lane_rhs(self, k, t, y):
+        return self.fun(t, y)
+
+    def _set_live(self, lanes):
+        # the unfinished lanes
+        self.live = [k for k in lanes
+                     if self.direction * (self.ts[k] - self.t_bound) < 0]
+
+    def _attempt(self, y, t, h):
+        # the one lane's step; the last attempt is the accepted step, the
+        # one dense_output interpolates
+        self.y_old, self.h_previous = y[0], h[0]
+        self.K_extended = np.empty((N_STAGES_EXTENDED, self.width),
+                                   dtype=self.y.dtype)
+        K = self.K_extended[:N_STAGES + 1]
+        y_new, f_new = rk_step(self.fun, t[0], y[0], self.f[0], h[0], K)
+        return y_new[None], f_new[None], K[None]
+
+    def _error_norms(self, K, h, scale):
+        # the DOP853 error norm per lane from the E5 and E3 rows, each its
+        # own vector-matrix product, with np.linalg.norm's 2-norm
+        # sqrt(re.re + im.im) written out
+        err = np.empty((len(K), 2, self.width), dtype=K.dtype)
+        np.matmul(self.E5, K, out=err[:, 0])
+        np.matmul(self.E3, K, out=err[:, 1])
+        err /= scale[:, None]
+        norms = np.sqrt(np.vecdot(err.real, err.real)
+                        + np.vecdot(err.imag, err.imag)).tolist()
+        return [error_norm(h_k, norm5, norm3, self.width)
+                for h_k, (norm5, norm3) in zip(h, norms)]
+
+    def step(self):
+        """One step of every unfinished lane; returns the failure message of
+        a failed one, else None."""
+        if self.status != "running":
+            raise RuntimeError("Attempt to step on a failed or finished "
+                               "solver.")
+        t_old = self.t
+        if self.y.size == 0 or t_old == self.t_bound:
+            self.t_old, self.t, self.status = t_old, self.t_bound, "finished"
+            return None
+        ys = self.y.reshape(self.lanes, self.width)
+        waiting = set(self.live)
+        while waiting:
+            live, ts, hs, t_new = self.live, [], [], []
+            for k in live:
+                # a step starts at its minimum step; a step size cut below
+                # it, or one that is not finite (it would be cut forever),
+                # fails the run
+                t, h_abs = self.ts[k], self.h_abs[k]
+                min_step = 10 * abs(nextafter(t, self.direction * np.inf) - t)
+                if h_abs < min_step and not self.rejected[k]:
+                    h_abs = self.h_abs[k] = min_step
+                if h_abs < min_step or not isfinite(h_abs):
+                    self.status = "failed"
+                    message = (TOO_SMALL_STEP if h_abs < min_step else
+                               f"step size {h_abs} is not finite")
+                    return (f"{self.names[k]}: {message}" if self.names
+                            else message)
+                t1 = t + h_abs * self.direction
+                if self.direction * (t1 - self.t_bound) > 0:
+                    t1 = self.t_bound
+                ts.append(t)
+                hs.append(t1 - t)
+                t_new.append(t1)
+            y = ys[live]
+            y_new, f_new, K = self._attempt(y, np.array(ts), np.array(hs))
             scale = (self.atol
                      + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol)
-            norm = error_norm(
-                h, float(np.linalg.norm(np.dot(self.K.T, E5) / scale)),
-                float(np.linalg.norm(np.dot(self.K.T, E3) / scale)), y.size)
-            accepted, factor = step_factor(norm, rejected)
-            h_abs *= factor
+            accepted = []
+            for i, (k, h, norm) in enumerate(zip(
+                    live, hs, self._error_norms(K, hs, scale))):
+                ok, factor = step_factor(norm, self.rejected[k])
+                self.h_abs[k], self.rejected[k] = abs(h) * factor, not ok
+                if ok:
+                    self.ts[k] = t_new[i]
+                    accepted.append(i)
+                    waiting.discard(k)
             if accepted:
-                break
-            rejected = True
-        self.h_previous, self.y_old = h, y
-        self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs, f_new
-        return True, None
+                lanes = [live[i] for i in accepted]
+                ys[lanes] = y_new[accepted]
+                self.f[lanes] = f_new[accepted]
+                if self.t_bound in (t_new[i] for i in accepted):
+                    self._set_live(live)
+        self.t_old, self.t = t_old, min(self.ts)
+        if self.direction * (self.t - self.t_bound) >= 0:
+            self.status = "finished"
+        return None
 
     def dense_output(self):
-        """The order-7 interpolant ``sol(t)`` of the last step, from three
-        more evaluations."""
+        """The order-7 interpolant ``sol(t)`` of the one lane's last step,
+        from three more evaluations."""
         if self.t == self.t_old:
             return lambda t: self.y
         K, h = self.K_extended, self.h_previous
@@ -472,7 +511,7 @@ class DOP853(Stepper):
         delta_y = self.y - self.y_old
         F[0] = delta_y
         F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[2] = 2 * delta_y - h * (self.f[0] + f_old)
         F[3:] = h * np.dot(D, K)
         t_old, step, y_old = self.t_old, self.t - self.t_old, self.y_old
 

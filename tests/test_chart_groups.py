@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
+from isomonodromy.connection import extension_weights
 from isomonodromy.flows import Direction, FlowPath, _section_rates, \
     integrate_flow
 from isomonodromy.states import FlowState, PoleData, PoleGroup
@@ -28,6 +29,7 @@ from isomonodromy.symplectic import (
     d_translation_hamiltonian,
     hamiltonian_vector_field,
     induced_polar_variations,
+    polar_weights,
 )
 
 from conftest import random_matrix
@@ -209,6 +211,34 @@ def test_section_rates(state):
         for a, b in zip(got_slots, want_slots):
             assert np.max(np.abs(a - b), initial=0.0) \
                 <= DIFFERENTIAL_TOL * np.max(np.abs(b), initial=0.0)
+
+
+def test_polar_weights(state, rng):
+    # with one extra row: pole i's own rows are its polar weight, then zero;
+    # every other pole's rows are the table extension_weights from t_i
+    # contracted with the regular weight, one pole and one order at a time,
+    # which sums in another order than the library's
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    n, M = state.n, 3
+    for i, p in enumerate(state.poles):
+        polar_w, regular_w = draw(2, p.l, n, n), draw(2, M, n, n)
+        for g, W in zip(state.groups,
+                        polar_weights(state, i, polar_w, regular_w, extra=1)):
+            assert W.shape == (len(g.index), 2, g.l + 1, n, n)
+            for r, j in enumerate(g.index):
+                if j == i:
+                    assert np.array_equal(W[r, :, : p.l], polar_w)
+                    assert not W[r, :, p.l:].any()
+                    continue
+                w = extension_weights(p.t - state.poles[j].t, g.l + 1, M)
+                want = np.zeros((2, g.l + 1, n, n), dtype=complex)
+                for k in range(g.l + 1):
+                    for m in range(M):
+                        want[:, k] += w[k, m] * regular_w[:, m]
+                assert np.max(np.abs(W[r] - want)) \
+                    <= VARIATION_TOL * np.max(np.abs(want))
 
 
 def test_hamiltonian_vector_field(state, rng):

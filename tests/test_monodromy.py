@@ -340,8 +340,9 @@ def stock_and_linear(conn, seg, tol=DEFAULT_TOL):
     y0 = np.append(np.eye(n, dtype=complex), 0.0)
     opts = {"rtol": max(SAFETY * tol, 1e-13), "atol": SAFETY * tol}
     return (solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", **opts),
-            ode.solve_ivp(ev, (0.0, 1.0), y0, method=_LinearDOP853,
-                          segments=[seg], names=["leg"], **opts))
+            ode.solve_ivp((ev,), (0.0, 1.0), y0, method=_LinearDOP853,
+                          segments=[seg], names=["leg"], owners=[0],
+                          **opts))
 
 
 class TestLinearStepper:
@@ -427,10 +428,10 @@ class TestBitForBit:
         # three lanes of a 3x3 system; each lane's norm is DOP853's
         conn = fuchsian([0.0], [random_matrix(rng, 3)])
         y0 = np.tile(np.append(np.eye(3, dtype=complex), 0.0), 3)
-        solver = _LinearDOP853(_compiled_eval(conn), 0.0, y0, 1.0,
+        solver = _LinearDOP853((_compiled_eval(conn),), 0.0, y0, 1.0,
                                segments=[LineSegment(1.0, 2.0)] * 3,
-                               names=["a", "b", "c"], rtol=1e-12,
-                               atol=1e-12)
+                               names=["a", "b", "c"], owners=[0] * 3,
+                               rtol=1e-12, atol=1e-12)
         for trial in range(200):
             K = (rng.standard_normal((3, 13, 10))
                  + 1j * rng.standard_normal((3, 13, 10))) \
@@ -439,7 +440,7 @@ class TestBitForBit:
                 K[1] = 0.0
             h = [float(x) for x in rng.uniform(-1, 1, 3)]
             scale = 1e-12 + rng.uniform(0, 1e-9, (3, 10))
-            got = solver._estimate_error_norms(K, h, scale)
+            got = solver._error_norms(K, h, scale)
             for k in range(3):
                 want = DOP853._estimate_error_norm(solver, K[k], h[k],
                                                    scale[k])
@@ -690,10 +691,10 @@ def same_bytes(a, b):
 def lane_solver(conn, segments):
     n = conn.n
     y0 = np.tile(np.append(np.eye(n, dtype=complex), 0.0), len(segments))
-    return _LinearDOP853(_compiled_eval(conn), 0.0, y0, 1.0,
+    return _LinearDOP853((_compiled_eval(conn),), 0.0, y0, 1.0,
                          segments=segments, names=[str(seg) for seg in
                                                    segments],
-                         rtol=1e-10, atol=1e-10)
+                         owners=[0] * len(segments), rtol=1e-10, atol=1e-10)
 
 
 class TestLockStepRound:
@@ -751,7 +752,7 @@ class TestLockStepRound:
                 * 10.0 ** rng.integers(-8, 8)
             h = (rng.uniform(0, 1, 4) * 10.0 ** rng.integers(-6, 1)).tolist()
             scale = 1e-12 + rng.uniform(0, 1e-9, (4, 5))
-            got = solver._estimate_error_norms(K, h, scale)
+            got = solver._error_norms(K, h, scale)
             for k in range(4):
                 want = DOP853._estimate_error_norm(solver, K[k], h[k],
                                                    scale[k])
@@ -768,15 +769,15 @@ class TestLockStepRound:
         h0 = list(solver.h_abs)
         attempts = [[] for _ in segs]
         rounds = []
-        rk_step = solver._rk_step
+        attempt = solver._attempt
 
-        def recording_rk_step(y, t, h):
+        def recording_attempt(y, t, h):
             # each live lane's t, its step size before the cut at the end
             # of the interval, and its step
             rounds.append(list(solver.live))
             for k, t_k, h_k in zip(solver.live, t.tolist(), h.tolist()):
                 attempts[k].append([t_k, solver.h_abs[k], h_k])
-            return rk_step(y, t, h)
+            return attempt(y, t, h)
 
         def drawn_norms(K, h, scale):
             norms = [0.0 if rng.uniform() < 0.05 else float(rng.uniform(0, 1.6))
@@ -785,8 +786,8 @@ class TestLockStepRound:
                 attempts[k][-1].append(norm)
             return norms
 
-        solver._rk_step = recording_rk_step
-        solver._estimate_error_norms = drawn_norms
+        solver._attempt = recording_attempt
+        solver._error_norms = drawn_norms
         while solver.status == "running":
             solver.step()
         assert solver.status == "finished"
@@ -826,7 +827,7 @@ class TestLockStepRound:
         # slowest lane takes attempts, (nfev - 2) / 12 when run alone
         conn = fuchsian([-1.5, -0.2, 0.9, 2.1],
                         random_fuchsian_matrices(rng, 2, 4))
-        rounds = count_calls(monkeypatch, _LinearDOP853, "_rk_step")
+        rounds = count_calls(monkeypatch, _LinearDOP853, "_attempt")
         nfev = []
         real = monodromy_module.solve_ivp
 

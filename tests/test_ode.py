@@ -29,6 +29,7 @@ from isomonodromy.flows import (
     integrate_extended,
     integrate_flow,
 )
+from isomonodromy.monodromy import _LinearDOP853
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import chart_conditioning
 
@@ -307,3 +308,27 @@ def test_no_module_imports_the_heavy_scipy_packages():
             found += [(scopes.get(id(node)), name) for name in names
                       if name.startswith(HEAVY)]
     assert found == [("ode._locate", "scipy.optimize.brentq")]
+
+
+def test_one_step_loop():
+    # the step-size control and the error norm each have one call site, in
+    # ode.DOP853's loop and its norms; transport's stepper keeps no loop of
+    # its own
+    sites = {"step_factor": [], "error_norm": []}
+    for path in sorted((SRC / "isomonodromy").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {id(node): f"{path.stem}.{cls.name}.{fn.name}"
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                if name in sites:
+                    sites[name].append(scopes.get(id(node)))
+    assert sites == {"step_factor": ["ode.DOP853.step"],
+                     "error_norm": ["ode.DOP853._error_norms"]}
+    assert not hasattr(ode, "Stepper")
+    assert _LinearDOP853.__bases__ == (ode.DOP853,)
+    assert not {"step", "_step_impl"} & set(vars(_LinearDOP853))

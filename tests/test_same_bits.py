@@ -25,7 +25,7 @@ def test_checkout_against_itself_has_no_difference():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     [line] = proc.stdout.splitlines()
     assert line.startswith("monodromy-scan seed 1009: 3 cases, ")
-    assert line.endswith(" failed, 0 differ")
+    assert line.endswith(" failed, 0 differ, 0 changed failure kind")
 
 
 def test_a_planted_difference_is_flagged():
@@ -34,9 +34,22 @@ def test_a_planted_difference_is_flagged():
     assert differences(old, [list(row) for row in old]) == []
     new = [["a", "d1", None], ["b", "d3", None], ["c", None, "exit 3: y"]]
     assert differences(old, new) == [
-        "b: ('d2', None) -> ('d3', None)",
-        "c: (None, 'exit 2: x') -> (None, 'exit 3: y')"]
-    assert differences(old, old[:2]) == ["c: (None, 'exit 2: x') -> None"]
+        "b: ('d2', None) -> ('d3', None); same failure kind",
+        "c: (None, 'exit 2: x') -> (None, 'exit 3: y'); failure kind changed"]
+    assert differences(old, old[:2]) == [
+        "c: (None, 'exit 2: x') -> None; failure kind changed"]
+
+
+def test_a_residual_that_moves_keeps_the_failure_kind():
+    # the same check fails on both sides, at another value
+    differences = load_tool().differences
+    cause = "exit 2: max conjugacy-invariant drift {} (tolerance 1.0e-06)"
+    old = [["d", None, cause.format("1.861e-06")]]
+    new = [["d", None, cause.format("1.196e-06")]]
+    assert differences(old, new) == [
+        f"d: (None, '{old[0][2]}') -> (None, '{new[0][2]}'); same failure kind"]
+    new = [["d", None, "exit 2: product defect 2.000e-08 (tolerance 1e-08)"]]
+    assert differences(old, new)[0].endswith("; failure kind changed")
 
 
 def test_residuals_of_a_flipped_case_on_both_sides(capsys):
@@ -55,10 +68,12 @@ def test_residuals_of_a_flipped_case_on_both_sides(capsys):
     tool.finish = lambda proc, checkout: rows[proc]
     assert tool.main(["OLD", "NEW", "--workload", "flow-sweep"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "flow-sweep seed 1009: 3 cases, 1 failed, 2 differ",
-        "  a: ('d1', None) -> ('d4', 'drift 1.613e-06 >= 1e-06')",
+        "flow-sweep seed 1009: 3 cases, 1 failed, 2 differ, 2 changed "
+        "failure kind",
+        "  a: ('d1', None) -> ('d4', 'drift 1.613e-06 >= 1e-06'); failure "
+        "kind changed",
         "    old: conjugacy_residual 3.900e-15",
         "    new: drift 1.613e-06 >= 1e-06; conjugacy_residual 4.100e-15",
-        "  c: None -> ('d5', None)",
+        "  c: None -> ('d5', None); failure kind changed",
         "    old: -",
         "    new: none over tolerance"]

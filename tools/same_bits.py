@@ -12,10 +12,13 @@ directory, and runs ``workloads.run_case`` on every case (the first ``N``
 with ``--cases``) and on the workload's probe.  The digest of each case's
 deterministic artifacts and its failure cause are compared.  Prints every
 case that differs; the exit status is 1 if there is one, else 0.  Each
-is followed by its residuals on both sides: every one at or over its
-tolerance, and for a flow the largest conjugacy residual of
-``drift.json``, which has no tolerance.  That is the report a change of
-bits gives for each failure it flips.
+says whether the case's failure kind changed: its cause with the numbers
+masked (``workloads.cause_kind``), so a case that fails the same check on
+both sides with another residual keeps its kind.  Each is followed by its
+residuals on both sides: every one at or over its tolerance, and for a
+flow the largest conjugacy residual of ``drift.json``, which has no
+tolerance.  That is the report a change of bits gives for each failure it
+flips.
 """
 
 import argparse
@@ -24,9 +27,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import cache
+from importlib import import_module
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("flow-sweep", "monodromy-scan")
+KIND_CHANGED = "failure kind changed"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS")
@@ -74,16 +81,33 @@ def finish(proc, checkout):
     return json.loads(out.strip().splitlines()[-1])
 
 
+@cache
+def workloads():
+    """This checkout's ``bench/workloads.py``, which imports the library."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    return import_module("workloads")
+
+
+def cause_kind(cause):
+    """The failure kind of a cause (``workloads.cause_kind``); None for a
+    case that passed."""
+    return None if cause is None else workloads().cause_kind(cause)
+
+
 def differences(old, new):
     """One line per case whose digest or failure cause differs between two
-    runs' ``[label, digest, cause, ...]`` rows, or that only one run has."""
+    runs' ``[label, digest, cause, ...]`` rows, or that only one run has,
+    ending in whether its failure kind changed (a case only one run has
+    changed it)."""
     before = {label: (digest, cause) for label, digest, cause, *_ in old}
     after = {label: (digest, cause) for label, digest, cause, *_ in new}
     out = []
     for label in dict.fromkeys([*before, *after]):
         a, b = before.get(label), after.get(label)
         if a != b:
-            out.append(f"{label}: {a} -> {b}")
+            same = a and b and cause_kind(a[1]) == cause_kind(b[1])
+            out.append(f"{label}: {a} -> {b}; "
+                       + ("same failure kind" if same else KIND_CHANGED))
     return out
 
 
@@ -124,8 +148,10 @@ def main(argv=None):
                 lines = differences(old, new)
                 differ += len(lines)
                 failed = sum(row[2] is not None for row in new)
+                changed = sum(line.endswith(KIND_CHANGED) for line in lines)
                 print(f"{workload} seed {seed}: {len(new)} cases, "
-                      f"{failed} failed, {len(lines)} differ")
+                      f"{failed} failed, {len(lines)} differ, {changed} "
+                      "changed failure kind")
                 sides = [{row[0]: row[3] for row in rows}
                          for rows in (old, new)]
                 for line in lines:
