@@ -123,6 +123,11 @@ class TestTransport:
         with pytest.raises(PreconditionError):
             transport(conn, Path.line(-1.0, 1.0))  # runs through the pole
 
+    def test_a_segment_of_length_zero_measures_from_its_point(self):
+        point = LineSegment(0.3 - 0.4j, 0.3 - 0.4j)
+        assert point.distance_to(0.3 + 0.6j) == 1.0
+        assert point.distance_to(0.3 - 0.4j) == 0.0
+
     def test_arc_below_minus_pi_measured_as_shifted(self):
         # the same arc with both angles raised by 2 pi measures every point
         # alike, and a pole on it is refused before any step

@@ -190,6 +190,47 @@ def harmonic(t, y):
     return np.array([y[1], -y[0]])
 
 
+def decay(t, y):
+    return -y
+
+
+@pytest.mark.parametrize("case", ["empty system", "empty span",
+                                  "event at the start of an empty span"])
+def test_a_run_with_nothing_to_integrate_ends_at_once(case):
+    # as scipy's: one evaluation and no attempt, and an event that is zero
+    # where the run starts fires there
+    y0 = np.zeros(0) if case == "empty system" else np.array([1.0, 0.5])
+    t_span = (0.0, 6.0) if case == "empty system" else (2.0, 2.0)
+    events = [counted(2.0)] if case.startswith("event") else []
+    ours = ode.solve_ivp(decay, t_span, y0, events=events, rtol=1e-8,
+                         atol=1e-8)
+    for event in events:
+        event.terminal, event.direction = True, -1
+    theirs = scipy_solve_ivp(decay, t_span, y0, method="DOP853",
+                             events=events, rtol=1e-8, atol=1e-8)
+    assert ours.nfev == theirs.nfev == 1
+    assert ours.status == theirs.status == (1 if events else 0)
+    assert same_bytes(np.array(ours.t), theirs.t)
+    assert same_bytes(ours.y, theirs.y[:, -1])
+    if events:
+        assert ours.event == 0 and ours.t_event == theirs.t_events[0][0]
+
+
+def test_a_step_size_below_the_minimum_step_is_raised_to_it():
+    # at the start of a step, as scipy's: the step is 10 ulps of t
+    y0 = np.array([1.0, 0.0])
+    ours = ode.DOP853(harmonic, 1.0, y0, 2.0, rtol=1e-8, atol=1e-8)
+    theirs = ScipyDOP853(harmonic, 1.0, y0, 2.0, rtol=1e-8, atol=1e-8)
+    ours.h_abs[0] = theirs.h_abs = 0.0
+    steps = []
+    for _ in range(3):
+        assert ours.step() is None and theirs.step() is None
+        assert same_bytes(ours.t, theirs.t)
+        assert same_bytes(ours.y, theirs.y)
+        steps.append(ours.t - ours.t_old)
+    assert steps[0] == 10 * np.spacing(1.0) < steps[1]
+
+
 def run_both(events):
     """``ode.solve_ivp`` and scipy's on the harmonic oscillator over [0, 6],
     with the events terminal as they fall through zero."""
