@@ -11,6 +11,9 @@ singularities, order ``l_i`` at ``t_i``), twist points ``E`` contributed by
 matrix-divisor transfers (identity monodromy), and an optional normalizing
 pole carrying the scalar residue ``(k/n) I`` that a nonzero-degree bundle
 forces (monodromy ``exp(2 pi i k / n) I``).
+
+Polar data is read as ``polar_parts`` or ``divisor_polar_parts`` (padded to
+the divisor's orders); only the twist gauge multiplies the matrix.
 """
 
 from __future__ import annotations
@@ -179,6 +182,17 @@ class Connection:
     def polar_parts(self):
         """``polar_decompose(self.matrix)``, computed once per connection."""
         return polar_decompose(self.matrix)
+
+    @cached_property
+    def divisor_polar_parts(self):
+        """``[(t_i, [C_1, ..., C_l_i])]`` at the divisor's points, in its
+        order: ``polar_parts`` there, padded with zeros to the declared order
+        ``l_i``, since a leading coefficient or a residue may vanish."""
+        found = {near(p, self.divisor.points): Cs
+                 for p, Cs in self.polar_parts[0]}
+        zero = np.zeros((self.n, self.n), dtype=complex)
+        return [(t, (found.get(t, []) + [zero] * l)[:l])
+                for t, l in zip(self.divisor.points, self.divisor.mults)]
 
     def laurent(self, p, k_max):
         return self.matrix.laurent(p, k_max)

@@ -517,7 +517,7 @@ def _section_rates(direction, state):
         polar_w = np.empty((1 + x, p.l, p.n, p.n), dtype=complex)
         regular_w = np.zeros_like(polar_w)
         polar_w[0] = 2.0 * state.regular_jets[i]
-        regular_w[0] = 2.0 * np.asarray(state.polar[i])
+        regular_w[0] = 2.0 * state.polar[i]
         if x:    # a unit weight on each entry of B's orders 0 .. l - 2
             units = np.zeros((x, 2 * p.l - 1, p.n))
             units[:, p.l:] = np.eye(x).reshape(x, p.l - 1, p.n)

@@ -696,10 +696,6 @@ class RatMat:
                               for k in range(n)), RatScalar.zero)
                         for j in range(n)] for i in range(n)])
 
-    def trace(self):
-        return _sum((row[i] for i, row in enumerate(self.entries)),
-                    RatScalar.zero)
-
     def derivative(self):
         return RatMat([[e.derivative() for e in row] for row in self.entries])
 

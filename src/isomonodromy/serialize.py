@@ -93,18 +93,15 @@ def connection(conn):
     its order, then those at the twist points.  A finite base pole's
     residue ``(k/n) I`` is implied by ``k`` and not listed."""
     pole_data, tail = conn.polar_parts
-    by_point = {complex(t): coeffs for t, coeffs in pole_data}
-    poles = [(t, l, by_point.get(complex(t), []))
-             for t, l in zip(conn.divisor.points, conn.divisor.mults)]
-    poles += [(t, len(Cs), Cs) for t, Cs in pole_data
-              if near(t, conn.twist_points) is not None]
+    poles = conn.divisor_polar_parts + [
+        (t, Cs) for t, Cs in pole_data
+        if near(t, conn.twist_points) is not None]
     out = {"n": conn.n, "poles": [],
            "tail": [matrix(M) for M in tail] if tail.size else None,
            "base_pole": None}
-    for t, l, Cs in poles:
-        Cs = list(Cs) + [np.zeros((conn.n, conn.n))] * (l - len(Cs))
+    for t, Cs in poles:
         # JSON stores orders -l .. -1; internal lists are C_1 .. C_l
-        out["poles"].append({"t": cx(t), "l": int(l),
+        out["poles"].append({"t": cx(t), "l": len(Cs),
                              "coeffs": [matrix(C) for C in Cs[::-1]]})
     if conn.base_pole is not None:
         out["base_pole"] = {"point": point(conn.base_pole.point),

@@ -37,13 +37,15 @@ the bits a product of its own would.
 A ``FlowState`` owns the data derived from its poles, each computed once, on
 first use: its groups (``groups``, by order in order of first appearance,
 with each pole's index and chart coordinates), the polar coefficients
-(``polar``), the regular jets of the other poles' polar parts at every pole
-(``regular_jets``, one product of the table ``connection.extension_weights``
-at every pair of poles with the padded polar coefficients), the chart
-layer's per-group blocks (``blocks``) and the rank guard's measure on them
-(``conditioning``).  ``jet_at_pole`` and ``diagonal_jet`` assemble a
-pole's Laurent jet and formal diagonal jet from them.  The chart layer and
-the flows read these attributes and take only the state.  ``with_flat``
+(``polar``, each pole's rows of its group's array), the regular jets of
+the other poles' polar parts at every pole (``regular_jets``, one product
+of the table ``connection.extension_weights`` at every pair of poles with
+the padded polar coefficients), the chart layer's per-group blocks
+(``blocks``) and the rank guard's measure on them (``conditioning``).
+``jet_at_pole`` and ``diagonal_jet`` assemble a pole's Laurent jet and
+formal diagonal jet from them.  The chart layer and the flows read these
+attributes and take only the state.  ``from_connection`` reads a
+connection's ``divisor_polar_parts``.  ``with_flat``
 checks only its vector's length and inverts each group's frames in one
 call, refusing a singular one with ``DegenerateChartError``, since a flow
 drove it there; the new state keeps those groups, and its poles are row
@@ -53,7 +55,7 @@ leading type, in ``diagonalize_jet``.
 Chart-vector layout, per pole: the ``n^2`` entries of ``h`` (row-major),
 then for each jet order ``k = 1 .. l-2`` the ``n^2 - n`` off-diagonal
 entries of ``u_k`` (row-major, skipping the diagonal), then the ``n^2``
-entries of ``Lambda_{-1}``.
+entries of ``Lambda_{-1}``: ``chart_layout``, the one count of them.
 """
 
 from __future__ import annotations
@@ -117,6 +119,13 @@ def _trusted(cls, **fields):
     return obj
 
 
+def chart_layout(l, n):
+    """Where a pole's residue entries start in its chart slice, and the
+    slice's size, at order ``l`` and rank ``n``."""
+    at = n * n + max(l - 2, 0) * (n * n - n)
+    return at, at + n * n
+
+
 @dataclass(frozen=True)
 class PoleData:
     """Canonical data of one pole: position, order, frame jet, dressed polar."""
@@ -155,10 +164,6 @@ class PoleData:
 
     # -- chart packing --------------------------------------------------------
 
-    def chart_size(self):
-        n = self.n
-        return 2 * n * n + max(self.l - 2, 0) * (n * n - n)
-
     def chart_slice(self):
         off = ~np.eye(self.n, dtype=bool)
         return np.concatenate([self.h.ravel(), self.u[:, off].ravel(),
@@ -172,11 +177,11 @@ class PoleGroup:
     holds the positions as Python complex numbers.
 
     In a state's group, ``index`` holds the poles' positions in the state
-    and ``cols`` (shape ``(G, chart_size)``) their coordinates in the chart
-    vector; a group built alone counts its poles from 0.  The frame
-    jets, the dressed polar jet and the polar coefficients are computed once
-    per group, on first use, by batched products over the group axis, which
-    give each pole the bits a product of its own gives it.
+    and ``cols`` (shape ``(G, size)``, ``chart_layout``) their coordinates
+    in the chart vector; a group built alone counts its poles from 0.  The
+    frame jets, the dressed polar jet and the polar coefficients are
+    computed once per group, on first use, by batched products over the
+    group axis, which give each pole the bits a product of its own gives it.
     """
 
     def __init__(self, l, t, h, h_inv, lam_res, lam_irr, u, index=None,
@@ -207,12 +212,12 @@ class PoleGroup:
         G, n_u = len(ts), max(l - 2, 0)
         ts = [complex(t) for t in ts]
         H = np.array(chart[:, : n * n].reshape(G, n, n), dtype=complex)
-        at = n * n + n_u * (n * n - n)
+        at, size = chart_layout(l, n)
         u = np.zeros((G, n_u, n, n), dtype=complex)
         if n_u:
             u[:, :, ~np.eye(n, dtype=bool)] = chart[:, n * n: at].reshape(
                 G, n_u, n * n - n)
-        lam = chart[:, at: at + n * n].reshape(G, n, n)
+        lam = chart[:, at: size].reshape(G, n, n)
         return cls(l, ts, H, _frame_inverses(ts, H, DegenerateChartError), lam,
                    np.asarray(lam_irr, dtype=complex), u, index, cols)
 
@@ -313,19 +318,16 @@ class FlowState:
             members.setdefault(p.l, []).append(i)
         return tuple(
             PoleGroup.stack([self.poles[i] for i in index], index,
-                      at[index][:, None]
-                      + np.arange(self.poles[index[0]].chart_size()))
+                            at[index][:, None] + np.arange(chart_layout(
+                                self.poles[index[0]].l, self.n)[1]))
             for index in members.values())
 
     @cached_property
     def polar(self):
-        """Every pole's polar coefficients ``[C_1, ..., C_l]``, from its
-        group's ``polar``."""
-        out = [None] * len(self.poles)
-        for g in self.groups:
-            for i, C in zip(g.index, g.polar):
-                out[i] = list(C)
-        return out
+        """Every pole's polar coefficients ``[C_1, ..., C_l]``: its rows of
+        its group's ``polar``, shape (l, n, n)."""
+        rows = {i: C for g in self.groups for i, C in zip(g.index, g.polar)}
+        return [rows[i] for i in range(len(self.poles))]
 
     @cached_property
     def regular_jets(self):
@@ -365,7 +367,7 @@ class FlowState:
     def jet_at_pole(self, i):
         """Laurent jet of A at pole i, orders ``-l_i .. l_i-2``."""
         p = self.poles[i]
-        coeffs = np.concatenate([np.asarray(self.polar[i])[::-1],
+        coeffs = np.concatenate([self.polar[i][::-1],
                                  self.regular_jets[i][: p.l - 1]])
         return LaurentJet(p.t, -p.l, coeffs, 0)
 
@@ -400,27 +402,20 @@ class FlowState:
         if conn.base_pole is not None:
             raise MalformedInputError("base_pole: a state holds no base pole")
         poles = []
-        for t, l in zip(conn.divisor.points, conn.divisor.mults):
-            jet = conn.laurent(t, -1)
+        for (t, Cs), l in zip(conn.divisor_polar_parts, conn.divisor.mults):
             if l == 1:
-                poles.append(PoleData(t, 1, np.eye(conn.n),
-                                      jet.coefficient(-1)))
+                poles.append(PoleData(t, 1, np.eye(conn.n), Cs[0]))
                 continue
-            lead = jet.coefficient(-l)
-            w, V = _sorted_eig(lead)
+            w, V = _sorted_eig(Cs[-1])
             check_regular(w, max(1.0, float(np.max(np.abs(w)))))
-            Vinv = np.linalg.inv(V)
-            lam_irr = np.zeros((l - 1, conn.n), dtype=complex)
-            for k in range(2, l + 1):
-                D = Vinv @ jet.coefficient(-k) @ V
-                off = D - np.diag(np.diag(D))
-                if np.max(np.abs(off)) > 1e-8 * max(1.0, np.max(np.abs(D))):
+            D = np.linalg.inv(V) @ np.stack(Cs) @ V
+            for k, Dk in enumerate(D[1:], start=2):
+                off = Dk - np.diag(np.diag(Dk))
+                if np.max(np.abs(off)) > 1e-8 * max(1.0, np.max(np.abs(Dk))):
                     raise MalformedInputError(
                         f"order -{k} coefficient at {t} is not diagonal in "
                         f"the leading eigenframe; gauge into the chart first")
-                lam_irr[k - 2] = np.diag(D)
-            lam_res = Vinv @ jet.coefficient(-1) @ V
-            poles.append(PoleData(t, l, V, lam_res, lam_irr))
+            poles.append(PoleData(t, l, V, D[0], np.einsum("kii->ki", D[1:])))
         return cls(conn.n, tuple(poles), twist)
 
     # -- flat complex coordinates (chart vector) -------------------------------
@@ -428,7 +423,8 @@ class FlowState:
     @cached_property
     def _chart_at(self):
         """Where each pole's chart slice starts, then the chart dimension."""
-        return np.cumsum([0] + [p.chart_size() for p in self.poles])
+        return np.cumsum([0] + [chart_layout(p.l, p.n)[1]
+                                for p in self.poles])
 
     def chart_dim(self):
         return int(self._chart_at[-1])

@@ -84,6 +84,7 @@ import numpy as np
 from .connection import diagonalize_jet, extension_weights
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat
+from .states import chart_layout
 
 TAU_RANK = 1e-8
 
@@ -211,8 +212,7 @@ class PoleChartBlock:
         for m in range(l):
             self.lam_hankel[:, m, :, : l - m] = self.lam[:, m:].swapaxes(1, 2)
             u_toeplitz[:, m, : m + 1] = U[:, m::-1]
-        n_frame = n * n + max(l - 2, 0) * (n * n - n)
-        self.dim = n_frame + n * n
+        n_frame, self.dim = chart_layout(l, n)
         self.etas = np.zeros((G, self.dim, l, n, n), dtype=complex)
         # frame direction E_ab: eta_m = sum_{i <= m} (F^-1)_i E_ab U_{m-i}
         self.etas[:, : n * n] = np.einsum(
@@ -493,4 +493,4 @@ def d_translation_hamiltonian(state, i):
     """
     state.pole(i)  # the one index rule, before the jets are indexed
     return 2.0 * _jet_covector(state, i, state.regular_jets[i],
-                               np.asarray(state.polar[i]))
+                               state.polar[i])

@@ -4,14 +4,16 @@ A twist site is a polynomial matrix germ ``T(zeta)`` in the local coordinate
 ``zeta = z - p`` whose determinant vanishes at the site (and nowhere else);
 its image cuts a subsheaf of the trivial bundle.  The degree of the divisor
 is the total vanishing order of the determinants.  Connections transfer
-across the inclusion by the gauge formula ``A0 = -dT T^-1 + T A1 T^-1``,
+across the inclusion by the gauge formula ``A0 = T^-1 A1 T - T^-1 dT``,
 which trades the twist for extra integer-residue poles with identity
-monodromy.
+monodromy; only this gauge reads a connection's rational matrix.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -104,16 +106,6 @@ class MatrixDivisor:
                     f"twists: the site at {s.point} has rank {s.n}, "
                     f"expected {n}")
 
-    def global_ratmat(self, n):
-        """Ordered product of the site germs as one rank-``n`` rational
-        (polynomial) matrix."""
-        if not self.sites:
-            return RatMat.identity(n)
-        out = self.sites[0].as_ratmat()
-        for s in self.sites[1:]:
-            out = out @ s.as_ratmat()
-        return out
-
 
 def normal_form(p, params):
     """Canonical degree-one site from a position and hyperplane data.
@@ -140,6 +132,17 @@ def degree(divisor):
     return sum(s.vanishing_order() for s in divisor.sites)
 
 
+def _gauge(divisor, n):
+    """A site's or divisor's divisor, rank-checked against ``n``, with ``T``,
+    the product of its germs folded from the first, and ``T^-1``."""
+    if isinstance(divisor, TwistSite):
+        divisor = MatrixDivisor((divisor,))
+    divisor.check_rank(n)
+    germs = [s.as_ratmat() for s in divisor.sites]
+    T = reduce(operator.matmul, germs) if germs else RatMat.identity(n)
+    return divisor, T, T.inverse()
+
+
 def push_connection(divisor, conn):
     """Transfer a connection across the inclusion into the ambient bundle.
 
@@ -153,12 +156,8 @@ def push_connection(divisor, conn):
     are the connection's own, then the new sites, so pushing across two
     divisors in turn is pushing across both at once.
     """
-    if isinstance(divisor, TwistSite):
-        divisor = MatrixDivisor((divisor,))
-    divisor.check_rank(conn.n)
+    divisor, T, Tinv = _gauge(divisor, conn.n)
     _check_disjoint(divisor, conn)
-    T = divisor.global_ratmat(conn.n)
-    Tinv = T.inverse()
     A0 = (Tinv @ conn.matrix @ T) - (Tinv @ T.derivative())
     return Connection.from_ratmat(
         A0, twist_points=conn.twist_points + tuple(divisor.points()),
@@ -167,23 +166,15 @@ def push_connection(divisor, conn):
 
 def pull_connection(divisor, conn0):
     """Inverse transfer: ``A1 = T A0 T^-1 + dT T^-1``."""
-    if isinstance(divisor, TwistSite):
-        divisor = MatrixDivisor((divisor,))
-    divisor.check_rank(conn0.n)
-    T = divisor.global_ratmat(conn0.n)
-    Tinv = T.inverse()
+    _, T, Tinv = _gauge(divisor, conn0.n)
     A1 = (T @ conn0.matrix @ Tinv) + (T.derivative() @ Tinv)
     return Connection.from_ratmat(A1, base_pole=conn0.base_pole)
 
 
 def total_trace_residue(conn):
-    """Sum of ``res tr`` over all finite poles of the connection form."""
-    tr = conn.matrix.trace()
-    acc = 0.0 + 0j
-    for r, _ in tr.poles:
-        jet = tr.laurent(r, -1)
-        acc += jet.coefficient(-1)
-    return acc
+    """Sum of ``res tr`` over all finite poles of the connection form: of
+    ``tr C_1`` over its ``polar_parts``."""
+    return complex(sum(np.trace(Cs[0]) for _, Cs in conn.polar_parts[0]))
 
 
 def _check_disjoint(divisor, conn):

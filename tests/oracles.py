@@ -3,6 +3,8 @@ computes another way, kept out of ``src/`` because no library code calls
 them."""
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -11,10 +13,11 @@ from isomonodromy.connection import (TAU_REG, TAU_SEP, Connection,
                                      diagonalize_jet)
 from isomonodromy.errors import (DegenerateChartError, MalformedInputError,
                                  RegularityError)
+from isomonodromy.flows import isomonodromic_rhs
 from isomonodromy.monodromy import (LineSegment, Path, loop_ordering,
                                     transport)
 from isomonodromy.ratfun import TAU_MERGE, LaurentJet, RatMat, RatScalar
-from isomonodromy.symplectic import TAU_RANK
+from isomonodromy.symplectic import TAU_RANK, induced_polar_variations
 
 
 def form_at_infinity(f):
@@ -234,8 +237,10 @@ def spectral_quadratic(conn):
     ``q dz^2``, as a ``RatScalar``.
 
     Its poles are bounded by twice the divisor plus twice the twist locus.
+    The trace is summed from its first entry, as the library's sums are.
     """
-    return (conn.matrix @ conn.matrix).trace()
+    square = conn.matrix @ conn.matrix
+    return reduce(operator.add, (square.entries[i][i] for i in range(conn.n)))
 
 
 def formal_diagonalize(conn, p, order):
@@ -605,3 +610,48 @@ def pole_section_rates(direction, state):
                                        2 * p.l - 2, dJ[:, : 2 * p.l - 1])[1]
             db.append(dB[0, p.l:])
     return tuple(dq), tuple(db)
+
+
+def zero_curvature_residual(state, direction, nodes=512):
+    """The flow's polar-coefficient rates against the zero-curvature
+    equation ``dA/ds = dB/dz + [B, A]`` (Jimbo, Miwa & Ueno, Physica D 2
+    (1981), part I), with no transport: the largest difference over the
+    largest expected rate.
+
+    Along a translation of pole ``i`` at rate ``r``, ``B = -r P_i(z)``,
+    ``P_i`` the polar part of ``A`` at ``t_i``.  At a local coordinate that
+    moves with its pole, ``dB/dz`` cancels the motion of ``P_i``, so pole
+    ``j``'s coefficients move by the polar part at ``t_j`` of ``[B, A]``.
+    That is taken by ``nodes``-point contour quadrature of ``A`` built from
+    ``state.polar`` alone, on a circle around ``t_j`` of half the distance
+    to the nearest other pole.  The flow's rates are
+    ``induced_polar_variations`` of its ``d_chart``.  Translations only:
+    an irregular rate is refused."""
+    if direction.irregular_rates:
+        raise NotImplementedError("zero_curvature_residual: translations only")
+    ts = np.array([p.t for p in state.poles])
+
+    def polar_sum(z, poles):
+        # sum of the poles' polar parts at the points z, shape (m, n, n)
+        out = np.zeros((len(z), state.n, state.n), dtype=complex)
+        for j, rate in poles:
+            for k, C in enumerate(state.polar[j], start=1):
+                out += rate * (z - ts[j])[:, None, None] ** -k * C
+        return out
+
+    got = induced_polar_variations(
+        isomonodromic_rhs(direction, state).d_chart, state)
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    worst = scale = 0.0
+    for j, p in enumerate(state.poles):
+        zeta = 0.5 * np.min(np.abs(np.delete(ts, j) - p.t)) * np.exp(1j * theta)
+        z = p.t + zeta
+        A = polar_sum(z, [(m, 1.0) for m in range(len(ts))])
+        B = -polar_sum(z, direction.moduli_rates.items())
+        F = B @ A - A @ B
+        # the coefficient of zeta**-k is the mean of zeta**k F on the circle
+        want = np.stack([np.mean(zeta[:, None, None] ** k * F, axis=0)
+                         for k in range(1, p.l + 1)])
+        worst = max(worst, float(np.max(np.abs(got[j] - want))))
+        scale = max(scale, float(np.max(np.abs(want))))
+    return worst / scale

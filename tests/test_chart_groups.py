@@ -18,6 +18,7 @@ of poles, which the regular jets and the differentials read, is large.
 import numpy as np
 import pytest
 
+import isomonodromy.flows as flows
 import oracles
 from isomonodromy.connection import extension_weights
 from isomonodromy.flows import Direction, FlowPath, _section_rates, \
@@ -82,8 +83,9 @@ def test_groups_are_orders_in_first_appearance(state):
     assert [(g.l, g.index) for g in state.groups] == GROUPS[len(state.poles)]
     for g in state.groups:
         for r, i in enumerate(g.index):
-            at = sum(p.chart_size() for p in state.poles[:i])
-            assert list(g.cols[r]) == list(range(at, at + g.cols.shape[1]))
+            at = sum(len(p.chart_slice()) for p in state.poles[:i])
+            width = len(state.poles[i].chart_slice())
+            assert list(g.cols[r]) == list(range(at, at + width))
 
 
 REGULAR_JET_TOL = 1e-14
@@ -246,3 +248,28 @@ def test_hamiltonian_vector_field(state, rng):
     dH = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     assert np.array_equal(hamiltonian_vector_field(dH, state),
                           oracles.pole_hamiltonian_vector_field(dH, state))
+
+
+ZERO_CURVATURE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_translations_satisfy_zero_curvature(n, rng):
+    # along a translation of pole i, the coefficients at every pole move by
+    # the polar part of -[P_i(z), A(z)]: the Jimbo-Miwa-Ueno equations at
+    # pole orders 1, 2 and 3, which the library never codes
+    state = mixed_state(rng, n)
+    for i in range(len(state.poles)):
+        assert oracles.zero_curvature_residual(
+            state, Direction.translation(i)) < ZERO_CURVATURE_TOL
+
+
+def test_zero_curvature_fails_a_planted_correction(rng, monkeypatch):
+    state = mixed_state(rng, 2)
+    field = flows.solve_chart
+    monkeypatch.setattr(flows, "solve_chart",
+                        lambda dH, st: (1.0 + 1e-6) * field(dH, st))
+    for i in range(len(state.poles)):
+        residual = oracles.zero_curvature_residual(
+            state, Direction.translation(i))
+        assert 0.5e-6 < residual < 2e-6

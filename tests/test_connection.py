@@ -22,6 +22,7 @@ from isomonodromy.errors import (
     RegularityError,
 )
 from isomonodromy.ratfun import LaurentJet, RatMat, RatScalar, residue
+from isomonodromy.states import FlowState
 from isomonodromy.twist import MatrixDivisor, normal_form, push_connection
 
 from conftest import (
@@ -498,6 +499,68 @@ class TestAssemblyBitForBit:
         assert (adds[0], expansions[0]) == (27, 0)
         conn.polar_parts
         assert (adds[0], expansions[0]) == (27, 36)
+
+
+class TestDivisorPolarParts:
+    """``Connection.divisor_polar_parts`` pads ``polar_parts`` with zeros to
+    the divisor's declared orders, and gives the bits of the reader it
+    replaced, the matrix's Laurent jet at each divisor point."""
+
+    def _connections(self, rng):
+        R, S = random_matrix(rng, 2, 0.4), random_matrix(rng, 2, 0.4)
+        zero = np.zeros((2, 2))
+        lead = np.diag([0.5, -0.25])
+        return {
+            # declared order 2 at 0, where the leading coefficient vanishes
+            "overdeclared": Connection.from_polar_parts(
+                [(0.0, [R, zero]), (1.5, [S, lead]), (-1.0, [-R - S])]),
+            # a zero residue at 1j leaves the matrix no pole there
+            "zero-residue": Connection.from_polar_parts(
+                [(0.0, [R]), (1j, [zero]), (2.0, [S, lead]),
+                 (-1.0, [-R - S])]),
+        }
+
+    @staticmethod
+    def laurent_reader(conn, t, l):
+        """The reader the accessor replaced: the matrix expanded again at
+        the divisor point."""
+        jet = conn.matrix.laurent(t, -1)
+        return np.stack([jet.coefficient(-k) for k in range(1, l + 1)])
+
+    @pytest.mark.parametrize("case", ["overdeclared", "zero-residue"])
+    def test_padded_to_the_declared_orders(self, rng, case):
+        conn = self._connections(rng)[case]
+        parts = conn.divisor_polar_parts
+        assert [t for t, _ in parts] == list(conn.divisor.points)
+        assert [len(Cs) for _, Cs in parts] == list(conn.divisor.mults)
+        found = {complex(t): len(Cs) for t, Cs in conn.polar_parts[0]}
+        padded = [(t, Cs) for t, Cs in parts if found.get(t, 0) < len(Cs)]
+        assert len(padded) == 1
+        t, Cs = padded[0]
+        assert not np.any(Cs[found.get(t, 0):])
+        for t, Cs in parts:
+            l = len(Cs)
+            assert np.array_equal(_bits(np.stack(Cs)),
+                                  _bits(self.laurent_reader(conn, t, l)))
+
+    @pytest.mark.parametrize("case", ["overdeclared", "zero-residue"])
+    def test_serialize_round_trip_keeps_the_divisor(self, rng, case):
+        conn = self._connections(rng)[case]
+        back = ser.un_connection(ser.connection(conn))
+        assert back.divisor == conn.divisor
+        for (t, Cs), (u, Ds) in zip(conn.divisor_polar_parts,
+                                    back.divisor_polar_parts):
+            assert t == u
+            assert np.allclose(np.stack(Cs), np.stack(Ds), rtol=0,
+                               atol=1e-14)
+
+    def test_from_connection_keeps_the_divisor(self, rng):
+        conn = self._connections(rng)["zero-residue"]
+        state = FlowState.from_connection(conn)
+        assert [(p.t, p.l) for p in state.poles] == list(
+            zip(conn.divisor.points, conn.divisor.mults))
+        zero_pole = state.poles[list(conn.divisor.points).index(1j)]
+        assert not np.any(zero_pole.lam_res)
 
 
 R2 = np.array([[0.2, 0.1], [0.05, -0.2]], dtype=complex)

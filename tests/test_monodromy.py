@@ -153,6 +153,16 @@ class TestTransport:
             transport(conn, path, Y0=Y0)
 
 
+# Connection.from_polar_parts sums the polar parts into a rational matrix,
+# and transport reads them back from it; past about a dozen poles that round
+# trip loses the residues (ROADMAP item 3)
+ROUND_TRIP = pytest.mark.xfail(
+    strict=True, reason="the rational round trip of the polar parts: from "
+    "12 poles the residues no longer sum to zero within TAU_INF, so the "
+    "product is not checked, and from 14 the loops are wrong (ROADMAP item "
+    "3, which waits on the benchmark's own absolute product check)")
+
+
 class TestMonodromyRep:
     @pytest.mark.parametrize("z0", [complex(np.nan, 0.0), complex(np.inf, 0.0),
                                     complex(0.0, np.nan)])
@@ -240,6 +250,28 @@ class TestMonodromyRep:
         rep = monodromy_rep(conn, -2.0j, tol=1e-11)
         inv = conjugacy_invariants(rep)
         assert np.allclose(inv[:3], [1.0, -2.0, 1.0], atol=1e-8)
+
+    @pytest.mark.parametrize("K", [10] + [pytest.param(K, marks=ROUND_TRIP)
+                                          for K in (12, 16)])
+    def test_many_poles(self, rng, K):
+        # rank 2, K simple poles 0.5 apart, residues summing to zero: each
+        # loop's eigenvalues are exp(2 pi i eig(residue)), to 1e-8 relative
+        # to max(1, |M|) as the benchmark measures them, and the form is
+        # regular at infinity, so the ordered product is checked
+        mats = random_fuchsian_matrices(rng, 2, K)
+        ts = 0.5 * np.arange(K)
+        state = FlowState(2, tuple(PoleData(t, 1, np.eye(2), M)
+                                   for t, M in zip(ts, mats)))
+        conn = state.connection()
+        rep = monodromy_rep(conn, auto_base_point(conn.all_finite_poles()))
+        for t, R in zip(ts, mats):
+            M = rep.matrix_for_pole(t)
+            got = np.sort_complex(np.linalg.eigvals(M))
+            want = np.sort_complex(np.exp(2j * np.pi * np.linalg.eigvals(R)))
+            scale = max(1.0, np.linalg.norm(M, 2))
+            assert min(np.max(np.abs(got - want)),
+                       np.max(np.abs(got - want[::-1]))) < 1e-8 * scale
+        assert rep.product_defect is not None
 
 
 class TestTwistMonodromy:
