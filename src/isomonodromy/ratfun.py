@@ -9,8 +9,9 @@ Conventions used throughout the library:
 * A :class:`RatScalar` is ``num(z) / prod_j (z - r_j)**m_j`` with the
   denominator kept in factored form ``(root, multiplicity)``.  Keeping roots
   instead of expanded denominators makes residue and Laurent extraction
-  exact-by-structure; root-finding only ever happens on *numerators*
-  (reciprocals, matrix inversion), where it is unavoidable.
+  exact-by-structure; root-finding happens only in ``RatScalar.reciprocal``,
+  on a numerator.  The library inverts no rational matrix: a twist germ's
+  inverse is ``polymat_adjugate`` over its determinant ``c zeta**mu``.
 * The point at infinity is the sentinel :data:`INFINITY`; the chart there is
   ``w = 1/z`` with ``dz = -dw / w**2``.
 * A "1-form" is a rational (or jet) coefficient of ``dz`` in the finite chart,
@@ -699,30 +700,6 @@ class RatMat:
     def derivative(self):
         return RatMat([[e.derivative() for e in row] for row in self.entries])
 
-    def det(self):
-        return _ratmat_det([[self.entries[i][j] for j in range(self.n)]
-                            for i in range(self.n)])
-
-    def adjugate(self):
-        n = self.n
-        if n == 1:
-            return RatMat([[RatScalar.const(1.0)]])
-        out = RatMat.zero(n)
-        for i in range(n):
-            for j in range(n):
-                minor = [[self.entries[r][c] for c in range(n) if c != j]
-                         for r in range(n) if r != i]
-                sign = -1.0 if (i + j) % 2 else 1.0
-                out.entries[j][i] = _ratmat_det(minor) * sign
-        return out
-
-    def inverse(self):
-        d = self.det()
-        if d.is_zero():
-            raise MalformedInputError("matrix is identically singular")
-        dinv = d.reciprocal()
-        return self.adjugate() * dinv
-
     # -- evaluation and expansions ---------------------------------------------
 
     def eval(self, z):
@@ -748,18 +725,6 @@ def _require(e):
     if isinstance(e, RatScalar):
         return e
     raise MalformedInputError(f"cannot use {type(e)} as a RatMat entry")
-
-
-def _ratmat_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    terms = []
-    for j in range(n):
-        minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = rows[0][j] * _ratmat_det(minor)
-        terms.append(term if j % 2 == 0 else -term)
-    return _sum(terms, RatScalar.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +801,25 @@ def det_order(det):
     return mu
 
 
+def polymat_adjugate(coeffs):
+    """Adjugate of a polynomial matrix, as a polynomial matrix: entry
+    ``(j, i)`` is the signed determinant of the minor without row ``i`` and
+    column ``j``."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n = coeffs.shape[1]
+    adj = np.zeros(((n - 1) * (coeffs.shape[0] - 1) + 1, n, n), dtype=complex)
+    if n == 1:
+        adj[0, 0, 0] = 1.0
+        return adj
+    for i in range(n):
+        for j in range(n):
+            rows = [r for r in range(n) if r != i]
+            cols = [c for c in range(n) if c != j]
+            md = polymat_det(coeffs[:, rows][:, :, cols])
+            adj[: md.size, j, i] = (-1.0 if (i + j) % 2 else 1.0) * md
+    return adj
+
+
 def polymat_inverse_jet(coeffs, k_max):
     """Laurent jet (at 0, in the germ's own coordinate) of ``T(zeta)**-1``.
 
@@ -851,19 +835,7 @@ def polymat_inverse_jet(coeffs, k_max):
     unit = det[mu:]
     K = k_max + mu + 1
     det_inv = series_div(np.array([1.0 + 0j]), unit, max(K, 1))
-    # adjugate as a polynomial matrix
-    adj = np.zeros(((n - 1) * (coeffs.shape[0] - 1) + 1, n, n), dtype=complex)
-    if n == 1:
-        adj[0, 0, 0] = 1.0
-    else:
-        for i in range(n):
-            for j in range(n):
-                rows = [r for r in range(n) if r != i]
-                cols = [c for c in range(n) if c != j]
-                minor = coeffs[:, rows][:, :, cols]
-                md = polymat_det(minor)
-                sign = -1.0 if (i + j) % 2 else 1.0
-                adj[: md.size, j, i] = sign * md
+    adj = polymat_adjugate(coeffs)
     out = np.zeros((K, n, n), dtype=complex)
     for k in range(K):
         for a in range(min(k + 1, adj.shape[0])):

@@ -1,12 +1,14 @@
 """Matrix divisors: pointwise twists of the trivial bundle.
 
 A twist site is a polynomial matrix germ ``T(zeta)`` in the local coordinate
-``zeta = z - p`` whose determinant vanishes at the site (and nowhere else);
-its image cuts a subsheaf of the trivial bundle.  The degree of the divisor
-is the total vanishing order of the determinants.  Connections transfer
-across the inclusion by the gauge formula ``A0 = T^-1 A1 T - T^-1 dT``,
-which trades the twist for extra integer-residue poles with identity
-monodromy; only this gauge reads a connection's rational matrix.
+``zeta = z - p`` whose determinant is ``c zeta**mu``, vanishing at the site
+alone; its image cuts a subsheaf of the trivial bundle.  The degree of the
+divisor is the total vanishing order of the determinants.  Connections
+transfer across the inclusion by the gauge formula ``A0 = T^-1 A1 T -
+T^-1 dT``, which trades the twist for extra integer-residue poles with
+identity monodromy; only this gauge reads a connection's rational matrix.
+Each site's inverse is ``adj T / (c zeta**mu)``, so ``T^-1`` has its poles
+at the sites by construction and no root is found.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import numpy as np
 from .connection import Connection, _off_divisor, check_separated, near
 from .errors import MalformedInputError, PreconditionError
 from .ratfun import (
+    TAU_DET,
     RatMat,
-    cluster_roots,
+    RatScalar,
     det_order,
+    polymat_adjugate,
     polymat_det,
     polymat_inverse_jet,
 )
@@ -32,7 +36,9 @@ from .ratfun import (
 class TwistSite:
     """One site: point ``p`` and polynomial germ ``T`` in ``zeta = z - p``.
 
-    ``germ`` has shape ``(deg+1, n, n)``, ascending powers of ``zeta``.
+    ``germ`` has shape ``(deg+1, n, n)``, ascending powers of ``zeta``.  Its
+    determinant must be ``c zeta**mu`` (every other coefficient vanishing by
+    ``det_order``'s rule), so it vanishes at the site alone.
     """
 
     point: complex
@@ -47,12 +53,12 @@ class TwistSite:
         d = self.det_poly()
         if np.all(np.abs(d) == 0):
             raise MalformedInputError("identically singular germ")
-        # all vanishing must happen at the site itself
-        for root, _ in cluster_roots(d):
-            if abs(root) > 1e-6:
-                raise MalformedInputError(
-                    f"det of the germ at {self.point} vanishes away from the "
-                    f"site (local root {root})")
+        mu = det_order(d)
+        if np.any(np.abs(d[mu + 1:]) > TAU_DET * np.max(np.abs(d))):
+            raise MalformedInputError(
+                f"det of the germ at {self.point} is not c*zeta**{mu}: it "
+                f"vanishes away from the site (coefficients {d.tolist()})")
+        object.__setattr__(self, "_det_term", (d[mu], mu))
 
     @property
     def n(self):
@@ -62,11 +68,20 @@ class TwistSite:
         return polymat_det(self.germ)
 
     def vanishing_order(self):
-        return det_order(self.det_poly())
+        return self._det_term[1]
 
     def as_ratmat(self):
         """The germ as a global polynomial matrix in z."""
         return RatMat.from_poly_matrix(self.germ, center=self.point)
+
+    def inverse_ratmat(self):
+        """``T^-1`` as a rational matrix in z, ``adj T / (c zeta**mu)`` with
+        ``det T = c zeta**mu``: its only pole is the site, and no root is
+        found."""
+        c, mu = self._det_term
+        den = RatScalar(np.array([1.0 / c]), [(self.point, mu)] if mu else [])
+        return RatMat.from_poly_matrix(polymat_adjugate(self.germ),
+                                       center=self.point) * den
 
     def inverse_jet(self, k_max):
         return polymat_inverse_jet(self.germ, k_max)
@@ -134,13 +149,17 @@ def degree(divisor):
 
 def _gauge(divisor, n):
     """A site's or divisor's divisor, rank-checked against ``n``, with ``T``,
-    the product of its germs folded from the first, and ``T^-1``."""
+    the product of its germs folded from the first, and ``T^-1``, the
+    product of the sites' own inverses in reverse order."""
     if isinstance(divisor, TwistSite):
         divisor = MatrixDivisor((divisor,))
     divisor.check_rank(n)
-    germs = [s.as_ratmat() for s in divisor.sites]
-    T = reduce(operator.matmul, germs) if germs else RatMat.identity(n)
-    return divisor, T, T.inverse()
+    if not divisor.sites:
+        return divisor, RatMat.identity(n), RatMat.identity(n)
+    T = reduce(operator.matmul, (s.as_ratmat() for s in divisor.sites))
+    Tinv = reduce(operator.matmul,
+                  (s.inverse_ratmat() for s in reversed(divisor.sites)))
+    return divisor, T, Tinv
 
 
 def push_connection(divisor, conn):

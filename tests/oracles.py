@@ -133,8 +133,11 @@ def seeded_matmul(A, B):
 
 
 def seeded_det(rows):
-    """Cofactor expansion along the first row, summed onto a zero seed."""
+    """Cofactor expansion along the first row, summed onto a zero seed; the
+    empty determinant is 1."""
     n = len(rows)
+    if n == 0:
+        return RatScalar.const(1.0)
     if n == 1:
         return rows[0][0]
     acc = RatScalar.zero()
@@ -146,8 +149,12 @@ def seeded_det(rows):
 
 
 def seeded_inverse(A):
-    """``A.inverse()`` through ``seeded_det``: the adjugate over the
-    determinant."""
+    """The inverse of a rational matrix through ``seeded_det``: the adjugate
+    over the determinant, whose reciprocal finds the numerator's roots.  An
+    identically singular matrix raises ``MalformedInputError``."""
+    det = seeded_det(A.entries)
+    if det.is_zero():
+        raise MalformedInputError("matrix is identically singular")
     n = A.n
     adj = RatMat.zero(n)
     for i in range(n):
@@ -156,7 +163,7 @@ def seeded_inverse(A):
                      for r in range(n) if r != i]
             adj.entries[j][i] = seeded_det(minor) * (-1.0 if (i + j) % 2
                                                      else 1.0)
-    return adj * seeded_det(A.entries).reciprocal()
+    return adj * det.reciprocal()
 
 
 def three_branch_jet_product(a, b):
@@ -227,7 +234,7 @@ def gauge_transform(conn, g):
     """
     if isinstance(g, np.ndarray):
         g = RatMat.from_constant(g)
-    ginv = g.inverse()  # raises on identically singular g
+    ginv = seeded_inverse(g)  # raises on identically singular g
     new = (-(g.derivative() @ ginv)) + (g @ conn.matrix @ ginv)
     return Connection.from_ratmat(new, base_pole=conn.base_pole)
 
@@ -625,10 +632,13 @@ def zero_curvature_residual(state, direction, nodes=512):
     That is taken by ``nodes``-point contour quadrature of ``A`` built from
     ``state.polar`` alone, on a circle around ``t_j`` of half the distance
     to the nearest other pole.  The flow's rates are
-    ``induced_polar_variations`` of its ``d_chart``.  Translations only:
-    an irregular rate is refused."""
-    if direction.irregular_rates:
-        raise NotImplementedError("zero_curvature_residual: translations only")
+    ``induced_polar_variations`` of its ``d_chart``.
+
+    Along an irregular rate ``R`` (``dLambda_-2/ds``) at an order-2 pole
+    ``i``, ``B = -h diag(R) h^-1 / (z - t_i)``, ``h`` the pole's frame, and
+    no pole moves: the coefficients move by the polar parts of ``dB/dz +
+    [B, A]``.  The flow's rates add the lift's ``h diag(R) h^-1`` at order
+    2 of pole ``i`` to those of ``d_chart``, analytically."""
     ts = np.array([p.t for p in state.poles])
 
     def polar_sum(z, poles):
@@ -639,8 +649,13 @@ def zero_curvature_residual(state, direction, nodes=512):
                 out += rate * (z - ts[j])[:, None, None] ** -k * C
         return out
 
+    irregular = {i: state.poles[i].h @ np.diag(rows[0])
+                 @ np.linalg.inv(state.poles[i].h)
+                 for i, rows in direction.irregular_rates.items()}
     got = induced_polar_variations(
         isomonodromic_rhs(direction, state).d_chart, state)
+    for i, lift in irregular.items():
+        got[i][1] += lift
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     worst = scale = 0.0
     for j, p in enumerate(state.poles):
@@ -649,6 +664,10 @@ def zero_curvature_residual(state, direction, nodes=512):
         A = polar_sum(z, [(m, 1.0) for m in range(len(ts))])
         B = -polar_sum(z, direction.moduli_rates.items())
         F = B @ A - A @ B
+        for i, lift in irregular.items():
+            # B_i = -lift / (z - t_i), so dB_i/dz = lift / (z - t_i)**2
+            w = (z - ts[i])[:, None, None] ** -1
+            F += w * (A @ lift - lift @ A) + w ** 2 * lift
         # the coefficient of zeta**-k is the mean of zeta**k F on the circle
         want = np.stack([np.mean(zeta[:, None, None] ** k * F, axis=0)
                          for k in range(1, p.l + 1)])

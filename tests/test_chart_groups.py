@@ -24,6 +24,7 @@ from isomonodromy.connection import extension_weights
 from isomonodromy.flows import Direction, FlowPath, _section_rates, \
     integrate_flow
 from isomonodromy.states import FlowState, PoleData, PoleGroup
+from isomonodromy.twist import MatrixDivisor, TwistSite, normal_form
 from isomonodromy.symplectic import (
     PoleChartBlock,
     d_hamiltonian_beta_B,
@@ -253,7 +254,7 @@ def test_hamiltonian_vector_field(state, rng):
 ZERO_CURVATURE_TOL = 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_translations_satisfy_zero_curvature(n, rng):
     # along a translation of pole i, the coefficients at every pole move by
     # the polar part of -[P_i(z), A(z)]: the Jimbo-Miwa-Ueno equations at
@@ -273,3 +274,62 @@ def test_zero_curvature_fails_a_planted_correction(rng, monkeypatch):
         residual = oracles.zero_curvature_residual(
             state, Direction.translation(i))
         assert 0.5e-6 < residual < 2e-6
+
+
+def twisted_state(rng, n):
+    """``mixed_state`` with two frozen twist sites clear of its poles, of
+    degrees 1 and n."""
+    state = mixed_state(rng, n)
+    germ = np.zeros((2, n, n), dtype=complex)
+    germ[1] = np.eye(n)
+    return FlowState(n, state.poles, MatrixDivisor((
+        normal_form(0.9 + 1.0j, (0.0,) + (0.5 - 0.2j,) * (n - 1)),
+        TwistSite(-0.7 - 0.6j, germ))))
+
+
+def irregular_directions(rng, state):
+    """A random rate of the irregular type at each order-2 pole."""
+    return [Direction.irregular(i, random_matrix(rng, state.n)[:1])
+            for i, p in enumerate(state.poles) if p.l == 2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_irregular_rates_satisfy_zero_curvature(n, rng):
+    # along an irregular rate R at an order-2 pole, the coefficients move by
+    # the polar parts of dB/dz + [B, A] with B = -h R h^-1 / (z - t_i), the
+    # flow's rates taken analytically
+    state = mixed_state(rng, n)
+    for direction in irregular_directions(rng, state):
+        assert oracles.zero_curvature_residual(state, direction) \
+            < ZERO_CURVATURE_TOL
+
+
+def test_twisted_state_satisfies_zero_curvature(rng):
+    # the flow reads the chart's own polar data: the frozen twist changes
+    # neither its rates nor the equation they satisfy
+    state = twisted_state(rng, 3)
+    assert state.twist.sites
+    for i in range(len(state.poles)):
+        assert oracles.zero_curvature_residual(
+            state, Direction.translation(i)) < ZERO_CURVATURE_TOL
+    for direction in irregular_directions(rng, state):
+        assert oracles.zero_curvature_residual(state, direction) \
+            < ZERO_CURVATURE_TOL
+
+
+@pytest.mark.parametrize("case", ["n4", "twisted", "irregular"])
+def test_zero_curvature_cases_fail_a_planted_correction(case, rng,
+                                                        monkeypatch):
+    # the correction's share of the rates sets the residual: all of it
+    # along translations, part of it along irregular rates, where the lift
+    # moves the leading coefficient itself
+    state = twisted_state(rng, 2) if case == "twisted" else \
+        mixed_state(rng, 4 if case == "n4" else 2)
+    directions = irregular_directions(rng, state) if case == "irregular" \
+        else [Direction.translation(i) for i in range(len(state.poles))]
+    field = flows.solve_chart
+    monkeypatch.setattr(flows, "solve_chart",
+                        lambda dH, st: (1.0 + 1e-6) * field(dH, st))
+    for direction in directions:
+        residual = oracles.zero_curvature_residual(state, direction)
+        assert 1e-7 < residual < 2e-6

@@ -474,8 +474,9 @@ class TestAssemblyBitForBit:
                                 polar_parts_by_partial_fractions(ref))
 
     def test_twist_germ_inverse(self):
-        T = normal_form(0.3, (0.0, 1.2, -0.4 + 0.3j)).as_ratmat()
-        assert_same_entries(T.inverse(), seeded_inverse(T))
+        site = normal_form(0.3, (0.0, 1.2, -0.4 + 0.3j))
+        assert_same_entries(site.inverse_ratmat(),
+                            seeded_inverse(site.as_ratmat()))
 
     def test_rank3_four_pole_operation_counts(self, rng, monkeypatch):
         # each entry's polar terms and the tail come from one pass: an entry

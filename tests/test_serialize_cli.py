@@ -155,6 +155,12 @@ _REFUSED = {
     "twist of rank 3": ("monodromy", "twists: the site",
                         lambda s: _twisted([[0.0, 0.0], [0.7, 0.0],
                                             [0.2, 0.0]])),
+    "twist germ vanishing off its site": (
+        "monodromy", "vanishes away from the site", lambda s: {"state": {
+            "connection": _pair_connection(), "twists": {"sites": [{
+                "p": [0.1, 0.2],
+                "T": [ser.matrix(np.diag([-1e-7, 1.0])),
+                      ser.matrix(np.diag([1.0, 0.0]))]}]}}}),
     "twist on a pole": ("monodromy", "poles and twist sites",
                         lambda s: _twisted([[0.0, 0.0], [0.7, 0.0]],
                                            p=(1.3, 0.0))),

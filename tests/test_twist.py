@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from isomonodromy.twist import (
 )
 
 from conftest import fuchsian_connection, random_invertible, random_matrix
+from oracles import seeded_inverse
 
 
 def z_identity_site(p, n, order=1):
@@ -78,6 +82,18 @@ class TestDegree:
         with pytest.raises(MalformedInputError):
             TwistSite(0.0, germ)
 
+    @pytest.mark.parametrize("diag", [(1e-7, None), (0.0, 1e-7)])
+    def test_vanishing_near_the_site_rejected(self, diag):
+        # det T is zeta - 1e-7, or zeta (zeta - 1e-7): a root 1e-7 from the
+        # site, which would put T^-1's pole off the recorded twist point
+        germ = np.zeros((2, 2, 2), dtype=complex)
+        germ[1] = np.eye(2)
+        germ[0] = np.diag([-diag[0], 1.0 if diag[1] is None else -diag[1]])
+        if diag[1] is None:
+            germ[1, 1, 1] = 0.0
+        with pytest.raises(MalformedInputError, match="vanishes away"):
+            TwistSite(0.0, germ)
+
     def test_far_vanishing_rejected(self):
         # det vanishes at zeta = 1, away from the site
         germ = np.zeros((2, 2, 2), dtype=complex)
@@ -103,7 +119,7 @@ class TestPushPull:
         # degree-0 "twist": constant invertible germ
         G = random_invertible(rng, 2)
         T = RatMat.from_constant(G)
-        A0 = (T @ conn.matrix @ T.inverse())
+        A0 = (T @ conn.matrix @ seeded_inverse(T))
         out = Connection.from_ratmat(A0)
         assert sorted(np.round(np.array(out.matrix.pole_points()), 8).tolist(),
                       key=lambda z: (z.real, z.imag)) == \
@@ -262,3 +278,85 @@ class TestPushInTurn:
         pushed = push_connection(first, conn)
         with pytest.raises(PreconditionError, match="twist point"):
             push_connection(normal_form(0.4j, (0.0, 0.2)), pushed)
+
+
+def assert_close_polar_parts(got, want, rtol):
+    """The same poles, each to ``rtol``, with the same orders, and every
+    polar and tail coefficient within ``rtol`` of ``want``'s largest."""
+    (data_g, tail_g), (data_w, tail_w) = got, want
+    scale = max([np.max(np.abs(np.stack(Cs))) for _, Cs in data_w]
+                + [np.max(np.abs(tail_w), initial=0.0)])
+    assert len(data_g) == len(data_w)
+    for t, Cs in data_w:
+        (Ds,) = [Ds for u, Ds in data_g if abs(u - t) <= rtol * max(1, abs(t))]
+        assert len(Ds) == len(Cs)
+        assert np.max(np.abs(np.stack(Ds) - np.stack(Cs))) <= rtol * scale
+    K = max(len(tail_g), len(tail_w))
+    pad = [np.concatenate([a, np.zeros((K - len(a),) + a.shape[1:])])
+           for a in (tail_g, tail_w)]
+    assert np.max(np.abs(pad[0] - pad[1]), initial=0.0) <= rtol * scale
+
+
+class TestSiteInverse:
+    """A site's ``T^-1`` is ``adj T / (c zeta**mu)``, with its pole at the
+    site by construction; push and pull agree with the same gauge built on
+    the oracle's inverse, which finds the determinant's roots."""
+
+    def sites(self, rng):
+        return {"degree 2": z_identity_site(0.4 + 0.3j, 2),
+                "degree 0": TwistSite(0.4 + 0.3j,
+                                      random_invertible(rng, 2)[None]),
+                "degree 1": normal_form(0.4 + 0.3j, (0.0, 1.7 - 0.4j)),
+                "two sites": MatrixDivisor((normal_form(0.4j, (0.0, 0.7)),
+                                            z_identity_site(-0.5j, 2)))}
+
+    def conn(self, rng):
+        return Connection.from_ratmat(
+            fuchsian_connection([1.0, -1.0],
+                                [random_matrix(rng, 2), random_matrix(rng, 2)]))
+
+    @pytest.mark.parametrize("kind", ["degree 2", "degree 0"])
+    def test_push_and_pull_match_the_oracle_inverse(self, rng, kind):
+        conn, site = self.conn(rng), self.sites(rng)[kind]
+        assert degree(site) == {"degree 2": 2, "degree 0": 0}[kind]
+        T = site.as_ratmat()
+        Tinv = seeded_inverse(T)
+        A = conn.matrix
+        pushed = Connection.from_ratmat(Tinv @ A @ T - Tinv @ T.derivative())
+        pulled = Connection.from_ratmat(T @ A @ Tinv + T.derivative() @ Tinv)
+        assert_close_polar_parts(push_connection(site, conn).polar_parts,
+                                 pushed.polar_parts, 1e-13)
+        assert_close_polar_parts(pull_connection(site, conn).polar_parts,
+                                 pulled.polar_parts, 1e-13)
+
+    @pytest.mark.parametrize("kind", ["degree 2", "degree 0", "degree 1",
+                                      "two sites"])
+    def test_pull_of_push_returns_the_polar_parts(self, rng, kind):
+        conn, site = self.conn(rng), self.sites(rng)[kind]
+        back = pull_connection(site, push_connection(site, conn))
+        assert_close_polar_parts(back.polar_parts, conn.polar_parts, 1e-12)
+
+    def test_inverse_times_germ_is_identity(self, rng):
+        site = normal_form(0.4 + 0.3j, (0.0, 1.7 - 0.4j)).right_multiply(
+            random_invertible(rng, 2))
+        Tinv = site.inverse_ratmat()
+        assert Tinv.pole_points() == [site.point]
+        product = Tinv @ site.as_ratmat()
+        for z in (0.4 + 0.31j, 2.0 - 1.0j):
+            assert np.max(np.abs(product.eval(z) - np.eye(2))) < 1e-13
+
+
+def test_no_root_finding_outside_ratfun():
+    # a twist's inverse divides by the sites' own determinants and its input
+    # check reads their coefficients: np.roots and cluster_roots are each
+    # called once, both in ratfun
+    package = Path(ratfun.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                if name in ("roots", "cluster_roots"):
+                    calls.append((path.stem, name))
+    assert sorted(calls) == [("ratfun", "cluster_roots"), ("ratfun", "roots")]
