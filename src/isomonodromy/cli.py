@@ -93,10 +93,11 @@ def _tols(spec, override=None):
 
 def _state_of(spec):
     if "state" in spec:
-        return ser.un_flow_state(spec["state"])
+        return ser.un_flow_state(_object(spec["state"], "state"))
     if "connection" in spec:
-        return ser.un_flow_state({"connection": spec["connection"],
-                                  "twists": spec.get("twists")})
+        return ser.un_flow_state({
+            "connection": _object(spec["connection"], "connection"),
+            "twists": spec.get("twists")})
     raise MalformedInputError("spec needs a 'state' or 'connection' field")
 
 
@@ -208,8 +209,8 @@ def cmd_flow(spec, args, verify_only=False):
 
 def cmd_monodromy(spec, args):
     tols = _tols(spec, args.tol)
-    if "connection" in spec and not spec.get("twists"):
-        conn = ser.un_connection(spec["connection"])   # keeps its tail
+    if "connection" in spec and not spec.get("twists"):   # keeps its tail
+        conn = ser.un_connection(_object(spec["connection"], "connection"))
     else:
         conn = _state_of(spec).connection()
     bp = _base_point(spec, conn.all_finite_poles())

@@ -221,9 +221,9 @@ def polar_decompose(A):
     n = A.n
     pole_data = []
     for p in A.pole_points():
-        l = A.pole_order(p)
-        jet = A.laurent(p, -1)
-        coeffs = [np.array(jet.coefficient(-k)) for k in range(1, l + 1)]
+        jet = A.laurent(p, -1)   # starts at the pole's order, -k_min
+        coeffs = [np.array(jet.coefficient(-k))
+                  for k in range(1, 1 - jet.k_min)]
         pole_data.append((p, coeffs))
     polys = [[e.polynomial_part() for e in row] for row in A.entries]
     deg = max(p.size for row in polys for p in row)

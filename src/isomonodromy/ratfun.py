@@ -88,25 +88,24 @@ def poly_add(a, b):
     return trimseq(out)
 
 
-def poly_shift(c, a):
-    """Coefficients of ``p(x + a)`` given those of ``p`` (Taylor shift)."""
-    c = np.asarray(c, dtype=complex)
-    out = c.copy()
-    n = out.size
-    # repeated synthetic division by (x - (-a)) accumulates the Taylor
-    # coefficients of p at a in place
-    for i in range(n - 1):
+def poly_shift(c, a, terms):
+    """The first ``terms`` coefficients of the Taylor shift ``p(x + a)``."""
+    out, a = np.asarray(c, dtype=complex).tolist(), complex(a)
+    n = len(out)
+    # synthetic division by (x - (-a)), repeated in place on Python complexes
+    # (numpy's arithmetic, bit for bit): pass i writes coefficient i last
+    for i in range(min(terms, n - 1)):
         for k in range(n - 2, i - 1, -1):
             out[k] += a * out[k + 1]
-    return out
+    return np.array(out[:terms], dtype=complex)
 
 
 def poly_factors(factors):
     """Expand ``prod (z - r)**m`` for a list of ``(root, mult)`` pairs."""
     c = np.ones(1, dtype=complex)
     for r, m in factors:
-        for _ in range(m):
-            c = poly_mul(c, np.array([-r, 1.0], dtype=complex))
+        for _ in range(m):   # poly_mul, less trims of monic factors
+            c = np.convolve(c, np.array([-r, 1.0], dtype=complex))
     return c
 
 
@@ -354,7 +353,7 @@ class RatScalar:
 
     @classmethod
     def zero(cls):
-        return cls(np.zeros(1, dtype=complex))
+        return _entry(np.zeros(1, dtype=complex), ())
 
     @classmethod
     def const(cls, c):
@@ -405,35 +404,7 @@ class RatScalar:
     def __add__(self, other):
         if not isinstance(other, RatScalar):
             return NotImplemented
-        # an identically zero operand adds nothing: the other is the sum
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        union = {}
-        for r, m in self.poles + other.poles:
-            key = self._key_for(union, r)
-            union[key] = max(union.get(key, 0), self._mult_in(self, key),
-                             self._mult_in(other, key))
-        common = list(union.items())
-        cof_a = poly_factors([(r, m - self._mult_in(self, r)) for r, m in common])
-        cof_b = poly_factors([(r, m - self._mult_in(other, r)) for r, m in common])
-        num = poly_add(poly_mul(self.num, cof_a), poly_mul(other.num, cof_b))
-        return RatScalar(num, common)
-
-    @staticmethod
-    def _key_for(union, r):
-        for key in union:
-            if abs(key - r) <= TAU_MERGE * max(1.0, abs(key)):
-                return key
-        return complex(r)
-
-    @staticmethod
-    def _mult_in(f, r):
-        for r0, m0 in f.poles:
-            if abs(r0 - r) <= TAU_MERGE * max(1.0, abs(r0)):
-                return m0
-        return 0
+        return _add(self, other, {})
 
     def __neg__(self):
         return RatScalar(-self.num, self.poles, _skip_cancel=True)
@@ -500,23 +471,8 @@ class RatScalar:
         """
         if is_infinity(p):
             return self.at_infinity().laurent(0.0, k_max)
-        p = complex(p)
-        hits = [(r, m) for r, m in self.poles
-                if abs(p - r) <= TAU_CANCEL * max(1.0, abs(r))]
-        if len(hits) > 1:
-            raise MalformedInputError(
-                f"ambiguous expansion point {p}: several denominator roots "
-                f"coincide within tolerance with inconsistent multiplicities")
-        m = hits[0][1] if hits else 0
-        center = hits[0][0] if hits else p
-        rest = [(r, mm) for r, mm in self.poles if not hits or r != hits[0][0]]
-        nterms = k_max + m + 1
-        if nterms <= 0:
-            return LaurentJet(p, -m, np.zeros(0, dtype=complex), 0)
-        num_t = poly_shift(self.num, center)
-        den_t = poly_shift(poly_factors(rest), center)
-        series = series_div(num_t, den_t, nterms)
-        return LaurentJet(p, -m, series, 0)
+        jet = RatMat([[self]]).laurent(complex(p), k_max)
+        return LaurentJet(jet.point, jet.k_min, jet.coeffs[:, 0, 0], 0)
 
     def partial_fractions(self):
         """Decompose into polar terms and a polynomial part.
@@ -537,47 +493,103 @@ class RatScalar:
     def polynomial_part(self):
         """Ascending coefficients of the polynomial part: the ``polydiv``
         quotient of the numerator by the denominator."""
-        den = poly_factors(self.poles)
-        if self.num.size < den.size:
-            return np.zeros(1, dtype=complex)
-        quot, _ = npoly.polydiv(self.num, den)
+        if self.num.size <= sum(m for _, m in self.poles):
+            return np.zeros(1, dtype=complex)   # proper: nothing to expand
+        quot, _ = npoly.polydiv(self.num, poly_factors(self.poles))
         return poly_trim(quot, rel_tol=1e-14)
 
     def __repr__(self):
         return f"RatScalar(deg_num={self.num.size - 1}, poles={self.poles})"
 
 
+def _mult_in(poles, r):
+    for r0, m0 in poles:
+        if abs(r0 - r) <= TAU_MERGE * max(1.0, abs(r0)):
+            return m0
+    return 0
+
+
+def _sum_plan(pa, pb):
+    """The roots of the pole tuples ``pa`` and ``pb`` merged within
+    ``TAU_MERGE`` at the larger multiplicity, and the two cofactors."""
+    union = {}
+    for r, _ in pa + pb:
+        key = next((k for k in union
+                    if abs(k - r) <= TAU_MERGE * max(1.0, abs(k))), complex(r))
+        union[key] = _mult_in(pa, key), _mult_in(pb, key)
+    mults = union.items()
+    return ([(r, max(ma, mb)) for r, (ma, mb) in mults],
+            poly_factors([(r, max(0, mb - ma)) for r, (ma, mb) in mults]),
+            poly_factors([(r, max(0, ma - mb)) for r, (ma, mb) in mults]))
+
+
+def _add(a, b, plans):
+    """``a + b``, with the plan for their pole tuples made once in
+    ``plans``: a matrix sum passes one ``plans`` to all its entries."""
+    # an identically zero operand adds nothing: the other is the sum
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return b
+    key = a.poles, b.poles
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _sum_plan(*key)
+    common, cof_a, cof_b = plan
+    # as poly_mul and the constructor, less trims and merges that are no-ops
+    return _entry(*_cancel(poly_add(np.convolve(a.num, cof_a),
+                                    np.convolve(b.num, cof_b)), common))
+
+
+def _entry(num, poles):
+    """A RatScalar of trimmed ``num`` over merged, cancelled ``poles``."""
+    f = object.__new__(RatScalar)
+    f.num = num
+    f.poles = tuple(sorted(poles, key=lambda rm: (rm[0].real, rm[0].imag)))
+    return f
+
+
 def _cancel(num, poles):
     """Deflate factors of the trimmed numerator ``num`` that coincide with
     denominator roots.  Deflation keeps the leading coefficient, so the
-    result needs no trim."""
+    result needs no trim, and only a zero numerator is zero."""
+    if num[-1] == 0:
+        return np.zeros(1, dtype=complex), []
     out = []
+    c, mags = num.tolist(), np.abs(num).tolist()
     for r, m in poles:
-        while m > 0 and num.size > 1:
-            # the test is |num(r)| against sum_k |num_k| max(1, |r|)**k, the
-            # powers by Python's ``**``: numpy's power loop may take a SIMD
-            # path that differs from the C library's ``pow`` in the last bit
+        while m > 0 and len(c) > 1:
+            # |num(r)| against sum_k |num_k| max(1, |r|)**k, the powers by
+            # C's ``pow``: numpy's SIMD power loop may differ in the last bit
             x = max(1.0, abs(r))
-            powers = np.array([x ** k for k in range(num.size)])
-            scale = float(np.sum(np.abs(num) * powers))
-            if scale == 0.0 or abs(_horner(num, r)) > TAU_CANCEL * scale:
+            scale = _np_sum([a * x ** k for k, a in enumerate(mags)])
+            if scale == 0.0 or abs(_horner(c, r)) > TAU_CANCEL * scale:
                 break
             num = _deflate(num, r)
+            c, mags = num.tolist(), np.abs(num).tolist()
             m -= 1
-        if not num.any():
-            m = 0
         if m > 0:
             out.append((r, m))
-    if not num.any():
-        out = []
-        num = np.zeros(1, dtype=complex)
     return num, out
 
 
+def _np_sum(v):
+    """``np.sum`` of the list of floats ``v``, bit for bit: a left fold below
+    8 terms, 8 strided lanes summed pairwise up to 128, halves above."""
+    n = len(v)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _np_sum(v[:h]) + _np_sum(v[h:])
+    if n < 8:
+        return reduce(operator.add, v, 0.0)
+    r = [reduce(operator.add, v[j:n - n % 8:8]) for j in range(8)]
+    return reduce(operator.add, v[n - n % 8:], ((r[0] + r[1]) + (r[2] + r[3]))
+                  + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
 def _horner(c, x):
-    """``npoly.polyval(x, c)`` at a Python complex ``x``, bit for bit:
-    the same Horner steps in Python complex arithmetic."""
-    c = c.tolist()
+    """``npoly.polyval(x, c)`` at a Python complex ``x``, for coefficients
+    ``c``, bit for bit: the same Horner steps in Python complex arithmetic."""
     acc = c[-1] + x * 0
     for a in c[-2::-1]:
         acc = a + acc * x
@@ -635,45 +647,51 @@ class RatMat:
 
     @classmethod
     def from_polar_part(cls, p, coeff_list):
-        """``sum_k C_k / (z - p)**k`` for ``coeff_list = [C_1, C_2, ...]``."""
-        coeff_list = [np.asarray(C, dtype=complex) for C in coeff_list]
-        n = coeff_list[0].shape[0]
-        return cls([[_sum((RatScalar.simple_pole(p, C[i, j], k)
-                           for k, C in enumerate(coeff_list, start=1)
-                           if C[i, j] != 0), RatScalar.zero)
-                     for j in range(n)] for i in range(n)])
+        """``sum_k C_k / (z - p)**k`` for ``coeff_list = [C_1, C_2, ...]``:
+        a matrix sum over k of the entries ``simple_pole(p, c, k)``."""
+        zero, p = RatScalar.zero(), complex(p)
+        return reduce(operator.add, (
+            cls([[_entry(np.array([c]), ((p, k),)) if c != 0 else zero
+                  for c in row] for row in C])
+            for k, C in enumerate(np.asarray(coeff_list, dtype=complex)
+                                  .tolist(), start=1)))
 
     @classmethod
     def from_poly_matrix(cls, coeffs, center=0.0):
         """Polynomial matrix ``sum_k M_k (z - center)**k`` as a RatMat in z."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if center != 0:
-            coeffs = np.apply_along_axis(poly_shift, 0, coeffs, -center)
+            coeffs = np.apply_along_axis(poly_shift, 0, coeffs, -center,
+                                         coeffs.shape[0])
         n = coeffs.shape[1]
         return cls([[RatScalar(coeffs[:, i, j]) for j in range(n)]
                     for i in range(n)])
 
     # -- structure ------------------------------------------------------------
 
+    def _by_poles(self):
+        """An entry per distinct pole tuple and numerator length, in order."""
+        return {(e.poles, e.num.size): e for row in self.entries for e in row}
+
     def pole_points(self):
         pts = []
-        for row in self.entries:
-            for e in row:
-                for r, _ in e.poles:
-                    if not any(abs(r - q) <= TAU_MERGE * max(1.0, abs(q))
-                               for q in pts):
-                        pts.append(r)
+        for poles, _ in self._by_poles():
+            for r, _ in poles:
+                if not any(abs(r - q) <= TAU_MERGE * max(1.0, abs(q))
+                           for q in pts):
+                    pts.append(r)
         return pts
 
     def pole_order(self, p):
-        return max(e.pole_order(p) for row in self.entries for e in row)
+        return max(e.pole_order(p) for e in self._by_poles().values())
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
-        return RatMat([[self.entries[i][j] + other.entries[i][j]
+        plans = {}
+        return RatMat([[_add(self.entries[i][j], other.entries[i][j], plans)
                         for j in range(self.n)] for i in range(self.n)])
 
     def __sub__(self, other):
@@ -692,10 +710,11 @@ class RatMat:
     def __matmul__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
-        n = self.n
-        return RatMat([[_sum((self.entries[i][k] * other.entries[k][j]
-                              for k in range(n)), RatScalar.zero)
-                        for j in range(n)] for i in range(n)])
+        n, a, b = self.n, self.entries, other.entries
+        # each entry's left fold over k: one matrix sum per k
+        return _sum((RatMat([[a[i][k] * b[k][j] for j in range(n)]
+                             for i in range(n)]) for k in range(n)),
+                    lambda: RatMat.zero(n))
 
     def derivative(self):
         return RatMat([[e.derivative() for e in row] for row in self.entries])
@@ -706,16 +725,36 @@ class RatMat:
         return np.array([[complex(e(z)) for e in row] for row in self.entries])
 
     def laurent(self, p, k_max):
-        jets = [[e.laurent(p, k_max) for e in row] for row in self.entries]
-        k_min = min(j.k_min for row in jets for j in row)
-        K = k_max - k_min + 1
-        out = np.zeros((K, self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                jet = jets[i][j]
-                lo = jet.k_min - k_min
-                out[lo:lo + jet.coeffs.shape[0], i, j] = jet.coeffs[:K - lo]
-        return LaurentJet(p if not is_infinity(p) else INFINITY, k_min, out, 0)
+        """Laurent jet at ``p`` through order ``k_max``: a pole tuple's other
+        roots are expanded and shifted once, each shift to the terms read."""
+        if is_infinity(p):
+            jet = RatMat([[e.at_infinity() for e in row]
+                          for row in self.entries]).laurent(0.0, k_max)
+            return LaurentJet(INFINITY, jet.k_min, jet.coeffs, 0)
+        z, dens = complex(p), {}
+        for poles in dict.fromkeys(e.poles for row in self.entries
+                                   for e in row):
+            hits = [(r, m) for r, m in poles
+                    if abs(z - r) <= TAU_CANCEL * max(1.0, abs(r))]
+            if len(hits) > 1:
+                raise MalformedInputError(
+                    f"ambiguous expansion point {z}: several denominator "
+                    f"roots coincide within tolerance with inconsistent "
+                    f"multiplicities")
+            center, m = hits[0] if hits else (z, 0)
+            rest = poly_factors([(r, mm) for r, mm in poles if r != center])
+            dens[poles] = m, center, poly_shift(rest, center, k_max + m + 1)
+        k_min = min(-m for m, _, _ in dens.values())
+        out = np.zeros((max(k_max - k_min + 1, 0), self.n, self.n),
+                       dtype=complex)
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                m, center, den = dens[e.poles]
+                nterms = k_max + m + 1
+                if nterms > 0:
+                    out[-m - k_min:, i, j] = series_div(
+                        poly_shift(e.num, center, nterms), den, nterms)
+        return LaurentJet(p, k_min, out, 0)
 
     def __repr__(self):
         return f"RatMat(n={self.n}, poles={self.pole_points()})"

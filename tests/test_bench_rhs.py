@@ -22,6 +22,10 @@ def test_checkout_against_itself(tmp_path):
                                       "k64"}
     # the many-pole cases time the stages only
     assert set(result["verify"]) == {"n2", "n3", "n4", "irregular"}
+    assert set(result["connection"]) == {"n2", "n3", "n4", "irregular"}
+    for cell in result["connection"].values():
+        assert set(cell) == {"connection"}
+        assert cell["connection"]["old_us"] > 0
     for stages in result["summary"].values():
         assert set(stages) == {"build", "differential", "section", "gram",
                                "solve", "rhs"}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import isomonodromy.connection as connection_module
+import isomonodromy.ratfun as ratfun
 import isomonodromy.serialize as ser
 from isomonodromy.connection import (
     TAU_SEP,
@@ -480,26 +481,35 @@ class TestAssemblyBitForBit:
 
     def test_rank3_four_pole_operation_counts(self, rng, monkeypatch):
         # each entry's polar terms and the tail come from one pass: an entry
-        # is expanded once per pole, and no sum starts from zero
-        adds, expansions = [0], [0]
-        add, laurent = RatScalar.__add__, RatScalar.laurent
+        # is expanded (one series division) once per pole, no sum starts
+        # from zero, and a matrix sum plans each pair of pole tuples once
+        adds, expansions, plans = [0], [0], []
+        add, divide, plan = ratfun._add, ratfun.series_div, ratfun._sum_plan
 
-        def counted_add(self, other):
+        def counted_add(a, b, shared):
             adds[0] += 1
-            return add(self, other)
+            return add(a, b, shared)
 
-        def counted_laurent(self, p, k_max):
+        def counted_divide(num, den, nterms):
             expansions[0] += 1
-            return laurent(self, p, k_max)
+            return divide(num, den, nterms)
 
-        monkeypatch.setattr(RatScalar, "__add__", counted_add)
-        monkeypatch.setattr(RatScalar, "laurent", counted_laurent)
+        def counted_plan(pa, pb):
+            plans.append((pa, pb))
+            return plan(pa, pb)
+
+        monkeypatch.setattr(ratfun, "_add", counted_add)
+        monkeypatch.setattr(ratfun, "series_div", counted_divide)
+        monkeypatch.setattr(ratfun, "_sum_plan", counted_plan)
         data = [(t, [M]) for t, M in zip(
             FOUR_POLES, random_fuchsian_matrices(rng, 3, 4))]
         conn = Connection.from_polar_parts(data)
         assert (adds[0], expansions[0]) == (27, 0)
+        # three matrix sums; in each, every entry has the same poles
+        assert len(plans) == 3
+        assert [len(pa) + len(pb) for pa, pb in plans] == [2, 3, 4]
         conn.polar_parts
-        assert (adds[0], expansions[0]) == (27, 36)
+        assert (adds[0], expansions[0], len(plans)) == (27, 36, 3)
 
 
 class TestDivisorPolarParts:

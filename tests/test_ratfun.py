@@ -9,9 +9,12 @@ from isomonodromy.ratfun import (
     RatMat,
     RatScalar,
     _horner,
+    _np_sum,
+    _sum_plan,
     cluster_roots,
     poly_add,
     poly_mul,
+    poly_shift,
     poly_trim,
     polymat_det,
     polymat_inverse_jet,
@@ -368,6 +371,13 @@ class TestKernelsBitForBit:
             x = complex(*(2.5 * rng.standard_normal(2)))
             assert _same_bits(_horner(a, x), npoly.polyval(x, a))
 
+    def test_np_sum_is_np_sum(self, rng):
+        # the cancellation test's scale: left fold, eight lanes, halves
+        for size in [*range(1, 40), 127, 128, 129, 300, 1001]:
+            v = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(
+                -8, 8, size)
+            assert _same_bits(_np_sum(v.tolist()), np.sum(v))
+
     def test_poly_trim_fast_path(self, rng):
         # a 1-d complex array skips the conversion that a list, a 2-d or a
         # real array takes; all trim alike
@@ -378,3 +388,111 @@ class TestKernelsBitForBit:
                 assert _same_bits(poly_trim(a[None, :], rel_tol), want)
                 assert _same_bits(poly_trim(a.real, rel_tol),
                                   poly_trim(a.real.tolist(), rel_tol))
+
+
+def _same_entry(a, b):
+    return (_same_bits(a.num, b.num)
+            and _same_bits(np.array([r for r, _ in a.poles], dtype=complex),
+                           np.array([r for r, _ in b.poles], dtype=complex))
+            and [m for _, m in a.poles] == [m for _, m in b.poles])
+
+
+def _constructed_sum(a, b):
+    """``a + b`` over its plan's common denominator, through the constructor,
+    which trims the numerator and merges the roots again."""
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return b
+    common, cof_a, cof_b = _sum_plan(a.poles, b.poles)
+    return RatScalar(poly_add(poly_mul(a.num, cof_a), poly_mul(b.num, cof_b)),
+                     common)
+
+
+class TestMatrixGranularBitForBit:
+    """A matrix sum, product or expansion shares work between entries with
+    the same pole tuple, and gives the bits of entry-wise arithmetic."""
+
+    R0, R1, R2 = 0.3 + 0.1j, -1.2, 0.8 - 0.6j
+
+    def _mixed(self, rng):
+        """Two 3x3 matrices whose entries have different pole tuples: zero
+        entries, an order-2 pole with a diagonal leading coefficient, a
+        polynomial tail, and in their sum an entry whose numerator cancels
+        the root at R1; entries with one pole tuple meet different ones."""
+        def mat(scale=1.0):
+            return scale * (rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+        C = mat()
+        C[0, 1] = C[2, 0] = 0.0
+        A = (RatMat.from_polar_part(self.R0, [mat(), np.diag(mat()[0])])
+             + RatMat.from_polar_part(self.R1, [C])
+             + RatMat.from_poly_matrix(np.stack([mat(0.3), mat(0.2)])))
+        D = mat()
+        D[1, 1] = 0.0
+        B = RatMat.from_polar_part(self.R2, [D])
+        B.entries[0][0] = (RatScalar.simple_pole(self.R1, -C[0, 0])
+                           + RatScalar.simple_pole(self.R2, D[0, 0]))
+        # A[1][0] and A[1][2] have one pole tuple, B[1][0] and B[1][2] two
+        B.entries[1][0] = RatScalar.simple_pole(self.R1, D[1, 0])
+        B.entries[2][2] = RatScalar.zero()
+        return A, B
+
+    def test_sum_is_entrywise(self, rng):
+        A, B = self._mixed(rng)
+        S = A + B
+        tuples = {(a.poles, b.poles) for ra, rb in zip(A.entries, B.entries)
+                  for a, b in zip(ra, rb)}
+        assert len(tuples) >= 4
+        # the root at R1 cancels in the corner, which keeps R0's and R2's
+        assert [r for r, _ in S.entries[0][0].poles] == [self.R0, self.R2]
+        for i in range(3):
+            for j in range(3):
+                a, b = A.entries[i][j], B.entries[i][j]
+                assert _same_entry(S.entries[i][j], a + b)
+                assert _same_entry(S.entries[i][j], _constructed_sum(a, b))
+
+    def test_product_is_entrywise(self, rng):
+        A, B = self._mixed(rng)
+        for X, Y in ((A, B), (B, A), (A, A)):
+            P = X @ Y
+            for i in range(3):
+                for j in range(3):
+                    acc = X.entries[i][0] * Y.entries[0][j]
+                    for k in (1, 2):
+                        acc = _constructed_sum(
+                            acc, X.entries[i][k] * Y.entries[k][j])
+                    assert _same_entry(P.entries[i][j], acc)
+
+    def test_laurent_is_entrywise(self, rng):
+        A, B = self._mixed(rng)
+        for M in (A, B, A + B):
+            for p, k_max in ((self.R0, 2), (self.R1, 1), (self.R2, 0),
+                             (2.0 + 1j, 2), (INFINITY, 1)):
+                jet = M.laurent(p, k_max)
+                assert jet.k_max == k_max
+                for i in range(3):
+                    for j in range(3):
+                        ej = M.entries[i][j].laurent(p, k_max)
+                        got = [jet.coefficient(k)[i, j]
+                               for k in range(jet.k_min, k_max + 1)]
+                        want = [ej.coefficient(k)
+                                for k in range(jet.k_min, k_max + 1)]
+                        assert _same_bits(np.array(got), np.array(want))
+
+    def test_poly_shift_stops_at_the_terms_read(self, rng):
+        for size in range(1, 8):
+            c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            c[rng.integers(size)] = -0.0
+            a = complex(*rng.standard_normal(2))
+            full = poly_shift(c, a, size)
+            assert np.allclose(npoly.polyval(0.7 + a, c),
+                               npoly.polyval(0.7, full))
+            # the shift in numpy scalars, which it replaced
+            ref = c.copy()
+            for i in range(size - 1):
+                for k in range(size - 2, i - 1, -1):
+                    ref[k] += a * ref[k + 1]
+            assert _same_bits(full, ref)
+            for terms in range(size + 2):
+                assert _same_bits(poly_shift(c, a, terms), full[:terms])

@@ -778,6 +778,24 @@ class TestCli:
         assert err.startswith("parse error: ")
         assert f"{field or 'spec'} must be a JSON object" in err
 
+    @pytest.mark.parametrize("value", [[], "x"])
+    @pytest.mark.parametrize("command, field", [
+        (command, field) for command in ("flow", "verify", "monodromy",
+                                         "hamiltonian")
+        for field in ("state", "connection")])
+    def test_non_object_state_or_connection_is_a_parse_error(
+            self, tmp_path, command, field, value, capsys):
+        # a non-object state once died in the state reader with a raw
+        # AttributeError, and a connection's message did not name it
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({field: value}))
+        rc = cli_main([command, "--input", str(spec),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert f"{field} must be a JSON object" in err
+
     @pytest.mark.parametrize("argv, code", [
         (["flow"], 4), (["frobnicate", "--input", "x"], 4),
         (["flow", "--input", "x", "--bogus"], 4), (["--help"], 0),

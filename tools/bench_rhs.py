@@ -33,17 +33,21 @@ reference lift.  ``section`` is the extended system's, no part of ``rhs``:
 * ``rhs``: one whole ``isomonodromic_rhs(...).flat()`` on a state it
   builds itself, as the flow integrator calls it.
 
-and, apart from these stages and on the four benchmark cases only,
-``verify``: ``verify_isomonodromy`` of the case's trajectory along its
-direction (the benchmark's path: the Fuchsian line, the irregular line of
-length ``IRREGULAR_LENGTH``), integrated once with 9 samples and verified
-at all 9 and at 3 of them (s = 0, 0.5, 1), one repeat for every 20 of the
-stages'.
+and, apart from these stages and on the four benchmark cases only:
+
+* ``connection``: ``FlowState.connection().polar_parts`` on a fresh state
+  per repeat, the round trip through a rational matrix that transport and
+  verification read;
+* ``verify``: ``verify_isomonodromy`` of the case's trajectory along its
+  direction (the benchmark's path: the Fuchsian line, the irregular line of
+  length ``IRREGULAR_LENGTH``), integrated once with 9 samples and verified
+  at all 9 and at 3 of them (s = 0, 0.5, 1), one repeat for every 20 of
+  the stages'.
 
 Each subprocess reports the median over its repeats in microseconds.  The
 JSON file holds every round's medians per checkout and, per case and stage
-(``summary``) and per case and sample count (``verify``), the median over
-rounds and the ratio NEW/OLD.
+(``summary``), per case (``connection``) and per case and sample count
+(``verify``), the median over rounds and the ratio NEW/OLD.
 """
 
 import argparse
@@ -59,6 +63,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 STAGES = ("build", "differential", "section", "gram", "solve", "rhs")
+CONNECTION = ("connection",)
 VERIFY = ("verify3", "verify9")
 
 # argv: checkout, repeats; prints one JSON object {case: {stage: us}}
@@ -134,6 +139,17 @@ for name, (state, direction) in cases.items():
                                          (t7 - t6) - gram, t8 - t7)):
                 times[stage].append(1e6 * dt)
     out[name] = {stage: statistics.median(v) for stage, v in times.items()}
+# the four benchmark cases' round trip; at 16 and 64 poles it is wrong
+for name in paths:
+    state = cases[name][0]
+    y = state.flat()
+    runs = []
+    for rep in range(repeats + 3):       # three warm-up repeats
+        st = state.with_flat(y)
+        t0 = clock()
+        st.connection().polar_parts
+        runs.append(1e6 * (clock() - t0))
+    out[name]["connection"] = statistics.median(runs[3:])
 # after every case's stages, so that no stage runs after a verification
 for name, path in paths.items():
     traj = integrate_flow(cases[name][0], path, n_samples=9)
@@ -199,17 +215,20 @@ def main(argv=None):
         return out
 
     summary, verify = table(STAGES), table(VERIFY)
+    connection = table(CONNECTION)
     result = {
         "old": str(args.old), "new": str(args.new),
         "host": {"machine": platform.machine(), "processor": cpu_model(),
                  "cpus": os.cpu_count(), "python": platform.python_version()},
         "rounds": args.rounds, "repeats": args.repeats,
-        "summary": summary, "verify": verify, "per_round": rounds,
+        "summary": summary, "connection": connection, "verify": verify,
+        "per_round": rounds,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for case in summary:
         cells = "  ".join(f"{stage} {v['old_us']:.0f}->{v['new_us']:.0f}"
                           for stage, v in {**summary[case],
+                                           **connection.get(case, {}),
                                            **verify.get(case, {})}.items())
         print(f"{case:10s} {cells}")
     return 0
