@@ -162,8 +162,6 @@ def _base_point(spec, poles):
     if bp == "auto":
         return None
     z0 = ser.un_cx(bp, "base_point")
-    if not np.isfinite(z0):
-        raise MalformedInputError(f"base_point: {bp!r} is not finite")
     p = pole_near(z0, poles)
     if p is not None:
         raise MalformedInputError(

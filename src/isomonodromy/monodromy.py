@@ -21,17 +21,14 @@ form is regular at infinity.
 
 The triangular solve is LAPACK's ``ztrtrs`` from scipy's extension
 ``scipy.linalg._flapack``, the very routine ``scipy.linalg.lapack``
-re-exports.  ``_load_flapack`` loads that extension by itself, after only
-scipy's top-level package, unless it is loaded already: importing
-``scipy.linalg`` would load some 300 modules more, 75 of them scipy's.
+re-exports, which ``ode.load_alone`` loads by itself unless it is loaded
+already: importing ``scipy.linalg`` would load some 300 modules more, 75
+of them scipy's.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, fields
-from importlib.machinery import PathFinder
-from importlib.util import find_spec, module_from_spec
 from math import isqrt
 
 import numpy as np
@@ -44,32 +41,7 @@ from .ode import solve_ivp
 TAU_MONO = 1e-8
 DEFAULT_TOL = 1e-10
 
-
-def _load_flapack():
-    """scipy's LAPACK extension ``scipy.linalg._flapack``: the module
-    already loaded, if any, or else the extension found in the
-    ``scipy.linalg`` package's directory and run under that name, without
-    running the package (finding it imports only ``scipy``)."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    package = find_spec("scipy.linalg")
-    spec = package and PathFinder.find_spec(
-        name, package.submodule_search_locations)
-    if spec is None:
-        raise ImportError(f"scipy's LAPACK extension {name} is missing",
-                          name=name)
-    module = module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module
-
-
-ztrtrs = _load_flapack().ztrtrs
+ztrtrs = ode.load_alone("scipy.linalg._flapack").ztrtrs
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ Conventions used throughout the library:
 * A :class:`RatScalar` is ``num(z) / prod_j (z - r_j)**m_j`` with the
   denominator kept in factored form ``(root, multiplicity)``.  Keeping roots
   instead of expanded denominators makes residue and Laurent extraction
-  exact-by-structure; root-finding happens only in ``RatScalar.reciprocal``,
-  on a numerator.  The library inverts no rational matrix: a twist germ's
-  inverse is ``polymat_adjugate`` over its determinant ``c zeta**mu``.
+  exact-by-structure, and the library finds no root.  The one rational
+  matrix it inverts is a twist germ, by ``polymat_adjugate`` over the
+  germ's determinant ``c zeta**mu``.
 * The point at infinity is the sentinel :data:`INFINITY`; the chart there is
   ``w = 1/z`` with ``dz = -dw / w**2``.
 * A "1-form" is a rational (or jet) coefficient of ``dz`` in the finite chart,
@@ -34,7 +34,6 @@ from .errors import MalformedInputError, PreconditionError
 
 TAU_CANCEL = 1e-9     # numerator/denominator common-factor detection
 TAU_MERGE = 1e-12     # roots closer than this are the same pole
-TAU_CLUSTER = 1e-6    # np.roots output closer than this is one multiple root
 TAU_DET = 1e-9        # determinant coefficients this small, relative, vanish
 
 INFINITY = complex(float("inf"), 0.0)
@@ -124,31 +123,6 @@ def series_div(num, den, nterms):
             acc -= den[j] * out[k - j]
         out[k] = acc / d0
     return out
-
-
-def cluster_roots(coeffs):
-    """Roots of a polynomial as ``(root, multiplicity)`` clusters.
-
-    Multiple roots come out of ``np.roots`` as tight clusters; we merge
-    within ``TAU_CLUSTER`` (absolute for roots inside the unit disk,
-    relative outside) and use the cluster mean.
-    """
-    c = poly_trim(coeffs, rel_tol=1e-14)
-    if c.size <= 1:
-        return []
-    roots = np.roots(c[::-1])
-    roots = sorted(roots, key=lambda r: (r.real, r.imag))
-    clusters = []
-    for r in roots:
-        placed = False
-        for i, (center, mult) in enumerate(clusters):
-            if abs(r - center) <= TAU_CLUSTER * max(1.0, abs(center)):
-                clusters[i] = ((center * mult + r) / (mult + 1), mult + 1)
-                placed = True
-                break
-        if not placed:
-            clusters.append((r, 1))
-    return [(complex(c0), m) for c0, m in clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +393,6 @@ class RatScalar:
         # the constructor adds the multiplicities of roots within TAU_MERGE
         return RatScalar(poly_mul(self.num, other.num),
                          self.poles + other.poles)
-
-    def reciprocal(self):
-        if self.is_zero():
-            raise ZeroDivisionError("reciprocal of the zero rational function")
-        new_poles = cluster_roots(self.num)
-        lead = self.num[-1]
-        return RatScalar(poly_factors(self.poles) / lead, new_poles)
 
     def derivative(self):
         """d/dz, exact-by-structure (no root finding)."""

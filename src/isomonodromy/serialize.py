@@ -31,16 +31,16 @@ def cx(z):
 
 
 def un_cx(v, where=None):
-    """``[re, im]`` as a complex number, ``"inf"`` as the point at infinity.
+    """``[re, im]`` as a complex number.
 
     The pair must hold two finite JSON numbers: the point at infinity is
-    only ever written ``"inf"``, and no artifact written here holds a
-    non-finite pair, so one is an input error, reported at the field
-    ``where``.
+    only ever written ``"inf"``, and only where ``point`` writes it, so an
+    ``"inf"`` or a non-finite pair here is an input error, reported at the
+    field ``where``.
     """
-    if isinstance(v, str) and v == "inf":
-        return INFINITY
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+    if v == "inf":
+        problem = "'inf' is not finite"
+    elif not (isinstance(v, (list, tuple)) and len(v) == 2):
         problem = f"expected [re, im], got {v!r}"
     else:
         re, im = (float(un_typed(x, NUMBER, where or "[re, im]")) for x in v)
@@ -67,6 +67,12 @@ def un_typed(v, kind, where):
 
 def point(p):
     return "inf" if is_infinity(p) else cx(p)
+
+
+def un_point(v, where):
+    """``point``'s output: ``"inf"`` as the point at infinity, or else a
+    finite ``[re, im]``."""
+    return INFINITY if v == "inf" else un_cx(v, where)
 
 
 def matrix(M):
@@ -133,7 +139,7 @@ def un_connection(d):
     if d.get("base_pole"):
         bp = d["base_pole"]
         base = BasePole(un_typed(bp["k"], int, "base_pole.k"),
-                        un_cx(bp["point"], "base_pole.point"))
+                        un_point(bp["point"], "base_pole.point"))
         if not is_infinity(base.point):
             if near(base.point, [t for t, _ in pole_data]) is not None:
                 raise MalformedInputError(

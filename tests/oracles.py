@@ -16,7 +16,8 @@ from isomonodromy.errors import (DegenerateChartError, MalformedInputError,
 from isomonodromy.flows import isomonodromic_rhs
 from isomonodromy.monodromy import (LineSegment, Path, loop_ordering,
                                     transport)
-from isomonodromy.ratfun import TAU_MERGE, LaurentJet, RatMat, RatScalar
+from isomonodromy.ratfun import (TAU_MERGE, LaurentJet, RatMat, RatScalar,
+                                  poly_factors, poly_trim)
 from isomonodromy.symplectic import TAU_RANK, induced_polar_variations
 
 
@@ -148,10 +149,46 @@ def seeded_det(rows):
     return acc
 
 
+TAU_CLUSTER = 1e-6    # np.roots output closer than this is one multiple root
+
+
+def cluster_roots(coeffs):
+    """Roots of a polynomial as ``(root, multiplicity)`` clusters.
+
+    Multiple roots come out of ``np.roots`` as tight clusters; we merge
+    within ``TAU_CLUSTER`` (absolute for roots inside the unit disk,
+    relative outside) and use the cluster mean.
+    """
+    c = poly_trim(coeffs, rel_tol=1e-14)
+    if c.size <= 1:
+        return []
+    roots = np.roots(c[::-1])
+    roots = sorted(roots, key=lambda r: (r.real, r.imag))
+    clusters = []
+    for r in roots:
+        placed = False
+        for i, (center, mult) in enumerate(clusters):
+            if abs(r - center) <= TAU_CLUSTER * max(1.0, abs(center)):
+                clusters[i] = ((center * mult + r) / (mult + 1), mult + 1)
+                placed = True
+                break
+        if not placed:
+            clusters.append((r, 1))
+    return [(complex(c0), m) for c0, m in clusters]
+
+
+def reciprocal(f):
+    """``1 / f`` of a nonzero rational scalar: the roots of its numerator,
+    found by ``cluster_roots``, are the poles."""
+    if f.is_zero():
+        raise ZeroDivisionError("reciprocal of the zero rational function")
+    return RatScalar(poly_factors(f.poles) / f.num[-1], cluster_roots(f.num))
+
+
 def seeded_inverse(A):
     """The inverse of a rational matrix through ``seeded_det``: the adjugate
-    over the determinant, whose reciprocal finds the numerator's roots.  An
-    identically singular matrix raises ``MalformedInputError``."""
+    over the determinant, whose ``reciprocal`` finds the numerator's roots.
+    An identically singular matrix raises ``MalformedInputError``."""
     det = seeded_det(A.entries)
     if det.is_zero():
         raise MalformedInputError("matrix is identically singular")
@@ -163,7 +200,7 @@ def seeded_inverse(A):
                      for r in range(n) if r != i]
             adj.entries[j][i] = seeded_det(minor) * (-1.0 if (i + j) % 2
                                                      else 1.0)
-    return adj * det.reciprocal()
+    return adj * reciprocal(det)
 
 
 def three_branch_jet_product(a, b):

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -944,26 +945,56 @@ print(np.stack(rep.matrices).tobytes().hex())
 """
 
 
-class TestLapackExtension:
-    """Transport's ``ztrtrs``, from the extension loaded without
-    ``scipy.linalg``, is the routine ``scipy.linalg.lapack`` exports, with
-    its bits, whichever of the two loads the extension first."""
+# a DOP853 solution by scipy's solve_ivp in a child process, which imports
+# scipy.integrate before the library when told to, or after it; prints
+# whether scipy's DOP853 reads the library's tableau module, then the bytes
+# of the solution and of its dense output
+SCIPY_DOP853_RUN = """
+import sys
+if sys.argv[1] == "scipy.integrate first":
+    import scipy.integrate
+import numpy as np
+from isomonodromy import ode
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import rk
 
-    def test_is_scipy_linalgs_routine(self, monkeypatch):
-        from scipy.linalg import _flapack, lapack
+sol = solve_ivp(lambda t, y: [y[1], -np.sin(y[0]) - 0.1 * y[1]], (0.0, 6.0),
+                [1.2, 0.0], method="DOP853", rtol=1e-9, atol=1e-12,
+                dense_output=True)
+print(rk.dop853_coefficients is ode._tableau)
+print(sol.y.tobytes().hex() + sol.sol(np.linspace(0.0, 6.0, 7)).tobytes().hex())
+"""
+
+LOADED_ALONE = ["scipy.linalg._flapack",
+                "scipy.integrate._ivp.dop853_coefficients"]
+
+
+class TestModulesLoadedAlone:
+    """Transport's ``ztrtrs`` and DOP853's tableau, from the two scipy modules
+    ``ode.load_alone`` loads without their packages, are the routine
+    ``scipy.linalg.lapack`` exports and the tableau scipy's DOP853 reads,
+    with their bits, whichever of the library and scipy's package loads
+    each module first."""
+
+    @pytest.mark.parametrize("name", LOADED_ALONE)
+    def test_is_the_module_scipy_reads(self, monkeypatch, name):
+        from scipy.integrate._ivp import rk
+        from scipy.linalg import lapack
         assert monodromy_module.ztrtrs is lapack.ztrtrs
+        assert ode._tableau is rk.dop853_coefficients
+        module = sys.modules[name]
 
         # a second load returns the module loaded, and loads nothing again
         def fail(loader, spec):
-            raise AssertionError("the extension is loaded again")
+            raise AssertionError("the module is loaded again")
 
-        monkeypatch.setattr(type(_flapack.__spec__.loader), "create_module",
+        monkeypatch.setattr(type(module.__spec__.loader), "create_module",
                             fail)
-        assert monodromy_module._load_flapack() is _flapack
+        assert ode.load_alone(name) is module
 
-    def test_a_failed_load_names_the_extension_and_leaves_no_module(
-            self, monkeypatch):
-        name = "scipy.linalg._flapack"
+    @pytest.mark.parametrize("name", LOADED_ALONE)
+    def test_a_failed_load_names_the_module_and_leaves_no_module(
+            self, monkeypatch, name):
         loaded = sys.modules[name]
         monkeypatch.delitem(sys.modules, name)
 
@@ -972,13 +1003,25 @@ class TestLapackExtension:
 
         monkeypatch.setattr(type(loaded.__spec__.loader), "exec_module", fail)
         with pytest.raises(ImportError, match="unloadable"):
-            monodromy_module._load_flapack()
+            ode.load_alone(name)
         assert name not in sys.modules
-        monkeypatch.setattr(monodromy_module.PathFinder, "find_spec",
-                            lambda *args: None)
-        with pytest.raises(ImportError, match="extension " + name) as error:
-            monodromy_module._load_flapack()
+        monkeypatch.setattr(ode.PathFinder, "find_spec", lambda *args: None)
+        with pytest.raises(ImportError, match=re.escape(name)) as error:
+            ode.load_alone(name)
         assert error.value.name == name and name not in sys.modules
+
+    def test_scipy_dop853_bits_do_not_depend_on_the_import_order(self):
+        src = str(FsPath(ode.__file__).resolve().parents[1])
+        outs = []
+        for order in ("scipy.integrate first", "library first"):
+            proc = subprocess.run(
+                [sys.executable, "-c", SCIPY_DOP853_RUN, order],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout.split())
+        assert [same for same, _ in outs] == ["True", "True"]
+        assert outs[0][1] == outs[1][1]
 
     def test_transport_bits_do_not_depend_on_scipy_linalg(self):
         src = str(FsPath(monodromy_module.__file__).resolve().parents[1])

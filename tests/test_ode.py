@@ -286,7 +286,8 @@ class TestEvents:
 # a flow and a monodromy run through the CLI, in the child's own process,
 # then a flow whose pole collision aborts it, whose event location imports
 # scipy.optimize and with it scipy.linalg; prints the scipy modules the first
-# two loaded beyond those of scipy's top-level package, then whether
+# two loaded beyond those of scipy's top-level package (neither
+# scipy.integrate nor scipy.integrate._ivp among them), then whether
 # scipy.linalg.lapack exports the library's ztrtrs, loaded before it
 CLI_RUN = """
 import json, sys
@@ -326,7 +327,8 @@ def test_cli_runs_load_no_more_of_scipy_than_lapack(tmp_path):
     assert (tmp_path / "out-monodromy" / "monodromy.json").exists()
     assert "aborted: pole_collision" in proc.stdout
     footprint, same_routine = proc.stdout.splitlines()[-2:]
-    assert json.loads(footprint) == ["scipy.linalg._flapack"]
+    assert json.loads(footprint) == [
+        "scipy.integrate._ivp.dop853_coefficients", "scipy.linalg._flapack"]
     assert same_routine == "True"
 
 

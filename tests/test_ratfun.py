@@ -11,7 +11,6 @@ from isomonodromy.ratfun import (
     _horner,
     _np_sum,
     _sum_plan,
-    cluster_roots,
     poly_add,
     poly_mul,
     poly_shift,
@@ -25,6 +24,7 @@ from isomonodromy.ratfun import (
 
 from conftest import random_rational_one_form
 from oracles import (
+    cluster_roots,
     form_at_infinity,
     from_partial_fractions,
     three_branch_jet_product,

@@ -52,6 +52,16 @@ def test_a_residual_that_moves_keeps_the_failure_kind():
     assert differences(old, new)[0].endswith("; failure kind changed")
 
 
+def test_another_exit_code_changes_the_failure_kind():
+    differences = load_tool().differences
+    cause = "exit {}: flow aborted: pole_collision at s = 0.5"
+    old = [["e", None, cause.format(2)]]
+    new = [["e", None, cause.format(3)]]
+    assert differences(old, new) == [
+        f"e: (None, '{old[0][2]}') -> (None, '{new[0][2]}'); "
+        "failure kind changed"]
+
+
 def test_residuals_of_a_flipped_case_on_both_sides(capsys):
     tool = load_tool()
     rows = {

@@ -24,8 +24,11 @@ NAN, INF = float("nan"), float("inf")   # json writes NaN and Infinity
 class TestRoundTrips:
     def test_complex_and_infinity(self):
         assert ser.un_cx(ser.cx(1.25 - 0.5j)) == 1.25 - 0.5j
-        assert ser.un_cx("inf") == INFINITY
+        assert ser.un_point("inf", "base_pole.point") == INFINITY
         assert ser.point(INFINITY) == "inf"
+        # "inf" is read only where point writes it
+        with pytest.raises(MalformedInputError, match="'inf' is not finite"):
+            ser.un_cx("inf")
 
     def test_connection_bit_equal(self, rng):
         conn = Connection.from_polar_parts(
@@ -659,6 +662,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {field}: ")
         assert err.rstrip().endswith("is not finite")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, field, make", [
+        pytest.param(command, field, make, id=f"{command}-{case}")
+        for case, field, commands, make in [
+            ("state", "poles[0].t", ("hamiltonian", "monodromy", "flow"),
+             lambda s: _set(s, "state.poles.0.t", "inf")),
+            ("connection", "poles[0].t", ("monodromy",),
+             lambda s: _pair_with("poles.0.t", "inf")),
+            ("twisted-state", "site.p", ("hamiltonian", "monodromy", "flow"),
+             lambda s: _set(dict(s, **_twisted([[0.0, 0.0], [0.7, 0.0]])),
+                            "state.twists.sites.0.p", "inf")),
+            ("site", "site.p", ("pairing",),
+             lambda s: _set(_pairing(2), "site.p", "inf")),
+            ("twist-points", "twist_points", ("monodromy",),
+             lambda s: _pair_with("twist_points", ["inf"])),
+            ("displacement", "path.displacement", ("flow",),
+             lambda s: _set(s, "path", {"kind": "line", "pole": 1,
+                                        "displacement": "inf"})),
+            ("diameter", "path.diameter", ("flow",),
+             lambda s: _set(s, "path.diameter", "inf"))]
+        for command in commands])
+    def test_infinity_refused_where_a_finite_number_is_needed(
+            self, flow_spec, tmp_path, monkeypatch, capsys, command, field,
+            make):
+        # only base_pole.point may be "inf"; each of these once ran (exit 0
+        # with NaN output, or exit 3) or failed naming no field
+        for name in ("integrate_flow", "monodromy_rep",
+                     "translation_hamiltonian_values", "residue_pairing"):
+            monkeypatch.setattr(f"isomonodromy.cli.{name}", _no_work)
+        flow_spec.write_text(json.dumps(make(json.loads(
+            flow_spec.read_text()))))
+        assert cli_main([command, "--input", str(flow_spec),
+                         "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == \
+            f"parse error: {field}: 'inf' is not finite\n"
         assert not (tmp_path / "o").exists()
 
     def test_base_point_on_a_twist_point(self, tmp_path, rng, monkeypatch,

@@ -13,8 +13,9 @@ with ``--cases``) and on the workload's probe.  The digest of each case's
 deterministic artifacts and its failure cause are compared.  Prints every
 case that differs; the exit status is 1 if there is one, else 0.  Each
 says whether the case's failure kind changed: its cause with the numbers
-masked (``workloads.cause_kind``), so a case that fails the same check on
-both sides with another residual keeps its kind.  Each is followed by its
+masked (``workloads.cause_kind``) but for a leading exit code, so a case
+that fails the same check on both sides with another residual keeps its
+kind, and one that exits with another code does not.  Each is followed by its
 residuals on both sides: every one at or over its tolerance, and for a
 flow the largest conjugacy residual of ``drift.json``, which has no
 tolerance.  That is the report a change of bits gives for each failure it
@@ -24,6 +25,7 @@ flips.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -89,9 +91,14 @@ def workloads():
 
 
 def cause_kind(cause):
-    """The failure kind of a cause (``workloads.cause_kind``); None for a
+    """The failure kind of a cause: its leading ``exit N:`` as it is and
+    the rest with its numbers masked (``workloads.cause_kind``); None for a
     case that passed."""
-    return None if cause is None else workloads().cause_kind(cause)
+    if cause is None:
+        return None
+    code = re.match(r"exit \d+: ", cause)
+    code = code.group() if code else ""
+    return code + workloads().cause_kind(cause[len(code):])
 
 
 def differences(old, new):
