@@ -194,9 +194,6 @@ class Connection:
         return [(t, (found.get(t, []) + [zero] * l)[:l])
                 for t, l in zip(self.divisor.points, self.divisor.mults)]
 
-    def laurent(self, p, k_max):
-        return self.matrix.laurent(p, k_max)
-
     def is_regular_at_infinity(self):
         """True when the form extends holomorphically to infinity.
 
@@ -249,7 +246,12 @@ def extension_weights(dists, L, M):
     polar term ``C/(z-t)**k`` has the Taylor coefficients ``C * w[..., k-1,
     :]`` at a distance ``dist`` from ``t``.  The signed binomials are cached
     per ``(L, M)``."""
-    signs, powers = _signed_binomials(L, M)
+    return _weights(dists, _signed_binomials(L, M))
+
+
+def _weights(dists, table):
+    """``extension_weights`` from its signed binomials ``table``."""
+    signs, powers = table
     return signs * np.asarray(dists, dtype=complex)[..., None, None] ** powers
 
 
@@ -313,6 +315,13 @@ def check_regular(w, scale):
                     f"{TAU_REG} * {scale}")
 
 
+def _diagonal_part(M):
+    """``np.diag(np.diag(M))`` of a square matrix ``M``, in fewer calls."""
+    out = np.zeros(M.shape, dtype=M.dtype)
+    out.reshape(-1)[:: M.shape[0] + 1] = M.diagonal()
+    return out
+
+
 def diagonalize_jet(Ajet, order):
     """Order-by-order diagonalization of a matrix 1-form jet to the gauge
     normal form ``A = dZ Z^-1 + Z B Z^-1``.
@@ -333,20 +342,23 @@ def diagonalize_jet(Ajet, order):
     l = -Ajet.k_min
     n = Ajet.n
     lead = Ajet.coefficient(-l)
-    scale = max(1.0, float(np.max(np.abs(lead))))
+    scale = max(1.0, float(np.abs(lead).max()))
     w, V = _sorted_eig(lead)
     check_regular(w, scale)
     Vinv = np.linalg.inv(V)
+    conjugated = {}
 
     def acoef(i):
-        if i > Ajet.k_max:
-            raise MalformedInputError(
-                f"need A through order {i} for this truncation; jet stops at "
-                f"{Ajet.k_max}")
-        return Vinv @ Ajet.coefficient(i) @ V
+        if i not in conjugated:
+            if i > Ajet.k_max:
+                raise MalformedInputError(
+                    f"need A through order {i} for this truncation; jet "
+                    f"stops at {Ajet.k_max}")
+            conjugated[i] = Vinv @ Ajet.coefficient(i) @ V
+        return conjugated[i]
 
-    D = np.diag(np.diag(acoef(-l)))
-    d = np.diag(D)
+    D = _diagonal_part(acoef(-l))
+    d = D.diagonal()
     U = [np.eye(n, dtype=complex)]
     B = [D]
     offdiag = ~np.eye(n, dtype=bool)
@@ -367,17 +379,17 @@ def diagonalize_jet(Ajet, order):
         solved = offdiag & ~(np.hypot(denom.real, denom.imag)
                              <= TAU_REG * scale)
         # a resonance only obstructs when it must cancel something
-        rhs_scale = max(scale, float(np.max(np.abs(rhs))))
-        blocked = np.argwhere(offdiag & ~solved & ~(
-            np.hypot(rhs.real, rhs.imag) <= 1e-10 * rhs_scale))
-        if blocked.size:
+        rhs_scale = max(scale, float(np.abs(rhs).max()))
+        blocked = offdiag & ~solved & ~(
+            np.hypot(rhs.real, rhs.imag) <= 1e-10 * rhs_scale)
+        if blocked.any():
             raise RegularityError(
                 f"resonant or clustered spectrum: divisor "
-                f"{denom[tuple(blocked[0])]} at order {k}")
+                f"{denom[tuple(np.argwhere(blocked)[0])]} at order {k}")
         denom = np.where(solved, denom, 1.0)
         divisors.append((solved, denom))
         U.append(np.where(solved, rhs / denom, 0.0))
-        B.append(-np.diag(np.diag(rhs)))
+        B.append(-_diagonal_part(rhs))
 
     def pullback(B_weight):
         # the bar of each tangent variable Y pairs with it by the trace, the

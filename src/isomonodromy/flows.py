@@ -25,15 +25,19 @@ jet pulled back to the chart or to the polar coefficients (``symplectic``).
 
 One driver integrates both the flow and the extended autonomous system on
 the flat state vector (``FlowState.flat``), with the library's DOP853
-(``ode``).  Pole collision, coefficient blow-up and a degenerate chart are
+(``ode``).  Its right-hand side is compiled once per integration
+(``RhsPlan``), from the start state's chart layout: each evaluation runs
+the chart layer's stacked kernels on views of the flat vector and builds
+no state, group, block or derivative object; the public
+``isomonodromic_rhs``, ``direction_differential`` and
+``extended_autonomous_rhs`` run the same plan, built from the state they
+are given.  Pole collision, coefficient blow-up and a degenerate chart are
 terminal events of the integrator: they are tested on accepted steps only
 and located by root-finding on the dense output, so ``abort_at`` is the
-parameter at which the abort happened.  The
-right-hand side solves the chart form without the rank guard
-(``solve_chart``); the guard's measure is the event's.  The right-hand
-side, the events and the samples share the stage states built from flat
-vectors, so an accepted step's event reads the blocks and conditioning
-of the state its last stage built.
+parameter at which the abort happened.  The right-hand side solves the
+chart form without the rank guard (``solve_chart``); the guard's measure
+is the event's, taken on the Gram blocks that the step's last evaluation
+assembled.  A state is built only at the samples (``with_flat``).
 
 Verification transports the keyholes of every sample of a trajectory in
 one lock-step ``transport`` call (``monodromy_reps``).
@@ -53,12 +57,11 @@ from .monodromy import (
     conjugacy_residual,
     monodromy_reps,
 )
-from .states import ExtendedState, N_MAX
+from .states import ExtendedState, N_MAX, dress
 from .symplectic import (
     TAU_RANK,
-    d_hamiltonian_beta_B,
-    d_translation_hamiltonian,
-    polar_weights,
+    ChartPlan,
+    chart_conditioning,
     solve_chart,
     translation_hamiltonian_values,
 )
@@ -89,7 +92,8 @@ class Direction:
 
     def is_zero(self):
         return (all(r == 0 for r in self.moduli_rates.values())
-                and all(not np.any(r) for r in self.irregular_rates.values()))
+                and not any(np.asarray(r).any()
+                            for r in self.irregular_rates.values()))
 
 
 @dataclass
@@ -98,22 +102,39 @@ class StateDerivative:
     d_chart: np.ndarray         # (chart_dim,)
     d_irregular: list           # one (l-1, n) array per pole
 
-    @classmethod
-    def zero(cls, state):
-        return cls(np.zeros(len(state.poles), dtype=complex),
-                   np.zeros(state.chart_dim(), dtype=complex),
-                   [np.zeros((p.l - 1, p.n), dtype=complex)
-                    for p in state.poles])
-
     def flat(self):
         """The derivative in the layout of ``FlowState.flat``."""
         return np.concatenate([self.d_positions, self.d_chart]
                               + [r.ravel() for r in self.d_irregular])
 
+    @classmethod
+    def split(cls, dy, state):
+        """The derivative whose ``flat()`` is ``dy``, in views of it."""
+        m, dim = len(state.poles), state.chart_dim()
+        irregular, at = [], m + dim
+        for p in state.poles:
+            k = (p.l - 1) * p.n
+            irregular.append(dy[at: at + k].reshape(p.l - 1, p.n))
+            at += k
+        return cls(dy[:m], dy[m: m + dim], irregular)
 
-def _check_poles(direction, state):
+
+def _checked_rates(direction, state):
+    """The direction's irregular rates as arrays, after its pole indices
+    (``FlowState.pole``) and each rate's shape against its pole's order
+    are checked."""
     for i in [*direction.moduli_rates, *direction.irregular_rates]:
         state.pole(i)
+    out = {}
+    for i, rows in direction.irregular_rates.items():
+        p = state.poles[i]
+        rows = np.asarray(rows, dtype=complex)
+        if rows.shape != (p.l - 1, p.n):
+            raise MalformedInputError(
+                f"irregular rate shape {rows.shape} does not match pole of "
+                f"order {p.l}")
+        out[i] = rows
+    return out
 
 
 def lift_I0(direction, state):
@@ -123,19 +144,9 @@ def lift_I0(direction, state):
     coefficients at theirs, while every dressed polar coefficient of the
     connection is carried along unchanged in the flat ambient frame.
     """
-    _check_poles(direction, state)
-    out = StateDerivative.zero(state)
-    for i, rate in direction.moduli_rates.items():
-        out.d_positions[i] = rate
-    for i, rows in direction.irregular_rates.items():
-        p = state.poles[i]
-        rows = np.asarray(rows, dtype=complex)
-        if rows.shape != (p.l - 1, p.n):
-            raise MalformedInputError(
-                f"irregular rate shape {rows.shape} does not match pole of "
-                f"order {p.l}")
-        out.d_irregular[i] = rows
-    return out
+    plan = RhsPlan(state)
+    return StateDerivative.split(
+        plan.lift(direction, _checked_rates(direction, state)), state)
 
 
 def beta_for_rate(rate_rows, pole):
@@ -151,7 +162,12 @@ def beta_for_rate(rate_rows, pole):
     rate_rows = np.asarray(rate_rows, dtype=complex)
     if not rate_rows.shape[0]:
         return rate_rows
-    perm = branch_order(pole.lam_irr[pole.l - 2])
+    return _beta(rate_rows, pole.lam_irr[pole.l - 2])
+
+
+def _beta(rate_rows, lead):
+    """``beta_for_rate`` at a pole whose leading type is ``lead``."""
+    perm = branch_order(lead)
     return np.stack([-rate_rows[j][perm] / (j + 1)
                      for j in range(rate_rows.shape[0])])
 
@@ -164,46 +180,174 @@ def direction_differential(direction, state):
     twice the diagonal-jet pairing (the chart form carries twice the
     canonical normalization, fixed once by the quadratic Hamiltonians), one
     reverse sweep of the formal diagonalization per pole.  Both are taken
-    in reverse mode (``symplectic``).
+    in reverse mode (``symplectic``), by ``RhsPlan.differential``.
     """
-    _check_poles(direction, state)
-    dH = np.zeros(state.chart_dim(), dtype=complex)
-    for i, rate in direction.moduli_rates.items():
-        if rate != 0:
-            dH += rate * d_translation_hamiltonian(state, i)
-    for i, rows in direction.irregular_rates.items():
-        if not np.any(rows):
-            continue
-        p = state.poles[i]
-        if p.l > 2:
-            raise PreconditionError(
-                "irregular deformation directions are supported at poles of "
-                "order 2; the frozen-frame reference lift is not the correct "
-                "decomposition at higher orders")
-        beta = beta_for_rate(rows, p)
-        # the chart form carries twice the canonical normalization (fixed by
-        # the quadratic Hamiltonians) and the linear diagonal-jet pairing
-        # enters with the opposite orientation; both are pinned against the
-        # transported-monodromy oracle
-        dH += -2.0 * d_hamiltonian_beta_B(state, i, beta)
-    return dH
+    plan, st = _compiled(state)
+    return plan.differential(direction, st)
 
 
 def isomonodromic_rhs(direction, state):
-    """Reference lift plus Hamiltonian correction for the given direction.
+    """Reference lift plus Hamiltonian correction for the given direction:
+    ``RhsPlan``'s, split into its parts.
 
     The correction is ``solve_chart``'s, without the rank guard of
     ``hamiltonian_vector_field``: the integrators test the guard's measure
     on accepted steps (the ``degenerate_chart`` event), and a stage that
     meets an exactly singular block raises ``DegenerateChartError``.
     """
-    out = lift_I0(direction, state)
-    if direction.is_zero():
-        return out
-    dH = direction_differential(direction, state)
-    if np.any(dH):
-        out.d_chart += solve_chart(dH, state)
-    return out
+    plan, st = _compiled(state)
+    return StateDerivative.split(plan(direction, st), state)
+
+
+def _compiled(state):
+    """A plan for ``state``'s layout, and its stage at ``state``."""
+    plan = RhsPlan(state)
+    return plan, plan.stage(state.flat())
+
+
+# ---------------------------------------------------------------------------
+# the right-hand side, compiled per chart layout
+# ---------------------------------------------------------------------------
+
+class RhsPlan(ChartPlan):
+    """The isomonodromic right-hand side compiled for one chart layout: the
+    chart layer's ``ChartPlan``, read from ``state``, with the direction's
+    lift, differential and solve, and with ``extended`` the extended
+    system's section rates.
+
+    Calling the plan on a direction and a stage (``stage(y)``) gives
+    ``dy/ds`` in the layout of ``y``: the flow's, and with ``extended`` the
+    extended system's, whose dual slots follow.  No state, group, block or
+    derivative object is built, and each kernel runs the operations, shapes
+    and order of reduction of a state's own, so the bits are a state's.
+    """
+
+    def __init__(self, state, extended=False):
+        super().__init__(state)
+        self.extended = extended
+        # the extended system's dual slots: each pole's q slots, then each
+        # pole's b slots
+        at = np.cumsum([state._flat_index[1]] + self.orders
+                       + [(l - 1) * self.n for l in self.orders])
+        self.slots = list(zip(at[:-1], at[1:])) if extended else []
+        self.size = int(at[-1] if extended else at[0])
+
+    def __call__(self, direction, st):
+        """``dy/ds`` along ``direction`` at the stage ``st``: the reference
+        lift, plus the correction ``solve_chart`` takes from the
+        direction's differential, plus the section rates when the plan is
+        extended."""
+        rates = _checked_rates(direction, self.state)
+        dy = self.lift(direction, rates)
+        if not direction.is_zero():
+            dH = self._differential(direction, rates, st)
+            if dH.any():
+                dy[self.m: self.m + self.dim] += solve_chart(dH, st)
+        if self.extended:
+            dq, db = self.section_rates(direction, st)
+            for (a, b), slot in zip(self.slots, dq + db):
+                dy[a: b] = np.ravel(slot)
+        return dy
+
+    def lift(self, direction, rates):
+        """``lift_I0`` in the layout of ``y``, given the direction's
+        ``_checked_rates``."""
+        dy = np.zeros(self.size, dtype=complex)
+        for i, rate in direction.moduli_rates.items():
+            dy[i] = rate
+        for i, rows in rates.items():
+            dy[self.irr[i]] = rows
+        return dy
+
+    def differential(self, direction, st):
+        """``direction_differential`` at the stage ``st``: each position
+        rate times ``d_translation_hamiltonian``, each irregular rate times
+        ``-2 d_hamiltonian_beta_B``, as those take them on a state."""
+        return self._differential(
+            direction, _checked_rates(direction, self.state), st)
+
+    def _differential(self, direction, rates, st):
+        dH = np.zeros(self.dim, dtype=complex)
+        for i, rate in direction.moduli_rates.items():
+            if rate != 0:
+                dH += rate * self.translation_differential(st, i)
+        for i, rows in rates.items():
+            if not rows.any():
+                continue
+            l = self.orders[i]
+            if l > 2:
+                raise PreconditionError(
+                    "irregular deformation directions are supported at "
+                    "poles of order 2; the frozen-frame reference lift is "
+                    "not the correct decomposition at higher orders")
+            beta = _beta(rows, st.y[self.irr[i][l - 2]])
+            # the chart form carries twice the canonical normalization
+            # (fixed by the quadratic Hamiltonians) and the linear
+            # diagonal-jet pairing enters with the opposite orientation;
+            # both are pinned against the transported-monodromy oracle
+            dH += -2.0 * self.pairing_differential(st, i, beta)
+        return dH
+
+    def section_rates(self, direction, st):
+        """Derivatives of ``section_S`` along the reference lift of a
+        direction, fiber frozen, in closed form and in reverse mode.
+
+        The frozen fiber keeps every frame, so irregular rates move pole
+        j's polar coefficients by the polar part of ``F dLambda F^-1``, and
+        position rates move another pole's polar term as seen from pole i
+        by ``d/d dist C (zeta + dist)**-k = -k C (zeta + dist)**-(k+1)``:
+        an order ``k + 1`` term ``-(dt_i - dt_j) k C_k``.  At pole i the
+        section values' weights on its jet are stacked, the q slot's as in
+        ``d_translation_hamiltonian`` and the b slots' as one pullback of
+        the unit weights on ``B``'s diagonal stacked, taken to every pole's
+        polar coefficients by ``polar_weights`` and paired with these
+        variations."""
+        n = self.n
+        dt = np.zeros(self.m, dtype=complex)
+        for i, rate in direction.moduli_rates.items():
+            dt[i] = rate
+        # per group, through order l + 1: the lift's polar variations, and
+        # k C_k at order k + 1
+        moves = []
+        for g, (F, F_inv, P, _, _) in zip(self.groups, st.groups):
+            move = np.zeros((2, len(g.index), g.l + 1, n, n), dtype=complex)
+            rows = [direction.irregular_rates.get(j, ()) for j in g.index]
+            # without irregular rates the dressed variation is zero (the
+            # accumulation from +0 takes every -0 product to +0)
+            if any(len(r) for r in rows):
+                dlam = np.zeros((len(g.index), 1, g.l, n, n), dtype=complex)
+                for r, rate in enumerate(rows):
+                    for s, row in enumerate(rate):
+                        dlam[r, 0, s + 1] = np.diag(row)
+                move[0, :, : g.l] = dress(F, F_inv, dlam)[:, 0]
+            move[1, :, 1:] = np.arange(1, g.l + 1)[:, None, None] * P
+            moves.append((move, dt[g.at]))
+        dq, db = [], []
+        for i, l in enumerate(self.orders):
+            x = (l - 1) * n
+            polar_w = (2.0 * self.regular(st, i))[None]
+            regular_w = (2.0 * self.polar(st, i))[None]
+            if x:    # a unit weight on each entry of B's orders 0 .. l - 2
+                polar_w = np.concatenate(
+                    [polar_w, np.empty((x, l, n, n), dtype=complex)])
+                regular_w = np.concatenate(
+                    [regular_w, np.zeros((x, l, n, n), dtype=complex)])
+                units = np.zeros((x, 2 * l - 1, n))
+                units[:, l:] = np.eye(x).reshape(x, l - 1, n)
+                A_weight = diagonalize_jet(self.jet(st, i),
+                                           2 * l - 2).pullback(units)
+                polar_w[1:] = A_weight[:, l - 1::-1]
+                regular_w[1:, :-1] = A_weight[:, l:]
+            rates = np.zeros(1 + x, dtype=complex)
+            for (move, dt_g), W in zip(moves, self.weights(
+                    st.y, i, polar_w, regular_w, extra=1)):
+                dC = move[0] - (dt[i] - dt_g)[:, None, None, None] * move[1]
+                rates += np.einsum("gxkpq,gkqp->x", W, dC)
+            q = np.zeros(l, dtype=complex)
+            q[0] = rates[0]
+            dq.append(q)
+            db.append(rates[1:].reshape(l - 1, n))
+        return tuple(dq), tuple(db)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +409,15 @@ class Trajectory:
     ended an aborted trajectory (``pole_collision``,
     ``movable_singularity`` or ``degenerate_chart``), and ``abort_at`` the
     located ``s`` at which it fired; ``states`` end at the last sample
-    before it."""
+    before it.  ``nfev`` lists the right-hand side evaluations of each
+    sub-interval integrated, the aborted one last."""
 
     samples: list               # s values
     states: list                # FlowState at each sample
     status: str = "completed"   # or 'aborted'
     abort_kind: str | None = None
     abort_at: float | None = None
+    nfev: list = field(default_factory=list)
 
 
 def _abort_events(state, stage):
@@ -281,11 +427,11 @@ def _abort_events(state, stage):
     ``chart_conditioning`` falls to ``TAU_RANK``.  The caps are read at
     call time.
 
-    ``stage(y)`` is the flow state of a whole vector ``y``, the one the
+    ``stage(y)`` is the plan's stage of a whole vector ``y``, the one the
     right-hand side last built from ``y`` when it was called there: on an
-    accepted step, the state of the step's last stage.  So the
-    ``degenerate_chart`` event reads that state's memoized Gram blocks and
-    conditioning, which the start of the next sub-interval reads again."""
+    accepted step, the stage of the step's last evaluation.  So the
+    ``degenerate_chart`` event takes the singular values of the Gram blocks
+    that evaluation assembled."""
     m = len(state.poles)
     n_state = len(state.flat())
     pairs = np.triu_indices(m, 1)
@@ -298,29 +444,30 @@ def _abort_events(state, stage):
         return N_MAX - np.max(np.abs(y[m:n_state]), initial=0.0)
 
     def degenerate_chart(s, y):
-        return stage(y).conditioning - TAU_RANK
+        return chart_conditioning(stage(y)) - TAU_RANK
 
     return [pole_collision, movable_singularity, degenerate_chart]
 
 
-def _integrate(start, state, field, tol, n_samples):
-    """Integrate ``dx/ds = field(s, x)`` from ``start`` over ``s in [0, 1]``.
+def _integrate(start, path, tol, n_samples):
+    """Integrate the flow along ``path`` from ``start`` over ``s in [0,
+    1]``: a state, or an extended state over one, whose system
+    ``RhsPlan`` compiles once, from the start's layout.  One ``solve_ivp``
+    call per sub-interval between samples; an abort ends the trajectory at
+    the last sample, with ``abort_at`` the located ``s`` of the event.
 
-    ``start`` is ``state`` or an extended state over it; ``field`` returns
-    the derivative in the layout of ``start.flat()``.  One ``solve_ivp`` call
-    per sub-interval between samples; an abort ends the trajectory at the
-    last sample, with ``abort_at`` the located ``s`` of the event.
-
-    The right-hand side, the abort events and the samples share the stage
-    states: the two last built from flat vectors, kept by the vectors'
-    bytes.  An accepted step's events and the sample at its end read the
-    state its last stage built, and the next sub-interval's start reads it
-    again, so none of them builds its own.
+    The right-hand side and the abort events share the plan's stages: the
+    two last built, kept by their vectors' bytes.  An accepted step's
+    events read the stage its last evaluation built, and the next
+    sub-interval's start reads it again.  A state is built only at each
+    sample (``with_flat``).
     """
     if n_samples < 2:
         raise MalformedInputError(
             f"samples: {n_samples} given; a trajectory needs at least 2 "
             f"(s = 0 and s = 1)")
+    state = start.state if isinstance(start, ExtendedState) else start
+    plan = RhsPlan(state, extended=start is not state)
     # the last two built: solve_ivp's initial step probe comes between a
     # sub-interval's first right-hand side and its first event evaluation
     built = {}
@@ -330,19 +477,18 @@ def _integrate(start, state, field, tol, n_samples):
         if key not in built:
             if len(built) == 2:
                 del built[next(iter(built))]
-            built[key] = start.with_flat(y)
+            built[key] = plan.stage(y)
         return built[key]
 
-    events = _abort_events(state, stage if start is state
-                           else lambda y: stage(y).state)
+    events = _abort_events(state, stage)
     y = start.flat()
-    samples, states = [0.0], [start]
+    samples, states, nfev = [0.0], [start], []
     for event in events:
         if event(0.0, y) < 0:
             return Trajectory(samples, states, "aborted", event.__name__, 0.0)
 
     def rhs(s, y):
-        return field(s, stage(y))
+        return plan(path.rates(s), stage(y))
 
     # DOP853's floor for rtol, 100 eps (scipy's raises a smaller rtol to it
     # with a warning)
@@ -351,15 +497,16 @@ def _integrate(start, state, field, tol, n_samples):
     for s0, s1 in zip(svals[:-1], svals[1:]):
         sol = solve_ivp(rhs, (s0, s1), y, events=events, rtol=rtol,
                         atol=SAFETY * tol)
+        nfev.append(sol.nfev)
         if not sol.success:
             raise IntegrationAbort(f"flow integration failed: {sol.message}")
         if sol.status == 1:
             return Trajectory(samples, states, "aborted",
-                              events[sol.event].__name__, sol.t_event)
+                              events[sol.event].__name__, sol.t_event, nfev)
         y = sol.y
         samples.append(float(s1))
-        states.append(stage(y))
-    return Trajectory(samples, states)
+        states.append(start.with_flat(y))
+    return Trajectory(samples, states, nfev=nfev)
 
 
 def integrate_flow(state, path, tol=FLOW_TOL, n_samples=9):
@@ -370,10 +517,7 @@ def integrate_flow(state, path, tol=FLOW_TOL, n_samples=9):
     ``movable_singularity`` / ``degenerate_chart``) and located on the
     accepted steps (``abort_at``).
     """
-    return _integrate(
-        state, state,
-        lambda s, st: isomonodromic_rhs(path.rates(s), st).flat(),
-        tol, n_samples)
+    return _integrate(state, path, tol, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -484,56 +628,9 @@ def extend_state(state):
 
 def _section_rates(direction, state):
     """Derivatives of ``section_S`` along the reference lift of a direction,
-    fiber frozen, in closed form and in reverse mode.
-
-    The frozen fiber keeps every frame, so irregular rates move pole j's
-    polar coefficients by the polar part of ``F dLambda F^-1``, and position
-    rates move another pole's polar term as seen from pole i by
-    ``d/d dist C (zeta + dist)**-k = -k C (zeta + dist)**-(k+1)``: an order
-    ``k + 1`` term ``-(dt_i - dt_j) k C_k``.  At pole i the section values'
-    weights on its jet are stacked, the q slot's as in
-    ``d_translation_hamiltonian`` and the b slots' as one pullback of the
-    unit weights on ``B``'s diagonal stacked, taken to every pole's polar
-    coefficients by ``polar_weights`` and paired with these variations.
-    """
-    dt = np.zeros(len(state.poles), dtype=complex)
-    for i, rate in direction.moduli_rates.items():
-        dt[i] = rate
-    # per group, through order l + 1: the lift's polar variations, and
-    # k C_k at order k + 1
-    moves = []
-    for g in state.groups:
-        dlam = np.zeros((len(g.index), 1, g.l, g.n, g.n), dtype=complex)
-        for r, j in enumerate(g.index):
-            for s, row in enumerate(direction.irregular_rates.get(j, ())):
-                dlam[r, 0, s + 1] = np.diag(row)
-        move = np.zeros((2, len(g.index), g.l + 1, g.n, g.n), dtype=complex)
-        move[0, :, : g.l] = g.dressed_polar(dlam)[:, 0]
-        move[1, :, 1:] = np.arange(1, g.l + 1)[:, None, None] * g.polar
-        moves.append(move)
-    dq, db = [], []
-    for i, p in enumerate(state.poles):
-        x = (p.l - 1) * p.n
-        polar_w = np.empty((1 + x, p.l, p.n, p.n), dtype=complex)
-        regular_w = np.zeros_like(polar_w)
-        polar_w[0] = 2.0 * state.regular_jets[i]
-        regular_w[0] = 2.0 * state.polar[i]
-        if x:    # a unit weight on each entry of B's orders 0 .. l - 2
-            units = np.zeros((x, 2 * p.l - 1, p.n))
-            units[:, p.l:] = np.eye(x).reshape(x, p.l - 1, p.n)
-            A_weight = diagonalize_jet(state.jet_at_pole(i),
-                                       2 * p.l - 2).pullback(units)
-            polar_w[1:] = A_weight[:, p.l - 1::-1]
-            regular_w[1:, :-1] = A_weight[:, p.l:]
-        rates = np.zeros(1 + x, dtype=complex)
-        for g, move, W in zip(state.groups, moves, polar_weights(
-                state, i, polar_w, regular_w, extra=1)):
-            dC = move[0] - (dt[i] - dt[list(g.index)])[:, None, None, None] \
-                * move[1]
-            rates += np.einsum("gxkpq,gkqp->x", W, dC)
-        dq.append(np.concatenate([rates[:1], np.zeros(p.l - 1)]))
-        db.append(rates[1:].reshape(p.l - 1, p.n))
-    return tuple(dq), tuple(db)
+    fiber frozen: ``RhsPlan.section_rates``."""
+    plan, st = _compiled(state)
+    return plan.section_rates(direction, st)
 
 
 def extended_autonomous_rhs(direction, ext):
@@ -547,20 +644,14 @@ def extended_autonomous_rhs(direction, ext):
     derivative of the section values along the direction, fiber frozen,
     taken in closed form and in reverse mode (no shifted states).
     """
-    state = ext.state
-    out = isomonodromic_rhs(direction, state)
-    dq, db = _section_rates(direction, state)
-    return out, dq, db
+    plan, st = _compiled(ext.state)
+    out = StateDerivative.split(plan(direction, st), ext.state)
+    return (out, *plan.section_rates(direction, st))
 
 
 def integrate_extended(ext, path, tol=FLOW_TOL, n_samples=9):
     """Integrate the autonomous system; returns the samples, the sampled
     extended states and ``(status, abort kind)``, aborting as
     ``integrate_flow`` does."""
-    def field(s, e):
-        d, dq, db = extended_autonomous_rhs(path.rates(s), e)
-        return np.concatenate([d.flat()] + [np.ravel(q) for q in dq]
-                              + [np.ravel(b) for b in db])
-
-    traj = _integrate(ext, ext.state, field, tol, n_samples)
+    traj = _integrate(ext, path, tol, n_samples)
     return traj.samples, traj.states, (traj.status, traj.abort_kind)

@@ -182,6 +182,8 @@ class LaurentJet:
         flat = self.coeffs.reshape(self.coeffs.shape[0], -1)
         while i < flat.shape[0] - 1 and np.max(np.abs(flat[i])) <= rel_tol * scale:
             i += 1
+        if i == 0:
+            return self
         return LaurentJet(self.point, self.k_min + i, self.coeffs[i:], self.form_degree)
 
     # -- ring operations ----------------------------------------------------

@@ -30,9 +30,13 @@ from a pole is computed once per group, on first use: ``unipotent`` (the
 jets of ``I + u`` and of its inverse), ``frame`` (the jets of ``F = h (I +
 u)`` and of ``F^-1``), ``lam_jet`` and ``polar``.  ``dressed_polar`` is the
 one map from dressed polar jets to connection polar coefficients:
-``polar`` dresses ``lam_jet``, and the chart layer and the flows dress
-their variations with it.  The batched products give every pole exactly
-the bits a product of its own would.
+``polar`` dresses ``lam_jet``, and the chart layer dresses its variations
+with it.  Each is a stacked kernel of this module (``unipotent``,
+``frames``, ``lam_jet``, ``dress``; ``regular_jets`` and ``pole_jet`` for
+the state's jets), on arrays with the group axis in front, which
+``flows.RhsPlan`` runs on views of a flat vector without building a group.
+The batched products give every pole exactly the bits a product of its own
+would.
 
 A ``FlowState`` owns the data derived from its poles, each computed once, on
 first use: its groups (``groups``, by order in order of first appearance,
@@ -41,16 +45,20 @@ with each pole's index and chart coordinates), the polar coefficients
 the other poles' polar parts at every pole (``regular_jets``, one product
 of the table ``connection.extension_weights`` at every pair of poles with
 the padded polar coefficients), the chart layer's per-group blocks
-(``blocks``) and the rank guard's measure on them (``conditioning``).
-``jet_at_pole`` and ``diagonal_jet`` assemble a pole's Laurent jet and
-formal diagonal jet from them.  The chart layer and the flows read these
-attributes and take only the state.  ``from_connection`` reads a
+(``blocks``) and their transposed Gram matrices with each group's chart
+columns (``gram_blocks``, what the chart solve and the rank guard's
+measure read).  ``jet_at_pole`` and ``diagonal_jet``
+assemble a pole's Laurent jet and formal diagonal jet from them.  The
+chart layer reads these attributes and takes only the state.
+``from_connection`` reads a
 connection's ``divisor_polar_parts``.  ``with_flat``
 checks only its vector's length and inverts each group's frames in one
 call, refusing a singular one with ``DegenerateChartError``, since a flow
 drove it there; the new state keeps those groups, and its poles are row
-views of their stacks.  Along a flow the right-hand side checks a moving
-leading type, in ``diagonalize_jet``.
+views of their stacks.  A flow builds a state this way only at its
+samples; its right-hand side reads the flat vector through the plan.
+Along a flow the right-hand side checks a moving leading type, in
+``diagonalize_jet``.
 
 Chart-vector layout, per pole: the ``n^2`` entries of ``h`` (row-major),
 then for each jet order ``k = 1 .. l-2`` the ``n^2 - n`` off-diagonal
@@ -67,11 +75,12 @@ import numpy as np
 
 from .connection import (
     Connection,
+    _signed_binomials,
     _sorted_eig,
+    _weights,
     check_regular,
     check_separated,
     diagonalize_jet,
-    extension_weights,
 )
 from .errors import DegenerateChartError, MalformedInputError
 from .ratfun import LaurentJet
@@ -107,8 +116,8 @@ def _frame_inverses(ts, H, error=MalformedInputError):
             ok = False
         if not ok:
             raise error(
-                f"h: the frame at the pole t = {t} is singular or not "
-                f"finite: h = {h.tolist()}")
+                f"h: the frame at the pole t = {complex(t)} is singular or "
+                f"not finite: h = {h.tolist()}")
 
 
 def _trusted(cls, **fields):
@@ -124,6 +133,82 @@ def chart_layout(l, n):
     slice's size, at order ``l`` and rank ``n``."""
     at = n * n + max(l - 2, 0) * (n * n - n)
     return at, at + n * n
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels: the one formula of each quantity, on arrays with a
+# leading group axis, read by ``PoleGroup`` and by ``flows.RhsPlan``
+# ---------------------------------------------------------------------------
+
+def unipotent(u, l):
+    """Coefficients of ``I + u(zeta)`` and of its inverse through order
+    l-1, for stacked off-diagonal jets ``u`` of shape (G, l-2, n, n) (the
+    top order of ``u`` is zero); each of shape (G, l, n, n)."""
+    n = u.shape[-1]
+    U = np.zeros((len(u), l, n, n), dtype=complex)
+    U[:, 0] = np.eye(n)
+    U[:, 1: l - 1] = u
+    V = np.zeros_like(U)
+    V[:, 0] = np.eye(n)
+    for m in range(1, l):
+        V[:, m] = -sum(U[:, j] @ V[:, m - j] for j in range(1, m + 1))
+    return U, V
+
+
+def frames(h, h_inv, U, V):
+    """The frame jets ``F = h (I + u)`` and ``F^-1 = (I + u)^-1 h^-1``."""
+    return h[:, None] @ U, V @ h_inv[:, None]
+
+
+def lam_jet(lam_res, lam_irr, l):
+    """Dressed polar jets, row k <-> order -(k+1), shape (G, l, n, n)."""
+    n = lam_res.shape[-1]
+    out = np.zeros((len(lam_res), l, n, n), dtype=complex)
+    out[:, 0] = lam_res
+    if l > 1:
+        diag = np.arange(n)
+        out[:, 1:, diag, diag] = lam_irr
+    return out
+
+
+def dress(F, F_inv, inner):
+    """Polar part of ``F inner F^-1`` for stacked dressed polar jets
+    ``inner`` of shape ``(G, x, l, n, n)``, row ``r`` the order ``-(r+1)``
+    term; row ``k - 1`` of the result holds the coefficient of
+    ``(z-t)**-k``."""
+    l = F.shape[1]
+    # F_i inner_r (F^-1)_j sits at order i + j - (r + 1)
+    out = np.zeros(inner.shape, dtype=complex)
+    for i in range(l):
+        for j in range(l - i):
+            out[:, :, : l - i - j] += (F[:, i, None, None]
+                                       @ inner[:, :, i + j:]
+                                       @ F_inv[:, j, None, None])
+    return out
+
+
+def regular_jets(ts, C, table):
+    """Taylor coefficients at every pole of the other poles' polar parts:
+    the table ``extension_weights`` at every pair of the positions ``ts``
+    (its signed binomials ``table``), a pole's own pair masked out,
+    contracted in one product with the polar coefficients ``C`` padded to
+    the longest order, shape ``(K, L, n, n)``."""
+    K, L, n = C.shape[0], C.shape[1], C.shape[-1]
+    # own pairs: a unit distance keeps the powers finite, then zeroed
+    dists = ts[:, None] - ts
+    dists.reshape(-1)[:: K + 1] = 1.0
+    w = _weights(dists, table)
+    w.reshape(K * K, L, L)[:: K + 1] = 0.0
+    return (w.transpose(0, 3, 1, 2).reshape(K * L, K * L)
+            @ C.reshape(K * L, n * n)).reshape(K, L, n, n)
+
+
+def pole_jet(t, polar, regular):
+    """Laurent jet of A at a pole at ``t`` of order ``l = len(polar)``,
+    orders ``-l .. l-2``, from its polar and regular coefficients."""
+    l = len(polar)
+    return LaurentJet(t, -l, np.concatenate([polar[::-1], regular[: l - 1]]),
+                      0)
 
 
 @dataclass(frozen=True)
@@ -224,49 +309,24 @@ class PoleGroup:
     @cached_property
     def unipotent(self):
         """Coefficients of ``I + u(zeta)`` and of its inverse through order
-        l-1 (the top order of ``u`` is zero), each of shape (G, l, n, n)."""
-        n, l = self.n, self.l
-        U = np.zeros((len(self.t), l, n, n), dtype=complex)
-        U[:, 0] = np.eye(n)
-        U[:, 1: l - 1] = self.u
-        V = np.zeros_like(U)
-        V[:, 0] = np.eye(n)
-        for m in range(1, l):
-            V[:, m] = -sum(U[:, j] @ V[:, m - j] for j in range(1, m + 1))
-        return U, V
+        l-1, each of shape (G, l, n, n): ``unipotent``."""
+        return unipotent(self.u, self.l)
 
     @cached_property
     def frame(self):
         """Coefficients of the frame ``F = h (I + u)`` and of ``F^-1 =
         (I + u)^-1 h^-1`` through order l-1."""
-        U, V = self.unipotent
-        return self.h[:, None] @ U, V @ self.h_inv[:, None]
+        return frames(self.h, self.h_inv, *self.unipotent)
 
     @cached_property
     def lam_jet(self):
         """Dressed polar coefficients, row k <-> order -(k+1); shape
         (G, l, n, n)."""
-        out = np.zeros((len(self.t), self.l, self.n, self.n), dtype=complex)
-        out[:, 0] = self.lam_res
-        diag = np.arange(self.n)
-        out[:, 1:, diag, diag] = self.lam_irr
-        return out
+        return lam_jet(self.lam_res, self.lam_irr, self.l)
 
     def dressed_polar(self, inner):
-        """Polar part of ``F inner F^-1`` for stacked dressed polar jets
-        ``inner`` of shape ``(G, x, l, n, n)``, row ``r`` the order
-        ``-(r+1)`` term; row ``k - 1`` of the result holds the coefficient
-        of ``(z-t)**-k``."""
-        l = self.l
-        F, F_inv = self.frame
-        # F_i inner_r (F^-1)_j sits at order i + j - (r + 1)
-        out = np.zeros_like(inner)
-        for i in range(l):
-            for j in range(l - i):
-                out[:, :, : l - i - j] += (F[:, i, None, None]
-                                           @ inner[:, :, i + j:]
-                                           @ F_inv[:, j, None, None])
-        return out
+        """``dress`` with the group's frames."""
+        return dress(*self.frame, inner)
 
     @cached_property
     def polar(self):
@@ -338,18 +398,11 @@ class FlowState:
         own pair masked out, with the polar coefficients padded to the
         longest order."""
         ts = np.array([p.t for p in self.poles])
-        K, n = len(ts), self.n
         L = max((g.l for g in self.groups), default=0)
-        C = np.zeros((K, L, n, n), dtype=complex)
+        C = np.zeros((len(ts), L, self.n, self.n), dtype=complex)
         for g in self.groups:
             C[list(g.index), : g.l] = g.polar
-        # own pairs: a unit distance keeps the powers finite, then zeroed
-        dists = ts[:, None] - ts
-        np.fill_diagonal(dists, 1.0)
-        w = extension_weights(dists, L, L)
-        w.reshape(K * K, L, L)[:: K + 1] = 0.0
-        R = (w.transpose(0, 3, 1, 2).reshape(K * L, K * L)
-             @ C.reshape(K * L, n * n)).reshape(K, L, n, n)
+        R = regular_jets(ts, C, _signed_binomials(L, L))
         return [R[i, : p.l] for i, p in enumerate(self.poles)]
 
     @cached_property
@@ -359,17 +412,16 @@ class FlowState:
         return chart_blocks(self)
 
     @cached_property
-    def conditioning(self):
-        """The rank guard's measure, ``chart_conditioning(self)``."""
-        from .symplectic import chart_conditioning
-        return chart_conditioning(self)
+    def gram_blocks(self):
+        """Per group: its poles' chart columns and their transposed Gram
+        blocks (``PoleChartBlock.gram_transposed``), what the chart solve
+        and the rank guard read."""
+        return [(g.cols, b.gram_transposed)
+                for g, b in zip(self.groups, self.blocks)]
 
     def jet_at_pole(self, i):
         """Laurent jet of A at pole i, orders ``-l_i .. l_i-2``."""
-        p = self.poles[i]
-        coeffs = np.concatenate([self.polar[i][::-1],
-                                 self.regular_jets[i][: p.l - 1]])
-        return LaurentJet(p.t, -p.l, coeffs, 0)
+        return pole_jet(self.poles[i].t, self.polar[i], self.regular_jets[i])
 
     def diagonal_jet(self, i):
         """Diagonal of the formal normal form ``B`` of A at pole i, orders

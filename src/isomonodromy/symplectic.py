@@ -31,14 +31,20 @@ their ratio varies from one pair of tangents to the next.
 
 Every chart-layer function takes only the state: the per-group blocks,
 polar coefficients and regular jets it needs are the state's own memoized
-attributes (``FlowState.blocks``, ``polar``, ``regular_jets``), so one
-right-hand side evaluation builds each of them once.  The chart layer works
-group by group (``FlowState.groups``: the poles of one order, stacked): a
+attributes (``FlowState.blocks``, ``polar``, ``regular_jets``), or a
+``ChartPlan``'s stage of its flat vector.  The chart layer works group by
+group (``FlowState.groups``: the poles of one order, stacked): a
 ``PoleChartBlock`` holds one group's basis velocities with a leading group
 axis, reads the group's frame jets (``PoleGroup.unipotent``, ``frame``) and
 dresses its polar variations with ``PoleGroup.dressed_polar``; it derives
-neither.  Each per-pole quantity is one batched kernel per group, and each
-pole gets the bits a kernel of its own gives it.
+neither.  Each per-pole quantity is one batched kernel per group (the
+block Hankel matrix ``_hankel``, the velocities ``_etas`` with
+``_toeplitz`` and ``_dlams``, ``_gram``, ``_covector``, and
+``_pole_weights`` for one group's ``polar_weights``), and each pole gets
+the bits a kernel of its own gives it.  A ``ChartPlan`` runs the same
+kernels on arrays it reads from a flat vector, and ``solve_chart`` and
+``chart_conditioning`` read only ``gram_blocks``, which a state and a
+plan's stage both hold.
 
 The form pairs no two poles, so its Gram matrix is block-diagonal by pole
 (``gram_matrix`` is the dense form, kept for comparison).  A group's blocks
@@ -63,11 +69,13 @@ twice the jet itself, read backwards, for ``res tr(A^2)``; for the pairing,
 ``beta`` taken back by the ``pullback`` of ``connection.diagonalize_jet``.
 ``polar_weights`` transposes the jet's dependence on the poles' polar
 parts, the table ``connection.extension_weights`` that ``regular_jets``
-contracts forward, and ``_jet_covector`` hands each group's weights to
-``PoleChartBlock.covector``, which pulls them back through the dressing
-and contracts them once with the basis velocities; neither builds a basis
-direction's polar or jet variation.  The extended system's section rates
-(``flows._section_rates``) take their jet weights back through
+contracts forward, and ``ChartPlan.jet_covector`` hands each group's
+weights to ``_covector``, which pulls them back through the dressing and
+contracts them once with the basis velocities; neither builds a basis
+direction's polar or jet variation.  Both differentials run on a
+``ChartPlan``'s stage, the chart layer compiled for the state's layout,
+which the flow's right-hand side (``flows.RhsPlan``) extends; the
+extended system's section rates take their jet weights back through
 ``polar_weights`` too.  This is the library's one derivative mode: the
 forward references of ``tests/oracles.py`` agree with it to round-off, not
 bit for bit.  A base direction's correction Hamiltonian combines them in
@@ -81,10 +89,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .connection import diagonalize_jet, extension_weights
+from .connection import _signed_binomials, _weights, diagonalize_jet
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat
-from .states import chart_layout
+from .states import (
+    _frame_inverses,
+    chart_layout,
+    dress,
+    frames,
+    lam_jet,
+    pole_jet,
+    regular_jets,
+    unipotent,
+)
 
 TAU_RANK = 1e-8
 
@@ -194,40 +211,20 @@ class PoleChartBlock:
     direction carries its left jet velocity ``eta = F^-1 dF`` (orders
     ``0 .. l-1``) and its dressed-residue variation: ``etas`` has shape
     ``(G, dim, l, n, n)`` and ``dlams``, the same for every pole, shape
-    ``(dim, n, n)``, zero away from the residue-momentum directions.
+    ``(dim, n, n)``, zero away from the residue-momentum directions.  They
+    come from the module's stacked kernels (``_hankel``, ``_etas``,
+    ``_dlams``), which ``ChartPlan`` runs too.
     """
 
     def __init__(self, group):
         self.group = group
-        G, n, l = len(group.index), group.n, group.l
-        self.n, self.l = n, l
+        self.n, self.l = group.n, group.l
         U, V = group.unipotent
-        F_inv = group.frame[1]
         self.lam = group.lam_jet     # row r <-> order -(r+1)
-        # lam_hankel[:, m, :, k] = lam[:, m + k], zero past the top order:
-        # the block Hankel matrix, shape (G, l n, l n) once reshaped
-        self.lam_hankel = np.zeros((G, l, n, l, n), dtype=complex)
-        # u_toeplitz[:, m, i] = U[:, m - i]
-        u_toeplitz = np.zeros((G, l, l, n, n), dtype=complex)
-        for m in range(l):
-            self.lam_hankel[:, m, :, : l - m] = self.lam[:, m:].swapaxes(1, 2)
-            u_toeplitz[:, m, : m + 1] = U[:, m::-1]
-        n_frame, self.dim = chart_layout(l, n)
-        self.etas = np.zeros((G, self.dim, l, n, n), dtype=complex)
-        # frame direction E_ab: eta_m = sum_{i <= m} (F^-1)_i E_ab U_{m-i}
-        self.etas[:, : n * n] = np.einsum(
-            "gipa,gmibq->gabmpq", F_inv, u_toeplitz).reshape(G, n * n, l, n, n)
-        if l > 2:
-            # jet direction (k, a, b): eta_m = V_{m-k-1} E_ab for m > k,
-            # with v_shifted[:, k, m] = V[:, m - k - 1]
-            v_shifted = np.zeros((G, l - 2, l, n, n), dtype=complex)
-            for k in range(l - 2):
-                v_shifted[:, k, k + 1:] = V[:, : l - k - 1]
-            eta_u = np.einsum("gkmpa,bq->gkabmpq", v_shifted, np.eye(n))
-            self.etas[:, n * n: n_frame] = eta_u[
-                :, :, ~np.eye(n, dtype=bool)].reshape(G, -1, l, n, n)
-        self.dlams = np.zeros((self.dim, n, n), dtype=complex)
-        self.dlams[n_frame:] = np.eye(n * n).reshape(n * n, n, n)
+        self.lam_hankel = _hankel(self.lam)
+        self.etas = _etas(group.frame[1], V, _toeplitz(U))
+        self.dim = self.etas.shape[1]
+        self.dlams = _dlams(self.l, self.n)
 
     def omega(self, x, y, g=0):
         """Chart form at the group's pole ``g`` between two ``(eta, dLam)``
@@ -252,19 +249,8 @@ class PoleChartBlock:
 
     def gram_block(self):
         """``omega`` on every pair of basis directions at every pole of the
-        group, shape ``(G, dim, dim)``, as ``2 (A - A^T)`` with
-        ``A[x, y] = tr(eta_x[0] dLam_y)
-        + sum_{i + j < l} tr(Lambda_{i+j} eta_x[i] eta_y[j])``: the sum is
-        the block Hankel matrix times the stacked velocities, times the
-        transposed velocities, and the first term is ``eta_x[0][b, a]`` in
-        the column of ``dLam_y = E_ab``, the last ``n^2``."""
-        G, n, ln = len(self.etas), self.n, self.l * self.n
-        lam_eta = self.lam_hankel.reshape(G, 1, ln, ln) \
-            @ self.etas.reshape(G, self.dim, ln, n)
-        E_t = self.etas.swapaxes(-1, -2).reshape(G, self.dim, -1)
-        A = lam_eta.reshape(G, self.dim, -1) @ E_t.transpose(0, 2, 1)
-        A[:, :, -n * n:] += E_t[:, :, : n * n]
-        return 2.0 * (A - A.transpose(0, 2, 1))
+        group, shape ``(G, dim, dim)``: ``_gram``."""
+        return _gram(self.etas, self.lam_hankel)
 
     def polar_variation(self, v):
         """Connection polar-coefficient variations of chart tangents ``v``,
@@ -286,26 +272,262 @@ class PoleChartBlock:
     def covector(self, W):
         """The covector ``x -> sum_k tr(W[:, k-1] dC_k)`` on the basis at
         every pole of the group, shape ``(G, dim)``, with ``dC`` the
-        direction's ``polar_variation``, which it does not build.
+        direction's ``polar_variation``: ``_covector``."""
+        return _covector(*self.group.frame, self.lam_hankel, self.etas,
+                         self.dlams, W)
 
-        ``W`` (shape ``(G, l, n, n)``) is pulled back through the dressing
-        once, ``Wt_r = sum_{i+j+r'=r} (F^-1)_j W_r' F_i``; the undressed
-        variation is ``sum_m [eta_m, Lambda_{m+k}] + dLam`` at row ``k``,
-        so the covector is ``sum_m tr(Z_m eta_x[m]) + tr(Wt_0 dLam_x)``
-        with ``Z_m = sum_k [Lambda_{m+k}, Wt_k]``."""
-        G, l = len(W), self.l
-        F, F_inv = self.group.frame
-        Wt = np.zeros_like(W)
-        for i in range(l):
-            for j in range(l - i):
-                Wt[:, i + j:] += F_inv[:, j, None] @ W[:, : l - i - j] \
-                    @ F[:, i, None]
-        Z = (np.einsum("gmpkr,gkrq->gmpq", self.lam_hankel, Wt)
-             - np.einsum("gkpr,gmrkq->gmpq", Wt, self.lam_hankel))
-        return (self.etas.reshape(G, self.dim, -1)
-                @ Z.swapaxes(-1, -2).reshape(G, -1, 1)
-                + self.dlams.reshape(self.dim, -1)
-                @ Wt[:, 0].swapaxes(-1, -2).reshape(G, -1, 1))[..., 0]
+
+# the stacked kernels of the blocks, each the one formula of its quantity
+
+def _hankel(lam):
+    """``lam_hankel[:, m, :, k] = lam[:, m + k]``, zero past the top order:
+    the block Hankel matrix of the dressed polar jets ``lam``, shape
+    ``(G, l n, l n)`` once reshaped."""
+    G, l, n = lam.shape[:3]
+    out = np.zeros((G, l, n, l, n), dtype=complex)
+    for m in range(l):
+        out[:, m, :, : l - m] = lam[:, m:].swapaxes(1, 2)
+    return out
+
+
+def _toeplitz(U):
+    """``u_toeplitz[:, m, i] = U[:, m - i]`` for the jets ``U`` of ``I +
+    u``, zero for ``i > m``."""
+    G, l, n = U.shape[:3]
+    out = np.zeros((G, l, l, n, n), dtype=complex)
+    for m in range(l):
+        out[:, m, : m + 1] = U[:, m::-1]
+    return out
+
+
+def _etas(F_inv, V, u_toeplitz):
+    """The basis directions' left jet velocities, shape ``(G, dim, l, n,
+    n)``, from the jets of ``F^-1`` and of ``(I + u)^-1`` and the Toeplitz
+    stack of ``I + u``."""
+    G, l, n = F_inv.shape[:3]
+    n_frame, dim = chart_layout(l, n)
+    etas = np.zeros((G, dim, l, n, n), dtype=complex)
+    # frame direction E_ab: eta_m = sum_{i <= m} (F^-1)_i E_ab U_{m-i}
+    etas[:, : n * n] = np.einsum(
+        "gipa,gmibq->gabmpq", F_inv, u_toeplitz).reshape(G, n * n, l, n, n)
+    if l > 2:
+        # jet direction (k, a, b): eta_m = V_{m-k-1} E_ab for m > k,
+        # with v_shifted[:, k, m] = V[:, m - k - 1]
+        v_shifted = np.zeros((G, l - 2, l, n, n), dtype=complex)
+        for k in range(l - 2):
+            v_shifted[:, k, k + 1:] = V[:, : l - k - 1]
+        eta_u = np.einsum("gkmpa,bq->gkabmpq", v_shifted, np.eye(n))
+        etas[:, n * n: n_frame] = eta_u[
+            :, :, ~np.eye(n, dtype=bool)].reshape(G, -1, l, n, n)
+    return etas
+
+
+def _dlams(l, n):
+    """The basis directions' dressed-residue variations, shape ``(dim, n,
+    n)``: ``E_ab`` on the residue-momentum directions, zero elsewhere."""
+    n_frame, dim = chart_layout(l, n)
+    dlams = np.zeros((dim, n, n), dtype=complex)
+    dlams[n_frame:] = np.eye(n * n).reshape(n * n, n, n)
+    return dlams
+
+
+def _gram(etas, lam_hankel):
+    """``omega`` on every pair of basis directions, shape ``(G, dim,
+    dim)``, as ``2 (A - A^T)`` with ``A[x, y] = tr(eta_x[0] dLam_y) +
+    sum_{i + j < l} tr(Lambda_{i+j} eta_x[i] eta_y[j])``: the sum is the
+    block Hankel matrix times the stacked velocities, times the transposed
+    velocities, and the first term is ``eta_x[0][b, a]`` in the column of
+    ``dLam_y = E_ab``, the last ``n^2``."""
+    G, dim, l, n = etas.shape[:4]
+    ln = l * n
+    lam_eta = lam_hankel.reshape(G, 1, ln, ln) @ etas.reshape(G, dim, ln, n)
+    E_t = etas.swapaxes(-1, -2).reshape(G, dim, -1)
+    A = lam_eta.reshape(G, dim, -1) @ E_t.transpose(0, 2, 1)
+    A[:, :, -n * n:] += E_t[:, :, : n * n]
+    return 2.0 * (A - A.transpose(0, 2, 1))
+
+
+def _covector(F, F_inv, lam_hankel, etas, dlams, W):
+    """The covector ``x -> sum_k tr(W[:, k-1] dC_k)`` on the basis at every
+    pole of a group, shape ``(G, dim)``, with ``dC`` the direction's polar
+    variation, which it does not build.
+
+    ``W`` (shape ``(G, l, n, n)``) is pulled back through the dressing
+    once, ``Wt_r = sum_{i+j+r'=r} (F^-1)_j W_r' F_i``; the undressed
+    variation is ``sum_m [eta_m, Lambda_{m+k}] + dLam`` at row ``k``, so
+    the covector is ``sum_m tr(Z_m eta_x[m]) + tr(Wt_0 dLam_x)`` with
+    ``Z_m = sum_k [Lambda_{m+k}, Wt_k]``."""
+    G, l = len(W), F.shape[1]
+    Wt = np.zeros_like(W)
+    for i in range(l):
+        for j in range(l - i):
+            Wt[:, i + j:] += F_inv[:, j, None] @ W[:, : l - i - j] \
+                @ F[:, i, None]
+    Z = (np.einsum("gmpkr,gkrq->gmpq", lam_hankel, Wt)
+         - np.einsum("gkpr,gmrkq->gmpq", Wt, lam_hankel))
+    dim = etas.shape[1]
+    return (etas.reshape(G, dim, -1) @ Z.swapaxes(-1, -2).reshape(G, -1, 1)
+            + dlams.reshape(dim, -1)
+            @ Wt[:, 0].swapaxes(-1, -2).reshape(G, -1, 1))[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# chart layer: compiled once per chart layout
+# ---------------------------------------------------------------------------
+
+class _GroupPlan:
+    """One pole group's layout in the flat vector, and its tables that stay
+    constant along a flow."""
+
+    def __init__(self, group, at, chart, irr, n):
+        G, l = len(at), group.l
+        res, size = chart_layout(l, n)
+        self.l, self.index, self.at, self.cols = l, group.index, at, group.cols
+        self.h = chart[:, : n * n].reshape(G, n, n)
+        self.lam = chart[:, res: size].reshape(G, n, n)
+        self.irr = irr.reshape(G, l - 1, n)
+        self.u = chart[:, n * n: res].reshape(G, max(l - 2, 0), n * n - n)
+        self.dlams = _dlams(l, n)
+        # the jets of I + u and their Toeplitz stack are the identity's at
+        # orders 1 and 2, where u has no entries
+        self.unipotent = None
+        if l <= 2:
+            U, V = unipotent(np.zeros((G, 0, n, n), dtype=complex), l)
+            self.unipotent = U, V, _toeplitz(U)
+
+
+class _Stage:
+    """What the chart layer reads of one flat vector ``y``: per group the
+    frame jets, the polar coefficients, the block Hankel matrices and the
+    basis velocities (``groups``), and with their chart columns the
+    transposed Gram blocks (``gram_blocks``, what ``solve_chart`` and
+    ``chart_conditioning`` read, as on a state); the regular jets of every
+    pole, padded to the longest order (``R``)."""
+
+    __slots__ = ("y", "groups", "gram_blocks", "R")
+
+
+class ChartPlan:
+    """The chart layer compiled for one chart layout.
+
+    A flow keeps its chart layout: the pole orders, the rank, the groups
+    and the places of their entries in the flat vector.  The plan holds
+    them, read from ``state``, with every table that stays constant along
+    the flow: the jets of ``I + u`` and their Toeplitz stack at orders 1
+    and 2, the dressed-residue directions, the signed binomials of the
+    extension weights and each pole's own rows in every group.
+    ``stage(y)`` runs the stacked kernels on views of a flat vector ``y``
+    (``state.flat()``'s layout, or a longer vector that begins with it)
+    and builds no state, group or block; the Hamiltonian differentials
+    read the stage.  ``flows.RhsPlan`` extends it to the flow's
+    right-hand side.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        m, n = len(state.poles), state.n
+        self.m, self.n, self.dim = m, n, state.chart_dim()
+        self.orders = [p.l for p in state.poles]
+        self.groups = [_GroupPlan(g, np.array(at, dtype=int), chart, irr, n)
+                       for g, (at, chart, irr) in zip(
+                           state.groups, state._flat_index[0])]
+        # each pole's group and row, its irregular entries, shape (l - 1,
+        # n), and its rows in every group
+        self.where, self.irr = [None] * m, [None] * m
+        for k, g in enumerate(self.groups):
+            for r, i in enumerate(g.index):
+                self.where[i], self.irr[i] = (k, r), g.irr[r]
+        self.own = [[[r for r, j in enumerate(g.index) if j == i]
+                     for g in self.groups] for i in range(m)]
+        # the signed binomials of every table a differential reads: the
+        # regular jets', and a group's against a pole's order (a section
+        # rate adds a row, an irregular weight drops one)
+        self.L = max(self.orders, default=0)
+        orders = {g.l for g in self.groups}
+        self.tables = {key: _signed_binomials(*key) for key in {
+            (self.L, self.L), *((a + e, b - d) for a in orders
+                                for b in orders for e in (0, 1)
+                                for d in (0, 1))}}
+
+    def stage(self, y):
+        """The chart layer's data at the flat vector ``y``.  A singular or
+        non-finite frame raises ``DegenerateChartError``."""
+        st = _Stage()
+        st.y, st.groups, st.gram_blocks = y, [], []
+        if len(self.groups) != 1:
+            C = np.zeros((self.m, self.L, self.n, self.n), dtype=complex)
+        for g in self.groups:
+            H = y[g.h]
+            H_inv = _frame_inverses(y[g.at], H, DegenerateChartError)
+            if g.unipotent is None:
+                u = np.zeros(g.u.shape[:2] + (self.n, self.n), dtype=complex)
+                u[:, :, ~np.eye(self.n, dtype=bool)] = y[g.u]
+                U, V = unipotent(u, g.l)
+                toeplitz = _toeplitz(U)
+            else:
+                U, V, toeplitz = g.unipotent
+            F, F_inv = frames(H, H_inv, U, V)
+            lam = lam_jet(y[g.lam], y[g.irr], g.l)
+            P = dress(F, F_inv, lam[:, None])[:, 0]
+            if len(self.groups) > 1:
+                C[g.at, : g.l] = P
+            else:       # one group holds every pole, in order
+                C = P
+            hankel, etas = _hankel(lam), _etas(F_inv, V, toeplitz)
+            st.groups.append((F, F_inv, P, hankel, etas))
+            st.gram_blocks.append(
+                (g.cols, _gram(etas, hankel).transpose(0, 2, 1)))
+        st.R = regular_jets(y[: self.m], C, self.tables[self.L, self.L])
+        return st
+
+    def polar(self, st, i):
+        """Pole ``i``'s polar coefficients at the stage ``st``."""
+        k, r = self.where[i]
+        return st.groups[k][2][r]
+
+    def regular(self, st, i):
+        """Pole ``i``'s regular jet at the stage ``st``."""
+        return st.R[i, : self.orders[i]]
+
+    def jet(self, st, i):
+        """Pole ``i``'s Laurent jet at the stage ``st``."""
+        return pole_jet(complex(st.y[i]), self.polar(st, i),
+                        self.regular(st, i))
+
+    def weights(self, y, i, polar_weight, regular_weight, extra=0):
+        """``polar_weights`` at the positions of the flat vector ``y``."""
+        M = regular_weight.shape[-3]
+        for g, own in zip(self.groups, self.own[i]):
+            yield _pole_weights(y[i] - y[g.at], own,
+                                self.tables[g.l + extra, M],
+                                polar_weight, regular_weight)
+
+    def jet_covector(self, st, i, polar_weight, regular_weight):
+        """The differential on the chart basis of a function of pole
+        ``i``'s Laurent jet, given its weights on the jet (``weights``):
+        each group's weights pulled back by ``_covector``."""
+        covectors = [
+            _covector(F, F_inv, hankel, etas, g.dlams, W)
+            for g, W, (F, F_inv, _, hankel, etas) in zip(
+                self.groups,
+                self.weights(st.y, i, polar_weight, regular_weight),
+                st.groups)]
+        if len(covectors) == 1:     # one group, every pole in order
+            return covectors[0].reshape(-1)
+        out = np.empty(self.dim, dtype=complex)
+        for g, covector in zip(self.groups, covectors):
+            out[g.cols] = covector
+        return out
+
+    def translation_differential(self, st, i):
+        """``d_translation_hamiltonian`` at the stage ``st``."""
+        return 2.0 * self.jet_covector(st, i, self.regular(st, i),
+                                       self.polar(st, i))
+
+    def pairing_differential(self, st, i, beta):
+        """``d_hamiltonian_beta_B`` at the stage ``st``."""
+        return self.jet_covector(st, i,
+                                 *_pairing_weights(self.jet(st, i), beta))
 
 
 def chart_blocks(state):
@@ -340,8 +562,8 @@ def chart_conditioning(state):
     of the whole matrix would give it.  The chart is degenerate where this
     is at most ``TAU_RANK``; an all-zero matrix gives 0.0, and a chart of
     dimension zero 1.0."""
-    svals = [np.linalg.svd(b.gram_transposed, compute_uv=False)
-             for b in state.blocks]
+    svals = [np.linalg.svd(gram, compute_uv=False)
+             for _, gram in state.gram_blocks]
     if not svals:
         return 1.0
     s_max = max(S[:, 0].max() for S in svals)
@@ -355,10 +577,9 @@ def solve_chart(dH, state):
     block that is exactly singular (a zero pivot) raises
     ``DegenerateChartError``."""
     X = np.empty_like(dH)
-    for grp, blk in zip(state.groups, state.blocks):
+    for cols, gram in state.gram_blocks:
         try:
-            X[grp.cols] = np.linalg.solve(
-                blk.gram_transposed, dH[grp.cols][..., None])[..., 0]
+            X[cols] = np.linalg.solve(gram, dH[cols][..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise DegenerateChartError(
                 "chart Gram matrix is singular: a block is exactly "
@@ -435,46 +656,46 @@ def polar_weights(state, i, polar_weight, regular_weight, extra=0):
     seen from ``t_i``, the table ``extension_weights`` transposed.  A
     group's weights have shape ``(G, ..., l + extra, n, n)``, row ``k - 1``
     weighting the coefficient of ``(z - t_j)**-k``; pole ``i``'s own rows
-    past ``l_i`` are zero."""
-    t_i = state.poles[i].t
-    M = regular_weight.shape[-3]
-    for grp in state.groups:
-        own = [r for r, j in enumerate(grp.index) if j == i]
-        dists = t_i - np.array(grp.t)
-        dists[own] = 1.0       # finite powers; the row is overwritten below
-        weight = np.einsum("gkm,...mpq->g...kpq",
-                           extension_weights(dists, grp.l + extra, M),
-                           regular_weight)
-        for r in own:
-            weight[r] = 0.0
-            weight[r, ..., : polar_weight.shape[-3], :, :] = polar_weight
-        yield weight
+    past ``l_i`` are zero: ``ChartPlan.weights``."""
+    return ChartPlan(state).weights(state.flat(), i, polar_weight,
+                                    regular_weight, extra)
 
 
-def _jet_covector(state, i, polar_weight, regular_weight):
-    """The differential on the chart basis of a function of pole ``i``'s
-    Laurent jet, given its weights on the jet (``polar_weights``): each
-    group's weights pulled back by ``PoleChartBlock.covector``."""
-    out = np.empty(state.chart_dim(), dtype=complex)
-    for grp, blk, weight in zip(
-            state.groups, state.blocks,
-            polar_weights(state, i, polar_weight, regular_weight)):
-        out[grp.cols] = blk.covector(weight)
-    return out
+def _pole_weights(dists, own, table, polar_weight, regular_weight):
+    """One group's ``polar_weights``: the table ``extension_weights`` at the
+    distances ``dists`` from pole ``i`` (its signed binomials ``table``)
+    contracted with the regular weight, and the polar weight on the rows
+    ``own`` of pole ``i`` itself."""
+    dists[own] = 1.0       # finite powers; the row is overwritten below
+    weight = np.einsum("gkm,...mpq->g...kpq", _weights(dists, table),
+                       regular_weight)
+    for r in own:
+        weight[r] = 0.0
+        weight[r, ..., : polar_weight.shape[-3], :, :] = polar_weight
+    return weight
 
 
 def d_hamiltonian_beta_B(state, i, beta):
     """Analytic differential of ``hamiltonian_beta_B`` on the chart basis,
     in reverse mode: ``diagonalize_jet`` takes ``beta`` as the weight on
-    ``B``'s diagonal and returns it as a weight on ``state.jet_at_pole(i)``,
-    which ``_jet_covector`` takes to the chart basis.
+    ``B``'s diagonal and returns it as a weight on the pole's jet, which
+    ``ChartPlan.jet_covector`` takes to the chart basis.
     """
-    p, beta = _irregular_pole(state, i, beta)
-    weight = np.zeros((2 * p.l - 1, p.n), dtype=complex)
-    weight[p.l:] = beta
-    A_weight = diagonalize_jet(state.jet_at_pole(i),
-                               2 * p.l - 2).pullback(weight)
-    return _jet_covector(state, i, A_weight[p.l - 1::-1], A_weight[p.l:])
+    _, beta = _irregular_pole(state, i, beta)
+    plan = ChartPlan(state)
+    return plan.pairing_differential(plan.stage(state.flat()), i, beta)
+
+
+def _pairing_weights(jet, beta):
+    """The weights on a pole's Laurent ``jet`` (orders ``-l .. l-2``) of
+    the diagonal-jet pairing with ``beta``, polar rows then regular rows,
+    as ``polar_weights`` takes them: one reverse sweep of
+    ``diagonalize_jet``."""
+    l = -jet.k_min
+    weight = np.zeros((2 * l - 1, beta.shape[-1]), dtype=complex)
+    weight[l:] = beta
+    A_weight = diagonalize_jet(jet, 2 * l - 2).pullback(weight)
+    return A_weight[l - 1::-1], A_weight[l:]
 
 
 def translation_hamiltonian_values(state):
@@ -489,8 +710,8 @@ def d_translation_hamiltonian(state, i):
     ``dH(b) = 2 res_{t_i} tr(A b)``: the weight on the jet of ``b`` at
     ``t_i`` is twice the jet of ``A`` there, read backwards, the regular
     jet on the polar rows and the polar part on the regular ones
-    (``_jet_covector``).
+    (``ChartPlan.jet_covector``).
     """
     state.pole(i)  # the one index rule, before the jets are indexed
-    return 2.0 * _jet_covector(state, i, state.regular_jets[i],
-                               state.polar[i])
+    plan = ChartPlan(state)
+    return plan.translation_differential(plan.stage(state.flat()), i)

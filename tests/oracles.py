@@ -297,14 +297,14 @@ def formal_diagonalize(conn, p, order):
     ``order - l``.
     """
     l = max(1, conn.matrix.pole_order(p))
-    jet = conn.laurent(p, order - l)
+    jet = conn.matrix.laurent(p, order - l)
     return diagonalize_jet(jet, order)
 
 
 def eigenvalue_jets(conn, p, order):
     """Pointwise eigenvalue jets of ``A(z)`` at ``p`` (similarity only)."""
     l = max(1, conn.matrix.pole_order(p))
-    jet = conn.laurent(p, order - l)
+    jet = conn.matrix.laurent(p, order - l)
     return diagonal_jet_tangents(jet, order, include_derivative=False)[0]
 
 
@@ -401,7 +401,7 @@ def reconstruction_defect(conn, p, pair, order):
     Zinv = Z.inverse()
     dZ = Z.derivative(as_form=True)
     model = dZ * Zinv + Z * pair.B * Zinv
-    Ajet = conn.laurent(p, order - l)
+    Ajet = conn.matrix.laurent(p, order - l)
     out = []
     for k in range(-l, order - l + 1):
         out.append(Ajet.coefficient(k) - model.coefficient(k))

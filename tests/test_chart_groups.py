@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 
 import isomonodromy.flows as flows
+import isomonodromy.symplectic as symplectic
 import oracles
 from isomonodromy.connection import extension_weights
 from isomonodromy.flows import Direction, FlowPath, _section_rates, \
-    integrate_flow
+    integrate_flow, isomonodromic_rhs
 from isomonodromy.states import FlowState, PoleData, PoleGroup
 from isomonodromy.twist import MatrixDivisor, TwistSite, normal_form
 from isomonodromy.symplectic import (
-    PoleChartBlock,
     d_hamiltonian_beta_B,
     d_translation_hamiltonian,
     hamiltonian_vector_field,
@@ -191,14 +191,15 @@ def test_hamiltonian_differentials_on_flowed_states(n, rng):
 
 def test_perturbed_pulled_back_weight_fails_the_agreement(
         state, rng, monkeypatch):
-    covector = PoleChartBlock.covector
+    covector = symplectic._covector
 
-    def perturbed(self, W):
+    def perturbed(*args):
+        *blocks, W = args
         noise = rng.standard_normal(W.shape) + 1j * rng.standard_normal(
             W.shape)
-        return covector(self, W + 1e-10 * np.max(np.abs(W)) * noise)
+        return covector(*blocks, W + 1e-10 * np.max(np.abs(W)) * noise)
 
-    monkeypatch.setattr(PoleChartBlock, "covector", perturbed)
+    monkeypatch.setattr(symplectic, "_covector", perturbed)
     assert not differentials_agree(state, rng)
 
 
@@ -333,3 +334,71 @@ def test_zero_curvature_cases_fail_a_planted_correction(case, rng,
     for direction in directions:
         residual = oracles.zero_curvature_residual(state, direction)
         assert 1e-7 < residual < 2e-6
+
+
+# ---------------------------------------------------------------------------
+# covariance under w = a z + b
+# ---------------------------------------------------------------------------
+
+AFFINE = (1.3 * np.exp(0.4j), 0.2 - 0.5j)
+COVARIANCE_TOL = 1e-13
+
+
+def affine_image(state, a, b, power=lambda k: k - 1):
+    """The state under ``w = a z + b``: positions ``a t + b``, frames kept,
+    the frame jet ``u_k`` times ``a**-k`` and the dressed coefficient of
+    order ``k`` (the residue momentum at ``k = 1``, the irregular rows past
+    it) times ``a**power(k)``, which makes ``C_k`` ``a**(k-1) C_k``."""
+    poles = []
+    for p in state.poles:
+        lam_irr = np.array([a ** power(j + 2) * row
+                            for j, row in enumerate(p.lam_irr)])
+        u = np.array([a ** -(k + 1) * uk for k, uk in enumerate(p.u)])
+        poles.append(PoleData(a * p.t + b, p.l, p.h, a ** power(1) * p.lam_res,
+                              lam_irr.reshape(p.l - 1, p.n),
+                              u.reshape(p.u.shape)))
+    return FlowState(state.n, tuple(poles))
+
+
+def covariance_residual(state, direction, power=lambda k: k - 1):
+    """The right-hand side at the affine image of ``state``, along the
+    image of ``direction`` (rates times ``a``), against the one at
+    ``state`` carried over: ``d_chart`` with each ``u_k`` slot times
+    ``a**-k``, positions and irregular rates times ``a``.  The largest
+    difference relative to the largest expected entry."""
+    a, b = AFFINE
+    image = Direction({i: a * r for i, r in direction.moduli_rates.items()},
+                      {i: a * np.asarray(r)
+                       for i, r in direction.irregular_rates.items()})
+    got = isomonodromic_rhs(image, affine_image(state, a, b, power))
+    want = isomonodromic_rhs(direction, state)
+    scale = []
+    for p in state.poles:
+        jets = [np.full(p.n * p.n - p.n, a ** -k) for k in range(1, p.l - 1)]
+        scale += [np.ones(p.n * p.n), *jets, np.ones(p.n * p.n)]
+    want = np.concatenate([a * want.d_positions,
+                           np.concatenate(scale) * want.d_chart,
+                           *(a * r.ravel() for r in want.d_irregular)])
+    return np.max(np.abs(got.flat() - want)) / np.max(np.abs(want))
+
+
+def covariance_directions(rng, state):
+    return [Direction.translation(i, 0.3 - 0.2j)
+            for i in range(len(state.poles))] + irregular_directions(
+                rng, state)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rhs_is_affine_covariant(n, rng):
+    # the flow does not depend on the coordinate: at pole orders 1, 2 and
+    # 3, along translations and order-2 irregular rates
+    state = mixed_state(rng, n)
+    for direction in covariance_directions(rng, state):
+        assert covariance_residual(state, direction) < COVARIANCE_TOL
+
+
+def test_affine_covariance_fails_a_planted_scaling(rng):
+    # C_k scaled by a**k rather than a**(k-1)
+    state = mixed_state(rng, 2)
+    for direction in covariance_directions(rng, state):
+        assert covariance_residual(state, direction, power=lambda k: k) > 0.1

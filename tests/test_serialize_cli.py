@@ -37,8 +37,8 @@ class TestRoundTrips:
             tail=[random_matrix(rng, 2)])
         d = json.loads(json.dumps(ser.connection(conn)))
         back = ser.un_connection(d)
-        jet0 = conn.laurent(0.0, 1).coeffs
-        jet1 = back.laurent(0.0, 1).coeffs
+        jet0 = conn.matrix.laurent(0.0, 1).coeffs
+        jet1 = back.matrix.laurent(0.0, 1).coeffs
         assert np.array_equal(jet0, jet1)
 
     def test_connection_with_a_finite_base_pole(self):

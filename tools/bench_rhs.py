@@ -1,39 +1,49 @@
-"""Per-RHS timings of two checkouts, alternated: one isomonodromic right-hand
-side evaluation split into its stages.
+"""Per-RHS timings of two checkouts in one process, alternated: one
+isomonodromic right-hand side evaluation split into its stages.
 
-    python3 tools/bench_rhs.py OLD NEW [--rounds 5] [--repeats 200] \\
-        [--out BENCH_rhs.json]
+    python3 tools/bench_rhs.py OLD NEW [--repeats 200] [--rounds 1] \\
+        [--cases n2 n3 ...] [--out BENCH_rhs.json]
 
-``OLD`` and ``NEW`` are checkout directories.  Each round runs one
-subprocess per checkout, in alternating order, with one BLAS thread as in
-``bench/run.py``; it imports the library from the checkout's ``src`` and the
-states from its ``bench/workloads.py``.  The cases are the benchmark's:
-the 4-pole Fuchsian state at n = 2, 3 and 4 with a translation of pole 1,
-and the order-2 irregular state with an irregular rate at its order-2 pole.
-Two many-pole cases follow, ``k16`` and ``k64``: rank-2 Fuchsian states
-with 16 and 64 poles 0.5 apart on the real line, with a translation of
-pole 1; they are drawn after the others, so those keep their states.
-Per case and repeat, each stage is timed on a fresh state of its own,
-built from the flat vector, so no stage reads what another built.  Before
-the clock of ``differential``, ``section``, ``gram`` and ``solve`` starts,
-their state's polar coefficients (``polar``) and chart blocks
-(``blocks``), which more than one stage reads, are built; ``regular_jets``
-is left to the stages that read it, as in the flow's right-hand side.  So
-``rhs`` also holds work that no stage times: ``polar``, ``blocks`` and the
-reference lift.  ``section`` is the extended system's, no part of ``rhs``:
+``OLD`` and ``NEW`` are checkout directories.  Both libraries are loaded
+into this one process, each from its checkout's ``src`` under a package
+name of its own (``src/`` imports only relatively), with one BLAS thread
+as in ``bench/run.py``; each builds its states with its own checkout's
+``bench/workloads.py``.  Every repeat times one library, then the other,
+in ABBA order (old first in even repeats, new first in odd ones), so load
+that shifts between them moves both sides of a pair alike.
+
+The cases are the benchmark's: the 4-pole Fuchsian state at n = 2, 3 and
+4 with a translation of pole 1, and the order-2 irregular state with an
+irregular rate at its order-2 pole.  Two many-pole cases follow, ``k16``
+and ``k64``: rank-2 Fuchsian states with 16 and 64 poles 0.5 apart on the
+real line, with a translation of pole 1; they are drawn after the others,
+so those keep their states.  Per case and repeat, each stage is timed on
+a fresh state of its own, built from the flat vector, so no stage reads
+what another built.  Before the clock of ``differential``, ``section``,
+``gram`` and ``solve`` starts, their state's polar coefficients
+(``polar``) and chart blocks (``blocks``) are built; ``regular_jets`` is
+left to the stages that read it:
 
 * ``build``: ``FlowState.with_flat``;
 * ``differential``: ``direction_differential``;
 * ``section``: ``flows._section_rates``, the extended system's dual rates
-  along the case's direction (the q slots' on the Fuchsian cases, the b
-  slots' pullbacks too on the irregular one);
+  along the case's direction;
 * ``gram``: every block's ``gram_block()``;
-* ``solve``: ``hamiltonian_vector_field`` less the ``gram`` time, since it
-  assembles the Gram blocks itself;
-* ``rhs``: one whole ``isomonodromic_rhs(...).flat()`` on a state it
-  builds itself, as the flow integrator calls it.
+* ``solve``: ``hamiltonian_vector_field`` on a state whose transposed Gram
+  blocks (``gram_transposed``) are built before its clock starts: the
+  rank guard's singular values and the LU solves;
+* ``rhs``: what the flow integrator calls, on the flat vector ``y``: with
+  a ``flows.RhsPlan``, built once per case as the integrator builds it
+  once per flow, ``plan(direction, plan.stage(y))``; in a checkout
+  without one, ``isomonodromic_rhs(direction, state.with_flat(y)).flat()``.
+  It is the mean of ``STEP`` = 12 calls in a row, the evaluations of one
+  DOP853 step, since the integrator makes them back to back; the first
+  call after the other stages runs on cold caches, and alone it reads
+  slower, by more for a shorter call.
 
-and, apart from these stages and on the four benchmark cases only:
+The first five call the public functions, which in a checkout with a plan
+build their own plan and stage, so only ``rhs`` times the integrator's
+path.  Apart from these stages, and on the four benchmark cases only:
 
 * ``connection``: ``FlowState.connection().polar_parts`` on a fresh state
   per repeat, the round trip through a rational matrix that transport and
@@ -44,10 +54,11 @@ and, apart from these stages and on the four benchmark cases only:
   at all 9 and at 3 of them (s = 0, 0.5, 1), one repeat for every 20 of
   the stages'.
 
-Each subprocess reports the median over its repeats in microseconds.  The
-JSON file holds every round's medians per checkout and, per case and stage
-(``summary``), per case (``connection``) and per case and sample count
-(``verify``), the median over rounds and the ratio NEW/OLD.
+Three warm-up repeats (one for ``verify``) are not recorded.  Per case and
+stage, the JSON file holds the median microseconds of each side, and the
+median and quartiles of the paired ratios NEW/OLD, one per repeat
+(``summary``, ``connection``, ``verify``); ``per_round`` holds each side's
+medians per round of ``--repeats`` repeats.
 """
 
 import argparse
@@ -55,8 +66,10 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
+import time
+from importlib import import_module
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -65,104 +78,177 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 STAGES = ("build", "differential", "section", "gram", "solve", "rhs")
 CONNECTION = ("connection",)
 VERIFY = ("verify3", "verify9")
-
-# argv: checkout, repeats; prints one JSON object {case: {stage: us}}
-CHILD = r"""
-import json, statistics, sys, time
-from pathlib import Path
-root, repeats = sys.argv[1], int(sys.argv[2])
-sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "bench")]
-import numpy as np
-import workloads
-from isomonodromy.flows import (Direction, FlowPath, Trajectory,
-                                _section_rates, direction_differential,
-                                integrate_flow, isomonodromic_rhs,
-                                verify_isomonodromy)
-from isomonodromy.symplectic import hamiltonian_vector_field
-
-rng = np.random.default_rng(1009)
-cases, paths = {}, {}
-for n in (2, 3, 4):
-    state = workloads.fuchsian_state(rng, n, workloads.FUCHSIAN_POLES)
-    shift = workloads.FUCHSIAN_SHIFT
-    cases[f"n{n}"] = (state, Direction.translation(1, shift))
-    paths[f"n{n}"] = FlowPath.line(state, 1, shift)
-state = workloads.irregular_state(rng)
-rate = workloads.irregular_rate(rng, state.poles[0].lam_irr[0])
-cases["irregular"] = (state, Direction.irregular(0, [rate]))
-paths["irregular"] = FlowPath.irregular_line(
-    state, 0, [rate], length=workloads.IRREGULAR_LENGTH)
-for K in (16, 64):       # drawn last: the cases above keep their states
-    state = workloads.fuchsian_state(rng, 2, [0.5 * j for j in range(K)])
-    cases[f"k{K}"] = (state, Direction.translation(1, workloads.FUCHSIAN_SHIFT))
-
+CASES = ("n2", "n3", "n4", "irregular", "k16", "k64")
+BENCHMARK_CASES = CASES[:4]
+PACKAGE = "isomonodromy"
+SIDES = ("old", "new")
+WARMUP = 3
+STEP = 12         # right-hand side evaluations per DOP853 step
 clock = time.perf_counter
 
 
-def built(state, y):
-    st = state.with_flat(y)
-    st.polar, st.blocks
-    return st
+def load(checkout, name):
+    """The library of ``checkout`` as the package ``name``, with its
+    submodules, and its ``bench/workloads.py`` run against it."""
+    src = Path(checkout).resolve() / "src" / PACKAGE
+    spec = spec_from_file_location(name, src / "__init__.py",
+                                   submodule_search_locations=[str(src)])
+    lib = module_from_spec(spec)
+    sys.modules[name] = lib
+    spec.loader.exec_module(lib)
+    for sub in ("cli", "flows", "serialize", "states", "symplectic"):
+        import_module(f"{name}.{sub}")
+    # workloads imports the library by its own name: alias it for the run
+    aliases = {PACKAGE + key[len(name):]: mod
+               for key, mod in list(sys.modules.items())
+               if key == name or key.startswith(name + ".")}
+    saved = {key: sys.modules.pop(key) for key in list(sys.modules)
+             if key == PACKAGE or key.startswith(PACKAGE + ".")}
+    sys.modules.update(aliases)
+    try:
+        path = Path(checkout).resolve() / "bench" / "workloads.py"
+        spec = spec_from_file_location(f"{name}_workloads", path)
+        workloads = sys.modules[spec.name] = module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        for key in aliases:
+            del sys.modules[key]
+        sys.modules.update(saved)
+    return lib, workloads
 
 
-out = {}
-for name, (state, direction) in cases.items():
-    y = state.flat()
-    times = {stage: [] for stage in ("build", "differential", "section",
-                                     "gram", "solve", "rhs")}
-    for rep in range(repeats + 3):       # three warm-up repeats
+class Side:
+    """One checkout's library, cases and timed stages."""
+
+    def __init__(self, checkout, name, cases):
+        import numpy as np
+        lib, wl = load(checkout, name)
+        self.flows = flows = import_module(f"{name}.flows")
+        self.hvf = import_module(f"{name}.symplectic").hamiltonian_vector_field
+        rng = np.random.default_rng(1009)
+        drawn, paths = {}, {}
+        for n in (2, 3, 4):
+            state = wl.fuchsian_state(rng, n, wl.FUCHSIAN_POLES)
+            drawn[f"n{n}"] = (state, flows.Direction.translation(
+                1, wl.FUCHSIAN_SHIFT))
+            paths[f"n{n}"] = flows.FlowPath.line(state, 1, wl.FUCHSIAN_SHIFT)
+        state = wl.irregular_state(rng)
+        rate = wl.irregular_rate(rng, state.poles[0].lam_irr[0])
+        drawn["irregular"] = (state, flows.Direction.irregular(0, [rate]))
+        paths["irregular"] = flows.FlowPath.irregular_line(
+            state, 0, [rate], length=wl.IRREGULAR_LENGTH)
+        for K in (16, 64):   # drawn last: the cases above keep their states
+            state = wl.fuchsian_state(rng, 2, [0.5 * j for j in range(K)])
+            drawn[f"k{K}"] = (state, flows.Direction.translation(
+                1, wl.FUCHSIAN_SHIFT))
+        self.cases = {c: drawn[c] for c in cases}
+        self.paths = {c: paths[c] for c in cases if c in paths}
+        self.plans = {c: flows.RhsPlan(state)
+                      for c, (state, _) in self.cases.items()
+                      if hasattr(flows, "RhsPlan")}
+        self.trajectories = {}
+
+    def built(self, state, y):
+        st = state.with_flat(y)
+        st.polar, st.blocks
+        return st
+
+    def stages(self, case):
+        """One repeat of every stage of ``case``, in microseconds."""
+        flows = self.flows
+        state, direction = self.cases[case]
+        y = state.flat()
         t0 = clock()
         state.with_flat(y)
         t1 = clock()
-        st = built(state, y)
+        st = self.built(state, y)
         t2 = clock()
-        dH = direction_differential(direction, st)
+        dH = flows.direction_differential(direction, st)
         t3 = clock()
-        st = built(state, y)
+        st = self.built(state, y)
         ts = clock()
-        _section_rates(direction, st)
+        flows._section_rates(direction, st)
         te = clock()
-        st = built(state, y)
+        st = self.built(state, y)
         t4 = clock()
         for block in st.blocks:
             block.gram_block()
         t5 = clock()
-        st = built(state, y)
+        st = self.built(state, y)
+        for block in st.blocks:
+            block.gram_transposed
         t6 = clock()
-        hamiltonian_vector_field(dH, st)
+        self.hvf(dH, st)
         t7 = clock()
-        isomonodromic_rhs(direction, state.with_flat(y)).flat()
+        plan = self.plans.get(case)
+        for _ in range(STEP):
+            if plan is None:
+                flows.isomonodromic_rhs(direction, state.with_flat(y)).flat()
+            else:
+                plan(direction, plan.stage(y))
         t8 = clock()
-        if rep >= 3:
-            gram = t5 - t4
-            for stage, dt in zip(times, (t1 - t0, t3 - t2, te - ts, gram,
-                                         (t7 - t6) - gram, t8 - t7)):
-                times[stage].append(1e6 * dt)
-    out[name] = {stage: statistics.median(v) for stage, v in times.items()}
-# the four benchmark cases' round trip; at 16 and 64 poles it is wrong
-for name in paths:
-    state = cases[name][0]
-    y = state.flat()
-    runs = []
-    for rep in range(repeats + 3):       # three warm-up repeats
-        st = state.with_flat(y)
+        return dict(zip(STAGES, (1e6 * dt for dt in (
+            t1 - t0, t3 - t2, te - ts, t5 - t4, t7 - t6,
+            (t8 - t7) / STEP))))
+
+    def connection(self, case):
+        st = self.cases[case][0]
+        st = st.with_flat(st.flat())
         t0 = clock()
         st.connection().polar_parts
-        runs.append(1e6 * (clock() - t0))
-    out[name]["connection"] = statistics.median(runs[3:])
-# after every case's stages, so that no stage runs after a verification
-for name, path in paths.items():
-    traj = integrate_flow(cases[name][0], path, n_samples=9)
-    for samples, keep in ((3, slice(None, None, 4)), (9, slice(None))):
-        sampled = Trajectory(traj.samples[keep], traj.states[keep])
-        runs = []
-        for rep in range(max(1, repeats // 20) + 1):   # one warm-up
+        return {"connection": 1e6 * (clock() - t0)}
+
+    def verify(self, case):
+        flows = self.flows
+        if case not in self.trajectories:
+            self.trajectories[case] = flows.integrate_flow(
+                self.cases[case][0], self.paths[case], n_samples=9)
+        traj = self.trajectories[case]
+        out = {}
+        for samples, keep in ((3, slice(None, None, 4)), (9, slice(None))):
+            sampled = flows.Trajectory(traj.samples[keep], traj.states[keep])
             t0 = clock()
-            verify_isomonodromy(sampled)
-            runs.append(1e6 * (clock() - t0))
-        out[name][f"verify{samples}"] = statistics.median(runs[1:])
-print(json.dumps(out))
-"""
+            flows.verify_isomonodromy(sampled)
+            out[f"verify{samples}"] = 1e6 * (clock() - t0)
+        return out
+
+
+def alternate(sides, measure, cases, repeats, warmup):
+    """``measure(side, case)`` for both sides per repeat, in ABBA order:
+    per side, case and stage, the list of recorded microseconds."""
+    times = {name: {case: {} for case in cases} for name in sides}
+    for rep in range(warmup + repeats):
+        order = SIDES if rep % 2 == 0 else SIDES[::-1]
+        for case in cases:
+            for name in order:
+                cells = measure(sides[name], case)
+                if rep >= warmup:
+                    for stage, us in cells.items():
+                        times[name][case].setdefault(stage, []).append(us)
+    return times
+
+
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 \
+        else (values[0],) * 3
+    return q1, statistics.median(values), q3
+
+
+def table(times):
+    """Per case and stage: each side's median and the paired ratios'
+    median and quartiles."""
+    out = {}
+    for case, cells in times["old"].items():
+        out[case] = {}
+        for stage, old in cells.items():
+            new = times["new"][case][stage]
+            ratios = [b / a for a, b in zip(old, new) if a > 0]
+            q1, med, q3 = quartiles(ratios) if ratios else (None,) * 3
+            out[case][stage] = {
+                "old_us": statistics.median(old),
+                "new_us": statistics.median(new),
+                "ratio": med, "ratio_q1": q1, "ratio_q3": q3}
+    return out
 
 
 def cpu_model():
@@ -176,46 +262,43 @@ def cpu_model():
     return platform.processor()
 
 
-def run(checkout, repeats):
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(Path(checkout).resolve()),
-         str(repeats)], capture_output=True, text=True, env=env, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old")
     ap.add_argument("new")
-    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--rounds", type=int, default=1)
     ap.add_argument("--repeats", type=int, default=200)
+    ap.add_argument("--cases", nargs="+", choices=CASES, default=CASES)
     ap.add_argument("--out", default="BENCH_rhs.json")
     args = ap.parse_args(argv)
+    for var in THREAD_VARS:       # before numpy loads its BLAS
+        os.environ[var] = "1"
 
-    rounds = {"old": [], "new": []}
-    for r in range(args.rounds):
-        order = ("old", "new") if r % 2 == 0 else ("new", "old")
-        for side in order:
-            rounds[side].append(run(getattr(args, side), args.repeats))
+    cases = [c for c in CASES if c in args.cases]
+    sides = {name: Side(getattr(args, name), f"{PACKAGE}_{name}", cases)
+             for name in SIDES}
+    bench = [c for c in cases if c in BENCHMARK_CASES]
+    kinds = ((STAGES, Side.stages, cases, args.repeats, WARMUP),
+             (CONNECTION, Side.connection, bench, args.repeats, WARMUP),
+             (VERIFY, Side.verify, bench, max(1, args.repeats // 20), 1))
+    pooled = {kind: {name: {} for name in SIDES} for kind, *_ in kinds}
+    rounds = {name: [] for name in SIDES}
+    for _ in range(args.rounds):
+        medians = {name: {} for name in SIDES}
+        for kind, measure, which, repeats, warmup in kinds:
+            times = alternate(sides, measure, which, repeats, warmup)
+            for name in SIDES:
+                for case, cells in times[name].items():
+                    for stage, us in cells.items():
+                        pooled[kind][name].setdefault(case, {}).setdefault(
+                            stage, []).extend(us)
+                        medians[name].setdefault(case, {})[stage] = \
+                            statistics.median(us)
+        for name in SIDES:
+            rounds[name].append(medians[name])
 
-    def table(stages):
-        out = {}
-        for case, cells in rounds["old"][0].items():
-            if not set(stages) <= set(cells):
-                continue
-            out[case] = {}
-            for stage in stages:
-                med = {side: statistics.median(r[case][stage]
-                                               for r in rounds[side])
-                       for side in rounds}
-                out[case][stage] = {
-                    "old_us": med["old"], "new_us": med["new"],
-                    "ratio": med["new"] / med["old"] if med["old"] else None}
-        return out
-
-    summary, verify = table(STAGES), table(VERIFY)
-    connection = table(CONNECTION)
+    summary, connection, verify = (table(pooled[kind])
+                                   for kind, *_ in kinds)
     result = {
         "old": str(args.old), "new": str(args.new),
         "host": {"machine": platform.machine(), "processor": cpu_model(),
@@ -226,10 +309,11 @@ def main(argv=None):
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for case in summary:
-        cells = "  ".join(f"{stage} {v['old_us']:.0f}->{v['new_us']:.0f}"
-                          for stage, v in {**summary[case],
-                                           **connection.get(case, {}),
-                                           **verify.get(case, {})}.items())
+        cells = "  ".join(
+            f"{stage} {v['old_us']:.0f}->{v['new_us']:.0f} "
+            f"x{v['ratio']:.2f} [{v['ratio_q1']:.2f}, {v['ratio_q3']:.2f}]"
+            for stage, v in {**summary[case], **connection.get(case, {}),
+                             **verify.get(case, {})}.items())
         print(f"{case:10s} {cells}")
     return 0
 
