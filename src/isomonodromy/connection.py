@@ -262,7 +262,10 @@ def _weights(dists, table):
 @dataclass(frozen=True)
 class DiagonalJetPair:
     """Holomorphic frame jet ``Z`` and diagonal 1-form jet ``B`` with
-    ``A = dZ Z^-1 + Z B Z^-1`` through the requested truncation.
+    ``A = dZ Z^-1 + Z B Z^-1`` through the requested truncation.  ``Z`` is
+    built from ``frame`` (the jet's point, the leading eigenframe ``V`` and
+    the recursion's gauge coefficients ``U``, ``Z_k = V U_k``) when it is
+    first read.
 
     ``pullback(B_weight)`` is the reverse-mode differential: ``B_weight`` of
     shape ``(..., orders, n)`` weights the diagonals of ``B``'s rows, and
@@ -273,9 +276,14 @@ class DiagonalJetPair:
     pullback.
     """
 
-    Z: LaurentJet
     B: LaurentJet
     pullback: Callable = field(repr=False, compare=False)
+    frame: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def Z(self):
+        point, V, U = self.frame
+        return LaurentJet(point, 0, np.stack([V @ u for u in U]), 0)
 
     @property
     def b_diag(self):
@@ -429,7 +437,5 @@ def diagonalize_jet(Ajet, order):
         A_weight[..., Ajet.k_min - k_min:, :, :] = V @ bar_At @ Vinv
         return A_weight
 
-    Zc = np.stack([V @ u for u in U])
-    Z = LaurentJet(Ajet.point, 0, Zc, 0)
-    Bjet = LaurentJet(Ajet.point, -l, np.stack(B), 1)
-    return DiagonalJetPair(Z, Bjet, pullback)
+    return DiagonalJetPair(LaurentJet(Ajet.point, -l, np.stack(B), 1),
+                           pullback, (Ajet.point, V, U))

@@ -25,16 +25,17 @@ jet pulled back to the chart or to the polar coefficients (``symplectic``).
 
 One driver integrates both the flow and the extended autonomous system on
 the flat state vector (``FlowState.flat``), with the library's DOP853
-(``ode``).  Its right-hand side is compiled once per integration
-(``RhsPlan``), from the start state's chart layout: each evaluation runs
-the chart layer's stacked kernels on views of the flat vector and builds
-no state, group, block or derivative object; the public
-``isomonodromic_rhs``, ``direction_differential`` and
-``extended_autonomous_rhs`` run the same plan, built from the state they
-are given.  Pole collision, coefficient blow-up and a degenerate chart are
-terminal events of the integrator: they are tested on accepted steps only
-and located by root-finding on the dense output, so ``abort_at`` is the
-parameter at which the abort happened.  The right-hand side solves the
+(``ode``).  Its right-hand side (``RhsPlan``) extends the start state's
+own chart plan (``FlowState.plan``), compiled once per chart layout and
+shared by every state rebuilt along the flow: each evaluation builds the
+plan's whole stage of the flat vector and no state or derivative object.
+The public ``isomonodromic_rhs``, ``direction_differential``,
+``lift_I0`` and ``extended_autonomous_rhs`` run the same plan on the
+stage the state they are given holds of itself.  Pole collision,
+coefficient blow-up and a degenerate chart are terminal events of the
+integrator: they are tested on accepted steps only and located by
+root-finding on the dense output, so ``abort_at`` is the parameter at
+which the abort happened.  The right-hand side solves the
 chart form without the rank guard (``solve_chart``); the guard's measure
 is the event's, taken on the Gram blocks that the step's last evaluation
 assembled.  A state is built only at the samples (``with_flat``).
@@ -57,11 +58,12 @@ from .monodromy import (
     conjugacy_residual,
     monodromy_reps,
 )
-from .states import ExtendedState, N_MAX, dress
+from .states import ExtendedState, N_MAX
 from .symplectic import (
     TAU_RANK,
     ChartPlan,
     chart_conditioning,
+    dress,
     solve_chart,
     translation_hamiltonian_values,
 )
@@ -144,9 +146,8 @@ def lift_I0(direction, state):
     coefficients at theirs, while every dressed polar coefficient of the
     connection is carried along unchanged in the flat ambient frame.
     """
-    plan = RhsPlan(state)
-    return StateDerivative.split(
-        plan.lift(direction, _checked_rates(direction, state)), state)
+    return StateDerivative.split(RhsPlan(state).lift(
+        direction, _checked_rates(direction, state)), state)
 
 
 def beta_for_rate(rate_rows, pole):
@@ -182,8 +183,7 @@ def direction_differential(direction, state):
     reverse sweep of the formal diagonalization per pole.  Both are taken
     in reverse mode (``symplectic``), by ``RhsPlan.differential``.
     """
-    plan, st = _compiled(state)
-    return plan.differential(direction, st)
+    return RhsPlan(state).differential(direction, state.stage)
 
 
 def isomonodromic_rhs(direction, state):
@@ -195,14 +195,8 @@ def isomonodromic_rhs(direction, state):
     on accepted steps (the ``degenerate_chart`` event), and a stage that
     meets an exactly singular block raises ``DegenerateChartError``.
     """
-    plan, st = _compiled(state)
-    return StateDerivative.split(plan(direction, st), state)
-
-
-def _compiled(state):
-    """A plan for ``state``'s layout, and its stage at ``state``."""
-    plan = RhsPlan(state)
-    return plan, plan.stage(state.flat())
+    return StateDerivative.split(RhsPlan(state)(direction, state.stage),
+                                 state)
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +204,36 @@ def _compiled(state):
 # ---------------------------------------------------------------------------
 
 class RhsPlan(ChartPlan):
-    """The isomonodromic right-hand side compiled for one chart layout: the
-    chart layer's ``ChartPlan``, read from ``state``, with the direction's
-    lift, differential and solve, and with ``extended`` the extended
-    system's section rates.
+    """The isomonodromic right-hand side compiled for one chart layout:
+    ``state``'s own ``ChartPlan``, whose compiled layout and tables it
+    shares rather than compiling them again, with the direction's lift,
+    differential and solve, and with ``extended`` the extended system's
+    section rates.
 
     Calling the plan on a direction and a stage (``stage(y)``) gives
     ``dy/ds`` in the layout of ``y``: the flow's, and with ``extended`` the
-    extended system's, whose dual slots follow.  No state, group, block or
-    derivative object is built, and each kernel runs the operations, shapes
-    and order of reduction of a state's own, so the bits are a state's.
+    extended system's, whose dual slots follow.  No state or derivative
+    object is built, and a state's stage is the same plan's, so the bits
+    are a state's.
     """
 
     def __init__(self, state, extended=False):
-        super().__init__(state)
-        self.extended = extended
+        vars(self).update(vars(state.plan))
+        self.state, self.extended = state, extended
         # the extended system's dual slots: each pole's q slots, then each
         # pole's b slots
-        at = np.cumsum([state._flat_index[1]] + self.orders
+        at = np.cumsum([self.size] + self.orders
                        + [(l - 1) * self.n for l in self.orders])
         self.slots = list(zip(at[:-1], at[1:])) if extended else []
         self.size = int(at[-1] if extended else at[0])
+
+    def stage(self, y):
+        """``ChartPlan.stage`` with its regular jets and chart half built
+        at once: the right-hand side reads them all."""
+        st = super().stage(y)
+        self._chart_half(st)
+        st.R = self._regular_jets(st)
+        return st
 
     def __call__(self, direction, st):
         """``dy/ds`` along ``direction`` at the stage ``st``: the reference
@@ -309,7 +312,7 @@ class RhsPlan(ChartPlan):
         # per group, through order l + 1: the lift's polar variations, and
         # k C_k at order k + 1
         moves = []
-        for g, (F, F_inv, P, _, _) in zip(self.groups, st.groups):
+        for g, (F, F_inv), P in zip(self.groups, st.frames, st.P):
             move = np.zeros((2, len(g.index), g.l + 1, n, n), dtype=complex)
             rows = [direction.irregular_rates.get(j, ()) for j in g.index]
             # without irregular rates the dressed variation is zero (the
@@ -452,7 +455,7 @@ def _abort_events(state, stage):
 def _integrate(start, path, tol, n_samples):
     """Integrate the flow along ``path`` from ``start`` over ``s in [0,
     1]``: a state, or an extended state over one, whose system
-    ``RhsPlan`` compiles once, from the start's layout.  One ``solve_ivp``
+    ``RhsPlan`` runs on the start state's plan.  One ``solve_ivp``
     call per sub-interval between samples; an abort ends the trajectory at
     the last sample, with ``abort_at`` the located ``s`` of the event.
 
@@ -629,8 +632,7 @@ def extend_state(state):
 def _section_rates(direction, state):
     """Derivatives of ``section_S`` along the reference lift of a direction,
     fiber frozen: ``RhsPlan.section_rates``."""
-    plan, st = _compiled(state)
-    return plan.section_rates(direction, st)
+    return RhsPlan(state).section_rates(direction, state.stage)
 
 
 def extended_autonomous_rhs(direction, ext):
@@ -644,7 +646,7 @@ def extended_autonomous_rhs(direction, ext):
     derivative of the section values along the direction, fiber frozen,
     taken in closed form and in reverse mode (no shifted states).
     """
-    plan, st = _compiled(ext.state)
+    plan, st = RhsPlan(ext.state), ext.state.stage
     out = StateDerivative.split(plan(direction, st), ext.state)
     return (out, *plan.section_rates(direction, st))
 

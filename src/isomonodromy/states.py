@@ -23,42 +23,24 @@ position; ``FlowState(...)`` checks separation, rank and leading terms
 (``connection.check_separated``, ``connection.check_regular``), its twist
 sites' rank and their separation from the poles.
 
-A ``PoleGroup`` stacks the poles of one order along a leading group axis
-(all poles share the rank); it is built from its stacks, by ``stack`` from
-a state's poles or by ``from_chart`` from chart rows.  Everything derived
-from a pole is computed once per group, on first use: ``unipotent`` (the
-jets of ``I + u`` and of its inverse), ``frame`` (the jets of ``F = h (I +
-u)`` and of ``F^-1``), ``lam_jet`` and ``polar``.  ``dressed_polar`` is the
-one map from dressed polar jets to connection polar coefficients:
-``polar`` dresses ``lam_jet``, and the chart layer dresses its variations
-with it.  Each is a stacked kernel of this module (``unipotent``,
-``frames``, ``lam_jet``, ``dress``; ``regular_jets`` and ``pole_jet`` for
-the state's jets), on arrays with the group axis in front, which
-``flows.RhsPlan`` runs on views of a flat vector without building a group.
-The batched products give every pole exactly the bits a product of its own
-would.
-
-A ``FlowState`` owns the data derived from its poles, each computed once, on
-first use: its groups (``groups``, by order in order of first appearance,
-with each pole's index and chart coordinates), the polar coefficients
-(``polar``, each pole's rows of its group's array), the regular jets of
-the other poles' polar parts at every pole (``regular_jets``, one product
-of the table ``connection.extension_weights`` at every pair of poles with
-the padded polar coefficients), the chart layer's per-group blocks
-(``blocks``) and their transposed Gram matrices with each group's chart
-columns (``gram_blocks``, what the chart solve and the rank guard's
-measure read).  ``jet_at_pole`` and ``diagonal_jet``
-assemble a pole's Laurent jet and formal diagonal jet from them.  The
-chart layer reads these attributes and takes only the state.
-``from_connection`` reads a
-connection's ``divisor_polar_parts``.  ``with_flat``
-checks only its vector's length and inverts each group's frames in one
-call, refusing a singular one with ``DegenerateChartError``, since a flow
-drove it there; the new state keeps those groups, and its poles are row
-views of their stacks.  A flow builds a state this way only at its
-samples; its right-hand side reads the flat vector through the plan.
-Along a flow the right-hand side checks a moving leading type, in
-``diagonalize_jet``.
+A ``FlowState`` turns its numbers into chart data along one path: its
+``plan``, the chart layer compiled for its layout
+(``symplectic.ChartPlan``), and the plan's ``stage`` of its own ``flat()``,
+each built once, on first use.  The stage builds its polar half at once
+(each group's frames inverted in one call, the frame jets and the polar
+coefficients) and the rest when it is read: the regular jets of the other
+poles' polar parts at every pole and the chart half (block Hankel matrices,
+basis velocities and Gram blocks).  The state's ``polar``,
+``regular_jets``, ``gram_blocks`` and ``jet_at_pole`` read the stage, so
+``connection()`` builds no Gram block; ``diagonal_jet`` diagonalizes a
+pole's jet.  ``from_connection`` reads a connection's
+``divisor_polar_parts``.  ``with_flat`` checks only its vector's length;
+the new state shares the plan, its stage's polar half is built at once (a
+singular frame raising ``DegenerateChartError``, since a flow drove it
+there) and its poles are row views of the stage's stacks.  A flow builds a
+state this way only at its samples; its right-hand side reads the flat
+vector through the plan.  Along a flow the right-hand side checks a moving
+leading type, in ``diagonalize_jet``.
 
 Chart-vector layout, per pole: the ``n^2`` entries of ``h`` (row-major),
 then for each jet order ``k = 1 .. l-2`` the ``n^2 - n`` off-diagonal
@@ -75,15 +57,12 @@ import numpy as np
 
 from .connection import (
     Connection,
-    _signed_binomials,
     _sorted_eig,
-    _weights,
     check_regular,
     check_separated,
     diagonalize_jet,
 )
-from .errors import DegenerateChartError, MalformedInputError
-from .ratfun import LaurentJet
+from .errors import MalformedInputError
 
 N_MAX = 1e8   # coefficient-norm cap; beyond this a flow is flagged as blown up
 
@@ -135,82 +114,6 @@ def chart_layout(l, n):
     return at, at + n * n
 
 
-# ---------------------------------------------------------------------------
-# stacked kernels: the one formula of each quantity, on arrays with a
-# leading group axis, read by ``PoleGroup`` and by ``flows.RhsPlan``
-# ---------------------------------------------------------------------------
-
-def unipotent(u, l):
-    """Coefficients of ``I + u(zeta)`` and of its inverse through order
-    l-1, for stacked off-diagonal jets ``u`` of shape (G, l-2, n, n) (the
-    top order of ``u`` is zero); each of shape (G, l, n, n)."""
-    n = u.shape[-1]
-    U = np.zeros((len(u), l, n, n), dtype=complex)
-    U[:, 0] = np.eye(n)
-    U[:, 1: l - 1] = u
-    V = np.zeros_like(U)
-    V[:, 0] = np.eye(n)
-    for m in range(1, l):
-        V[:, m] = -sum(U[:, j] @ V[:, m - j] for j in range(1, m + 1))
-    return U, V
-
-
-def frames(h, h_inv, U, V):
-    """The frame jets ``F = h (I + u)`` and ``F^-1 = (I + u)^-1 h^-1``."""
-    return h[:, None] @ U, V @ h_inv[:, None]
-
-
-def lam_jet(lam_res, lam_irr, l):
-    """Dressed polar jets, row k <-> order -(k+1), shape (G, l, n, n)."""
-    n = lam_res.shape[-1]
-    out = np.zeros((len(lam_res), l, n, n), dtype=complex)
-    out[:, 0] = lam_res
-    if l > 1:
-        diag = np.arange(n)
-        out[:, 1:, diag, diag] = lam_irr
-    return out
-
-
-def dress(F, F_inv, inner):
-    """Polar part of ``F inner F^-1`` for stacked dressed polar jets
-    ``inner`` of shape ``(G, x, l, n, n)``, row ``r`` the order ``-(r+1)``
-    term; row ``k - 1`` of the result holds the coefficient of
-    ``(z-t)**-k``."""
-    l = F.shape[1]
-    # F_i inner_r (F^-1)_j sits at order i + j - (r + 1)
-    out = np.zeros(inner.shape, dtype=complex)
-    for i in range(l):
-        for j in range(l - i):
-            out[:, :, : l - i - j] += (F[:, i, None, None]
-                                       @ inner[:, :, i + j:]
-                                       @ F_inv[:, j, None, None])
-    return out
-
-
-def regular_jets(ts, C, table):
-    """Taylor coefficients at every pole of the other poles' polar parts:
-    the table ``extension_weights`` at every pair of the positions ``ts``
-    (its signed binomials ``table``), a pole's own pair masked out,
-    contracted in one product with the polar coefficients ``C`` padded to
-    the longest order, shape ``(K, L, n, n)``."""
-    K, L, n = C.shape[0], C.shape[1], C.shape[-1]
-    # own pairs: a unit distance keeps the powers finite, then zeroed
-    dists = ts[:, None] - ts
-    dists.reshape(-1)[:: K + 1] = 1.0
-    w = _weights(dists, table)
-    w.reshape(K * K, L, L)[:: K + 1] = 0.0
-    return (w.transpose(0, 3, 1, 2).reshape(K * L, K * L)
-            @ C.reshape(K * L, n * n)).reshape(K, L, n, n)
-
-
-def pole_jet(t, polar, regular):
-    """Laurent jet of A at a pole at ``t`` of order ``l = len(polar)``,
-    orders ``-l .. l-2``, from its polar and regular coefficients."""
-    l = len(polar)
-    return LaurentJet(t, -l, np.concatenate([polar[::-1], regular[: l - 1]]),
-                      0)
-
-
 @dataclass(frozen=True)
 class PoleData:
     """Canonical data of one pole: position, order, frame jet, dressed polar."""
@@ -230,7 +133,7 @@ class PoleData:
         n = h.shape[0] if h.ndim else 0
         n_u = max(l - 2, 0)
         h = _shaped(h, "h", (n, n))
-        h_inv = _frame_inverses([t], h[None])[0]
+        _frame_inverses([t], h[None])
         lam_res = _shaped(lam_res, "lam_res", (n, n))
         lam_irr = _shaped(np.zeros((l - 1, n)) if lam_irr is None else lam_irr,
                           "lam_irr", (l - 1, n))
@@ -240,8 +143,8 @@ class PoleData:
                 raise MalformedInputError(
                     "frame-jet coordinates must have zero diagonal")
             np.fill_diagonal(u[k], 0.0)
-        vars(self).update(t=t, l=l, h=h, _h_inv=h_inv, lam_res=lam_res,
-                          lam_irr=lam_irr, u=u)
+        vars(self).update(t=t, l=l, h=h, lam_res=lam_res, lam_irr=lam_irr,
+                          u=u)
 
     @property
     def n(self):
@@ -253,86 +156,6 @@ class PoleData:
         off = ~np.eye(self.n, dtype=bool)
         return np.concatenate([self.h.ravel(), self.u[:, off].ravel(),
                                self.lam_res.ravel()])
-
-
-class PoleGroup:
-    """The poles of one order ``l`` (and rank ``n``), stacked along a
-    leading group axis: ``h``, ``h_inv``, ``lam_res``, ``lam_irr`` and
-    ``u`` have the pole fields' shapes with ``G`` rows in front, and ``t``
-    holds the positions as Python complex numbers.
-
-    In a state's group, ``index`` holds the poles' positions in the state
-    and ``cols`` (shape ``(G, size)``, ``chart_layout``) their coordinates
-    in the chart vector; a group built alone counts its poles from 0.  The
-    frame jets, the dressed polar jet and the polar coefficients are
-    computed once per group, on first use, by batched products over the
-    group axis, which give each pole the bits a product of its own gives it.
-    """
-
-    def __init__(self, l, t, h, h_inv, lam_res, lam_irr, u, index=None,
-                 cols=None):
-        self.l, self.n, self.t = l, h.shape[-1], tuple(t)
-        self.h, self.h_inv, self.lam_res, self.lam_irr, self.u = (
-            h, h_inv, lam_res, lam_irr, u)
-        self.index = tuple(range(len(self.t)) if index is None else index)
-        self.cols = cols
-
-    @classmethod
-    def stack(cls, poles, index=None, cols=None):
-        """The group of the ``PoleData`` records ``poles``, all of one order
-        and rank."""
-        return cls(poles[0].l, [p.t for p in poles],
-                   *(np.stack([getattr(p, name) for p in poles])
-                     for name in ("h", "_h_inv", "lam_res", "lam_irr", "u")),
-                   index, cols)
-
-    @classmethod
-    def from_chart(cls, l, n, ts, chart, lam_irr, index=None, cols=None):
-        """The group of the poles of order ``l`` and rank ``n`` at positions
-        ``ts`` whose chart slices are the rows of ``chart``, with irregular
-        types ``lam_irr``.  Their frames are inverted in one call, which
-        refuses a singular or non-finite frame with ``DegenerateChartError``
-        (the rows come from a flow, not from input); nothing else is
-        checked."""
-        G, n_u = len(ts), max(l - 2, 0)
-        ts = [complex(t) for t in ts]
-        H = np.array(chart[:, : n * n].reshape(G, n, n), dtype=complex)
-        at, size = chart_layout(l, n)
-        u = np.zeros((G, n_u, n, n), dtype=complex)
-        if n_u:
-            u[:, :, ~np.eye(n, dtype=bool)] = chart[:, n * n: at].reshape(
-                G, n_u, n * n - n)
-        lam = chart[:, at: size].reshape(G, n, n)
-        return cls(l, ts, H, _frame_inverses(ts, H, DegenerateChartError), lam,
-                   np.asarray(lam_irr, dtype=complex), u, index, cols)
-
-    @cached_property
-    def unipotent(self):
-        """Coefficients of ``I + u(zeta)`` and of its inverse through order
-        l-1, each of shape (G, l, n, n): ``unipotent``."""
-        return unipotent(self.u, self.l)
-
-    @cached_property
-    def frame(self):
-        """Coefficients of the frame ``F = h (I + u)`` and of ``F^-1 =
-        (I + u)^-1 h^-1`` through order l-1."""
-        return frames(self.h, self.h_inv, *self.unipotent)
-
-    @cached_property
-    def lam_jet(self):
-        """Dressed polar coefficients, row k <-> order -(k+1); shape
-        (G, l, n, n)."""
-        return lam_jet(self.lam_res, self.lam_irr, self.l)
-
-    def dressed_polar(self, inner):
-        """``dress`` with the group's frames."""
-        return dress(*self.frame, inner)
-
-    @cached_property
-    def polar(self):
-        """``[C_1, ..., C_l]`` per pole, shape (G, l, n, n): the dressed
-        ``lam_jet``."""
-        return self.dressed_polar(self.lam_jet[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -366,62 +189,45 @@ class FlowState:
                 f"pole index {i}; the state has poles 0..{m - 1}")
         return self.poles[i]
 
-    # -- polar data, each computed once per state -----------------------------
+    # -- chart data, each computed once per state -----------------------------
 
     @cached_property
-    def groups(self):
-        """The poles grouped by order, one ``PoleGroup`` per order in order
-        of first appearance, each pole's chart coordinates in ``cols``."""
-        at = self._chart_at
-        members = {}
-        for i, p in enumerate(self.poles):
-            members.setdefault(p.l, []).append(i)
-        return tuple(
-            PoleGroup.stack([self.poles[i] for i in index], index,
-                            at[index][:, None] + np.arange(chart_layout(
-                                self.poles[index[0]].l, self.n)[1]))
-            for index in members.values())
+    def plan(self):
+        """The chart layer compiled for this state's layout
+        (``symplectic.ChartPlan``), shared by every state ``with_flat``
+        derives from this one."""
+        from .symplectic import ChartPlan
+        return ChartPlan(self)
+
+    @cached_property
+    def stage(self):
+        """The plan's stage of ``flat()``: everything the chart layer reads
+        of this state, each part built once, on first use."""
+        return self.plan.stage(self.flat())
 
     @cached_property
     def polar(self):
-        """Every pole's polar coefficients ``[C_1, ..., C_l]``: its rows of
-        its group's ``polar``, shape (l, n, n)."""
-        rows = {i: C for g in self.groups for i, C in zip(g.index, g.polar)}
-        return [rows[i] for i in range(len(self.poles))]
+        """Every pole's polar coefficients ``[C_1, ..., C_l]``, shape
+        (l, n, n): its rows of its group's array in the stage."""
+        return [self.plan.polar(self.stage, i) for i in range(len(self.poles))]
 
     @cached_property
     def regular_jets(self):
         """Taylor coefficients at every pole of the other poles' polar parts
         (the regular part of A there), orders ``0 .. l_i-1`` at pole i:
-        every order that pairs with the pole's own polar part: one product
-        of the table ``extension_weights`` at every pair of poles, a pole's
-        own pair masked out, with the polar coefficients padded to the
-        longest order."""
-        ts = np.array([p.t for p in self.poles])
-        L = max((g.l for g in self.groups), default=0)
-        C = np.zeros((len(ts), L, self.n, self.n), dtype=complex)
-        for g in self.groups:
-            C[list(g.index), : g.l] = g.polar
-        R = regular_jets(ts, C, _signed_binomials(L, L))
-        return [R[i, : p.l] for i, p in enumerate(self.poles)]
+        every order that pairs with the pole's own polar part."""
+        return [self.plan.regular(self.stage, i)
+                for i in range(len(self.poles))]
 
-    @cached_property
-    def blocks(self):
-        """The chart layer's per-group blocks, ``chart_blocks(self)``."""
-        from .symplectic import chart_blocks
-        return chart_blocks(self)
-
-    @cached_property
+    @property
     def gram_blocks(self):
         """Per group: its poles' chart columns and their transposed Gram
-        blocks (``PoleChartBlock.gram_transposed``), what the chart solve
-        and the rank guard read."""
-        return [(g.cols, b.gram_transposed)
-                for g, b in zip(self.groups, self.blocks)]
+        blocks, what the chart solve and the rank guard read."""
+        return self.stage.gram_blocks
 
     def jet_at_pole(self, i):
         """Laurent jet of A at pole i, orders ``-l_i .. l_i-2``."""
-        return pole_jet(self.poles[i].t, self.polar[i], self.regular_jets[i])
+        return self.plan.jet(self.stage, i)
 
     def diagonal_jet(self, i):
         """Diagonal of the formal normal form ``B`` of A at pole i, orders
@@ -492,40 +298,27 @@ class FlowState:
         return np.concatenate([positions, self.chart_vector()]
                               + [p.lam_irr.ravel() for p in self.poles])
 
-    @cached_property
-    def _flat_index(self):
-        """Per group: where its poles' positions, chart slices and irregular
-        entries sit in ``flat()``; then the length of ``flat()``."""
-        m = len(self.poles)
-        irr_at = m + self.chart_dim() + np.cumsum(
-            [0] + [(p.l - 1) * p.n for p in self.poles])
-        return [(list(g.index), m + g.cols,
-                 irr_at[list(g.index)][:, None] + np.arange((g.l - 1) * g.n))
-                for g in self.groups], int(irr_at[-1])
-
     def with_flat(self, vec):
         """The state whose ``flat()`` is ``vec``.  This state's ``flat()``
-        laid ``vec`` out, so only its length is checked.  Each group's
-        frames are inverted in one call, and a singular or non-finite one
-        raises ``DegenerateChartError``; the groups are the new state's
-        ``groups``, and its poles are row views of their stacks."""
-        index, size = self._flat_index
-        if len(vec) != size:
+        laid ``vec`` out, so only its length is checked.  The new state
+        shares this state's plan, and its stage is the plan's stage of
+        ``vec``, whose polar half is built at once: each group's frames are
+        inverted in one call, a singular or non-finite one raising
+        ``DegenerateChartError``, and the poles are row views of the
+        stage's stacks."""
+        plan = self.plan
+        if len(vec) != plan.size:
             raise MalformedInputError(
-                f"flat vector: length {len(vec)}, expected {size}")
-        groups, poles = [], [None] * len(self.poles)
-        for g, (at, chart, irr) in zip(self.groups, index):
-            new = PoleGroup.from_chart(
-                g.l, g.n, vec[at], vec[chart],
-                vec[irr].reshape(len(at), g.l - 1, g.n), g.index, g.cols)
-            groups.append(new)
+                f"flat vector: length {len(vec)}, expected {plan.size}")
+        stage = plan.stage(np.array(vec, dtype=complex))
+        poles = [None] * len(self.poles)
+        for g, (h, u, lam_res, lam_irr) in zip(plan.groups, stage.fields):
             for r, i in enumerate(g.index):
                 poles[i] = _trusted(
-                    PoleData, t=new.t[r], l=g.l, h=new.h[r],
-                    _h_inv=new.h_inv[r], lam_res=new.lam_res[r],
-                    lam_irr=new.lam_irr[r], u=new.u[r])
+                    PoleData, t=complex(stage.y[i]), l=g.l, h=h[r],
+                    lam_res=lam_res[r], lam_irr=lam_irr[r], u=u[r])
         return _trusted(FlowState, n=self.n, poles=tuple(poles),
-                        twist=self.twist, groups=tuple(groups))
+                        twist=self.twist, plan=plan, stage=stage)
 
 
 @dataclass(frozen=True)
@@ -560,7 +353,7 @@ class ExtendedState:
         """The extended state whose ``flat()`` is ``vec``, checked as in
         ``FlowState.with_flat``."""
         poles = self.state.poles
-        at = self.state._flat_index[1]
+        at = self.state.plan.size
         size = at + sum(p.l + (p.l - 1) * p.n for p in poles)
         if len(vec) != size:
             raise MalformedInputError(

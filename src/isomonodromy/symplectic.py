@@ -29,22 +29,27 @@ to tangent triples.  The obvious lift (``s`` the frame velocity ``eta``,
 ``b`` the induced polar variation) does not reproduce the triple form:
 their ratio varies from one pair of tangents to the next.
 
-Every chart-layer function takes only the state: the per-group blocks,
-polar coefficients and regular jets it needs are the state's own memoized
-attributes (``FlowState.blocks``, ``polar``, ``regular_jets``), or a
-``ChartPlan``'s stage of its flat vector.  The chart layer works group by
-group (``FlowState.groups``: the poles of one order, stacked): a
-``PoleChartBlock`` holds one group's basis velocities with a leading group
-axis, reads the group's frame jets (``PoleGroup.unipotent``, ``frame``) and
-dresses its polar variations with ``PoleGroup.dressed_polar``; it derives
-neither.  Each per-pole quantity is one batched kernel per group (the
-block Hankel matrix ``_hankel``, the velocities ``_etas`` with
-``_toeplitz`` and ``_dlams``, ``_gram``, ``_covector``, and
-``_pole_weights`` for one group's ``polar_weights``), and each pole gets
-the bits a kernel of its own gives it.  A ``ChartPlan`` runs the same
-kernels on arrays it reads from a flat vector, and ``solve_chart`` and
-``chart_conditioning`` read only ``gram_blocks``, which a state and a
-plan's stage both hold.
+Every chart-layer function takes only the state, and reads its chart data
+from one place: the state's ``plan`` (``ChartPlan``, the chart layer
+compiled for its layout) and the plan's ``stage`` of the state's flat
+vector, both memoized on the state (``FlowState.plan``, ``stage``).  The
+chart layer works group by group (``ChartPlan.groups``: the poles of one
+order, stacked).  Each per-pole quantity is one batched kernel per group,
+which the plan runs: the frame jets (``unipotent``, ``frames``), the
+dressed polar jets (``lam_jet``, ``dress``), the regular jets
+(``regular_jets``), the block Hankel matrix ``_hankel``, the velocities
+``_etas`` with ``_toeplitz`` and ``_dlams``, ``_gram``, ``_covector`` and
+its transpose ``_polar_variation``, and ``_pole_weights`` for one group's
+``polar_weights``; each pole gets the bits a kernel of its own gives it.
+Outside the plan, ``induced_polar_variations`` runs ``_polar_variation`` on
+the state's stage, and it and the flow's section rates dress their
+variations with ``dress``.  A stage builds its polar half (frames, frame
+jets, polar coefficients) at once and its chart half (Hankel matrices,
+velocities, Gram blocks) when it is first read, so a state's
+``connection()`` assembles no Gram block; the flow's right-hand side, which
+reads every part, builds its stages whole.  ``solve_chart`` and
+``chart_conditioning`` read only ``gram_blocks``, which a state and a stage
+both hold.
 
 The form pairs no two poles, so its Gram matrix is block-diagonal by pole
 (``gram_matrix`` is the dense form, kept for comparison).  A group's blocks
@@ -64,44 +69,33 @@ diagonal-jet pairing ``tr res(beta . B)`` at irregular poles
 (``hamiltonian_beta_B``).  Their analytic differentials
 (``d_translation_hamiltonian``, ``d_hamiltonian_beta_B``) are gradients of
 one scalar over the chart basis, taken in reverse mode, so their cost does
-not grow with the basis.  Each is a weight on the pole's Laurent jet:
-twice the jet itself, read backwards, for ``res tr(A^2)``; for the pairing,
+not grow with the basis.  Each is a weight on the pole's Laurent jet: twice
+the jet itself, read backwards, for ``res tr(A^2)``; for the pairing,
 ``beta`` taken back by the ``pullback`` of ``connection.diagonalize_jet``.
 ``polar_weights`` transposes the jet's dependence on the poles' polar
 parts, the table ``connection.extension_weights`` that ``regular_jets``
 contracts forward, and ``ChartPlan.jet_covector`` hands each group's
 weights to ``_covector``, which pulls them back through the dressing and
 contracts them once with the basis velocities; neither builds a basis
-direction's polar or jet variation.  Both differentials run on a
-``ChartPlan``'s stage, the chart layer compiled for the state's layout,
-which the flow's right-hand side (``flows.RhsPlan``) extends; the
-extended system's section rates take their jet weights back through
-``polar_weights`` too.  This is the library's one derivative mode: the
-forward references of ``tests/oracles.py`` agree with it to round-off, not
-bit for bit.  A base direction's correction Hamiltonian combines them in
-``flows.direction_differential``.
+direction's polar or jet variation.  Both differentials run on the state's
+stage; the flow's right-hand side (``flows.RhsPlan``) extends the state's
+plan, and the extended system's section rates take their jet weights back
+through ``polar_weights`` too.  This is the library's one derivative mode:
+the forward references of ``tests/oracles.py`` agree with it to round-off,
+not bit for bit.  A base direction's correction Hamiltonian combines them
+in ``flows.direction_differential``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .connection import _signed_binomials, _weights, diagonalize_jet
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat
-from .states import (
-    _frame_inverses,
-    chart_layout,
-    dress,
-    frames,
-    lam_jet,
-    pole_jet,
-    regular_jets,
-    unipotent,
-)
+from .states import _frame_inverses, chart_layout
 
 TAU_RANK = 1e-8
 
@@ -199,85 +193,72 @@ def _twist_pairing(t_germ, b, site):
 
 
 # ---------------------------------------------------------------------------
-# chart layer: basis blocks, one per pole group
+# chart layer: stacked kernels, each the one formula of its quantity, on
+# arrays with a leading group axis; ``ChartPlan`` runs them
 # ---------------------------------------------------------------------------
 
-class PoleChartBlock:
-    """Symplectic data of the chart coordinates of one pole group (the
-    state's poles of one order), stacked along the group axis.
-
-    Basis order matches the chart slice: frame entries, off-diagonal jet
-    entries order by order, then residue-momentum entries.  Every basis
-    direction carries its left jet velocity ``eta = F^-1 dF`` (orders
-    ``0 .. l-1``) and its dressed-residue variation: ``etas`` has shape
-    ``(G, dim, l, n, n)`` and ``dlams``, the same for every pole, shape
-    ``(dim, n, n)``, zero away from the residue-momentum directions.  They
-    come from the module's stacked kernels (``_hankel``, ``_etas``,
-    ``_dlams``), which ``ChartPlan`` runs too.
-    """
-
-    def __init__(self, group):
-        self.group = group
-        self.n, self.l = group.n, group.l
-        U, V = group.unipotent
-        self.lam = group.lam_jet     # row r <-> order -(r+1)
-        self.lam_hankel = _hankel(self.lam)
-        self.etas = _etas(group.frame[1], V, _toeplitz(U))
-        self.dim = self.etas.shape[1]
-        self.dlams = _dlams(self.l, self.n)
-
-    def omega(self, x, y, g=0):
-        """Chart form at the group's pole ``g`` between two ``(eta, dLam)``
-        directions, term by term: the reference that ``gram_block`` is
-        tested against."""
-        eta_x, dl_x = x
-        eta_y, dl_y = y
-        acc = np.trace(eta_x[0] @ dl_y) - np.trace(eta_y[0] @ dl_x)
-        for m in range(self.l):
-            comm = np.zeros((self.n, self.n), dtype=complex)
-            for i in range(m + 1):
-                comm += eta_x[i] @ eta_y[m - i] - eta_y[i] @ eta_x[m - i]
-            acc += np.trace(self.lam[g, m] @ comm)
-        return 2.0 * acc
-
-    @cached_property
-    def gram_transposed(self):
-        """The transposed ``gram_block()``, the matrices of the solve: the
-        form is ``omega(X, Y) = X^T G Y`` on the basis, so ``omega(X, .) =
-        dH`` reads ``G^T X = dH``."""
-        return self.gram_block().transpose(0, 2, 1)
-
-    def gram_block(self):
-        """``omega`` on every pair of basis directions at every pole of the
-        group, shape ``(G, dim, dim)``: ``_gram``."""
-        return _gram(self.etas, self.lam_hankel)
-
-    def polar_variation(self, v):
-        """Connection polar-coefficient variations of chart tangents ``v``,
-        one per pole of the group (shape ``(G, dim)``), via ``dP = [F
-        (ad_eta Lambda + dLam) F^-1]_polar``: ``covector`` transposed.  ``v``
-        is contracted with the basis velocities first, ``eta = sum_x v_x
-        eta_x`` and ``dLam = sum_x v_x dLam_x``, so no direction's variation
-        is built; shape ``(G, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
-        G, l, n = len(v), self.l, self.n
-        eta = (v[:, None] @ self.etas.reshape(G, self.dim, -1)).reshape(
-            G, l, n, n)
-        # inner[:, k] = sum_m [eta_m, Lambda_{m+k}] + dLam, the order -(k+1)
-        # term
-        inner = (np.einsum("gmpr,gmrkq->gkpq", eta, self.lam_hankel)
-                 - np.einsum("gmpkr,gmrq->gkpq", self.lam_hankel, eta))
-        inner[:, 0] += (v @ self.dlams.reshape(self.dim, -1)).reshape(G, n, n)
-        return self.group.dressed_polar(inner[:, None])[:, 0]
-
-    def covector(self, W):
-        """The covector ``x -> sum_k tr(W[:, k-1] dC_k)`` on the basis at
-        every pole of the group, shape ``(G, dim)``, with ``dC`` the
-        direction's ``polar_variation``: ``_covector``."""
-        return _covector(*self.group.frame, self.lam_hankel, self.etas,
-                         self.dlams, W)
+def unipotent(u, l):
+    """Coefficients of ``I + u(zeta)`` and of its inverse through order
+    l-1, for stacked off-diagonal jets ``u`` of shape (G, l-2, n, n) (the
+    top order of ``u`` is zero); each of shape (G, l, n, n)."""
+    n = u.shape[-1]
+    U = np.zeros((len(u), l, n, n), dtype=complex)
+    U[:, 0] = np.eye(n)
+    U[:, 1: l - 1] = u
+    V = np.zeros_like(U)
+    V[:, 0] = np.eye(n)
+    for m in range(1, l):
+        V[:, m] = -sum(U[:, j] @ V[:, m - j] for j in range(1, m + 1))
+    return U, V
 
 
-# the stacked kernels of the blocks, each the one formula of its quantity
+def frames(h, h_inv, U, V):
+    """The frame jets ``F = h (I + u)`` and ``F^-1 = (I + u)^-1 h^-1``."""
+    return h[:, None] @ U, V @ h_inv[:, None]
+
+
+def lam_jet(lam_res, lam_irr, l):
+    """Dressed polar jets, row k <-> order -(k+1), shape (G, l, n, n)."""
+    n = lam_res.shape[-1]
+    out = np.zeros((len(lam_res), l, n, n), dtype=complex)
+    out[:, 0] = lam_res
+    if l > 1:
+        diag = np.arange(n)
+        out[:, 1:, diag, diag] = lam_irr
+    return out
+
+
+def dress(F, F_inv, inner):
+    """Polar part of ``F inner F^-1`` for stacked dressed polar jets
+    ``inner`` of shape ``(G, x, l, n, n)``, row ``r`` the order ``-(r+1)``
+    term; row ``k - 1`` of the result holds the coefficient of
+    ``(z-t)**-k``."""
+    l = F.shape[1]
+    # F_i inner_r (F^-1)_j sits at order i + j - (r + 1)
+    out = np.zeros(inner.shape, dtype=complex)
+    for i in range(l):
+        for j in range(l - i):
+            out[:, :, : l - i - j] += (F[:, i, None, None]
+                                       @ inner[:, :, i + j:]
+                                       @ F_inv[:, j, None, None])
+    return out
+
+
+def regular_jets(ts, C, table):
+    """Taylor coefficients at every pole of the other poles' polar parts:
+    the table ``extension_weights`` at every pair of the positions ``ts``
+    (its signed binomials ``table``), a pole's own pair masked out,
+    contracted in one product with the polar coefficients ``C`` padded to
+    the longest order, shape ``(K, L, n, n)``."""
+    K, L, n = C.shape[0], C.shape[1], C.shape[-1]
+    # own pairs: a unit distance keeps the powers finite, then zeroed
+    dists = ts[:, None] - ts
+    dists.reshape(-1)[:: K + 1] = 1.0
+    w = _weights(dists, table)
+    w.reshape(K * K, L, L)[:: K + 1] = 0.0
+    return (w.transpose(0, 3, 1, 2).reshape(K * L, K * L)
+            @ C.reshape(K * L, n * n)).reshape(K, L, n, n)
+
 
 def _hankel(lam):
     """``lam_hankel[:, m, :, k] = lam[:, m + k]``, zero past the top order:
@@ -301,9 +282,11 @@ def _toeplitz(U):
 
 
 def _etas(F_inv, V, u_toeplitz):
-    """The basis directions' left jet velocities, shape ``(G, dim, l, n,
-    n)``, from the jets of ``F^-1`` and of ``(I + u)^-1`` and the Toeplitz
-    stack of ``I + u``."""
+    """The basis directions' left jet velocities ``eta = F^-1 dF``, shape
+    ``(G, dim, l, n, n)``, from the jets of ``F^-1`` and of ``(I + u)^-1``
+    and the Toeplitz stack of ``I + u``.  Basis order matches the chart
+    slice: frame entries, off-diagonal jet entries order by order, then
+    residue-momentum entries (whose velocity is zero)."""
     G, l, n = F_inv.shape[:3]
     n_frame, dim = chart_layout(l, n)
     etas = np.zeros((G, dim, l, n, n), dtype=complex)
@@ -347,6 +330,23 @@ def _gram(etas, lam_hankel):
     return 2.0 * (A - A.transpose(0, 2, 1))
 
 
+def _polar_variation(F, F_inv, lam_hankel, etas, dlams, v):
+    """Connection polar-coefficient variations of chart tangents ``v``,
+    one per pole of a group (shape ``(G, dim)``), via ``dP = [F (ad_eta
+    Lambda + dLam) F^-1]_polar``: ``_covector`` transposed.  ``v`` is
+    contracted with the basis velocities first, ``eta = sum_x v_x eta_x``
+    and ``dLam = sum_x v_x dLam_x``, so no direction's variation is built;
+    shape ``(G, l, n, n)``, row ``k - 1`` holding ``dC_k``."""
+    G, dim, l, n = etas.shape[:4]
+    eta = (v[:, None] @ etas.reshape(G, dim, -1)).reshape(G, l, n, n)
+    # inner[:, k] = sum_m [eta_m, Lambda_{m+k}] + dLam, the order -(k+1)
+    # term
+    inner = (np.einsum("gmpr,gmrkq->gkpq", eta, lam_hankel)
+             - np.einsum("gmpkr,gmrq->gkpq", lam_hankel, eta))
+    inner[:, 0] += (v @ dlams.reshape(dim, -1)).reshape(G, n, n)
+    return dress(F, F_inv, inner[:, None])[:, 0]
+
+
 def _covector(F, F_inv, lam_hankel, etas, dlams, W):
     """The covector ``x -> sum_k tr(W[:, k-1] dC_k)`` on the basis at every
     pole of a group, shape ``(G, dim)``, with ``dC`` the direction's polar
@@ -371,66 +371,120 @@ def _covector(F, F_inv, lam_hankel, etas, dlams, W):
             @ Wt[:, 0].swapaxes(-1, -2).reshape(G, -1, 1))[..., 0]
 
 
+class PoleChartBlock:
+    """The chart form term by term at the poles of one group, whose
+    dressed polar jets ``lam`` (shape ``(G, l, n, n)``, row ``r`` the order
+    ``-(r+1)`` term) it holds: the reference that ``_gram`` is tested
+    against."""
+
+    def __init__(self, lam):
+        self.lam = lam
+        self.l, self.n = lam.shape[1], lam.shape[-1]
+
+    def omega(self, x, y, g=0):
+        """Chart form at the group's pole ``g`` between two ``(eta, dLam)``
+        directions, term by term."""
+        eta_x, dl_x = x
+        eta_y, dl_y = y
+        acc = np.trace(eta_x[0] @ dl_y) - np.trace(eta_y[0] @ dl_x)
+        for m in range(self.l):
+            comm = np.zeros((self.n, self.n), dtype=complex)
+            for i in range(m + 1):
+                comm += eta_x[i] @ eta_y[m - i] - eta_y[i] @ eta_x[m - i]
+            acc += np.trace(self.lam[g, m] @ comm)
+        return 2.0 * acc
+
+
 # ---------------------------------------------------------------------------
 # chart layer: compiled once per chart layout
 # ---------------------------------------------------------------------------
 
 class _GroupPlan:
-    """One pole group's layout in the flat vector, and its tables that stay
-    constant along a flow."""
+    """One pole group, the poles of one order ``l``: their indices
+    (``index``, ``at`` as an array), their chart columns (``cols``, shape
+    ``(G, size)``, ``chart_layout``), the places of their fields in the
+    flat vector (``h``, ``u``, ``lam``, ``irr``, index arrays in the
+    fields' stacked shapes but ``u``'s off-diagonal entries), and its
+    tables that stay constant along a flow."""
 
-    def __init__(self, group, at, chart, irr, n):
-        G, l = len(at), group.l
+    def __init__(self, l, index, chart_at, irr_at, m, n):
+        G = len(index)
         res, size = chart_layout(l, n)
-        self.l, self.index, self.at, self.cols = l, group.index, at, group.cols
+        self.l, self.index, self.at = l, tuple(index), np.array(index)
+        self.cols = chart_at[index][:, None] + np.arange(size)
+        chart = m + self.cols
         self.h = chart[:, : n * n].reshape(G, n, n)
-        self.lam = chart[:, res: size].reshape(G, n, n)
-        self.irr = irr.reshape(G, l - 1, n)
+        self.lam = chart[:, res:].reshape(G, n, n)
+        self.irr = (irr_at[index][:, None]
+                    + np.arange((l - 1) * n)).reshape(G, l - 1, n)
         self.u = chart[:, n * n: res].reshape(G, max(l - 2, 0), n * n - n)
         self.dlams = _dlams(l, n)
         # the jets of I + u and their Toeplitz stack are the identity's at
         # orders 1 and 2, where u has no entries
         self.unipotent = None
         if l <= 2:
-            U, V = unipotent(np.zeros((G, 0, n, n), dtype=complex), l)
-            self.unipotent = U, V, _toeplitz(U)
+            u = np.zeros((G, 0, n, n), dtype=complex)
+            U, V = unipotent(u, l)
+            self.unipotent = u, U, V, _toeplitz(U)
 
 
 class _Stage:
-    """What the chart layer reads of one flat vector ``y``: per group the
-    frame jets, the polar coefficients, the block Hankel matrices and the
-    basis velocities (``groups``), and with their chart columns the
-    transposed Gram blocks (``gram_blocks``, what ``solve_chart`` and
-    ``chart_conditioning`` read, as on a state); the regular jets of every
-    pole, padded to the longest order (``R``)."""
+    """What the chart layer reads of one flat vector ``y``.  Its polar
+    half is built at once, per group: the stacked pole fields (``fields``:
+    frames, frame jets, residues and irregular types), the frame jets
+    ``F`` and ``F^-1`` (``frames``) and the polar coefficients (``P``).
+    The rest is built by its plan when it is first read: the regular jets
+    of every pole, padded to the longest order (``R``), and the chart
+    half, per group the block Hankel matrices and basis velocities
+    (``charts``) and, with the chart columns, the transposed Gram blocks
+    (``gram_blocks``, what ``solve_chart`` and ``chart_conditioning``
+    read, as on a state)."""
 
-    __slots__ = ("y", "groups", "gram_blocks", "R")
+    def __init__(self, plan, y):
+        self.plan, self.y = plan, y
+        self.fields, self.frames, self.P, self.jets = [], [], [], []
+
+    def __getattr__(self, name):
+        # called only for an attribute not yet set: once per part
+        if name == "R":
+            self.R = self.plan._regular_jets(self)
+        elif name in ("charts", "gram_blocks"):
+            self.plan._chart_half(self)
+        else:
+            raise AttributeError(name)
+        return vars(self)[name]
 
 
 class ChartPlan:
-    """The chart layer compiled for one chart layout.
+    """The chart layer compiled for one chart layout, the one code that
+    turns a state's numbers into chart data.
 
-    A flow keeps its chart layout: the pole orders, the rank, the groups
-    and the places of their entries in the flat vector.  The plan holds
-    them, read from ``state``, with every table that stays constant along
-    the flow: the jets of ``I + u`` and their Toeplitz stack at orders 1
-    and 2, the dressed-residue directions, the signed binomials of the
-    extension weights and each pole's own rows in every group.
-    ``stage(y)`` runs the stacked kernels on views of a flat vector ``y``
-    (``state.flat()``'s layout, or a longer vector that begins with it)
-    and builds no state, group or block; the Hamiltonian differentials
-    read the stage.  ``flows.RhsPlan`` extends it to the flow's
-    right-hand side.
+    The layout is what a flow keeps: the pole orders, the rank, the groups
+    (the poles of one order, in order of first appearance) and the places
+    of their entries in the flat vector.  The plan holds them, read from
+    ``state``, with every table that stays constant along the flow: the
+    jets of ``I + u`` and their Toeplitz stack at orders 1 and 2, the
+    dressed-residue directions, the signed binomials of the extension
+    weights and each pole's own rows in every group.  ``stage(y)`` runs
+    the stacked kernels on a flat vector ``y`` (``state.flat()``'s layout,
+    or a longer vector that begins with it) and builds no state.  A
+    ``FlowState`` holds one plan and the stage of its own ``flat()``;
+    ``flows.RhsPlan`` extends the plan to the flow's right-hand side.
+    Each pole gets the bits a kernel of its own would give it.
     """
 
     def __init__(self, state):
-        self.state = state
         m, n = len(state.poles), state.n
         self.m, self.n, self.dim = m, n, state.chart_dim()
         self.orders = [p.l for p in state.poles]
-        self.groups = [_GroupPlan(g, np.array(at, dtype=int), chart, irr, n)
-                       for g, (at, chart, irr) in zip(
-                           state.groups, state._flat_index[0])]
+        members = {}
+        for i, l in enumerate(self.orders):
+            members.setdefault(l, []).append(i)
+        irr_at = m + self.dim + np.cumsum(
+            [0] + [(l - 1) * n for l in self.orders])
+        self.size = int(irr_at[-1])     # the length of flat()
+        self.groups = [_GroupPlan(l, index, state._chart_at, irr_at, m, n)
+                       for l, index in members.items()]
         # each pole's group and row, its irregular entries, shape (l - 1,
         # n), and its rows in every group
         self.where, self.irr = [None] * m, [None] * m
@@ -443,19 +497,17 @@ class ChartPlan:
         # regular jets', and a group's against a pole's order (a section
         # rate adds a row, an irregular weight drops one)
         self.L = max(self.orders, default=0)
-        orders = {g.l for g in self.groups}
+        orders = set(members)
         self.tables = {key: _signed_binomials(*key) for key in {
             (self.L, self.L), *((a + e, b - d) for a in orders
                                 for b in orders for e in (0, 1)
                                 for d in (0, 1))}}
 
     def stage(self, y):
-        """The chart layer's data at the flat vector ``y``.  A singular or
-        non-finite frame raises ``DegenerateChartError``."""
-        st = _Stage()
-        st.y, st.groups, st.gram_blocks = y, [], []
-        if len(self.groups) != 1:
-            C = np.zeros((self.m, self.L, self.n, self.n), dtype=complex)
+        """The chart layer's data at the flat vector ``y``, its polar half
+        built.  A singular or non-finite frame raises
+        ``DegenerateChartError``."""
+        st = _Stage(self, y)
         for g in self.groups:
             H = y[g.h]
             H_inv = _frame_inverses(y[g.at], H, DegenerateChartError)
@@ -465,34 +517,49 @@ class ChartPlan:
                 U, V = unipotent(u, g.l)
                 toeplitz = _toeplitz(U)
             else:
-                U, V, toeplitz = g.unipotent
+                u, U, V, toeplitz = g.unipotent
             F, F_inv = frames(H, H_inv, U, V)
-            lam = lam_jet(y[g.lam], y[g.irr], g.l)
-            P = dress(F, F_inv, lam[:, None])[:, 0]
-            if len(self.groups) > 1:
+            lam, irr = y[g.lam], y[g.irr]
+            jet = lam_jet(lam, irr, g.l)
+            st.fields.append((H, u, lam, irr))
+            st.frames.append((F, F_inv))
+            st.P.append(dress(F, F_inv, jet[:, None])[:, 0])
+            st.jets.append((jet, V, toeplitz))
+        return st
+
+    def _regular_jets(self, st):
+        if len(self.groups) == 1:       # one group holds every pole, in order
+            C = st.P[0]
+        else:
+            C = np.zeros((self.m, self.L, self.n, self.n), dtype=complex)
+            for g, P in zip(self.groups, st.P):
                 C[g.at, : g.l] = P
-            else:       # one group holds every pole, in order
-                C = P
-            hankel, etas = _hankel(lam), _etas(F_inv, V, toeplitz)
-            st.groups.append((F, F_inv, P, hankel, etas))
+        return regular_jets(st.y[: self.m], C, self.tables[self.L, self.L])
+
+    def _chart_half(self, st):
+        st.charts, st.gram_blocks = [], []
+        for g, (_, F_inv), (jet, V, toeplitz) in zip(self.groups, st.frames,
+                                                     st.jets):
+            hankel, etas = _hankel(jet), _etas(F_inv, V, toeplitz)
+            st.charts.append((hankel, etas))
             st.gram_blocks.append(
                 (g.cols, _gram(etas, hankel).transpose(0, 2, 1)))
-        st.R = regular_jets(y[: self.m], C, self.tables[self.L, self.L])
-        return st
 
     def polar(self, st, i):
         """Pole ``i``'s polar coefficients at the stage ``st``."""
         k, r = self.where[i]
-        return st.groups[k][2][r]
+        return st.P[k][r]
 
     def regular(self, st, i):
         """Pole ``i``'s regular jet at the stage ``st``."""
         return st.R[i, : self.orders[i]]
 
     def jet(self, st, i):
-        """Pole ``i``'s Laurent jet at the stage ``st``."""
-        return pole_jet(complex(st.y[i]), self.polar(st, i),
-                        self.regular(st, i))
+        """Pole ``i``'s Laurent jet at the stage ``st``, orders ``-l ..
+        l-2``."""
+        polar, l = self.polar(st, i), self.orders[i]
+        return LaurentJet(complex(st.y[i]), -l, np.concatenate(
+            [polar[::-1], self.regular(st, i)[: l - 1]]), 0)
 
     def weights(self, y, i, polar_weight, regular_weight, extra=0):
         """``polar_weights`` at the positions of the flat vector ``y``."""
@@ -508,10 +575,10 @@ class ChartPlan:
         each group's weights pulled back by ``_covector``."""
         covectors = [
             _covector(F, F_inv, hankel, etas, g.dlams, W)
-            for g, W, (F, F_inv, _, hankel, etas) in zip(
+            for g, W, (F, F_inv), (hankel, etas) in zip(
                 self.groups,
                 self.weights(st.y, i, polar_weight, regular_weight),
-                st.groups)]
+                st.frames, st.charts)]
         if len(covectors) == 1:     # one group, every pole in order
             return covectors[0].reshape(-1)
         out = np.empty(self.dim, dtype=complex)
@@ -530,28 +597,27 @@ class ChartPlan:
                                  *_pairing_weights(self.jet(st, i), beta))
 
 
-def chart_blocks(state):
-    return [PoleChartBlock(g) for g in state.groups]
-
-
 def gram_matrix(state):
     """Gram matrix of the chart symplectic form on the coordinate basis."""
     dim = state.chart_dim()
     G = np.zeros((dim, dim), dtype=complex)
-    for grp, blk in zip(state.groups, state.blocks):
-        for cols, block in zip(grp.cols, blk.gram_block()):
-            G[np.ix_(cols, cols)] = block
+    for cols, gram in state.gram_blocks:
+        for c, block in zip(cols, gram):
+            G[np.ix_(c, c)] = block.T
     return G
 
 
 def induced_polar_variations(vec, state):
     """Per-pole ``[dC_1 .. dC_l]`` connection-coefficient variations of the
-    chart tangent ``vec`` (chart-vector layout), one ``polar_variation``
-    per group."""
+    chart tangent ``vec`` (chart-vector layout), one ``_polar_variation``
+    per group of the state's stage."""
     vec = np.asarray(vec)
+    plan, st = state.plan, state.stage
     out = [None] * len(state.poles)
-    for grp, blk in zip(state.groups, state.blocks):
-        for i, d in zip(grp.index, blk.polar_variation(vec[grp.cols])):
+    for g, (F, F_inv), (hankel, etas) in zip(plan.groups, st.frames,
+                                             st.charts):
+        for i, d in zip(g.index, _polar_variation(
+                F, F_inv, hankel, etas, g.dlams, vec[g.cols])):
             out[i] = d
     return out
 
@@ -657,8 +723,8 @@ def polar_weights(state, i, polar_weight, regular_weight, extra=0):
     group's weights have shape ``(G, ..., l + extra, n, n)``, row ``k - 1``
     weighting the coefficient of ``(z - t_j)**-k``; pole ``i``'s own rows
     past ``l_i`` are zero: ``ChartPlan.weights``."""
-    return ChartPlan(state).weights(state.flat(), i, polar_weight,
-                                    regular_weight, extra)
+    return state.plan.weights(state.stage.y, i, polar_weight, regular_weight,
+                              extra)
 
 
 def _pole_weights(dists, own, table, polar_weight, regular_weight):
@@ -682,8 +748,7 @@ def d_hamiltonian_beta_B(state, i, beta):
     ``ChartPlan.jet_covector`` takes to the chart basis.
     """
     _, beta = _irregular_pole(state, i, beta)
-    plan = ChartPlan(state)
-    return plan.pairing_differential(plan.stage(state.flat()), i, beta)
+    return state.plan.pairing_differential(state.stage, i, beta)
 
 
 def _pairing_weights(jet, beta):
@@ -713,5 +778,4 @@ def d_translation_hamiltonian(state, i):
     (``ChartPlan.jet_covector``).
     """
     state.pole(i)  # the one index rule, before the jets are indexed
-    plan = ChartPlan(state)
-    return plan.translation_differential(plan.stage(state.flat()), i)
+    return state.plan.translation_differential(state.stage, i)

@@ -15,6 +15,9 @@ order-1 group has ten poles, where the table of weights between every pair
 of poles, which the regular jets and the differentials read, is large.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ import oracles
 from isomonodromy.connection import extension_weights
 from isomonodromy.flows import Direction, FlowPath, _section_rates, \
     integrate_flow, isomonodromic_rhs
-from isomonodromy.states import FlowState, PoleData, PoleGroup
+from isomonodromy.states import FlowState, PoleData
 from isomonodromy.twist import MatrixDivisor, TwistSite, normal_form
 from isomonodromy.symplectic import (
     d_hamiltonian_beta_B,
@@ -34,7 +37,7 @@ from isomonodromy.symplectic import (
     polar_weights,
 )
 
-from conftest import random_matrix
+from conftest import random_invertible, random_matrix
 
 ORDERS = (2, 1, 3, 1, 2)
 POSITIONS = (0.0, 1.7, -1.3 + 0.8j, 0.6 - 1.5j, 2.4 + 1.1j)
@@ -81,8 +84,9 @@ def state(request, rng):
 
 
 def test_groups_are_orders_in_first_appearance(state):
-    assert [(g.l, g.index) for g in state.groups] == GROUPS[len(state.poles)]
-    for g in state.groups:
+    groups = state.plan.groups
+    assert [(g.l, g.index) for g in groups] == GROUPS[len(state.poles)]
+    for g in groups:
         for r, i in enumerate(g.index):
             at = sum(len(p.chart_slice()) for p in state.poles[:i])
             width = len(state.poles[i].chart_slice())
@@ -96,7 +100,8 @@ def test_polar_and_regular_jets(state):
     for got, want in zip(state.polar, oracles.pole_polar(state)):
         assert np.array_equal(np.array(got), np.array(want))
     for p, want in zip(state.poles, oracles.pole_polar(state)):
-        assert np.array_equal(PoleGroup.stack((p,)).polar[0], np.array(want))
+        assert np.array_equal(FlowState(state.n, (p,)).polar[0],
+                              np.array(want))
     # the library contracts one table of weights over every source pole,
     # the reference adds the poles' terms one by one: relative to each
     # pole's largest entry
@@ -106,13 +111,15 @@ def test_polar_and_regular_jets(state):
 
 
 def test_gram_blocks_and_induced_variations(state):
-    for grp, blk in zip(state.groups, state.blocks):
-        gram = blk.gram_block()
-        for r, i in enumerate(grp.index):
+    st = state.stage
+    for g, (_, etas), (cols, gram) in zip(state.plan.groups, st.charts,
+                                         st.gram_blocks):
+        for r, i in enumerate(g.index):
             ref = oracles.PoleChartBlock(state.poles[i])
-            assert np.array_equal(blk.etas[r], ref.etas)
-            assert np.array_equal(blk.dlams, ref.dlams)
-            assert np.array_equal(gram[r], ref.gram_block())
+            assert np.array_equal(etas[r], ref.etas)
+            assert np.array_equal(g.dlams, ref.dlams)
+            assert np.array_equal(gram[r].T, ref.gram_block())
+            assert np.array_equal(cols[r], g.cols[r])
 
 
 VARIATION_TOL = 1e-14
@@ -142,14 +149,16 @@ def test_polar_variation_is_the_covector_transposed(state, rng):
     # for any weight on a group's polar coefficients and any chart tangent
     # at each of its poles, the covector pairs with the tangent as the
     # weight pairs with the tangent's polar variation
-    for grp, blk in zip(state.groups, state.blocks):
-        G, n = len(grp.index), state.n
-        v = rng.standard_normal((G, blk.dim)) \
-            + 1j * rng.standard_normal((G, blk.dim))
-        W = rng.standard_normal((G, blk.l, n, n)) \
-            + 1j * rng.standard_normal((G, blk.l, n, n))
-        forward = np.einsum("gkpq,gkqp->g", W, blk.polar_variation(v))
-        reverse = np.einsum("gx,gx->g", blk.covector(W), v)
+    st = state.stage
+    for g, frames, chart in zip(state.plan.groups, st.frames, st.charts):
+        (G, dim), n = g.cols.shape, state.n
+        v = rng.standard_normal((G, dim)) + 1j * rng.standard_normal((G, dim))
+        W = rng.standard_normal((G, g.l, n, n)) \
+            + 1j * rng.standard_normal((G, g.l, n, n))
+        forward = np.einsum("gkpq,gkqp->g", W, symplectic._polar_variation(
+            *frames, *chart, g.dlams, v))
+        reverse = np.einsum("gx,gx->g", symplectic._covector(
+            *frames, *chart, g.dlams, W), v)
         assert np.max(np.abs(forward - reverse)) \
             <= DIFFERENTIAL_TOL * np.max(np.abs(forward))
 
@@ -228,7 +237,7 @@ def test_polar_weights(state, rng):
     n, M = state.n, 3
     for i, p in enumerate(state.poles):
         polar_w, regular_w = draw(2, p.l, n, n), draw(2, M, n, n)
-        for g, W in zip(state.groups,
+        for g, W in zip(state.plan.groups,
                         polar_weights(state, i, polar_w, regular_w, extra=1)):
             assert W.shape == (len(g.index), 2, g.l + 1, n, n)
             for r, j in enumerate(g.index):
@@ -402,3 +411,142 @@ def test_affine_covariance_fails_a_planted_scaling(rng):
     state = mixed_state(rng, 2)
     for direction in covariance_directions(rng, state):
         assert covariance_residual(state, direction, power=lambda k: k) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# covariance under a constant gauge
+# ---------------------------------------------------------------------------
+
+def gauge_residual(state, direction, g, poles=None):
+    """Every frame ``h_i`` replaced by ``g h_i`` (only at ``poles``, when
+    given): the translation Hamiltonians' values and the right-hand side
+    there, against the ones at ``state`` carried over, which keep every
+    slot but the frames', where ``dh`` becomes ``g dh``.  The larger of the
+    two largest differences, each relative to its largest expected
+    entry."""
+    poles = range(len(state.poles)) if poles is None else poles
+    image = FlowState(state.n, tuple(
+        PoleData(p.t, p.l, g @ p.h if i in poles else p.h, p.lam_res,
+                 p.lam_irr, p.u) for i, p in enumerate(state.poles)))
+    values = np.array(symplectic.translation_hamiltonian_values(state))
+    got = np.array(symplectic.translation_hamiltonian_values(image))
+    residual = np.max(np.abs(got - values)) / np.max(np.abs(values))
+    want = isomonodromic_rhs(direction, state)
+    at, n = len(state.poles), state.n
+    want = want.flat()
+    for p in state.poles:
+        frame = want[at: at + n * n]
+        frame[:] = (g @ frame.reshape(n, n)).ravel()
+        at += len(p.chart_slice())
+    got = isomonodromic_rhs(direction, image).flat()
+    return max(residual, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rhs_is_gauge_covariant(n, rng):
+    # A -> g A g^-1 for one constant g: at pole orders 1, 2 and 3 with a
+    # frame jet, along translations and order-2 irregular rates
+    state = mixed_state(rng, n)
+    g = random_invertible(rng, n)
+    for direction in covariance_directions(rng, state):
+        assert gauge_residual(state, direction, g) < COVARIANCE_TOL
+
+
+def test_gauge_covariance_fails_a_planted_gauge(rng):
+    # g at one pole's frame only: another connection
+    state = mixed_state(rng, 2)
+    g = random_invertible(rng, 2)
+    for direction in covariance_directions(rng, state):
+        assert gauge_residual(state, direction, g, poles=(1,)) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# one chart-data path: a state's plan and stage
+# ---------------------------------------------------------------------------
+
+def test_one_plan_and_stage_per_state(rng, monkeypatch):
+    """Every public chart-layer function, at every pole where it takes a
+    pole index, on one mixed-order state: the state compiles its plan
+    once, builds its stage once and inverts each group's frames once, and
+    a flow from it compiles no plan of its own."""
+    state = mixed_state(rng, 3)
+    counts = {"plan": 0, "stage": 0, "frames": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    plan = symplectic.ChartPlan
+    monkeypatch.setattr(plan, "__init__", counted("plan", plan.__init__))
+    monkeypatch.setattr(plan, "stage", counted("stage", plan.stage))
+    monkeypatch.setattr(symplectic, "_frame_inverses", counted(
+        "frames", symplectic._frame_inverses))
+    n, dim = state.n, state.chart_dim()
+    direction = Direction({0: 0.4, 1: -0.3j}, {0: [np.linspace(-0.3, 0.4, n)],
+                                               4: [np.linspace(0.2, -0.1, n)]})
+    state.polar, state.regular_jets, state.gram_blocks
+    for i, p in enumerate(state.poles):
+        state.jet_at_pole(i)
+        d_translation_hamiltonian(state, i)
+        polar_weights(state, i, random_matrix(rng, n)[None].repeat(p.l, 0),
+                      random_matrix(rng, n)[None].repeat(2, 0))
+        if p.l > 1:
+            d_hamiltonian_beta_B(state, i, np.ones((p.l - 1, n)))
+    symplectic.translation_hamiltonian_values(state)
+    hamiltonian_vector_field(np.ones(dim), state)
+    induced_polar_variations(np.ones(dim), state)
+    symplectic.gram_matrix(state)
+    flows.direction_differential(direction, state)
+    isomonodromic_rhs(direction, state)
+    flows.lift_I0(direction, state)
+    _section_rates(direction, state)
+    flows.extended_autonomous_rhs(direction, flows.extend_state(state))
+    state.connection()
+    assert counts == {"plan": 1, "stage": 1, "frames": 3}
+    assert len(state.plan.groups) == 3
+    integrate_flow(state, FlowPath.line(state, 1, 0.1), n_samples=2)
+    assert counts["plan"] == 1
+
+
+KERNELS = ("frames", "lam_jet", "regular_jets", "_hankel", "_etas", "_gram")
+
+
+def test_one_call_site_per_chart_kernel():
+    # the chart data has one orchestration: each kernel that builds it is
+    # called once in the library, in ChartPlan
+    root = Path(symplectic.__file__).parent
+    sites, in_plan = [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                sites.append(node)
+            if isinstance(node, ast.ClassDef) and node.name == "ChartPlan":
+                in_plan += [c for c in ast.walk(node)
+                            if isinstance(c, ast.Call)]
+
+    def called(calls, name):
+        return [c for c in calls if getattr(c.func, "id", None) == name
+                or getattr(c.func, "attr", None) == name]
+
+    for name in KERNELS:
+        assert len(called(sites, name)) == 1, name
+        assert called(sites, name) == called(in_plan, name), name
+
+
+def test_connection_assembles_no_gram_block(rng, monkeypatch):
+    # the polar half alone: no block Hankel matrix, basis velocity or Gram
+    # block, until the Gram blocks are read
+    calls = {name: 0 for name in ("_hankel", "_etas", "_gram")}
+    for name in calls:
+        def counted(*args, fn=getattr(symplectic, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(symplectic, name, counted)
+    state = mixed_state(rng, 3)
+    state.connection().polar_parts
+    assert calls == {"_hankel": 0, "_etas": 0, "_gram": 0}
+    state.gram_blocks
+    assert calls == dict.fromkeys(calls, len(state.plan.groups))

@@ -1,6 +1,4 @@
 import warnings
-from functools import cached_property
-
 import numpy as np
 import pytest
 
@@ -36,8 +34,9 @@ from isomonodromy.flows import (
 import isomonodromy.monodromy as monodromy_module
 from isomonodromy.monodromy import monodromy_rep
 from isomonodromy.ratfun import LaurentJet
-from isomonodromy.states import ExtendedState, FlowState, PoleData, PoleGroup
+from isomonodromy.states import ExtendedState, FlowState, PoleData
 from isomonodromy.symplectic import (
+    ChartPlan,
     chart_conditioning,
     d_translation_hamiltonian,
     hamiltonian_beta_B,
@@ -441,24 +440,24 @@ class TestDegenerateChartEvent:
         # alike
         dH = direction_differential(Direction.translation(1), state)
         X = hamiltonian_vector_field(dH, state)
-        assert len(calls) == len(state.groups)
+        assert len(calls) == len(state.plan.groups)
         assert np.array_equal(d.d_chart, lift_I0(Direction.translation(1),
                                                  state).d_chart + X)
 
     def test_states_only_at_the_samples(self, rng, monkeypatch):
         # the right-hand side and the events read the plan's stages, so a
-        # flow builds a state (one from_chart call per group) only at its
-        # samples: at most one per sample, and one more at a located event
+        # flow builds a state (one with_flat call) only at its samples: at
+        # most one per sample, and one more at a located event
         state = fuchsian_state([0.0, 1.4, -1.1],
                                random_fuchsian_matrices(rng, 3, 3))
-        assert len(state.groups) == 1
-        builds, from_chart = [0], PoleGroup.from_chart
+        assert len(state.plan.groups) == 1
+        builds, with_flat = [0], FlowState.with_flat
 
         def counted(*args, **kwargs):
             builds[0] += 1
-            return from_chart(*args, **kwargs)
+            return with_flat(*args, **kwargs)
 
-        monkeypatch.setattr(PoleGroup, "from_chart", counted)
+        monkeypatch.setattr(FlowState, "with_flat", counted)
         traj = integrate_flow(state, FlowPath.line(state, 1, 0.2 - 0.1j),
                               n_samples=3)
         assert traj.status == "completed" and len(traj.states) == 3
@@ -982,18 +981,16 @@ def clustering_flow():
 
 
 def count_polar_coeffs(monkeypatch):
-    """Counts the poles whose polar coefficients are computed: a group's
-    ``polar`` counts each of its poles."""
+    """Counts the poles whose polar coefficients are computed: a plan's
+    ``stage`` counts each pole of its layout."""
     calls = [0]
-    original = PoleGroup.polar.func
+    original = ChartPlan.stage
 
-    def counted(self):
-        calls[0] += len(self.index)
-        return original(self)
+    def counted(self, y):
+        calls[0] += self.m
+        return original(self, y)
 
-    polar = cached_property(counted)
-    polar.__set_name__(PoleGroup, "polar")
-    monkeypatch.setattr(PoleGroup, "polar", polar)
+    monkeypatch.setattr(ChartPlan, "stage", counted)
     return calls
 
 
@@ -1031,7 +1028,9 @@ class TestStatePolarData:
 
     def test_frame_inverted_once_per_pole(self, rng, monkeypatch):
         # the polar coefficients and the chart blocks share each pole's
-        # frame; a stack of frames counts each frame it inverts
+        # frame, which the state's stage inverts once (the input check of
+        # PoleData inverts it before); a stack of frames counts each frame
+        # it inverts
         calls = [0]
         inv = np.linalg.inv
 
@@ -1039,14 +1038,14 @@ class TestStatePolarData:
             calls[0] += np.shape(a)[0] if np.ndim(a) == 3 else 1
             return inv(a)
 
-        monkeypatch.setattr(np.linalg, "inv", counted)
         state = mixed_order_state(rng)
-        state.polar, state.blocks
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        state.polar, state.gram_blocks
         assert calls[0] == len(state.poles)
 
     def test_with_flat_inverts_each_group_at_once(self, rng, monkeypatch):
         # the state from a flat vector inverts the frames of a group in one
-        # call, and its polar data and chart blocks invert none again
+        # call, and its polar data and Gram blocks invert none again
         state = irregular_state(rng)
         calls, frames = [0], [0]
         inv = np.linalg.inv
@@ -1058,22 +1057,23 @@ class TestStatePolarData:
 
         monkeypatch.setattr(np.linalg, "inv", counted)
         moved = state.with_flat(state.flat())
-        moved.polar, moved.blocks
+        moved.polar, moved.gram_blocks
         assert frames[0] == len(state.poles) == 3
-        assert calls[0] == len(moved.groups) == 2
+        assert calls[0] == len(moved.plan.groups) == 2
 
     def test_rebuilt_poles_are_views_of_the_group_stacks(self, rng):
         ext = extend_state(mixed_order_state(rng))
         for moved in (ext.state.with_flat(ext.state.flat()),
                       ext.with_flat(ext.flat()).state):
             assert np.array_equal(moved.flat(), ext.state.flat())
-            for g in moved.groups:
+            # the stage's stacks, per group: frames, frame jets, residues
+            # and irregular types
+            for g, stacks in zip(moved.plan.groups, moved.stage.fields):
                 for r, i in enumerate(g.index):
                     p = moved.poles[i]
-                    assert p.t == g.t[r] and p.l == g.l
-                    for name, stack in (("h", g.h), ("_h_inv", g.h_inv),
-                                        ("lam_res", g.lam_res),
-                                        ("lam_irr", g.lam_irr), ("u", g.u)):
+                    assert p.t == moved.stage.y[i] and p.l == g.l
+                    for name, stack in zip(("h", "u", "lam_res", "lam_irr"),
+                                           stacks):
                         row = getattr(p, name)
                         assert np.array_equal(row, stack[r])
                         assert row.size == 0 or np.shares_memory(row, stack)

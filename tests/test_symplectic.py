@@ -11,11 +11,11 @@ from isomonodromy.ratfun import (
     residue_quadrature_oracle,
 )
 from isomonodromy.flows import Direction, direction_differential
-from isomonodromy.states import FlowState, PoleData, PoleGroup
+from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import (
     PoleChartBlock,
     TangentVec,
-    chart_blocks,
+    dress,
     d_hamiltonian_beta_B,
     d_translation_hamiltonian,
     gram_matrix,
@@ -276,39 +276,50 @@ class TestChart:
                               u=[[[0.0, 0.2], [-0.1, 0.0]]]))
         return poles
 
+    @staticmethod
+    def paired(pole, rng):
+        """The state of ``pole`` and a second pole of its order and rank at
+        ``t + 1`` whose chart slice is ``pole``'s perturbed: one group of
+        two, rebuilt from a flat vector."""
+        twin = PoleData(pole.t + 1.0, pole.l, pole.h, pole.lam_res,
+                        pole.lam_irr, pole.u)
+        state = FlowState(pole.n, (pole, twin))
+        y, size = state.flat(), pole.chart_slice().size
+        y[2 + size: 2 + 2 * size] += 0.2 * rng.standard_normal(size)
+        return state.with_flat(y)
+
     def test_gram_block_matches_pairwise_omega(self, rng):
         # each pole grouped with a second pole of its order and rank
         for pole in self.chart_poles(rng):
-            v = pole.chart_slice()
-            pair = PoleGroup.from_chart(
-                pole.l, pole.n, [pole.t, pole.t + 1.0],
-                np.stack([v, v + 0.2 * rng.standard_normal(v.size)]),
-                [pole.lam_irr] * 2)
-            blk = PoleChartBlock(pair)
-            for g, G in enumerate(blk.gram_block()):
-                want = np.array([[blk.omega((blk.etas[g, x], blk.dlams[x]),
-                                            (blk.etas[g, y], blk.dlams[y]), g)
-                                  for y in range(blk.dim)]
-                                 for x in range(blk.dim)])
+            st = self.paired(pole, rng).stage
+            (lam, _, _), (_, etas) = st.jets[0], st.charts[0]
+            dlams = st.plan.groups[0].dlams
+            blk = PoleChartBlock(lam)
+            for g, G in enumerate(st.gram_blocks[0][1].transpose(0, 2, 1)):
+                want = np.array([[blk.omega((etas[g, x], dlams[x]),
+                                            (etas[g, y], dlams[y]), g)
+                                  for y in range(len(dlams))]
+                                 for x in range(len(dlams))])
                 assert np.max(np.abs(G - want)) < 1e-13 * np.max(np.abs(want))
                 assert np.array_equal(G, -G.T)
 
     @staticmethod
-    def einsum_products(blk):
-        """``gram_block`` and every basis direction's polar variation by
+    def einsum_products(st):
+        """The Gram blocks and every basis direction's polar variation by
         the ``einsum`` formulas, over the Hankel blocks ``H[:, m, k] =
-        Lambda_{m+k}``."""
-        E, lam, l = blk.etas, blk.lam, blk.l
+        Lambda_{m+k}``, from the one group of the stage ``st``."""
+        (lam, _, _), (_, E) = st.jets[0], st.charts[0]
+        l, dlams = lam.shape[1], st.plan.groups[0].dlams
         H = np.zeros(lam.shape[:1] + (l,) + lam.shape[1:], dtype=complex)
         for m in range(l):
             H[:, m, : l - m] = lam[:, m:]
         lam_eta = np.einsum("gijpr,gxirq->gxjpq", H, E)
         A = (np.einsum("gxjpq,gyjqp->gxy", lam_eta, E)
-             + np.einsum("gxpq,yqp->gxy", E[:, :, 0], blk.dlams))
+             + np.einsum("gxpq,yqp->gxy", E[:, :, 0], dlams))
         inner = (np.einsum("gxmpr,gmkrq->gxkpq", E, H)
                  - np.einsum("gmkpr,gxmrq->gxkpq", H, E))
-        inner[:, :, 0] += blk.dlams
-        return 2.0 * (A - A.transpose(0, 2, 1)), blk.group.dressed_polar(inner)
+        inner[:, :, 0] += dlams
+        return 2.0 * (A - A.transpose(0, 2, 1)), dress(*st.frames[0], inner)
 
     def test_products_match_the_einsum_formulas(self, rng):
         # dense frames at n = 2, 3, 4, an order-2 pole at n = 3 and the
@@ -318,16 +329,14 @@ class TestChart:
             0.0, 2, random_invertible(rng, 3), random_matrix(rng, 3),
             [[0.5, -0.4, 1.1]])]
         for pole in poles:
-            v = pole.chart_slice()
-            blk = PoleChartBlock(PoleGroup.from_chart(
-                pole.l, pole.n, [pole.t, pole.t + 1.0],
-                np.stack([v, v + 0.2 * rng.standard_normal(v.size)]),
-                [pole.lam_irr] * 2))
+            state = self.paired(pole, rng)
             # a random tangent at each pole for the variations
-            vec = rng.standard_normal((2, blk.dim)) + 0.5j
-            gram, variations = self.einsum_products(blk)
-            for got, want in ((blk.gram_block(), gram),
-                              (blk.polar_variation(vec),
+            vec = rng.standard_normal((2, pole.chart_slice().size)) + 0.5j
+            gram, variations = self.einsum_products(state.stage)
+            for got, want in ((state.gram_blocks[0][1].transpose(0, 2, 1),
+                               gram),
+                              (np.stack(induced_polar_variations(
+                                  vec.ravel(), state)),
                                np.einsum("gx,gxkpq->gkpq", vec, variations))):
                 assert np.max(np.abs(got - want)) < 1e-13 * np.max(
                     np.abs(want))
@@ -335,16 +344,16 @@ class TestChart:
     def test_induced_variations_match_polar_differences(self, rng):
         step = 1e-5
         for pole in self.chart_poles(rng):
-            blk = PoleChartBlock(PoleGroup.stack((pole,)))
-            got = np.stack([blk.polar_variation(e[None])[0]
-                            for e in np.eye(blk.dim)])
-            v0 = pole.chart_slice()
-            for x in range(blk.dim):
-                e = np.zeros_like(v0)
-                e[x] = step
-                plus, minus = (PoleGroup.from_chart(
-                    pole.l, pole.n, [pole.t], (v0 + d)[None],
-                    [pole.lam_irr]).polar[0] for d in (e, -e))
+            state = FlowState(pole.n, (pole,))
+            dim = state.chart_dim()
+            got = np.stack([induced_polar_variations(e, state)[0]
+                            for e in np.eye(dim)])
+            y0 = state.flat()
+            for x in range(dim):
+                e = np.zeros_like(y0)
+                e[1 + x] = step
+                plus, minus = (state.with_flat(y0 + d).polar[0]
+                               for d in (e, -e))
                 fd = (plus - minus) / (2 * step)
                 assert np.max(np.abs(got[x] - fd)) < 1e-7 * max(
                     1.0, np.max(np.abs(fd)))
@@ -366,8 +375,8 @@ class TestChart:
         # blocks' scales differ by 1e9, which the global guard refuses
         state = FlowState(1, (PoleData(0.0, 1, [[1.0]], [[0.3]]),
                               PoleData(1.0, 1, [[1e9]], [[-0.3]])))
-        for blk in chart_blocks(state):
-            for S in np.linalg.svd(blk.gram_block(), compute_uv=False):
+        for _, gram in state.gram_blocks:
+            for S in np.linalg.svd(gram, compute_uv=False):
                 assert S[-1] > (1 - 1e-12) * S[0]
         with pytest.raises(DegenerateChartError):
             hamiltonian_vector_field(np.ones(state.chart_dim()), state)

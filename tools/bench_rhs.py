@@ -19,31 +19,31 @@ and ``k64``: rank-2 Fuchsian states with 16 and 64 poles 0.5 apart on the
 real line, with a translation of pole 1; they are drawn after the others,
 so those keep their states.  Per case and repeat, each stage is timed on
 a fresh state of its own, built from the flat vector, so no stage reads
-what another built.  Before the clock of ``differential``, ``section``,
-``gram`` and ``solve`` starts, their state's polar coefficients
-(``polar``) and chart blocks (``blocks``) are built; ``regular_jets`` is
-left to the stages that read it:
+what another built.  The stages read only ``FlowState.with_flat``,
+``polar`` and ``gram_blocks``, the public functions and ``flows.RhsPlan``.
+Before the clock of ``differential``, ``section`` and ``solve`` starts,
+their state's polar coefficients (``polar``) and transposed Gram blocks
+(``gram_blocks``) are built; ``regular_jets`` is left to the stages that
+read it:
 
 * ``build``: ``FlowState.with_flat``;
 * ``differential``: ``direction_differential``;
 * ``section``: ``flows._section_rates``, the extended system's dual rates
   along the case's direction;
-* ``gram``: every block's ``gram_block()``;
-* ``solve``: ``hamiltonian_vector_field`` on a state whose transposed Gram
-  blocks (``gram_transposed``) are built before its clock starts: the
-  rank guard's singular values and the LU solves;
-* ``rhs``: what the flow integrator calls, on the flat vector ``y``: with
-  a ``flows.RhsPlan``, built once per case as the integrator builds it
-  once per flow, ``plan(direction, plan.stage(y))``; in a checkout
-  without one, ``isomonodromic_rhs(direction, state.with_flat(y)).flat()``.
-  It is the mean of ``STEP`` = 12 calls in a row, the evaluations of one
-  DOP853 step, since the integrator makes them back to back; the first
-  call after the other stages runs on cold caches, and alone it reads
-  slower, by more for a shorter call.
+* ``gram``: ``gram_blocks`` on a state whose ``polar`` is built;
+* ``solve``: ``hamiltonian_vector_field``: the rank guard's singular
+  values and the LU solves;
+* ``rhs``: what the flow integrator calls, on the flat vector ``y``:
+  ``plan(direction, plan.stage(y))`` with a ``flows.RhsPlan`` built once
+  per case, as the integrator builds it once per flow.  It is the mean of
+  ``STEP`` = 12 calls in a row, the evaluations of one DOP853 step, since
+  the integrator makes them back to back; the first call after the other
+  stages runs on cold caches, and alone it reads slower, by more for a
+  shorter call.
 
-The first five call the public functions, which in a checkout with a plan
-build their own plan and stage, so only ``rhs`` times the integrator's
-path.  Apart from these stages, and on the four benchmark cases only:
+The first five call the public functions on a state, so only ``rhs``
+times the integrator's path.  Apart from these stages, and on the four
+benchmark cases only:
 
 * ``connection``: ``FlowState.connection().polar_parts`` on a fresh state
   per repeat, the round trip through a rational matrix that transport and
@@ -144,13 +144,12 @@ class Side:
         self.cases = {c: drawn[c] for c in cases}
         self.paths = {c: paths[c] for c in cases if c in paths}
         self.plans = {c: flows.RhsPlan(state)
-                      for c, (state, _) in self.cases.items()
-                      if hasattr(flows, "RhsPlan")}
+                      for c, (state, _) in self.cases.items()}
         self.trajectories = {}
 
     def built(self, state, y):
         st = state.with_flat(y)
-        st.polar, st.blocks
+        st.polar, st.gram_blocks
         return st
 
     def stages(self, case):
@@ -169,23 +168,18 @@ class Side:
         ts = clock()
         flows._section_rates(direction, st)
         te = clock()
-        st = self.built(state, y)
+        st = state.with_flat(y)
+        st.polar
         t4 = clock()
-        for block in st.blocks:
-            block.gram_block()
+        st.gram_blocks
         t5 = clock()
         st = self.built(state, y)
-        for block in st.blocks:
-            block.gram_transposed
         t6 = clock()
         self.hvf(dH, st)
         t7 = clock()
-        plan = self.plans.get(case)
+        plan = self.plans[case]
         for _ in range(STEP):
-            if plan is None:
-                flows.isomonodromic_rhs(direction, state.with_flat(y)).flat()
-            else:
-                plan(direction, plan.stage(y))
+            plan(direction, plan.stage(y))
         t8 = clock()
         return dict(zip(STAGES, (1e6 * dt for dt in (
             t1 - t0, t3 - t2, te - ts, t5 - t4, t7 - t6,
