@@ -38,7 +38,8 @@ root-finding on the dense output, so ``abort_at`` is the parameter at
 which the abort happened.  The right-hand side solves the
 chart form without the rank guard (``solve_chart``); the guard's measure
 is the event's, taken on the Gram blocks that the step's last evaluation
-assembled.  A state is built only at the samples (``with_flat``).
+assembled.  A state is built only at the samples, from the stage the last
+step built (``_from_stage``).
 
 Verification transports the keyholes of every sample of a trajectory in
 one lock-step ``transport`` call (``monodromy_reps``).
@@ -111,14 +112,11 @@ class StateDerivative:
 
     @classmethod
     def split(cls, dy, state):
-        """The derivative whose ``flat()`` is ``dy``, in views of it."""
-        m, dim = len(state.poles), state.chart_dim()
-        irregular, at = [], m + dim
-        for p in state.poles:
-            k = (p.l - 1) * p.n
-            irregular.append(dy[at: at + k].reshape(p.l - 1, p.n))
-            at += k
-        return cls(dy[:m], dy[m: m + dim], irregular)
+        """The derivative whose ``flat()`` is ``dy``, its parts read out by
+        the index arrays of the state's plan: copies, not views."""
+        plan = state.plan
+        return cls(dy[plan.positions], dy[plan.chart],
+                   [dy[irr] for irr in plan.irr])
 
 
 def _checked_rates(direction, state):
@@ -220,12 +218,6 @@ class RhsPlan(ChartPlan):
     def __init__(self, state, extended=False):
         vars(self).update(vars(state.plan))
         self.state, self.extended = state, extended
-        # the extended system's dual slots: each pole's q slots, then each
-        # pole's b slots
-        at = np.cumsum([self.size] + self.orders
-                       + [(l - 1) * self.n for l in self.orders])
-        self.slots = list(zip(at[:-1], at[1:])) if extended else []
-        self.size = int(at[-1] if extended else at[0])
 
     def stage(self, y):
         """``ChartPlan.stage`` with its regular jets and chart half built
@@ -245,19 +237,18 @@ class RhsPlan(ChartPlan):
         if not direction.is_zero():
             dH = self._differential(direction, rates, st)
             if dH.any():
-                dy[self.m: self.m + self.dim] += solve_chart(dH, st)
+                dy[self.chart] += solve_chart(dH, st)
         if self.extended:
-            dq, db = self.section_rates(direction, st)
-            for (a, b), slot in zip(self.slots, dq + db):
-                dy[a: b] = np.ravel(slot)
+            self.put_duals(dy, *self.section_rates(direction, st))
         return dy
 
     def lift(self, direction, rates):
         """``lift_I0`` in the layout of ``y``, given the direction's
         ``_checked_rates``."""
-        dy = np.zeros(self.size, dtype=complex)
+        dy = np.zeros(self.extended_size if self.extended else self.size,
+                      dtype=complex)
         for i, rate in direction.moduli_rates.items():
-            dy[i] = rate
+            dy[self.positions[i]] = rate
         for i, rows in rates.items():
             dy[self.irr[i]] = rows
         return dy
@@ -423,28 +414,26 @@ class Trajectory:
     nfev: list = field(default_factory=list)
 
 
-def _abort_events(state, stage):
-    """Terminal abort events on vectors whose first part is in the layout of
-    ``state.flat()``, named by their abort kind: two poles closer than
+def _abort_events(plan, stage):
+    """Terminal abort events on flat vectors, read by the ``ChartPlan``
+    ``plan``, named by their abort kind: two poles closer than
     ``TAU_COLLIDE``, a coefficient entry beyond ``N_MAX``, or a chart whose
-    ``chart_conditioning`` falls to ``TAU_RANK``.  The caps are read at
-    call time.
+    ``chart_conditioning`` falls to ``TAU_RANK``; caps read at call time.
 
     ``stage(y)`` is the plan's stage of a whole vector ``y``, the one the
     right-hand side last built from ``y`` when it was called there: on an
     accepted step, the stage of the step's last evaluation.  So the
     ``degenerate_chart`` event takes the singular values of the Gram blocks
     that evaluation assembled."""
-    m = len(state.poles)
-    n_state = len(state.flat())
-    pairs = np.triu_indices(m, 1)
+    pairs = np.triu_indices(plan.m, 1)
 
     def pole_collision(s, y):
-        gaps = np.abs(y[:m, None] - y[None, :m])[pairs]
+        t = y[plan.positions]
+        gaps = np.abs(t[:, None] - t[None, :])[pairs]
         return np.min(gaps, initial=np.inf) - TAU_COLLIDE
 
     def movable_singularity(s, y):
-        return N_MAX - np.max(np.abs(y[m:n_state]), initial=0.0)
+        return N_MAX - np.max(np.abs(y[plan.coefficients]), initial=0.0)
 
     def degenerate_chart(s, y):
         return chart_conditioning(stage(y)) - TAU_RANK
@@ -459,11 +448,11 @@ def _integrate(start, path, tol, n_samples):
     call per sub-interval between samples; an abort ends the trajectory at
     the last sample, with ``abort_at`` the located ``s`` of the event.
 
-    The right-hand side and the abort events share the plan's stages: the
-    two last built, kept by their vectors' bytes.  An accepted step's
-    events read the stage its last evaluation built, and the next
-    sub-interval's start reads it again.  A state is built only at each
-    sample (``with_flat``).
+    The right-hand side, the abort events and the samples share the
+    plan's stages: the two last built, kept by their vectors' bytes and
+    built on a copy of them, which the solver's buffers do not share.  An
+    accepted step's events, the sample there (``_from_stage``) and the
+    next sub-interval's start read the stage its last evaluation built.
     """
     if n_samples < 2:
         raise MalformedInputError(
@@ -480,10 +469,10 @@ def _integrate(start, path, tol, n_samples):
         if key not in built:
             if len(built) == 2:
                 del built[next(iter(built))]
-            built[key] = plan.stage(y)
+            built[key] = plan.stage(np.frombuffer(key, dtype=y.dtype))
         return built[key]
 
-    events = _abort_events(state, stage)
+    events = _abort_events(plan, stage)
     y = start.flat()
     samples, states, nfev = [0.0], [start], []
     for event in events:
@@ -508,7 +497,7 @@ def _integrate(start, path, tol, n_samples):
                               events[sol.event].__name__, sol.t_event, nfev)
         y = sol.y
         samples.append(float(s1))
-        states.append(start.with_flat(y))
+        states.append(start._from_stage(stage(y)))
     return Trajectory(samples, states, nfev=nfev)
 
 

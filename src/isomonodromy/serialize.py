@@ -267,18 +267,17 @@ def _fmt(x):
 
 
 def trajectory_csv(traj):
-    """Lossless CSV: sample parameter, pole positions, chart coordinates,
-    irregular entries; real and imaginary parts in separate columns."""
-    state0 = traj.states[0]
-    header = ["s"]
-    for i in range(len(state0.poles)):
-        header += [f"t{i}.re", f"t{i}.im"]
-    for k in range(state0.chart_dim()):
-        header += [f"c{k}.re", f"c{k}.im"]
-    for i, p in enumerate(state0.poles):
-        for j in range((p.l - 1) * p.n):
-            header += [f"irr{i}_{j}.re", f"irr{i}_{j}.im"]
-    lines = [",".join(header)]
+    """Lossless CSV: sample parameter, then each entry of the flat vector
+    (pole positions, chart coordinates, irregular entries), named by the
+    states' plan; real and imaginary parts in separate columns."""
+    plan = traj.states[0].plan
+    names = np.empty(plan.size, dtype=object)
+    names[plan.positions] = [f"t{i}" for i in range(plan.m)]
+    names[plan.chart] = [f"c{k}" for k in range(plan.dim)]
+    for i, irr in enumerate(plan.irr):
+        names[irr.ravel()] = [f"irr{i}_{j}" for j in range(irr.size)]
+    lines = [",".join(["s"] + [f"{x}.{z}" for x in names
+                               for z in ("re", "im")])]
     for s, st in zip(traj.samples, traj.states):
         row = [_fmt(s)]
         for v in st.flat():

@@ -23,29 +23,19 @@ position; ``FlowState(...)`` checks separation, rank and leading terms
 (``connection.check_separated``, ``connection.check_regular``), its twist
 sites' rank and their separation from the poles.
 
-A ``FlowState`` turns its numbers into chart data along one path: its
-``plan``, the chart layer compiled for its layout
-(``symplectic.ChartPlan``), and the plan's ``stage`` of its own ``flat()``,
-each built once, on first use.  The stage builds its polar half at once
-(each group's frames inverted in one call, the frame jets and the polar
-coefficients) and the rest when it is read: the regular jets of the other
-poles' polar parts at every pole and the chart half (block Hankel matrices,
-basis velocities and Gram blocks).  The state's ``polar``,
-``regular_jets``, ``gram_blocks`` and ``jet_at_pole`` read the stage, so
-``connection()`` builds no Gram block; ``diagonal_jet`` diagonalizes a
-pole's jet.  ``from_connection`` reads a connection's
-``divisor_polar_parts``.  ``with_flat`` checks only its vector's length;
-the new state shares the plan, its stage's polar half is built at once (a
-singular frame raising ``DegenerateChartError``, since a flow drove it
-there) and its poles are row views of the stage's stacks.  A flow builds a
-state this way only at its samples; its right-hand side reads the flat
-vector through the plan.  Along a flow the right-hand side checks a moving
-leading type, in ``diagonalize_jet``.
-
-Chart-vector layout, per pole: the ``n^2`` entries of ``h`` (row-major),
-then for each jet order ``k = 1 .. l-2`` the ``n^2 - n`` off-diagonal
-entries of ``u_k`` (row-major, skipping the diagonal), then the ``n^2``
-entries of ``Lambda_{-1}``: ``chart_layout``, the one count of them.
+A ``FlowState`` reads its numbers through one ``plan``
+(``symplectic.ChartPlan``, compiled for its layout, the one code that
+knows where a number sits in a flat vector) and the plan's ``stage`` of its
+own ``flat()``, each built once, on first use: ``flat()`` is the plan's
+``pack``, and ``polar``, ``regular_jets``, ``gram_blocks`` and
+``jet_at_pole`` read the stage, whose polar half is built at once and its
+chart half when first read, so ``connection()`` builds no Gram block.
+``with_flat`` checks only its vector's length, and a singular frame there
+raises ``DegenerateChartError`` (a flow drove it there; a moving leading
+type is checked by the flow, in ``diagonalize_jet``).  ``_from_stage`` is
+the one constructor of a state from a stage, whose plan it shares and whose
+stacks its poles are row views of: a flow's samples are built from the
+stages its steps built.
 """
 
 from __future__ import annotations
@@ -107,13 +97,6 @@ def _trusted(cls, **fields):
     return obj
 
 
-def chart_layout(l, n):
-    """Where a pole's residue entries start in its chart slice, and the
-    slice's size, at order ``l`` and rank ``n``."""
-    at = n * n + max(l - 2, 0) * (n * n - n)
-    return at, at + n * n
-
-
 @dataclass(frozen=True)
 class PoleData:
     """Canonical data of one pole: position, order, frame jet, dressed polar."""
@@ -149,13 +132,6 @@ class PoleData:
     @property
     def n(self):
         return self.h.shape[0]
-
-    # -- chart packing --------------------------------------------------------
-
-    def chart_slice(self):
-        off = ~np.eye(self.n, dtype=bool)
-        return np.concatenate([self.h.ravel(), self.u[:, off].ravel(),
-                               self.lam_res.ravel()])
 
 
 @dataclass(frozen=True)
@@ -197,7 +173,7 @@ class FlowState:
         (``symplectic.ChartPlan``), shared by every state ``with_flat``
         derives from this one."""
         from .symplectic import ChartPlan
-        return ChartPlan(self)
+        return ChartPlan([p.l for p in self.poles], self.n)
 
     @cached_property
     def stage(self):
@@ -276,49 +252,47 @@ class FlowState:
             poles.append(PoleData(t, l, V, D[0], np.einsum("kii->ki", D[1:])))
         return cls(conn.n, tuple(poles), twist)
 
-    # -- flat complex coordinates (chart vector) -------------------------------
-
-    @cached_property
-    def _chart_at(self):
-        """Where each pole's chart slice starts, then the chart dimension."""
-        return np.cumsum([0] + [chart_layout(p.l, p.n)[1]
-                                for p in self.poles])
+    # -- flat complex coordinates: the plan's layout -----------------------
 
     def chart_dim(self):
-        return int(self._chart_at[-1])
+        return self.plan.dim
 
     def chart_vector(self):
-        parts = [p.chart_slice() for p in self.poles]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+        return self.flat()[self.plan.chart]
 
     def flat(self):
         """The state as one vector: pole positions, the chart vector, then
-        every pole's irregular entries (row-major), pole by pole."""
-        positions = np.array([p.t for p in self.poles], dtype=complex)
-        return np.concatenate([positions, self.chart_vector()]
-                              + [p.lam_irr.ravel() for p in self.poles])
+        every pole's irregular entries (``ChartPlan.pack``)."""
+        return self.plan.pack(self.poles)
 
     def with_flat(self, vec):
-        """The state whose ``flat()`` is ``vec``.  This state's ``flat()``
-        laid ``vec`` out, so only its length is checked.  The new state
-        shares this state's plan, and its stage is the plan's stage of
-        ``vec``, whose polar half is built at once: each group's frames are
-        inverted in one call, a singular or non-finite one raising
-        ``DegenerateChartError``, and the poles are row views of the
-        stage's stacks."""
+        """The state ``_from_stage`` of the plan's stage of ``vec``, laid
+        out by ``flat()``: only its length is checked, and a singular or
+        non-finite frame raises ``DegenerateChartError``."""
+        return self._from_stage(self.plan.stage(_flat_vector(vec,
+                                                              self.plan.size)))
+
+    def _from_stage(self, stage):
+        """The state at the vector of ``stage``, a stage of this state's
+        plan, which it shares: its poles are row views of the stage's
+        stacks."""
         plan = self.plan
-        if len(vec) != plan.size:
-            raise MalformedInputError(
-                f"flat vector: length {len(vec)}, expected {plan.size}")
-        stage = plan.stage(np.array(vec, dtype=complex))
         poles = [None] * len(self.poles)
         for g, (h, u, lam_res, lam_irr) in zip(plan.groups, stage.fields):
-            for r, i in enumerate(g.index):
+            for r, (i, t) in enumerate(zip(g.index, stage.y[g.at])):
                 poles[i] = _trusted(
-                    PoleData, t=complex(stage.y[i]), l=g.l, h=h[r],
+                    PoleData, t=complex(t), l=g.l, h=h[r],
                     lam_res=lam_res[r], lam_irr=lam_irr[r], u=u[r])
         return _trusted(FlowState, n=self.n, poles=tuple(poles),
                         twist=self.twist, plan=plan, stage=stage)
+
+
+def _flat_vector(vec, size):
+    """``vec`` as a new complex array, which must have length ``size``."""
+    if len(vec) != size:
+        raise MalformedInputError(
+            f"flat vector: length {len(vec)}, expected {size}")
+    return np.array(vec, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -344,28 +318,20 @@ class ExtendedState:
 
     def flat(self):
         """``state.flat()``, then every pole's ``q_dual``, then every pole's
-        ``b_dual`` entries (row-major)."""
-        return np.concatenate([self.state.flat()]
-                              + [np.ravel(q) for q in self.q_dual]
-                              + [np.ravel(b) for b in self.b_dual])
+        ``b_dual`` entries (row-major): ``ChartPlan.pack``."""
+        return self.state.plan.pack(self.state.poles, self.q_dual,
+                                    self.b_dual)
 
     def with_flat(self, vec):
-        """The extended state whose ``flat()`` is ``vec``, checked as in
-        ``FlowState.with_flat``."""
-        poles = self.state.poles
-        at = self.state.plan.size
-        size = at + sum(p.l + (p.l - 1) * p.n for p in poles)
-        if len(vec) != size:
-            raise MalformedInputError(
-                f"flat vector: length {len(vec)}, expected {size}")
-        state = self.state.with_flat(vec[:at])
-        q_dual, b_dual = [], []
-        for p in poles:
-            q_dual.append(vec[at: at + p.l].copy())
-            at += p.l
-        for p in poles:
-            k = (p.l - 1) * p.n
-            b_dual.append(vec[at: at + k].reshape(p.l - 1, p.n).copy())
-            at += k
-        return _trusted(ExtendedState, state=state, q_dual=tuple(q_dual),
-                        b_dual=tuple(b_dual))
+        """``FlowState.with_flat`` on the extended vector ``vec``."""
+        plan = self.state.plan
+        return self._from_stage(plan.stage(_flat_vector(vec,
+                                                        plan.extended_size)))
+
+    def _from_stage(self, stage):
+        """``FlowState._from_stage``, with the dual slots read out of the
+        stage's vector."""
+        plan, y = self.state.plan, stage.y
+        return _trusted(ExtendedState, state=self.state._from_stage(stage),
+                        q_dual=tuple(y[q] for q in plan.q),
+                        b_dual=tuple(y[b] for b in plan.b))

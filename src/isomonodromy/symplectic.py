@@ -95,7 +95,7 @@ import numpy as np
 from .connection import _signed_binomials, _weights, diagonalize_jet
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat
-from .states import _frame_inverses, chart_layout
+from .states import _frame_inverses
 
 TAU_RANK = 1e-8
 
@@ -196,6 +196,13 @@ def _twist_pairing(t_germ, b, site):
 # chart layer: stacked kernels, each the one formula of its quantity, on
 # arrays with a leading group axis; ``ChartPlan`` runs them
 # ---------------------------------------------------------------------------
+
+def chart_layout(l, n):
+    """Where a pole's residue entries start in its chart slice, and the
+    slice's size, at order ``l`` and rank ``n``."""
+    at = n * n + max(l - 2, 0) * (n * n - n)
+    return at, at + n * n
+
 
 def unipotent(u, l):
     """Coefficients of ``I + u(zeta)`` and of its inverse through order
@@ -401,23 +408,23 @@ class PoleChartBlock:
 
 class _GroupPlan:
     """One pole group, the poles of one order ``l``: their indices
-    (``index``, ``at`` as an array), their chart columns (``cols``, shape
-    ``(G, size)``, ``chart_layout``), the places of their fields in the
-    flat vector (``h``, ``u``, ``lam``, ``irr``, index arrays in the
-    fields' stacked shapes but ``u``'s off-diagonal entries), and its
-    tables that stay constant along a flow."""
+    (``index``; ``at`` as an array, also their positions' places), their
+    chart columns (``cols``, shape ``(G, size)``, ``chart_layout``), the
+    places of their fields in the flat vector (``h``, ``u``, ``lam``,
+    ``irr``, stacked index arrays in the fields' shapes), and its tables
+    that stay constant along a flow."""
 
     def __init__(self, l, index, chart_at, irr_at, m, n):
         G = len(index)
         res, size = chart_layout(l, n)
         self.l, self.index, self.at = l, tuple(index), np.array(index)
-        self.cols = chart_at[index][:, None] + np.arange(size)
-        chart = m + self.cols
+        chart = chart_at[index][:, None] + np.arange(size)
+        self.cols = chart - m
         self.h = chart[:, : n * n].reshape(G, n, n)
+        self.u = chart[:, n * n: res].reshape(G, max(l - 2, 0), n * n - n)
         self.lam = chart[:, res:].reshape(G, n, n)
         self.irr = (irr_at[index][:, None]
                     + np.arange((l - 1) * n)).reshape(G, l - 1, n)
-        self.u = chart[:, n * n: res].reshape(G, max(l - 2, 0), n * n - n)
         self.dlams = _dlams(l, n)
         # the jets of I + u and their Toeplitz stack are the identity's at
         # orders 1 and 2, where u has no entries
@@ -456,41 +463,60 @@ class _Stage:
 
 
 class ChartPlan:
-    """The chart layer compiled for one chart layout, the one code that
-    turns a state's numbers into chart data.
+    """The chart layer compiled for one chart layout, which it computes from
+    the pole orders and the rank: the one code that places a state's numbers in
+    a flat vector or reads them out, and that turns them into chart data.  A
+    flat vector (``FlowState.flat``, of length ``size``) holds the pole
+    positions, the chart vector (``dim`` entries), then each pole's irregular
+    entries; the extended system's (``ExtendedState.flat``, of length
+    ``extended_size``) goes on with each pole's ``l`` q slots, then each pole's
+    b slots.  A pole's chart slice holds the ``n^2`` entries of ``h``, the
+    ``n^2 - n`` off-diagonal entries of each ``u_k``, ``k = 1 .. l-2``, then
+    the ``n^2`` entries of ``Lambda_{-1}``, all row-major: ``chart_layout``,
+    the one count of them.  Each has an index array in its shape
+    (``positions``, ``chart``, ``irr``, ``q``, ``b``, and a pole's ``fields``:
+    its ``h``, ``u``, ``Lambda_{-1}`` and ``irr``).
 
-    The layout is what a flow keeps: the pole orders, the rank, the groups
-    (the poles of one order, in order of first appearance) and the places
-    of their entries in the flat vector.  The plan holds them, read from
-    ``state``, with every table that stays constant along the flow: the
-    jets of ``I + u`` and their Toeplitz stack at orders 1 and 2, the
-    dressed-residue directions, the signed binomials of the extension
-    weights and each pole's own rows in every group.  ``stage(y)`` runs
-    the stacked kernels on a flat vector ``y`` (``state.flat()``'s layout,
-    or a longer vector that begins with it) and builds no state.  A
-    ``FlowState`` holds one plan and the stage of its own ``flat()``;
-    ``flows.RhsPlan`` extends the plan to the flow's right-hand side.
-    Each pole gets the bits a kernel of its own would give it.
+    With the layout the plan holds the groups (the poles of one order, in
+    order of first appearance) and every table that stays constant along
+    a flow: the jets of ``I + u`` and their Toeplitz stack at orders 1 and
+    2, the dressed-residue directions, the signed binomials of the
+    extension weights and each pole's own rows in every group.
+    ``stage(y)`` runs the stacked kernels on a flat vector ``y`` (or a
+    longer one that begins with it), each pole getting the bits a kernel
+    of its own would give it.  A ``FlowState`` holds one plan and the stage
+    of its own ``flat()``; ``flows.RhsPlan`` extends the plan.
     """
 
-    def __init__(self, state):
-        m, n = len(state.poles), state.n
-        self.m, self.n, self.dim = m, n, state.chart_dim()
-        self.orders = [p.l for p in state.poles]
-        members = {}
-        for i, l in enumerate(self.orders):
-            members.setdefault(l, []).append(i)
-        irr_at = m + self.dim + np.cumsum(
-            [0] + [(l - 1) * n for l in self.orders])
-        self.size = int(irr_at[-1])     # the length of flat()
-        self.groups = [_GroupPlan(l, index, state._chart_at, irr_at, m, n)
+    def __init__(self, orders, n):
+        m = len(orders)
+        self.m, self.n, self.orders = m, n, list(orders)
+        widths = [chart_layout(l, n)[1] for l in orders]
+        n_irr = [(l - 1) * n for l in orders]
+        # where each pole's chart slice, irregular entries, q slots and b
+        # slots start, in this order after the positions
+        at = np.cumsum([m, *widths, *n_irr, *orders, *n_irr])
+        self.dim, self.extended_size = int(at[m]) - m, int(at[-1])
+        self.size = int(at[2 * m])        # the length of flat()
+        self.positions = np.arange(m)
+        self.chart = np.arange(m, m + self.dim)
+        self.coefficients = np.arange(m, self.size)
+        self.q = [np.arange(a, a + l) for a, l in zip(at[2 * m:], orders)]
+        self.b = [np.arange(a, a + k).reshape(l - 1, n)
+                  for a, k, l in zip(at[3 * m:], n_irr, orders)]
+        self.off = ~np.eye(n, dtype=bool)       # u's entries in its slots
+        members = {l: [i for i, k in enumerate(orders) if k == l]
+                   for l in dict.fromkeys(orders)}
+        self.groups = [_GroupPlan(l, index, at[:m], at[m:], m, n)
                        for l, index in members.items()]
-        # each pole's group and row, its irregular entries, shape (l - 1,
-        # n), and its rows in every group
-        self.where, self.irr = [None] * m, [None] * m
+        # each pole's group and row, its fields' places, and its rows in
+        # every group
+        self.where, self.fields = {}, [None] * m
         for k, g in enumerate(self.groups):
             for r, i in enumerate(g.index):
-                self.where[i], self.irr[i] = (k, r), g.irr[r]
+                self.where[i] = k, r
+                self.fields[i] = g.h[r], g.u[r], g.lam[r], g.irr[r]
+        self.irr = [f[3] for f in self.fields]
         self.own = [[[r for r, j in enumerate(g.index) if j == i]
                      for g in self.groups] for i in range(m)]
         # the signed binomials of every table a differential reads: the
@@ -503,6 +529,24 @@ class ChartPlan:
                                 for b in orders for e in (0, 1)
                                 for d in (0, 1))}}
 
+    def pack(self, poles, *duals):
+        """The flat vector of ``poles``, each pole scattered by its index
+        arrays; with the dual slots ``q_dual, b_dual``, the extended one."""
+        y = np.empty(self.extended_size if duals else self.size,
+                     dtype=complex)
+        y[self.positions] = [p.t for p in poles]
+        for p, (h, u, lam, irr) in zip(poles, self.fields):
+            y[h], y[u], y[lam], y[irr] = p.h, p.u[:, self.off], p.lam_res, \
+                p.lam_irr
+        if duals:
+            self.put_duals(y, *duals)
+        return y
+
+    def put_duals(self, y, q_dual, b_dual):
+        """Write each pole's q and b slots into the extended vector y."""
+        for q, b, q_at, b_at in zip(q_dual, b_dual, self.q, self.b):
+            y[q_at], y[b_at] = q, b
+
     def stage(self, y):
         """The chart layer's data at the flat vector ``y``, its polar half
         built.  A singular or non-finite frame raises
@@ -513,7 +557,7 @@ class ChartPlan:
             H_inv = _frame_inverses(y[g.at], H, DegenerateChartError)
             if g.unipotent is None:
                 u = np.zeros(g.u.shape[:2] + (self.n, self.n), dtype=complex)
-                u[:, :, ~np.eye(self.n, dtype=bool)] = y[g.u]
+                u[:, :, self.off] = y[g.u]
                 U, V = unipotent(u, g.l)
                 toeplitz = _toeplitz(U)
             else:
@@ -534,7 +578,8 @@ class ChartPlan:
             C = np.zeros((self.m, self.L, self.n, self.n), dtype=complex)
             for g, P in zip(self.groups, st.P):
                 C[g.at, : g.l] = P
-        return regular_jets(st.y[: self.m], C, self.tables[self.L, self.L])
+        return regular_jets(st.y[self.positions], C,
+                            self.tables[self.L, self.L])
 
     def _chart_half(self, st):
         st.charts, st.gram_blocks = [], []

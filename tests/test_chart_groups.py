@@ -30,6 +30,7 @@ from isomonodromy.flows import Direction, FlowPath, _section_rates, \
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.twist import MatrixDivisor, TwistSite, normal_form
 from isomonodromy.symplectic import (
+    chart_layout,
     d_hamiltonian_beta_B,
     d_translation_hamiltonian,
     hamiltonian_vector_field,
@@ -86,11 +87,11 @@ def state(request, rng):
 def test_groups_are_orders_in_first_appearance(state):
     groups = state.plan.groups
     assert [(g.l, g.index) for g in groups] == GROUPS[len(state.poles)]
+    widths = [chart_layout(p.l, p.n)[1] for p in state.poles]
     for g in groups:
         for r, i in enumerate(g.index):
-            at = sum(len(p.chart_slice()) for p in state.poles[:i])
-            width = len(state.poles[i].chart_slice())
-            assert list(g.cols[r]) == list(range(at, at + width))
+            at = sum(widths[:i])
+            assert list(g.cols[r]) == list(range(at, at + widths[i]))
 
 
 REGULAR_JET_TOL = 1e-14
@@ -437,7 +438,7 @@ def gauge_residual(state, direction, g, poles=None):
     for p in state.poles:
         frame = want[at: at + n * n]
         frame[:] = (g @ frame.reshape(n, n)).ravel()
-        at += len(p.chart_slice())
+        at += chart_layout(p.l, n)[1]
     got = isomonodromic_rhs(direction, image).flat()
     return max(residual, np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -515,17 +516,26 @@ KERNELS = ("frames", "lam_jet", "regular_jets", "_hankel", "_etas", "_gram")
 
 def test_one_call_site_per_chart_kernel():
     # the chart data has one orchestration: each kernel that builds it is
-    # called once in the library, in ChartPlan
+    # called once in the library, in ChartPlan; the flat layout has one
+    # owner: chart_layout is called in symplectic alone, and no class
+    # packs a pole's chart slice of its own
     root = Path(symplectic.__file__).parent
-    sites, in_plan = [], []
+    sites, in_plan, layout_sites, slice_defs = [], [], set(), []
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 sites.append(node)
+                if "chart_layout" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None)):
+                    layout_sites.add(path.name)
             if isinstance(node, ast.ClassDef) and node.name == "ChartPlan":
                 in_plan += [c for c in ast.walk(node)
                             if isinstance(c, ast.Call)]
+            if isinstance(node, ast.ClassDef):
+                slice_defs += [f"{node.name}.{f.name}" for f in node.body
+                               if isinstance(f, ast.FunctionDef)
+                               and f.name == "chart_slice"]
 
     def called(calls, name):
         return [c for c in calls if getattr(c.func, "id", None) == name
@@ -534,6 +544,8 @@ def test_one_call_site_per_chart_kernel():
     for name in KERNELS:
         assert len(called(sites, name)) == 1, name
         assert called(sites, name) == called(in_plan, name), name
+    assert layout_sites == {"symplectic.py"}
+    assert slice_defs == []
 
 
 def test_connection_assembles_no_gram_block(rng, monkeypatch):

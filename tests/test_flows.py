@@ -446,23 +446,48 @@ class TestDegenerateChartEvent:
 
     def test_states_only_at_the_samples(self, rng, monkeypatch):
         # the right-hand side and the events read the plan's stages, so a
-        # flow builds a state (one with_flat call) only at its samples: at
-        # most one per sample, and one more at a located event
+        # flow builds a state (one _from_stage call) only at its samples:
+        # at most one per sample, and one more at a located event
         state = fuchsian_state([0.0, 1.4, -1.1],
                                random_fuchsian_matrices(rng, 3, 3))
         assert len(state.plan.groups) == 1
-        builds, with_flat = [0], FlowState.with_flat
+        builds, from_stage = [0], FlowState._from_stage
 
         def counted(*args, **kwargs):
             builds[0] += 1
-            return with_flat(*args, **kwargs)
+            return from_stage(*args, **kwargs)
 
-        monkeypatch.setattr(FlowState, "with_flat", counted)
+        monkeypatch.setattr(FlowState, "_from_stage", counted)
         traj = integrate_flow(state, FlowPath.line(state, 1, 0.2 - 0.1j),
                               n_samples=3)
         assert traj.status == "completed" and len(traj.states) == 3
         assert sum(traj.nfev) > 3 * len(traj.samples)
         assert 0 < builds[0] <= len(traj.samples) + 1
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_one_stage_per_vector(self, rng, monkeypatch, extended):
+        # the right-hand side, the events and the samples share the plan's
+        # stages: a completed flow builds the stage of each vector once.
+        # Each stage's vector is keyed by its state part, so an extended
+        # sample whose state's stage were built again would count
+        state = fuchsian_state([0.0, 1.4, -1.1],
+                               random_fuchsian_matrices(rng, 3, 3))
+        ext, size = extend_state(state), len(state.flat())
+        seen, stage = [], ChartPlan.stage
+
+        def counted(self, y):
+            seen.append(y[:size].tobytes())
+            return stage(self, y)
+
+        monkeypatch.setattr(ChartPlan, "stage", counted)
+        path = FlowPath.line(state, 1, 0.2 - 0.1j)
+        if extended:
+            samples, _, status = integrate_extended(ext, path, n_samples=3)
+        else:
+            traj = integrate_flow(state, path, n_samples=3)
+            samples, status = traj.samples, (traj.status, None)
+        assert status == ("completed", None) and len(samples) == 3
+        assert len(seen) == len(set(seen)) > 3 * len(samples)
 
     def test_exactly_singular_stage_block(self):
         # an order-3 pole whose leading type is clustered, as a stage may

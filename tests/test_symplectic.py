@@ -15,6 +15,7 @@ from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import (
     PoleChartBlock,
     TangentVec,
+    chart_layout,
     dress,
     d_hamiltonian_beta_B,
     d_translation_hamiltonian,
@@ -284,7 +285,7 @@ class TestChart:
         twin = PoleData(pole.t + 1.0, pole.l, pole.h, pole.lam_res,
                         pole.lam_irr, pole.u)
         state = FlowState(pole.n, (pole, twin))
-        y, size = state.flat(), pole.chart_slice().size
+        y, size = state.flat(), chart_layout(pole.l, pole.n)[1]
         y[2 + size: 2 + 2 * size] += 0.2 * rng.standard_normal(size)
         return state.with_flat(y)
 
@@ -331,7 +332,8 @@ class TestChart:
         for pole in poles:
             state = self.paired(pole, rng)
             # a random tangent at each pole for the variations
-            vec = rng.standard_normal((2, pole.chart_slice().size)) + 0.5j
+            vec = rng.standard_normal((2, chart_layout(pole.l, pole.n)[1])) \
+                + 0.5j
             gram, variations = self.einsum_products(state.stage)
             for got, want in ((state.gram_blocks[0][1].transpose(0, 2, 1),
                                gram),
