@@ -354,16 +354,16 @@ def diagonalize_jet(Ajet, order):
     w, V = _sorted_eig(lead)
     check_regular(w, scale)
     Vinv = np.linalg.inv(V)
-    conjugated = {}
+    # every coefficient conjugated once, one gemm per slice: the value pass
+    # reads its orders, the pullback all of them; row i + l is order i
+    At = Vinv @ Ajet.coeffs @ V
 
     def acoef(i):
-        if i not in conjugated:
-            if i > Ajet.k_max:
-                raise MalformedInputError(
-                    f"need A through order {i} for this truncation; jet "
-                    f"stops at {Ajet.k_max}")
-            conjugated[i] = Vinv @ Ajet.coefficient(i) @ V
-        return conjugated[i]
+        if i > Ajet.k_max:
+            raise MalformedInputError(
+                f"need A through order {i} for this truncation; jet "
+                f"stops at {Ajet.k_max}")
+        return At[i + l]
 
     D = _diagonal_part(acoef(-l))
     d = D.diagonal()
@@ -401,10 +401,8 @@ def diagonalize_jet(Ajet, order):
 
     def pullback(B_weight):
         # the bar of each tangent variable Y pairs with it by the trace, the
-        # differential being sum tr(bar_Y dY); bar_B holds diagonals.  At
-        # holds every acoef(i), row i + l; the weights' leading axes ride
-        # along in front of every bar
-        At = Vinv @ Ajet.coeffs @ V
+        # differential being sum tr(bar_Y dY); bar_B holds diagonals; the
+        # weights' leading axes ride along in front of every bar
         gap = np.where(offdiag, w[None, :] - w[:, None], 1.0)
         bar_B = np.array(B_weight, dtype=complex)
         lead = bar_B.shape[:-2]

@@ -104,11 +104,13 @@ class StateDerivative:
     d_positions: np.ndarray     # (n_poles,)
     d_chart: np.ndarray         # (chart_dim,)
     d_irregular: list           # one (l-1, n) array per pole
+    plan: ChartPlan = field(repr=False, compare=False)    # the layout
 
     def flat(self):
-        """The derivative in the layout of ``FlowState.flat``."""
-        return np.concatenate([self.d_positions, self.d_chart]
-                              + [r.ravel() for r in self.d_irregular])
+        """The derivative in the layout of ``FlowState.flat``, each part
+        written by its plan's index arrays."""
+        return self.plan.join(self.d_positions, self.d_chart,
+                              self.d_irregular)
 
     @classmethod
     def split(cls, dy, state):
@@ -116,7 +118,7 @@ class StateDerivative:
         the index arrays of the state's plan: copies, not views."""
         plan = state.plan
         return cls(dy[plan.positions], dy[plan.chart],
-                   [dy[irr] for irr in plan.irr])
+                   [dy[irr] for irr in plan.irr], plan)
 
 
 def _checked_rates(direction, state):

@@ -29,6 +29,7 @@ of them scipy's.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -56,16 +57,20 @@ class LineSegment:
     def at(self, s):
         return self.point_and_rate(s)[0]
 
+    @cached_property
+    def delta(self):
+        """``end - start``, the rate."""
+        return self.end - self.start
+
     def point_and_rate(self, s):
         """``at(s)`` and its derivative in ``s``."""
-        d = self.end - self.start
-        return self.start + s * d, d
+        return self.start + s * self.delta, self.delta
 
     def reversed(self):
         return LineSegment(self.end, self.start)
 
     def distance_to(self, p):
-        d = self.end - self.start
+        d = self.delta
         L2 = abs(d) ** 2
         if L2 == 0.0:
             return abs(p - self.start)
@@ -84,12 +89,21 @@ class ArcSegment:
     def at(self, s):
         return self.point_and_rate(s)[0]
 
+    @cached_property
+    def dtheta(self):
+        """``theta1 - theta0``, the angle swept."""
+        return self.theta1 - self.theta0
+
+    @cached_property
+    def rate(self):
+        """``1j dtheta radius``, the rate's factor before ``exp``."""
+        return (1j * self.dtheta) * self.radius
+
     def point_and_rate(self, s):
         """``at(s)`` and its derivative in ``s``, from one ``exp`` per
         parameter."""
-        dth = self.theta1 - self.theta0
-        e = np.exp(1j * (self.theta0 + s * dth))
-        return self.center + self.radius * e, 1j * dth * self.radius * e
+        e = np.exp(1j * (self.theta0 + s * self.dtheta))
+        return self.center + self.radius * e, self.rate * e
 
     def reversed(self):
         return ArcSegment(self.center, self.radius, self.theta1, self.theta0)
@@ -182,10 +196,12 @@ def _compiled_eval(conn):
     polynomial tail, is one row of the stacked array ``C`` of shape
     ``(K, n*n + 1)``; the last column holds the row's trace.  Row ``r`` is
     weighted by ``dz * u[idx[r]]**pw[r]`` with ``u = (1/(z - t_1), ...,
-    1/(z - t_m), z)``, so the tail rows carry the powers of ``z``.  Points
-    ``z`` and rates ``dz`` broadcast: arrays of ``k`` points give ``(k, n*n
-    + 1)`` rows from one ``(k, K) @ (K, n*n + 1)`` product, a scalar point
-    gives one vector.  Each call returns a new array.
+    1/(z - t_m), z)``, so the tail rows carry the powers of ``z``.  For a
+    Fuchsian form without tail, a coefficient per pole, the weights are
+    ``dz / (z - t_i)`` themselves, with no ``z`` column and no gather.
+    Points ``z`` and rates ``dz`` broadcast: an array of points gives a row
+    per point, in C order, from one ``(k, K) @ (K, n*n + 1)`` product, a
+    scalar point gives one vector.  Each call returns a new array.
     """
     pole_data, tail = conn.polar_parts
     n = conn.n
@@ -199,6 +215,8 @@ def _compiled_eval(conn):
     pw += range(len(tail))
     C = np.array(rows, dtype=complex).reshape(len(rows), n * n)
     C = np.column_stack([C, C[:, ::n + 1].sum(axis=1)])
+    # the weights are u itself when its rows are the poles, in order
+    plain = idx == list(range(len(pole_data)))
     idx = np.array(idx, dtype=int)
     pw = np.array(pw, dtype=int)
     points = np.array([t for t, _ in pole_data], dtype=complex)
@@ -210,14 +228,18 @@ def _compiled_eval(conn):
 
     def ev(z, dz):
         z = np.asarray(z, dtype=complex)
-        u = np.empty(z.shape + (len(points) + 1,), dtype=complex)
-        np.divide(1.0, z[..., None] - points, out=u[..., :-1])
-        u[..., -1] = z
-        w = u[..., idx]
-        if pw.size:
-            w[..., span] **= pw
+        if plain:
+            w = z[..., None] - points
+            np.divide(1.0, w, out=w)
+        else:
+            u = np.empty(z.shape + (len(points) + 1,), dtype=complex)
+            np.divide(1.0, z[..., None] - points, out=u[..., :-1])
+            u[..., -1] = z
+            w = u[..., idx]
+            if pw.size:
+                w[..., span] **= pw
         w *= np.asarray(dz)[..., None]
-        return w @ C
+        return w @ C if w.ndim < 3 else w.reshape(z.size, len(C)) @ C
 
     return ev
 
@@ -225,7 +247,9 @@ def _compiled_eval(conn):
 def _stacked(segments):
     """One segment of the common class of ``segments`` whose fields are
     columns, a row per segment: the class's own ``point_and_rate`` then
-    evaluates each segment at its row of parameters, all at once."""
+    evaluates each segment at its row of parameters, all at once, and the
+    columns it derives from the fields (a line's ``delta``, an arc's
+    ``dtheta`` and ``rate``) are computed once, when first read."""
     out = object.__new__(type(segments[0]))
     for f in fields(out):
         object.__setattr__(out, f.name, np.array(
@@ -250,19 +274,31 @@ class _LinearDOP853(ode.DOP853):
     11`` (``c_11 = 1`` also gives the FSAL stage), and one ``ztrtrs`` solve
     of size ``11 n``.
 
-    An attempt is stacked over the round's lanes: the nodes of each segment
-    class are evaluated at once by that class's own ``point_and_rate`` on
-    columns of the lanes' parameters (``_stacked``), each run of
-    consecutive lanes of one owner is one ``ev`` call (one call a round
-    when the owners are in order), and the block matrices, stage and
-    ``y_new`` products are stacked; the ``ztrtrs`` solve stays per lane.
-    ``nfev`` counts what the nonlinear ``ode.DOP853`` counts: 2 evaluations
-    per lane at the start and 12 per lane per attempted step.
+    A round computes, for its live lanes at once: the nodes, their points
+    and rates, the evaluations, the block matrices, the right-hand sides,
+    the stages and ``y_new``; every lane reads and writes its rows of the
+    solver's state in place (``ode.DOP853``).  What is fixed for a set of
+    live lanes is built by ``_set_live`` when the set changes: each run of
+    consecutive lanes of one owner, which is one ``ev`` call a round (one
+    call when the owners are in order), and the lanes' segments stacked by
+    class (``_stacked``), whose ``point_and_rate`` gives every lane's
+    points at once from columns derived once; with one class, as on every
+    keyhole leg, its points go straight to the evaluator.  The tableau
+    rows ``B``, ``E3`` and ``E5`` are cast to complex once, for the
+    complex products that read them.  These products stay as they are,
+    because they set the bits each lane gets alone: ``Bs @ X``, one
+    stacked 2x2 ``zgemm`` per stage; one ``ztrtrs`` solve per lane;
+    ``E5 @ K`` and ``E3 @ K`` as two vector products; and the start's
+    evaluations, one point (a vector product) at a time.  ``nfev`` counts
+    what the nonlinear ``ode.DOP853`` counts: 2 evaluations per lane at
+    the start and 12 per lane per attempted step.
     """
 
-    # tableau slices of _attempt
+    # tableau slices of _attempt, and the rows of its complex products
     nodes = ode.C[1:]
     a0 = ode.A[1:, 0][:, None, None]
+    B, E3, E5 = (ode.B.astype(complex), ode.E3.astype(complex),
+                 ode.E5.astype(complex))
 
     def __init__(self, fun, t0, y0, t_bound, segments, names, owners, rtol,
                  atol):
@@ -288,7 +324,7 @@ class _LinearDOP853(ode.DOP853):
     def _set_live(self, lanes):
         # the unfinished lanes, their runs of one owner (each evaluates its
         # rows of a round's points), and their segments stacked by class
-        # (each class fills its rows of a round's points)
+        # (each class gives its rows of a round's points)
         super()._set_live(lanes)
         self.runs = []
         for i, k in enumerate(self.live):
@@ -296,13 +332,11 @@ class _LinearDOP853(ode.DOP853):
                 self.runs[-1][0] = slice(self.runs[-1][0].start, i + 1)
             else:
                 self.runs.append([slice(i, i + 1), self.evs[self.owners[k]]])
-        rows = {}
+        by_class = {}
         for i, k in enumerate(self.live):
-            rows.setdefault(type(self.segments[k]), []).append(i)
-        self.groups = [
-            (slice(None) if len(rows) == 1 else r,
-             _stacked([self.segments[self.live[i]] for i in r]))
-            for r in rows.values()]
+            by_class.setdefault(type(self.segments[k]), []).append(i)
+        self.groups = [(r, _stacked([self.segments[self.live[i]] for i in r]))
+                       for r in by_class.values()]
 
     def _blocks(self, Bs, h):
         # every lane's block matrix, built transposed and C-ordered, so
@@ -316,29 +350,33 @@ class _LinearDOP853(ode.DOP853):
         # every live lane
         n, m, P = self.dim, ode.N_STAGES - 1, len(y)
         s = t[:, None] + self.nodes * h[:, None]
-        z = np.empty((P, m), dtype=complex)
-        dz = np.empty((P, m), dtype=complex)
-        for rows, seg in self.groups:
-            z[rows], dz[rows] = seg.point_and_rate(s[rows])
-        if len(self.runs) == 1:
-            E = self.runs[0][1](z.ravel(), dz.ravel())
+        if len(self.groups) == 1:
+            z, dz = self.groups[0][1].point_and_rate(s)
         else:
-            E = np.concatenate([ev(z[rows].ravel(), dz[rows].ravel())
+            z = np.empty((P, m), dtype=complex)
+            dz = np.empty((P, m), dtype=complex)
+            for rows, seg in self.groups:
+                z[rows], dz[rows] = seg.point_and_rate(s[rows])
+        if len(self.runs) == 1:
+            E = self.runs[0][1](z, dz)
+        else:
+            E = np.concatenate([ev(z[rows], dz[rows])
                                 for rows, ev in self.runs])
         E = E.reshape(P, m, self.width)
         Bs = E[..., :-1].reshape(P, m, n, n)
-        f = self.f[self.live]
+        f = self.f[self.rows]
         Y = y[:, :-1].reshape(P, 1, n, n)
         K0 = f[:, :-1].reshape(P, 1, n, n)
-        rhs = Bs @ (Y + (h[:, None, None, None] * self.a0) * K0)
+        rhs = (Bs @ (Y + (h[:, None, None, None] * self.a0) * K0)
+               ).reshape(P, m * n, n)
         T = self._blocks(Bs, h).reshape(P, m * n, m * n)
         K = np.empty((P, ode.N_STAGES + 1, self.width), dtype=complex)
         K[:, 0] = f
         K[:, 1:-1, -1] = E[..., -1]
-        for i in range(P):
-            X, _ = ztrtrs(T[i].T, rhs[i].reshape(m * n, n), 1, 0, 1)
-            K[i, 1:-1, :-1] = X.reshape(m, n * n)
-        y_new = y + h[:, None] * np.matmul(ode.B, K[:, :-1])
+        for T_i, rhs_i, K_i in zip(T, rhs, K[:, 1:-1, :-1]):
+            X, _ = ztrtrs(T_i.T, rhs_i, 1, 0, 1)
+            K_i[...] = X.reshape(m, n * n)
+        y_new = y + h[:, None] * np.matmul(self.B, K[:, :-1])
         f_new = E[:, -1]
         f_new[:, :-1] = (Bs[:, -1] @ y_new[:, :-1].reshape(P, n, n)
                          ).reshape(P, n * n)
@@ -451,7 +489,9 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
 
 @dataclass
 class MonodromyRep:
-    """Ordered loops around the finite poles and their transport matrices."""
+    """Ordered loops around the finite poles and their transport matrices.
+    When the form is regular at infinity, ``product_defect`` and
+    ``error_scale`` are ``product_check``'s of the matrices."""
 
     base_point: complex
     pole_points: list
@@ -459,6 +499,7 @@ class MonodromyRep:
     matrices: list
     product_defect: float | None = None
     tol: float = DEFAULT_TOL
+    error_scale: float | None = None
 
     def matrix_for_pole(self, p):
         """The matrix of the loop around the pole within ``TAU_SEP``
@@ -467,6 +508,28 @@ class MonodromyRep:
             if abs(q - complex(p)) <= TAU_SEP * max(1.0, abs(q)):
                 return M
         raise KeyError(f"no loop around {p}")
+
+
+def product_check(matrices, n):
+    """``(defect, error_scale)`` of the ordered product ``M_l ... M_1`` of
+    the ``n x n`` ``matrices`` ``(M_1, ..., M_l)``: ``defect = max|M_l
+    ... M_1 - I|``, and ``error_scale = eps max(S)`` with ``S = sum_i |M_l
+    ... M_{i+1}| |M_i| |M_{i-1} ... M_1|``, moduli taken entrywise.  To
+    first order, rounding every entry once and forming the product in
+    floating point move the product by a small multiple of
+    ``error_scale`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3), so a defect far above it is the matrices' own.
+    The prefix products are the product's, the suffix products one pass
+    back."""
+    prefixes = [np.eye(n, dtype=complex)]
+    for M in matrices:
+        prefixes.append(M @ prefixes[-1])
+    defect = float(np.max(np.abs(prefixes[-1] - np.eye(n))))
+    S, suffix = np.zeros((n, n)), np.eye(n, dtype=complex)
+    for M, prefix in zip(reversed(matrices), reversed(prefixes[:-1])):
+        S += np.abs(suffix) @ np.abs(M) @ np.abs(prefix)
+        suffix = suffix @ M
+    return defect, float(ode.EPS * S.max())
 
 
 def loop_ordering(pole_points, z0):
@@ -546,13 +609,10 @@ def monodromy_reps(conns, z0, tol=DEFAULT_TOL):
     reps = []
     for conn, poles, paths, mats in zip(conns, ordered, loops,
                                         transport(conns, loops, tol)):
-        defect = None
+        defect = scale = None
         if conn.is_regular_at_infinity():
-            prod = np.eye(conn.n, dtype=complex)
-            for M in mats:
-                prod = M @ prod
-            defect = float(np.max(np.abs(prod - np.eye(conn.n))))
-        reps.append(MonodromyRep(z0, poles, paths, mats, defect, tol))
+            defect, scale = product_check(mats, conn.n)
+        reps.append(MonodromyRep(z0, poles, paths, mats, defect, tol, scale))
     return reps
 
 
@@ -562,7 +622,8 @@ def monodromy_rep(conn, z0, tol=DEFAULT_TOL):
 
     Loops are ordered by increasing argument from the base point; when the
     form is regular at infinity the ordered product ``M_l ... M_1`` is
-    checked against the identity and the defect stored on the result.
+    checked against the identity, and the defect and the product's error
+    scale (``product_check``) are stored on the result.
     """
     return monodromy_reps([conn], z0, tol)[0]
 

@@ -9,9 +9,9 @@ scipy's steps and gets scipy's bits:
 
 * the tableau, with the rows of the dense output: scipy's own file
   ``scipy.integrate._ivp.dop853_coefficients``, loaded alone;
-* ``select_initial_step``, the start of a run (HNW II.4);
+* ``DOP853._initial_steps``, the start of a run (HNW II.4);
 * ``error_norm``, a step's error estimate, from the 2-norms of its scaled
-  order-5 and order-3 estimates;
+  order-5 and order-3 estimates (``norms``);
 * ``step_factor``, the step-size control;
 * ``rk_step``, the nonlinear stage loop;
 * ``DOP853``, the one step loop: lanes of one system, each under its own
@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 from importlib import import_module
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
-from math import isfinite, nextafter, sqrt
+from math import inf, isfinite, nextafter, sqrt
 
 import numpy as np
 
@@ -93,34 +92,11 @@ EPS = np.finfo(float).eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
-def rms_norm(x):
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
-    """The first step size from ``t0`` toward ``t_bound``, from ``f0 =
-    fun(t0, y0)`` and one more evaluation (HNW II.4)."""
-    if y0.size == 0:
-        return np.inf
-    interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
-    scale = atol + np.abs(y0) * rtol
-    d0 = rms_norm(y0 / scale)
-    d1 = rms_norm(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
-    d2 = rms_norm((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ESTIMATOR_ORDER + 1))
-    return min(100 * h0, h1, interval_length)
+def norms(x):
+    """The 2-norm of every row of ``x``, as ``np.linalg.norm`` takes it:
+    ``sqrt(re.re + im.im)``, written out so that it runs on stacked
+    rows."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 def error_norm(h, norm5, norm3, size):
@@ -173,17 +149,27 @@ class DOP853:
     equal slices of ``y``, each under its own step control.  Here ``lanes``
     is 1; ``monodromy._LinearDOP853`` sets it from its segments.
 
-    Every lane starts with ``f0`` and ``select_initial_step`` on its own
-    right-hand side (``_lane_rhs``), and keeps its own ``t``, step size and
-    rejection flag.  A ``step`` runs rounds of attempts: a round takes one
-    attempt of every unfinished lane with the one hook ``_attempt(y, t, h)
-    -> (y_new, f_new, K)`` on the stacked lanes, and each lane's error norm
-    (``_error_norms``) and ``step_factor`` decide it.  The ``step`` returns
-    once every lane unfinished at its start has accepted a step, and a lane
-    takes the steps and the bits it takes alone.  The solver's ``t`` is the
-    least lane ``t``, ``t_old`` that at the step's start, and ``status`` is
+    Every lane starts with ``f0`` on its own right-hand side
+    (``_lane_rhs``) and the first step size of ``_initial_steps``, and
+    keeps its own ``t``, step size and rejection flag.  A ``step`` runs
+    rounds of attempts: a round takes one attempt of every unfinished lane
+    with the one hook ``_attempt(y, t, h) -> (y_new, f_new, K)`` on the
+    stacked lanes, and each lane's error norm (``_error_norms``) and
+    ``step_factor`` decide it.  The ``step`` returns once every lane
+    unfinished at its start has accepted a step, and a lane takes the steps
+    and the bits it takes alone.  The solver's ``t`` is the least lane
+    ``t``, ``t_old`` that at the step's start, and ``status`` is
     ``running``, ``finished`` or ``failed``.  ``nfev`` counts evaluations
-    of the right-hand side.  The lanes' state is updated in place.
+    of the right-hand side.
+
+    The lanes' state is updated in place, and is right after every
+    ``step``.  A round does only what changes from round to round:
+    ``_set_live`` runs when the set of unfinished lanes changes, and holds
+    their rows of ``y`` and ``f`` (``rows``) as a slice when they are
+    consecutive, so that a round reads them as views and writes an
+    accepted round back in place, gathering and scattering rows only for
+    a set with gaps.  The step control runs on Python floats, with libm's
+    ``pow``, lane by lane.
 
     On its one lane, ``_attempt`` is ``rk_step``, and ``dense_output``
     interpolates the last step.
@@ -210,9 +196,7 @@ class DOP853:
         self.width = self.y.size // self.lanes
         ys = self.y.reshape(self.lanes, self.width)
         self.f = np.array([self._lane_rhs(k, t0, y) for k, y in enumerate(ys)])
-        self.h_abs = [float(select_initial_step(
-            partial(self._lane_rhs, k), t0, y, t_bound, f, self.direction,
-            rtol, atol)) for k, (y, f) in enumerate(zip(ys, self.f))]
+        self.h_abs = self._initial_steps(t0, ys)
         self.ts = [float(t0)] * self.lanes
         self.rejected = [False] * self.lanes
         self._set_live(range(self.lanes))
@@ -224,15 +208,50 @@ class DOP853:
     def _lane_rhs(self, k, t, y):
         return self.fun(t, y)
 
+    def _initial_steps(self, t0, ys):
+        # scipy's select_initial_step for every lane (HNW II.4): the scale
+        # and the norms stacked over the lanes, the probe evaluation one
+        # _lane_rhs per lane, and the rest on each lane's numpy scalars, as
+        # scipy has them
+        if not self.width:
+            return [inf] * self.lanes
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return [0.0] * self.lanes
+        scale = self.atol + np.abs(ys) * self.rtol
+        root = self.width ** 0.5
+        d0 = norms(ys / scale) / root
+        d1 = norms(self.f / scale) / root
+        h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b,
+                  interval_length) for a, b in zip(d0, d1)]
+        f1 = np.array([self._lane_rhs(k, t0 + h * self.direction,
+                                      y + h * self.direction * f)
+                       for k, (h, y, f) in enumerate(zip(h0, ys, self.f))])
+        d2 = norms((f1 - self.f) / scale) / root
+        out = []
+        for h, b, c in zip(h0, d1, d2 / h0):
+            if b <= 1e-15 and c <= 1e-15:
+                h1 = max(1e-6, h * 1e-3)
+            else:
+                h1 = (0.01 / max(b, c)) ** (1 / (ERROR_ESTIMATOR_ORDER + 1))
+            out.append(float(min(100 * h, h1, interval_length)))
+        return out
+
     def _set_live(self, lanes):
-        # the unfinished lanes
-        self.live = [k for k in lanes
-                     if self.direction * (self.ts[k] - self.t_bound) < 0]
+        # the unfinished lanes, and their rows of y and f: a slice, read
+        # and written in place, when they are consecutive
+        live = self.live = [k for k in lanes
+                            if self.direction * (self.ts[k] - self.t_bound)
+                            < 0]
+        self.rows = (slice(live[0], live[-1] + 1)
+                     if live and live[-1] - live[0] == len(live) - 1
+                     else live)
 
     def _attempt(self, y, t, h):
         # the one lane's step; the last attempt is the accepted step, the
-        # one dense_output interpolates
-        self.y_old, self.h_previous = y[0], h[0]
+        # one dense_output interpolates.  y is a view of self.y, which the
+        # accepted step overwrites: y_old is a copy
+        self.y_old, self.h_previous = y[0].copy(), h[0]
         self.K_extended = np.empty((N_STAGES_EXTENDED, self.width),
                                    dtype=self.y.dtype)
         K = self.K_extended[:N_STAGES + 1]
@@ -242,15 +261,12 @@ class DOP853:
     def _error_norms(self, K, h, scale):
         # the DOP853 error norm per lane from the E5 and E3 rows, each its
         # own vector-matrix product, with np.linalg.norm's 2-norm
-        # sqrt(re.re + im.im) written out
         err = np.empty((len(K), 2, self.width), dtype=K.dtype)
         np.matmul(self.E5, K, out=err[:, 0])
         np.matmul(self.E3, K, out=err[:, 1])
         err /= scale[:, None]
-        norms = np.sqrt(np.vecdot(err.real, err.real)
-                        + np.vecdot(err.imag, err.imag)).tolist()
         return [error_norm(h_k, norm5, norm3, self.width)
-                for h_k, (norm5, norm3) in zip(h, norms)]
+                for h_k, (norm5, norm3) in zip(h, norms(err).tolist())]
 
     def step(self):
         """One step of every unfinished lane; returns the failure message of
@@ -271,7 +287,7 @@ class DOP853:
                 # it, or one that is not finite (it would be cut forever),
                 # fails the run
                 t, h_abs = self.ts[k], self.h_abs[k]
-                min_step = 10 * abs(nextafter(t, self.direction * np.inf) - t)
+                min_step = 10 * abs(nextafter(t, self.direction * inf) - t)
                 if h_abs < min_step and not self.rejected[k]:
                     h_abs = self.h_abs[k] = min_step
                 if h_abs < min_step or not isfinite(h_abs):
@@ -286,7 +302,7 @@ class DOP853:
                 ts.append(t)
                 hs.append(t1 - t)
                 t_new.append(t1)
-            y = ys[live]
+            y = ys[self.rows]
             y_new, f_new, K = self._attempt(y, np.array(ts), np.array(hs))
             scale = (self.atol
                      + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol)
@@ -299,12 +315,13 @@ class DOP853:
                     self.ts[k] = t_new[i]
                     accepted.append(i)
                     waiting.discard(k)
-            if accepted:
+            if len(accepted) == len(live):
+                ys[self.rows], self.f[self.rows] = y_new, f_new
+            elif accepted:
                 lanes = [live[i] for i in accepted]
-                ys[lanes] = y_new[accepted]
-                self.f[lanes] = f_new[accepted]
-                if self.t_bound in (t_new[i] for i in accepted):
-                    self._set_live(live)
+                ys[lanes], self.f[lanes] = y_new[accepted], f_new[accepted]
+            if self.t_bound in (t_new[i] for i in accepted):
+                self._set_live(live)
         self.t_old, self.t = t_old, min(self.ts)
         if self.direction * (self.t - self.t_bound) >= 0:
             self.status = "finished"

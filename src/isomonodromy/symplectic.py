@@ -89,6 +89,7 @@ in ``flows.direction_differential``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -481,7 +482,11 @@ class ChartPlan:
     order of first appearance) and every table that stays constant along
     a flow: the jets of ``I + u`` and their Toeplitz stack at orders 1 and
     2, the dressed-residue directions, the signed binomials of the
-    extension weights and each pole's own rows in every group.
+    extension weights (``tables``) and each pole's own rows in every group.
+    ``q``, ``b`` and ``tables``, which only the extended system and the
+    differentials read, are built when first read, so a fresh state that
+    reads only its polar data does not pay for them.  ``pack`` and
+    ``join`` write flat vectors, each part by its index arrays.
     ``stage(y)`` runs the stacked kernels on a flat vector ``y`` (or a
     longer one that begins with it), each pole getting the bits a kernel
     of its own would give it.  A ``FlowState`` holds one plan and the stage
@@ -501,9 +506,7 @@ class ChartPlan:
         self.positions = np.arange(m)
         self.chart = np.arange(m, m + self.dim)
         self.coefficients = np.arange(m, self.size)
-        self.q = [np.arange(a, a + l) for a, l in zip(at[2 * m:], orders)]
-        self.b = [np.arange(a, a + k).reshape(l - 1, n)
-                  for a, k, l in zip(at[3 * m:], n_irr, orders)]
+        self._dual_at = at[2 * m:]        # for q and b
         self.off = ~np.eye(n, dtype=bool)       # u's entries in its slots
         members = {l: [i for i, k in enumerate(orders) if k == l]
                    for l in dict.fromkeys(orders)}
@@ -519,12 +522,28 @@ class ChartPlan:
         self.irr = [f[3] for f in self.fields]
         self.own = [[[r for r, j in enumerate(g.index) if j == i]
                      for g in self.groups] for i in range(m)]
-        # the signed binomials of every table a differential reads: the
-        # regular jets', and a group's against a pole's order (a section
-        # rate adds a row, an irregular weight drops one)
         self.L = max(self.orders, default=0)
-        orders = set(members)
-        self.tables = {key: _signed_binomials(*key) for key in {
+
+    @cached_property
+    def q(self):
+        """Each pole's q slots in the extended vector."""
+        return [np.arange(a, a + l)
+                for a, l in zip(self._dual_at, self.orders)]
+
+    @cached_property
+    def b(self):
+        """Each pole's b slots in the extended vector, shape ``(l-1, n)``."""
+        n = self.n
+        return [np.arange(a, a + (l - 1) * n).reshape(l - 1, n)
+                for a, l in zip(self._dual_at[self.m:], self.orders)]
+
+    @cached_property
+    def tables(self):
+        """The signed binomials of every table a differential reads: the
+        regular jets', and a group's against a pole's order (a section rate
+        adds a row, an irregular weight drops one)."""
+        orders = set(self.orders)
+        return {key: _signed_binomials(*key) for key in {
             (self.L, self.L), *((a + e, b - d) for a in orders
                                 for b in orders for e in (0, 1)
                                 for d in (0, 1))}}
@@ -540,6 +559,17 @@ class ChartPlan:
                 p.lam_irr
         if duals:
             self.put_duals(y, *duals)
+        return y
+
+    def join(self, positions, chart, irregular):
+        """The flat vector whose positions, chart vector and poles'
+        irregular entries are the given parts, each written by its index
+        array: the inverse of reading them out by ``positions``, ``chart``
+        and ``irr``."""
+        y = np.empty(self.size, dtype=complex)
+        y[self.positions], y[self.chart] = positions, chart
+        for at, rows in zip(self.irr, irregular):
+            y[at] = rows
         return y
 
     def put_duals(self, y, q_dual, b_dual):

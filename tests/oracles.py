@@ -92,6 +92,17 @@ def monodromy_rep_loop_by_loop(conn, z0, tol):
     return loops, mats, defect
 
 
+def product_error_scale_by_pairs(matrices, n):
+    """``product_check``'s error scale with each prefix and suffix product
+    of every term formed from scratch, in O(l^2) products."""
+    def product(ms):
+        return reduce(lambda acc, M: M @ acc, ms, np.eye(n, dtype=complex))
+    S = sum((np.abs(product(matrices[i + 1:])) @ np.abs(M)
+             @ np.abs(product(matrices[:i]))
+             for i, M in enumerate(matrices)), np.zeros((n, n)))
+    return float(np.finfo(float).eps * S.max())
+
+
 # ---------------------------------------------------------------------------
 # zero-seeded rational assembly: every sum starts from RatScalar.zero()
 # ---------------------------------------------------------------------------

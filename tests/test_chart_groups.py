@@ -514,11 +514,19 @@ def test_one_plan_and_stage_per_state(rng, monkeypatch):
 KERNELS = ("frames", "lam_jet", "regular_jets", "_hankel", "_etas", "_gram")
 
 
+# array joins, and the parts of a state, an extended state or a
+# derivative that a flat vector holds
+JOINS = ("concatenate", "hstack", "append", "block")
+PARTS = ("d_positions", "d_chart", "d_irregular", "q_dual", "b_dual",
+         "lam_res", "lam_irr")
+
+
 def test_one_call_site_per_chart_kernel():
     # the chart data has one orchestration: each kernel that builds it is
     # called once in the library, in ChartPlan; the flat layout has one
-    # owner: chart_layout is called in symplectic alone, and no class
-    # packs a pole's chart slice of its own
+    # owner: chart_layout is called in symplectic alone, no class packs a
+    # pole's chart slice of its own, and no code outside ChartPlan joins a
+    # flat vector's parts by hand
     root = Path(symplectic.__file__).parent
     sites, in_plan, layout_sites, slice_defs = [], [], set(), []
     for path in sorted(root.glob("*.py")):
@@ -546,6 +554,10 @@ def test_one_call_site_per_chart_kernel():
         assert called(sites, name) == called(in_plan, name), name
     assert layout_sites == {"symplectic.py"}
     assert slice_defs == []
+    joined = [a.attr for name in JOINS for c in called(sites, name)
+              if c not in in_plan for a in ast.walk(c)
+              if isinstance(a, ast.Attribute) and a.attr in PARTS]
+    assert joined == []
 
 
 def test_connection_assembles_no_gram_block(rng, monkeypatch):

@@ -37,6 +37,7 @@ from isomonodromy.monodromy import (
     conjugacy_invariants,
     conjugacy_residual,
     monodromy_rep,
+    product_check,
     transport,
 )
 from isomonodromy.ratfun import RatMat
@@ -49,7 +50,11 @@ from conftest import (
     random_invertible,
     random_matrix,
 )
-from oracles import monodromy_rep_loop_by_loop, velocity
+from oracles import (
+    monodromy_rep_loop_by_loop,
+    product_error_scale_by_pairs,
+    velocity,
+)
 
 
 def fuchsian(poles, mats):
@@ -1222,3 +1227,67 @@ def test_chart_layer_takes_only_the_state():
                 imported.add(node.module.split(".")[-1])
             imported.update(a.name for a in node.names)
     assert imported and not imported & {"symplectic", "flows"}
+
+
+def identity_tuple(rng, l, n):
+    """``l`` complex ``n x n`` matrices whose exact product ``M_l ... M_1``
+    is I: the first ``l - 1`` drawn, the last the inverse of their product
+    in 60-digit ``mpmath``, each entry rounded once to double."""
+    import mpmath
+    with mpmath.workdps(60):
+        drawn = [mpmath.matrix(random_invertible(rng, n).tolist())
+                 for _ in range(l - 1)]
+        prod = mpmath.eye(n)
+        for M in drawn:
+            prod = M * prod
+        drawn.append(prod ** -1)
+        return [np.array(M.tolist(), dtype=complex) for M in drawn]
+
+
+class TestProductErrorScale:
+    """``MonodromyRep.error_scale``: the rounding error's scale in the
+    ordered product, which the defect of an exact identity stays within."""
+
+    @pytest.mark.parametrize("l, n", [(1, 2), (3, 2), (4, 3), (6, 4)])
+    def test_matches_the_quadratic_reference(self, rng, l, n):
+        for _ in range(20):
+            mats = [random_matrix(rng, n, 10.0 ** rng.uniform(-2, 2))
+                    for _ in range(l)]
+            _, scale = product_check(mats, n)
+            want = product_error_scale_by_pairs(mats, n)
+            assert abs(scale - want) <= 1e-13 * want
+
+    def test_blind_to_a_diagonal_unitary_gauge(self, rng):
+        for _ in range(20):
+            mats = [random_invertible(rng, 3) for _ in range(4)]
+            D = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 3)))
+            _, scale = product_check(mats, 3)
+            _, gauged = product_check([D @ M @ D.conj().T for M in mats], 3)
+            assert abs(gauged - scale) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("l, n", [(2, 2), (4, 2), (4, 3), (6, 4)])
+    def test_an_exact_identity_stays_within_it(self, rng, l, n):
+        for _ in range(10):
+            mats = identity_tuple(rng, l, n)
+            defect, scale = product_check(mats, n)
+            assert 0.0 < scale and defect <= l * n * scale
+
+    def test_a_perturbed_loop_reads_far_above_it(self, rng):
+        # a well-conditioned tuple: unitary matrices
+        mats = [np.linalg.qr(random_matrix(rng, 2))[0] for _ in range(3)]
+        mats.append(np.linalg.inv(mats[2] @ mats[1] @ mats[0]))
+        defect, scale = product_check(mats, 2)
+        assert defect <= 8 * scale
+        mats[1] = mats[1] * (1 + 1e-8 * np.exp(1j * rng.uniform(0, 7, (2, 2))))
+        defect, scale = product_check(mats, 2)
+        assert defect > 1e3 * scale
+
+    def test_on_the_representation(self, rng):
+        conn = batch_connection("rank2", rng)
+        rep = monodromy_rep(conn, 0.3 - 3.0j, tol=1e-10)
+        assert (rep.product_defect, rep.error_scale) == product_check(
+            rep.matrices, conn.n)
+        # a form with a polynomial tail is not regular at infinity: no
+        # product check
+        assert monodromy_rep(batch_connection("tail", rng), 0.3 - 3.0j,
+                             tol=1e-10).error_scale is None

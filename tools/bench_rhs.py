@@ -48,6 +48,10 @@ benchmark cases only:
 * ``connection``: ``FlowState.connection().polar_parts`` on a fresh state
   per repeat, the round trip through a rational matrix that transport and
   verification read;
+* ``monodromy``: ``monodromy_rep`` of the case's connection at its
+  ``auto_base_point``, the keyhole transport that the ``monodromy``
+  subcommand and every verification run; the connection and the base
+  point are built once per case, outside the clock;
 * ``verify``: ``verify_isomonodromy`` of the case's trajectory along its
   direction (the benchmark's path: the Fuchsian line, the irregular line of
   length ``IRREGULAR_LENGTH``), integrated once with 9 samples and verified
@@ -57,8 +61,8 @@ benchmark cases only:
 Three warm-up repeats (one for ``verify``) are not recorded.  Per case and
 stage, the JSON file holds the median microseconds of each side, and the
 median and quartiles of the paired ratios NEW/OLD, one per repeat
-(``summary``, ``connection``, ``verify``); ``per_round`` holds each side's
-medians per round of ``--repeats`` repeats.
+(``summary``, ``connection``, ``monodromy``, ``verify``); ``per_round``
+holds each side's medians per round of ``--repeats`` repeats.
 """
 
 import argparse
@@ -77,6 +81,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 STAGES = ("build", "differential", "section", "gram", "solve", "rhs")
 CONNECTION = ("connection",)
+MONODROMY = ("monodromy",)
 VERIFY = ("verify3", "verify9")
 CASES = ("n2", "n3", "n4", "irregular", "k16", "k64")
 BENCHMARK_CASES = CASES[:4]
@@ -124,6 +129,7 @@ class Side:
         import numpy as np
         lib, wl = load(checkout, name)
         self.flows = flows = import_module(f"{name}.flows")
+        self.mono = import_module(f"{name}.monodromy")
         self.hvf = import_module(f"{name}.symplectic").hamiltonian_vector_field
         rng = np.random.default_rng(1009)
         drawn, paths = {}, {}
@@ -145,7 +151,7 @@ class Side:
         self.paths = {c: paths[c] for c in cases if c in paths}
         self.plans = {c: flows.RhsPlan(state)
                       for c, (state, _) in self.cases.items()}
-        self.trajectories = {}
+        self.trajectories, self.loops = {}, {}
 
     def built(self, state, y):
         st = state.with_flat(y)
@@ -191,6 +197,15 @@ class Side:
         t0 = clock()
         st.connection().polar_parts
         return {"connection": 1e6 * (clock() - t0)}
+
+    def monodromy(self, case):
+        if case not in self.loops:
+            conn = self.cases[case][0].connection()
+            self.loops[case] = conn, self.mono.auto_base_point(
+                conn.all_finite_poles())
+        t0 = clock()
+        self.mono.monodromy_rep(*self.loops[case])
+        return {"monodromy": 1e6 * (clock() - t0)}
 
     def verify(self, case):
         flows = self.flows
@@ -274,6 +289,7 @@ def main(argv=None):
     bench = [c for c in cases if c in BENCHMARK_CASES]
     kinds = ((STAGES, Side.stages, cases, args.repeats, WARMUP),
              (CONNECTION, Side.connection, bench, args.repeats, WARMUP),
+             (MONODROMY, Side.monodromy, bench, args.repeats, WARMUP),
              (VERIFY, Side.verify, bench, max(1, args.repeats // 20), 1))
     pooled = {kind: {name: {} for name in SIDES} for kind, *_ in kinds}
     rounds = {name: [] for name in SIDES}
@@ -291,14 +307,15 @@ def main(argv=None):
         for name in SIDES:
             rounds[name].append(medians[name])
 
-    summary, connection, verify = (table(pooled[kind])
-                                   for kind, *_ in kinds)
+    summary, connection, monodromy, verify = (table(pooled[kind])
+                                              for kind, *_ in kinds)
     result = {
         "old": str(args.old), "new": str(args.new),
         "host": {"machine": platform.machine(), "processor": cpu_model(),
                  "cpus": os.cpu_count(), "python": platform.python_version()},
         "rounds": args.rounds, "repeats": args.repeats,
-        "summary": summary, "connection": connection, "verify": verify,
+        "summary": summary, "connection": connection,
+        "monodromy": monodromy, "verify": verify,
         "per_round": rounds,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
@@ -307,6 +324,7 @@ def main(argv=None):
             f"{stage} {v['old_us']:.0f}->{v['new_us']:.0f} "
             f"x{v['ratio']:.2f} [{v['ratio_q1']:.2f}, {v['ratio_q3']:.2f}]"
             for stage, v in {**summary[case], **connection.get(case, {}),
+                             **monodromy.get(case, {}),
                              **verify.get(case, {})}.items())
         print(f"{case:10s} {cells}")
     return 0
