@@ -7,7 +7,8 @@ taken as one batched evaluation of ``A dz`` at the step's nodes and one
 triangular solve for all of its stages (``_LinearDOP853``); the start, the
 error estimate, the step-size control and the step loop are the library's
 DOP853 (``ode``).  Several paths are integrated in lock-step, one lane
-each with its own step control, at the bits each gets alone; a monodromy
+each with its own step control, at the bits each gets alone, and a run
+stacks the legs of one segment class (lines, or arcs); a monodromy
 representation sends all of its loops through one ``transport`` call, and
 ``monodromy_reps`` those of several connections (the samples of a
 trajectory), each lane evaluating its own connection.  Loops around poles
@@ -280,14 +281,14 @@ class _LinearDOP853(ode.DOP853):
     solver's state in place (``ode.DOP853``).  What is fixed for a set of
     live lanes is built by ``_set_live`` when the set changes: each run of
     consecutive lanes of one owner, which is one ``ev`` call a round (one
-    call when the owners are in order), and the lanes' segments stacked by
-    class (``_stacked``), whose ``point_and_rate`` gives every lane's
-    points at once from columns derived once; with one class, as on every
-    keyhole leg, its points go straight to the evaluator.  The tableau
-    rows ``B``, ``E3`` and ``E5`` are cast to complex once, for the
-    complex products that read them.  These products stay as they are,
-    because they set the bits each lane gets alone: ``Bs @ X``, one
-    stacked 2x2 ``zgemm`` per stage; one ``ztrtrs`` solve per lane;
+    call when the owners are in order), and the lanes' segments stacked
+    (``_stacked``), whose ``point_and_rate`` gives every lane's points at
+    once from columns derived once, straight to the evaluator; a run's
+    segments are of one class (``transport`` makes a run per class of a
+    leg).  The tableau rows ``B``, ``E3`` and ``E5`` are cast to complex
+    once, for the complex products that read them.  These products stay as
+    they are, because they set the bits each lane gets alone: ``Bs @ X``,
+    one stacked 2x2 ``zgemm`` per stage; one ``ztrtrs`` solve per lane;
     ``E5 @ K`` and ``E3 @ K`` as two vector products; and the start's
     evaluations, one point (a vector product) at a time.  ``nfev`` counts
     what the nonlinear ``ode.DOP853`` counts: 2 evaluations per lane at
@@ -323,8 +324,8 @@ class _LinearDOP853(ode.DOP853):
 
     def _set_live(self, lanes):
         # the unfinished lanes, their runs of one owner (each evaluates its
-        # rows of a round's points), and their segments stacked by class
-        # (each class gives its rows of a round's points)
+        # rows of a round's points), and their segments stacked (a round's
+        # points), none once no lane is live
         super()._set_live(lanes)
         self.runs = []
         for i, k in enumerate(self.live):
@@ -332,11 +333,8 @@ class _LinearDOP853(ode.DOP853):
                 self.runs[-1][0] = slice(self.runs[-1][0].start, i + 1)
             else:
                 self.runs.append([slice(i, i + 1), self.evs[self.owners[k]]])
-        by_class = {}
-        for i, k in enumerate(self.live):
-            by_class.setdefault(type(self.segments[k]), []).append(i)
-        self.groups = [(r, _stacked([self.segments[self.live[i]] for i in r]))
-                       for r in by_class.values()]
+        self.stacked = (_stacked([self.segments[k] for k in self.live])
+                        if self.live else None)
 
     def _blocks(self, Bs, h):
         # every lane's block matrix, built transposed and C-ordered, so
@@ -350,13 +348,7 @@ class _LinearDOP853(ode.DOP853):
         # every live lane
         n, m, P = self.dim, ode.N_STAGES - 1, len(y)
         s = t[:, None] + self.nodes * h[:, None]
-        if len(self.groups) == 1:
-            z, dz = self.groups[0][1].point_and_rate(s)
-        else:
-            z = np.empty((P, m), dtype=complex)
-            dz = np.empty((P, m), dtype=complex)
-            for rows, seg in self.groups:
-                z[rows], dz[rows] = seg.point_and_rate(s[rows])
+        z, dz = self.stacked.point_and_rate(s)
         if len(self.runs) == 1:
             E = self.runs[0][1](z, dz)
         else:
@@ -425,11 +417,11 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
     connections of one rank, the samples of a family, with ``path`` a
     sequence of path sequences, one per connection; the result is then a
     list of lists.  The ``j``-th legs of all paths are integrated
-    together, one lane each of one ``_LinearDOP853`` run, a lane
-    evaluating its own connection, and every path gets the bits it gets
-    alone.  A failure names the path, its segment and, with several
-    connections, its sample.  A path point or ``Y0`` that is not finite is
-    refused with ``PreconditionError``.
+    together, one lane each of one ``_LinearDOP853`` run per segment class
+    (lines, arcs), a lane evaluating its own connection, and every path
+    gets the bits it gets alone.  A failure names the path, its segment
+    and, with several connections, its sample.  A path point or ``Y0``
+    that is not finite is refused with ``PreconditionError``.
     """
     many = isinstance(conn, (list, tuple))
     conns, groups = (list(conn), path) if many else ([conn], [path])
@@ -456,22 +448,28 @@ def transport(conn, path, tol=DEFAULT_TOL, with_logdet=False, Y0=None):
         ys.append(np.append(eye if retraced[-1] else Y, 0.0))
     Ls = [None] * len(lanes)
     for j in range(max(map(len, legs), default=0)):
-        live = [q for q, segs in enumerate(legs) if j < len(segs)]
-        segs = [legs[q][j] for q in live]
-        names = [(f"sample {lanes[q][0]}, " if len(conns) > 1 else "")
-                 + f"path {lanes[q][1]}, {seg}" for q, seg in zip(live, segs)]
-        sol = solve_ivp(evs, (0.0, 1.0),
-                        np.concatenate([ys[q] for q in live]),
-                        method=_LinearDOP853, segments=segs, names=names,
-                        owners=[lanes[q][0] for q in live],
-                        rtol=rtol, atol=SAFETY * tol)
-        if not sol.success:
-            raise IntegrationAbort(f"transport failed on {sol.message}")
-        for q, y in zip(live, sol.y.reshape(len(live), -1)):
-            if j == 0 and retraced[q]:
-                Ls[q] = y[:-1].reshape(n, n)
-                y = np.append(Ls[q] @ Y, 0.0)
-            ys[q] = y
+        # a run per segment class of the leg, in order of first appearance
+        classes = {}
+        for q, segs in enumerate(legs):
+            if j < len(segs):
+                classes.setdefault(type(segs[j]), []).append(q)
+        for live in classes.values():
+            segs = [legs[q][j] for q in live]
+            names = [(f"sample {lanes[q][0]}, " if len(conns) > 1 else "")
+                     + f"path {lanes[q][1]}, {seg}"
+                     for q, seg in zip(live, segs)]
+            sol = solve_ivp(evs, (0.0, 1.0),
+                            np.concatenate([ys[q] for q in live]),
+                            method=_LinearDOP853, segments=segs, names=names,
+                            owners=[lanes[q][0] for q in live],
+                            rtol=rtol, atol=SAFETY * tol)
+            if not sol.success:
+                raise IntegrationAbort(f"transport failed on {sol.message}")
+            for q, y in zip(live, sol.y.reshape(len(live), -1)):
+                if j == 0 and retraced[q]:
+                    Ls[q] = y[:-1].reshape(n, n)
+                    y = np.append(Ls[q] @ Y, 0.0)
+                ys[q] = y
     out = [[] for _ in conns]
     for (c, _, _), y, L in zip(lanes, ys, Ls):
         Yp, logdet = y[:-1].reshape(n, n), y[-1]

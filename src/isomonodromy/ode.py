@@ -21,8 +21,9 @@ scipy's steps and gets scipy's bits:
 The flows integrate with ``DOP853`` on one lane, whose attempt is
 ``rk_step``.  Transport integrates a linear system on many lanes in lock
 step with ``monodromy._LinearDOP853``, a ``DOP853`` whose attempt is one
-triangular solve per lane: the start, the norm, the control and the loop
-are this module's, written once.
+triangular solve per lane, its lanes' segments of one class stacked: the
+start, the norm, the control and the loop are this module's, written
+once.
 
 ``load_alone`` loads one module of scipy by itself, after only scipy's
 top-level package: the tableau here, and transport's LAPACK extension in

@@ -266,8 +266,8 @@ class LaurentJet:
 
     def inverse(self):
         """Multiplicative inverse of a matrix jet whose coefficient at the
-        detected order is invertible.  For germs with singular-but-nonzero
-        leading matrix use :func:`polymat_inverse_jet`.
+        detected order is invertible.  A twist germ's leading matrix is
+        singular: its inverse is ``twist.TwistSite.inverse_jet``.
         """
         if not self.is_matrix:
             raise MalformedInputError("inverse of a scalar jet")
@@ -528,10 +528,8 @@ def _cancel(num, poles):
     c, mags = num.tolist(), np.abs(num).tolist()
     for r, m in poles:
         while m > 0 and len(c) > 1:
-            # |num(r)| against sum_k |num_k| max(1, |r|)**k, the powers by
-            # C's ``pow``: numpy's SIMD power loop may differ in the last bit
-            x = max(1.0, abs(r))
-            scale = _np_sum([a * x ** k for k, a in enumerate(mags)])
+            # |num(r)| against sum_k |num_k| max(1, |r|)**k, by Horner
+            scale = _horner(mags, max(1.0, abs(r)))
             if scale == 0.0 or abs(_horner(c, r)) > TAU_CANCEL * scale:
                 break
             num = _deflate(num, r)
@@ -540,20 +538,6 @@ def _cancel(num, poles):
         if m > 0:
             out.append((r, m))
     return num, out
-
-
-def _np_sum(v):
-    """``np.sum`` of the list of floats ``v``, bit for bit: a left fold below
-    8 terms, 8 strided lanes summed pairwise up to 128, halves above."""
-    n = len(v)
-    if n > 128:
-        h = n // 2 - n // 2 % 8
-        return _np_sum(v[:h]) + _np_sum(v[h:])
-    if n < 8:
-        return reduce(operator.add, v, 0.0)
-    r = [reduce(operator.add, v[j:n - n % 8:8]) for j in range(8)]
-    return reduce(operator.add, v[n - n % 8:], ((r[0] + r[1]) + (r[2] + r[3]))
-                  + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def _horner(c, x):
@@ -602,11 +586,6 @@ class RatMat:
     @classmethod
     def zero(cls, n):
         return cls([[RatScalar.zero() for _ in range(n)] for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[RatScalar.const(1.0 if i == j else 0.0)
-                     for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_constant(cls, M):
@@ -826,26 +805,3 @@ def polymat_adjugate(coeffs):
             md = polymat_det(coeffs[:, rows][:, :, cols])
             adj[: md.size, j, i] = (-1.0 if (i + j) % 2 else 1.0) * md
     return adj
-
-
-def polymat_inverse_jet(coeffs, k_max):
-    """Laurent jet (at 0, in the germ's own coordinate) of ``T(zeta)**-1``.
-
-    Works for germs whose determinant vanishes at 0 (the normal situation
-    for twist sites): ``T**-1 = adj(T) / det(T)``.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n = coeffs.shape[1]
-    det = polymat_det(coeffs)
-    if not np.any(det):
-        raise MalformedInputError("identically singular germ")
-    mu = det_order(det)
-    unit = det[mu:]
-    K = k_max + mu + 1
-    det_inv = series_div(np.array([1.0 + 0j]), unit, max(K, 1))
-    adj = polymat_adjugate(coeffs)
-    out = np.zeros((K, n, n), dtype=complex)
-    for k in range(K):
-        for a in range(min(k + 1, adj.shape[0])):
-            out[k] += adj[a] * det_inv[k - a]
-    return LaurentJet(0.0, -mu, out, 0)

@@ -481,12 +481,13 @@ class ChartPlan:
     With the layout the plan holds the groups (the poles of one order, in
     order of first appearance) and every table that stays constant along
     a flow: the jets of ``I + u`` and their Toeplitz stack at orders 1 and
-    2, the dressed-residue directions, the signed binomials of the
-    extension weights (``tables``) and each pole's own rows in every group.
-    ``q``, ``b`` and ``tables``, which only the extended system and the
-    differentials read, are built when first read, so a fresh state that
-    reads only its polar data does not pay for them.  ``pack`` and
-    ``join`` write flat vectors, each part by its index arrays.
+    2, the dressed-residue directions and each pole's own rows in every
+    group; the signed binomials of the extension weights are
+    ``connection._signed_binomials``'s, cached there.  ``q`` and ``b``,
+    which only the extended system reads, are built when first read, so a
+    fresh state that reads only its polar data does not pay for them.
+    ``pack`` and ``join`` write flat vectors, each part by its index
+    arrays.
     ``stage(y)`` runs the stacked kernels on a flat vector ``y`` (or a
     longer one that begins with it), each pole getting the bits a kernel
     of its own would give it.  A ``FlowState`` holds one plan and the stage
@@ -536,17 +537,6 @@ class ChartPlan:
         n = self.n
         return [np.arange(a, a + (l - 1) * n).reshape(l - 1, n)
                 for a, l in zip(self._dual_at[self.m:], self.orders)]
-
-    @cached_property
-    def tables(self):
-        """The signed binomials of every table a differential reads: the
-        regular jets', and a group's against a pole's order (a section rate
-        adds a row, an irregular weight drops one)."""
-        orders = set(self.orders)
-        return {key: _signed_binomials(*key) for key in {
-            (self.L, self.L), *((a + e, b - d) for a in orders
-                                for b in orders for e in (0, 1)
-                                for d in (0, 1))}}
 
     def pack(self, poles, *duals):
         """The flat vector of ``poles``, each pole scattered by its index
@@ -609,7 +599,7 @@ class ChartPlan:
             for g, P in zip(self.groups, st.P):
                 C[g.at, : g.l] = P
         return regular_jets(st.y[self.positions], C,
-                            self.tables[self.L, self.L])
+                            _signed_binomials(self.L, self.L))
 
     def _chart_half(self, st):
         st.charts, st.gram_blocks = [], []
@@ -641,7 +631,7 @@ class ChartPlan:
         M = regular_weight.shape[-3]
         for g, own in zip(self.groups, self.own[i]):
             yield _pole_weights(y[i] - y[g.at], own,
-                                self.tables[g.l + extra, M],
+                                _signed_binomials(g.l + extra, M),
                                 polar_weight, regular_weight)
 
     def jet_covector(self, st, i, polar_weight, regular_weight):

@@ -7,15 +7,16 @@ divisor is the total vanishing order of the determinants.  Connections
 transfer across the inclusion by the gauge formula ``A0 = T^-1 A1 T -
 T^-1 dT``, which trades the twist for extra integer-residue poles with
 identity monodromy; only this gauge reads a connection's rational matrix.
-Each site's inverse is ``adj T / (c zeta**mu)``, so ``T^-1`` has its poles
-at the sites by construction and no root is found.
+A divisor acts site by site: pushed across in order, pulled back from the
+last.  A site has one inverse, ``adj T / (c zeta**mu)`` from the adjugate
+it computes once, with its pole at the site by construction, so no root is
+found: a rational matrix (``inverse_ratmat``) or its Laurent polynomial at
+the site (``inverse_jet``).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -23,12 +24,12 @@ from .connection import Connection, _off_divisor, check_separated, near
 from .errors import MalformedInputError, PreconditionError
 from .ratfun import (
     TAU_DET,
+    LaurentJet,
     RatMat,
     RatScalar,
     det_order,
     polymat_adjugate,
     polymat_det,
-    polymat_inverse_jet,
 )
 
 
@@ -59,6 +60,7 @@ class TwistSite:
                 f"det of the germ at {self.point} is not c*zeta**{mu}: it "
                 f"vanishes away from the site (coefficients {d.tolist()})")
         object.__setattr__(self, "_det_term", (d[mu], mu))
+        object.__setattr__(self, "_adjugate", polymat_adjugate(germ))
 
     @property
     def n(self):
@@ -80,11 +82,19 @@ class TwistSite:
         found."""
         c, mu = self._det_term
         den = RatScalar(np.array([1.0 / c]), [(self.point, mu)] if mu else [])
-        return RatMat.from_poly_matrix(polymat_adjugate(self.germ),
+        return RatMat.from_poly_matrix(self._adjugate,
                                        center=self.point) * den
 
     def inverse_jet(self, k_max):
-        return polymat_inverse_jet(self.germ, k_max)
+        """Laurent jet of ``T^-1`` at the site, in ``zeta``, through order
+        ``k_max``: ``adj T / (c zeta**mu)`` is a Laurent polynomial, so its
+        coefficients are the adjugate's times ``1/c`` at orders ``-mu ..
+        k_max``, padded with zeros."""
+        c, mu = self._det_term
+        out = np.zeros((k_max + mu + 1, self.n, self.n), dtype=complex)
+        adj = self._adjugate[: len(out)]
+        out[: len(adj)] = adj * (1.0 / c)
+        return LaurentJet(0.0, -mu, out, 0)
 
     def right_multiply(self, F):
         """Site with germ ``T F`` for a polynomial (or constant) germ ``F``."""
@@ -147,47 +157,51 @@ def degree(divisor):
     return sum(s.vanishing_order() for s in divisor.sites)
 
 
-def _gauge(divisor, n):
-    """A site's or divisor's divisor, rank-checked against ``n``, with ``T``,
-    the product of its germs folded from the first, and ``T^-1``, the
-    product of the sites' own inverses in reverse order."""
+def _sites(divisor, n):
+    """A site's or divisor's sites, rank-checked against ``n``."""
     if isinstance(divisor, TwistSite):
         divisor = MatrixDivisor((divisor,))
     divisor.check_rank(n)
-    if not divisor.sites:
-        return divisor, RatMat.identity(n), RatMat.identity(n)
-    T = reduce(operator.matmul, (s.as_ratmat() for s in divisor.sites))
-    Tinv = reduce(operator.matmul,
-                  (s.inverse_ratmat() for s in reversed(divisor.sites)))
-    return divisor, T, Tinv
+    return divisor.sites
 
 
 def push_connection(divisor, conn):
     """Transfer a connection across the inclusion into the ambient bundle.
 
-    With ``T`` the (ordered) product of the site germs, the ambient form is
-    ``A0 = T^-1 A1 T - T^-1 dT``: the gauge of the fundamental-solution
-    system ``dY = A Y`` whose transition matrix carries ambient-frame
-    coordinates to twisted-frame coordinates.  New poles appear exactly at
-    the twist points; since the solution is gauged by a single-valued
-    rational matrix, the monodromy around them is the identity, and the sum
-    of trace residues drops by ``deg T``.  The result's ``twist_points``
-    are the connection's own, then the new sites, so pushing across two
-    divisors in turn is pushing across both at once.
+    Across a site with germ ``T`` the ambient form is ``A0 = T^-1 A1 T -
+    T^-1 dT``: the gauge of the fundamental-solution system ``dY = A Y``
+    whose transition matrix carries ambient-frame coordinates to
+    twisted-frame coordinates.  A divisor pushes across its sites in turn,
+    in order, which is the gauge by the ordered product of their germs.
+    New poles appear exactly at the twist points; since the solution is
+    gauged by a single-valued rational matrix, the monodromy around them is
+    the identity, and the sum of trace residues drops by ``deg T``.  The
+    result's ``twist_points`` are the connection's own, then the new sites,
+    so pushing across two divisors in turn is pushing across both at once.
     """
-    divisor, T, Tinv = _gauge(divisor, conn.n)
-    _check_disjoint(divisor, conn)
-    A0 = (Tinv @ conn.matrix @ T) - (Tinv @ T.derivative())
-    return Connection.from_ratmat(
-        A0, twist_points=conn.twist_points + tuple(divisor.points()),
-        base_pole=conn.base_pole)
+    sites = _sites(divisor, conn.n)
+    _check_disjoint(sites, conn)
+    for s in sites:
+        T, Tinv = s.as_ratmat(), s.inverse_ratmat()
+        A0 = (Tinv @ conn.matrix @ T) - (Tinv @ T.derivative())
+        conn = Connection.from_ratmat(
+            A0, twist_points=conn.twist_points + (s.point,),
+            base_pole=conn.base_pole)
+    return conn
 
 
 def pull_connection(divisor, conn0):
-    """Inverse transfer: ``A1 = T A0 T^-1 + dT T^-1``."""
-    _, T, Tinv = _gauge(divisor, conn0.n)
-    A1 = (T @ conn0.matrix @ Tinv) + (T.derivative() @ Tinv)
-    return Connection.from_ratmat(A1, base_pole=conn0.base_pole)
+    """Inverse transfer: ``A1 = T A0 T^-1 + dT T^-1`` across each site, from
+    the last.  Each pulled site leaves the ``twist_points``, and the other
+    twist points stay."""
+    for s in reversed(_sites(divisor, conn0.n)):
+        T, Tinv = s.as_ratmat(), s.inverse_ratmat()
+        A1 = (T @ conn0.matrix @ Tinv) + (T.derivative() @ Tinv)
+        conn0 = Connection.from_ratmat(
+            A1, twist_points=tuple(p for p in conn0.twist_points
+                                   if near(p, (s.point,)) is None),
+            base_pole=conn0.base_pole)
+    return conn0
 
 
 def total_trace_residue(conn):
@@ -196,11 +210,11 @@ def total_trace_residue(conn):
     return complex(sum(np.trace(Cs[0]) for _, Cs in conn.polar_parts[0]))
 
 
-def _check_disjoint(divisor, conn):
+def _check_disjoint(sites, conn):
     """Raise ``PreconditionError`` if a site is ``near`` a point of the
     connection's polar divisor, one of its twist points or its finite base
     point."""
-    for s in divisor.sites:
+    for s in sites:
         if near(s.point, conn.divisor.points) is not None:
             raise PreconditionError(
                 f"twist site {s.point} overlaps the polar divisor")

@@ -466,10 +466,13 @@ class TestAssemblyBitForBit:
         div = MatrixDivisor((normal_form(-1.5, (0.0, 1.0)),
                              normal_form(0.8 + 0.5j, (0.0, -0.7))))
         pushed = push_connection(div, conn)
-        T = seeded_matmul(*(s.as_ratmat() for s in div.sites))
-        Tinv = seeded_inverse(T)
-        ref = (seeded_matmul(seeded_matmul(Tinv, seeded_from_polar_parts(
-            data, n)), T) - seeded_matmul(Tinv, T.derivative()))
+        # site by site, in order
+        ref = seeded_from_polar_parts(data, n)
+        for site in div.sites:
+            T = site.as_ratmat()
+            Tinv = seeded_inverse(T)
+            ref = (seeded_matmul(seeded_matmul(Tinv, ref), T)
+                   - seeded_matmul(Tinv, T.derivative()))
         assert_same_entries(pushed.matrix, ref)
         assert_same_polar_parts(pushed.polar_parts,
                                 polar_parts_by_partial_fractions(ref))

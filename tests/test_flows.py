@@ -1240,3 +1240,19 @@ class TestLeadingTermRule:
         else:
             with pytest.raises(RegularityError):
                 build()
+
+    @pytest.mark.xfail(
+        strict=True, reason="the regularity rule is checked only where the "
+        "right-hand side is evaluated, so a flow steps across a crossing of "
+        "the leading types and completes with them swapped; a gap event "
+        "cannot see it, since |w_a - w_b| does not change sign at a "
+        "crossing (ROADMAP item 27)")
+    def test_a_crossing_of_the_leading_types_aborts(self):
+        # the types [0.4, -0.45] move by [-0.6375, 0.6375] and meet at
+        # s = 2/3, which no sample or step lands on at the default 9 samples
+        res = np.diag([0.1, -0.2])
+        state = FlowState(2, (PoleData(0.0, 2, np.eye(2), res, [[0.4, -0.45]]),
+                              PoleData(1.7, 1, np.eye(2), -res)))
+        path = FlowPath.irregular_line(state, 0, [[-0.425, 0.425]],
+                                       length=1.5)
+        assert integrate_flow(state, path).status == "aborted"

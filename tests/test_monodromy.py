@@ -669,9 +669,34 @@ class TestBatchedTransport:
         for path in self.PATHS:
             transport(conn, path, self.TOL)
         # two legs each for the retraced keyhole and lasso, three for the
-        # triangle
-        assert len(batch) == 3 and len(nfev) == 7
+        # triangle; a call per leg and segment class
+        legs = [p.segments[:-1] if p.segments[-1] == p.segments[0].reversed()
+                else p.segments for p in self.PATHS]
+        calls = sum(len({type(segs[j]) for segs in legs if j < len(segs)})
+                    for j in range(max(map(len, legs))))
+        assert calls == len(batch) == 5 and len(nfev) == 7
         assert sum(batch) == sum(nfev)
+
+    def test_one_segment_class_per_run(self, rng, monkeypatch):
+        # keyholes run their approach lines together, then their circles;
+        # a mixed set runs each leg's lines and arcs apart, in order of
+        # first appearance
+        runs = []
+        real = monodromy_module.solve_ivp
+
+        def recording(*args, segments, **kwargs):
+            runs.append([type(seg) for seg in segments])
+            return real(*args, segments=segments, **kwargs)
+
+        monkeypatch.setattr(monodromy_module, "solve_ivp", recording)
+        conn = batch_connection("rank2", rng)
+        monodromy_rep(conn, 0.3 - 3.0j, tol=1e-10)
+        assert runs == [[LineSegment] * 3, [ArcSegment] * 3]
+        runs.clear()
+        conn, _ = TestRetrace().conn_and_residues(rng)
+        transport(conn, self.PATHS, self.TOL)
+        assert runs == [[LineSegment] * 2, [ArcSegment], [ArcSegment] * 2,
+                        [LineSegment], [LineSegment]]
 
     def test_too_small_step_names_path_and_segment(self, rng):
         conn, _ = TestRetrace().conn_and_residues(rng)
@@ -801,13 +826,16 @@ class TestLockStepRound:
                                                    scale[k])
                 assert same_bits(got[k], want), (trial, k)
 
-    def test_each_lane_keeps_scipys_step_control(self, rng):
-        # error norms drawn at random drive three lanes; each lane's
-        # attempts follow RungeKutta._step_impl, with libm's ** and the
-        # rejection flag and minimum step of its current step, while every
-        # unfinished lane attempts in every round
-        segs = [LineSegment(1.0, 2.0), LineSegment(1.0j, 2.0j),
-                ArcSegment(0.0, 1.5, 0.0, 1.0)]
+    @pytest.mark.parametrize("segs", [
+        [LineSegment(1.0, 2.0), LineSegment(1.0j, 2.0j),
+         LineSegment(-1.0, -1.0 + 2.0j)],
+        [ArcSegment(0.0, 1.5, 0.0, 1.0), ArcSegment(1.0j, 0.5, 2.0, 0.0),
+         ArcSegment(-1.0, 0.5, 0.0, 6.0)]], ids=["lines", "arcs"])
+    def test_each_lane_keeps_scipys_step_control(self, rng, segs):
+        # error norms drawn at random drive three lanes of one segment
+        # class; each lane's attempts follow RungeKutta._step_impl, with
+        # libm's ** and the rejection flag and minimum step of its current
+        # step, while every unfinished lane attempts in every round
         solver = lane_solver(fuchsian([0.0], [random_matrix(rng, 2)]), segs)
         h0 = list(solver.h_abs)
         attempts = [[] for _ in segs]

@@ -9,18 +9,17 @@ from isomonodromy.ratfun import (
     RatMat,
     RatScalar,
     _horner,
-    _np_sum,
     _sum_plan,
     poly_add,
     poly_mul,
     poly_shift,
     poly_trim,
     polymat_det,
-    polymat_inverse_jet,
     residue,
     residue_quadrature_oracle,
     residue_sum_all_poles,
 )
+from isomonodromy.twist import TwistSite
 
 from conftest import random_rational_one_form
 from oracles import (
@@ -286,20 +285,12 @@ class TestPolyMat:
         T = np.zeros((2, 2, 2), dtype=complex)
         T[0] = [[0.0, -2.0], [0.0, 1.0]]
         T[1] = [[1.0, 0.0], [0.0, 0.0]]
-        inv = polymat_inverse_jet(T, 3)
+        inv = TwistSite(0.0, T).inverse_jet(3)
         Tjet = LaurentJet(0.0, 0, T)
         prod = Tjet * inv
         assert np.allclose(prod.coefficient(0), np.eye(2), atol=1e-13)
         for k in range(1, prod.k_max + 1):
             assert np.max(np.abs(prod.coefficient(k))) < 1e-13
-
-    def test_rank_one_inverse_jet(self):
-        # T = 2 zeta + zeta^2: T^-1 = 1/(2 zeta) - 1/4 + zeta/8 - ...
-        T = np.array([0.0, 2.0, 1.0], dtype=complex).reshape(3, 1, 1)
-        inv = polymat_inverse_jet(T, 1)
-        assert inv.k_min == -1
-        assert np.allclose(inv.coeffs[:, 0, 0], [0.5, -0.25, 0.125],
-                           atol=1e-15)
 
     def test_cluster_roots_multiplicity(self):
         # (z-1)^2 (z+2)
@@ -370,13 +361,6 @@ class TestKernelsBitForBit:
         for a, _ in _kernel_operands(rng):
             x = complex(*(2.5 * rng.standard_normal(2)))
             assert _same_bits(_horner(a, x), npoly.polyval(x, a))
-
-    def test_np_sum_is_np_sum(self, rng):
-        # the cancellation test's scale: left fold, eight lanes, halves
-        for size in [*range(1, 40), 127, 128, 129, 300, 1001]:
-            v = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(
-                -8, 8, size)
-            assert _same_bits(_np_sum(v.tolist()), np.sum(v))
 
     def test_poly_trim_fast_path(self, rng):
         # a 1-d complex array skips the conversion that a list, a 2-d or a

@@ -7,7 +7,7 @@ import pytest
 from isomonodromy.connection import BasePole, Connection
 from isomonodromy import ratfun
 from isomonodromy.errors import MalformedInputError, PreconditionError
-from isomonodromy.ratfun import RatMat, RatScalar, residue
+from isomonodromy.ratfun import LaurentJet, RatMat, RatScalar, residue
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.twist import (
     MatrixDivisor,
@@ -268,10 +268,25 @@ class TestPushInTurn:
         assert in_turn.divisor.points == at_once.divisor.points
         assert in_turn.divisor.mults == at_once.divisor.mults
         assert set(at_once.divisor.points) == {1.3, -1.3}
-        for z in (0.7 + 0.9j, -2.0 + 0.1j, 0.3 - 1.4j, 2.5j):
-            want = at_once.eval(z)
-            assert np.max(np.abs(in_turn.eval(z) - want)) <= \
-                1e-12 * max(1.0, np.max(np.abs(want)))
+        # a divisor pushes site by site: the same operations, the same bytes
+        (data, tail), (data_w, tail_w) = in_turn.polar_parts, \
+            at_once.polar_parts
+        assert [(t, np.stack(Cs).tobytes()) for t, Cs in data] == \
+            [(t, np.stack(Cs).tobytes()) for t, Cs in data_w]
+        assert tail.tobytes() == tail_w.tobytes()
+
+    def test_pull_keeps_the_twist_points_it_does_not_pull_across(self, rng):
+        conn, first, second = self.pushed_pair(rng)
+        once = push_connection(first, conn)
+        back = pull_connection(second, push_connection(second, once))
+        assert back.twist_points == once.twist_points == (0.4j,)
+        assert back.divisor.points == once.divisor.points == (-1.3, 1.3)
+        assert back.divisor.mults == once.divisor.mults
+        assert_close_polar_parts(back.polar_parts, once.polar_parts, 1e-12)
+        # pulled across both, no twist point is left
+        both = MatrixDivisor((first, second))
+        assert pull_connection(both, push_connection(both, conn)
+                               ).twist_points == ()
 
     def test_site_on_an_earlier_twist_point_refused(self, rng):
         conn, first, _ = self.pushed_pair(rng)
@@ -335,6 +350,43 @@ class TestSiteInverse:
         conn, site = self.conn(rng), self.sites(rng)[kind]
         back = pull_connection(site, push_connection(site, conn))
         assert_close_polar_parts(back.polar_parts, conn.polar_parts, 1e-12)
+
+    @staticmethod
+    def germs(rng, n):
+        """A normal form, it times a constant and times a unipotent germ
+        (degree 2), and a noisy germ: times a constant of condition 1e6, so
+        that the determinant's constant coefficient is rounding noise."""
+        site = normal_form(0.4 + 0.3j, rng.uniform(-1, 1, n)
+                           + 1j * rng.uniform(-1, 1, n))
+        N = np.triu(random_matrix(rng, n), 1)
+        Q1, Q2 = (np.linalg.qr(random_matrix(rng, n))[0] for _ in range(2))
+        noisy = Q1 @ np.diag([1.0] * (n - 1) + [1e-6]) @ Q2
+        return [site, site.right_multiply(random_invertible(rng, n)),
+                site.right_multiply(np.stack([np.eye(n), N])),
+                site.right_multiply(noisy)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_inverse_jet_is_the_inverse(self, rng, n):
+        # the Laurent polynomial adj T / (c zeta**mu) is the rational
+        # inverse's jet, and inverts the germ through its order
+        for site in self.germs(rng, n):
+            mu = degree(site)
+            for k in (0, 2, 5):
+                got = site.inverse_jet(k)
+                want = site.inverse_ratmat().laurent(site.point, k)
+                assert (got.k_min, got.k_max) == (-mu, k)
+                orders = range(-mu, k + 1)
+                want = np.stack([want.coefficient(j) for j in orders])
+                assert np.max(np.abs(got.coeffs - want)) <= \
+                    1e-14 * np.max(np.abs(want))
+                T = np.zeros((k + mu + 1, n, n), dtype=complex)
+                T[: len(site.germ)] = site.germ[: len(T)]
+                product = LaurentJet(0.0, 0, T) * got
+                assert (product.k_min, product.k_max) == (-mu, k)
+                eye = np.zeros((k + mu + 1, n, n), dtype=complex)
+                eye[mu] = np.eye(n)
+                assert np.max(np.abs(product.coeffs - eye)) <= 1e-13 * \
+                    np.max(np.abs(site.germ)) * np.max(np.abs(got.coeffs))
 
     def test_inverse_times_germ_is_identity(self, rng):
         site = normal_form(0.4 + 0.3j, (0.0, 1.7 - 0.4j)).right_multiply(
