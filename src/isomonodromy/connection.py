@@ -246,12 +246,7 @@ def extension_weights(dists, L, M):
     polar term ``C/(z-t)**k`` has the Taylor coefficients ``C * w[..., k-1,
     :]`` at a distance ``dist`` from ``t``.  The signed binomials are cached
     per ``(L, M)``."""
-    return _weights(dists, _signed_binomials(L, M))
-
-
-def _weights(dists, table):
-    """``extension_weights`` from its signed binomials ``table``."""
-    signs, powers = table
+    signs, powers = _signed_binomials(L, M)
     return signs * np.asarray(dists, dtype=complex)[..., None, None] ** powers
 
 

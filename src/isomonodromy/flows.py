@@ -19,9 +19,10 @@ lift is no longer the correct reference.
 
 The correction Hamiltonian of a direction is coded once, in
 ``direction_differential``; the flow, the extended autonomous system and the
-CLI's Hamiltonian fields all read it.  Its differential and the extended
-system's section rates are taken in reverse mode, as weights on a pole's
-jet pulled back to the chart or to the polar coefficients (``symplectic``).
+CLI's Hamiltonian fields read it through ``RhsPlan.differential``.  Its
+differential and the extended system's section rates are taken in reverse
+mode, as weights on a pole's jet pulled back to the chart or to the polar
+coefficients (``symplectic``), the b slots' by ``_pairing_weights``.
 
 One driver integrates both the flow and the extended autonomous system on
 the flat state vector (``FlowState.flat``), with the library's DOP853
@@ -51,18 +52,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import branch_order, diagonalize_jet
+from .connection import branch_order
 from .errors import IntegrationAbort, MalformedInputError, PreconditionError
 from .monodromy import (
     SAFETY,
     auto_base_point,
     conjugacy_residual,
+    min_separation,
     monodromy_reps,
 )
 from .states import ExtendedState, N_MAX
 from .symplectic import (
     TAU_RANK,
     ChartPlan,
+    _pairing_weights,
     chart_conditioning,
     dress,
     solve_chart,
@@ -183,7 +186,8 @@ def direction_differential(direction, state):
     reverse sweep of the formal diagonalization per pole.  Both are taken
     in reverse mode (``symplectic``), by ``RhsPlan.differential``.
     """
-    return RhsPlan(state).differential(direction, state.stage)
+    return RhsPlan(state).differential(
+        direction, _checked_rates(direction, state), state.stage)
 
 
 def isomonodromic_rhs(direction, state):
@@ -237,7 +241,7 @@ class RhsPlan(ChartPlan):
         rates = _checked_rates(direction, self.state)
         dy = self.lift(direction, rates)
         if not direction.is_zero():
-            dH = self._differential(direction, rates, st)
+            dH = self.differential(direction, rates, st)
             if dH.any():
                 dy[self.chart] += solve_chart(dH, st)
         if self.extended:
@@ -255,14 +259,11 @@ class RhsPlan(ChartPlan):
             dy[self.irr[i]] = rows
         return dy
 
-    def differential(self, direction, st):
-        """``direction_differential`` at the stage ``st``: each position
-        rate times ``d_translation_hamiltonian``, each irregular rate times
-        ``-2 d_hamiltonian_beta_B``, as those take them on a state."""
-        return self._differential(
-            direction, _checked_rates(direction, self.state), st)
-
-    def _differential(self, direction, rates, st):
+    def differential(self, direction, rates, st):
+        """``direction_differential`` at the stage ``st``, given the
+        direction's ``_checked_rates``: each position rate times
+        ``d_translation_hamiltonian``, each irregular rate times ``-2
+        d_hamiltonian_beta_B``, as those take them on a state."""
         dH = np.zeros(self.dim, dtype=complex)
         for i, rate in direction.moduli_rates.items():
             if rate != 0:
@@ -294,10 +295,10 @@ class RhsPlan(ChartPlan):
         by ``d/d dist C (zeta + dist)**-k = -k C (zeta + dist)**-(k+1)``:
         an order ``k + 1`` term ``-(dt_i - dt_j) k C_k``.  At pole i the
         section values' weights on its jet are stacked, the q slot's as in
-        ``d_translation_hamiltonian`` and the b slots' as one pullback of
-        the unit weights on ``B``'s diagonal stacked, taken to every pole's
-        polar coefficients by ``polar_weights`` and paired with these
-        variations."""
+        ``d_translation_hamiltonian`` and the b slots' as one
+        ``_pairing_weights`` of the unit ``beta`` on ``B``'s entries stacked,
+        taken to every pole's polar coefficients by ``polar_weights`` and
+        paired with these variations."""
         n = self.n
         dt = np.zeros(self.m, dtype=complex)
         for i, rate in direction.moduli_rates.items():
@@ -323,17 +324,13 @@ class RhsPlan(ChartPlan):
             x = (l - 1) * n
             polar_w = (2.0 * self.regular(st, i))[None]
             regular_w = (2.0 * self.polar(st, i))[None]
-            if x:    # a unit weight on each entry of B's orders 0 .. l - 2
+            if x:
                 polar_w = np.concatenate(
                     [polar_w, np.empty((x, l, n, n), dtype=complex)])
                 regular_w = np.concatenate(
                     [regular_w, np.zeros((x, l, n, n), dtype=complex)])
-                units = np.zeros((x, 2 * l - 1, n))
-                units[:, l:] = np.eye(x).reshape(x, l - 1, n)
-                A_weight = diagonalize_jet(self.jet(st, i),
-                                           2 * l - 2).pullback(units)
-                polar_w[1:] = A_weight[:, l - 1::-1]
-                regular_w[1:, :-1] = A_weight[:, l:]
+                polar_w[1:], regular_w[1:, :-1] = _pairing_weights(
+                    self.jet(st, i), np.eye(x).reshape(x, l - 1, n))
             rates = np.zeros(1 + x, dtype=complex)
             for (move, dt_g), W in zip(moves, self.weights(
                     st.y, i, polar_w, regular_w, extra=1)):
@@ -427,12 +424,8 @@ def _abort_events(plan, stage):
     accepted step, the stage of the step's last evaluation.  So the
     ``degenerate_chart`` event takes the singular values of the Gram blocks
     that evaluation assembled."""
-    pairs = np.triu_indices(plan.m, 1)
-
     def pole_collision(s, y):
-        t = y[plan.positions]
-        gaps = np.abs(t[:, None] - t[None, :])[pairs]
-        return np.min(gaps, initial=np.inf) - TAU_COLLIDE
+        return min_separation(y[plan.positions]) - TAU_COLLIDE
 
     def movable_singularity(s, y):
         return N_MAX - np.max(np.abs(y[plan.coefficients]), initial=0.0)

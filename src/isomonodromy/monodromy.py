@@ -36,7 +36,7 @@ from math import isqrt
 import numpy as np
 
 from . import ode
-from .connection import TAU_SEP
+from .connection import TAU_SEP, near
 from .errors import IntegrationAbort, PreconditionError
 from .ode import solve_ivp
 
@@ -500,12 +500,12 @@ class MonodromyRep:
     error_scale: float | None = None
 
     def matrix_for_pole(self, p):
-        """The matrix of the loop around the pole within ``TAU_SEP``
-        (relative outside the unit disk) of ``p``."""
-        for q, M in zip(self.pole_points, self.matrices):
-            if abs(q - complex(p)) <= TAU_SEP * max(1.0, abs(q)):
-                return M
-        raise KeyError(f"no loop around {p}")
+        """The matrix of the loop around the pole ``near`` ``p``; a
+        ``KeyError`` when no pole is."""
+        q = near(complex(p), self.pole_points)
+        if q is None:
+            raise KeyError(f"no loop around {p}")
+        return self.matrices[self.pole_points.index(q)]
 
 
 def product_check(matrices, n):

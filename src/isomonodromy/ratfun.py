@@ -264,26 +264,6 @@ class LaurentJet:
                           np.trace(self.coeffs, axis1=1, axis2=2),
                           self.form_degree)
 
-    def inverse(self):
-        """Multiplicative inverse of a matrix jet whose coefficient at the
-        detected order is invertible.  A twist germ's leading matrix is
-        singular: its inverse is ``twist.TwistSite.inverse_jet``.
-        """
-        if not self.is_matrix:
-            raise MalformedInputError("inverse of a scalar jet")
-        jet = self.drop_leading_zeros()
-        mu = jet.k_min
-        c = jet.coeffs
-        c0inv = np.linalg.inv(c[0])
-        out = np.zeros_like(c)
-        out[0] = c0inv
-        for m in range(1, c.shape[0]):
-            acc = np.zeros_like(c[0])
-            for j in range(1, m + 1):
-                acc += c[j] @ out[m - j]
-            out[m] = -c0inv @ acc
-        return LaurentJet(self.point, -mu, out, -self.form_degree)
-
     def __repr__(self):
         kind = {0: "fn", 1: "form", 2: "quad", -1: "vec"}.get(
             self.form_degree, f"deg{self.form_degree}")

@@ -38,8 +38,8 @@ order, stacked).  Each per-pole quantity is one batched kernel per group,
 which the plan runs: the frame jets (``unipotent``, ``frames``), the
 dressed polar jets (``lam_jet``, ``dress``), the regular jets
 (``regular_jets``), the block Hankel matrix ``_hankel``, the velocities
-``_etas`` with ``_toeplitz`` and ``_dlams``, ``_gram``, ``_covector`` and
-its transpose ``_polar_variation``, and ``_pole_weights`` for one group's
+``_etas`` with ``_toeplitz``, ``_gram``, ``_covector`` and its transpose
+``_polar_variation``, and ``_pole_weights`` for one group's
 ``polar_weights``; each pole gets the bits a kernel of its own gives it.
 Outside the plan, ``induced_polar_variations`` runs ``_polar_variation`` on
 the state's stage, and it and the flow's section rates dress their
@@ -73,14 +73,15 @@ not grow with the basis.  Each is a weight on the pole's Laurent jet: twice
 the jet itself, read backwards, for ``res tr(A^2)``; for the pairing,
 ``beta`` taken back by the ``pullback`` of ``connection.diagonalize_jet``.
 ``polar_weights`` transposes the jet's dependence on the poles' polar
-parts, the table ``connection.extension_weights`` that ``regular_jets``
-contracts forward, and ``ChartPlan.jet_covector`` hands each group's
-weights to ``_covector``, which pulls them back through the dressing and
-contracts them once with the basis velocities; neither builds a basis
-direction's polar or jet variation.  Both differentials run on the state's
+parts, the one table ``connection.extension_weights``, which
+``regular_jets`` contracts forward, and ``ChartPlan.jet_covector`` hands
+each group's weights to ``_covector``, which pulls them back through the
+dressing and contracts them once with the basis velocities; neither builds
+a basis direction's polar or jet variation.  Both differentials run on the state's
 stage; the flow's right-hand side (``flows.RhsPlan``) extends the state's
 plan, and the extended system's section rates take their jet weights back
-through ``polar_weights`` too.  This is the library's one derivative mode:
+through ``polar_weights`` too, the b slots' from ``_pairing_weights`` of
+a stack of unit ``beta``.  This is the library's one derivative mode:
 the forward references of ``tests/oracles.py`` agree with it to round-off,
 not bit for bit.  A base direction's correction Hamiltonian combines them
 in ``flows.direction_differential``.
@@ -93,7 +94,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .connection import _signed_binomials, _weights, diagonalize_jet
+from .connection import diagonalize_jet, extension_weights
 from .errors import DegenerateChartError, MalformedInputError, PreconditionError
 from .ratfun import LaurentJet, RatMat
 from .states import _frame_inverses
@@ -252,17 +253,16 @@ def dress(F, F_inv, inner):
     return out
 
 
-def regular_jets(ts, C, table):
+def regular_jets(ts, C):
     """Taylor coefficients at every pole of the other poles' polar parts:
-    the table ``extension_weights`` at every pair of the positions ``ts``
-    (its signed binomials ``table``), a pole's own pair masked out,
-    contracted in one product with the polar coefficients ``C`` padded to
-    the longest order, shape ``(K, L, n, n)``."""
+    ``extension_weights`` at every pair of the positions ``ts``, a pole's
+    own pair masked out, contracted in one product with the polar
+    coefficients ``C`` padded to the longest order, shape ``(K, L, n, n)``."""
     K, L, n = C.shape[0], C.shape[1], C.shape[-1]
     # own pairs: a unit distance keeps the powers finite, then zeroed
     dists = ts[:, None] - ts
     dists.reshape(-1)[:: K + 1] = 1.0
-    w = _weights(dists, table)
+    w = extension_weights(dists, L, L)
     w.reshape(K * K, L, L)[:: K + 1] = 0.0
     return (w.transpose(0, 3, 1, 2).reshape(K * L, K * L)
             @ C.reshape(K * L, n * n)).reshape(K, L, n, n)
@@ -311,15 +311,6 @@ def _etas(F_inv, V, u_toeplitz):
         etas[:, n * n: n_frame] = eta_u[
             :, :, ~np.eye(n, dtype=bool)].reshape(G, -1, l, n, n)
     return etas
-
-
-def _dlams(l, n):
-    """The basis directions' dressed-residue variations, shape ``(dim, n,
-    n)``: ``E_ab`` on the residue-momentum directions, zero elsewhere."""
-    n_frame, dim = chart_layout(l, n)
-    dlams = np.zeros((dim, n, n), dtype=complex)
-    dlams[n_frame:] = np.eye(n * n).reshape(n * n, n, n)
-    return dlams
 
 
 def _gram(etas, lam_hankel):
@@ -413,7 +404,9 @@ class _GroupPlan:
     chart columns (``cols``, shape ``(G, size)``, ``chart_layout``), the
     places of their fields in the flat vector (``h``, ``u``, ``lam``,
     ``irr``, stacked index arrays in the fields' shapes), and its tables
-    that stay constant along a flow."""
+    that stay constant along a flow: ``dlams``, the basis directions'
+    dressed-residue variations (``E_ab`` on the residue-momentum
+    directions, zero elsewhere), and ``unipotent``."""
 
     def __init__(self, l, index, chart_at, irr_at, m, n):
         G = len(index)
@@ -426,7 +419,8 @@ class _GroupPlan:
         self.lam = chart[:, res:].reshape(G, n, n)
         self.irr = (irr_at[index][:, None]
                     + np.arange((l - 1) * n)).reshape(G, l - 1, n)
-        self.dlams = _dlams(l, n)
+        self.dlams = np.zeros((size, n, n), dtype=complex)
+        self.dlams[res:] = np.eye(n * n).reshape(n * n, n, n)
         # the jets of I + u and their Toeplitz stack are the identity's at
         # orders 1 and 2, where u has no entries
         self.unipotent = None
@@ -479,13 +473,13 @@ class ChartPlan:
     its ``h``, ``u``, ``Lambda_{-1}`` and ``irr``).
 
     With the layout the plan holds the groups (the poles of one order, in
-    order of first appearance) and every table that stays constant along
-    a flow: the jets of ``I + u`` and their Toeplitz stack at orders 1 and
-    2, the dressed-residue directions and each pole's own rows in every
-    group; the signed binomials of the extension weights are
-    ``connection._signed_binomials``'s, cached there.  ``q`` and ``b``,
-    which only the extended system reads, are built when first read, so a
-    fresh state that reads only its polar data does not pay for them.
+    order of first appearance), each pole's group and row (``where``), and
+    every table that stays constant along a flow: the jets of ``I + u``
+    and their Toeplitz stack at orders 1 and 2 and the dressed-residue
+    directions, per group; the extension weights are the one table
+    ``connection.extension_weights``.  ``q`` and ``b``, which only the
+    extended system reads, are built when first read, so a fresh state
+    that reads only its polar data does not pay for them.
     ``pack`` and ``join`` write flat vectors, each part by its index
     arrays.
     ``stage(y)`` runs the stacked kernels on a flat vector ``y`` (or a
@@ -513,16 +507,13 @@ class ChartPlan:
                    for l in dict.fromkeys(orders)}
         self.groups = [_GroupPlan(l, index, at[:m], at[m:], m, n)
                        for l, index in members.items()]
-        # each pole's group and row, its fields' places, and its rows in
-        # every group
+        # each pole's group and row, and its fields' places
         self.where, self.fields = {}, [None] * m
         for k, g in enumerate(self.groups):
             for r, i in enumerate(g.index):
                 self.where[i] = k, r
                 self.fields[i] = g.h[r], g.u[r], g.lam[r], g.irr[r]
         self.irr = [f[3] for f in self.fields]
-        self.own = [[[r for r, j in enumerate(g.index) if j == i]
-                     for g in self.groups] for i in range(m)]
         self.L = max(self.orders, default=0)
 
     @cached_property
@@ -598,8 +589,7 @@ class ChartPlan:
             C = np.zeros((self.m, self.L, self.n, self.n), dtype=complex)
             for g, P in zip(self.groups, st.P):
                 C[g.at, : g.l] = P
-        return regular_jets(st.y[self.positions], C,
-                            _signed_binomials(self.L, self.L))
+        return regular_jets(st.y[self.positions], C)
 
     def _chart_half(self, st):
         st.charts, st.gram_blocks = [], []
@@ -629,10 +619,10 @@ class ChartPlan:
     def weights(self, y, i, polar_weight, regular_weight, extra=0):
         """``polar_weights`` at the positions of the flat vector ``y``."""
         M = regular_weight.shape[-3]
-        for g, own in zip(self.groups, self.own[i]):
-            yield _pole_weights(y[i] - y[g.at], own,
-                                _signed_binomials(g.l + extra, M),
-                                polar_weight, regular_weight)
+        home, row = self.where[i]
+        for k, g in enumerate(self.groups):
+            yield _pole_weights(y[i] - y[g.at], [row] if k == home else [],
+                                g.l + extra, M, polar_weight, regular_weight)
 
     def jet_covector(self, st, i, polar_weight, regular_weight):
         """The differential on the chart basis of a function of pole
@@ -792,13 +782,13 @@ def polar_weights(state, i, polar_weight, regular_weight, extra=0):
                               extra)
 
 
-def _pole_weights(dists, own, table, polar_weight, regular_weight):
+def _pole_weights(dists, own, L, M, polar_weight, regular_weight):
     """One group's ``polar_weights``: the table ``extension_weights`` at the
-    distances ``dists`` from pole ``i`` (its signed binomials ``table``)
-    contracted with the regular weight, and the polar weight on the rows
-    ``own`` of pole ``i`` itself."""
+    distances ``dists`` from pole ``i``, through order ``L`` and ``M``
+    Taylor coefficients, contracted with the regular weight, and the polar
+    weight on the rows ``own`` of pole ``i`` itself."""
     dists[own] = 1.0       # finite powers; the row is overwritten below
-    weight = np.einsum("gkm,...mpq->g...kpq", _weights(dists, table),
+    weight = np.einsum("gkm,...mpq->g...kpq", extension_weights(dists, L, M),
                        regular_weight)
     for r in own:
         weight[r] = 0.0
@@ -820,12 +810,13 @@ def _pairing_weights(jet, beta):
     """The weights on a pole's Laurent ``jet`` (orders ``-l .. l-2``) of
     the diagonal-jet pairing with ``beta``, polar rows then regular rows,
     as ``polar_weights`` takes them: one reverse sweep of
-    ``diagonalize_jet``."""
+    ``diagonalize_jet`` for every ``beta`` stacked on the leading axes,
+    each with the bits of a sweep of its own."""
     l = -jet.k_min
-    weight = np.zeros((2 * l - 1, beta.shape[-1]), dtype=complex)
-    weight[l:] = beta
+    weight = np.zeros((*beta.shape[:-2], 2 * l - 1, beta.shape[-1]), complex)
+    weight[..., l:, :] = beta
     A_weight = diagonalize_jet(jet, 2 * l - 2).pullback(weight)
-    return A_weight[l - 1::-1], A_weight[l:]
+    return A_weight[..., l - 1::-1, :, :], A_weight[..., l:, :, :]
 
 
 def translation_hamiltonian_values(state):

@@ -405,11 +405,31 @@ def diagonal_jet_tangents(Ajet, order, dA=None, include_derivative=True):
     return b_diag, dB
 
 
+def jet_inverse(jet):
+    """Multiplicative inverse of a matrix ``LaurentJet`` whose coefficient
+    at the detected order is invertible, order by order.  A twist germ's
+    leading matrix is singular: its inverse is
+    ``twist.TwistSite.inverse_jet``."""
+    if not jet.is_matrix:
+        raise MalformedInputError("inverse of a scalar jet")
+    lead = jet.drop_leading_zeros()
+    c = lead.coeffs
+    c0inv = np.linalg.inv(c[0])
+    out = np.zeros_like(c)
+    out[0] = c0inv
+    for m in range(1, c.shape[0]):
+        acc = np.zeros_like(c[0])
+        for j in range(1, m + 1):
+            acc += c[j] @ out[m - j]
+        out[m] = -c0inv @ acc
+    return LaurentJet(jet.point, -lead.k_min, out, -jet.form_degree)
+
+
 def reconstruction_defect(conn, p, pair, order):
     """Laurent coefficients of ``A - (dZ Z^-1 + Z B Z^-1)`` through order-l."""
     l = -pair.B.k_min
     Z = pair.Z
-    Zinv = Z.inverse()
+    Zinv = jet_inverse(Z)
     dZ = Z.derivative(as_form=True)
     model = dZ * Zinv + Z * pair.B * Zinv
     Ajet = conn.matrix.laurent(p, order - l)

@@ -91,7 +91,7 @@ def planted_run(tmp_path, module, planted):
     out = tmp_path / "BENCH_rhs.json"
     proc = subprocess.run(
         [sys.executable, str(TOOL), str(ROOT), str(new), "--cases", "n2",
-         "--repeats", "60", "--out", str(out)],
+         "--repeats", "150", "--out", str(out)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return json.loads(out.read_text())

@@ -227,6 +227,26 @@ def test_section_rates(state):
                 <= DIFFERENTIAL_TOL * np.max(np.abs(b), initial=0.0)
 
 
+def test_stacked_pairing_weights_are_each_slices(state, rng):
+    # the diagonal-jet pairing's weights of a stack of beta, at the order-2
+    # and order-3 poles, are byte for byte each slice's own: the section
+    # rates stack their unit beta, the differentials pass one
+    for i, p in enumerate(state.poles):
+        if p.l < 2:
+            continue
+        jet = state.plan.jet(state.stage, i)
+        betas = (rng.standard_normal((2, 3, p.l - 1, p.n))
+                 + 1j * rng.standard_normal((2, 3, p.l - 1, p.n)))
+        polar, regular = symplectic._pairing_weights(jet, betas)
+        assert polar.shape == (2, 3, p.l, p.n, p.n)
+        assert regular.shape == (2, 3, p.l - 1, p.n, p.n)
+        for a in range(2):
+            for b in range(3):
+                own = symplectic._pairing_weights(jet, betas[a, b])
+                assert polar[a, b].tobytes() == own[0].tobytes()
+                assert regular[a, b].tobytes() == own[1].tobytes()
+
+
 def test_polar_weights(state, rng):
     # with one extra row: pole i's own rows are its polar weight, then zero;
     # every other pole's rows are the table extension_weights from t_i
@@ -558,6 +578,35 @@ def test_one_call_site_per_chart_kernel():
               if c not in in_plan for a in ast.walk(c)
               if isinstance(a, ast.Attribute) and a.attr in PARTS]
     assert joined == []
+
+
+def test_one_extension_table_and_one_pairing_pullback():
+    # the signed binomials of the extension weights are fetched in
+    # extension_weights alone, and the formal diagonalization is pulled
+    # back in _pairing_weights alone, both once
+    sites = {"_signed_binomials": [], "pullback": []}
+
+    class Calls(ast.NodeVisitor):
+        # each call is credited to the innermost function holding it
+        function = None
+
+        def visit_FunctionDef(self, node):
+            outer, self.function = self.function, node.name
+            self.generic_visit(node)
+            self.function = outer
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "id", None) \
+                or getattr(node.func, "attr", None)
+            if name in sites:
+                sites[name].append(self.function)
+            self.generic_visit(node)
+
+    root = Path(symplectic.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        Calls().visit(ast.parse(path.read_text()))
+    assert sites == {"_signed_binomials": ["extension_weights"],
+                     "pullback": ["_pairing_weights"]}
 
 
 def test_connection_assembles_no_gram_block(rng, monkeypatch):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import isomonodromy.flows as flows
+import isomonodromy.symplectic as symplectic
 from isomonodromy.connection import (
     TAU_REG,
     TAU_SEP,
@@ -878,13 +879,13 @@ class TestSectionAndExtended:
         # pass: poles of order 3, 2 and 1 take two formal diagonalizations
         state = mixed_order_state(rng)
         calls = [0]
-        original = flows.diagonalize_jet
+        original = symplectic.diagonalize_jet
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(flows, "diagonalize_jet", counted)
+        monkeypatch.setattr(symplectic, "diagonalize_jet", counted)
         flows._section_rates(Direction({0: 0.3 + 0.1j, 2: -0.7},
                                        {1: np.array([[0.8, -0.5]])}), state)
         assert calls[0] == 2

@@ -251,6 +251,24 @@ class TestMonodromyRep:
                 assert rep.product_defect == defect
                 assert conjugacy_invariants(rep) == []
 
+    def test_matrix_for_pole_is_the_loop_around_that_pole(self):
+        # two poles 4.2e-5 apart near 50: each is found by connection.near,
+        # so neither is taken for the other, and a point near no pole is a
+        # KeyError.  The round trip of the polar parts moves the two close
+        # residues by about 1e-9, so the form reads as irregular at infinity
+        # and the product is not checked here
+        R1 = np.array([[0.2, 0.1], [0.0, -0.1]])
+        R2 = np.array([[-0.3, 0.0], [0.2, 0.15]])
+        conn = Connection.from_polar_parts(
+            [(50.0, [R1]), (50.0 + 4.2e-5, [R2]), (49.0, [-(R1 + R2)])])
+        rep = monodromy_rep(conn, auto_base_point(conn.all_finite_poles()))
+        assert len(rep.pole_points) == 3
+        for t in rep.pole_points:
+            assert rep.matrix_for_pole(t) is \
+                rep.matrices[rep.pole_points.index(t)]
+        with pytest.raises(KeyError):
+            rep.matrix_for_pole(50.0 + 2e-5)
+
     def test_identity_charpoly(self):
         conn = Connection.from_polar_parts([(0.0, [np.zeros((2, 2))])])
         rep = monodromy_rep(conn, -2.0j, tol=1e-11)
