@@ -17,7 +17,9 @@ directions the decomposition is exact at order-2 poles (verified against
 transported monodromy) and refused at higher orders, where the frozen-frame
 lift is no longer the correct reference.
 
-The correction Hamiltonian of a direction is coded once, in
+A direction is checked once, by ``_checked_rates``: the lift, the
+differential and the section rates read its irregular rates from that
+output.  The correction Hamiltonian of a direction is coded once, in
 ``direction_differential``; the flow, the extended autonomous system and the
 CLI's Hamiltonian fields read it through ``RhsPlan.differential``.  Its
 differential and the extended system's section rates are taken in reverse
@@ -32,11 +34,12 @@ shared by every state rebuilt along the flow: each evaluation builds the
 plan's whole stage of the flat vector and no state or derivative object.
 The public ``isomonodromic_rhs``, ``direction_differential``,
 ``lift_I0`` and ``extended_autonomous_rhs`` run the same plan on the
-stage the state they are given holds of itself.  Pole collision,
-coefficient blow-up and a degenerate chart are terminal events of the
-integrator: they are tested on accepted steps only and located by
-root-finding on the dense output, so ``abort_at`` is the parameter at
-which the abort happened.  The right-hand side solves the
+stage the state they are given holds of itself; a ``StateDerivative``
+holds the plan's flat vector and reads its parts by the plan's index
+arrays.  Pole collision, coefficient blow-up and a degenerate chart are
+terminal events of the integrator: they are tested on accepted steps only
+and located by root-finding on the dense output, so ``abort_at`` is the
+parameter at which the abort happened.  The right-hand side solves the
 chart form without the rank guard (``solve_chart``); the guard's measure
 is the event's, taken on the Gram blocks that the step's last evaluation
 assembled.  A state is built only at the samples, from the stage the last
@@ -96,50 +99,40 @@ class Direction:
     def irregular(cls, pole_index, rate_rows):
         return cls({}, {int(pole_index): np.asarray(rate_rows, dtype=complex)})
 
-    def is_zero(self):
-        return (all(r == 0 for r in self.moduli_rates.values())
-                and not any(np.asarray(r).any()
-                            for r in self.irregular_rates.values()))
-
 
 @dataclass
 class StateDerivative:
-    d_positions: np.ndarray     # (n_poles,)
-    d_chart: np.ndarray         # (chart_dim,)
-    d_irregular: list           # one (l-1, n) array per pole
+    """A state's derivative: the right-hand side's vector ``dy``, in the
+    layout of ``FlowState.flat``; its parts are read by the plan's index
+    arrays, as copies, ``d_irregular`` as one ``(l-1, n)`` array per pole."""
+
+    dy: np.ndarray
     plan: ChartPlan = field(repr=False, compare=False)    # the layout
 
-    def flat(self):
-        """The derivative in the layout of ``FlowState.flat``, each part
-        written by its plan's index arrays."""
-        return self.plan.join(self.d_positions, self.d_chart,
-                              self.d_irregular)
+    @property
+    def d_positions(self):
+        return self.dy[self.plan.positions]
 
-    @classmethod
-    def split(cls, dy, state):
-        """The derivative whose ``flat()`` is ``dy``, its parts read out by
-        the index arrays of the state's plan: copies, not views."""
-        plan = state.plan
-        return cls(dy[plan.positions], dy[plan.chart],
-                   [dy[irr] for irr in plan.irr], plan)
+    @property
+    def d_chart(self):
+        return self.dy[self.plan.chart]
+
+    @property
+    def d_irregular(self):
+        return [self.dy[irr] for irr in self.plan.irr]
+
+    def flat(self):
+        return self.dy.copy()
 
 
 def _checked_rates(direction, state):
-    """The direction's irregular rates as arrays, after its pole indices
-    (``FlowState.pole``) and each rate's shape against its pole's order
-    are checked."""
-    for i in [*direction.moduli_rates, *direction.irregular_rates]:
+    """The direction's irregular rates as arrays, its pole indices and rate
+    shapes checked (``FlowState.pole``, ``irregular_rows``): the one reader
+    of its irregular rates."""
+    for i in direction.moduli_rates:
         state.pole(i)
-    out = {}
-    for i, rows in direction.irregular_rates.items():
-        p = state.poles[i]
-        rows = np.asarray(rows, dtype=complex)
-        if rows.shape != (p.l - 1, p.n):
-            raise MalformedInputError(
-                f"irregular rate shape {rows.shape} does not match pole of "
-                f"order {p.l}")
-        out[i] = rows
-    return out
+    return {i: state.irregular_rows(i, rows, "irregular rate")
+            for i, rows in direction.irregular_rates.items()}
 
 
 def lift_I0(direction, state):
@@ -149,13 +142,13 @@ def lift_I0(direction, state):
     coefficients at theirs, while every dressed polar coefficient of the
     connection is carried along unchanged in the flat ambient frame.
     """
-    return StateDerivative.split(RhsPlan(state).lift(
-        direction, _checked_rates(direction, state)), state)
+    return StateDerivative(RhsPlan(state).lift(
+        direction, _checked_rates(direction, state)), state.plan)
 
 
-def beta_for_rate(rate_rows, pole):
-    """The truncated tail dual to a prescribed irregular rate, in the sorted
-    torus coordinates of the diagonal-jet pairing.
+def beta_for_rate(rate_rows, lead):
+    """The truncated tail dual to an irregular rate at a pole of leading type
+    ``lead``, in the sorted torus coordinates of the diagonal-jet pairing.
 
     Row ``j`` of the rate moves the order ``-(j+2)`` coefficient of the
     pole's diagonal data (components in state order); the tail with that
@@ -164,13 +157,6 @@ def beta_for_rate(rate_rows, pole):
     diagonal jet uses.
     """
     rate_rows = np.asarray(rate_rows, dtype=complex)
-    if not rate_rows.shape[0]:
-        return rate_rows
-    return _beta(rate_rows, pole.lam_irr[pole.l - 2])
-
-
-def _beta(rate_rows, lead):
-    """``beta_for_rate`` at a pole whose leading type is ``lead``."""
     perm = branch_order(lead)
     return np.stack([-rate_rows[j][perm] / (j + 1)
                      for j in range(rate_rows.shape[0])])
@@ -199,8 +185,8 @@ def isomonodromic_rhs(direction, state):
     on accepted steps (the ``degenerate_chart`` event), and a stage that
     meets an exactly singular block raises ``DegenerateChartError``.
     """
-    return StateDerivative.split(RhsPlan(state)(direction, state.stage),
-                                 state)
+    return StateDerivative(RhsPlan(state)(direction, state.stage),
+                           state.plan)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +226,11 @@ class RhsPlan(ChartPlan):
         extended."""
         rates = _checked_rates(direction, self.state)
         dy = self.lift(direction, rates)
-        if not direction.is_zero():
-            dH = self.differential(direction, rates, st)
-            if dH.any():
-                dy[self.chart] += solve_chart(dH, st)
+        dH = self.differential(direction, rates, st)
+        if dH.any():
+            dy[self.chart] += solve_chart(dH, st)
         if self.extended:
-            self.put_duals(dy, *self.section_rates(direction, st))
+            self.put_duals(dy, *self.section_rates(direction, rates, st))
         return dy
 
     def lift(self, direction, rates):
@@ -277,7 +262,7 @@ class RhsPlan(ChartPlan):
                     "irregular deformation directions are supported at "
                     "poles of order 2; the frozen-frame reference lift is "
                     "not the correct decomposition at higher orders")
-            beta = _beta(rows, st.y[self.irr[i][l - 2]])
+            beta = beta_for_rate(rows, st.y[self.irr[i][l - 2]])
             # the chart form carries twice the canonical normalization
             # (fixed by the quadratic Hamiltonians) and the linear
             # diagonal-jet pairing enters with the opposite orientation;
@@ -285,9 +270,10 @@ class RhsPlan(ChartPlan):
             dH += -2.0 * self.pairing_differential(st, i, beta)
         return dH
 
-    def section_rates(self, direction, st):
+    def section_rates(self, direction, rates, st):
         """Derivatives of ``section_S`` along the reference lift of a
-        direction, fiber frozen, in closed form and in reverse mode.
+        direction, fiber frozen, in closed form and in reverse mode, given
+        the direction's ``_checked_rates``.
 
         The frozen fiber keeps every frame, so irregular rates move pole
         j's polar coefficients by the polar part of ``F dLambda F^-1``, and
@@ -297,8 +283,8 @@ class RhsPlan(ChartPlan):
         section values' weights on its jet are stacked, the q slot's as in
         ``d_translation_hamiltonian`` and the b slots' as one
         ``_pairing_weights`` of the unit ``beta`` on ``B``'s entries stacked,
-        taken to every pole's polar coefficients by ``polar_weights`` and
-        paired with these variations."""
+        taken to every pole's polar coefficients by ``ChartPlan.weights``
+        and paired with these variations."""
         n = self.n
         dt = np.zeros(self.m, dtype=complex)
         for i, rate in direction.moduli_rates.items():
@@ -308,7 +294,7 @@ class RhsPlan(ChartPlan):
         moves = []
         for g, (F, F_inv), P in zip(self.groups, st.frames, st.P):
             move = np.zeros((2, len(g.index), g.l + 1, n, n), dtype=complex)
-            rows = [direction.irregular_rates.get(j, ()) for j in g.index]
+            rows = [rates.get(j, ()) for j in g.index]
             # without irregular rates the dressed variation is zero (the
             # accumulation from +0 takes every -0 product to +0)
             if any(len(r) for r in rows):
@@ -331,15 +317,15 @@ class RhsPlan(ChartPlan):
                     [regular_w, np.zeros((x, l, n, n), dtype=complex)])
                 polar_w[1:], regular_w[1:, :-1] = _pairing_weights(
                     self.jet(st, i), np.eye(x).reshape(x, l - 1, n))
-            rates = np.zeros(1 + x, dtype=complex)
+            dS = np.zeros(1 + x, dtype=complex)
             for (move, dt_g), W in zip(moves, self.weights(
                     st.y, i, polar_w, regular_w, extra=1)):
                 dC = move[0] - (dt[i] - dt_g)[:, None, None, None] * move[1]
-                rates += np.einsum("gxkpq,gkqp->x", W, dC)
+                dS += np.einsum("gxkpq,gkqp->x", W, dC)
             q = np.zeros(l, dtype=complex)
-            q[0] = rates[0]
+            q[0] = dS[0]
             dq.append(q)
-            db.append(rates[1:].reshape(l - 1, n))
+            db.append(dS[1:].reshape(l - 1, n))
         return tuple(dq), tuple(db)
 
 
@@ -616,7 +602,8 @@ def extend_state(state):
 def _section_rates(direction, state):
     """Derivatives of ``section_S`` along the reference lift of a direction,
     fiber frozen: ``RhsPlan.section_rates``."""
-    return RhsPlan(state).section_rates(direction, state.stage)
+    return RhsPlan(state).section_rates(
+        direction, _checked_rates(direction, state), state.stage)
 
 
 def extended_autonomous_rhs(direction, ext):
@@ -631,8 +618,9 @@ def extended_autonomous_rhs(direction, ext):
     taken in closed form and in reverse mode (no shifted states).
     """
     plan, st = RhsPlan(ext.state), ext.state.stage
-    out = StateDerivative.split(plan(direction, st), ext.state)
-    return (out, *plan.section_rates(direction, st))
+    rates = _checked_rates(direction, ext.state)
+    return (StateDerivative(plan(direction, st), ext.state.plan),
+            *plan.section_rates(direction, rates, st))
 
 
 def integrate_extended(ext, path, tol=FLOW_TOL, n_samples=9):

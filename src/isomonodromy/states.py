@@ -21,7 +21,9 @@ Input is checked where it comes in: ``PoleData(...)`` checks each field
 and inverts ``h``, refusing a singular or non-finite one with the pole's
 position; ``FlowState(...)`` checks separation, rank and leading terms
 (``connection.check_separated``, ``connection.check_regular``), its twist
-sites' rank and their separation from the poles.
+sites' rank and their separation from the poles.  ``FlowState.pole`` is
+the one index rule, and ``irregular_rows`` the one shape rule of a pole's
+irregular rows.
 
 A ``FlowState`` reads its numbers through one ``plan``
 (``symplectic.ChartPlan``, compiled for its layout, the one code that
@@ -164,6 +166,17 @@ class FlowState:
             raise MalformedInputError(
                 f"pole index {i}; the state has poles 0..{m - 1}")
         return self.poles[i]
+
+    def irregular_rows(self, i, rows, name):
+        """``rows`` at pole ``i`` (``pole``) as a complex array of the
+        pole's irregular shape ``(l - 1, n)``; ``name`` names them."""
+        p = self.pole(i)
+        rows = np.asarray(rows, dtype=complex)
+        if rows.shape != (p.l - 1, p.n):
+            raise MalformedInputError(
+                f"{name}: shape {rows.shape} at pole {i} of order {p.l} and "
+                f"rank {p.n}; expected {(p.l - 1, p.n)}")
+        return rows
 
     # -- chart data, each computed once per state -----------------------------
 

@@ -40,7 +40,7 @@ dressed polar jets (``lam_jet``, ``dress``), the regular jets
 (``regular_jets``), the block Hankel matrix ``_hankel``, the velocities
 ``_etas`` with ``_toeplitz``, ``_gram``, ``_covector`` and its transpose
 ``_polar_variation``, and ``_pole_weights`` for one group's
-``polar_weights``; each pole gets the bits a kernel of its own gives it.
+``ChartPlan.weights``; each pole gets the bits of a kernel of its own.
 Outside the plan, ``induced_polar_variations`` runs ``_polar_variation`` on
 the state's stage, and it and the flow's section rates dress their
 variations with ``dress``.  A stage builds its polar half (frames, frame
@@ -72,19 +72,19 @@ one scalar over the chart basis, taken in reverse mode, so their cost does
 not grow with the basis.  Each is a weight on the pole's Laurent jet: twice
 the jet itself, read backwards, for ``res tr(A^2)``; for the pairing,
 ``beta`` taken back by the ``pullback`` of ``connection.diagonalize_jet``.
-``polar_weights`` transposes the jet's dependence on the poles' polar
+``ChartPlan.weights`` transposes the jet's dependence on the poles' polar
 parts, the one table ``connection.extension_weights``, which
 ``regular_jets`` contracts forward, and ``ChartPlan.jet_covector`` hands
 each group's weights to ``_covector``, which pulls them back through the
 dressing and contracts them once with the basis velocities; neither builds
-a basis direction's polar or jet variation.  Both differentials run on the state's
-stage; the flow's right-hand side (``flows.RhsPlan``) extends the state's
-plan, and the extended system's section rates take their jet weights back
-through ``polar_weights`` too, the b slots' from ``_pairing_weights`` of
-a stack of unit ``beta``.  This is the library's one derivative mode:
-the forward references of ``tests/oracles.py`` agree with it to round-off,
-not bit for bit.  A base direction's correction Hamiltonian combines them
-in ``flows.direction_differential``.
+a basis direction's polar or jet variation.  Both differentials run on the
+state's stage; the flow's right-hand side (``flows.RhsPlan``) extends the
+state's plan, and the extended system's section rates take their jet
+weights back through ``ChartPlan.weights`` too, the b slots' from
+``_pairing_weights`` of a stack of unit ``beta``.  This is the library's
+one derivative mode: the forward references of ``tests/oracles.py`` agree
+with it to round-off, not bit for bit.  A base direction's correction
+Hamiltonian combines them in ``flows.direction_differential``.
 """
 
 from __future__ import annotations
@@ -480,8 +480,7 @@ class ChartPlan:
     ``connection.extension_weights``.  ``q`` and ``b``, which only the
     extended system reads, are built when first read, so a fresh state
     that reads only its polar data does not pay for them.
-    ``pack`` and ``join`` write flat vectors, each part by its index
-    arrays.
+    ``pack`` writes flat vectors, each part by its index arrays.
     ``stage(y)`` runs the stacked kernels on a flat vector ``y`` (or a
     longer one that begins with it), each pole getting the bits a kernel
     of its own would give it.  A ``FlowState`` holds one plan and the stage
@@ -540,17 +539,6 @@ class ChartPlan:
                 p.lam_irr
         if duals:
             self.put_duals(y, *duals)
-        return y
-
-    def join(self, positions, chart, irregular):
-        """The flat vector whose positions, chart vector and poles'
-        irregular entries are the given parts, each written by its index
-        array: the inverse of reading them out by ``positions``, ``chart``
-        and ``irr``."""
-        y = np.empty(self.size, dtype=complex)
-        y[self.positions], y[self.chart] = positions, chart
-        for at, rows in zip(self.irr, irregular):
-            y[at] = rows
         return y
 
     def put_duals(self, y, q_dual, b_dual):
@@ -617,7 +605,19 @@ class ChartPlan:
             [polar[::-1], self.regular(st, i)[: l - 1]]), 0)
 
     def weights(self, y, i, polar_weight, regular_weight, extra=0):
-        """``polar_weights`` at the positions of the flat vector ``y``."""
+        """Weights on every pole's polar coefficients, group by group, of a
+        function of pole ``i``'s Laurent jet given its weights on the jet,
+        at the positions of the flat vector ``y``: ``polar_weight[...,
+        k-1]`` on the coefficient of ``(z - t_i)**-k``,
+        ``regular_weight[..., m]`` on the order ``m`` coefficient, each
+        pairing by the trace, with the same leading axes.
+
+        This transposes the jet's dependence on the poles' polar parts:
+        pole ``i``'s own polar rows, and on its regular rows the other
+        poles' terms seen from ``t_i``, the table ``extension_weights``
+        transposed.  A group's weights have shape ``(G, ..., l + extra, n,
+        n)``, row ``k - 1`` weighting the coefficient of ``(z - t_j)**-k``;
+        pole ``i``'s own rows past ``l_i`` are zero."""
         M = regular_weight.shape[-3]
         home, row = self.where[i]
         for k, g in enumerate(self.groups):
@@ -736,15 +736,10 @@ def hamiltonian_vector_field(dH, state):
 
 def _irregular_pole(state, i, beta):
     """Pole ``i`` and ``beta`` as an array, checked for the pairing."""
-    beta = np.asarray(beta, dtype=complex)
     p = state.pole(i)
     if p.l < 2:
         raise PreconditionError("irregular Hamiltonians need a pole of order >= 2")
-    if beta.shape != (p.l - 1, p.n):
-        raise MalformedInputError(
-            f"beta shape {beta.shape} does not match pole of order "
-            f"{p.l} and rank {p.n}; expected {(p.l - 1, p.n)}")
-    return p, beta
+    return p, state.irregular_rows(i, beta, "beta")
 
 
 def hamiltonian_beta_B(state, i, beta):
@@ -765,28 +760,11 @@ def hamiltonian_beta_B(state, i, beta):
     return complex(acc)
 
 
-def polar_weights(state, i, polar_weight, regular_weight, extra=0):
-    """Weights on every pole's polar coefficients, group by group, of a
-    function of pole ``i``'s Laurent jet given its weights on the jet:
-    ``polar_weight[..., k-1]`` on the coefficient of ``(z - t_i)**-k``,
-    ``regular_weight[..., m]`` on the order ``m`` coefficient, each pairing
-    by the trace, with the same leading axes.
-
-    This transposes the jet's dependence on the poles' polar parts: pole
-    ``i``'s own polar rows, and on its regular rows the other poles' terms
-    seen from ``t_i``, the table ``extension_weights`` transposed.  A
-    group's weights have shape ``(G, ..., l + extra, n, n)``, row ``k - 1``
-    weighting the coefficient of ``(z - t_j)**-k``; pole ``i``'s own rows
-    past ``l_i`` are zero: ``ChartPlan.weights``."""
-    return state.plan.weights(state.stage.y, i, polar_weight, regular_weight,
-                              extra)
-
-
 def _pole_weights(dists, own, L, M, polar_weight, regular_weight):
-    """One group's ``polar_weights``: the table ``extension_weights`` at the
-    distances ``dists`` from pole ``i``, through order ``L`` and ``M``
-    Taylor coefficients, contracted with the regular weight, and the polar
-    weight on the rows ``own`` of pole ``i`` itself."""
+    """One group's ``ChartPlan.weights``: the table ``extension_weights``
+    at the distances ``dists`` from pole ``i``, through order ``L`` and
+    ``M`` Taylor coefficients, contracted with the regular weight, and the
+    polar weight on the rows ``own`` of pole ``i`` itself."""
     dists[own] = 1.0       # finite powers; the row is overwritten below
     weight = np.einsum("gkm,...mpq->g...kpq", extension_weights(dists, L, M),
                        regular_weight)
@@ -809,7 +787,7 @@ def d_hamiltonian_beta_B(state, i, beta):
 def _pairing_weights(jet, beta):
     """The weights on a pole's Laurent ``jet`` (orders ``-l .. l-2``) of
     the diagonal-jet pairing with ``beta``, polar rows then regular rows,
-    as ``polar_weights`` takes them: one reverse sweep of
+    as ``ChartPlan.weights`` takes them: one reverse sweep of
     ``diagonalize_jet`` for every ``beta`` stacked on the leading axes,
     each with the bits of a sweep of its own."""
     l = -jet.k_min

@@ -35,7 +35,6 @@ from isomonodromy.symplectic import (
     d_translation_hamiltonian,
     hamiltonian_vector_field,
     induced_polar_variations,
-    polar_weights,
 )
 
 from conftest import random_invertible, random_matrix
@@ -259,7 +258,8 @@ def test_polar_weights(state, rng):
     for i, p in enumerate(state.poles):
         polar_w, regular_w = draw(2, p.l, n, n), draw(2, M, n, n)
         for g, W in zip(state.plan.groups,
-                        polar_weights(state, i, polar_w, regular_w, extra=1)):
+                        state.plan.weights(state.stage.y, i, polar_w,
+                                           regular_w, extra=1)):
             assert W.shape == (len(g.index), 2, g.l + 1, n, n)
             for r, j in enumerate(g.index):
                 if j == i:
@@ -511,8 +511,9 @@ def test_one_plan_and_stage_per_state(rng, monkeypatch):
     for i, p in enumerate(state.poles):
         state.jet_at_pole(i)
         d_translation_hamiltonian(state, i)
-        polar_weights(state, i, random_matrix(rng, n)[None].repeat(p.l, 0),
-                      random_matrix(rng, n)[None].repeat(2, 0))
+        state.plan.weights(state.stage.y, i,
+                           random_matrix(rng, n)[None].repeat(p.l, 0),
+                           random_matrix(rng, n)[None].repeat(2, 0))
         if p.l > 1:
             d_hamiltonian_beta_B(state, i, np.ones((p.l - 1, n)))
     symplectic.translation_hamiltonian_values(state)

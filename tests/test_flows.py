@@ -1,4 +1,7 @@
+import ast
 import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,10 @@ class TestRhs:
         with pytest.raises(PreconditionError):
             extended_autonomous_rhs(Direction.irregular(0, rate),
                                     extend_state(state))
+        # a zero rate moves nothing, so it is not refused: the field is the
+        # lift's, with no correction
+        d = isomonodromic_rhs(Direction.irregular(0, 0 * rate), state)
+        assert not d.d_chart.any()
 
     def test_irregular_rhs_builds_no_state_and_one_diagonalization(
             self, rng, monkeypatch):
@@ -182,7 +189,8 @@ class TestRhs:
         else:
             Y, path = (Direction.irregular(index, rows),
                        FlowPath.irregular_line(state, index, rows, 0.1))
-        for call in (lift_I0, direction_differential, isomonodromic_rhs):
+        for call in (lift_I0, direction_differential, isomonodromic_rhs,
+                     flows._section_rates):
             with pytest.raises(MalformedInputError, match="pole"):
                 call(Y, state)
         with pytest.raises(MalformedInputError, match="pole"):
@@ -194,9 +202,35 @@ class TestRhs:
         for call in (lambda: lift_I0(Direction.translation(3), state),
                      lambda: direction_differential(
                          Direction.translation(3), state),
+                     lambda: flows._section_rates(
+                         Direction.translation(3), state),
                      lambda: d_translation_hamiltonian(state, 3)):
             with pytest.raises(MalformedInputError, match=message):
                 call()
+
+
+def test_a_direction_is_read_checked():
+    # a direction's rates are read in flows._checked_rates alone, so the
+    # lift, the differential and the section rates all take checked rates
+    readers = []
+
+    class Reads(ast.NodeVisitor):
+        # each read is credited to the innermost function holding it
+        function = None
+
+        def visit_FunctionDef(self, node):
+            outer, self.function = self.function, node.name
+            self.generic_visit(node)
+            self.function = outer
+
+        def visit_Attribute(self, node):
+            if node.attr == "irregular_rates":
+                readers.append((path.name, self.function))
+            self.generic_visit(node)
+
+    for path in sorted(Path(flows.__file__).parent.glob("*.py")):
+        Reads().visit(ast.parse(path.read_text()))
+    assert set(readers) == {("flows.py", "_checked_rates")}
 
 
 class TestRhsPlan:
@@ -947,14 +981,14 @@ class TestSectionAndExtended:
             acc = sum(rate * q_slots[i][0]
                       for i, rate in Y.moduli_rates.items())
             for i, rows in Y.irregular_rates.items():
-                beta = beta_for_rate(rows, st.poles[i])
+                beta = beta_for_rate(rows, st.poles[i].lam_irr[-1])
                 acc -= 2.0 * np.sum(beta * b_slots[i])
             return complex(acc)
 
         oracle = rational_translation_hamiltonians(state)
         want = sum(rate * oracle[i] for i, rate in Y.moduli_rates.items())
         for i, rows in Y.irregular_rates.items():
-            beta = beta_for_rate(rows, state.poles[i])
+            beta = beta_for_rate(rows, state.poles[i].lam_irr[-1])
             want -= 2.0 * hamiltonian_beta_B(state, i, beta)
         assert abs(pairing(state) - want) < 1e-11 * max(1.0, abs(want))
 

@@ -73,6 +73,6 @@ def test_flat_vectors_round_trip(drawn):
     assert ser.un_flow_state(ser.flow_state(state)).flat().tobytes() \
         == y.tobytes()
     dy = complex_normal(rng, len(y))
-    assert StateDerivative.split(dy, state).flat().tobytes() == dy.tobytes()
+    assert StateDerivative(dy, state.plan).flat().tobytes() == dy.tobytes()
     header = ser.trajectory_csv(Trajectory([0.0], [state])).splitlines()[0]
     assert len(header.split(",")) == 1 + 2 * len(y)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,11 @@ from isomonodromy.ratfun import (
     RatScalar,
     residue_quadrature_oracle,
 )
-from isomonodromy.flows import Direction, direction_differential
+from isomonodromy.flows import (
+    Direction,
+    _section_rates,
+    direction_differential,
+)
 from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import (
     PoleChartBlock,
@@ -470,12 +476,23 @@ class TestHamiltonians:
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2,)])
     def test_beta_shape_must_match_pole(self, rng, shape):
-        # at an order-2 rank-2 pole only (l-1, n) = (1, 2) pairs
+        # at an order-2 rank-2 pole only (l-1, n) = (1, 2) pairs, for a beta
+        # and for an irregular rate alike, refused with one message
         state = FlowState(2, (
             PoleData(0.0, 2, np.eye(2), random_matrix(rng, 2), [[-0.6, 0.5]]),
             PoleData(2.0, 1, np.eye(2), random_matrix(rng, 2))))
-        with pytest.raises(MalformedInputError):
-            hamiltonian_beta_B(state, 0, np.ones(shape))
+        rows = np.ones(shape)
+        message = (r"^(beta|irregular rate): " + re.escape(
+            f"shape {shape} at pole 0 of order 2 and rank 2; expected (1, 2)")
+            + "$")
+        for call in (lambda: hamiltonian_beta_B(state, 0, rows),
+                     lambda: d_hamiltonian_beta_B(state, 0, rows),
+                     lambda: direction_differential(
+                         Direction.irregular(0, rows), state),
+                     lambda: _section_rates(Direction.irregular(0, rows),
+                                            state)):
+            with pytest.raises(MalformedInputError, match=message):
+                call()
 
 
     @pytest.mark.parametrize("i", [0, 1])

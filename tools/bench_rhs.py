@@ -29,7 +29,8 @@ read it:
 * ``build``: ``FlowState.with_flat``;
 * ``differential``: ``direction_differential``;
 * ``section``: ``flows._section_rates``, the extended system's dual rates
-  along the case's direction;
+  along the case's direction, with the check of the direction's rates
+  (``flows._checked_rates``) that ``direction_differential`` also runs;
 * ``gram``: ``gram_blocks`` on a state whose ``polar`` is built;
 * ``solve``: ``hamiltonian_vector_field``: the rank guard's singular
   values and the LU solves;
