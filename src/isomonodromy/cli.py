@@ -1,9 +1,9 @@
 """Batch front end: one self-describing JSON spec in, artifacts out.
 
-Subcommands: ``flow``, ``monodromy``, ``hamiltonian``, ``verify``,
-``pairing``.  Exit codes: 0 success, 2 invariant violation beyond tolerance,
-3 numeric abort, 4 parse error (of the spec or the command line).  Identical
-spec and seed give byte-identical outputs.
+``COMMANDS`` maps each subcommand, ``flow``, ``monodromy``, ``hamiltonian``,
+``verify``, ``pairing``, to its command.  Exit codes: 0 success, 2 invariant
+violation beyond tolerance, 3 numeric abort, 4 parse error (of the spec or the
+command line).  Identical spec and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .flows import (
 )
 from .monodromy import (
     DEFAULT_TOL,
-    TAU_MONO,
     auto_base_point,
     conjugacy_invariants,
     monodromy_rep,
@@ -43,7 +42,7 @@ from .symplectic import (
 )
 
 DEFAULT_TOLS = {"flow": FLOW_TOL, "transport": DEFAULT_TOL, "drift": 1e-6,
-                "pairing": 1e-10, "mono": TAU_MONO}
+                "pairing": 1e-10, "mono": 1e-8}
 
 
 def _load_spec(path):
@@ -293,6 +292,12 @@ def cmd_pairing(spec, args):
     return 0
 
 
+COMMANDS = {"flow": cmd_flow, "monodromy": cmd_monodromy,
+            "hamiltonian": cmd_hamiltonian,
+            "verify": functools.partial(cmd_flow, verify_only=True),
+            "pairing": cmd_pairing}
+
+
 # ---------------------------------------------------------------------------
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -308,7 +313,7 @@ def _parser():
         prog="isomonodromy",
         description="monodromy-preserving deformation flows at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("flow", "monodromy", "hamiltonian", "verify", "pairing"):
+    for name in COMMANDS:
         # each subcommand accepts the options it reads, and no other
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="JSON run spec")
@@ -329,17 +334,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
 
     try:
-        spec = _load_spec(args.input)
-        if args.command == "flow":
-            return cmd_flow(spec, args)
-        if args.command == "verify":
-            return cmd_flow(spec, args, verify_only=True)
-        if args.command == "monodromy":
-            return cmd_monodromy(spec, args)
-        if args.command == "hamiltonian":
-            return cmd_hamiltonian(spec, args)
-        if args.command == "pairing":
-            return cmd_pairing(spec, args)
+        return COMMANDS[args.command](_load_spec(args.input), args)
     except (MalformedInputError, KeyError, ValueError, TypeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4

@@ -64,7 +64,7 @@ from .monodromy import (
     min_separation,
     monodromy_reps,
 )
-from .states import ExtendedState, N_MAX
+from .states import ExtendedState
 from .symplectic import (
     TAU_RANK,
     ChartPlan,
@@ -77,6 +77,7 @@ from .symplectic import (
 from .ode import solve_ivp
 
 TAU_COLLIDE = 1e-2
+N_MAX = 1e8   # coefficient-norm cap; beyond this a flow is flagged as blown up
 FLOW_TOL = 1e-10
 
 

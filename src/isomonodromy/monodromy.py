@@ -40,7 +40,6 @@ from .connection import TAU_SEP, near
 from .errors import IntegrationAbort, PreconditionError
 from .ode import solve_ivp
 
-TAU_MONO = 1e-8
 DEFAULT_TOL = 1e-10
 
 ztrtrs = ode.load_alone("scipy.linalg._flapack").ztrtrs
@@ -143,14 +142,6 @@ class Path:
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "clearance", float(clearance))
 
-    @property
-    def start(self):
-        return self.segments[0].at(0.0)
-
-    @property
-    def end(self):
-        return self.segments[-1].at(1.0)
-
     def distance_to(self, p):
         return min(s.distance_to(p) for s in self.segments)
 
@@ -159,8 +150,6 @@ class Path:
                     self.clearance)
 
     def concatenate(self, other):
-        if abs(self.end - other.start) > 1e-9:
-            raise PreconditionError("paths do not join")
         return Path(self.segments + other.segments,
                     min(self.clearance, other.clearance))
 

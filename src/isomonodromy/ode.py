@@ -1,5 +1,5 @@
-"""DOP853, its step loop and the ``solve_ivp`` loop, which both of the
-library's integrations run on.
+"""DOP853, its step loop and the ``solve_ivp`` loop, forward only: both of
+the library's integrations run on them, over increasing ``t``.
 
 DOP853 is the explicit Runge-Kutta pair of Dormand and Prince of order 8,
 with error estimators of orders 5 and 3 and a dense output of order 7
@@ -47,7 +47,8 @@ def load_alone(name):
     """scipy's module ``name``: the module already loaded, if any, or else
     the file found in its package's directory and run under that name,
     without running that package or any between it and ``scipy`` (finding
-    it imports only ``scipy``)."""
+    it imports only ``scipy``).  A package imported later gets no attribute
+    for it: ``from package import module`` and ``sys.modules`` give it."""
     if name in sys.modules:
         return sys.modules[name]
     parts = name.split(".")
@@ -145,7 +146,7 @@ def rk_step(fun, t, y, f, h, K):
 
 
 class DOP853:
-    """DOP853 on ``y' = fun(t, y)`` from ``t0`` toward ``t_bound``, with
+    """DOP853 on ``y' = fun(t, y)`` from ``t0`` forward to ``t_bound``, with
     relative and absolute tolerances ``rtol`` and ``atol``, on ``lanes``
     equal slices of ``y``, each under its own step control.  Here ``lanes``
     is 1; ``monodromy._LinearDOP853`` sets it from its segments.
@@ -189,9 +190,10 @@ class DOP853:
         if not np.isfinite(self.y).all():
             raise ValueError("All components of the initial state `y0` must "
                              "be finite.")
+        if t_bound < t0:
+            raise ValueError("DOP853 integrates forward only: t_bound < t0.")
         self._fun, self.rtol, self.atol = fun, rtol, atol
         self.t_old, self.t, self.t_bound = None, t0, t_bound
-        self.direction = 1.0 if t_bound >= t0 else -1.0
         self.status = "running"
         self.nfev = 0
         self.width = self.y.size // self.lanes
@@ -225,8 +227,7 @@ class DOP853:
         d1 = norms(self.f / scale) / root
         h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b,
                   interval_length) for a, b in zip(d0, d1)]
-        f1 = np.array([self._lane_rhs(k, t0 + h * self.direction,
-                                      y + h * self.direction * f)
+        f1 = np.array([self._lane_rhs(k, t0 + h, y + h * f)
                        for k, (h, y, f) in enumerate(zip(h0, ys, self.f))])
         d2 = norms((f1 - self.f) / scale) / root
         out = []
@@ -241,9 +242,7 @@ class DOP853:
     def _set_live(self, lanes):
         # the unfinished lanes, and their rows of y and f: a slice, read
         # and written in place, when they are consecutive
-        live = self.live = [k for k in lanes
-                            if self.direction * (self.ts[k] - self.t_bound)
-                            < 0]
+        live = self.live = [k for k in lanes if self.ts[k] < self.t_bound]
         self.rows = (slice(live[0], live[-1] + 1)
                      if live and live[-1] - live[0] == len(live) - 1
                      else live)
@@ -288,7 +287,7 @@ class DOP853:
                 # it, or one that is not finite (it would be cut forever),
                 # fails the run
                 t, h_abs = self.ts[k], self.h_abs[k]
-                min_step = 10 * abs(nextafter(t, self.direction * inf) - t)
+                min_step = 10 * abs(nextafter(t, inf) - t)
                 if h_abs < min_step and not self.rejected[k]:
                     h_abs = self.h_abs[k] = min_step
                 if h_abs < min_step or not isfinite(h_abs):
@@ -297,9 +296,7 @@ class DOP853:
                                f"step size {h_abs} is not finite")
                     return (f"{self.names[k]}: {message}" if self.names
                             else message)
-                t1 = t + h_abs * self.direction
-                if self.direction * (t1 - self.t_bound) > 0:
-                    t1 = self.t_bound
+                t1 = min(t + h_abs, self.t_bound)
                 ts.append(t)
                 hs.append(t1 - t)
                 t_new.append(t1)
@@ -324,7 +321,7 @@ class DOP853:
             if self.t_bound in (t_new[i] for i in accepted):
                 self._set_live(live)
         self.t_old, self.t = t_old, min(self.ts)
-        if self.direction * (self.t - self.t_bound) >= 0:
+        if self.t >= self.t_bound:
             self.status = "finished"
         return None
 
@@ -403,8 +400,7 @@ def solve_ivp(fun, t_span, y0, method=DOP853, events=(), **options):
     along which it falls to zero: ``g >= 0`` at the step's start and ``g <=
     0`` at its end (scipy's terminal event of ``direction`` -1).  Its root
     is located on the step's dense output by ``brentq`` to ``4 eps``, and
-    the run ends at the first root in the direction of integration, the
-    earliest event on a tie.
+    the run ends at the earliest root, the earliest event on a tie.
     """
     t0, t1 = map(float, t_span)
     solver = method(fun, t0, y0, t1, **options)
@@ -427,8 +423,7 @@ def solve_ivp(fun, t_span, y0, method=DOP853, events=(), **options):
                 sol = solver.dense_output()
                 roots = [_locate(events[i], sol, solver.t_old, t)
                          for i in active]
-                first = min(range(len(active)),
-                            key=lambda j: roots[j] * solver.direction)
+                first = min(range(len(active)), key=roots.__getitem__)
                 status, fired = 1, active[first]
                 t = t_event = roots[first]
                 y = sol(t)

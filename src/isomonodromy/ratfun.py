@@ -7,11 +7,12 @@ Conventions used throughout the library:
   the cancellation test's Horner step mirror numpy.polynomial's ``polymul``,
   ``polyadd`` and ``polyval`` bit for bit, without their wrappers.
 * A :class:`RatScalar` is ``num(z) / prod_j (z - r_j)**m_j`` with the
-  denominator kept in factored form ``(root, multiplicity)``.  Keeping roots
-  instead of expanded denominators makes residue and Laurent extraction
-  exact-by-structure, and the library finds no root.  The one rational
-  matrix it inverts is a twist germ, by ``polymat_adjugate`` over the
-  germ's determinant ``c zeta**mu``.
+  denominator kept in factored form ``(root, multiplicity)``; its one trusted
+  constructor, for results already trimmed, merged and cancelled, is
+  ``_entry``.  Keeping roots instead of expanded denominators makes residue
+  and Laurent extraction exact-by-structure, and the library finds no root.
+  The one rational matrix it inverts is a twist germ, by ``polymat_adjugate``
+  over the germ's determinant ``c zeta**mu``.
 * The point at infinity is the sentinel :data:`INFINITY`; the chart there is
   ``w = 1/z`` with ``dz = -dw / w**2``.
 * A "1-form" is a rational (or jet) coefficient of ``dz`` in the finite chart,
@@ -286,7 +287,7 @@ class RatScalar:
 
     __slots__ = ("num", "poles")
 
-    def __init__(self, num, poles=(), _skip_cancel=False):
+    def __init__(self, num, poles=()):
         num = poly_trim(num, rel_tol=0.0)
         merged = []
         for r, m in poles:
@@ -300,8 +301,7 @@ class RatScalar:
                     break
             else:
                 merged.append((r, m))
-        if not _skip_cancel:
-            num, merged = _cancel(num, merged)
+        num, merged = _cancel(num, merged)
         self.num = num
         self.poles = tuple(sorted(merged, key=lambda rm: (rm[0].real, rm[0].imag)))
 
@@ -363,13 +363,13 @@ class RatScalar:
         return _add(self, other, {})
 
     def __neg__(self):
-        return RatScalar(-self.num, self.poles, _skip_cancel=True)
+        return _entry(poly_trim(-self.num), self.poles)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             if other == 0:
                 return RatScalar.zero()
-            return RatScalar(self.num * other, self.poles, _skip_cancel=True)
+            return _entry(poly_trim(self.num * other), self.poles)
         if not isinstance(other, RatScalar):
             return NotImplemented
         # the constructor adds the multiplicities of roots within TAU_MERGE

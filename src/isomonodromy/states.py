@@ -56,8 +56,6 @@ from .connection import (
 )
 from .errors import MalformedInputError
 
-N_MAX = 1e8   # coefficient-norm cap; beyond this a flow is flagged as blown up
-
 
 def _shaped(value, name, shape):
     """``value`` as a complex array, which must have the given shape."""

@@ -302,11 +302,9 @@ def _etas(F_inv, V, u_toeplitz):
     etas[:, : n * n] = np.einsum(
         "gipa,gmibq->gabmpq", F_inv, u_toeplitz).reshape(G, n * n, l, n, n)
     if l > 2:
-        # jet direction (k, a, b): eta_m = V_{m-k-1} E_ab for m > k,
-        # with v_shifted[:, k, m] = V[:, m - k - 1]
-        v_shifted = np.zeros((G, l - 2, l, n, n), dtype=complex)
-        for k in range(l - 2):
-            v_shifted[:, k, k + 1:] = V[:, : l - k - 1]
+        # jet direction (k, a, b): eta_m = V_{m-k-1} E_ab for m > k, from
+        # the Toeplitz stack's column k + 1, V[:, m - k - 1]
+        v_shifted = _toeplitz(V)[:, :, 1: l - 1].swapaxes(1, 2)
         eta_u = np.einsum("gkmpa,bq->gkabmpq", v_shifted, np.eye(n))
         etas[:, n * n: n_frame] = eta_u[
             :, :, ~np.eye(n, dtype=bool)].reshape(G, -1, l, n, n)

@@ -3,6 +3,7 @@ import pytest
 
 from isomonodromy.connection import Connection
 from isomonodromy.ratfun import RatMat, RatScalar
+from isomonodromy.states import FlowState, PoleData
 
 from oracles import spectral_quadratic, with_chart_vector
 
@@ -63,6 +64,24 @@ def random_fuchsian_matrices(rng, n, n_poles, zero_sum=True):
         mean = sum(mats) / n_poles
         mats = [M - mean for M in mats]
     return mats
+
+
+def fuchsian_state(ts, mats, twist=None):
+    n = mats[0].shape[0]
+    return FlowState(n, tuple(PoleData(t, 1, np.eye(n), M)
+                              for t, M in zip(ts, mats)), twist)
+
+
+def irregular_state(rng, lam_lead=(-0.45, 0.4)):
+    """An order-2 pole with a regular diagonal leading type at 0, and two
+    simple poles, residues summing to zero."""
+    rm = lambda: 0.25 * (rng.standard_normal((2, 2))
+                         + 1j * rng.standard_normal((2, 2)))
+    lam0, A1 = rm(), rm()
+    return FlowState(2, (
+        PoleData(0.0, 2, np.eye(2), lam0, [list(lam_lead)]),
+        PoleData(2.3, 1, np.eye(2), A1),
+        PoleData(-2.0, 1, np.eye(2), -(lam0 + A1))))
 
 
 def fuchsian_connection(poles, mats):

@@ -18,6 +18,7 @@ from isomonodromy.monodromy import (LineSegment, Path, loop_ordering,
                                     transport)
 from isomonodromy.ratfun import (TAU_MERGE, LaurentJet, RatMat, RatScalar,
                                   poly_factors, poly_trim)
+from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import TAU_RANK, induced_polar_variations
 
 
@@ -447,6 +448,33 @@ def extension_jet(C, k, dist, m_max):
         out[m] = C * ((-1) ** m * math.comb(k + m - 1, m)
                       * dist ** (-(k + m)))
     return out
+
+
+def affine_image(state, a, b, power=lambda k: k - 1, fixed=()):
+    """The state under ``w = a z + b``: positions ``a t + b``, frames kept,
+    the frame jet ``u_k`` times ``a**-k`` and the dressed coefficient of
+    order ``k`` (the residue momentum at ``k = 1``, the irregular rows past
+    it) times ``a**power(k)``, which makes ``C_k`` ``a**(k-1) C_k``.  The
+    poles listed in ``fixed`` keep their positions (a planted error)."""
+    poles = []
+    for i, p in enumerate(state.poles):
+        lam_irr = np.array([a ** power(j + 2) * row
+                            for j, row in enumerate(p.lam_irr)])
+        u = np.array([a ** -(k + 1) * uk for k, uk in enumerate(p.u)])
+        poles.append(PoleData(p.t if i in fixed else a * p.t + b, p.l, p.h,
+                              a ** power(1) * p.lam_res,
+                              lam_irr.reshape(p.l - 1, p.n),
+                              u.reshape(p.u.shape)))
+    return FlowState(state.n, tuple(poles))
+
+
+def gauge_image(state, g, poles=None):
+    """The state under the constant gauge ``g``: every frame ``h`` as ``g
+    h``, or only those of ``poles`` (a planted error)."""
+    poles = range(len(state.poles)) if poles is None else poles
+    return FlowState(state.n, tuple(
+        PoleData(p.t, p.l, g @ p.h if i in poles else p.h, p.lam_res,
+                 p.lam_irr, p.u) for i, p in enumerate(state.poles)))
 
 
 def with_chart_vector(state, vec):

@@ -374,22 +374,6 @@ AFFINE = (1.3 * np.exp(0.4j), 0.2 - 0.5j)
 COVARIANCE_TOL = 1e-13
 
 
-def affine_image(state, a, b, power=lambda k: k - 1):
-    """The state under ``w = a z + b``: positions ``a t + b``, frames kept,
-    the frame jet ``u_k`` times ``a**-k`` and the dressed coefficient of
-    order ``k`` (the residue momentum at ``k = 1``, the irregular rows past
-    it) times ``a**power(k)``, which makes ``C_k`` ``a**(k-1) C_k``."""
-    poles = []
-    for p in state.poles:
-        lam_irr = np.array([a ** power(j + 2) * row
-                            for j, row in enumerate(p.lam_irr)])
-        u = np.array([a ** -(k + 1) * uk for k, uk in enumerate(p.u)])
-        poles.append(PoleData(a * p.t + b, p.l, p.h, a ** power(1) * p.lam_res,
-                              lam_irr.reshape(p.l - 1, p.n),
-                              u.reshape(p.u.shape)))
-    return FlowState(state.n, tuple(poles))
-
-
 def covariance_residual(state, direction, power=lambda k: k - 1):
     """The right-hand side at the affine image of ``state``, along the
     image of ``direction`` (rates times ``a``), against the one at
@@ -400,7 +384,7 @@ def covariance_residual(state, direction, power=lambda k: k - 1):
     image = Direction({i: a * r for i, r in direction.moduli_rates.items()},
                       {i: a * np.asarray(r)
                        for i, r in direction.irregular_rates.items()})
-    got = isomonodromic_rhs(image, affine_image(state, a, b, power))
+    got = isomonodromic_rhs(image, oracles.affine_image(state, a, b, power))
     want = isomonodromic_rhs(direction, state)
     scale = []
     for p in state.poles:
@@ -445,10 +429,7 @@ def gauge_residual(state, direction, g, poles=None):
     slot but the frames', where ``dh`` becomes ``g dh``.  The larger of the
     two largest differences, each relative to its largest expected
     entry."""
-    poles = range(len(state.poles)) if poles is None else poles
-    image = FlowState(state.n, tuple(
-        PoleData(p.t, p.l, g @ p.h if i in poles else p.h, p.lam_res,
-                 p.lam_irr, p.u) for i, p in enumerate(state.poles)))
+    image = oracles.gauge_image(state, g, poles)
     values = np.array(symplectic.translation_hamiltonian_values(state))
     got = np.array(symplectic.translation_hamiltonian_values(image))
     residual = np.max(np.abs(got - values)) / np.max(np.abs(values))

@@ -49,6 +49,8 @@ from isomonodromy.symplectic import (
 from isomonodromy.twist import MatrixDivisor, normal_form
 
 from conftest import (
+    fuchsian_state,
+    irregular_state,
     numeric_differential,
     random_fuchsian_matrices,
     random_matrix,
@@ -57,27 +59,11 @@ from conftest import (
 from oracles import with_chart_vector
 
 
-def fuchsian_state(ts, mats, twist=None):
-    n = mats[0].shape[0]
-    return FlowState(n, tuple(PoleData(t, 1, np.eye(n), M)
-                              for t, M in zip(ts, mats)), twist)
-
-
 def commuting_state():
     mats = [np.diag([0.4, -0.3]).astype(complex),
             np.diag([-0.2, 0.5]).astype(complex),
             np.diag([-0.2, -0.2]).astype(complex)]
     return fuchsian_state([0.0, 1.6, -1.4], mats)
-
-
-def irregular_state(rng, lam_lead=(-0.45, 0.4)):
-    rm = lambda: 0.25 * (rng.standard_normal((2, 2))
-                         + 1j * rng.standard_normal((2, 2)))
-    lam0, A1 = rm(), rm()
-    return FlowState(2, (
-        PoleData(0.0, 2, np.eye(2), lam0, [list(lam_lead)]),
-        PoleData(2.3, 1, np.eye(2), A1),
-        PoleData(-2.0, 1, np.eye(2), -(lam0 + A1))))
 
 
 class TestLift:

@@ -104,6 +104,18 @@ class TestTransport:
         Y = transport(conn, p2, tol) @ transport(conn, p1, tol)
         assert np.max(np.abs(Y12 - Y)) < 1e-9
 
+    def test_paths_that_do_not_join_are_refused(self):
+        # the one join check, Path's own, refuses a gap of 1e-8 in a
+        # concatenation as in a path built whole
+        p1 = Path.line(-1.0 - 1.0j, 1.0 - 1.0j)
+        p2 = Path.line(1.0 + 1e-8 - 1.0j, 3.0 - 1.0j)
+        for build in (lambda: p1.concatenate(p2),
+                      lambda: Path(p1.segments + p2.segments)):
+            with pytest.raises(PreconditionError, match="do not join"):
+                build()
+        assert p1.concatenate(Path.line(1.0 + 1e-10 - 1.0j, 3.0)).segments \
+            == p1.segments + (LineSegment(1.0 + 1e-10 - 1.0j, 3.0),)
+
     def test_liouville_determinant(self, rng):
         mats = random_fuchsian_matrices(rng, 2, 2)
         conn = fuchsian([0.0, 2.0], mats)

@@ -30,10 +30,9 @@ from isomonodromy.flows import (
     integrate_flow,
 )
 from isomonodromy.monodromy import _LinearDOP853
-from isomonodromy.states import FlowState, PoleData
 from isomonodromy.symplectic import chart_conditioning
 
-from conftest import random_fuchsian_matrices
+from conftest import fuchsian_state, irregular_state, random_fuchsian_matrices
 
 SRC = Path(isomonodromy.__file__).resolve().parents[1]
 HEAVY = ("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special",
@@ -44,23 +43,6 @@ def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and a.dtype == b.dtype
             and a.tobytes() == b.tobytes())
-
-
-def fuchsian_state(ts, mats):
-    n = mats[0].shape[0]
-    return FlowState(n, tuple(PoleData(t, 1, np.eye(n), M)
-                              for t, M in zip(ts, mats)))
-
-
-def irregular_state(rng):
-    def rm():
-        return 0.25 * (rng.standard_normal((2, 2))
-                       + 1j * rng.standard_normal((2, 2)))
-    lam0, A1 = rm(), rm()
-    return FlowState(2, (
-        PoleData(0.0, 2, np.eye(2), lam0, [[-0.45, 0.4]]),
-        PoleData(2.3, 1, np.eye(2), A1),
-        PoleData(-2.0, 1, np.eye(2), -(lam0 + A1))))
 
 
 @pytest.fixture
@@ -214,6 +196,22 @@ def test_a_run_with_nothing_to_integrate_ends_at_once(case):
     assert same_bytes(ours.y, theirs.y[:, -1])
     if events:
         assert ours.event == 0 and ours.t_event == theirs.t_events[0][0]
+
+
+def never(t, y):
+    pytest.fail("the right-hand side was evaluated")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: ode.solve_ivp(never, (1.0, 0.0), np.ones(2), rtol=1e-8,
+                          atol=1e-8),
+    lambda: ode.DOP853(never, 1.0, np.ones(2), 0.0, rtol=1e-8, atol=1e-8)],
+    ids=["solve_ivp", "DOP853"])
+def test_integration_runs_forward_only(run):
+    # the flows and transport integrate over increasing s; an interval
+    # that ends before it starts is refused before any evaluation
+    with pytest.raises(ValueError, match="forward only"):
+        run()
 
 
 def test_a_step_size_below_the_minimum_step_is_raised_to_it():

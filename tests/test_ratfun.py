@@ -61,8 +61,7 @@ class TestLaurentExpand:
         assert jet.coefficient(3) == 0.0
 
     def test_ambiguous_point_raises(self):
-        f = RatScalar(np.array([1.0 + 0j]), [(0.0, 1), (1e-11, 2)],
-                      _skip_cancel=True)
+        f = RatScalar(np.array([1.0 + 0j]), [(0.0, 1), (1e-11, 2)])
         with pytest.raises(MalformedInputError):
             f.laurent(0.0, 0)
 

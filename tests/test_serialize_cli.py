@@ -481,7 +481,7 @@ class TestCli:
         def stiff(spec, args, verify_only=False):
             raise IntegrationAbort("flow integration failed: step too small")
 
-        monkeypatch.setattr(cli, "cmd_flow", stiff)
+        monkeypatch.setitem(cli.COMMANDS, "flow", stiff)
         assert cli_main(["flow", "--input", str(flow_spec),
                          "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
@@ -582,9 +582,11 @@ class TestCli:
     def test_parser_keeps_no_arguments_between_calls(self, tmp_path,
                                                      monkeypatch):
         # the parser is built once per process; each call parses afresh
+        import isomonodromy.cli as cli
+
         seen = []
-        for name in ("cmd_flow", "cmd_monodromy"):
-            monkeypatch.setattr(f"isomonodromy.cli.{name}",
+        for name in ("flow", "monodromy"):
+            monkeypatch.setitem(cli.COMMANDS, name,
                                 lambda spec, args: seen.append(args) or 0)
         sp = tmp_path / "spec.json"
         sp.write_text("{}")
@@ -596,6 +598,23 @@ class TestCli:
                          "tol": 1e-9, "pin": [0, 2]}
         assert second == {"command": "monodromy", "input": str(sp),
                           "out": ".", "tol": None}
+
+    def test_one_table_of_subcommands(self):
+        # the parser is built from cli.COMMANDS, in its order, and the
+        # README's command-line block shows the same subcommands
+        import argparse
+
+        import isomonodromy.cli as cli
+
+        sub = next(a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(cli.COMMANDS) == list(sub.choices)
+        readme = (Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text().split("## Command line", 1)[1]
+        block = readme.split("```", 2)[1]
+        shown = [line.split()[1] for line in block.splitlines()
+                 if line.startswith("isomonodromy ")]
+        assert sorted(shown) == sorted(cli.COMMANDS)
 
     @pytest.mark.parametrize("command", ["flow", "verify", "monodromy"])
     def test_base_point_on_a_pole(self, flow_spec, tmp_path, monkeypatch,
